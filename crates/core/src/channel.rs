@@ -197,20 +197,21 @@ impl<T> Sender<T> {
 
     /// Queue a whole batch under **one** lock acquisition, evicting the
     /// oldest queued items as needed to respect the capacity bound (the
-    /// batched form of [`Sender::send_overwriting`]).  The final queue
-    /// content is exactly what a sequence of per-item overwriting sends
-    /// would leave behind; the returned count is how many items (queued or
-    /// from the batch itself) were evicted.  Fails with the whole batch
-    /// handed back when every receiver is gone.
-    pub fn send_batch_overwriting(&self, items: Vec<T>) -> Result<usize, SendError<Vec<T>>> {
+    /// batched form of [`Sender::send_overwriting`]).  The batch is drained
+    /// out of `items`, which keeps its allocation for the caller to reuse.
+    /// The final queue content is exactly what a sequence of per-item
+    /// overwriting sends would leave behind; the returned count is how
+    /// many items (queued or from the batch itself) were evicted.  Fails
+    /// with `items` untouched when every receiver is gone.
+    pub fn send_batch_overwriting(&self, items: &mut Vec<T>) -> Result<usize, SendError<()>> {
         if items.is_empty() {
             return Ok(0);
         }
         let mut s = self.chan.lock();
         if s.receivers == 0 {
-            return Err(SendError(items));
+            return Err(SendError(()));
         }
-        s.queue.extend(items);
+        s.queue.extend(items.drain(..));
         let mut evicted = 0;
         if let Some(cap) = s.capacity {
             while s.queue.len() > cap {
@@ -225,30 +226,29 @@ impl<T> Sender<T> {
 
     /// Queue as much of a batch as fits without blocking, under one lock
     /// acquisition (the batched form of [`Sender::try_send`] for a
-    /// drop-newest hop).  Returns `(accepted, rejected)`: the first
-    /// `accepted` items were queued in order, the rest were discarded.
-    /// Fails with the whole batch handed back when every receiver is gone.
-    pub fn try_send_batch(&self, mut items: Vec<T>) -> Result<(usize, usize), SendError<Vec<T>>> {
+    /// drop-newest hop).  Returns how many items were accepted: that
+    /// prefix is drained out of `items` and queued in order, the rejected
+    /// tail stays in `items` for the caller to account.  Fails with
+    /// `items` untouched when every receiver is gone.
+    pub fn try_send_batch(&self, items: &mut Vec<T>) -> Result<usize, SendError<()>> {
         if items.is_empty() {
-            return Ok((0, 0));
+            return Ok(0);
         }
         let mut s = self.chan.lock();
         if s.receivers == 0 {
-            return Err(SendError(items));
+            return Err(SendError(()));
         }
         let room = match s.capacity {
             Some(cap) => cap.saturating_sub(s.queue.len()),
             None => items.len(),
         };
         let accepted = items.len().min(room);
-        let rejected = items.len() - accepted;
-        items.truncate(accepted);
-        s.queue.extend(items);
+        s.queue.extend(items.drain(..accepted));
         drop(s);
         if accepted > 0 {
             self.chan.not_empty.notify_all();
         }
-        Ok((accepted, rejected))
+        Ok(accepted)
     }
 
     /// Number of items currently queued.
@@ -412,25 +412,30 @@ mod tests {
         let (tx, rx) = bounded::<u32>(4);
         tx.try_send(0).unwrap();
         tx.try_send(1).unwrap();
-        assert_eq!(tx.send_batch_overwriting((2..8).collect()).unwrap(), 4);
+        let mut batch: Vec<u32> = (2..8).collect();
+        assert_eq!(tx.send_batch_overwriting(&mut batch).unwrap(), 4);
+        assert!(batch.is_empty(), "the batch is drained, not consumed");
         let got: Vec<u32> = rx.try_iter().collect();
         assert_eq!(got, vec![4, 5, 6, 7]);
         // A batch larger than the capacity evicts its own head.
-        assert_eq!(tx.send_batch_overwriting((0..6).collect()).unwrap(), 2);
+        batch.extend(0..6);
+        assert_eq!(tx.send_batch_overwriting(&mut batch).unwrap(), 2);
         assert_eq!(rx.try_iter().collect::<Vec<u32>>(), vec![2, 3, 4, 5]);
-        // Drop-newest batch: prefix fits, tail is rejected.
+        // Drop-newest batch: prefix fits, the rejected tail stays behind.
         tx.try_send(9).unwrap();
-        assert_eq!(tx.try_send_batch((0..5).collect()).unwrap(), (3, 2));
+        batch.extend(0..5);
+        assert_eq!(tx.try_send_batch(&mut batch).unwrap(), 3);
+        assert_eq!(batch, vec![3, 4]);
         assert_eq!(rx.try_iter().collect::<Vec<u32>>(), vec![9, 0, 1, 2]);
-        // Empty batches are no-ops; disconnection hands the batch back.
-        assert_eq!(tx.send_batch_overwriting(Vec::new()).unwrap(), 0);
-        assert_eq!(tx.try_send_batch(Vec::new()).unwrap(), (0, 0));
+        // Empty batches are no-ops; disconnection leaves the batch alone.
+        batch.clear();
+        assert_eq!(tx.send_batch_overwriting(&mut batch).unwrap(), 0);
+        assert_eq!(tx.try_send_batch(&mut batch).unwrap(), 0);
         drop(rx);
-        assert_eq!(
-            tx.send_batch_overwriting(vec![1, 2]),
-            Err(SendError(vec![1, 2]))
-        );
-        assert_eq!(tx.try_send_batch(vec![3]), Err(SendError(vec![3])));
+        batch.extend([1, 2]);
+        assert_eq!(tx.send_batch_overwriting(&mut batch), Err(SendError(())));
+        assert_eq!(tx.try_send_batch(&mut batch), Err(SendError(())));
+        assert_eq!(batch, vec![1, 2]);
     }
 
     #[test]

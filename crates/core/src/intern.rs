@@ -58,27 +58,47 @@ fn interner() -> &'static RwLock<Interner> {
     })
 }
 
+thread_local! {
+    /// The string this thread interned last.  Pipeline hops ask for the same
+    /// identifier back to back (the gateway keys its per-series table by an
+    /// event's type, then the router picks that type's shard), and a string
+    /// compare is several times cheaper than the table's lock and hash.
+    static LAST: std::cell::Cell<Option<(&'static str, Sym)>> = const { std::cell::Cell::new(None) };
+}
+
 impl Sym {
-    /// Intern a string, returning its stable handle.  The common case (the
-    /// string is already interned) is one read-lock acquisition and one
-    /// hash lookup; the first sighting of a string takes the write lock
-    /// and leaks one copy.
+    /// Intern a string, returning its stable handle.  Asking for the string
+    /// this thread interned last is one string compare; otherwise the
+    /// common case (the string is already interned) is one read-lock
+    /// acquisition and one hash lookup, and the first sighting of a string
+    /// takes the write lock and leaks one copy.
     pub fn intern(s: &str) -> Sym {
+        if let Some((last, sym)) = LAST.get() {
+            if last == s {
+                return sym;
+            }
+        }
+        let (interned, sym) = Self::intern_in_table(s);
+        LAST.set(Some((interned, sym)));
+        sym
+    }
+
+    fn intern_in_table(s: &str) -> (&'static str, Sym) {
         let lock = interner();
-        if let Some(&id) = lock.read().map.get(s) {
-            return Sym(id);
+        if let Some((&interned, &id)) = lock.read().map.get_key_value(s) {
+            return (interned, Sym(id));
         }
         let mut w = lock.write();
         // Double-check: another thread may have interned it between the
         // read unlock and the write lock.
-        if let Some(&id) = w.map.get(s) {
-            return Sym(id);
+        if let Some((&interned, &id)) = w.map.get_key_value(s) {
+            return (interned, Sym(id));
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
         let id = w.strings.len() as u32;
         w.strings.push(leaked);
         w.map.insert(leaked, id);
-        Sym(id)
+        (leaked, Sym(id))
     }
 
     /// Look a string up without interning it (useful on query paths that

@@ -5,18 +5,20 @@
 //! subscribed consumers according to their filters — streaming
 //! subscriptions get a **bounded** channel with an explicit overflow
 //! policy, query consumers ask for the most recent event on demand.  It
-//! also keeps the summary engine fed, enforces the site's access policy,
-//! and counts what it delivers (and drops) per subscription so the
-//! scalability experiments can compare "N consumers hitting the sensor
-//! host" with "N consumers hitting one gateway" (E7) and measure how much
-//! the filters reduce delivered volume (E10).
+//! also keeps the per-series table behind query mode and the summaries
+//! fed, enforces the site's access policy, and counts what it delivers
+//! (and drops) per subscription so the scalability experiments can
+//! compare "N consumers hitting the sensor host" with "N consumers
+//! hitting one gateway" (E7) and measure how much the filters reduce
+//! delivered volume (E10).
 //!
-//! The publish hot path runs on the sharded fan-out engine in
-//! [`crate::routing`]: subscriptions are indexed by event type across
-//! [`GatewayConfig::shards`] routing shards, each shard's table is an
-//! immutable snapshot swapped on the cold path, and delivery optionally
-//! moves to [`GatewayConfig::delivery_workers`] background threads
-//! draining the shards in parallel.
+//! Every publish form is one body, [`EventGateway::publish_shared_batch`]
+//! (a single event is a batch of one), and it runs on the sharded fan-out
+//! engine in [`crate::routing`]: subscriptions are indexed by event type
+//! across [`GatewayConfig::shards`] routing shards, each shard's table is
+//! an immutable snapshot swapped on the cold path, and delivery
+//! optionally moves to [`GatewayConfig::delivery_workers`] background
+//! threads draining the shards in parallel.
 //!
 //! Consumers subscribe with the fluent [`SubscriptionBuilder`]:
 //!
@@ -34,14 +36,12 @@
 //! assert_eq!(sub.delivered(), 0);
 //! ```
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jamm_core::channel::{bounded, Receiver, Sender};
 use jamm_core::flow::{DeliveryCounters, EventSink, EventSource, OverflowPolicy, SinkError};
 use jamm_core::intern::Sym;
-use jamm_core::sync::RwLock;
 use jamm_ulm::{keys, Event, SharedEvent, Timestamp};
 
 use jamm_auth::acl::{AccessControlList, Action};
@@ -50,7 +50,7 @@ use jamm_core::query::{Plan, Predicate};
 use crate::filter::{EventFilter, FilterChain};
 use crate::qos::{QosConfig, QosRuntime, QosSnapshot, Tier, TierRow};
 use crate::routing::{RouteOutcome, ShardReport, ShardedRouter, DEFAULT_GATEWAY_SHARDS};
-use crate::summary::{ShardedSummaryEngine, SummaryWindow};
+use crate::summary::{SeriesTable, SummaryWindow};
 use crate::{GatewayError, Result};
 
 /// Default bound on a subscription's in-flight event queue.
@@ -344,15 +344,6 @@ pub struct GatewayStats {
     pub route_us: jamm_core::obs::Histogram,
 }
 
-impl GatewayStats {
-    fn apply(&self, out: &RouteOutcome) {
-        self.events_out.fetch_add(out.delivered, Ordering::Relaxed);
-        self.events_dropped
-            .fetch_add(out.dropped, Ordering::Relaxed);
-        self.bytes_out.fetch_add(out.bytes, Ordering::Relaxed);
-    }
-}
-
 /// One row of [`EventGateway::delivery_report`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveryReport {
@@ -371,34 +362,32 @@ pub struct DeliveryReport {
 }
 
 /// One background delivery worker: its ingest queue (carrying batches, so
-/// a batched publish hands a worker all its events in one send) plus the
-/// join handle used for clean shutdown when the gateway is dropped.
+/// a publish hands a worker all its events in one send) plus the join
+/// handle used for clean shutdown when the gateway is dropped.
 struct DeliveryWorker {
-    tx: Option<Sender<Vec<SharedEvent>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    tx: Sender<Vec<SharedEvent>>,
+    handle: std::thread::JoinHandle<()>,
 }
 
 /// The JAMM event gateway.
 pub struct EventGateway {
     config: GatewayConfig,
     router: Arc<ShardedRouter>,
-    /// The query cache, sharded by series key like the summary engine so
-    /// parallel publishers do not serialize on one write lock.  Keys are
-    /// interned and values shared: caching the latest event of a series
-    /// is a refcount bump, not a deep copy plus two string clones.
-    latest: Vec<RwLock<HashMap<(Sym, Sym), SharedEvent>>>,
-    summaries: ShardedSummaryEngine,
+    /// What the gateway remembers per (host, event type) series: the
+    /// query cache and the summary readings under one key.
+    series: SeriesTable,
     stats: Arc<GatewayStats>,
     next_id: AtomicU64,
     workers: Vec<DeliveryWorker>,
+    /// `(offset, len)` spans into `workers`, one per pool: none under
+    /// synchronous delivery, one generic pool without a QoS plane, one
+    /// per tier (in [`Tier::ALL`] order, fast first) with one.
+    pools: Vec<(usize, usize)>,
     /// Events handed to a worker but not yet routed (see
     /// [`EventGateway::quiesce`]).
     in_flight: Arc<AtomicU64>,
     /// The QoS plane shared with the router, when configured.
     qos: Option<Arc<QosRuntime>>,
-    /// `(offset, len)` into `workers` of each tier's pool, indexed by
-    /// tier — set only under QoS worker delivery.
-    tier_pools: Option<[(usize, usize); 3]>,
     /// Publishes since the gateway opened, driving the re-tier cadence.
     qos_publishes: AtomicU64,
     /// Continuous queries materialized on the publish path.
@@ -418,17 +407,42 @@ impl std::fmt::Debug for EventGateway {
 
 impl Drop for EventGateway {
     fn drop(&mut self) {
-        // Dropping the senders disconnects the worker queues; each worker
-        // drains what it already holds and exits.
-        for w in &mut self.workers {
-            w.tx.take();
-        }
-        for w in &mut self.workers {
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
+        // Dropping the worker list drops the senders and so disconnects
+        // the queues; each worker drains what it already holds and exits.
+        let handles: Vec<_> = self.workers.drain(..).map(|w| w.handle).collect();
+        for handle in handles {
+            let _ = handle.join();
         }
     }
+}
+
+/// Route one batch and account for it — the step the synchronous publish
+/// path and every delivery worker share: time the routing, emit each
+/// watched event's [`keys::jamm::GW_ROUTED`] point after its
+/// [`keys::jamm::SUB_DELIVER`] points, fold the outcome into the totals.
+fn route_and_account(
+    router: &ShardedRouter,
+    stats: &GatewayStats,
+    config: &GatewayConfig,
+    events: &[SharedEvent],
+    tier: Option<Tier>,
+) -> RouteOutcome {
+    let start = config.route_timing.then(std::time::Instant::now);
+    let out = router.route(events, tier);
+    if let Some(start) = start {
+        stats.route_us.record_micros(start.elapsed());
+    }
+    if let Some(tracer) = &config.tracer {
+        for event in events {
+            tracer.stage(event, keys::jamm::GW_ROUTED, &config.name);
+        }
+    }
+    stats.events_out.fetch_add(out.delivered, Ordering::Relaxed);
+    stats
+        .events_dropped
+        .fetch_add(out.dropped, Ordering::Relaxed);
+    stats.bytes_out.fetch_add(out.bytes, Ordering::Relaxed);
+    out
 }
 
 impl EventGateway {
@@ -447,95 +461,47 @@ impl EventGateway {
         // capped at the shard count (a shard's traffic is pinned to one
         // worker to preserve per-type ordering; more would sit idle).
         // With QoS: one pool per tier sized by `workers_per_tier`, so a
-        // stalled probation consumer's delivery cost lands on the
-        // probation pool's threads alone.
-        let mut assignments: Vec<Option<Tier>> = Vec::new();
-        let mut tier_pools = None;
-        if config.delivery_workers > 0 {
-            match &qos {
-                None => assignments = vec![None; config.delivery_workers.min(shards)],
-                Some(q) => {
-                    let mut spans = [(0usize, 0usize); 3];
-                    for t in Tier::ALL {
-                        let n = q.config.workers_per_tier[t as usize].max(1);
-                        spans[t as usize] = (assignments.len(), n);
-                        assignments.extend(std::iter::repeat_n(Some(t), n));
-                    }
-                    tier_pools = Some(spans);
-                }
-            }
-        }
-        let workers = assignments
-            .into_iter()
-            .map(|tier_filter| {
+        // stalled probation consumer's delivery cost stays on its pool.
+        let pool_sizes: Vec<(Option<Tier>, usize)> = match (config.delivery_workers, &qos) {
+            (0, _) => Vec::new(),
+            (n, None) => vec![(None, n.min(shards))],
+            (_, Some(q)) => Tier::ALL
+                .iter()
+                .map(|t| (Some(*t), q.config.workers_per_tier[*t as usize].max(1)))
+                .collect(),
+        };
+        let mut pools = Vec::new();
+        let mut workers = Vec::new();
+        for (tier, n) in pool_sizes {
+            pools.push((workers.len(), n));
+            for _ in 0..n {
                 let (tx, rx) = bounded::<Vec<SharedEvent>>(DELIVERY_WORKER_QUEUE_CAPACITY);
                 let router = Arc::clone(&router);
                 let stats = Arc::clone(&stats);
                 let in_flight = Arc::clone(&in_flight);
-                let tracer = config.tracer.clone();
-                let gw_name = config.name.clone();
-                let timing = config.route_timing;
+                let config = config.clone();
                 let handle = std::thread::spawn(move || {
-                    while let Ok(mut batch) = rx.recv() {
-                        let n = batch.len() as u64;
-                        // Watched-event ids must be taken before routing
-                        // moves the batch's `Arc`s into the queues.
-                        let traced: Vec<u64> = match &tracer {
-                            Some(t) => batch.iter().filter_map(|e| t.trace_id(e)).collect(),
-                            None => Vec::new(),
-                        };
-                        let start = timing.then(std::time::Instant::now);
-                        let out = match tier_filter {
-                            Some(tier) => router.route_batch_tier(&batch, tier),
-                            None if batch.len() == 1 => {
-                                let event = batch.pop().expect("len checked");
-                                let ty = Sym::intern(&event.event_type);
-                                router.route(ty, event)
-                            }
-                            None => router.route_batch(&batch),
-                        };
-                        if let Some(start) = start {
-                            stats.route_us.record_micros(start.elapsed());
-                        }
-                        if let Some(t) = &tracer {
-                            for id in traced {
-                                t.stage_id(id, jamm_ulm::keys::jamm::GW_ROUTED, &gw_name);
-                            }
-                        }
-                        stats.apply(&out);
-                        in_flight.fetch_sub(n, Ordering::Release);
+                    while let Ok(batch) = rx.recv() {
+                        route_and_account(&router, &stats, &config, &batch, tier);
+                        in_flight.fetch_sub(batch.len() as u64, Ordering::Release);
                     }
                 });
-                DeliveryWorker {
-                    tx: Some(tx),
-                    handle: Some(handle),
-                }
-            })
-            .collect();
+                workers.push(DeliveryWorker { tx, handle });
+            }
+        }
         EventGateway {
-            summaries: ShardedSummaryEngine::new(shards),
+            series: SeriesTable::new(shards),
             config,
             router,
-            latest: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
             stats,
             next_id: AtomicU64::new(1),
             workers,
+            pools,
             in_flight,
             qos,
-            tier_pools,
             qos_publishes: AtomicU64::new(0),
             views: crate::views::ViewEngine::new(),
         }
-    }
-
-    /// The query-cache shard owning an interned (host, event type) series.
-    fn latest_shard(
-        &self,
-        host: Sym,
-        event_type: Sym,
-    ) -> &RwLock<HashMap<(Sym, Sym), SharedEvent>> {
-        let idx = (crate::hash::sym_series(host, event_type) % self.latest.len() as u64) as usize;
-        &self.latest[idx]
     }
 
     /// The gateway's name.
@@ -622,20 +588,17 @@ impl EventGateway {
         self.router.live_count()
     }
 
-    /// Record an event in the query cache and the summary engine (the
-    /// parts of publish that always run synchronously, so query mode and
+    /// Record an event in the per-series table and the views (the parts
+    /// of publish that always run synchronously, so query mode and
     /// summaries stay ordered even when fan-out is asynchronous).  The
-    /// series identity is interned once here and shared by both consumers
-    /// — and the event-type handle is returned so the publish paths route
-    /// and pin workers without hashing the string again.
+    /// series identity is interned once: one keyed update under one lock
+    /// feeds the query cache and the summary readings, and the event-type
+    /// handle is returned so worker dispatch need not hash the string again.
     fn observe(&self, event: &SharedEvent) -> Sym {
         self.stats.events_in.fetch_add(1, Ordering::Relaxed);
         let host = Sym::intern(&event.host);
         let ty = Sym::intern(&event.event_type);
-        self.latest_shard(host, ty)
-            .write()
-            .insert((host, ty), SharedEvent::clone(event));
-        self.summaries.record_interned(host, ty, event);
+        self.series.observe((host, ty), event);
         self.views.observe(host, ty, event);
         ty
     }
@@ -646,176 +609,98 @@ impl EventGateway {
     /// allocation of its pipeline life; fan-out, summaries, caching and
     /// archiving all share it.  Producers that already hold a
     /// `SharedEvent` should call [`EventGateway::publish_shared`], which
-    /// copies nothing at all.
-    ///
-    /// With synchronous delivery (the default), returns the number of
-    /// consumers the event was delivered to.  With delivery workers
-    /// configured, the event is handed to the owning shard's worker and the
-    /// return value is 1 (accepted); delivery counts accumulate in
-    /// [`EventGateway::stats`] and are exact after
-    /// [`EventGateway::quiesce`].
+    /// copies nothing at all.  Either way it is a batch of one through
+    /// [`EventGateway::publish_shared_batch`], whose guarantees apply.
     pub fn publish(&self, event: &Event) -> usize {
         self.publish_shared(Arc::new(event.clone()))
     }
 
     /// Publish an already-shared event: the zero-copy entry point.  The
     /// gateway performs no event copy on any path reachable from here —
-    /// delivery to N subscribers is N-1 refcount bumps plus one move.
+    /// delivery to N subscribers is N refcount bumps.  A batch of one
+    /// through [`EventGateway::publish_shared_batch`].
     pub fn publish_shared(&self, event: SharedEvent) -> usize {
-        let ty = self.observe(&event);
-        self.maybe_retier(1);
-        if let Some(tracer) = &self.config.tracer {
-            tracer.on_publish(&event, &self.config.name);
-        }
-        if self.workers.is_empty() {
-            let traced = self
-                .config
-                .tracer
-                .as_deref()
-                .and_then(|t| t.trace_id(&event));
-            let start = self.config.route_timing.then(std::time::Instant::now);
-            let out = self.router.route(ty, event);
-            if let Some(start) = start {
-                self.stats.route_us.record_micros(start.elapsed());
-            }
-            if let (Some(tracer), Some(id)) = (&self.config.tracer, traced) {
-                tracer.stage_id(id, keys::jamm::GW_ROUTED, &self.config.name);
-            }
-            self.stats.apply(&out);
-            return out.delivered as usize;
-        }
-        let base = self.router.shard_of_sym(ty);
-        match self.tier_pools {
-            None => self.hand_to_worker(base % self.workers.len(), vec![event]),
-            Some(spans) => {
-                // One worker per tier pool routes the event to its own
-                // tier's subscriptions; each hand-off bumps the refcount,
-                // the last takes the owned Arc.
-                let mut event = Some(event);
-                let mut accepted = 0;
-                for (i, (off, len)) in spans.iter().enumerate() {
-                    let ev = if i + 1 == spans.len() {
-                        event.take().expect("event held until last pool")
-                    } else {
-                        SharedEvent::clone(event.as_ref().expect("event held until last pool"))
-                    };
-                    accepted += self.hand_to_worker(off + base % len, vec![ev]).min(1);
-                }
-                usize::from(accepted > 0)
-            }
-        }
+        self.publish_shared_batch(std::slice::from_ref(&event))
     }
 
-    /// Hand a batch to one worker's queue, keeping the in-flight count
-    /// exact whether or not the worker is still accepting.
-    fn hand_to_worker(&self, widx: usize, batch: Vec<SharedEvent>) -> usize {
-        let n = batch.len();
-        let tx = self.workers[widx].tx.as_ref().expect("worker running");
-        self.in_flight.fetch_add(n as u64, Ordering::Acquire);
-        if tx.send(batch).is_err() {
-            self.in_flight.fetch_sub(n as u64, Ordering::Release);
-            return 0;
-        }
-        n
-    }
-
-    /// Publish a batch of already-shared events through the batched
-    /// fan-out path: filters are still evaluated per event in order, but
-    /// each subscription's queue is locked once per batch instead of once
-    /// per event (and under worker delivery each worker receives its whole
-    /// sub-batch in one queue handoff).  Returns total deliveries
-    /// (accepted events under worker delivery, as with
-    /// [`EventGateway::publish`]).
+    /// Publish a batch of already-shared events: the one body every
+    /// publish form runs (a single event is a batch of one).  Each event
+    /// is observed (query cache, summaries, views) and trace-sampled in
+    /// order on the caller's thread; the batch is then routed here
+    /// (synchronous delivery) or handed to the delivery workers, each
+    /// receiving its whole sub-batch in one queue handoff.  Events are
+    /// shared by refcount throughout — nothing on this path copies one.
+    ///
+    /// What callers may rely on:
+    ///
+    /// * **Filter order.**  Each subscription's filters see its candidate
+    ///   events one at a time, in publish order, so stateful predicates
+    ///   (on-change, relative change) behave exactly as under one-by-one
+    ///   publishing; its queue is then locked once per batch.
+    /// * **Queue order.**  Under synchronous delivery a subscription's
+    ///   queue order equals publish order, across and within batches.
+    ///   Under workers a type is pinned to one shard and a shard to one
+    ///   worker per pool, so order holds per event type.
+    /// * **Trace order.**  A watched event's self-lifeline points are
+    ///   emitted in the order [`keys::jamm::GW_PUBLISH`] →
+    ///   [`keys::jamm::SUB_DELIVER`] (one per queue) →
+    ///   [`keys::jamm::GW_ROUTED`].
+    /// * **Protected streams.**  `_jamm` self-lifelines and `*_AVG_*`
+    ///   summary events pass both QoS gates (overload shedding and the
+    ///   per-tier queue budget); only raw events are ever shed.
+    /// * **Return value.**  Under synchronous delivery, the deliveries
+    ///   made.  Under workers, the events accepted for delivery — each
+    ///   counted once, though with a QoS plane every tier's pool receives
+    ///   it and delivers to its own tier's subscriptions; delivery counts
+    ///   then accumulate in [`EventGateway::stats`] and are exact after
+    ///   [`EventGateway::quiesce`].
     pub fn publish_shared_batch(&self, events: &[SharedEvent]) -> usize {
         if events.is_empty() {
             return 0;
         }
         self.maybe_retier(events.len() as u64);
-        if self.workers.is_empty() {
-            for event in events {
-                self.observe(event);
-                if let Some(tracer) = &self.config.tracer {
-                    tracer.on_publish(event, &self.config.name);
-                }
-            }
-            let traced: Vec<u64> = match &self.config.tracer {
-                Some(t) => events.iter().filter_map(|e| t.trace_id(e)).collect(),
-                None => Vec::new(),
-            };
-            let start = self.config.route_timing.then(std::time::Instant::now);
-            let out = self.router.route_batch(events);
-            if let Some(start) = start {
-                self.stats.route_us.record_micros(start.elapsed());
-            }
-            if let Some(tracer) = &self.config.tracer {
-                for id in traced {
-                    tracer.stage_id(id, keys::jamm::GW_ROUTED, &self.config.name);
-                }
-            }
-            self.stats.apply(&out);
-            return out.delivered as usize;
-        }
-        // Group by owning worker (publish order preserved within a group,
-        // and a type always maps to the same worker, so per-type order
-        // survives) and hand each worker its whole sub-batch in one send.
-        // Grouping bumps refcounts — it never copies events — and reuses
-        // the event-type handle observe() already interned.
-        let mut groups: Vec<Vec<SharedEvent>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
+        // One sub-batch per worker, in publish order (none without
+        // workers): grouping bumps refcounts, never copies events.
+        let mut groups = vec![Vec::new(); self.workers.len()];
         for event in events {
             let ty = self.observe(event);
             if let Some(tracer) = &self.config.tracer {
                 tracer.on_publish(event, &self.config.name);
             }
             let base = self.router.shard_of_sym(ty);
-            match self.tier_pools {
-                None => groups[base % self.workers.len()].push(SharedEvent::clone(event)),
-                Some(spans) => {
-                    // Every tier pool receives the event (a refcount bump
-                    // per pool); each pool delivers only to its own tier.
-                    for (off, len) in spans {
-                        groups[off + base % len].push(SharedEvent::clone(event));
-                    }
-                }
+            for (off, len) in &self.pools {
+                groups[off + base % len].push(SharedEvent::clone(event));
             }
         }
-        match self.tier_pools {
-            None => groups
-                .into_iter()
-                .enumerate()
-                .filter(|(_, g)| !g.is_empty())
-                .map(|(widx, g)| self.hand_to_worker(widx, g))
-                .sum(),
-            Some(spans) => {
-                // Count each event once — via the fast pool's hand-offs —
-                // even though all three pools receive it.
-                let (foff, flen) = spans[Tier::Fast as usize];
-                let mut accepted = 0;
-                for (widx, g) in groups.into_iter().enumerate() {
-                    if g.is_empty() {
-                        continue;
-                    }
-                    let n = self.hand_to_worker(widx, g);
-                    if widx >= foff && widx < foff + flen {
-                        accepted += n;
-                    }
-                }
-                accepted
+        // Every pool receives every event; the first (generic, or the
+        // fast tier's) is the one that counts it accepted.
+        let Some(&(_, counting_workers)) = self.pools.first() else {
+            let out = route_and_account(&self.router, &self.stats, &self.config, events, None);
+            return out.delivered as usize;
+        };
+        let mut accepted = 0;
+        for (widx, group) in groups.into_iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            // The in-flight count stays exact whether or not the worker
+            // is still accepting.
+            let n = group.len();
+            self.in_flight.fetch_add(n as u64, Ordering::Acquire);
+            if self.workers[widx].tx.send(group).is_err() {
+                self.in_flight.fetch_sub(n as u64, Ordering::Release);
+            } else if widx < counting_workers {
+                accepted += n;
             }
         }
+        accepted
     }
 
     /// Publish a batch of by-value events (each is copied once into its
     /// shared allocation; see [`EventGateway::publish_shared_batch`] for
-    /// the zero-copy form).
+    /// the zero-copy form and the guarantees).
     pub fn publish_batch(&self, events: &[Event]) -> usize {
         let shared: Vec<SharedEvent> = events.iter().map(|e| Arc::new(e.clone())).collect();
-        self.publish_shared_batch(&shared)
-    }
-
-    /// Publish a batch of events.
-    pub fn publish_all<'a>(&self, events: impl IntoIterator<Item = &'a Event>) -> usize {
-        let shared: Vec<SharedEvent> = events.into_iter().map(|e| Arc::new(e.clone())).collect();
         self.publish_shared_batch(&shared)
     }
 
@@ -852,7 +737,7 @@ impl EventGateway {
         let (Some(host), Some(ty)) = (Sym::lookup(host), Sym::lookup(event_type)) else {
             return Ok(None);
         };
-        Ok(self.latest_shard(host, ty).read().get(&(host, ty)).cloned())
+        Ok(self.series.latest((host, ty)))
     }
 
     /// Query mode over the whole cache: every cached latest-event that a
@@ -864,17 +749,7 @@ impl EventGateway {
     pub fn query_matching(&self, consumer: &str, plan: &Plan) -> Result<Vec<SharedEvent>> {
         self.check(consumer, Action::Query)?;
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let mut out: Vec<SharedEvent> = Vec::new();
-        for shard in &self.latest {
-            let shard = shard.read();
-            for event in shard.values() {
-                if plan.eval(&**event) {
-                    out.push(SharedEvent::clone(event));
-                }
-            }
-        }
-        out.sort_by(|a, b| (&a.host, &a.event_type).cmp(&(&b.host, &b.event_type)));
-        Ok(out)
+        Ok(self.series.latest_matching(plan))
     }
 
     /// Summary data for consumers entitled to summaries only (or anyone who
@@ -882,7 +757,7 @@ impl EventGateway {
     pub fn summaries(&self, consumer: &str, now: Timestamp) -> Result<Vec<Event>> {
         self.check(consumer, Action::Summary)?;
         Ok(self
-            .summaries
+            .series
             .summary_events(&self.config.summary_windows, now, &self.config.name))
     }
 
@@ -1297,6 +1172,7 @@ mod tests {
             assert_eq!(gw.publish_batch(chunk), 50, "all accepted");
         }
         gw.quiesce();
+        assert_eq!(gw.in_flight.load(Ordering::Acquire), 0, "nothing in flight");
         assert_eq!(gw.stats().events_out.load(Ordering::Relaxed), 300);
         assert_eq!(sub.delivered(), 300);
         let got: Vec<SharedEvent> = sub.events.try_iter().collect();
@@ -1548,6 +1424,11 @@ mod tests {
             .collect();
         gw.publish_batch(&events);
         gw.quiesce();
+        assert_eq!(
+            gw.in_flight.load(Ordering::Acquire),
+            0,
+            "every pool drained"
+        );
         assert_eq!(sub.delivered(), 200, "fast pool delivers, others skip");
         assert_eq!(sub.events.try_iter().count(), 200);
         assert_eq!(gw.stats().events_in.load(Ordering::Relaxed), 200);

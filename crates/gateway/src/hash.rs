@@ -16,7 +16,7 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
 }
 
 /// Shard key of an interned (host, event type) series — integer mixing
-/// only, used by the summary engine and the gateway query cache.
+/// only, used by the gateway's per-series table (query cache + summaries).
 pub(crate) fn sym_series(host: jamm_core::intern::Sym, event_type: jamm_core::intern::Sym) -> u64 {
     mix64(((host.index() as u64) << 32) | event_type.index() as u64)
 }

@@ -11,7 +11,7 @@
 //! * [`filter`] — per-subscription event filters: event-type selection,
 //!   on-change delivery, absolute and relative thresholds, severity floors;
 //! * [`summary`] — 1/10/60-minute windowed averages of numeric readings,
-//!   shardable by series key ([`summary::ShardedSummaryEngine`]);
+//!   kept beside the latest event in the gateway's per-series table;
 //! * [`routing`] — the sharded fan-out engine: an event-type-indexed
 //!   routing table split across N shards, each an immutable snapshot
 //!   swapped on the cold path so publish fans out without holding a lock
@@ -34,6 +34,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod filter;
 pub mod gateway;
@@ -55,7 +56,7 @@ pub use qos::{
     OverloadPolicy, QosConfig, QosRuntime, QosSnapshot, ShedLevel, Tier, TierPolicy, TierRow,
 };
 pub use routing::{FlatFanout, RouteOutcome, ShardReport, DEFAULT_GATEWAY_SHARDS};
-pub use summary::{ShardedSummaryEngine, SummaryEngine, SummaryWindow};
+pub use summary::{SummaryEngine, SummaryWindow};
 pub use trace::{PipelineTracer, TraceClock, DEFAULT_SAMPLE_EVERY};
 pub use views::{ContinuousQuery, ViewEngine, ViewSnapshot, VIEW_RING_CAPACITY};
 

@@ -41,6 +41,7 @@ use jamm_core::channel::{bounded, Sender, TrySendError};
 use jamm_core::flow::{DeliveryCounters, OverflowPolicy};
 use jamm_core::intern::Sym;
 use jamm_core::sync::{Mutex, RwLock};
+use jamm_ulm::keys::jamm::SUB_DELIVER;
 use jamm_ulm::SharedEvent;
 
 use crate::filter::{EventFilter, FilterChain};
@@ -246,6 +247,17 @@ struct ShardStats {
     delivered: AtomicU64,
     dropped: AtomicU64,
     bytes: AtomicU64,
+}
+
+impl ShardStats {
+    /// Fold in one call's outcome for this shard (not one RMW per delivery).
+    fn add(&self, out: &RouteOutcome) {
+        if *out != RouteOutcome::default() {
+            self.delivered.fetch_add(out.delivered, Ordering::Relaxed);
+            self.bytes.fetch_add(out.bytes, Ordering::Relaxed);
+            self.dropped.fetch_add(out.dropped, Ordering::Relaxed);
+        }
+    }
 }
 
 /// One row of [`crate::EventGateway::shard_report`]: what one routing shard
@@ -544,113 +556,81 @@ impl ShardedRouter {
             .collect()
     }
 
-    /// Route one event: snapshot the owning shard's table and deliver to
-    /// the type bucket plus the wildcard list, with no lock held during
-    /// delivery.  Each delivery bumps the `Arc` refcount; the final
-    /// candidate receives the owned `Arc` itself, so routing to N
-    /// subscribers performs exactly N-1 refcount bumps and zero event
-    /// copies.
-    pub(crate) fn route(&self, ty: Sym, event: SharedEvent) -> RouteOutcome {
-        let size = event.approx_size() as u64;
-        let idx = self.shard_of_sym(ty);
-        let shard = &self.shards[idx];
-        shard.stats.events_in.fetch_add(1, Ordering::Relaxed);
-        let table = shard.table.read().clone();
+    /// Route a batch — the router's one entry; a single event is a batch
+    /// of one.  Each event is offered to its shard's type bucket plus the
+    /// wildcard list, against table snapshots taken once per call and with
+    /// no lock held.  Filters (and the QoS gate) are evaluated per
+    /// subscription **in publish order**, so stateful predicates behave
+    /// exactly as under one-by-one routing, but accepted events are
+    /// buffered per subscription — an `Arc` refcount bump each, never a
+    /// copy — and flushed with one queue operation per subscription, in
+    /// first-match order.
+    ///
+    /// A batch of one has no queue operation to amortise, so it skips the
+    /// buffers and pushes straight into each queue; the arm is chosen by the
+    /// batch length, here only, and both make the same deliveries in order.
+    ///
+    /// With `tier` set, only subscriptions currently in that tier are
+    /// served: each per-tier worker pool routes the same batch with its own
+    /// tier, so every subscription is delivered by exactly one pool and a
+    /// stalled probation consumer's queue churn stays on its pool's thread.
+    pub(crate) fn route(&self, events: &[SharedEvent], tier: Option<Tier>) -> RouteOutcome {
+        let qos = self.qos.as_deref();
         let mut out = RouteOutcome::default();
         let mut saw_closed = false;
-        // One watched-ring scan per event, not one per candidate.
-        let traced = self.tracer.as_ref().and_then(|t| t.trace_id(&event));
-        let typed = table.by_type.get(&ty);
-        let mut candidates = typed.into_iter().flatten().chain(table.wildcard.iter());
-        let mut current = candidates.next();
-        let mut event = Some(event);
-        while let Some(entry) = current {
-            current = candidates.next();
-            // The last candidate takes the owned Arc — no refcount
-            // round-trip for the single-subscriber (or final) delivery.
-            let ev = match current {
-                Some(_) => SharedEvent::clone(event.as_ref().expect("event held until last")),
-                None => event.take().expect("event held until last"),
-            };
-            match entry.deliver(ev, size, self.qos.as_deref()) {
-                Delivery::Sent { evicted } => {
-                    if let (Some(tracer), Some(id)) = (&self.tracer, traced) {
-                        tracer.stage_id(id, jamm_ulm::keys::jamm::SUB_DELIVER, &entry.consumer);
-                    }
-                    out.delivered += 1;
-                    out.bytes += size;
-                    if evicted {
-                        out.dropped += 1;
-                    }
-                }
-                Delivery::Dropped => out.dropped += 1,
-                Delivery::Filtered => {}
-                Delivery::Closed => saw_closed = true,
-            }
-        }
-        shard
-            .stats
-            .delivered
-            .fetch_add(out.delivered, Ordering::Relaxed);
-        shard
-            .stats
-            .dropped
-            .fetch_add(out.dropped, Ordering::Relaxed);
-        shard.stats.bytes.fetch_add(out.bytes, Ordering::Relaxed);
-        if saw_closed {
-            self.gc();
-        }
-        out
-    }
-
-    /// Route a batch: filters are evaluated per event **in publish order**
-    /// (so stateful predicates behave exactly as under per-event routing),
-    /// but queue pushes are buffered per subscription and flushed with one
-    /// batched send each.  Buffering an event for a subscription is an
-    /// `Arc` refcount bump, never a copy.
-    pub(crate) fn route_batch(&self, events: &[SharedEvent]) -> RouteOutcome {
-        self.route_batch_filtered(events, None)
-    }
-
-    /// Route a batch to subscriptions of one tier only.  The per-tier
-    /// delivery worker pools each call this with their own tier: a
-    /// publish fans out once per pool, but every subscription is
-    /// delivered by exactly one pool, so a stalled probation consumer's
-    /// queue churn is paid on the probation pool's thread alone.
-    pub(crate) fn route_batch_tier(&self, events: &[SharedEvent], tier: Tier) -> RouteOutcome {
-        self.route_batch_filtered(events, Some(tier))
-    }
-
-    fn route_batch_filtered(
-        &self,
-        events: &[SharedEvent],
-        tier_filter: Option<Tier>,
-    ) -> RouteOutcome {
-        /// One buffered delivery: the owning shard, payload size, event.
-        type Buffered = (usize, u64, SharedEvent);
-        let mut snapshots: Vec<Option<Arc<ShardTable>>> = vec![None; self.shards.len()];
-        // Per-subscription buffers of (shard, size, event), in first-match
-        // order; `index` maps subscription id -> buffer slot.
-        let mut buffers: Vec<(Arc<RouteEntry>, Vec<Buffered>)> = Vec::new();
-        let mut index: HashMap<u64, usize> = HashMap::new();
-        let mut saw_closed = false;
-        let mut out = RouteOutcome::default();
-        // Per-shard (delivered, bytes, dropped), accumulated locally and
-        // flushed with one atomic RMW per counter per shard at the end —
-        // not one per delivered event.
-        let mut shard_acc: Vec<(u64, u64, u64)> = vec![(0, 0, 0); self.shards.len()];
         // When the tier pools each route the same batch, only the fast
         // pool attributes shard ingest, so `events_in` stays per-event.
-        let count_ingest = tier_filter.is_none() || tier_filter == Some(Tier::Fast);
+        let count_ingest = tier.is_none_or(|t| t == Tier::Fast);
+        if let [event] = events {
+            let size = event.approx_size() as u64;
+            let ty = Sym::intern(&event.event_type);
+            let shard = &self.shards[self.shard_of_sym(ty)];
+            if count_ingest {
+                shard.stats.events_in.fetch_add(1, Ordering::Relaxed);
+            }
+            let table = shard.table.read().clone();
+            // One watched-ring scan per event, not one per candidate.
+            let tracer = self.tracer.as_deref();
+            let traced = tracer.and_then(|t| Some((t, t.trace_id(event)?)));
+            let typed = table.by_type.get(&ty);
+            for entry in typed.into_iter().flatten().chain(table.wildcard.iter()) {
+                if tier.is_some_and(|t| entry.current_tier() != t) {
+                    continue;
+                }
+                match entry.deliver(SharedEvent::clone(event), size, qos) {
+                    Delivery::Sent { evicted } => {
+                        if let Some((tracer, id)) = traced {
+                            tracer.stage_id(id, SUB_DELIVER, &entry.consumer);
+                        }
+                        out.delivered += 1;
+                        out.bytes += size;
+                        out.dropped += u64::from(evicted);
+                    }
+                    Delivery::Dropped => out.dropped += 1,
+                    Delivery::Filtered => {}
+                    Delivery::Closed => saw_closed = true,
+                }
+            }
+            shard.stats.add(&out);
+            if saw_closed {
+                self.gc();
+            }
+            return out;
+        }
+        // Per shard: its table snapshot (taken on first touch) and its
+        // counter movements (flushed once at the end).  Per touched
+        // subscription: one buffer, found again by subscription id.
+        let mut snapshots: Vec<Option<Arc<ShardTable>>> = vec![None; self.shards.len()];
+        let mut deltas = vec![RouteOutcome::default(); self.shards.len()];
+        let mut pending: Vec<Pending> = Vec::new();
+        let mut slot_of: HashMap<u64, usize> = HashMap::new();
         for event in events {
             let size = event.approx_size() as u64;
             let ty = Sym::intern(&event.event_type);
             let idx = self.shard_of_sym(ty);
             if count_ingest {
-                self.shards[idx]
-                    .stats
-                    .events_in
-                    .fetch_add(1, Ordering::Relaxed);
+                let ingest = &self.shards[idx].stats.events_in;
+                ingest.fetch_add(1, Ordering::Relaxed);
             }
             // Borrow the cached snapshot in place — no per-event Arc
             // refcount round-trip on the table itself.
@@ -661,127 +641,109 @@ impl ShardedRouter {
                     saw_closed = true;
                     continue;
                 }
-                if let Some(t) = tier_filter {
-                    if entry.current_tier() != t {
-                        continue;
-                    }
-                }
-                if !entry.chain.accept(event) {
+                if tier.is_some_and(|t| entry.current_tier() != t) || !entry.chain.accept(event) {
                     continue;
                 }
-                if let Some(q) = self.qos.as_deref() {
-                    let queued = index.get(&entry.id).map_or(0, |s| buffers[*s].1.len());
-                    if entry.qos_gate(event, q, queued) {
-                        out.dropped += 1;
-                        shard_acc[idx].2 += 1;
-                        continue;
-                    }
-                }
-                let slot = *index.entry(entry.id).or_insert_with(|| {
-                    buffers.push((Arc::clone(entry), Vec::new()));
-                    buffers.len() - 1
+                let slot = *slot_of.entry(entry.id).or_insert_with(|| {
+                    let (entry, events) = (Arc::clone(entry), Vec::new());
+                    pending.push(Pending {
+                        entry,
+                        events,
+                        bytes: 0,
+                        shard: idx,
+                    });
+                    pending.len() - 1
                 });
-                buffers[slot].1.push((idx, size, SharedEvent::clone(event)));
+                let buf = &mut pending[slot];
+                if qos.is_some_and(|q| entry.qos_gate(event, q, buf.events.len())) {
+                    out.dropped += 1;
+                    deltas[idx].dropped += 1;
+                    continue;
+                }
+                // Counted delivered to the event's shard now; the
+                // flush takes back whatever the queue does not accept.
+                buf.events.push(SharedEvent::clone(event));
+                buf.bytes += size;
+                deltas[idx].delivered += 1;
+                deltas[idx].bytes += size;
             }
         }
-        for (entry, buffered) in buffers {
-            let shard_idxs: Vec<usize> = buffered.iter().map(|(i, _, _)| *i).collect();
-            let sizes: Vec<u64> = buffered.iter().map(|(_, s, _)| *s).collect();
-            let batch: Vec<SharedEvent> = buffered.into_iter().map(|(_, _, e)| e).collect();
-            // (position, correlation id) of watched events, resolved
-            // before the batched send moves the `Arc`s away.
-            let traced: Vec<(usize, u64)> = match &self.tracer {
-                Some(t) => batch
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, e)| t.trace_id(e).map(|id| (i, id)))
-                    .collect(),
-                None => Vec::new(),
+        for buf in pending {
+            let (entry, mut events, mut bytes) = (buf.entry, buf.events, buf.bytes);
+            // (position, tracer, correlation id) of watched events, resolved
+            // before the send moves the `Arc`s away.
+            let watched = |(pos, event)| {
+                let tracer = self.tracer.as_ref()?;
+                Some((pos, tracer, tracer.trace_id(event)?))
             };
-            match entry.overflow {
-                OverflowPolicy::DropOldest => match entry.tx.send_batch_overwriting(batch) {
-                    Ok(evicted) => {
-                        if let Some(tracer) = &self.tracer {
-                            for (_, id) in &traced {
-                                tracer.stage_id(
-                                    *id,
-                                    jamm_ulm::keys::jamm::SUB_DELIVER,
-                                    &entry.consumer,
-                                );
-                            }
-                        }
-                        let n = shard_idxs.len() as u64;
-                        let bytes: u64 = sizes.iter().sum();
-                        entry.counters.record_delivered_n(n, bytes);
-                        entry.counters.record_dropped(evicted as u64);
-                        out.delivered += n;
-                        out.bytes += bytes;
-                        out.dropped += evicted as u64;
-                        for (pos, idx) in shard_idxs.iter().enumerate() {
-                            shard_acc[*idx].0 += 1;
-                            shard_acc[*idx].1 += sizes[pos];
-                        }
-                        // Evicted events may span earlier batches; attribute
-                        // the drops to the shard of the first buffered event.
-                        if evicted > 0 {
-                            shard_acc[shard_idxs[0]].2 += evicted as u64;
-                        }
+            let traced: Vec<_> = events.iter().enumerate().filter_map(watched).collect();
+            // One queue operation, normalized to (accepted, evicted): a
+            // drop-oldest queue accepts everything and evicts, a drop-newest
+            // queue accepts a prefix and evicts nothing.
+            let buffered = events.len();
+            let sent = match entry.overflow {
+                OverflowPolicy::DropOldest => {
+                    let evicted = entry.tx.send_batch_overwriting(&mut events);
+                    evicted.map(|evicted| (buffered, evicted))
+                }
+                OverflowPolicy::DropNewest => {
+                    let accepted = entry.tx.try_send_batch(&mut events);
+                    accepted.map(|accepted| (accepted, 0))
+                }
+            };
+            // Whatever is still buffered was not queued — a drop-newest
+            // queue's rejected tail, or the whole batch of a consumer that
+            // is gone: take it back from its shard.
+            for event in events {
+                let size = event.approx_size() as u64;
+                let delta = &mut deltas[self.shard_of_sym(Sym::intern(&event.event_type))];
+                delta.delivered -= 1;
+                delta.bytes -= size;
+                delta.dropped += u64::from(sent.is_ok());
+                bytes -= size;
+            }
+            match sent {
+                Ok((accepted, evicted)) => {
+                    for (_, tracer, id) in traced.iter().filter(|w| w.0 < accepted) {
+                        tracer.stage_id(*id, SUB_DELIVER, &entry.consumer);
                     }
-                    Err(_) => {
-                        entry.closed.store(true, Ordering::Relaxed);
-                        saw_closed = true;
+                    let dropped = (buffered - accepted + evicted) as u64;
+                    entry.counters.record_delivered_n(accepted as u64, bytes);
+                    if dropped > 0 {
+                        entry.counters.record_dropped(dropped);
                     }
-                },
-                OverflowPolicy::DropNewest => match entry.tx.try_send_batch(batch) {
-                    Ok((accepted, rejected)) => {
-                        if let Some(tracer) = &self.tracer {
-                            for (pos, id) in &traced {
-                                if *pos < accepted {
-                                    tracer.stage_id(
-                                        *id,
-                                        jamm_ulm::keys::jamm::SUB_DELIVER,
-                                        &entry.consumer,
-                                    );
-                                }
-                            }
-                        }
-                        let bytes: u64 = sizes[..accepted].iter().sum();
-                        entry.counters.record_delivered_n(accepted as u64, bytes);
-                        entry.counters.record_dropped(rejected as u64);
-                        out.delivered += accepted as u64;
-                        out.bytes += bytes;
-                        out.dropped += rejected as u64;
-                        for (pos, idx) in shard_idxs.iter().enumerate() {
-                            if pos < accepted {
-                                shard_acc[*idx].0 += 1;
-                                shard_acc[*idx].1 += sizes[pos];
-                            } else {
-                                shard_acc[*idx].2 += 1;
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        entry.closed.store(true, Ordering::Relaxed);
-                        saw_closed = true;
-                    }
-                },
+                    out.delivered += accepted as u64;
+                    out.bytes += bytes;
+                    out.dropped += dropped;
+                    // Evicted events may span earlier batches; attribute
+                    // them to the shard of the first buffered event.
+                    deltas[buf.shard].dropped += evicted as u64;
+                }
+                Err(_) => {
+                    entry.closed.store(true, Ordering::Relaxed);
+                    saw_closed = true;
+                }
             }
         }
-        for (idx, (delivered, bytes, dropped)) in shard_acc.into_iter().enumerate() {
-            let stats = &self.shards[idx].stats;
-            if delivered > 0 {
-                stats.delivered.fetch_add(delivered, Ordering::Relaxed);
-                stats.bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-            if dropped > 0 {
-                stats.dropped.fetch_add(dropped, Ordering::Relaxed);
-            }
+        for (shard, delta) in self.shards.iter().zip(&deltas) {
+            shard.stats.add(delta);
         }
         if saw_closed {
             self.gc();
         }
         out
     }
+}
+
+/// What one `route` call has buffered for one subscription.
+struct Pending {
+    entry: Arc<RouteEntry>,
+    /// Accepted events in publish order, flushed with one queue operation.
+    events: Vec<SharedEvent>,
+    /// Running payload size of `events`.
+    bytes: u64,
+    /// Shard of the first buffered event (where evictions are attributed).
+    shard: usize,
 }
 
 /// The original flat-list fan-out, kept as the reference implementation.

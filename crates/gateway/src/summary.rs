@@ -9,8 +9,9 @@
 use std::collections::{HashMap, VecDeque};
 
 use jamm_core::intern::Sym;
-use jamm_core::sync::Mutex;
-use jamm_ulm::{keys, Event, Level, Timestamp};
+use jamm_core::query::Plan;
+use jamm_core::sync::RwLock;
+use jamm_ulm::{keys, Event, Level, SharedEvent, Timestamp};
 
 /// A summary window length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,11 +68,123 @@ pub struct Summary {
     pub max: f64,
 }
 
+/// One series' readings in timestamp order, bounded by the longest window
+/// — the window maths (inclusive edges, out-of-order insert, horizon
+/// pruning) written once for [`SummaryEngine`] and the gateway's table.
+#[derive(Debug, Default)]
+struct Readings(VecDeque<(Timestamp, f64)>);
+
+/// An interned (host, event type) series identity.
+type SeriesKey = (Sym, Sym);
+
+/// One series' summary events (in window order) under its resolved key.
+/// Keys are resolved to strings on this cold path so the series ordering
+/// matches the seed-era string-keyed output exactly.
+type SummaryRow = ((&'static str, &'static str), Vec<Event>);
+
+impl Readings {
+    /// Record an event's numeric reading (events without a `VAL` are
+    /// ignored).  Readings are kept in timestamp order even when events
+    /// arrive out of order (sensors on different hosts feed one gateway,
+    /// so modest reordering is normal); the common in-order case is a
+    /// plain append.
+    fn record(&mut self, event: &Event) {
+        let Some(value) = event.value() else { return };
+        let series = &mut self.0;
+        if series.back().is_some_and(|(t, _)| *t > event.timestamp) {
+            let pos = series.partition_point(|(t, _)| *t <= event.timestamp);
+            series.insert(pos, (event.timestamp, value));
+        } else {
+            series.push_back((event.timestamp, value));
+        }
+        // Prune anything older than the longest window to bound memory —
+        // relative to the *newest* reading, so a late arrival never
+        // truncates fresher data.
+        let horizon = SummaryWindow::OneHour.micros();
+        let newest = series.back().map(|(t, _)| *t).unwrap_or(event.timestamp);
+        let cutoff = newest.sub_micros(horizon);
+        while series.front().is_some_and(|(t, _)| *t < cutoff) {
+            series.pop_front();
+        }
+    }
+
+    /// One window's statistics over `[now - length, now]`, both edges
+    /// inclusive; `None` when the window holds no readings.
+    fn summarize(&self, window: SummaryWindow, now: Timestamp) -> Option<Summary> {
+        let cutoff = now.sub_micros(window.micros());
+        let mut count = 0usize;
+        let mut sum = 0.0;
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        for (t, v) in self.0.iter().rev() {
+            if *t < cutoff {
+                break;
+            }
+            if *t > now {
+                continue;
+            }
+            count += 1;
+            sum += v;
+            min = min.min(*v);
+            max = max.max(*v);
+        }
+        (count > 0).then(|| Summary {
+            window,
+            count,
+            mean: sum / count as f64,
+            min,
+            max,
+        })
+    }
+
+    /// The synthetic ULM events carrying this series' summaries for the
+    /// requested windows (empty windows emit nothing) — the one event
+    /// shape the flat engine and the gateway's table both emit, so the
+    /// table ≡ flat property test can compare them byte for byte.
+    fn summary_row(
+        &self,
+        (host, ty): &SeriesKey,
+        windows: &[SummaryWindow],
+        now: Timestamp,
+        gateway_name: &str,
+    ) -> SummaryRow {
+        let (host, ty) = (host.as_str(), ty.as_str());
+        let events = windows
+            .iter()
+            .filter_map(|w| self.summarize(*w, now))
+            .map(|s| {
+                Event::builder(gateway_name, host)
+                    .level(Level::Usage)
+                    .event_type(format!("{ty}_{}", s.window.suffix()))
+                    .timestamp(now)
+                    .field(keys::SENSOR, "summary")
+                    .value(s.mean)
+                    .field("MIN", s.min)
+                    .field("MAX", s.max)
+                    .field("COUNT", s.count as u64)
+                    .build()
+            })
+            .collect();
+        ((host, ty), events)
+    }
+}
+
+/// Flatten per-series rows into one event list ordered by (host, event
+/// type), each series' windows in the order requested.
+fn in_series_order(mut rows: Vec<SummaryRow>) -> Vec<Event> {
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    rows.into_iter().flat_map(|(_, events)| events).collect()
+}
+
 /// Maintains sliding-window summaries of numeric readings.
 ///
 /// A window covers `[now - length, now]`, both edges inclusive: a reading
 /// exactly one window-length old still counts, a reading exactly at `now`
 /// counts, and a reading after `now` (clock skew) is ignored.
+///
+/// The gateway keeps its readings in its per-series table beside the
+/// query cache; this flat engine is the standalone form of the same window
+/// maths, and the oracle the property tests hold `summaries()` against.
 ///
 /// ```
 /// use jamm_gateway::summary::{SummaryEngine, SummaryWindow};
@@ -100,7 +213,7 @@ pub struct SummaryEngine {
     /// Series keyed by interned (host, event type): recording a reading
     /// hashes two `u32`s and allocates nothing, where the string-keyed map
     /// used to clone both strings on every lookup-or-insert.
-    series: HashMap<(Sym, Sym), VecDeque<(Timestamp, f64)>>,
+    series: HashMap<SeriesKey, Readings>,
 }
 
 impl SummaryEngine {
@@ -109,39 +222,12 @@ impl SummaryEngine {
         SummaryEngine::default()
     }
 
-    /// Record an event's numeric reading (events without a `VAL` are ignored).
-    ///
-    /// Readings are kept in timestamp order even when events arrive out of
-    /// order (sensors on different hosts feed one gateway, so modest
-    /// reordering is normal); the common in-order case is a plain append.
+    /// Record an event's numeric reading (events without a `VAL` are
+    /// ignored); out-of-order arrivals are integrated in timestamp order.
     pub fn record(&mut self, event: &Event) {
-        self.record_interned(
-            Sym::intern(&event.host),
-            Sym::intern(&event.event_type),
-            event,
-        );
-    }
-
-    /// Record with pre-interned series identity — the gateway interns
-    /// host/type once per publish and shares the handles with the query
-    /// cache, so recording is pure integer work.
-    pub(crate) fn record_interned(&mut self, host: Sym, event_type: Sym, event: &Event) {
-        let Some(value) = event.value() else { return };
-        let series = self.series.entry((host, event_type)).or_default();
-        if series.back().is_some_and(|(t, _)| *t > event.timestamp) {
-            let pos = series.partition_point(|(t, _)| *t <= event.timestamp);
-            series.insert(pos, (event.timestamp, value));
-        } else {
-            series.push_back((event.timestamp, value));
-        }
-        // Prune anything older than the longest window to bound memory —
-        // relative to the *newest* reading, so a late arrival never
-        // truncates fresher data.
-        let horizon = SummaryWindow::OneHour.micros();
-        let newest = series.back().map(|(t, _)| *t).unwrap_or(event.timestamp);
-        let cutoff = newest.sub_micros(horizon);
-        while series.front().is_some_and(|(t, _)| *t < cutoff) {
-            series.pop_front();
+        if event.value().is_some() {
+            let key = (Sym::intern(&event.host), Sym::intern(&event.event_type));
+            self.series.entry(key).or_default().record(event);
         }
     }
 
@@ -156,21 +242,8 @@ impl SummaryEngine {
     ) -> Option<Summary> {
         // Query path: a never-recorded series has no interned identity;
         // `lookup` avoids growing the intern table for probes.
-        let (host, event_type) = (Sym::lookup(host)?, Sym::lookup(event_type)?);
-        self.summary_interned(host, event_type, window, now)
-    }
-
-    /// Compute one series' summary from already-resolved handles (shared
-    /// by the sharded engine so a query resolves each string once).
-    pub(crate) fn summary_interned(
-        &self,
-        host: Sym,
-        event_type: Sym,
-        window: SummaryWindow,
-        now: Timestamp,
-    ) -> Option<Summary> {
-        let series = self.series.get(&(host, event_type))?;
-        summarize(series, window, now)
+        let key = (Sym::lookup(host)?, Sym::lookup(event_type)?);
+        self.series.get(&key)?.summarize(window, now)
     }
 
     /// Produce summary *events* for every tracked series and every requested
@@ -182,37 +255,9 @@ impl SummaryEngine {
         now: Timestamp,
         gateway_name: &str,
     ) -> Vec<Event> {
-        let mut rows = self.summary_rows(windows, now, gateway_name);
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.into_iter().flat_map(|(_, events)| events).collect()
-    }
-
-    /// One row per tracked series, unsorted: the resolved series key plus
-    /// its summary events for the requested windows (in window order).
-    /// The sharded engine collects these under one lock per shard and
-    /// merge-sorts across shards.  Keys are resolved to strings here (the
-    /// cold path) so the cross-shard ordering matches the seed-era
-    /// string-keyed output exactly.
-    fn summary_rows(
-        &self,
-        windows: &[SummaryWindow],
-        now: Timestamp,
-        gateway_name: &str,
-    ) -> Vec<((&'static str, &'static str), Vec<Event>)> {
-        self.series
-            .iter()
-            .map(|((host, ty), series)| {
-                let (host, ty) = (host.as_str(), ty.as_str());
-                let events = windows
-                    .iter()
-                    .filter_map(|w| {
-                        summarize(series, *w, now)
-                            .map(|s| summary_event(gateway_name, host, ty, &s, now))
-                    })
-                    .collect();
-                ((host, ty), events)
-            })
-            .collect()
+        let row =
+            |(key, readings): (_, &Readings)| readings.summary_row(key, windows, now, gateway_name);
+        in_series_order(self.series.iter().map(row).collect())
     }
 
     /// Number of (host, event type) series being tracked.
@@ -221,172 +266,87 @@ impl SummaryEngine {
     }
 }
 
-/// A [`SummaryEngine`] split across N shards by series key, so concurrent
-/// publishers (or parallel delivery workers) recording readings for
-/// different (host, event type) series do not serialize on one lock.
-///
-/// One series always lands in one shard, so per-series computations are
-/// exactly those of a single [`SummaryEngine`]; only the cross-series
-/// aggregation ([`ShardedSummaryEngine::summary_events`]) has to merge.
-///
-/// ```
-/// use jamm_gateway::summary::{ShardedSummaryEngine, SummaryWindow};
-/// use jamm_ulm::{Event, Level, Timestamp};
-///
-/// let engine = ShardedSummaryEngine::new(4);
-/// engine.record(
-///     &Event::builder("vmstat", "h1")
-///         .level(Level::Usage)
-///         .event_type("CPU_TOTAL")
-///         .timestamp(Timestamp::from_secs(1_000))
-///         .value(42.0)
-///         .build(),
-/// );
-/// let s = engine
-///     .summary("h1", "CPU_TOTAL", SummaryWindow::OneMinute, Timestamp::from_secs(1_000))
-///     .unwrap();
-/// assert_eq!((s.count, s.mean), (1, 42.0));
-/// ```
-#[derive(Debug)]
-pub struct ShardedSummaryEngine {
-    shards: Vec<Mutex<SummaryEngine>>,
+/// What the gateway remembers about one (host, event type) series.
+struct Series {
+    /// The most recently published event — query mode's answer, shared
+    /// by refcount.
+    latest: SharedEvent,
+    /// The series' numeric readings — what the §2.2 summaries average.
+    readings: Readings,
 }
 
-/// Compute one window's statistics over a time-ordered reading series.
-fn summarize(
-    series: &VecDeque<(Timestamp, f64)>,
-    window: SummaryWindow,
-    now: Timestamp,
-) -> Option<Summary> {
-    let cutoff = now.sub_micros(window.micros());
-    let mut count = 0usize;
-    let mut sum = 0.0;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for (t, v) in series.iter().rev() {
-        if *t < cutoff || *t > now {
-            if *t < cutoff {
-                break;
-            }
-            continue;
-        }
-        count += 1;
-        sum += v;
-        min = min.min(*v);
-        max = max.max(*v);
-    }
-    if count == 0 {
-        return None;
-    }
-    Some(Summary {
-        window,
-        count,
-        mean: sum / count as f64,
-        min,
-        max,
-    })
+/// The gateway's per-series table: the query cache and the summary
+/// readings under one key, split across N shards by series so publishers
+/// carrying different series do not serialize on one lock.  A publish is
+/// one keyed update under one write lock; a series lands in one shard, so
+/// its summaries are exactly a flat [`SummaryEngine`]'s.
+pub(crate) struct SeriesTable {
+    shards: Vec<RwLock<HashMap<SeriesKey, Series>>>,
 }
 
-/// Build the synthetic ULM event carrying one series' window summary —
-/// the one event shape both the flat and the sharded engine emit (the
-/// sharded == flat property test depends on them agreeing byte for byte).
-fn summary_event(
-    gateway_name: &str,
-    host: &str,
-    event_type: &str,
-    s: &Summary,
-    now: Timestamp,
-) -> Event {
-    Event::builder(gateway_name, host)
-        .level(Level::Usage)
-        .event_type(format!("{event_type}_{}", s.window.suffix()))
-        .timestamp(now)
-        .field(keys::SENSOR, "summary")
-        .value(s.mean)
-        .field("MIN", s.min)
-        .field("MAX", s.max)
-        .field("COUNT", s.count as u64)
-        .build()
-}
-
-use crate::hash::sym_series;
-
-impl ShardedSummaryEngine {
-    /// Create an engine split across `shards` locks (clamped to at least 1).
-    pub fn new(shards: usize) -> Self {
-        ShardedSummaryEngine {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(SummaryEngine::new()))
-                .collect(),
+impl SeriesTable {
+    /// Create a table split across `shards` locks (clamped to at least 1).
+    pub(crate) fn new(shards: usize) -> Self {
+        SeriesTable {
+            shards: (0..shards.max(1)).map(|_| RwLock::default()).collect(),
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    fn shard_of(&self, (host, ty): SeriesKey) -> &RwLock<HashMap<SeriesKey, Series>> {
+        let idx = crate::hash::sym_series(host, ty) % self.shards.len() as u64;
+        &self.shards[idx as usize]
     }
 
-    fn shard_of(&self, host: Sym, event_type: Sym) -> &Mutex<SummaryEngine> {
-        let idx = (sym_series(host, event_type) % self.shards.len() as u64) as usize;
-        &self.shards[idx]
+    /// Make `event` its series' latest and record its reading: one hash
+    /// probe under the owning shard's write lock, integer keys only.
+    pub(crate) fn observe(&self, key: SeriesKey, event: &SharedEvent) {
+        let mut shard = self.shard_of(key).write();
+        let series = shard.entry(key).or_insert_with(|| Series {
+            latest: SharedEvent::clone(event),
+            readings: Readings::default(),
+        });
+        series.latest = SharedEvent::clone(event);
+        series.readings.record(event);
     }
 
-    /// Record an event's numeric reading (see [`SummaryEngine::record`]).
-    /// Takes `&self`: only the owning shard's lock is held, briefly.
-    pub fn record(&self, event: &Event) {
-        self.record_interned(
-            Sym::intern(&event.host),
-            Sym::intern(&event.event_type),
-            event,
-        );
+    /// The most recently observed event of one series.
+    pub(crate) fn latest(&self, key: SeriesKey) -> Option<SharedEvent> {
+        let shard = self.shard_of(key).read();
+        shard.get(&key).map(|s| SharedEvent::clone(&s.latest))
     }
 
-    /// Record with pre-interned series identity (the gateway's publish
-    /// path): shard selection and the series lookup are integer-only.
-    pub(crate) fn record_interned(&self, host: Sym, event_type: Sym, event: &Event) {
-        self.shard_of(host, event_type)
-            .lock()
-            .record_interned(host, event_type, event);
+    /// Every series' latest event that `plan` accepts, in (host, event
+    /// type) order.  Each shard is read-locked exactly once.
+    pub(crate) fn latest_matching(&self, plan: &Plan) -> Vec<SharedEvent> {
+        let mut out: Vec<SharedEvent> = Vec::new();
+        for shard in &self.shards {
+            let latest = shard.read();
+            let hits = latest.values().filter(|s| plan.eval(&*s.latest));
+            out.extend(hits.map(|s| SharedEvent::clone(&s.latest)));
+        }
+        out.sort_by(|a, b| (&a.host, &a.event_type).cmp(&(&b.host, &b.event_type)));
+        out
     }
 
-    /// Compute one series' summary over one window ending at `now` (see
-    /// [`SummaryEngine::summary`]).
-    pub fn summary(
-        &self,
-        host: &str,
-        event_type: &str,
-        window: SummaryWindow,
-        now: Timestamp,
-    ) -> Option<Summary> {
-        let (h, t) = (Sym::lookup(host)?, Sym::lookup(event_type)?);
-        self.shard_of(h, t)
-            .lock()
-            .summary_interned(h, t, window, now)
-    }
-
-    /// Produce summary events for every tracked series and every requested
-    /// window, across all shards, ordered by (host, event type) with the
-    /// windows in the order requested — the same output a single
-    /// [`SummaryEngine::summary_events`] fed the same readings produces.
-    /// Each shard is locked exactly once.
-    pub fn summary_events(
+    /// Summary events for every series with readings and every requested
+    /// window, ordered by (host, event type) with the windows in the
+    /// order requested — the same output [`SummaryEngine::summary_events`]
+    /// fed the same events produces.  Each shard is read-locked exactly
+    /// once.
+    pub(crate) fn summary_events(
         &self,
         windows: &[SummaryWindow],
         now: Timestamp,
         gateway_name: &str,
     ) -> Vec<Event> {
-        let mut rows: Vec<((&'static str, &'static str), Vec<Event>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().summary_rows(windows, now, gateway_name))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows.into_iter().flat_map(|(_, events)| events).collect()
-    }
-
-    /// Total (host, event type) series tracked across all shards.
-    pub fn series_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().series_count()).sum()
+        let mut rows = Vec::new();
+        for shard in &self.shards {
+            let series = shard.read();
+            let row =
+                |(key, s): (_, &Series)| s.readings.summary_row(key, windows, now, gateway_name);
+            rows.extend(series.iter().map(row));
+        }
+        in_series_order(rows)
     }
 }
 
@@ -467,7 +427,7 @@ mod tests {
             .series
             .get(&(Sym::intern("h"), Sym::intern("CPU_TOTAL")))
             .unwrap();
-        assert!(series.len() <= 62, "len = {}", series.len());
+        assert!(series.0.len() <= 62, "len = {}", series.0.len());
     }
 
     #[test]

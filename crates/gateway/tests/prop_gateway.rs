@@ -4,9 +4,14 @@
 //! computation.
 
 use jamm_core::check::{forall, Gen};
-use jamm_gateway::summary::{ShardedSummaryEngine, SummaryEngine, SummaryWindow};
-use jamm_gateway::{EventFilter, EventGateway, FlatFanout, GatewayConfig, OverflowPolicy};
-use jamm_ulm::{Event, Level, Timestamp};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use jamm_gateway::summary::{SummaryEngine, SummaryWindow};
+use jamm_gateway::{
+    EventFilter, EventGateway, FlatFanout, GatewayConfig, OverflowPolicy, QosConfig,
+};
+use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
 
 const TYPES: [&str; 3] = ["CPU_TOTAL", "VMSTAT_FREE_MEMORY", "NETSTAT_RETRANS"];
 const HOSTS: [&str; 3] = ["h1", "h2", "h3"];
@@ -131,8 +136,9 @@ fn drop_accounting_is_exact_under_any_bound() {
     });
 }
 
-/// Query mode always returns the most recently published event for the
-/// (host, type) pair, if any was published.
+/// Query mode always returns the most recently *published* event of the
+/// (host, type) pair — publication order wins, whatever the timestamps —
+/// and nothing for a pair that was never published.
 #[test]
 fn query_returns_the_latest() {
     forall("query latest", 48, |g| {
@@ -147,24 +153,7 @@ fn query_returns_the_latest() {
                     .iter()
                     .rfind(|e| e.host == host && e.event_type == ty);
                 let got = gw.query("c", host, ty).unwrap();
-                match expected {
-                    // Publication order wins among equal timestamps, so the
-                    // returned event must be the last published with a
-                    // timestamp >= every other candidate's.
-                    Some(_) => {
-                        let got = got.expect("published events are queryable");
-                        let max_ts = events
-                            .iter()
-                            .filter(|e| e.host == host && e.event_type == ty)
-                            .map(|e| e.timestamp)
-                            .max()
-                            .unwrap();
-                        assert!(got.timestamp <= max_ts);
-                        assert_eq!(got.host, host);
-                        assert_eq!(got.event_type, ty);
-                    }
-                    None => assert!(got.is_none()),
-                }
+                assert_eq!(got.as_deref(), expected, "{host}/{ty}");
             }
         }
     });
@@ -200,15 +189,46 @@ fn summary_mean_matches_direct_computation() {
     });
 }
 
-/// The sharded router — under any shard count, any filter mix (typed and
-/// wildcard), any queue bound, either overflow policy, and both the
-/// per-event and batched publish paths — delivers exactly the same event
-/// sequences, with the same per-subscription counters, as the original
-/// flat-list fan-out.
+/// How the gateway under test delivers — one more generated input of the
+/// routing equivalence property.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    /// Routed inside `publish`.
+    Sync,
+    /// This many generic delivery workers.
+    Workers(usize),
+    /// One worker pool per QoS tier, re-tiering every 512 publishes.
+    TierPools,
+}
+
+/// The sharded router — under any shard count, any delivery mode
+/// (synchronous, 1–4 workers, per-tier worker pools), any filter mix
+/// (typed and wildcard), any queue bound, either overflow policy, and any
+/// split of the stream across `publish`, `publish_shared` and
+/// `publish_batch` — delivers exactly the same event sequences, with the
+/// same per-subscription counters, as the original flat-list fan-out.
+/// Workers keep order per event type, not across types, so the worker
+/// modes compare per-(subscription, type) sequences over queues deep
+/// enough that nothing is dropped.
 #[test]
 fn sharded_routing_is_equivalent_to_the_flat_list() {
     forall("sharded == flat", 64, |g| {
-        let events: Vec<Event> = (0..g.usize_in(1, 160)).map(|_| arb_event(g)).collect();
+        let mode = match g.usize_in(0, 2) {
+            0 => Mode::Sync,
+            1 => Mode::Workers(g.usize_in(1, 4)),
+            _ => Mode::TierPools,
+        };
+        // Under tier pools the stream is long enough to cross the re-tier
+        // cadence, and the queues deep enough (fill <= 1/8) that the pass
+        // leaves every subscription in the fast tier.
+        let (max_events, headroom) = match mode {
+            Mode::Sync => (160, 0),
+            Mode::Workers(_) => (160, 1),
+            Mode::TierPools => (700, 8),
+        };
+        let events: Vec<Event> = (0..g.usize_in(1, max_events))
+            .map(|_| arb_event(g))
+            .collect();
         let shards = g.choice(&[1usize, 2, 4, 7, 16]);
         let n_subs = g.usize_in(1, 6);
         let specs: Vec<(Vec<EventFilter>, usize, OverflowPolicy)> = (0..n_subs)
@@ -223,7 +243,7 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
                     tys.dedup();
                     filters.push(EventFilter::EventTypes(tys));
                 }
-                let capacity = g.usize_in(1, 64);
+                let capacity = g.usize_in(1, 64) + headroom * events.len();
                 let policy = if g.bool(0.5) {
                     OverflowPolicy::DropOldest
                 } else {
@@ -238,7 +258,14 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
             .iter()
             .map(|(f, cap, pol)| flat.subscribe(f.clone(), *cap, *pol))
             .collect();
-        let gw = EventGateway::new(GatewayConfig::open("gw").with_shards(shards));
+        let config = GatewayConfig::open("gw").with_shards(shards);
+        let gw = EventGateway::new(match mode {
+            Mode::Sync => config,
+            Mode::Workers(n) => config.with_delivery_workers(n),
+            Mode::TierPools => config
+                .with_delivery_workers(1)
+                .with_qos(QosConfig::default()),
+        });
         let gw_subs: Vec<_> = specs
             .iter()
             .map(|(f, cap, pol)| {
@@ -253,60 +280,99 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
             .collect();
 
         // Feed both engines the same stream, the gateway via a random mix
-        // of per-event and batched publishes.
+        // of by-value, shared and batched publishes.
         let mut i = 0;
         while i < events.len() {
-            if g.bool(0.5) {
-                gw.publish(&events[i]);
-                i += 1;
-            } else {
-                let run = g.usize_in(1, 12).min(events.len() - i);
-                gw.publish_batch(&events[i..i + run]);
-                i += run;
-            }
+            let run = match g.usize_in(0, 3) {
+                0 => {
+                    gw.publish(&events[i]);
+                    1
+                }
+                1 => {
+                    gw.publish_shared(Arc::new(events[i].clone()));
+                    1
+                }
+                _ => {
+                    let run = g.usize_in(1, 12).min(events.len() - i);
+                    gw.publish_batch(&events[i..i + run]);
+                    run
+                }
+            };
+            i += run;
         }
+        gw.quiesce();
         for e in &events {
-            flat.publish(&std::sync::Arc::new(e.clone()));
+            flat.publish(&Arc::new(e.clone()));
         }
 
         for (a, b) in flat_subs.iter().zip(gw_subs.iter()) {
-            let left: Vec<jamm_ulm::SharedEvent> = a.events.try_iter().collect();
-            let right: Vec<jamm_ulm::SharedEvent> = b.events.try_iter().collect();
-            assert_eq!(left, right, "same delivered sequence either way");
-            assert_eq!(a.delivered(), b.delivered());
-            assert_eq!(a.dropped(), b.dropped());
-            assert_eq!(a.bytes(), b.bytes());
+            let left: Vec<SharedEvent> = a.events.try_iter().collect();
+            let right: Vec<SharedEvent> = b.events.try_iter().collect();
+            if matches!(mode, Mode::Sync) {
+                assert_eq!(left, right, "same delivered sequence either way");
+            }
+            for ty in TYPES {
+                let of_type = |q: &[SharedEvent]| -> Vec<SharedEvent> {
+                    q.iter().filter(|e| e.event_type == ty).cloned().collect()
+                };
+                assert_eq!(of_type(&left), of_type(&right), "{mode:?}: {ty} sequence");
+            }
+            assert_eq!(a.delivered(), b.delivered(), "{mode:?}");
+            assert_eq!(a.dropped(), b.dropped(), "{mode:?}");
+            assert_eq!(a.bytes(), b.bytes(), "{mode:?}");
         }
-        // The per-shard rows decompose the gateway totals exactly.
+        // Nothing is still in flight after quiesce(): the gateway totals
+        // already equal what the subscriptions counted.
+        let delivered: u64 = gw_subs.iter().map(|s| s.delivered()).sum();
+        let stats = gw.stats();
+        assert_eq!(
+            stats.events_in.load(Ordering::Relaxed) as usize,
+            events.len()
+        );
+        assert_eq!(stats.events_out.load(Ordering::Relaxed), delivered);
+        // The per-shard rows decompose the gateway totals exactly — each
+        // event ingested once, even when three tier pools route it.
         let report = gw.shard_report();
         assert_eq!(report.len(), shards);
         assert_eq!(
             report.iter().map(|s| s.events_in).sum::<u64>() as usize,
-            events.len()
+            events.len(),
+            "{mode:?}"
         );
-        let delivered: u64 = gw_subs.iter().map(|s| s.delivered()).sum();
         assert_eq!(report.iter().map(|s| s.delivered).sum::<u64>(), delivered);
     });
 }
 
-/// The sharded summary engine computes exactly what one flat engine fed
-/// the same readings computes, for any shard count and interleaving.
+/// The gateway's per-series table — for 1, 3 and 8 shards — answers
+/// `summaries()` exactly as one flat engine fed the same events does (byte
+/// for byte, in the same order), and `query()` from the same table with
+/// the last event published for the series.
 #[test]
-fn sharded_summaries_match_the_flat_engine() {
-    forall("sharded summaries", 48, |g| {
+fn gateway_series_table_matches_the_flat_engine() {
+    forall("series table == flat", 48, |g| {
         let events: Vec<Event> = (0..g.usize_in(1, 120)).map(|_| arb_event(g)).collect();
-        let sharded = ShardedSummaryEngine::new(g.choice(&[1usize, 3, 8]));
-        let mut flat = SummaryEngine::new();
-        for e in &events {
-            sharded.record(e);
-            flat.record(e);
-        }
-        assert_eq!(sharded.series_count(), flat.series_count());
         let now = Timestamp::from_secs(10_000 + 121);
-        assert_eq!(
-            sharded.summary_events(&SummaryWindow::all(), now, "gw"),
-            flat.summary_events(&SummaryWindow::all(), now, "gw"),
-            "identical summary events, identical order"
-        );
+        for shards in [1usize, 3, 8] {
+            let gw = EventGateway::new(GatewayConfig::open("gw").with_shards(shards));
+            let mut flat = SummaryEngine::new();
+            for e in &events {
+                gw.publish(e);
+                flat.record(e);
+            }
+            assert_eq!(
+                gw.summaries("c", now).unwrap(),
+                flat.summary_events(&SummaryWindow::all(), now, "gw"),
+                "{shards} shards: identical summary events, identical order"
+            );
+            for host in HOSTS {
+                for ty in TYPES {
+                    let last = events
+                        .iter()
+                        .rfind(|e| e.host == host && e.event_type == ty);
+                    let got = gw.query("c", host, ty).unwrap();
+                    assert_eq!(got.as_deref(), last, "{shards} shards: {host}/{ty}");
+                }
+            }
+        }
     });
 }

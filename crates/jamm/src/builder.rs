@@ -169,7 +169,7 @@ impl JammBuilder {
     }
 
     /// Deployment-wide fan-out tuning: split every gateway's routing table
-    /// (and summary engine) across `shards` shards.  More shards mean less
+    /// (and per-series table) across `shards` shards.  More shards mean less
     /// contention between publisher threads carrying different event
     /// types; the default is `jamm_gateway::DEFAULT_GATEWAY_SHARDS`.
     /// Applies to every gateway in the deployment, including ones added
