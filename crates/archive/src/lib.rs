@@ -4,8 +4,8 @@
 //! do historical analysis of system performance, and determine when/where
 //! changes occurred. ... the archive is just another consumer" (§2.2).
 //!
-//! [`EventArchive`] is a time-indexed store of ULM events with range, host
-//! and event-type queries, normal/abnormal tagging (the paper wants "a good
+//! [`EventArchive`] is a time-indexed store of ULM events answering the
+//! unified query plane, with normal/abnormal tagging (the paper wants "a good
 //! sampling of both normal and abnormal system operation"), and ULM / JSON
 //! export so other tools — e.g. a Network Weather Service style predictor —
 //! can consume the history.
@@ -18,9 +18,24 @@
 //! through [`EventArchive::scan`] instead of materializing them, and the
 //! archived history can be pushed back through a gateway with
 //! [`ReplaySource`].
+//!
+//! Every verb has exactly one, fallible, entry:
+//!
+//! | Verb | Entry |
+//! |---|---|
+//! | ingest | [`EventArchive::store`] over `&[SharedEvent]` (the two [`EventSink`] impls forward to it) |
+//! | query | [`EventArchive::scan`] over a compiled [`Plan`]; [`EventArchive::scan_str`] parses, compiles and scans |
+//! | maintain | [`EventArchive::seal`], [`EventArchive::compact`], [`EventArchive::expire_before`] |
+//! | export | [`EventArchive::export_ulm_to`], [`EventArchive::export_json_to`] into a writer |
+//!
+//! A history query is a [`Predicate`] — built with its constructors or
+//! parsed from text — compiled to a [`Plan`]; the archive has no query
+//! type of its own.  No entry swallows a storage error: a caller that
+//! chooses to ignore one says so at its call site.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod replay;
 
@@ -42,81 +57,6 @@ pub enum OperationLabel {
     Normal,
     /// The span covers a fault or performance anomaly.
     Abnormal,
-}
-
-/// Query parameters for the archive.
-#[derive(Debug, Clone, Default)]
-pub struct ArchiveQuery {
-    /// Inclusive lower bound on event time.
-    pub from: Option<Timestamp>,
-    /// Exclusive upper bound on event time.
-    pub to: Option<Timestamp>,
-    /// Restrict to this host.
-    pub host: Option<String>,
-    /// Restrict to this event type.
-    pub event_type: Option<String>,
-    /// Maximum number of events to return (0 = unlimited).
-    pub limit: usize,
-}
-
-impl ArchiveQuery {
-    /// Query everything.
-    pub fn all() -> Self {
-        ArchiveQuery::default()
-    }
-
-    /// Builder-style: time range.
-    pub fn between(mut self, from: Timestamp, to: Timestamp) -> Self {
-        self.from = Some(from);
-        self.to = Some(to);
-        self
-    }
-
-    /// Builder-style: restrict to a host.
-    pub fn host(mut self, host: impl Into<String>) -> Self {
-        self.host = Some(host.into());
-        self
-    }
-
-    /// Builder-style: restrict to an event type.
-    pub fn event_type(mut self, ty: impl Into<String>) -> Self {
-        self.event_type = Some(ty.into());
-        self
-    }
-
-    /// Builder-style: cap the number of results.
-    pub fn limit(mut self, n: usize) -> Self {
-        self.limit = n;
-        self
-    }
-
-    /// Lower into the unified query-plane IR, limit included — the whole
-    /// query (time range, host, type, limit) pushes down to the storage
-    /// engine's plan-driven scan.
-    pub fn to_predicate(&self) -> Predicate {
-        let mut parts = Vec::new();
-        if self.from.is_some() || self.to.is_some() {
-            parts.push(Predicate::TimeRange {
-                from_micros: self.from.map(|t| t.as_micros()),
-                to_micros: self.to.map(|t| t.as_micros()),
-            });
-        }
-        if let Some(host) = &self.host {
-            parts.push(Predicate::Hosts(vec![host.clone()]));
-        }
-        if let Some(ty) = &self.event_type {
-            parts.push(Predicate::EventTypes(vec![ty.clone()]));
-        }
-        if self.limit > 0 {
-            parts.push(Predicate::Limit(self.limit));
-        }
-        Predicate::And(parts)
-    }
-
-    /// Compile into an executable plan.
-    pub fn to_plan(&self) -> Plan {
-        self.to_predicate().compile()
-    }
 }
 
 /// Summary of the archive's contents, published in the directory so
@@ -215,48 +155,15 @@ impl EventArchive {
         self.db.stats()
     }
 
-    /// Store one event.  Storage errors (a failing disk under a persistent
-    /// archive) are swallowed here to keep the hot path infallible; use
-    /// [`EventArchive::try_store`] where the caller can handle them.
-    pub fn store(&self, event: Event) {
-        let _ = self.db.append(event);
-    }
-
-    /// Store one event, surfacing storage errors.
-    pub fn try_store(&self, event: Event) -> Result<(), TsdbError> {
-        self.db.append(event).map(|_| ())
-    }
-
-    /// Store one already-shared event: the archive keeps the same `Arc`
-    /// the gateway fanned out — archiving is a refcount bump.  Errors are
-    /// swallowed as in [`EventArchive::store`].
-    pub fn store_shared(&self, event: SharedEvent) {
-        let _ = self.db.append_shared(event);
-    }
-
-    /// Store a batch of shared events under a single storage-engine lock
-    /// (and, for persistent archives, one WAL write) without copying any
-    /// event.  The caller keeps its buffer — the archiver agent drains
-    /// subscriptions into one reusable scratch vector, stores from it, and
-    /// clears it, so its steady state allocates nothing per poll.
-    pub fn try_store_shared_batch(&self, events: &[SharedEvent]) -> Result<usize, TsdbError> {
+    /// Store a batch of shared events (one event is a batch of one)
+    /// under a single storage-engine lock and, for persistent archives,
+    /// one WAL write, without copying any event: the archive keeps the
+    /// same `Arc`s the gateway fanned out.  Returns how many events were
+    /// stored.  The caller keeps its buffer — on `Err` nothing was stored
+    /// and the same slice can be retried (the archiver agent's poll loop
+    /// does exactly that to survive transient disk errors).
+    pub fn store(&self, events: &[SharedEvent]) -> Result<usize, TsdbError> {
         self.db.append_shared_batch(events)
-    }
-
-    /// Store a batch under a single storage-engine lock acquisition and —
-    /// for persistent archives — a single WAL write.  Returns how many
-    /// events were stored.  A storage error drops the batch (see
-    /// [`EventArchive::try_store_all`] for the recoverable variant).
-    pub fn store_all(&self, events: impl IntoIterator<Item = Event>) -> usize {
-        let batch: Vec<Event> = events.into_iter().collect();
-        self.db.append_batch(batch).unwrap_or(0)
-    }
-
-    /// Store a batch, handing it back on failure so the caller can retry
-    /// later instead of losing the events (the archiver agent's poll loop
-    /// uses this to survive transient disk errors).
-    pub fn try_store_all(&self, events: Vec<Event>) -> Result<usize, (TsdbError, Vec<Event>)> {
-        self.db.try_append_batch(events)
     }
 
     /// Number of stored events.
@@ -271,28 +178,15 @@ impl EventArchive {
 
     /// Seal the hot (memtable) tier into an immutable segment now.
     /// Returns the new segment's catalog, or `None` when there was nothing
-    /// to seal.  The archiver agent calls this when flushing.  Errors are
-    /// swallowed (nothing is lost — the memtable is restored and the seal
-    /// retries later); use [`EventArchive::try_seal`] to observe them.
-    pub fn seal(&self) -> Option<SegmentCatalog> {
-        self.db.seal().unwrap_or(None)
-    }
-
-    /// Seal the hot tier, surfacing storage errors.
-    pub fn try_seal(&self) -> Result<Option<SegmentCatalog>, TsdbError> {
+    /// to seal.  The archiver agent calls this when flushing.  On `Err`
+    /// nothing is lost: the memtable is restored and a later seal retries.
+    pub fn seal(&self) -> Result<Option<SegmentCatalog>, TsdbError> {
         self.db.seal()
     }
 
     /// Merge runs of small segments; returns the net number of segments
-    /// removed.  Errors are swallowed (a failed compaction leaves the
-    /// store untouched); use [`EventArchive::try_compact`] to observe
-    /// them.
-    pub fn compact(&self) -> usize {
-        self.db.compact().unwrap_or(0)
-    }
-
-    /// Merge runs of small segments, surfacing storage errors.
-    pub fn try_compact(&self) -> Result<usize, TsdbError> {
+    /// removed.  A failed compaction leaves the store untouched.
+    pub fn compact(&self) -> Result<usize, TsdbError> {
         self.db.compact()
     }
 
@@ -332,40 +226,24 @@ impl EventArchive {
             .map(|(_, _, l)| *l)
     }
 
-    /// Stream matching events in time order without materializing the
-    /// match set.  Segments that cannot satisfy the query's pushdown facts
-    /// — time window, hosts, event types, per-series counts, severity
-    /// floor — are pruned via their catalogs (see [`EventArchive::stats`]),
-    /// and the limit stops the merge early.
-    pub fn scan(&self, query: &ArchiveQuery) -> ArchiveScan {
-        self.db.scan_plan(&query.to_plan())
-    }
-
     /// Stream every event a compiled query-plane [`Plan`] matches — the
-    /// same plans gateway subscriptions and directory searches run.  The
-    /// scan evaluates through its own clone of the plan (fresh stateful
-    /// memory), so e.g. an `(onchange)` historical query de-duplicates
-    /// within this scan only.
-    pub fn scan_plan(&self, plan: &Plan) -> ArchiveScan {
-        self.db.scan_plan(plan)
+    /// same plans gateway subscriptions and directory searches run — in
+    /// time order, without materializing the match set.  Segments that
+    /// cannot satisfy the plan's pushdown facts — time window, hosts,
+    /// event types, per-series counts, severity floor — are pruned via
+    /// their catalogs (see [`EventArchive::stats`]), and a limit stops the
+    /// merge early.  The scan evaluates through its own clone of the plan
+    /// (fresh stateful memory), so e.g. an `(onchange)` historical query
+    /// de-duplicates within this scan only.
+    pub fn scan(&self, plan: &Plan) -> ArchiveScan {
+        self.db.scan(plan)
     }
 
     /// Parse a query string in the unified grammar (e.g.
     /// `"(&(host=dpss1.lbl.gov)(level>=warning)(limit=100))"`) and stream
     /// the matching history.
     pub fn scan_str(&self, query: &str) -> Result<ArchiveScan, ParseError> {
-        Ok(self.scan_plan(&Predicate::parse(query)?.compile()))
-    }
-
-    /// Run a query; results are in time order.
-    pub fn query(&self, query: &ArchiveQuery) -> Vec<Event> {
-        self.scan(query).collect()
-    }
-
-    /// Run a query string in the unified grammar; results are in time
-    /// order.
-    pub fn query_str(&self, query: &str) -> Result<Vec<Event>, ParseError> {
-        Ok(self.scan_str(query)?.collect())
+        Ok(self.scan(&Predicate::parse(query)?.compile()))
     }
 
     /// Build the catalog entry describing the archive's contents.
@@ -385,11 +263,11 @@ impl EventArchive {
     /// of events written.
     pub fn export_ulm_to<W: std::io::Write>(
         &self,
-        query: &ArchiveQuery,
+        plan: &Plan,
         out: &mut W,
     ) -> std::io::Result<usize> {
         let mut n = 0;
-        for e in self.scan(query) {
+        for e in self.scan(plan) {
             out.write_all(jamm_ulm::text::encode(&e).as_bytes())?;
             out.write_all(b"\n")?;
             n += 1;
@@ -401,12 +279,12 @@ impl EventArchive {
     /// number of events written.
     pub fn export_json_to<W: std::io::Write>(
         &self,
-        query: &ArchiveQuery,
+        plan: &Plan,
         out: &mut W,
     ) -> std::io::Result<usize> {
         out.write_all(b"[")?;
         let mut n = 0;
-        for e in self.scan(query) {
+        for e in self.scan(plan) {
             if n > 0 {
                 out.write_all(b",")?;
             }
@@ -417,33 +295,12 @@ impl EventArchive {
         Ok(n)
     }
 
-    /// Export matching events as ULM text (one line per event).
-    pub fn export_ulm(&self, query: &ArchiveQuery) -> String {
-        let mut out = Vec::new();
-        self.export_ulm_to(query, &mut out)
-            .expect("Vec<u8> writes cannot fail");
-        String::from_utf8(out).expect("ULM text is UTF-8")
-    }
-
-    /// Export matching events as a JSON array.
-    pub fn export_json(&self, query: &ArchiveQuery) -> String {
-        let mut out = Vec::new();
-        self.export_json_to(query, &mut out)
-            .expect("Vec<u8> writes cannot fail");
-        String::from_utf8(out).expect("JSON is UTF-8")
-    }
-
     /// Drop events older than `cutoff`, returning how many were removed
     /// (retention management).  Whole expired segments are dropped without
-    /// decoding them.  Errors are swallowed (a failed cut leaves the store
-    /// untouched); use [`EventArchive::try_expire_before`] to observe them
-    /// — a silently failing retention policy otherwise looks like a no-op.
-    pub fn expire_before(&self, cutoff: Timestamp) -> usize {
-        self.db.retain(cutoff).unwrap_or(0)
-    }
-
-    /// Drop events older than `cutoff`, surfacing storage errors.
-    pub fn try_expire_before(&self, cutoff: Timestamp) -> Result<usize, TsdbError> {
+    /// decoding them.  A failed cut leaves the store untouched — and is
+    /// reported, because a silently failing retention policy otherwise
+    /// looks like a no-op.
+    pub fn expire_before(&self, cutoff: Timestamp) -> Result<usize, TsdbError> {
         self.db.retain(cutoff)
     }
 }
@@ -478,19 +335,21 @@ fn load_labels(path: &Path) -> Vec<(Timestamp, Timestamp, OperationLabel)> {
     out
 }
 
-/// The archive is a terminal event sink: `accept` stores the event.
+fn rejected(e: TsdbError) -> SinkError {
+    SinkError::Rejected(e.to_string())
+}
+
+/// The archive is a terminal event sink: `accept` stores the event (one
+/// copy into a fresh `Arc`, the same allocation a gateway publish makes).
 impl EventSink<Event> for EventArchive {
     fn accept(&self, event: &Event) -> Result<usize, SinkError> {
-        self.db
-            .append(event.clone())
-            .map(|_| 1)
-            .map_err(|e| SinkError::Rejected(e.to_string()))
+        self.store(&[SharedEvent::new(event.clone())])
+            .map_err(rejected)
     }
 
     fn accept_batch(&self, events: &[Event]) -> Result<usize, SinkError> {
-        self.db
-            .append_batch(events.to_vec())
-            .map_err(|e| SinkError::Rejected(e.to_string()))
+        let shared: Vec<SharedEvent> = events.iter().cloned().map(SharedEvent::new).collect();
+        self.store(&shared).map_err(rejected)
     }
 }
 
@@ -499,16 +358,11 @@ impl EventSink<Event> for EventArchive {
 /// copy).
 impl EventSink<SharedEvent> for EventArchive {
     fn accept(&self, event: &SharedEvent) -> Result<usize, SinkError> {
-        self.db
-            .append_shared(SharedEvent::clone(event))
-            .map(|_| 1)
-            .map_err(|e| SinkError::Rejected(e.to_string()))
+        self.store(std::slice::from_ref(event)).map_err(rejected)
     }
 
     fn accept_batch(&self, events: &[SharedEvent]) -> Result<usize, SinkError> {
-        self.db
-            .append_shared_batch(events)
-            .map_err(|e| SinkError::Rejected(e.to_string()))
+        self.store(events).map_err(rejected)
     }
 }
 
@@ -527,12 +381,29 @@ mod tests {
             .build()
     }
 
+    fn put(a: &EventArchive, event: Event) {
+        a.store(&[SharedEvent::new(event)]).unwrap();
+    }
+
+    fn all() -> Plan {
+        Predicate::True.compile()
+    }
+
+    /// Half-open `[from, to)` in seconds.
+    fn between(from: u64, to: u64) -> Plan {
+        Predicate::between_micros(from * 1_000_000, to * 1_000_000).compile()
+    }
+
+    fn run(a: &EventArchive, plan: &Plan) -> Vec<Event> {
+        a.scan(plan).collect()
+    }
+
     fn populated() -> EventArchive {
         let a = EventArchive::new();
         for t in 0..100u64 {
-            a.store(ev("dpss1.lbl.gov", "CPU_TOTAL", 1_000 + t, t as f64));
+            put(&a, ev("dpss1.lbl.gov", "CPU_TOTAL", 1_000 + t, t as f64));
             if t % 10 == 0 {
-                a.store(ev("mems.cairn.net", "TCPD_RETRANSMITS", 1_000 + t, 1.0));
+                put(&a, ev("mems.cairn.net", "TCPD_RETRANSMITS", 1_000 + t, 1.0));
             }
         }
         a
@@ -548,9 +419,7 @@ mod tests {
     #[test]
     fn time_range_query_is_half_open() {
         let a = populated();
-        let q =
-            ArchiveQuery::all().between(Timestamp::from_secs(1_010), Timestamp::from_secs(1_020));
-        let r = a.query(&q);
+        let r = run(&a, &between(1_010, 1_020));
         assert!(r.iter().all(|e| e.timestamp >= Timestamp::from_secs(1_010)
             && e.timestamp < Timestamp::from_secs(1_020)));
         // 10 CPU events (t=1010..1019) + 1 retransmit at t=1010.
@@ -560,11 +429,11 @@ mod tests {
     #[test]
     fn host_and_type_queries_with_limit() {
         let a = populated();
-        let cpu = a.query(&ArchiveQuery::all().event_type("CPU_TOTAL"));
+        let cpu = run(&a, &Predicate::types(["CPU_TOTAL"]).compile());
         assert_eq!(cpu.len(), 100);
-        let mems = a.query(&ArchiveQuery::all().host("mems.cairn.net"));
+        let mems = run(&a, &Predicate::hosts(["mems.cairn.net"]).compile());
         assert_eq!(mems.len(), 10);
-        let limited = a.query(&ArchiveQuery::all().limit(7));
+        let limited = run(&a, &Predicate::Limit(7).compile());
         assert_eq!(limited.len(), 7);
         // Results are in time order.
         let times: Vec<_> = cpu.iter().map(|e| e.timestamp).collect();
@@ -577,10 +446,10 @@ mod tests {
     fn events_with_identical_timestamps_are_all_kept() {
         let a = EventArchive::new();
         for i in 0..5 {
-            a.store(ev("h", "X", 42, i as f64));
+            put(&a, ev("h", "X", 42, i as f64));
         }
         assert_eq!(a.len(), 5);
-        assert_eq!(a.query(&ArchiveQuery::all()).len(), 5);
+        assert_eq!(a.scan(&all()).count(), 5);
     }
 
     #[test]
@@ -626,38 +495,57 @@ mod tests {
     #[test]
     fn exports_round_trip() {
         let a = populated();
-        let q = ArchiveQuery::all().event_type("TCPD_RETRANSMITS");
-        let ulm = a.export_ulm(&q);
+        let q = Predicate::types(["TCPD_RETRANSMITS"]).compile();
+        let mut ulm = Vec::new();
+        assert_eq!(a.export_ulm_to(&q, &mut ulm).unwrap(), 10);
+        let ulm = String::from_utf8(ulm).unwrap();
         assert_eq!(jamm_ulm::text::decode_all_lossy(&ulm).len(), 10);
-        let json = a.export_json(&q);
-        let parsed = jamm_core::json::Json::parse(&json).unwrap();
+        let mut json = Vec::new();
+        assert_eq!(a.export_json_to(&q, &mut json).unwrap(), 10);
+        let parsed = jamm_core::json::Json::parse(&String::from_utf8(json).unwrap()).unwrap();
         assert_eq!(parsed.as_array().unwrap().len(), 10);
     }
 
     #[test]
-    fn streaming_exports_match_string_exports() {
+    fn streaming_exports_write_exactly_the_scan() {
         let a = populated();
-        let q = ArchiveQuery::all().host("dpss1.lbl.gov").limit(13);
+        let q = Predicate::and(vec![
+            Predicate::hosts(["dpss1.lbl.gov"]),
+            Predicate::Limit(13),
+        ])
+        .compile();
         let mut ulm = Vec::new();
         assert_eq!(a.export_ulm_to(&q, &mut ulm).unwrap(), 13);
-        assert_eq!(String::from_utf8(ulm).unwrap(), a.export_ulm(&q));
+        let lines: String = a
+            .scan(&q)
+            .map(|e| jamm_ulm::text::encode(&e) + "\n")
+            .collect();
+        assert_eq!(String::from_utf8(ulm).unwrap(), lines);
         let mut json = Vec::new();
         assert_eq!(a.export_json_to(&q, &mut json).unwrap(), 13);
-        assert_eq!(String::from_utf8(json).unwrap(), a.export_json(&q));
+        let items: Vec<String> = a
+            .scan(&q)
+            .map(|e| jamm_ulm::json::to_json(&e).to_string())
+            .collect();
+        assert_eq!(
+            String::from_utf8(json).unwrap(),
+            format!("[{}]", items.join(","))
+        );
         // Empty result is a valid empty JSON array.
-        let none = ArchiveQuery::all().host("nowhere");
-        assert_eq!(a.export_json(&none), "[]");
+        let none = Predicate::hosts(["nowhere"]).compile();
+        let mut json = Vec::new();
+        assert_eq!(a.export_json_to(&none, &mut json).unwrap(), 0);
+        assert_eq!(json, b"[]");
     }
 
     #[test]
     fn expiry_removes_old_events() {
         let a = populated();
-        let removed = a.expire_before(Timestamp::from_secs(1_050));
+        let removed = a.expire_before(Timestamp::from_secs(1_050)).unwrap();
         assert!(removed > 0);
         assert_eq!(a.len(), 110 - removed);
         assert!(a
-            .query(&ArchiveQuery::all())
-            .iter()
+            .scan(&all())
             .all(|e| e.timestamp >= Timestamp::from_secs(1_050)));
     }
 
@@ -669,12 +557,12 @@ mod tests {
             sync_wal: false,
         });
         for t in 0..100u64 {
-            a.store(ev("h", "X", 1_000 + t, t as f64));
+            put(&a, ev("h", "X", 1_000 + t, t as f64));
         }
         assert!(a.tsdb().segment_count() > 1, "multiple sealed segments");
         let mut prev = Timestamp::EPOCH;
         let mut n = 0;
-        for e in a.scan(&ArchiveQuery::all()) {
+        for e in a.scan(&all()) {
             assert!(e.timestamp >= prev);
             prev = e.timestamp;
             n += 1;
@@ -688,20 +576,17 @@ mod tests {
         {
             let a = EventArchive::open(dir.path()).unwrap();
             for t in 0..50u64 {
-                a.store(ev("h", "CPU_TOTAL", t, t as f64));
+                put(&a, ev("h", "CPU_TOTAL", t, t as f64));
             }
-            a.seal();
+            a.seal().unwrap();
             for t in 50..60u64 {
-                a.store(ev("h", "CPU_TOTAL", t, t as f64));
+                put(&a, ev("h", "CPU_TOTAL", t, t as f64));
             }
             // Dropped without flushing: the last 10 live only in the WAL.
         }
         let a = EventArchive::open(dir.path()).unwrap();
         assert_eq!(a.len(), 60);
-        let r = a.query(
-            &ArchiveQuery::all().between(Timestamp::from_secs(45), Timestamp::from_secs(55)),
-        );
-        assert_eq!(r.len(), 10);
+        assert_eq!(a.scan(&between(45, 55)).count(), 10);
     }
 
     #[test]
@@ -709,7 +594,7 @@ mod tests {
         let dir = TempDir::new("archive-labels");
         {
             let a = EventArchive::open(dir.path()).unwrap();
-            a.store(ev("h", "X", 10, 1.0));
+            put(&a, ev("h", "X", 10, 1.0));
             a.label_span(
                 Timestamp::from_secs(0),
                 Timestamp::from_secs(50),
@@ -743,13 +628,11 @@ mod tests {
         });
         for base in [0u64, 1_000, 2_000, 3_000] {
             for t in 0..10 {
-                a.store(ev("h", "X", base + t, 0.0));
+                put(&a, ev("h", "X", base + t, 0.0));
             }
-            a.seal();
+            a.seal().unwrap();
         }
-        let q =
-            ArchiveQuery::all().between(Timestamp::from_secs(2_000), Timestamp::from_secs(2_010));
-        assert_eq!(a.query(&q).len(), 10);
+        assert_eq!(a.scan(&between(2_000, 2_010)).count(), 10);
         assert_eq!(a.stats().segments_scanned(), 1);
         assert_eq!(a.stats().segments_pruned(), 3);
     }

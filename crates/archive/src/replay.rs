@@ -8,9 +8,10 @@
 //! collectors / nlv-style analysis that watched it live.
 
 use jamm_core::flow::{EventSink, EventSource};
+use jamm_core::query::Plan;
 use jamm_ulm::SharedEvent;
 
-use crate::{ArchiveQuery, ArchiveScan, EventArchive};
+use crate::{ArchiveScan, EventArchive};
 
 /// An [`EventSource`] streaming an archived range in time order.
 ///
@@ -30,29 +31,11 @@ pub struct ReplaySource {
 }
 
 impl ReplaySource {
-    /// Replay every event matching `query`, in time order.
-    pub fn new(archive: &EventArchive, query: &ArchiveQuery) -> ReplaySource {
-        Self::from_scan(archive.scan(query))
-    }
-
-    /// Replay every event a compiled query-plane plan matches (the
-    /// builder-style predicate path).
-    pub fn from_plan(archive: &EventArchive, plan: &jamm_core::query::Plan) -> ReplaySource {
-        Self::from_scan(archive.scan_plan(plan))
-    }
-
-    /// Replay every event matching a query string in the unified grammar,
-    /// e.g. `"(&(type=CPU_TOTAL)(time>=5s)(time<15s))"`.
-    pub fn from_query(
-        archive: &EventArchive,
-        query: &str,
-    ) -> Result<ReplaySource, jamm_core::query::ParseError> {
-        Ok(Self::from_scan(archive.scan_str(query)?))
-    }
-
-    fn from_scan(scan: ArchiveScan) -> ReplaySource {
+    /// Replay every event a compiled query-plane plan matches, in time
+    /// order.
+    pub fn new(archive: &EventArchive, plan: &Plan) -> ReplaySource {
         ReplaySource {
-            scan,
+            scan: archive.scan(plan),
             batch: 0,
             replayed: 0,
             unsent: None,
@@ -122,6 +105,7 @@ impl EventSource<SharedEvent> for ReplaySource {
 mod tests {
     use super::*;
     use jamm_core::flow::SinkError;
+    use jamm_core::query::Predicate;
     use jamm_core::sync::Mutex;
     use jamm_ulm::{Event, Level, Timestamp};
 
@@ -136,17 +120,16 @@ mod tests {
 
     fn populated() -> EventArchive {
         let a = EventArchive::new();
-        for t in 0..20u64 {
-            a.store(ev(t));
-        }
-        a.seal();
+        let events: Vec<SharedEvent> = (0..20u64).map(|t| SharedEvent::new(ev(t))).collect();
+        a.store(&events).unwrap();
+        a.seal().unwrap();
         a
     }
 
     #[test]
     fn drains_a_range_in_order_and_in_batches() {
         let a = populated();
-        let q = ArchiveQuery::all().between(Timestamp::from_secs(5), Timestamp::from_secs(15));
+        let q = Predicate::between_micros(5_000_000, 15_000_000).compile();
         let mut src = ReplaySource::new(&a, &q).with_batch(4);
         let mut out = Vec::new();
         assert_eq!(src.drain_into(&mut out), 4);
@@ -169,7 +152,7 @@ mod tests {
         }
         let a = populated();
         let sink = Collect(Mutex::new(Vec::new()));
-        let mut src = ReplaySource::new(&a, &ArchiveQuery::all().limit(7));
+        let mut src = ReplaySource::new(&a, &Predicate::Limit(7).compile());
         assert_eq!(src.pump(&sink), 7);
         assert_eq!(sink.0.lock().len(), 7);
         assert_eq!(src.pump(&sink), 0, "scan exhausted");
@@ -200,7 +183,7 @@ mod tests {
             reject_after: 2,
             rejecting: std::sync::atomic::AtomicBool::new(true),
         };
-        let mut src = ReplaySource::new(&a, &ArchiveQuery::all());
+        let mut src = ReplaySource::new(&a, &Predicate::True.compile());
         assert_eq!(src.pump(&sink), 2, "stops at the rejection");
         assert_eq!(src.replayed(), 2, "the rejected event is not counted");
         // The sink recovers; the rejected event is retried, not skipped.
@@ -219,10 +202,10 @@ mod tests {
     #[test]
     fn replay_outlives_the_archive_borrow() {
         let a = populated();
-        let mut src = ReplaySource::new(&a, &ArchiveQuery::all());
+        let mut src = ReplaySource::new(&a, &Predicate::True.compile());
         // More writes to the archive do not affect the snapshot the source
         // merged from (memtable was sealed above).
-        a.store(ev(100));
+        a.store(&[SharedEvent::new(ev(100))]).unwrap();
         assert_eq!(src.drain().len(), 20);
     }
 }

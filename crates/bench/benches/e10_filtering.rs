@@ -13,9 +13,10 @@
 
 use jamm_bench::harness::{criterion_group, criterion_main, Criterion};
 use jamm_bench::{compare_row, header};
+use jamm_core::query::ValueCmp;
 use jamm_core::rng::Rng;
 use jamm_gateway::summary::{SummaryEngine, SummaryWindow};
-use jamm_gateway::{EventFilter, EventGateway, GatewayConfig};
+use jamm_gateway::{EventGateway, GatewayConfig, Predicate};
 use jamm_ulm::{Event, Level, Timestamp};
 
 /// A realistic hour of 1 Hz sensor readings: CPU load wandering around 35%
@@ -56,12 +57,12 @@ fn sensor_stream() -> Vec<Event> {
     events
 }
 
-fn delivered_with(filters: Vec<EventFilter>, stream: &[Event]) -> usize {
+fn delivered_with(filters: Vec<Predicate>, stream: &[Event]) -> usize {
     let gw = EventGateway::new(GatewayConfig::open("gw"));
     let sub = gw
         .subscribe()
         .stream()
-        .filters(filters)
+        .filter(Predicate::And(filters))
         .as_consumer("c")
         .open()
         .unwrap();
@@ -79,27 +80,21 @@ fn report(stream: &[Event]) {
     let total = stream.len();
     let unfiltered = delivered_with(vec![], stream);
     let on_change = delivered_with(
-        vec![
-            EventFilter::EventTypes(vec!["NETSTAT_RETRANS".into()]),
-            EventFilter::OnChange,
-        ],
+        vec![Predicate::types(["NETSTAT_RETRANS"]), Predicate::OnChange],
         stream,
     );
-    let raw_counter = delivered_with(
-        vec![EventFilter::EventTypes(vec!["NETSTAT_RETRANS".into()])],
-        stream,
-    );
+    let raw_counter = delivered_with(vec![Predicate::types(["NETSTAT_RETRANS"])], stream);
     let above_50 = delivered_with(
         vec![
-            EventFilter::EventTypes(vec!["CPU_TOTAL".into()]),
-            EventFilter::Above(50.0),
+            Predicate::types(["CPU_TOTAL"]),
+            Predicate::val(ValueCmp::Gt, 50.0),
         ],
         stream,
     );
     let change_20pct = delivered_with(
         vec![
-            EventFilter::EventTypes(vec!["CPU_TOTAL".into()]),
-            EventFilter::RelativeChange(0.2),
+            Predicate::types(["CPU_TOTAL"]),
+            Predicate::RelativeChange(0.2),
         ],
         stream,
     );
@@ -156,7 +151,7 @@ fn bench_filters_and_summaries(c: &mut Criterion) {
         let gw = EventGateway::new(GatewayConfig::open("gw"));
         let _sub = gw
             .subscribe()
-            .filter(EventFilter::Above(50.0))
+            .filter(Predicate::val(ValueCmp::Gt, 50.0))
             .as_consumer("c")
             .open()
             .unwrap();

@@ -24,7 +24,7 @@
 
 use jamm_bench::{compare_row, data_row, header};
 use jamm_core::json::{Json, Map};
-use jamm_gateway::{EventFilter, EventGateway, FlatFanout, GatewayConfig, OverflowPolicy};
+use jamm_gateway::{EventGateway, FlatFanout, GatewayConfig, OverflowPolicy, Predicate};
 use jamm_ulm::{Event, Level, Timestamp};
 
 const SWEEP: [usize; 5] = [1, 4, 16, 64, 256];
@@ -40,8 +40,8 @@ fn publish_event(i: u64, types: usize) -> Event {
         .build()
 }
 
-fn type_filter(i: usize) -> Vec<EventFilter> {
-    vec![EventFilter::EventTypes(vec![format!("TYPE_{i}")])]
+fn type_filter(i: usize) -> Predicate {
+    Predicate::types([format!("TYPE_{i}")])
 }
 
 fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
@@ -66,7 +66,7 @@ fn best_of(n: usize, mut round: impl FnMut() -> f64) -> f64 {
 fn flat_round(subscribers: usize) -> f64 {
     let flat = FlatFanout::new();
     let subs: Vec<_> = (0..subscribers)
-        .map(|i| flat.subscribe(type_filter(i), QUEUE_CAPACITY, OverflowPolicy::DropOldest))
+        .map(|i| flat.subscribe(&type_filter(i), QUEUE_CAPACITY, OverflowPolicy::DropOldest))
         .collect();
     let events: Vec<jamm_ulm::SharedEvent> = (0..EVENTS_PER_ROUND)
         .map(|i| std::sync::Arc::new(publish_event(i, subscribers)))
@@ -86,7 +86,7 @@ fn sharded_round(subscribers: usize, batch: Option<usize>) -> f64 {
     let subs: Vec<_> = (0..subscribers)
         .map(|i| {
             gw.subscribe()
-                .filters(type_filter(i))
+                .filter(type_filter(i))
                 .capacity(QUEUE_CAPACITY)
                 .as_consumer(format!("c{i}"))
                 .open()

@@ -146,12 +146,12 @@ fn main() {
         ..TsdbOptions::default()
     });
     for chunk in events.chunks(1_000) {
-        archive.try_store_shared_batch(chunk).unwrap();
+        archive.store(chunk).unwrap();
     }
-    archive.seal();
+    archive.seal().unwrap();
     let segments = archive.tsdb().segment_count() as u64;
 
-    let full: Vec<Event> = archive.query_str("(&)").unwrap();
+    let full: Vec<Event> = archive.scan_str("(&)").unwrap().collect();
     assert_eq!(full.len(), n as usize);
 
     // Timestamps run [1_000_000_000, 1_200_000_000) micros; the floor
@@ -159,7 +159,13 @@ fn main() {
     let selective = "(&(host=dpss1.lbl.gov)(level>=warning)(time>=1050000000))";
     let s0 = archive.stats().segments_scanned();
     let p0 = archive.stats().segments_pruned();
-    let (hits, pruned_secs) = time(|| archive.query_str(selective).unwrap().len());
+    let (hits, pruned_secs) = time(|| {
+        archive
+            .scan_str(selective)
+            .unwrap()
+            .collect::<Vec<Event>>()
+            .len()
+    });
     let scanned = archive.stats().segments_scanned() - s0;
     let pruned = archive.stats().segments_pruned() - p0;
     assert_eq!(scanned + pruned, segments, "every segment accounted for");
@@ -171,13 +177,19 @@ fn main() {
     // The severity floor alone must prune: most segments carry only
     // Usage-level readings, and their catalogs' max_level says so.
     let p1 = archive.stats().segments_pruned();
-    let warn_hits = archive.query_str("(level>=error)").unwrap().len();
+    let warn_hits = archive.scan_str("(level>=error)").unwrap().count();
     assert_eq!(warn_hits, 0, "no errors were stored");
     assert!(
         archive.stats().segments_pruned() - p1 == segments,
         "a level floor above everything stored must prune every segment"
     );
-    let (full_hits, full_secs) = time(|| archive.query_str("(&)").unwrap().len());
+    let (full_hits, full_secs) = time(|| {
+        archive
+            .scan_str("(&)")
+            .unwrap()
+            .collect::<Vec<Event>>()
+            .len()
+    });
     results.push(("scan_full_kev_per_s", kevps(full_hits as u64, full_secs)));
     results.push(("scan_pruned_ms", pruned_secs * 1e3));
     results.push(("segments_scanned", scanned as f64));

@@ -240,9 +240,9 @@ fn main() {
         ..TsdbOptions::default()
     }));
     for chunk in shared.chunks(1_000) {
-        archive.try_store_shared_batch(chunk).unwrap();
+        archive.store(chunk).unwrap();
     }
-    archive.seal();
+    archive.seal().unwrap();
 
     let gw = Arc::new(EventGateway::new(GatewayConfig::open("e20")));
     gw.register_view("dashboard", QUERY).unwrap();
@@ -281,7 +281,7 @@ fn main() {
                 s.spawn(move || {
                     for _ in 0..scans_each {
                         let plan = Predicate::parse(QUERY).unwrap().compile();
-                        hits.fetch_add(archive.scan_plan(&plan).count() as u64, Ordering::Relaxed);
+                        hits.fetch_add(archive.scan(&plan).count() as u64, Ordering::Relaxed);
                     }
                 });
             }

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use jamm_archive::EventArchive;
 use jamm_core::flow::{EventSink, EventSource, SinkError};
 use jamm_directory::{DirectoryServer, Dn, Entry};
-use jamm_gateway::{EventFilter, PipelineTracer, Subscription};
-use jamm_tsdb::SegmentCatalog;
+use jamm_gateway::{PipelineTracer, Predicate, Subscription};
+use jamm_tsdb::{SegmentCatalog, TsdbError};
 use jamm_ulm::{Event, SharedEvent, Timestamp};
 
 use crate::{GatewayRegistry, SubscribeError};
@@ -63,15 +63,20 @@ impl ArchiverAgent {
         &self.archive
     }
 
-    /// Subscribe to a gateway with the given filters (the paper stresses the
-    /// archive selects what to keep — "in some environments very little will
-    /// be monitored, and in others, it may be desirable to archive
-    /// everything").
+    /// Subscribe to a gateway with the conjunction of the given predicates
+    /// (the paper stresses the archive selects what to keep — "in some
+    /// environments very little will be monitored, and in others, it may
+    /// be desirable to archive everything"; an empty vector is
+    /// everything).  A `Predicate::types([..])` among them registers the
+    /// subscription only in the sharded router's buckets for those types —
+    /// an archiver that keeps, say, `TCPD_RETRANSMITS` and `PROC_DIED` is
+    /// never even looked at when the high-rate CPU/memory readings are
+    /// published.
     pub fn subscribe(
         &mut self,
         registry: &GatewayRegistry,
         gateway_name: &str,
-        filters: Vec<EventFilter>,
+        filters: Vec<Predicate>,
     ) -> Result<(), SubscribeError> {
         let Some(gateway) = registry.resolve(gateway_name) else {
             return Err(SubscribeError::UnknownGateway(gateway_name.to_string()));
@@ -79,33 +84,11 @@ impl ArchiverAgent {
         let sub = gateway
             .subscribe()
             .stream()
-            .filters(filters)
+            .filter(Predicate::And(filters))
             .as_consumer(self.consumer.clone())
             .open()?;
         self.subscriptions.push(sub);
         Ok(())
-    }
-
-    /// Subscribe to a gateway constrained to the given event types (plus
-    /// any further filters).  A typed subscription registers only in the
-    /// sharded router's buckets for those types — an archiver that keeps,
-    /// say, `TCPD_RETRANSMITS` and `PROC_DIED` is never even looked at
-    /// when the high-rate CPU/memory readings are published.
-    ///
-    /// An **empty** `event_types` list matches nothing (it is a type
-    /// constraint satisfied by no event, not the absence of one): the
-    /// subscription opens but never receives.  Use
-    /// [`ArchiverAgent::subscribe`] for an unconstrained subscription.
-    pub fn subscribe_types(
-        &mut self,
-        registry: &GatewayRegistry,
-        gateway_name: &str,
-        event_types: Vec<String>,
-        extra_filters: Vec<EventFilter>,
-    ) -> Result<(), SubscribeError> {
-        let mut filters = vec![EventFilter::EventTypes(event_types)];
-        filters.extend(extra_filters);
-        self.subscribe(registry, gateway_name, filters)
     }
 
     /// Drain pending events into the archive.  All subscriptions drain
@@ -127,7 +110,7 @@ impl ArchiverAgent {
         if self.batch.is_empty() {
             return 0;
         }
-        match self.archive.try_store_shared_batch(&self.batch) {
+        match self.archive.store(&self.batch) {
             Ok(n) => {
                 if let Some(tracer) = &self.tracer {
                     // Trace points only after the store succeeded: an
@@ -152,8 +135,9 @@ impl ArchiverAgent {
     }
 
     /// Flush the archive's hot tier: seal the memtable into an immutable
-    /// segment.  Returns the new segment's catalog if anything was sealed.
-    pub fn flush(&self) -> Option<SegmentCatalog> {
+    /// segment.  Returns the new segment's catalog if anything was sealed;
+    /// on `Err` the events stay in the hot tier and a later flush retries.
+    pub fn flush(&self) -> Result<Option<SegmentCatalog>, TsdbError> {
         self.archive.seal()
     }
 
@@ -234,19 +218,18 @@ impl ArchiverAgent {
 
 /// The archiver is itself a sink: events pushed straight at it (e.g. from
 /// an RMI event bridge at a site with no local gateway) are stored exactly
-/// as subscribed events are.
+/// as subscribed events are — and an event the storage engine refuses is
+/// reported as rejected, never counted as stored.
 impl EventSink<Event> for ArchiverAgent {
     fn accept(&self, event: &Event) -> Result<usize, SinkError> {
-        self.archive.store(event.clone());
-        Ok(1)
+        self.archive.accept(event)
     }
 }
 
 /// Shared events pushed straight at the archiver are stored by refcount.
 impl EventSink<SharedEvent> for ArchiverAgent {
     fn accept(&self, event: &SharedEvent) -> Result<usize, SinkError> {
-        self.archive.store_shared(SharedEvent::clone(event));
-        Ok(1)
+        self.archive.accept(event)
     }
 }
 
@@ -292,7 +275,11 @@ mod tests {
         let (reg, gw, mut agent, _) = setup();
         // Archive only warnings and worse: a sampling of "abnormal" operation.
         assert!(agent
-            .subscribe(&reg, "gw1", vec![EventFilter::MinLevel(Level::Warning)])
+            .subscribe(
+                &reg,
+                "gw1",
+                vec![Predicate::MinLevel(Level::Warning.severity())]
+            )
             .is_ok());
         assert_eq!(
             agent.subscribe(&reg, "missing", vec![]),
@@ -310,11 +297,13 @@ mod tests {
     fn typed_subscription_archives_only_the_named_types() {
         let (reg, gw, mut agent, _) = setup();
         agent
-            .subscribe_types(
+            .subscribe(
                 &reg,
                 "gw1",
-                vec!["TCPD_RETRANSMITS".into(), "PROC_DIED".into()],
-                vec![EventFilter::MinLevel(Level::Warning)],
+                vec![
+                    Predicate::types(["TCPD_RETRANSMITS", "PROC_DIED"]),
+                    Predicate::MinLevel(Level::Warning.severity()),
+                ],
             )
             .unwrap();
         gw.publish(&ev("h", "CPU_TOTAL", 1, Level::Usage));
@@ -371,9 +360,9 @@ mod tests {
             gw.publish(&ev("dpss1.lbl.gov", "CPU_TOTAL", t, Level::Usage));
         }
         agent.poll();
-        let sealed = agent.flush().expect("memtable had events");
+        let sealed = agent.flush().unwrap().expect("memtable had events");
         assert_eq!(sealed.event_count, 10);
-        assert!(agent.flush().is_none(), "nothing left to seal");
+        assert!(agent.flush().unwrap().is_none(), "nothing left to seal");
 
         agent.publish_catalog(&dir, Timestamp::from_secs(100));
         let seg_dn =
@@ -385,8 +374,43 @@ mod tests {
 
         // Expire everything: the stale segment entry disappears on the
         // next publication.
-        agent.archive().expire_before(Timestamp::from_secs(1_000));
+        agent
+            .archive()
+            .expire_before(Timestamp::from_secs(1_000))
+            .unwrap();
         agent.publish_catalog(&dir, Timestamp::from_secs(200));
         assert!(dir.lookup(&seg_dn).is_err(), "stale segment entry removed");
+    }
+
+    #[test]
+    fn a_failed_seal_is_surfaced_and_loses_nothing() {
+        let dir = jamm_tsdb::test_util::TempDir::new("archiver-failed-seal");
+        let store = dir.path().join("store");
+        let archive = Arc::new(EventArchive::open(&store).unwrap());
+        let (reg, gw, _, _) = setup();
+        let mut agent = ArchiverAgent::new(
+            "archiver",
+            Arc::clone(&archive),
+            Dn::parse("archive=main,o=lbl,o=grid").unwrap(),
+        );
+        agent.subscribe(&reg, "gw1", vec![]).unwrap();
+        for t in 0..25 {
+            gw.publish(&ev("h", "CPU_TOTAL", t, Level::Usage));
+        }
+        assert_eq!(agent.poll(), 25);
+        assert_eq!(agent.pending(), 0);
+
+        // The store directory vanishes: the segment file cannot be written.
+        std::fs::remove_dir_all(&store).unwrap();
+        assert!(archive.seal().is_err());
+        assert!(agent.flush().is_err());
+        assert_eq!(archive.tsdb().segment_count(), 0);
+        assert_eq!(archive.scan_str("(&)").unwrap().count(), 25, "nothing lost");
+
+        // The directory comes back: the retried seal keeps every event.
+        std::fs::create_dir_all(&store).unwrap();
+        let sealed = agent.flush().unwrap().expect("the restored memtable seals");
+        assert_eq!(sealed.event_count, 25);
+        assert_eq!(archive.scan_str("(&)").unwrap().count(), 25);
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use jamm_core::flow::EventSource;
 use jamm_directory::{DirectoryServer, Dn, Filter, Scope};
-use jamm_gateway::{EventFilter, PipelineTracer, Subscription};
+use jamm_gateway::{PipelineTracer, Predicate, Subscription};
 use jamm_ulm::SharedEvent;
 
 use crate::GatewayRegistry;
@@ -98,7 +98,7 @@ impl EventCollector {
     pub fn subscribe_all(
         &mut self,
         registry: &GatewayRegistry,
-        extra_filters: Vec<EventFilter>,
+        extra_filters: Vec<Predicate>,
     ) -> usize {
         let mut gateways: Vec<&str> = self.discovered.iter().map(|d| d.gateway.as_str()).collect();
         gateways.sort_unstable();
@@ -117,8 +117,8 @@ impl EventCollector {
             let open = gateway
                 .subscribe()
                 .stream()
-                .filter(EventFilter::Hosts(hosts))
-                .filters(extra_filters.iter().cloned())
+                .filter(Predicate::Hosts(hosts))
+                .filter(Predicate::And(extra_filters.clone()))
                 .as_consumer(self.consumer.clone())
                 .open();
             if let Ok(sub) = open {
@@ -129,14 +129,17 @@ impl EventCollector {
         opened
     }
 
-    /// Subscribe directly to one named gateway with the given filters
-    /// (bypassing discovery — used when the consumer already knows what it
-    /// wants).
+    /// Subscribe directly to one named gateway with the conjunction of
+    /// the given predicates (bypassing discovery — used when the consumer
+    /// already knows what it wants).  A `Predicate::types([..])` among them
+    /// is what the gateway's sharded router indexes subscriptions by: a
+    /// typed subscription lives only in the routing buckets for its types,
+    /// so it costs the gateway nothing when other traffic is published.
     pub fn subscribe_gateway(
         &mut self,
         registry: &GatewayRegistry,
         gateway_name: &str,
-        filters: Vec<EventFilter>,
+        filters: Vec<Predicate>,
     ) -> bool {
         let Some(gateway) = registry.resolve(gateway_name) else {
             return false;
@@ -144,7 +147,7 @@ impl EventCollector {
         match gateway
             .subscribe()
             .stream()
-            .filters(filters)
+            .filter(Predicate::And(filters))
             .as_consumer(self.consumer.clone())
             .open()
         {
@@ -163,28 +166,6 @@ impl EventCollector {
     /// collector's consumer principal for delivery accounting to line up.
     pub fn adopt_subscription(&mut self, gateway_name: impl Into<String>, sub: Subscription) {
         self.subscriptions.push((gateway_name.into(), sub));
-    }
-
-    /// Subscribe to one named gateway constrained to the given event types.
-    /// The type constraint is what the gateway's sharded router indexes
-    /// subscriptions by: a typed subscription lives only in the routing
-    /// buckets for its types, so it costs the gateway nothing when other
-    /// traffic is published.  Returns whether the subscription opened.
-    ///
-    /// An **empty** `event_types` list matches nothing (a type constraint
-    /// satisfied by no event): the subscription opens but never receives.
-    /// Use [`EventCollector::subscribe_gateway`] for an unconstrained
-    /// subscription.
-    pub fn subscribe_gateway_typed(
-        &mut self,
-        registry: &GatewayRegistry,
-        gateway_name: &str,
-        event_types: Vec<String>,
-        extra_filters: Vec<EventFilter>,
-    ) -> bool {
-        let mut filters = vec![EventFilter::EventTypes(event_types)];
-        filters.extend(extra_filters);
-        self.subscribe_gateway(registry, gateway_name, filters)
     }
 
     /// Drain every subscription channel into the collected log (one batched
@@ -372,12 +353,7 @@ mod tests {
     fn typed_subscription_is_routed_by_event_type() {
         let (_, reg, gw1, _) = setup();
         let mut collector = EventCollector::new("c");
-        assert!(collector.subscribe_gateway_typed(
-            &reg,
-            "gw1",
-            vec!["DPSS_SERV_IN".into()],
-            vec![],
-        ));
+        assert!(collector.subscribe_gateway(&reg, "gw1", vec![Predicate::types(["DPSS_SERV_IN"])],));
         gw1.publish(&ev("h", "DPSS_SERV_IN", 1));
         gw1.publish(&ev("h", "CPU_TOTAL", 2));
         gw1.publish(&ev("h", "DPSS_SERV_IN", 3));

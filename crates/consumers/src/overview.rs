@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use jamm_gateway::{EventFilter, Subscription};
+use jamm_gateway::{Predicate, Subscription};
 use jamm_ulm::{keys, Event, Timestamp};
 
 use crate::GatewayRegistry;
@@ -80,9 +80,9 @@ impl OverviewMonitor {
         match gateway
             .subscribe()
             .stream()
-            .filter(EventFilter::EventTypes(vec![
-                keys::process::DIED.to_string(),
-                keys::process::STARTED.to_string(),
+            .filter(Predicate::types([
+                keys::process::DIED,
+                keys::process::STARTED,
             ]))
             .as_consumer(self.consumer.clone())
             .open()

@@ -4,7 +4,7 @@
 //! server process.  For example, it might run a script to restart the
 //! processes, send email to a system administrator, or call a pager." (§2.2)
 
-use jamm_gateway::{EventFilter, Subscription};
+use jamm_gateway::{Predicate, Subscription};
 use jamm_ulm::{keys, SharedEvent};
 
 use crate::GatewayRegistry;
@@ -84,9 +84,9 @@ impl ProcessMonitorConsumer {
         match gateway
             .subscribe()
             .stream()
-            .filter(EventFilter::EventTypes(vec![
-                keys::process::DIED.to_string(),
-                keys::process::STARTED.to_string(),
+            .filter(Predicate::types([
+                keys::process::DIED,
+                keys::process::STARTED,
             ]))
             .as_consumer(self.consumer.clone())
             .open()

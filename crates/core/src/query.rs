@@ -1251,11 +1251,10 @@ impl Plan {
 
     /// Evaluate the plan against a record, updating per-series memory.
     ///
-    /// Matching the legacy filter-chain semantics, the previous-reading
-    /// memory is updated whenever the record carries a numeric reading —
-    /// whether or not the record ultimately matches — so "on change" and
-    /// "crosses" behave correctly even when another conjunct rejects a
-    /// particular record.
+    /// The previous-reading memory is updated whenever the record carries
+    /// a numeric reading — whether or not the record ultimately matches —
+    /// so "on change" and "crosses" behave correctly even when another
+    /// conjunct rejects a particular record.
     pub fn eval<R: Record + ?Sized>(&self, rec: &R) -> bool {
         let value = rec.value();
         // Resolve the record's interned identity once; a leaf then

@@ -23,13 +23,14 @@
 //! Consumers subscribe with the fluent [`SubscriptionBuilder`]:
 //!
 //! ```
-//! use jamm_gateway::{EventFilter, EventGateway, GatewayConfig};
+//! use jamm_core::query::ValueCmp;
+//! use jamm_gateway::{EventGateway, GatewayConfig, Predicate};
 //!
 //! let gw = EventGateway::new(GatewayConfig::open("gw1"));
 //! let sub = gw
 //!     .subscribe()
 //!     .stream()
-//!     .filter(EventFilter::Above(50.0))
+//!     .filter(Predicate::val(ValueCmp::Gt, 50.0))
 //!     .as_consumer("threshold-watcher")
 //!     .open()
 //!     .unwrap();
@@ -47,7 +48,6 @@ use jamm_ulm::{keys, Event, SharedEvent, Timestamp};
 use jamm_auth::acl::{AccessControlList, Action};
 use jamm_core::query::{Plan, Predicate};
 
-use crate::filter::{EventFilter, FilterChain};
 use crate::qos::{QosConfig, QosRuntime, QosSnapshot, Tier, TierRow};
 use crate::routing::{RouteOutcome, ShardReport, ShardedRouter, DEFAULT_GATEWAY_SHARDS};
 use crate::summary::{SeriesTable, SummaryWindow};
@@ -126,14 +126,15 @@ impl EventSource<SharedEvent> for Subscription {
 /// [`EventGateway::subscribe`].
 ///
 /// ```
-/// use jamm_gateway::{EventFilter, EventGateway, GatewayConfig, OverflowPolicy};
+/// use jamm_core::query::ValueCmp;
+/// use jamm_gateway::{EventGateway, GatewayConfig, OverflowPolicy, Predicate};
 ///
 /// let gw = EventGateway::new(GatewayConfig::open("gw1"));
 /// let sub = gw
 ///     .subscribe()
 ///     .stream()
-///     .filter(EventFilter::EventTypes(vec!["CPU_TOTAL".into()]))
-///     .filter(EventFilter::Above(50.0))
+///     .filter(Predicate::types(["CPU_TOTAL"]))
+///     .filter(Predicate::val(ValueCmp::Gt, 50.0))
 ///     .as_consumer("ops")
 ///     .capacity(1_024)
 ///     .on_overflow(OverflowPolicy::DropNewest)
@@ -160,29 +161,18 @@ impl<'gw> SubscriptionBuilder<'gw> {
         self
     }
 
-    /// Add one filter to the conjunction.
-    pub fn filter(mut self, filter: EventFilter) -> Self {
-        self.predicates.push(filter.to_predicate());
-        self
-    }
-
-    /// Add several filters.
-    pub fn filters(mut self, filters: impl IntoIterator<Item = EventFilter>) -> Self {
-        self.predicates
-            .extend(filters.into_iter().map(|f| f.to_predicate()));
-        self
-    }
-
-    /// Add a raw query-plane predicate to the conjunction.
-    pub fn predicate(mut self, predicate: Predicate) -> Self {
+    /// Add one query-plane predicate to the conjunction (no filter at
+    /// all passes everything).
+    pub fn filter(mut self, predicate: Predicate) -> Self {
         self.predicates.push(predicate);
         self
     }
 
     /// Filter with a query string in the unified grammar, e.g.
     /// `"(&(type=CPU_TOTAL)(val>50))"` — the same language the archive
-    /// and the directory answer.  And-combined with any builder-style
-    /// filters and with previous `matching` calls; a malformed query
+    /// and the directory answer.  And-combined with any
+    /// [`SubscriptionBuilder::filter`] predicates and with previous
+    /// `matching` calls; a malformed query
     /// surfaces as [`crate::GatewayError::BadQuery`] from
     /// [`SubscriptionBuilder::open`].
     pub fn matching(mut self, query: &str) -> Self {
@@ -222,9 +212,9 @@ impl<'gw> SubscriptionBuilder<'gw> {
                 Predicate::parse(query).map_err(|e| GatewayError::BadQuery(e.to_string()))?;
             predicates.push(parsed);
         }
-        let chain = FilterChain::from_predicate(Predicate::And(predicates));
+        let plan = Predicate::And(predicates).compile();
         self.gateway
-            .open_subscription(self.consumer, chain, self.capacity, self.overflow)
+            .open_subscription(self.consumer, plan, self.capacity, self.overflow)
     }
 }
 
@@ -559,13 +549,13 @@ impl EventGateway {
     fn open_subscription(
         &self,
         consumer: String,
-        chain: FilterChain,
+        plan: Plan,
         capacity: usize,
         overflow: OverflowPolicy,
     ) -> Result<Subscription> {
         self.check(&consumer, Action::SubscribeStream)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        Ok(self.router.insert(id, consumer, chain, capacity, overflow))
+        Ok(self.router.insert(id, consumer, plan, capacity, overflow))
     }
 
     /// Cancel a streaming subscription.
@@ -888,6 +878,7 @@ impl EventSink<SharedEvent> for EventGateway {
 mod tests {
     use super::*;
     use jamm_auth::acl::Principal;
+    use jamm_core::query::ValueCmp;
     use jamm_ulm::Level;
 
     fn ev(host: &str, ty: &str, value: f64, t: u64) -> Event {
@@ -905,7 +896,7 @@ mod tests {
         let sub = gw
             .subscribe()
             .stream()
-            .filter(EventFilter::EventTypes(vec!["CPU_TOTAL".into()]))
+            .filter(Predicate::types(["CPU_TOTAL"]))
             .as_consumer("collector")
             .open()
             .unwrap();
@@ -959,7 +950,7 @@ mod tests {
         let filtered = gw
             .subscribe()
             .stream()
-            .filter(EventFilter::Above(50.0))
+            .filter(Predicate::val(ValueCmp::Gt, 50.0))
             .as_consumer("ops")
             .open()
             .unwrap();
@@ -1043,8 +1034,8 @@ mod tests {
             vec![
                 gw.subscribe().as_consumer("all").open().unwrap(),
                 gw.subscribe()
-                    .filter(EventFilter::EventTypes(vec!["CPU_TOTAL".into()]))
-                    .filter(EventFilter::OnChange)
+                    .filter(Predicate::types(["CPU_TOTAL"]))
+                    .filter(Predicate::OnChange)
                     .as_consumer("cpu-changes")
                     .open()
                     .unwrap(),
@@ -1091,7 +1082,7 @@ mod tests {
         let _all = gw.subscribe().as_consumer("all").open().unwrap();
         let _cpu = gw
             .subscribe()
-            .filter(EventFilter::EventTypes(vec!["CPU_TOTAL".into()]))
+            .filter(Predicate::types(["CPU_TOTAL"]))
             .as_consumer("cpu")
             .open()
             .unwrap();
@@ -1244,8 +1235,8 @@ mod tests {
         let by_builder = gw
             .subscribe()
             .stream()
-            .filter(EventFilter::EventTypes(vec!["CPU_TOTAL".into()]))
-            .filter(EventFilter::Above(50.0))
+            .filter(Predicate::types(["CPU_TOTAL"]))
+            .filter(Predicate::val(ValueCmp::Gt, 50.0))
             .as_consumer("builder")
             .open()
             .unwrap();
@@ -1441,7 +1432,7 @@ mod tests {
         let gw = EventGateway::new(GatewayConfig::open("gw1"));
         let s1 = gw
             .subscribe()
-            .filter(EventFilter::OnChange)
+            .filter(Predicate::OnChange)
             .as_consumer("a")
             .open()
             .unwrap();
@@ -1450,7 +1441,7 @@ mod tests {
         // A subscriber arriving later starts with fresh state.
         let s2 = gw
             .subscribe()
-            .filter(EventFilter::OnChange)
+            .filter(Predicate::OnChange)
             .as_consumer("b")
             .open()
             .unwrap();

@@ -11,8 +11,8 @@
 //! This module replaces that list with a routing table:
 //!
 //! * subscriptions are **indexed by event type** — a subscription whose
-//!   filter chain names explicit event types (see
-//!   [`crate::filter::FilterChain::routed_types`]) is registered only in
+//!   compiled plan names explicit event types (see
+//!   [`jamm_core::query::Plan::routed_types`]) is registered only in
 //!   the buckets for those types; only subscriptions with no type
 //!   constraint sit in the per-shard wildcard list;
 //! * the table is split across **N shards** by a hash of the event type,
@@ -40,11 +40,11 @@ use std::sync::Arc;
 use jamm_core::channel::{bounded, Sender, TrySendError};
 use jamm_core::flow::{DeliveryCounters, OverflowPolicy};
 use jamm_core::intern::Sym;
+use jamm_core::query::{Plan, Predicate};
 use jamm_core::sync::{Mutex, RwLock};
 use jamm_ulm::keys::jamm::SUB_DELIVER;
 use jamm_ulm::SharedEvent;
 
-use crate::filter::{EventFilter, FilterChain};
 use crate::gateway::{DeliveryReport, Subscription};
 use crate::qos::{self, QosRuntime, Tier, TierRow, TierState};
 
@@ -56,23 +56,24 @@ pub const DEFAULT_GATEWAY_SHARDS: usize = 8;
 enum RouteKeys {
     /// No type constraint: present in every shard's wildcard list.
     Wildcard,
-    /// Constrained to these event types (the intersection of the chain's
-    /// `EventTypes` predicates, interned): present only in those types'
-    /// buckets.
+    /// Constrained to these event types (the plan's routed types,
+    /// interned): present only in those types' buckets.  An empty list
+    /// (an empty `EventTypes`, or a disjoint intersection) registers the
+    /// subscription in no bucket — exactly what its plan would deliver.
     Types(Vec<Sym>),
 }
 
 /// One live subscription as the router sees it.
 ///
 /// Shared (`Arc`) between the routing snapshots that reference it and the
-/// router's own registry.  The filter chain's compiled plan carries its
-/// own (Sym-keyed, mutex-guarded) per-series memory for stateful
-/// predicates, so parallel delivery workers evaluate the same wildcard
-/// subscription concurrently through `&FilterChain` with no outer lock.
+/// router's own registry.  The compiled plan carries its own (Sym-keyed,
+/// mutex-guarded) per-series memory for stateful predicates, so parallel
+/// delivery workers evaluate the same wildcard subscription concurrently
+/// through `&Plan` with no outer lock.
 pub(crate) struct RouteEntry {
     id: u64,
     consumer: String,
-    chain: FilterChain,
+    plan: Plan,
     routes: RouteKeys,
     tx: Sender<SharedEvent>,
     overflow: OverflowPolicy,
@@ -94,7 +95,7 @@ enum Delivery {
     Sent { evicted: bool },
     /// Rejected by the subscription's drop-newest bound.
     Dropped,
-    /// The filter chain did not pass the event.
+    /// The plan did not pass the event.
     Filtered,
     /// The consumer is gone; the entry was marked closed.
     Closed,
@@ -104,21 +105,21 @@ impl RouteEntry {
     fn new(
         id: u64,
         consumer: String,
-        chain: FilterChain,
+        plan: Plan,
         tx: Sender<SharedEvent>,
         overflow: OverflowPolicy,
         counters: Arc<DeliveryCounters>,
     ) -> Self {
         // The compiled plan already interned the routed types; registering
         // the subscription is a copy of the Sym slice, no re-hashing.
-        let routes = match chain.routed_syms() {
+        let routes = match plan.routed_types() {
             Some(types) => RouteKeys::Types(types.to_vec()),
             None => RouteKeys::Wildcard,
         };
         RouteEntry {
             id,
             consumer,
-            chain,
+            plan,
             routes,
             tx,
             overflow,
@@ -134,7 +135,7 @@ impl RouteEntry {
         Tier::from_u8(self.tier.load(Ordering::Relaxed))
     }
 
-    /// QoS admission check, run after the filter chain accepts the
+    /// QoS admission check, run after the plan accepts the
     /// event: returns `true` when the delivery must be dropped before
     /// queueing — shed under declared overload, or rejected by the
     /// tier's reduced queue budget.  Protected streams (`_jamm`
@@ -164,7 +165,7 @@ impl RouteEntry {
         false
     }
 
-    /// Evaluate the chain and push one event.  Takes the event by value:
+    /// Evaluate the plan and push one event.  Takes the event by value:
     /// queuing it is a move of the `Arc`, never a copy of the event — the
     /// caller bumps the refcount for all but its last delivery, so a
     /// single-subscriber fan-out moves the published `Arc` straight into
@@ -173,7 +174,7 @@ impl RouteEntry {
         if self.closed.load(Ordering::Relaxed) {
             return Delivery::Closed;
         }
-        if !self.chain.accept(&event) {
+        if !self.plan.eval(&*event) {
             return Delivery::Filtered;
         }
         if let Some(q) = qos {
@@ -379,7 +380,7 @@ impl ShardedRouter {
         &self,
         id: u64,
         consumer: String,
-        chain: FilterChain,
+        plan: Plan,
         capacity: usize,
         overflow: OverflowPolicy,
     ) -> Subscription {
@@ -388,7 +389,7 @@ impl ShardedRouter {
         let entry = Arc::new(RouteEntry::new(
             id,
             consumer,
-            chain,
+            plan,
             tx,
             overflow,
             Arc::clone(&counters),
@@ -641,7 +642,7 @@ impl ShardedRouter {
                     saw_closed = true;
                     continue;
                 }
-                if tier.is_some_and(|t| entry.current_tier() != t) || !entry.chain.accept(event) {
+                if tier.is_some_and(|t| entry.current_tier() != t) || !entry.plan.eval(&**event) {
                     continue;
                 }
                 let slot = *slot_of.entry(entry.id).or_insert_with(|| {
@@ -769,12 +770,12 @@ impl FlatFanout {
         }
     }
 
-    /// Open a subscription with the given filters, queue bound and
+    /// Open a subscription with the given predicate, queue bound and
     /// overflow policy (the flat-list equivalent of
     /// `EventGateway::subscribe`).
     pub fn subscribe(
         &self,
-        filters: Vec<EventFilter>,
+        predicate: &Predicate,
         capacity: usize,
         overflow: OverflowPolicy,
     ) -> Subscription {
@@ -784,7 +785,7 @@ impl FlatFanout {
         self.subs.lock().push(Arc::new(RouteEntry::new(
             id,
             "flat".to_string(),
-            FilterChain::new(filters),
+            predicate.compile(),
             tx,
             overflow,
             Arc::clone(&counters),

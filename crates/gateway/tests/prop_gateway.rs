@@ -7,10 +7,9 @@ use jamm_core::check::{forall, Gen};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use jamm_core::query::ValueCmp;
 use jamm_gateway::summary::{SummaryEngine, SummaryWindow};
-use jamm_gateway::{
-    EventFilter, EventGateway, FlatFanout, GatewayConfig, OverflowPolicy, QosConfig,
-};
+use jamm_gateway::{EventGateway, FlatFanout, GatewayConfig, OverflowPolicy, Predicate, QosConfig};
 use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
 
 const TYPES: [&str; 3] = ["CPU_TOTAL", "VMSTAT_FREE_MEMORY", "NETSTAT_RETRANS"];
@@ -27,17 +26,17 @@ fn arb_event(g: &mut Gen) -> Event {
         .build()
 }
 
-fn arb_filters(g: &mut Gen) -> Vec<EventFilter> {
+fn arb_filters(g: &mut Gen) -> Vec<Predicate> {
     (0..g.usize_in(0, 2))
         .map(|_| match g.usize_in(0, 7) {
-            0 => EventFilter::All,
-            1 => EventFilter::EventTypes(vec!["CPU_TOTAL".into()]),
-            2 => EventFilter::Hosts(vec!["h1".into(), "h2".into()]),
-            3 => EventFilter::MinLevel(Level::Warning),
-            4 => EventFilter::OnChange,
-            5 => EventFilter::Above(g.f64_in(0.0, 100.0)),
-            6 => EventFilter::Below(g.f64_in(0.0, 100.0)),
-            _ => EventFilter::RelativeChange(g.f64_in(0.05, 0.9)),
+            0 => Predicate::True,
+            1 => Predicate::types(["CPU_TOTAL"]),
+            2 => Predicate::hosts(["h1", "h2"]),
+            3 => Predicate::MinLevel(Level::Warning.severity()),
+            4 => Predicate::OnChange,
+            5 => Predicate::val(ValueCmp::Gt, g.f64_in(0.0, 100.0)),
+            6 => Predicate::val(ValueCmp::Lt, g.f64_in(0.0, 100.0)),
+            _ => Predicate::RelativeChange(g.f64_in(0.05, 0.9)),
         })
         .collect()
 }
@@ -54,7 +53,7 @@ fn delivery_is_a_filtered_subset() {
         let sub = gw
             .subscribe()
             .stream()
-            .filters(filters.clone())
+            .filter(Predicate::And(filters.clone()))
             .as_consumer("c")
             .open()
             .unwrap();
@@ -67,11 +66,11 @@ fn delivery_is_a_filtered_subset() {
             assert!(events.contains(&**d), "gateway must not invent events");
             for f in &filters {
                 match f {
-                    EventFilter::EventTypes(tys) => assert!(tys.contains(&d.event_type)),
-                    EventFilter::Hosts(hs) => assert!(hs.contains(&d.host)),
-                    EventFilter::Above(t) => assert!(d.value().unwrap() > *t),
-                    EventFilter::Below(t) => assert!(d.value().unwrap() < *t),
-                    EventFilter::MinLevel(_) => {
+                    Predicate::EventTypes(tys) => assert!(tys.contains(&d.event_type)),
+                    Predicate::Hosts(hs) => assert!(hs.contains(&d.host)),
+                    Predicate::Value(ValueCmp::Gt, t) => assert!(d.value().unwrap() > *t),
+                    Predicate::Value(ValueCmp::Lt, t) => assert!(d.value().unwrap() < *t),
+                    Predicate::MinLevel(_) => {
                         assert!(matches!(d.level, Level::Warning | Level::Error))
                     }
                     _ => {}
@@ -231,7 +230,7 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
             .collect();
         let shards = g.choice(&[1usize, 2, 4, 7, 16]);
         let n_subs = g.usize_in(1, 6);
-        let specs: Vec<(Vec<EventFilter>, usize, OverflowPolicy)> = (0..n_subs)
+        let specs: Vec<(Predicate, usize, OverflowPolicy)> = (0..n_subs)
             .map(|_| {
                 let mut filters = arb_filters(g);
                 // Bias toward typed subscriptions so the by-type buckets
@@ -241,7 +240,7 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
                         .map(|_| g.choice(&TYPES).to_string())
                         .collect();
                     tys.dedup();
-                    filters.push(EventFilter::EventTypes(tys));
+                    filters.push(Predicate::EventTypes(tys));
                 }
                 let capacity = g.usize_in(1, 64) + headroom * events.len();
                 let policy = if g.bool(0.5) {
@@ -249,14 +248,14 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
                 } else {
                     OverflowPolicy::DropNewest
                 };
-                (filters, capacity, policy)
+                (Predicate::And(filters), capacity, policy)
             })
             .collect();
 
         let flat = FlatFanout::new();
         let flat_subs: Vec<_> = specs
             .iter()
-            .map(|(f, cap, pol)| flat.subscribe(f.clone(), *cap, *pol))
+            .map(|(f, cap, pol)| flat.subscribe(f, *cap, *pol))
             .collect();
         let config = GatewayConfig::open("gw").with_shards(shards);
         let gw = EventGateway::new(match mode {
@@ -270,7 +269,7 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
             .iter()
             .map(|(f, cap, pol)| {
                 gw.subscribe()
-                    .filters(f.iter().cloned())
+                    .filter(f.clone())
                     .capacity(*cap)
                     .on_overflow(*pol)
                     .as_consumer("c")

@@ -13,12 +13,12 @@ use jamm_consumers::archiver::ArchiverAgent;
 use jamm_consumers::collector::EventCollector;
 use jamm_consumers::GatewayRegistry;
 use jamm_core::obs::{MetricsRegistry, MetricsSnapshot, Sample};
-use jamm_core::query::{AggRow, Aggregator, Facts, Predicate};
+use jamm_core::query::{AggRow, Aggregator, Facts, Plan, Predicate};
 use jamm_core::Sym;
 use jamm_directory::{DirectoryServer, Dn, Filter};
 use jamm_gateway::{
-    EventFilter, EventGateway, GatewayConfig, PipelineTracer, QosConfig, Subscription, Tier,
-    TraceClock, DEFAULT_SAMPLE_EVERY,
+    EventGateway, GatewayConfig, PipelineTracer, QosConfig, Subscription, Tier, TraceClock,
+    DEFAULT_SAMPLE_EVERY,
 };
 use jamm_reactor::{Reactor, ReactorConfig};
 use jamm_rmi::edge::{EdgeConfig, EventEdge};
@@ -688,7 +688,7 @@ impl JammSystem {
     /// Subscribe every collector to every gateway with the given extra
     /// filters (no directory discovery; that needs sensors published —
     /// see [`EventCollector::discover`]).  Returns subscriptions opened.
-    pub fn connect_collectors(&mut self, extra_filters: Vec<EventFilter>) -> usize {
+    pub fn connect_collectors(&mut self, extra_filters: Vec<Predicate>) -> usize {
         let names = self.registry.names();
         let mut opened = 0;
         for collector in &mut self.collectors {
@@ -704,7 +704,7 @@ impl JammSystem {
     /// Subscribe every collector through directory discovery: find sensors
     /// matching `filter` under the suffix, subscribe at their serving
     /// gateways with per-host filters.  Returns subscriptions opened.
-    pub fn discover_and_connect(&mut self, filter: &Filter, extra: Vec<EventFilter>) -> usize {
+    pub fn discover_and_connect(&mut self, filter: &Filter, extra: Vec<Predicate>) -> usize {
         let mut opened = 0;
         for collector in &mut self.collectors {
             collector.discover(&self.directory, &self.suffix.clone(), filter);
@@ -714,7 +714,7 @@ impl JammSystem {
     }
 
     /// Subscribe the archiver at every gateway with the given filters.
-    pub fn connect_archiver(&mut self, filters: Vec<EventFilter>) -> usize {
+    pub fn connect_archiver(&mut self, filters: Vec<Predicate>) -> usize {
         let names = self.registry.names();
         let mut opened = 0;
         if let Some(archiver) = &mut self.archiver {
@@ -761,14 +761,14 @@ impl JammSystem {
     /// like a no-op until the disk fills.
     pub fn archive_maintenance(&mut self, now: jamm_ulm::Timestamp) -> ArchiveMaintenanceReport {
         let mut errors = Vec::new();
-        let sealed = match self.archive.try_seal() {
+        let sealed = match self.archive.seal() {
             Ok(catalog) => catalog.is_some(),
             Err(e) => {
                 errors.push(format!("seal: {e}"));
                 false
             }
         };
-        let segments_merged = match self.archive.try_compact() {
+        let segments_merged = match self.archive.compact() {
             Ok(n) => n,
             Err(e) => {
                 errors.push(format!("compact: {e}"));
@@ -776,7 +776,7 @@ impl JammSystem {
             }
         };
         let events_expired = match self.retention_micros {
-            Some(r) => match self.archive.try_expire_before(now.sub_micros(r)) {
+            Some(r) => match self.archive.expire_before(now.sub_micros(r)) {
                 Ok(n) => n,
                 Err(e) => {
                     errors.push(format!("retention: {e}"));
@@ -1004,11 +1004,11 @@ impl JammSystem {
     /// subscribers (collectors, nlv-style analysis) see the historical run
     /// as a live stream.  Returns events delivered into the gateway, or 0
     /// for an unknown gateway.
-    pub fn replay_through(&self, gateway: &str, query: &jamm_archive::ArchiveQuery) -> usize {
+    pub fn replay_through(&self, gateway: &str, plan: &Plan) -> usize {
         let Some(gw) = self.registry.resolve(gateway) else {
             return 0;
         };
-        jamm_archive::ReplaySource::new(&self.archive, query).pump(gw.as_ref())
+        jamm_archive::ReplaySource::new(&self.archive, plan).pump(gw.as_ref())
     }
 
     /// The unified query endpoint: one query string, answered by every
@@ -1073,7 +1073,7 @@ impl JammSystem {
             // stateful memory), with segment pruning and limit pushdown.
             let scanned0 = self.archive.stats().segments_scanned();
             let pruned0 = self.archive.stats().segments_pruned();
-            let history: Vec<Event> = self.archive.scan_plan(&plan).collect();
+            let history: Vec<Event> = self.archive.scan(&plan).collect();
             self.query_tiers.archive_scans.fetch_add(1, Relaxed);
             // Ad-hoc aggregate queries fold the scan result; continuous
             // queries maintain theirs incrementally.
@@ -1283,7 +1283,7 @@ mod tests {
             .unwrap();
         assert_eq!(jamm.connect_collectors(vec![]), 2);
         assert_eq!(
-            jamm.connect_archiver(vec![EventFilter::MinLevel(Level::Warning)]),
+            jamm.connect_archiver(vec![Predicate::MinLevel(Level::Warning.severity())]),
             2
         );
         jamm.publish("gw1", &ev("h1", Level::Usage, 1));
@@ -1815,8 +1815,7 @@ mod tests {
         // A collector subscribing *after* the fact sees the archived run
         // replayed as a live stream.
         assert_eq!(jamm.connect_collectors(vec![]), 1);
-        let q = jamm_archive::ArchiveQuery::all()
-            .between(Timestamp::from_secs(5), Timestamp::from_secs(15));
+        let q = Predicate::between_micros(5_000_000, 15_000_000).compile();
         assert_eq!(jamm.replay_through("gw1", &q), 10);
         assert_eq!(jamm.replay_through("missing", &q), 0);
         jamm.poll();

@@ -16,7 +16,7 @@ use jamm_consumers::overview::OverviewMonitor;
 use jamm_consumers::procmon::{ProcessMonitorConsumer, RecoveryAction};
 use jamm_consumers::GatewayRegistry;
 use jamm_directory::{DirectoryServer, Dn};
-use jamm_gateway::{EventFilter, EventGateway, GatewayConfig};
+use jamm_gateway::{EventGateway, GatewayConfig, Predicate};
 use jamm_manager::config::ManagerConfig;
 use jamm_manager::manager::{NoPortActivity, SensorManager};
 use jamm_netsim::scenario::cluster_topology;
@@ -103,7 +103,7 @@ impl ClusterDeployment {
 
     /// Attach `n` streaming consumers, each subscribing to every gateway with
     /// the given filters (used by E7 / E10).
-    pub fn attach_consumers(&mut self, n: usize, filters: Vec<EventFilter>) {
+    pub fn attach_consumers(&mut self, n: usize, filters: Vec<Predicate>) {
         for i in 0..n {
             let mut c = EventCollector::new(format!("consumer-{i}"));
             for g in 0..self.gateways.len() {

@@ -14,7 +14,7 @@ use jamm_consumers::archiver::ArchiverAgent;
 use jamm_consumers::collector::EventCollector;
 use jamm_consumers::GatewayRegistry;
 use jamm_directory::{DirectoryServer, Dn, Filter};
-use jamm_gateway::{EventFilter, EventGateway};
+use jamm_gateway::{EventGateway, Predicate};
 
 use crate::builder::JammBuilder;
 use jamm_manager::config::{ManagerConfig, RunPolicy, SensorConfigEntry, SensorTemplate};
@@ -263,7 +263,7 @@ impl JammDeployment {
                 let _ = archiver.subscribe(
                     &self.registry,
                     name,
-                    vec![EventFilter::MinLevel(Level::Warning)],
+                    vec![Predicate::MinLevel(Level::Warning.severity())],
                 );
             }
         }

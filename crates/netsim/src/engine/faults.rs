@@ -7,7 +7,7 @@
 //! there is no wall clock anywhere, so a seeded scenario replays
 //! byte-identically.
 
-use jamm_archive::ArchiveQuery;
+use jamm_core::query::Predicate;
 use jamm_directory::Dn;
 
 use super::spec::{Fault, TimelineEntry};
@@ -274,7 +274,7 @@ impl ScenarioEngine {
         let Some(a) = self.archivers.iter().find(|a| a.name == archiver) else {
             return 0;
         };
-        let events: Vec<_> = a.agent.archive().query(&ArchiveQuery::all());
+        let events: Vec<_> = a.agent.archive().scan(&Predicate::True.compile()).collect();
         let Some(gw) = self.registry.resolve(via) else {
             return 0;
         };

@@ -107,7 +107,7 @@ impl Service for BridgeService {
 }
 
 /// Anything that can carry a method call to a bridge service: the
-/// in-process [`MessageBus`] or a [`crate::tcp::RmiClient`] connection.
+/// in-process [`MessageBus`] or a [`crate::tcp::ReactorClient`] connection.
 pub trait CallTransport {
     /// Issue one call.
     fn call(&mut self, call: &MethodCall) -> RmiResult;
@@ -119,7 +119,7 @@ impl CallTransport for MessageBus {
     }
 }
 
-impl CallTransport for crate::tcp::RmiClient {
+impl CallTransport for crate::tcp::ReactorClient {
     fn call(&mut self, call: &MethodCall) -> RmiResult {
         self.invoke(call)
     }

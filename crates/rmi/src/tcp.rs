@@ -16,12 +16,10 @@
 //! slow method therefore stalls only the connections pinned to its
 //! worker, never accepts/reads/flushes on the loop.
 //! [`RmiServer::shutdown`] drains queued responses and closes every
-//! connection deterministically before returning.  [`RmiClient`] stays a
-//! plain blocking socket — a synchronous call blocks by definition and
-//! holds no threads — while [`ReactorClient`] multiplexes calls over a
-//! shared reactor for agents that already run one.
+//! connection deterministically before returning.  [`ReactorClient`], the
+//! one client, multiplexes calls over a shared reactor: any number of
+//! client connections cost no threads beyond the reactor's own.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -257,55 +255,6 @@ fn encode_frame(value: &Json) -> Vec<u8> {
     frame
 }
 
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Json>> {
-    let mut len_buf = [0u8; 4];
-    match stream.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::other("frame too large"));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Json::parse_slice(&body)
-        .map(Some)
-        .map_err(|e| std::io::Error::other(e.to_string()))
-}
-
-fn write_frame(stream: &mut TcpStream, value: &Json) -> std::io::Result<()> {
-    stream.write_all(&encode_frame(value))?;
-    stream.flush()
-}
-
-/// A blocking client connection to a remote bus.
-#[derive(Debug)]
-pub struct RmiClient {
-    stream: TcpStream,
-}
-
-impl RmiClient {
-    /// Connect to a server.
-    pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        Ok(RmiClient {
-            stream: TcpStream::connect(addr)?,
-        })
-    }
-
-    /// Invoke a remote method.
-    pub fn invoke(&mut self, call: &MethodCall) -> RmiResult {
-        write_frame(&mut self.stream, &call.to_json())
-            .map_err(|e| RmiError::Transport(e.to_string()))?;
-        match read_frame(&mut self.stream) {
-            Ok(Some(doc)) => WireResponse::from_json(&doc)?.into(),
-            Ok(None) => Err(RmiError::Transport("connection closed".into())),
-            Err(e) => Err(RmiError::Transport(e.to_string())),
-        }
-    }
-}
-
 /// A client whose socket lives on a shared [`Reactor`] instead of holding
 /// its own blocking I/O: requests are queued to the loop, responses come
 /// back over a channel.  Useful for agents that already run a reactor and
@@ -463,7 +412,7 @@ impl ReactorClient {
     }
 
     /// Invoke a remote method.  Calls are serialized per connection (one
-    /// outstanding request at a time), mirroring [`RmiClient`].
+    /// outstanding request at a time).
     ///
     /// A call that times out closes the connection (the late response
     /// must not surface as the answer to the *next* call) and opens the
@@ -522,7 +471,18 @@ impl Drop for ReactorClient {
 mod tests {
     use super::*;
     use jamm_core::json::json;
+    use std::io::{Read, Write};
     use std::time::Instant;
+
+    fn client_reactor(name: &str) -> Arc<Reactor> {
+        Arc::new(
+            Reactor::start(ReactorConfig {
+                thread_name: name.to_string(),
+                ..rmi_reactor_config()
+            })
+            .unwrap(),
+        )
+    }
 
     fn bus() -> MessageBus {
         let bus = MessageBus::new();
@@ -537,7 +497,8 @@ mod tests {
     #[test]
     fn remote_invocation_round_trip() {
         let mut server = RmiServer::start(bus()).unwrap();
-        let mut client = RmiClient::connect(server.addr()).unwrap();
+        let reactor = client_reactor("rmi-round-trip-test");
+        let mut client = ReactorClient::connect(Arc::clone(&reactor), server.addr()).unwrap();
         let r = client
             .invoke(&MethodCall::new(
                 "sensor-manager@dpss1",
@@ -569,16 +530,19 @@ mod tests {
             Err(RmiError::NoSuchService(_))
         ));
         server.shutdown();
+        reactor.shutdown();
     }
 
     #[test]
     fn multiple_clients_are_served_concurrently() {
         let server = RmiServer::start(bus()).unwrap();
         let addr = server.addr();
+        let reactor = client_reactor("rmi-concurrent-test");
         let handles: Vec<_> = (0..4)
             .map(|i| {
+                let reactor = Arc::clone(&reactor);
                 std::thread::spawn(move || {
-                    let mut c = RmiClient::connect(addr).unwrap();
+                    let mut c = ReactorClient::connect(reactor, addr).unwrap();
                     let r = c
                         .invoke(&MethodCall::new(
                             "sensor-manager@dpss1",
@@ -593,6 +557,7 @@ mod tests {
         let mut results: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         results.sort();
         assert_eq!(results, vec!["s0", "s1", "s2", "s3"]);
+        reactor.shutdown();
     }
 
     #[test]
@@ -602,8 +567,9 @@ mod tests {
             server.addr()
             // server dropped (and shut down) here
         };
+        let reactor = client_reactor("rmi-dead-server-test");
         // Either the connect fails or the first invoke fails; both are fine.
-        if let Ok(mut c) = RmiClient::connect(addr) {
+        if let Ok(mut c) = ReactorClient::connect(Arc::clone(&reactor), addr) {
             let r = c.invoke(&MethodCall::new(
                 "sensor-manager@dpss1",
                 "status",
@@ -613,18 +579,13 @@ mod tests {
                 assert!(matches!(e, RmiError::Transport(_)));
             }
         }
+        reactor.shutdown();
     }
 
     #[test]
     fn reactor_client_round_trip_over_shared_reactor() {
         let server = RmiServer::start(bus()).unwrap();
-        let reactor = Arc::new(
-            Reactor::start(ReactorConfig {
-                thread_name: "rmi-client-test".to_string(),
-                ..rmi_reactor_config()
-            })
-            .unwrap(),
-        );
+        let reactor = client_reactor("rmi-client-test");
         let mut a = ReactorClient::connect(Arc::clone(&reactor), server.addr()).unwrap();
         let mut b = ReactorClient::connect(Arc::clone(&reactor), server.addr()).unwrap();
         for client in [&mut a, &mut b] {
@@ -661,14 +622,16 @@ mod tests {
     fn a_slow_method_does_not_stall_other_connections() {
         let mut server = RmiServer::start(slow_fast_bus(Duration::from_millis(800))).unwrap();
         let addr = server.addr();
+        let reactor = client_reactor("rmi-slow-fast-test");
+        let slow_reactor = Arc::clone(&reactor);
         let slow = std::thread::spawn(move || {
-            let mut c = RmiClient::connect(addr).unwrap();
+            let mut c = ReactorClient::connect(slow_reactor, addr).unwrap();
             c.invoke(&MethodCall::new("svc", "slow", json!(null)))
                 .unwrap()
         });
         // Let the slow call reach its worker before the fast one starts.
         std::thread::sleep(Duration::from_millis(150));
-        let mut c = RmiClient::connect(addr).unwrap();
+        let mut c = ReactorClient::connect(Arc::clone(&reactor), addr).unwrap();
         let start = Instant::now();
         let r = c
             .invoke(&MethodCall::new("svc", "fast", json!(null)))
@@ -681,6 +644,7 @@ mod tests {
         );
         assert_eq!(slow.join().unwrap().as_str(), Some("slept"));
         server.shutdown();
+        reactor.shutdown();
     }
 
     /// Connections are pinned to one worker, so pipelined calls get their
@@ -703,8 +667,18 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
         for i in 0..16i64 {
-            let doc = read_frame(&mut stream).unwrap().unwrap();
+            let (doc, frame_len) = loop {
+                if let Some((body, frame_len)) = next_frame(&buf).unwrap() {
+                    break (Json::parse_slice(body).unwrap(), frame_len);
+                }
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "server closed before response {i}");
+                buf.extend_from_slice(&chunk[..n]);
+            };
+            buf.drain(..frame_len);
             match WireResponse::from_json(&doc).unwrap() {
                 WireResponse::Ok(v) => assert_eq!(v.as_i64(), Some(i), "response out of order"),
                 WireResponse::Err(e) => panic!("echo {i} failed: {e:?}"),
@@ -720,13 +694,7 @@ mod tests {
     #[test]
     fn reactor_client_timeout_opens_the_breaker_and_a_probe_revives_it() {
         let server = RmiServer::start(slow_fast_bus(Duration::from_millis(300))).unwrap();
-        let reactor = Arc::new(
-            Reactor::start(ReactorConfig {
-                thread_name: "rmi-breaker-test".to_string(),
-                ..rmi_reactor_config()
-            })
-            .unwrap(),
-        );
+        let reactor = client_reactor("rmi-breaker-test");
         let mut c = ReactorClient::connect(Arc::clone(&reactor), server.addr()).unwrap();
         c.set_retry_backoff(Duration::from_millis(100), Duration::from_millis(400));
         c.set_invoke_timeout(Duration::from_millis(50));
@@ -763,41 +731,34 @@ mod tests {
         let mut server = RmiServer::start(bus()).unwrap();
         let addr = server.addr();
         // Park several live connections mid-session (no call in flight).
-        let mut clients: Vec<RmiClient> =
-            (0..8).map(|_| RmiClient::connect(addr).unwrap()).collect();
+        let reactor = client_reactor("rmi-shutdown-test");
+        let mut clients: Vec<ReactorClient> = (0..8)
+            .map(|_| ReactorClient::connect(Arc::clone(&reactor), addr).unwrap())
+            .collect();
+        let status = MethodCall::new("sensor-manager@dpss1", "status", json!(null));
         for c in &mut clients {
-            let r = c
-                .invoke(&MethodCall::new(
-                    "sensor-manager@dpss1",
-                    "status",
-                    json!(null),
-                ))
-                .unwrap();
+            let r = c.invoke(&status).unwrap();
             assert_eq!(r["sensors"][0], "cpu");
         }
         assert_eq!(server.connections(), 8);
         server.shutdown();
         // After shutdown returns — not eventually, *now* — every server-side
-        // connection is gone and every client sees a clean EOF.
+        // connection is gone, and every client's next call fails on the
+        // closed connection instead of waiting out its 30 s timeout.
         assert_eq!(server.connections(), 0);
+        let start = Instant::now();
         for c in &mut clients {
-            c.stream
-                .set_read_timeout(Some(Duration::from_secs(5)))
-                .unwrap();
-            let mut byte = [0u8; 1];
-            let n = c.stream.read(&mut byte).unwrap();
-            assert_eq!(n, 0, "expected EOF after server shutdown");
+            let r = c.invoke(&status);
+            assert!(matches!(r, Err(RmiError::Transport(_))), "got {r:?}");
         }
         // And the port is closed: a fresh connect must fail or be reset.
-        let start = Instant::now();
-        if let Ok(mut late) = RmiClient::connect(addr) {
-            let r = late.invoke(&MethodCall::new(
-                "sensor-manager@dpss1",
-                "status",
-                json!(null),
-            ));
-            assert!(r.is_err(), "server still serving after shutdown");
+        if let Ok(mut late) = ReactorClient::connect(Arc::clone(&reactor), addr) {
+            assert!(
+                late.invoke(&status).is_err(),
+                "server still serving after shutdown"
+            );
         }
         assert!(start.elapsed() < Duration::from_secs(5));
+        reactor.shutdown();
     }
 }

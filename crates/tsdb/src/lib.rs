@@ -17,13 +17,20 @@
 //! * **Maintenance** — [`Tsdb::compact`] merges runs of small segments,
 //!   [`Tsdb::retain`] drops the expired tier.
 //!
+//! One way in, one way out: [`Tsdb::append_shared_batch`] is the only
+//! function that writes the WAL and the memtable ([`Tsdb::append`] is a
+//! batch of one through it), and [`Tsdb::scan`] takes the query plane's
+//! compiled [`jamm_core::query::Plan`] — there is no storage-side query
+//! type.
+//!
 //! Range scans ([`Tsdb::scan`]) use the catalogs to *prune* whole segments
 //! without reading their data — observable through [`TsdbStats`] — and the
 //! surviving segments decode lazily through a k-way merge iterator, so a
 //! query streams results without materializing the match set.
 //!
 //! ```
-//! use jamm_tsdb::{Tsdb, TsdbQuery};
+//! use jamm_core::query::Predicate;
+//! use jamm_tsdb::Tsdb;
 //! use jamm_ulm::{Event, Level, Timestamp};
 //!
 //! let db = Tsdb::in_memory();
@@ -39,8 +46,8 @@
 //!     .unwrap();
 //! }
 //! db.seal().unwrap();
-//! let q = TsdbQuery::all().between(Timestamp::from_secs(10), Timestamp::from_secs(20));
-//! assert_eq!(db.scan(&q).count(), 10);
+//! let plan = Predicate::between_micros(10_000_000, 20_000_000).compile();
+//! assert_eq!(db.scan(&plan).count(), 10);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,7 +61,7 @@ pub mod store;
 pub mod test_util;
 pub mod wal;
 
-pub use query::{ScanIter, TsdbQuery};
+pub use query::ScanIter;
 pub use segment::{Segment, SegmentCatalog};
 pub use store::{StoreCatalog, Tsdb, TsdbOptions, TsdbStats};
 

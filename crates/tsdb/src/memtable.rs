@@ -155,10 +155,12 @@ mod tests {
         for t in 0..10 {
             m.insert(t, ev(if t % 2 == 0 { "a" } else { "b" }, "X", t));
         }
-        let plan = crate::query::TsdbQuery::default()
-            .between(Timestamp::from_secs(2), Timestamp::from_secs(8))
-            .host("a")
-            .to_plan();
+        use jamm_core::query::Predicate;
+        let plan = Predicate::and(vec![
+            Predicate::between_micros(2_000_000, 8_000_000),
+            Predicate::hosts(["a"]),
+        ])
+        .compile();
         let hits = m.matching(plan.facts());
         assert_eq!(hits.len(), 3); // t = 2, 4, 6
         assert!(hits.iter().all(|(_, e)| e.host == "a"));

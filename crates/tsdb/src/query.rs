@@ -4,87 +4,23 @@
 //! [`Plan`]s from `jamm_core::query`: the plan's pushdown [`Facts`](jamm_core::query::Facts) prune
 //! segments (via their catalogs) and pre-filter the merge sources, and the
 //! plan itself is the row-level matcher — the same evaluator the gateway's
-//! subscription filters and the directory's searches run.  [`TsdbQuery`]
-//! remains as a thin builder for the classic host / event-type / time-range
-//! shape; it compiles into a plan.
+//! subscription filters and the directory's searches run.  There is no
+//! storage-side query type: a caller builds a
+//! [`Predicate`](jamm_core::query::Predicate) (constructors or text),
+//! compiles it, and hands the plan to [`crate::Tsdb::scan`].
 //!
 //! [`ScanIter`] merges the memtable snapshot with a cursor per surviving
 //! segment, yielding events in `(timestamp, sequence)` order while decoding
 //! segment data lazily — the whole match set is never materialized.  A
-//! pushed-down result limit (`(limit=N)` in query text, or
-//! `ArchiveQuery::limit`) stops the merge as soon as `N` events have been
-//! yielded: the remaining sources — segment handles and the memtable
-//! snapshot — are dropped immediately instead of being decoded and
-//! truncated afterwards.
+//! pushed-down result limit (`(limit=N)` in query text, `Predicate::Limit(N)`
+//! in the IR) stops the merge as soon as `N` events have been yielded: the
+//! remaining sources — segment handles and the memtable snapshot — are
+//! dropped immediately instead of being decoded and truncated afterwards.
 
-use jamm_core::query::{Plan, Predicate};
+use jamm_core::query::Plan;
 use jamm_ulm::{Event, SharedEvent, Timestamp};
 
 use crate::segment::{ColMode, ColScan, SegmentCursor};
-
-/// A builder for the classic range-query shape (half-open time range,
-/// optional host / event-type restriction).  Compiles into a query-plane
-/// [`Plan`]; matching itself happens only there.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TsdbQuery {
-    /// Inclusive lower bound on event time.
-    pub from: Option<Timestamp>,
-    /// Exclusive upper bound on event time.
-    pub to: Option<Timestamp>,
-    /// Restrict to this host.
-    pub host: Option<String>,
-    /// Restrict to this event type.
-    pub event_type: Option<String>,
-}
-
-impl TsdbQuery {
-    /// Query everything.
-    pub fn all() -> TsdbQuery {
-        TsdbQuery::default()
-    }
-
-    /// Builder-style: half-open time range `[from, to)`.
-    pub fn between(mut self, from: Timestamp, to: Timestamp) -> Self {
-        self.from = Some(from);
-        self.to = Some(to);
-        self
-    }
-
-    /// Builder-style: restrict to a host.
-    pub fn host(mut self, host: impl Into<String>) -> Self {
-        self.host = Some(host.into());
-        self
-    }
-
-    /// Builder-style: restrict to an event type.
-    pub fn event_type(mut self, ty: impl Into<String>) -> Self {
-        self.event_type = Some(ty.into());
-        self
-    }
-
-    /// Lower into the unified query-plane IR.
-    pub fn to_predicate(&self) -> Predicate {
-        let mut parts = Vec::new();
-        if self.from.is_some() || self.to.is_some() {
-            parts.push(Predicate::TimeRange {
-                from_micros: self.from.map(|t| t.as_micros()),
-                to_micros: self.to.map(|t| t.as_micros()),
-            });
-        }
-        if let Some(host) = &self.host {
-            parts.push(Predicate::Hosts(vec![host.clone()]));
-        }
-        if let Some(ty) = &self.event_type {
-            parts.push(Predicate::EventTypes(vec![ty.clone()]));
-        }
-        Predicate::And(parts)
-    }
-
-    /// Compile into an executable plan.
-    pub fn to_plan(&self) -> Plan {
-        self.to_predicate().compile()
-    }
-}
 
 /// One merge source: the (facts-pre-filtered, pre-sorted) memtable
 /// snapshot, a lazily decoding row-major segment cursor, or a batched
@@ -279,6 +215,7 @@ impl std::fmt::Debug for ScanIter {
 mod tests {
     use super::*;
     use crate::segment::Segment;
+    use jamm_core::query::Predicate;
     use jamm_ulm::Level;
     use std::sync::Arc;
 
@@ -303,7 +240,7 @@ mod tests {
             (7u64, std::sync::Arc::new(ev(60, "m"))),
         ];
         let iter = ScanIter::new(
-            TsdbQuery::all().to_plan(),
+            Predicate::True.compile(),
             mem,
             vec![seg_a.cursor(), seg_b.cursor()],
         );
@@ -318,7 +255,7 @@ mod tests {
             (2u64, std::sync::Arc::new(ev(10, "m"))),
             (9u64, std::sync::Arc::new(ev(10, "m"))),
         ];
-        let iter = ScanIter::new(TsdbQuery::all().to_plan(), mem, vec![seg.cursor()]);
+        let iter = ScanIter::new(Predicate::True.compile(), mem, vec![seg.cursor()]);
         let hosts: Vec<String> = iter.map(|e| e.host).collect();
         assert_eq!(hosts, vec!["m", "a", "m"]); // seq 2, 5, 9
     }
@@ -329,10 +266,11 @@ mod tests {
             .map(|i| (i, ev(i, if i % 2 == 0 { "even" } else { "odd" })))
             .collect();
         let seg = Arc::new(Segment::build(1, &batch));
-        let q = TsdbQuery::all()
-            .between(Timestamp::from_secs(4), Timestamp::from_secs(15))
-            .host("even");
-        let iter = ScanIter::new(q.to_plan(), Vec::new(), vec![seg.cursor()]);
+        let q = Predicate::and(vec![
+            Predicate::between_micros(4_000_000, 15_000_000),
+            Predicate::hosts(["even"]),
+        ]);
+        let iter = ScanIter::new(q.compile(), Vec::new(), vec![seg.cursor()]);
         let times: Vec<u64> = iter.map(|e| e.timestamp.as_secs()).collect();
         assert_eq!(times, vec![4, 6, 8, 10, 12, 14]);
     }
@@ -362,7 +300,7 @@ mod tests {
 
     #[test]
     fn empty_scan_yields_nothing() {
-        let iter = ScanIter::new(TsdbQuery::all().to_plan(), Vec::new(), Vec::new());
+        let iter = ScanIter::new(Predicate::True.compile(), Vec::new(), Vec::new());
         assert_eq!(iter.count(), 0);
     }
 }

@@ -1412,18 +1412,14 @@ mod tests {
     fn overlaps_prunes_time_host_and_type() {
         let seg = Segment::build(1, &sorted_batch(10));
         let c = seg.catalog().clone();
-        let facts = |q: &crate::query::TsdbQuery| q.to_plan().facts().clone();
-        use crate::query::TsdbQuery;
-        assert!(c.overlaps(&facts(&TsdbQuery::default())));
-        assert!(!c.overlaps(&facts(
-            &TsdbQuery::default().between(Timestamp::from_secs(100), Timestamp::from_secs(200))
-        )));
-        assert!(!c.overlaps(&facts(
-            &TsdbQuery::default().between(Timestamp::EPOCH, Timestamp::from_micros(1_000_000))
-        )));
-        assert!(!c.overlaps(&facts(&TsdbQuery::default().host("nowhere"))));
-        assert!(c.overlaps(&facts(&TsdbQuery::default().host("h1"))));
-        assert!(!c.overlaps(&facts(&TsdbQuery::default().event_type("DISK_IO"))));
+        use jamm_core::query::Predicate;
+        let facts = |p: Predicate| p.compile().facts().clone();
+        assert!(c.overlaps(&facts(Predicate::True)));
+        assert!(!c.overlaps(&facts(Predicate::between_micros(100_000_000, 200_000_000))));
+        assert!(!c.overlaps(&facts(Predicate::between_micros(0, 1_000_000))));
+        assert!(!c.overlaps(&facts(Predicate::hosts(["nowhere"]))));
+        assert!(c.overlaps(&facts(Predicate::hosts(["h1"]))));
+        assert!(!c.overlaps(&facts(Predicate::types(["DISK_IO"]))));
     }
 
     #[test]

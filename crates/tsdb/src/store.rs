@@ -14,11 +14,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use jamm_core::query::Plan;
 use jamm_core::sync::RwLock;
 use jamm_ulm::{Event, SharedEvent, Timestamp};
 
 use crate::memtable::MemTable;
-use crate::query::{ScanIter, TsdbQuery};
+use crate::query::ScanIter;
 use crate::segment::{Segment, SegmentCatalog, SEGMENT_EXT};
 use crate::wal::Wal;
 use crate::Result;
@@ -290,39 +291,26 @@ impl Tsdb {
         &self.stats
     }
 
-    /// Append one event; returns its sequence number.  Seals the memtable
-    /// automatically when it reaches the configured bound.  As with
-    /// [`Tsdb::try_append_batch`], once the event is accepted (WAL write
-    /// succeeded) a failing auto-seal is not an error — the event is
-    /// durable, and reporting failure would make a retrying caller store
-    /// it twice.
-    pub fn append(&self, event: Event) -> Result<u64> {
-        self.append_shared(Arc::new(event))
-    }
-
-    /// Append one already-shared event: the zero-copy ingest path.  The
-    /// memtable keeps the caller's `Arc`; the WAL encodes from a borrow.
-    pub fn append_shared(&self, event: SharedEvent) -> Result<u64> {
-        let start = std::time::Instant::now();
-        let mut inner = self.inner.write();
-        let seq = inner.next_seq;
-        if let Some(wal) = &mut inner.wal {
-            wal.append(seq, &event)?;
-        }
-        inner.next_seq += 1;
-        inner.mem.insert(seq, event);
-        self.stats.appended.fetch_add(1, Ordering::Relaxed);
-        self.stats.append_us.record_micros(start.elapsed());
-        if inner.mem.len() >= self.opts.memtable_max_events {
-            let _ = self.seal_inner(&mut inner);
-        }
-        Ok(seq)
+    /// Append one owned event: a batch of one through
+    /// [`Tsdb::append_shared_batch`], whose guarantees apply.
+    pub fn append(&self, event: Event) -> Result<usize> {
+        self.append_shared_batch(&[Arc::new(event)])
     }
 
     /// Append a batch of shared events under one lock acquisition and (for
     /// persistent stores) one WAL write, without copying any event: the
-    /// memtable takes refcounted handles.  The caller keeps its slice (and
-    /// its buffer capacity) — this is the archiver's scratch-reuse path.
+    /// memtable takes refcounted handles.  This is the only function that
+    /// writes the WAL and the memtable.  Returns how many events were
+    /// appended.
+    ///
+    /// The caller keeps its slice (and its buffer capacity): on `Err`
+    /// nothing was stored — the WAL rolled back to its last record
+    /// boundary — so the same batch can be retried later without loss or
+    /// duplication.  Once the batch is accepted (WAL write succeeded), a
+    /// failing *auto-seal* is not an error: the events are already
+    /// durable, reporting failure would make a retrying caller store them
+    /// twice, and the seal retries on the next append or explicit
+    /// [`Tsdb::seal`].
     pub fn append_shared_batch(&self, events: &[SharedEvent]) -> Result<usize> {
         if events.is_empty() {
             return Ok(0);
@@ -348,36 +336,6 @@ impl Tsdb {
             }
         }
         Ok(n)
-    }
-
-    /// Append a batch under one lock acquisition and (for persistent
-    /// stores) one WAL write.  Returns how many events were appended.
-    pub fn append_batch(&self, events: Vec<Event>) -> Result<usize> {
-        self.try_append_batch(events).map_err(|(e, _)| e)
-    }
-
-    /// Like [`Tsdb::append_batch`], but hands the batch back on failure so
-    /// the caller can retry it later instead of losing the events.  Once
-    /// the batch is accepted (WAL write succeeded), a failing *auto-seal*
-    /// is not an error: the events are already durable, and the seal
-    /// retries on the next append or explicit [`Tsdb::seal`].
-    pub fn try_append_batch(
-        &self,
-        events: Vec<Event>,
-    ) -> std::result::Result<usize, (crate::TsdbError, Vec<Event>)> {
-        let shared: Vec<SharedEvent> = events.into_iter().map(Arc::new).collect();
-        match self.append_shared_batch(&shared) {
-            Ok(n) => Ok(n),
-            // Hand the batch back by unwrapping the (sole) handles; no
-            // deep copy happens on this path.
-            Err(e) => Err((
-                e,
-                shared
-                    .into_iter()
-                    .map(|a| Arc::try_unwrap(a).unwrap_or_else(|a| (*a).clone()))
-                    .collect(),
-            )),
-        }
     }
 
     /// Seal the memtable into a new immutable segment now.  Returns the
@@ -579,14 +537,7 @@ impl Tsdb {
         }
     }
 
-    /// Stream every event matching `query`, in `(timestamp, sequence)`
-    /// order (the classic host/type/range shape; compiled to a query-plane
-    /// plan internally).
-    pub fn scan(&self, query: &TsdbQuery) -> ScanIter {
-        self.scan_plan(&query.to_plan())
-    }
-
-    /// Stream every event a compiled query-plane [`jamm_core::query::Plan`]
+    /// Stream every event a compiled query-plane [`Plan`]
     /// matches, in `(timestamp, sequence)` order.  Segments whose catalog
     /// cannot satisfy the plan's pushdown facts — time window, host and
     /// event-type sets, per-series counts, severity floor — are pruned
@@ -594,7 +545,7 @@ impl Tsdb {
     /// the rest decode lazily as the iterator is consumed, and a pushed-down
     /// limit stops the merge early.  The iterator evaluates through its own
     /// clone of the plan (fresh stateful memory per scan).
-    pub fn scan_plan(&self, plan: &jamm_core::query::Plan) -> ScanIter {
+    pub fn scan(&self, plan: &Plan) -> ScanIter {
         let start = std::time::Instant::now();
         let plan = plan.clone();
         let inner = self.inner.read();
@@ -693,7 +644,12 @@ impl Tsdb {
 mod tests {
     use super::*;
     use crate::test_util::TempDir;
+    use jamm_core::query::Predicate;
     use jamm_ulm::Level;
+
+    fn all() -> Plan {
+        Predicate::True.compile()
+    }
 
     fn ev(host: &str, ty: &str, t: u64) -> Event {
         Event::builder("sensor", host)
@@ -722,7 +678,7 @@ mod tests {
         assert_eq!(db.segment_count(), 3);
         assert_eq!(db.memtable_len(), 5);
         assert_eq!(db.len(), 35);
-        let all: Vec<Event> = db.scan(&TsdbQuery::all()).collect();
+        let all: Vec<Event> = db.scan(&all()).collect();
         assert_eq!(all.len(), 35);
         let times: Vec<u64> = all.iter().map(|e| e.timestamp.as_secs()).collect();
         let mut sorted = times.clone();
@@ -738,9 +694,10 @@ mod tests {
         for e in events.clone() {
             a.append(e).unwrap();
         }
-        b.append_batch(events).unwrap();
-        let ea: Vec<Event> = a.scan(&TsdbQuery::all()).collect();
-        let eb: Vec<Event> = b.scan(&TsdbQuery::all()).collect();
+        let shared: Vec<SharedEvent> = events.into_iter().map(Arc::new).collect();
+        b.append_shared_batch(&shared).unwrap();
+        let ea: Vec<Event> = a.scan(&all()).collect();
+        let eb: Vec<Event> = b.scan(&all()).collect();
         assert_eq!(ea, eb);
         assert_eq!(a.len(), b.len());
     }
@@ -757,7 +714,7 @@ mod tests {
         }
         assert_eq!(db.segment_count(), 3);
         let hits: Vec<Event> = db
-            .scan(&TsdbQuery::all().between(Timestamp::from_secs(100), Timestamp::from_secs(110)))
+            .scan(&Predicate::between_micros(100_000_000, 110_000_000).compile())
             .collect();
         assert_eq!(hits.len(), 10);
         assert_eq!(db.stats().segments_scanned(), 1);
@@ -775,17 +732,16 @@ mod tests {
             db.append(ev("beta", "MEM", t)).unwrap();
         }
         db.seal().unwrap();
-        let hits: Vec<Event> = db.scan(&TsdbQuery::all().host("beta")).collect();
+        let hits: Vec<Event> = db.scan(&Predicate::hosts(["beta"]).compile()).collect();
         assert_eq!(hits.len(), 4);
         assert_eq!(db.stats().segments_pruned(), 1);
-        let hits: Vec<Event> = db.scan(&TsdbQuery::all().event_type("CPU")).collect();
+        let hits: Vec<Event> = db.scan(&Predicate::types(["CPU"]).compile()).collect();
         assert_eq!(hits.len(), 4);
         assert_eq!(db.stats().segments_pruned(), 2);
     }
 
     #[test]
     fn level_floor_pruning_skips_routine_segments() {
-        use jamm_core::query::Predicate;
         let db = Tsdb::in_memory_with(small_opts(4));
         for t in 0..4 {
             db.append(ev("h", "X", t)).unwrap(); // Usage-level segment
@@ -798,7 +754,7 @@ mod tests {
         }
         db.seal().unwrap();
         let plan = Predicate::parse("(level>=warning)").unwrap().compile();
-        let hits: Vec<Event> = db.scan_plan(&plan).collect();
+        let hits: Vec<Event> = db.scan(&plan).collect();
         assert_eq!(hits.len(), 4);
         assert_eq!(db.stats().segments_scanned(), 1);
         assert_eq!(
@@ -810,7 +766,6 @@ mod tests {
 
     #[test]
     fn series_count_pruning_skips_absent_host_type_pairs() {
-        use jamm_core::query::Predicate;
         let db = Tsdb::in_memory_with(small_opts(4));
         // Segment 1 holds (alpha, CPU) and (beta, MEM); segment 2 holds
         // (alpha, MEM) and (beta, CPU).  Host-only or type-only pruning
@@ -828,7 +783,7 @@ mod tests {
         let plan = Predicate::parse("(&(host=alpha)(type=CPU))")
             .unwrap()
             .compile();
-        let hits: Vec<Event> = db.scan_plan(&plan).collect();
+        let hits: Vec<Event> = db.scan(&plan).collect();
         assert_eq!(hits.len(), 2);
         assert!(hits
             .iter()
@@ -843,13 +798,12 @@ mod tests {
 
     #[test]
     fn limit_pushdown_stops_the_scan_early() {
-        use jamm_core::query::Predicate;
         let db = Tsdb::in_memory_with(small_opts(10));
         for t in 0..30 {
             db.append(ev("h", "X", t)).unwrap();
         }
         let plan = Predicate::parse("(limit=5)").unwrap().compile();
-        let hits: Vec<Event> = db.scan_plan(&plan).collect();
+        let hits: Vec<Event> = db.scan(&plan).collect();
         assert_eq!(hits.len(), 5);
         assert_eq!(
             hits.iter()
@@ -870,11 +824,11 @@ mod tests {
             db.seal().unwrap();
         }
         assert_eq!(db.segment_count(), 6);
-        let before: Vec<Event> = db.scan(&TsdbQuery::all()).collect();
+        let before: Vec<Event> = db.scan(&all()).collect();
         let removed = db.compact().unwrap();
         assert_eq!(removed, 5, "six small segments merge into one");
         assert_eq!(db.segment_count(), 1);
-        let after: Vec<Event> = db.scan(&TsdbQuery::all()).collect();
+        let after: Vec<Event> = db.scan(&all()).collect();
         assert_eq!(before, after, "compaction preserves contents and order");
         assert_eq!(db.stats().compactions(), 1);
     }
@@ -909,7 +863,7 @@ mod tests {
         let removed = db.retain(Timestamp::from_secs(15)).unwrap();
         assert_eq!(removed, 15);
         assert_eq!(db.len(), 15);
-        let all: Vec<Event> = db.scan(&TsdbQuery::all()).collect();
+        let all: Vec<Event> = db.scan(&all()).collect();
         assert!(all.iter().all(|e| e.timestamp >= Timestamp::from_secs(15)));
         assert_eq!(db.stats().expired_events(), 15);
     }
@@ -951,7 +905,7 @@ mod tests {
         assert_eq!(db.stats().wal_recovered_events(), 5);
         // Sequence numbering continues: appending and sealing stays ordered.
         db.append(ev("h", "X", 25)).unwrap();
-        let all: Vec<Event> = db.scan(&TsdbQuery::all()).collect();
+        let all: Vec<Event> = db.scan(&all()).collect();
         assert_eq!(all.len(), 26);
     }
 
@@ -968,7 +922,7 @@ mod tests {
         }
         let db = Tsdb::open_with(dir.path(), small_opts(100)).unwrap();
         assert_eq!(db.len(), 10, "expired events must not come back");
-        let all: Vec<Event> = db.scan(&TsdbQuery::all()).collect();
+        let all: Vec<Event> = db.scan(&all()).collect();
         assert!(all.iter().all(|e| e.timestamp >= Timestamp::from_secs(10)));
     }
 
@@ -989,7 +943,7 @@ mod tests {
         let db = Tsdb::open_with(dir.path(), small_opts(100)).unwrap();
         assert_eq!(db.len(), 10, "sealed events must not be replayed twice");
         assert_eq!(db.stats().wal_recovered_events(), 0);
-        let all: Vec<Event> = db.scan(&TsdbQuery::all()).collect();
+        let all: Vec<Event> = db.scan(&all()).collect();
         assert_eq!(all.len(), 10);
     }
 

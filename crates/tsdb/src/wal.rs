@@ -61,19 +61,10 @@ impl Wal {
         })
     }
 
-    /// Append one event record.
-    pub fn append(&mut self, seq: u64, event: &Event) -> Result<()> {
-        let mut record = Vec::with_capacity(event.approx_size() + 24);
-        record.extend_from_slice(&seq.to_le_bytes());
-        binary::encode_into(&mut record, event);
-        let sum = fnv64(&record);
-        record.extend_from_slice(&sum.to_le_bytes());
-        self.write_record_bytes(&record)
-    }
-
-    /// Append a batch of event records with a single write.  Generic over
-    /// `Borrow<Event>` so both owned batches and the archiver's shared
-    /// (`Arc<Event>`) batches encode without copying an event first.
+    /// Append a batch of event records (a single event is a batch of one)
+    /// with a single write.  Generic over `Borrow<Event>` so both owned
+    /// batches and the archiver's shared (`Arc<Event>`) batches encode
+    /// without copying an event first.
     pub fn append_batch<B: std::borrow::Borrow<Event>>(
         &mut self,
         first_seq: u64,
@@ -82,11 +73,7 @@ impl Wal {
         let mut buf =
             Vec::with_capacity(events.iter().map(|e| e.borrow().approx_size() + 24).sum());
         for (i, event) in events.iter().enumerate() {
-            let start = buf.len();
-            buf.extend_from_slice(&(first_seq + i as u64).to_le_bytes());
-            binary::encode_into(&mut buf, event.borrow());
-            let sum = fnv64(&buf[start..]);
-            buf.extend_from_slice(&sum.to_le_bytes());
+            encode_record(&mut buf, first_seq + i as u64, event.borrow());
         }
         self.write_record_bytes(&buf)
     }
@@ -95,8 +82,8 @@ impl Wal {
     /// (e.g. ENOSPC midway) or a failed fsync — rolls the file back to the
     /// last record boundary, so an erroring append leaves no trace: torn
     /// bytes can never sit between acknowledged records, and a caller
-    /// retrying the same batch (the `try_append_batch` contract) cannot
-    /// duplicate records.
+    /// retrying the same batch (which a failed append leaves with it)
+    /// cannot duplicate records.
     fn write_record_bytes(&mut self, bytes: &[u8]) -> Result<()> {
         let rollback = |file: &mut File, len: u64, e: std::io::Error| {
             let _ = file.set_len(len);
@@ -123,11 +110,7 @@ impl Wal {
         let tmp = self.path.with_extension("log.tmp");
         let mut buf = Vec::new();
         for (seq, event) in records {
-            let start = buf.len();
-            buf.extend_from_slice(&seq.to_le_bytes());
-            binary::encode_into(&mut buf, event.borrow());
-            let sum = fnv64(&buf[start..]);
-            buf.extend_from_slice(&sum.to_le_bytes());
+            encode_record(&mut buf, *seq, event.borrow());
         }
         {
             let mut f = std::fs::File::create(&tmp).map_err(TsdbError::from)?;
@@ -209,6 +192,15 @@ impl Wal {
     }
 }
 
+/// Encode one record (the layout in the module docs) onto the end of `buf`.
+fn encode_record(buf: &mut Vec<u8>, seq: u64, event: &Event) {
+    let start = buf.len();
+    buf.extend_from_slice(&seq.to_le_bytes());
+    binary::encode_into(buf, event);
+    let sum = fnv64(&buf[start..]);
+    buf.extend_from_slice(&sum.to_le_bytes());
+}
+
 /// Parse one record from the front of `buf`; `None` if it is truncated or
 /// fails its checksum.
 fn parse_record(buf: &[u8]) -> Option<(u64, Event, usize)> {
@@ -248,7 +240,7 @@ mod tests {
         let dir = TempDir::new("wal-round-trip");
         let mut wal = Wal::open(dir.path(), false).unwrap();
         for i in 0..25u64 {
-            wal.append(i, &ev(i)).unwrap();
+            wal.append_batch(i, &[ev(i)]).unwrap();
         }
         drop(wal); // no graceful close needed
         let (recovered, torn) = Wal::replay(dir.path()).unwrap();
@@ -275,7 +267,7 @@ mod tests {
         let dir = TempDir::new("wal-torn");
         let mut wal = Wal::open(dir.path(), false).unwrap();
         for i in 0..5u64 {
-            wal.append(i, &ev(i)).unwrap();
+            wal.append_batch(i, &[ev(i)]).unwrap();
         }
         let path = wal.path().to_path_buf();
         drop(wal);
@@ -288,7 +280,7 @@ mod tests {
         assert_eq!(torn, 7);
         // The tail is gone: appending and replaying again is clean.
         let mut wal = Wal::open(dir.path(), false).unwrap();
-        wal.append(5, &ev(5)).unwrap();
+        wal.append_batch(5, &[ev(5)]).unwrap();
         drop(wal);
         let (recovered, torn) = Wal::replay(dir.path()).unwrap();
         assert_eq!((recovered.len(), torn), (6, 0));
@@ -299,7 +291,7 @@ mod tests {
         let dir = TempDir::new("wal-corrupt");
         let mut wal = Wal::open(dir.path(), false).unwrap();
         for i in 0..3u64 {
-            wal.append(i, &ev(i)).unwrap();
+            wal.append_batch(i, &[ev(i)]).unwrap();
         }
         let path = wal.path().to_path_buf();
         drop(wal);
@@ -316,11 +308,11 @@ mod tests {
     fn reset_empties_the_log() {
         let dir = TempDir::new("wal-reset");
         let mut wal = Wal::open(dir.path(), false).unwrap();
-        wal.append(1, &ev(1)).unwrap();
+        wal.append_batch(1, &[ev(1)]).unwrap();
         assert!(!wal.is_empty());
         wal.reset().unwrap();
         assert!(wal.is_empty());
-        wal.append(2, &ev(2)).unwrap();
+        wal.append_batch(2, &[ev(2)]).unwrap();
         drop(wal);
         let (recovered, _) = Wal::replay(dir.path()).unwrap();
         assert_eq!(recovered.len(), 1);
@@ -332,12 +324,12 @@ mod tests {
         let dir = TempDir::new("wal-rewrite");
         let mut wal = Wal::open(dir.path(), false).unwrap();
         for i in 0..10u64 {
-            wal.append(i, &ev(i)).unwrap();
+            wal.append_batch(i, &[ev(i)]).unwrap();
         }
         let survivors: Vec<(u64, Event)> = (5..10u64).map(|i| (i, ev(i))).collect();
         wal.rewrite(&survivors).unwrap();
         // The handle keeps working on the new inode.
-        wal.append(10, &ev(10)).unwrap();
+        wal.append_batch(10, &[ev(10)]).unwrap();
         drop(wal);
         let (recovered, torn) = Wal::replay(dir.path()).unwrap();
         assert_eq!(torn, 0);

@@ -3,13 +3,46 @@
 //! byte-identical to a naive in-memory model — and for persistent stores,
 //! must survive an abrupt kill (drop without shutdown) and reopen.
 
+use std::sync::Arc;
+
 use jamm_core::check::{forall, Gen};
+use jamm_core::query::{Plan, Predicate};
 use jamm_tsdb::test_util::TempDir;
-use jamm_tsdb::{Tsdb, TsdbOptions, TsdbQuery};
-use jamm_ulm::{Event, Level, Timestamp, Value};
+use jamm_tsdb::{Tsdb, TsdbOptions};
+use jamm_ulm::{Event, Level, SharedEvent, Timestamp, Value};
 
 const HOSTS: [&str; 3] = ["dpss1.lbl.gov", "mems.cairn.net", "portnoy.lbl.gov"];
 const TYPES: [&str; 3] = ["CPU_TOTAL", "TCPD_RETRANSMITS", "MEM_FREE"];
+
+/// The classic range-query shape (half-open time range, optional host /
+/// event-type restriction) the oracle matches by hand and the engine
+/// answers through the [`Predicate`] it lowers to.
+#[derive(Debug, Clone, Default)]
+struct Query {
+    from: Option<Timestamp>,
+    to: Option<Timestamp>,
+    host: Option<String>,
+    event_type: Option<String>,
+}
+
+impl Query {
+    fn plan(&self) -> Plan {
+        let mut parts = Vec::new();
+        if self.from.is_some() || self.to.is_some() {
+            parts.push(Predicate::TimeRange {
+                from_micros: self.from.map(|t| t.as_micros()),
+                to_micros: self.to.map(|t| t.as_micros()),
+            });
+        }
+        parts.extend(self.host.iter().map(|h| Predicate::hosts([h.as_str()])));
+        parts.extend(
+            self.event_type
+                .iter()
+                .map(|t| Predicate::types([t.as_str()])),
+        );
+        Predicate::And(parts).compile()
+    }
+}
 
 /// The naive reference: a growing list of `(insertion sequence, event)`.
 #[derive(Default)]
@@ -28,7 +61,7 @@ impl Model {
         self.events.retain(|(_, e)| e.timestamp >= cutoff);
     }
 
-    fn query(&self, q: &TsdbQuery) -> Vec<Event> {
+    fn query(&self, q: &Query) -> Vec<Event> {
         let mut hits: Vec<(u64, Event)> = self
             .events
             .iter()
@@ -40,10 +73,9 @@ impl Model {
     }
 }
 
-/// The naive matcher the engine's plan-driven scan must agree with — the
-/// pre-query-plane `TsdbQuery::matches` semantics, kept here as the
-/// independent oracle.
-fn naive_matches(q: &TsdbQuery, event: &Event) -> bool {
+/// The naive matcher the engine's plan-driven scan must agree with: the
+/// independent oracle, sharing no code with the query plane.
+fn naive_matches(q: &Query, event: &Event) -> bool {
     if let Some(from) = q.from {
         if event.timestamp < from {
             return false;
@@ -87,18 +119,18 @@ fn random_event(g: &mut Gen) -> Event {
     b.build()
 }
 
-fn random_query(g: &mut Gen) -> TsdbQuery {
-    let mut q = TsdbQuery::all();
+fn random_query(g: &mut Gen) -> Query {
+    let mut q = Query::default();
     if g.bool(0.7) {
         let from = g.u64(120) * 500_000;
-        let to = from + g.u64(60_000_000);
-        q = q.between(Timestamp::from_micros(from), Timestamp::from_micros(to));
+        q.from = Some(Timestamp::from_micros(from));
+        q.to = Some(Timestamp::from_micros(from + g.u64(60_000_000)));
     }
     if g.bool(0.4) {
-        q = q.host(g.choice(&HOSTS));
+        q.host = Some(g.choice(&HOSTS).to_string());
     }
     if g.bool(0.4) {
-        q = q.event_type(g.choice(&TYPES));
+        q.event_type = Some(g.choice(&TYPES).to_string());
     }
     q
 }
@@ -113,11 +145,12 @@ fn drive(g: &mut Gen, db: &Tsdb, model: &mut Model) {
             0..=69 => {
                 if g.bool(0.5) {
                     let n = g.usize_in(1, 8);
-                    let batch: Vec<Event> = (0..n).map(|_| random_event(g)).collect();
+                    let batch: Vec<SharedEvent> =
+                        (0..n).map(|_| Arc::new(random_event(g))).collect();
                     for e in &batch {
-                        model.insert(e.clone());
+                        model.insert((**e).clone());
                     }
-                    db.append_batch(batch).unwrap();
+                    db.append_shared_batch(&batch).unwrap();
                 } else {
                     let e = random_event(g);
                     model.insert(e.clone());
@@ -140,7 +173,7 @@ fn drive(g: &mut Gen, db: &Tsdb, model: &mut Model) {
     assert_eq!(db.len(), model.events.len(), "store/model cardinality");
     for _ in 0..4 {
         let q = random_query(g);
-        let got: Vec<Event> = db.scan(&q).collect();
+        let got: Vec<Event> = db.scan(&q.plan()).collect();
         let want = model.query(&q);
         assert_eq!(got, want, "scan mismatch for {q:?}");
     }
@@ -180,8 +213,9 @@ fn persistent_store_matches_model_and_survives_kill() {
         }
         let db = Tsdb::open_with(dir.path(), opts).unwrap();
         assert_eq!(db.len(), model.events.len(), "recovery cardinality");
-        let got: Vec<Event> = db.scan(&TsdbQuery::all()).collect();
-        assert_eq!(got, model.query(&TsdbQuery::all()), "recovery contents");
+        let everything = Query::default();
+        let got: Vec<Event> = db.scan(&everything.plan()).collect();
+        assert_eq!(got, model.query(&everything), "recovery contents");
         // The reopened store keeps working: another schedule on top.
         drive(g, &db, &mut model);
     });

@@ -14,7 +14,7 @@
 //! ```
 
 use jamm::cluster::ClusterDeployment;
-use jamm_gateway::EventFilter;
+use jamm_gateway::Predicate;
 use jamm_ulm::Level;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     // An operations dashboard and a capacity planner both watch the farm;
     // the planner only wants warnings and errors.
     cluster.attach_consumers(1, vec![]);
-    cluster.attach_consumers(1, vec![EventFilter::MinLevel(Level::Warning)]);
+    cluster.attach_consumers(1, vec![Predicate::MinLevel(Level::Warning.severity())]);
 
     println!("monitoring a {nodes}-node farm with 2 gateways and 3 consumers\n");
     cluster.run_secs(5.0);

@@ -3,12 +3,16 @@
 //! provably prune non-overlapping segments, and an archived MATISSE-style
 //! run replays through a gateway into nlv analysis.
 
-use jamm::jamm_archive::ArchiveQuery;
-use jamm::jamm_gateway::EventFilter;
+use jamm::jamm_core::query::{Plan, Predicate};
 use jamm::jamm_tsdb::test_util::TempDir;
 use jamm::JammBuilder;
 use jamm_netlogger::nlv;
 use jamm_ulm::{Event, Level, Timestamp};
+
+/// Half-open `[from, to)` time range.
+fn between(from: Timestamp, to: Timestamp) -> Plan {
+    Predicate::between_micros(from.as_micros(), to.as_micros()).compile()
+}
 
 fn dpss_event(host: &str, ty: &str, t_micros: u64, frame: u64) -> Event {
     Event::builder("dpss_block_server", host)
@@ -44,7 +48,7 @@ fn populated_archive_survives_process_restart() {
         jamm.poll();
         // Seal part of the history into a segment; the tail stays in the
         // WAL only.  No graceful shutdown follows.
-        jamm.archive.seal();
+        jamm.archive.seal().unwrap();
         for t in 500..600u64 {
             jamm.publish(
                 "gw.lbl.gov:8765",
@@ -68,11 +72,11 @@ fn populated_archive_survives_process_restart() {
         100,
         "the unsealed tail came back through WAL replay"
     );
-    let r = jamm.archive.query(&ArchiveQuery::all().between(
+    let r = jamm.archive.scan(&between(
         Timestamp::from_micros(100_000),
         Timestamp::from_micros(200_000),
     ));
-    assert_eq!(r.len(), 100);
+    assert_eq!(r.count(), 100);
 }
 
 /// Range scans over a multi-segment store must skip segments whose catalog
@@ -101,18 +105,18 @@ fn range_queries_prune_non_overlapping_segments() {
             );
         }
         jamm.poll();
-        jamm.archive.seal();
+        jamm.archive.seal().unwrap();
     }
     assert_eq!(jamm.archive.tsdb().segment_count(), 4);
 
     let scanned_before = jamm.archive.stats().segments_scanned();
     let pruned_before = jamm.archive.stats().segments_pruned();
     // A query inside window 2 touches exactly one segment.
-    let r = jamm.archive.query(&ArchiveQuery::all().between(
+    let r = jamm.archive.scan(&between(
         Timestamp::from_secs(2 * 3_600),
         Timestamp::from_secs(2 * 3_600 + 60),
     ));
-    assert_eq!(r.len(), 60);
+    assert_eq!(r.count(), 60);
     assert_eq!(
         jamm.archive.stats().segments_scanned() - scanned_before,
         1,
@@ -126,10 +130,8 @@ fn range_queries_prune_non_overlapping_segments() {
 
     // Host pruning works the same way: no segment contains this host.
     let pruned_before = jamm.archive.stats().segments_pruned();
-    assert!(jamm
-        .archive
-        .query(&ArchiveQuery::all().host("unknown.example.org"))
-        .is_empty());
+    let nowhere = Predicate::hosts(["unknown.example.org"]).compile();
+    assert_eq!(jamm.archive.scan(&nowhere).count(), 0);
     assert_eq!(jamm.archive.stats().segments_pruned() - pruned_before, 4);
 }
 
@@ -164,20 +166,18 @@ fn archived_run_replays_through_gateway_into_nlv_analysis() {
     }
     jamm.poll();
     assert_eq!(jamm.archive.len(), 150);
-    let full: Vec<Event> = jamm.archive.query(&ArchiveQuery::all());
+    let full: Vec<Event> = jamm.archive.scan(&Predicate::True.compile()).collect();
 
     // The analyst subscribes *after* the run ended (with a filter: only
     // the read stages), then the archived range is replayed through the
     // gateway.
     assert_eq!(
-        jamm.connect_collectors(vec![EventFilter::EventTypes(
-            vec!["DPSS_START_READ".into()]
-        )]),
+        jamm.connect_collectors(vec![Predicate::types(["DPSS_START_READ"])]),
         1
     );
     let replayed = jamm.replay_through(
         "gw.lbl.gov:8765",
-        &ArchiveQuery::all().between(
+        &between(
             Timestamp::from_micros(1_000_000),
             Timestamp::from_micros(1_000_000 + 25 * 10_000),
         ),

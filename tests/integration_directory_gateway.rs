@@ -11,7 +11,7 @@ use jamm_directory::replication::ReplicatedDirectory;
 use jamm_directory::{DirectoryServer, Dn, Entry, Filter, Scope};
 use jamm_rmi::bus::MessageBus;
 use jamm_rmi::message::MethodCall;
-use jamm_rmi::tcp::{RmiClient, RmiServer};
+use jamm_rmi::tcp::{ReactorClient, RmiServer};
 
 fn sensor_entry(site: &str, host: &str, sensor: &str) -> Entry {
     Entry::new(Dn::parse(&format!("sensor={sensor},host={host},o={site},o=grid")).unwrap())
@@ -144,7 +144,11 @@ fn control_plane_calls_travel_over_the_rmi_substrate() {
         },
     );
     let server = RmiServer::start(bus).expect("bind localhost");
-    let mut client = RmiClient::connect(server.addr()).expect("connect");
+    let reactor = std::sync::Arc::new(
+        jamm_reactor::Reactor::start(jamm_reactor::ReactorConfig::default()).expect("reactor"),
+    );
+    let mut client =
+        ReactorClient::connect(std::sync::Arc::clone(&reactor), server.addr()).expect("connect");
     let started = client
         .invoke(&MethodCall::new(
             "sensor-manager@dpss1.lbl.gov",
@@ -161,4 +165,6 @@ fn control_plane_calls_travel_over_the_rmi_substrate() {
         ))
         .unwrap();
     assert_eq!(list.as_array().unwrap().len(), 3);
+    drop(client);
+    reactor.shutdown();
 }

@@ -8,7 +8,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use jamm::JammBuilder;
-use jamm_gateway::EventFilter;
+use jamm_core::query::{Predicate, ValueCmp};
 use jamm_ulm::{Event, Level, Timestamp};
 
 fn ev(host: &str, ty: &str, value: f64, t: u64) -> Event {
@@ -147,11 +147,13 @@ fn typed_subscriptions_and_filters_compose_with_sharding() {
         .unwrap();
     let registry_names = jamm.registry.names();
     assert_eq!(registry_names, vec!["gw".to_string()]);
-    assert!(jamm.collectors[0].subscribe_gateway_typed(
+    assert!(jamm.collectors[0].subscribe_gateway(
         &jamm.registry,
         "gw",
-        vec!["CPU_TOTAL".into()],
-        vec![EventFilter::Above(50.0)],
+        vec![
+            Predicate::types(["CPU_TOTAL"]),
+            Predicate::val(ValueCmp::Gt, 50.0),
+        ],
     ));
     let events = workload();
     for e in &events {

@@ -3,8 +3,8 @@
 //! filtering, summaries and archiving.
 
 use jamm::deployment::{DeploymentConfig, JammDeployment};
+use jamm_core::query::{Predicate, ValueCmp};
 use jamm_directory::{Dn, Filter, Scope};
-use jamm_gateway::EventFilter;
 use jamm_ulm::{keys, Level};
 
 fn lan_deployment(seed: u64) -> JammDeployment {
@@ -50,7 +50,7 @@ fn sensors_publish_through_gateways_into_collector_and_archive() {
 
     // The archiver only kept warnings and errors.
     assert!(!jamm.archive.is_empty(), "something abnormal was archived");
-    let archived = jamm.archive.query(&jamm_archive::ArchiveQuery::all());
+    let archived: Vec<_> = jamm.archive.scan(&Predicate::True.compile()).collect();
     assert!(archived.iter().all(|e| e.level.is_problem()));
 
     // Gateway accounting is consistent: delivered >= collector's share.
@@ -102,8 +102,8 @@ fn threshold_subscription_sees_only_interesting_events() {
     let sub = gateway
         .subscribe()
         .stream()
-        .filter(EventFilter::EventTypes(vec![keys::cpu::TOTAL.into()]))
-        .filter(EventFilter::Above(30.0))
+        .filter(Predicate::types([keys::cpu::TOTAL]))
+        .filter(Predicate::val(ValueCmp::Gt, 30.0))
         .as_consumer("threshold-watcher")
         .open()
         .unwrap();

@@ -1,17 +1,19 @@
 //! Property tests for the unified query plane: the one compiled
 //! [`jamm_core::query::Plan`] evaluator must be behaviorally identical to
-//! the three matchers it replaced — the gateway's `FilterChain`, the
-//! storage engine's `TsdbQuery::matches`, and the directory's recursive
-//! `Filter::matches` — and catalog pruning must never drop a matching
-//! event (a pruned scan equals a scan with pruning defeated).
+//! the three matchers it replaced — the gateway's stateful filter
+//! conjunction, the storage engine's host/type/range matcher, and the
+//! directory's recursive `Filter::matches` — a constructor-built
+//! [`Predicate`] must be indistinguishable from its own text form, and
+//! catalog pruning must never drop a matching event (a pruned scan equals
+//! a scan with pruning defeated).
 
-use jamm::jamm_archive::{ArchiveQuery, EventArchive};
+use jamm::jamm_archive::EventArchive;
 use jamm::jamm_core::check::{forall, Gen};
-use jamm::jamm_core::query::Predicate;
+use jamm::jamm_core::query::{Predicate, ValueCmp};
 use jamm::jamm_directory::{Dn, Entry, Filter};
-use jamm::jamm_gateway::{EventFilter, FilterChain};
+use jamm::jamm_gateway::{EventGateway, GatewayConfig};
 use jamm::jamm_tsdb::TsdbOptions;
-use jamm_ulm::{Event, Level, Timestamp, Value};
+use jamm_ulm::{Event, Level, SharedEvent, Timestamp, Value};
 use std::collections::HashMap;
 
 const HOSTS: [&str; 4] = ["dpss1.lbl.gov", "mems.cairn.net", "portnoy.lbl.gov", "h4"];
@@ -31,36 +33,44 @@ fn random_event(g: &mut Gen) -> Event {
     b.build()
 }
 
-fn random_filter(g: &mut Gen) -> EventFilter {
+fn store(archive: &EventArchive, event: Event) {
+    archive.store(&[SharedEvent::new(event)]).unwrap();
+}
+
+/// One constructor-built subscription leaf — the shapes the paper's §2.2
+/// consumers ask for.
+fn random_filter(g: &mut Gen) -> Predicate {
     match g.u64(9) {
-        0 => EventFilter::All,
+        0 => Predicate::True,
         1 => {
             let n = g.usize_in(0, 3);
-            EventFilter::EventTypes((0..n).map(|_| g.choice(&TYPES).to_string()).collect())
+            Predicate::types((0..n).map(|_| g.choice(&TYPES)))
         }
         2 => {
             let n = g.usize_in(1, 3);
-            EventFilter::Hosts((0..n).map(|_| g.choice(&HOSTS).to_string()).collect())
+            Predicate::hosts((0..n).map(|_| g.choice(&HOSTS)))
         }
-        3 => EventFilter::MinLevel(g.choice(&LEVELS)),
-        4 => EventFilter::OnChange,
-        5 => EventFilter::Above(g.u64(8) as f64 * 10.0),
-        6 => EventFilter::Below(g.u64(8) as f64 * 10.0),
-        7 => EventFilter::Crosses(g.u64(8) as f64 * 10.0 + 5.0),
-        _ => EventFilter::RelativeChange(g.f64_in(0.05, 0.9)),
+        3 => Predicate::MinLevel(g.choice(&LEVELS).severity()),
+        4 => Predicate::OnChange,
+        5 => Predicate::val(ValueCmp::Gt, g.u64(8) as f64 * 10.0),
+        6 => Predicate::val(ValueCmp::Lt, g.u64(8) as f64 * 10.0),
+        7 => Predicate::Crosses(g.u64(8) as f64 * 10.0 + 5.0),
+        _ => Predicate::RelativeChange(g.f64_in(0.05, 0.9)),
     }
 }
 
-/// The pre-query-plane `FilterChain` matcher, verbatim: a conjunction over
+/// The pre-query-plane filter-chain matcher, verbatim: a conjunction over
 /// a `(host, type)`-keyed previous-reading memory, updated after every
 /// event that carries a value (pass or fail) when any filter is stateful.
+/// It reads the leaves [`random_filter`] draws and shares no code with
+/// `Plan`.
 struct LegacyChain {
-    filters: Vec<EventFilter>,
+    filters: Vec<Predicate>,
     last_value: HashMap<(String, String), f64>,
 }
 
 impl LegacyChain {
-    fn new(filters: Vec<EventFilter>) -> Self {
+    fn new(filters: Vec<Predicate>) -> Self {
         LegacyChain {
             filters,
             last_value: HashMap::new(),
@@ -68,36 +78,34 @@ impl LegacyChain {
     }
 
     fn accept(&mut self, event: &Event) -> bool {
-        fn severity(l: Level) -> u8 {
-            l.severity()
-        }
         let key = (event.host.clone(), event.event_type.clone());
         let value = event.value();
         let prev = self.last_value.get(&key).copied();
         let mut pass = true;
         for f in &self.filters {
             let ok = match f {
-                EventFilter::All => true,
-                EventFilter::EventTypes(types) => types.contains(&event.event_type),
-                EventFilter::Hosts(hosts) => hosts.contains(&event.host),
-                EventFilter::MinLevel(min) => severity(event.level) >= severity(*min),
-                EventFilter::OnChange => match (value, prev) {
+                Predicate::True => true,
+                Predicate::EventTypes(types) => types.contains(&event.event_type),
+                Predicate::Hosts(hosts) => hosts.contains(&event.host),
+                Predicate::MinLevel(min) => event.level.severity() >= *min,
+                Predicate::OnChange => match (value, prev) {
                     (Some(v), Some(p)) => v != p,
                     (Some(_), None) => true,
                     (None, _) => true,
                 },
-                EventFilter::Above(t) => value.is_some_and(|v| v > *t),
-                EventFilter::Below(t) => value.is_some_and(|v| v < *t),
-                EventFilter::Crosses(t) => match (value, prev) {
+                Predicate::Value(ValueCmp::Gt, t) => value.is_some_and(|v| v > *t),
+                Predicate::Value(ValueCmp::Lt, t) => value.is_some_and(|v| v < *t),
+                Predicate::Crosses(t) => match (value, prev) {
                     (Some(v), Some(p)) => (p <= *t && v > *t) || (p >= *t && v < *t),
                     (Some(v), None) => v > *t,
                     (None, _) => false,
                 },
-                EventFilter::RelativeChange(frac) => match (value, prev) {
+                Predicate::RelativeChange(frac) => match (value, prev) {
                     (Some(v), Some(p)) if p.abs() > f64::EPSILON => ((v - p) / p).abs() > *frac,
                     (Some(_), _) => true,
                     (None, _) => false,
                 },
+                other => unreachable!("random_filter never draws {other:?}"),
             };
             if !ok {
                 pass = false;
@@ -108,9 +116,7 @@ impl LegacyChain {
             let stateful = self.filters.iter().any(|f| {
                 matches!(
                     f,
-                    EventFilter::OnChange
-                        | EventFilter::Crosses(_)
-                        | EventFilter::RelativeChange(_)
+                    Predicate::OnChange | Predicate::Crosses(_) | Predicate::RelativeChange(_)
                 )
             });
             if stateful {
@@ -121,18 +127,18 @@ impl LegacyChain {
     }
 }
 
-/// The compiled plan behind `FilterChain` accepts exactly the events the
+/// The compiled plan a subscription holds accepts exactly the events the
 /// legacy stateful matcher accepted, over long random streams.
 #[test]
 fn plan_eval_matches_legacy_filter_chain() {
-    forall("plan ≡ legacy FilterChain", 96, |g| {
-        let filters: Vec<EventFilter> = (0..g.usize_in(0, 4)).map(|_| random_filter(g)).collect();
-        let chain = FilterChain::new(filters.clone());
+    forall("plan ≡ legacy filter chain", 96, |g| {
+        let filters: Vec<Predicate> = (0..g.usize_in(0, 4)).map(|_| random_filter(g)).collect();
+        let plan = Predicate::And(filters.clone()).compile();
         let mut legacy = LegacyChain::new(filters.clone());
         for _ in 0..g.usize_in(10, 60) {
             let e = random_event(g);
             assert_eq!(
-                chain.accept(&e),
+                plan.eval(&e),
                 legacy.accept(&e),
                 "filters {filters:?} disagree on {e:?}"
             );
@@ -140,8 +146,51 @@ fn plan_eval_matches_legacy_filter_chain() {
     });
 }
 
-/// The pre-query-plane `TsdbQuery::matches` semantics, as the oracle for
-/// the classic host/type/range query shape.
+/// A constructor-built predicate and the parse of its own `Display` text
+/// are the same question: the same subscription deliveries at a gateway
+/// and the same scan results from an archive.
+#[test]
+fn constructor_built_predicates_equal_their_text_form() {
+    forall("constructors ≡ parse(to_string)", 64, |g| {
+        let built = Predicate::And((0..g.usize_in(0, 4)).map(|_| random_filter(g)).collect());
+        let text = built.to_string();
+        let parsed = Predicate::parse(&text)
+            .unwrap_or_else(|e| panic!("display text {text:?} must parse: {e}"));
+        assert_eq!(
+            parsed.compile().routed_types(),
+            built.compile().routed_types(),
+            "{text} routes differently"
+        );
+
+        let gw = EventGateway::new(GatewayConfig::open("gw"));
+        let by_constructor = gw.subscribe().filter(built.clone()).open().unwrap();
+        let by_text = gw.subscribe().matching(&text).open().unwrap();
+        let archive = EventArchive::in_memory_with(TsdbOptions {
+            memtable_max_events: g.usize_in(4, 12),
+            small_segment_events: 8,
+            sync_wal: false,
+        });
+        for _ in 0..g.usize_in(10, 80) {
+            let e = random_event(g);
+            gw.publish(&e);
+            store(&archive, e);
+        }
+        let delivered = |sub: &jamm::jamm_gateway::Subscription| -> Vec<SharedEvent> {
+            sub.events.try_iter().collect()
+        };
+        assert_eq!(
+            delivered(&by_constructor),
+            delivered(&by_text),
+            "{text} delivers differently"
+        );
+        let scanned: Vec<Event> = archive.scan(&built.compile()).collect();
+        let scanned_by_text: Vec<Event> = archive.scan_str(&text).unwrap().collect();
+        assert_eq!(scanned, scanned_by_text, "{text} scans differently");
+    });
+}
+
+/// The storage engine's pre-query-plane matcher, as the oracle for the
+/// classic host/type/range query shape.
 fn legacy_tsdb_matches(
     from: Option<Timestamp>,
     to: Option<Timestamp>,
@@ -174,7 +223,7 @@ fn legacy_tsdb_matches(
 
 #[test]
 fn plan_eval_matches_legacy_tsdb_query() {
-    forall("plan ≡ legacy TsdbQuery", 96, |g| {
+    forall("plan ≡ legacy range matcher", 96, |g| {
         let from = g
             .bool(0.6)
             .then(|| Timestamp::from_micros(g.u64(60) * 500_000));
@@ -183,18 +232,20 @@ fn plan_eval_matches_legacy_tsdb_query() {
             .then(|| Timestamp::from_micros(g.u64(60) * 500_000 + 1));
         let host = g.bool(0.5).then(|| g.choice(&HOSTS).to_string());
         let ty = g.bool(0.5).then(|| g.choice(&TYPES).to_string());
-        let mut q = jamm::jamm_tsdb::TsdbQuery::all();
-        q.from = from;
-        q.to = to;
-        q.host = host.clone();
-        q.event_type = ty.clone();
-        let plan = q.to_plan();
+        let mut parts = vec![Predicate::TimeRange {
+            from_micros: from.map(|t| t.as_micros()),
+            to_micros: to.map(|t| t.as_micros()),
+        }];
+        parts.extend(host.iter().map(|h| Predicate::hosts([h.as_str()])));
+        parts.extend(ty.iter().map(|t| Predicate::types([t.as_str()])));
+        let q = Predicate::And(parts);
+        let plan = q.compile();
         for _ in 0..20 {
             let e = random_event(g);
             assert_eq!(
                 plan.eval(&e),
                 legacy_tsdb_matches(from, to, &host, &ty, &e),
-                "{q:?} disagrees on {e:?}"
+                "{q} disagrees on {e:?}"
             );
         }
     });
@@ -336,7 +387,7 @@ fn pruned_scan_equals_full_scan() {
         let mut all: Vec<Event> = Vec::new();
         for _ in 0..n {
             let e = random_event(g);
-            archive.store(e.clone());
+            store(&archive, e.clone());
             all.push(e);
         }
         // Time-sort the oracle the way scans yield (ties by insertion).
@@ -361,7 +412,7 @@ fn pruned_scan_equals_full_scan() {
 
         let scanned_before = archive.stats().segments_scanned();
         let pruned_before = archive.stats().segments_pruned();
-        let got: Vec<Event> = archive.scan_plan(&pred.compile()).collect();
+        let got: Vec<Event> = archive.scan(&pred.compile()).collect();
         let scanned = archive.stats().segments_scanned() - scanned_before;
         let pruned = archive.stats().segments_pruned() - pruned_before;
         assert_eq!(
@@ -419,13 +470,13 @@ fn columnar_scan_matches_row_oracle_for_stateful_plans() {
                 b = b.value((g.u64(8) as f64) * 10.0);
             }
             let e = b.build();
-            archive.store(e.clone());
+            store(&archive, e.clone());
             all.push(e);
             if g.bool(0.05) {
-                archive.seal();
+                archive.seal().unwrap();
             }
             if g.bool(0.03) {
-                archive.compact();
+                archive.compact().unwrap();
             }
         }
 
@@ -447,7 +498,7 @@ fn columnar_scan_matches_row_oracle_for_stateful_plans() {
         let text = g.choice(&queries);
         let pred = Predicate::parse(text).unwrap();
 
-        let got: Vec<Event> = archive.scan_plan(&pred.compile()).collect();
+        let got: Vec<Event> = archive.scan(&pred.compile()).collect();
         let oracle = pred.compile(); // fresh per-series memory
         let want: Vec<Event> = all.iter().filter(|e| oracle.eval(*e)).cloned().collect();
         let key = |e: &Event| format!("{e:?}");
@@ -571,13 +622,13 @@ fn limit_pushdown_is_a_prefix_of_the_full_result() {
             sync_wal: false,
         });
         for _ in 0..g.usize_in(20, 60) {
-            archive.store(random_event(g));
+            store(&archive, random_event(g));
         }
-        let full: Vec<Event> = archive.query(&ArchiveQuery::all());
+        let full: Vec<Event> = archive.scan(&Predicate::True.compile()).collect();
         let k = g.usize_in(1, full.len());
-        let limited: Vec<Event> = archive.query(&ArchiveQuery::all().limit(k));
+        let limited: Vec<Event> = archive.scan(&Predicate::Limit(k).compile()).collect();
         assert_eq!(limited.as_slice(), &full[..k]);
-        let by_text: Vec<Event> = archive.query_str(&format!("(limit={k})")).unwrap();
+        let by_text: Vec<Event> = archive.scan_str(&format!("(limit={k})")).unwrap().collect();
         assert_eq!(by_text.as_slice(), &full[..k]);
     });
 }
