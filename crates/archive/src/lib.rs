@@ -179,7 +179,7 @@ impl EventArchive {
     /// Seal the hot (memtable) tier into an immutable segment now.
     /// Returns the new segment's catalog, or `None` when there was nothing
     /// to seal.  The archiver agent calls this when flushing.  On `Err`
-    /// nothing is lost: the memtable is restored and a later seal retries.
+    /// nothing moved: the memtable is untouched and a later seal retries.
     pub fn seal(&self) -> Result<Option<SegmentCatalog>, TsdbError> {
         self.db.seal()
     }

@@ -174,22 +174,21 @@ impl ArchiverAgent {
 
     /// Publish one directory entry per sealed segment under the archive's
     /// catalog DN and drop entries for segments that no longer exist.
+    /// Segments are immutable, so an entry is written once: a pass costs
+    /// what changed since the last one, not the size of the archive.
     /// Returns how many segment entries are now published.
     pub fn publish_segment_catalogs(
         &mut self,
         directory: &Arc<DirectoryServer>,
         now: Timestamp,
     ) -> usize {
-        let catalogs = self.archive.segment_catalogs();
-        let live: std::collections::BTreeSet<u64> = catalogs.iter().map(|c| c.id).collect();
-        // Remove entries for segments that were compacted or expired.
-        for id in &self.published_segments {
-            if !live.contains(id) {
-                let _ = directory.delete(&self.segment_dn(*id));
+        let mut live = std::collections::BTreeSet::new();
+        let mut fresh = Vec::new();
+        self.archive.tsdb().for_each_segment_catalog(|c| {
+            live.insert(c.id);
+            if self.published_segments.contains(&c.id) {
+                return;
             }
-        }
-        let mut published = 0;
-        for c in &catalogs {
             let mut entry = Entry::new(self.segment_dn(c.id))
                 .with("objectclass", "archivesegment")
                 .with("segmentid", c.id.to_string())
@@ -203,12 +202,22 @@ impl ArchiverAgent {
             for host in c.hosts.keys() {
                 entry.add("host", host.clone());
             }
-            if directory.add_or_replace(entry).is_ok() {
-                published += 1;
+            fresh.push((c.id, entry));
+        });
+        // Remove entries for segments that were compacted or expired.
+        for id in &self.published_segments {
+            if !live.contains(id) {
+                let _ = directory.delete(&self.segment_dn(*id));
             }
         }
-        self.published_segments = live;
-        published
+        self.published_segments.retain(|id| live.contains(id));
+        for (id, entry) in fresh {
+            // A refused entry stays unpublished and is retried next pass.
+            if directory.add_or_replace(entry).is_ok() {
+                self.published_segments.insert(id);
+            }
+        }
+        self.published_segments.len()
     }
 
     fn segment_dn(&self, id: u64) -> Dn {
@@ -401,16 +410,96 @@ mod tests {
         assert_eq!(agent.pending(), 0);
 
         // The store directory vanishes: the segment file cannot be written.
+        let before: Vec<Event> = archive.scan_str("(&)").unwrap().collect();
         std::fs::remove_dir_all(&store).unwrap();
         assert!(archive.seal().is_err());
+        assert_eq!(archive.stats().seal_errors(), 1, "the refusal is counted");
+        assert_eq!(archive.tsdb().memtable_len(), 25, "nothing moved");
+        // A second failing seal does not re-insert or reorder anything.
         assert!(agent.flush().is_err());
+        assert_eq!(archive.stats().seal_errors(), 2);
+        assert_eq!(archive.tsdb().memtable_len(), 25);
         assert_eq!(archive.tsdb().segment_count(), 0);
-        assert_eq!(archive.scan_str("(&)").unwrap().count(), 25, "nothing lost");
+        let after: Vec<Event> = archive.scan_str("(&)").unwrap().collect();
+        assert_eq!(after, before, "nothing lost, same order");
 
         // The directory comes back: the retried seal keeps every event.
         std::fs::create_dir_all(&store).unwrap();
-        let sealed = agent.flush().unwrap().expect("the restored memtable seals");
+        let sealed = agent
+            .flush()
+            .unwrap()
+            .expect("the untouched memtable seals");
         assert_eq!(sealed.event_count, 25);
         assert_eq!(archive.scan_str("(&)").unwrap().count(), 25);
+    }
+
+    #[test]
+    fn a_maintenance_pass_publishes_only_what_changed() {
+        use jamm_directory::{Filter, Scope};
+        let (reg, gw, mut agent, dir) = setup();
+        agent.subscribe(&reg, "gw1", vec![]).unwrap();
+        let mut t = 0;
+        let mut seal = |agent: &mut ArchiverAgent, n: usize| {
+            for _ in 0..n {
+                for _ in 0..5 {
+                    gw.publish(&ev("dpss1.lbl.gov", "CPU_TOTAL", t, Level::Usage));
+                    t += 1;
+                }
+                agent.poll();
+                agent.flush().unwrap().expect("five events seal");
+            }
+        };
+        let catalog_dn = Dn::parse("archive=main,o=lbl,o=grid").unwrap();
+        let segments = || {
+            let filter = Filter::eq("objectclass", "archivesegment");
+            dir.search(&catalog_dn, Scope::OneLevel, &filter)
+                .unwrap()
+                .entries
+        };
+        let writes = || {
+            dir.stats()
+                .writes
+                .load(std::sync::atomic::Ordering::Relaxed)
+        };
+        let stamp = |secs| Timestamp::from_secs(secs).to_ulm_date();
+
+        // k seals, one pass: the archive entry plus k segment entries.
+        seal(&mut agent, 3);
+        agent.publish_catalog(&dir, Timestamp::from_secs(100));
+        assert_eq!(segments().len(), 3);
+        assert_eq!(writes(), 1 + 3);
+
+        // m more seals: the next pass writes exactly m segment entries and
+        // leaves the old ones alone.
+        seal(&mut agent, 2);
+        let before = writes();
+        agent.publish_catalog(&dir, Timestamp::from_secs(200));
+        assert_eq!(writes() - before, 1 + 2);
+        let updated: Vec<String> = segments()
+            .iter()
+            .map(|e| e.get("lastupdate").unwrap().to_string())
+            .collect();
+        assert_eq!(
+            updated,
+            [stamp(100), stamp(100), stamp(100), stamp(200), stamp(200)]
+        );
+        // Nothing changed: a pass refreshes the archive entry only.
+        let before = writes();
+        assert_eq!(
+            agent.publish_segment_catalogs(&dir, Timestamp::from_secs(250)),
+            5
+        );
+        assert_eq!(writes(), before);
+
+        // Compaction merges the run of five: their entries go, exactly the
+        // merged segment's entry is added.
+        assert_eq!(agent.archive().compact().unwrap(), 4);
+        let before = writes();
+        agent.publish_catalog(&dir, Timestamp::from_secs(300));
+        assert_eq!(writes() - before, 1 + 5 + 1);
+        let left = segments();
+        assert_eq!(left.len(), 1);
+        assert_eq!(left[0].get("eventcount"), Some("25"));
+        assert_eq!(left[0].get("lastupdate"), Some(stamp(300).as_str()));
     }
 }

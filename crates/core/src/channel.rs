@@ -361,6 +361,21 @@ impl<T> Receiver<T> {
         }
     }
 
+    /// Move everything currently queued onto the end of `out`, in FIFO
+    /// order, without blocking: one lock acquisition and one wake-up of
+    /// blocked senders for the whole drain, where [`Receiver::try_iter`]
+    /// pays both per item.  Returns how many items were moved.
+    pub fn drain_into(&self, out: &mut Vec<T>) -> usize {
+        let mut s = self.chan.lock();
+        let n = s.queue.len();
+        out.extend(s.queue.drain(..));
+        drop(s);
+        if n > 0 {
+            self.chan.not_full.notify_all();
+        }
+        n
+    }
+
     /// Iterator draining currently queued items without blocking.
     pub fn try_iter(&self) -> TryIter<'_, T> {
         TryIter { rx: self }
@@ -436,6 +451,66 @@ mod tests {
         assert_eq!(tx.send_batch_overwriting(&mut batch), Err(SendError(())));
         assert_eq!(tx.try_send_batch(&mut batch), Err(SendError(())));
         assert_eq!(batch, vec![1, 2]);
+    }
+
+    #[test]
+    fn drain_into_is_fifo_and_appends() {
+        let (tx, rx) = bounded::<u32>(4);
+        let mut out = vec![99];
+        assert_eq!(rx.drain_into(&mut out), 0, "empty channel");
+        assert_eq!(out, vec![99]);
+        for i in 0..4 {
+            tx.try_send(i).unwrap();
+        }
+        assert_eq!(rx.drain_into(&mut out), 4);
+        assert_eq!(out, vec![99, 0, 1, 2, 3], "appended in send order");
+        assert!(rx.is_empty());
+        // Interleaved with overwriting batch sends: each drain sees
+        // exactly what per-item receives would have seen.
+        let mut batch: Vec<u32> = (10..16).collect();
+        assert_eq!(tx.send_batch_overwriting(&mut batch).unwrap(), 2);
+        out.clear();
+        assert_eq!(rx.drain_into(&mut out), 4);
+        assert_eq!(out, vec![12, 13, 14, 15]);
+        batch.extend([20, 21]);
+        tx.send_batch_overwriting(&mut batch).unwrap();
+        tx.try_send(22).unwrap();
+        assert_eq!(rx.try_recv(), Ok(20));
+        assert_eq!(rx.drain_into(&mut out), 2);
+        assert_eq!(out, vec![12, 13, 14, 15, 21, 22]);
+        // Queued items survive the last sender; then the drain is empty.
+        tx.try_send(30).unwrap();
+        drop(tx);
+        assert_eq!(rx.drain_into(&mut out), 1);
+        assert_eq!(rx.drain_into(&mut out), 0);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn drain_into_wakes_senders_blocked_on_a_full_channel() {
+        let (tx, rx) = bounded::<u32>(2);
+        tx.send(0).unwrap();
+        tx.send(1).unwrap();
+        // Two senders block on the full channel; one drain must release
+        // both (it freed two slots with a single wake-up).
+        let blocked: Vec<_> = (2..4)
+            .map(|i| {
+                let tx = tx.clone();
+                std::thread::spawn(move || tx.send(i).unwrap())
+            })
+            .collect();
+        // The pause only makes it likely both are parked by now; every
+        // assertion below holds whichever way the race goes.
+        std::thread::sleep(Duration::from_millis(20));
+        let mut out = Vec::new();
+        assert_eq!(rx.drain_into(&mut out), 2);
+        for h in blocked {
+            h.join().unwrap();
+        }
+        assert_eq!(out, vec![0, 1]);
+        rx.drain_into(&mut out);
+        out.sort_unstable();
+        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]

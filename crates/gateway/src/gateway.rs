@@ -110,15 +110,15 @@ impl Subscription {
 
     /// Drain everything currently queued.
     pub fn drain(&mut self) -> Vec<SharedEvent> {
-        self.events.try_iter().collect()
+        let mut out = Vec::new();
+        self.events.drain_into(&mut out);
+        out
     }
 }
 
 impl EventSource<SharedEvent> for Subscription {
     fn drain_into(&mut self, out: &mut Vec<SharedEvent>) -> usize {
-        let before = out.len();
-        out.extend(self.events.try_iter());
-        out.len() - before
+        self.events.drain_into(out)
     }
 }
 

@@ -603,6 +603,14 @@ fn register_metric_collectors(
                 "jamm_tsdb_expired_events",
                 stats.expired_events(),
             ));
+            out.push(Sample::counter(
+                "jamm_tsdb_append_errors",
+                stats.append_errors(),
+            ));
+            out.push(Sample::counter(
+                "jamm_tsdb_seal_errors",
+                stats.seal_errors(),
+            ));
             for (name, h) in [
                 ("jamm_tsdb_append_us", stats.append_us()),
                 ("jamm_tsdb_seal_us", stats.seal_us()),

@@ -1,14 +1,14 @@
 //! The in-memory write buffer: the "hot" tier that absorbs appends until
 //! it seals into an immutable segment.
 //!
-//! Events are keyed by `(timestamp, sequence)` so identical timestamps
-//! never collide and iteration is already in the store's canonical order —
-//! sealing is a straight drain, no sort.
-
-use std::collections::BTreeMap;
+//! Events sit in one `Vec` ordered by `(timestamp, sequence)` — the
+//! store's canonical order, so identical timestamps never collide and
+//! sealing builds straight from the slice, no sort.  Arrival in that order
+//! is the only case the pipeline produces, so an insert is normally a
+//! `push`; a late event pays a binary search and a shift.
 
 use jamm_core::query::Facts;
-use jamm_ulm::{Event, SharedEvent, Timestamp};
+use jamm_ulm::{SharedEvent, Timestamp};
 
 /// Sorted in-memory buffer of not-yet-sealed events.
 ///
@@ -17,8 +17,13 @@ use jamm_ulm::{Event, SharedEvent, Timestamp};
 /// archiving costs a refcount bump per event instead of a deep copy.
 #[derive(Debug, Default)]
 pub struct MemTable {
-    events: BTreeMap<(Timestamp, u64), SharedEvent>,
-    approx_bytes: usize,
+    /// `(sequence, event)` pairs.  Invariant: strictly ascending by
+    /// `(event.timestamp, sequence)`.
+    events: Vec<(u64, SharedEvent)>,
+}
+
+fn key(entry: &(u64, SharedEvent)) -> (Timestamp, u64) {
+    (entry.1.timestamp, entry.0)
 }
 
 impl MemTable {
@@ -29,8 +34,13 @@ impl MemTable {
 
     /// Insert one event under its sequence number.
     pub fn insert(&mut self, seq: u64, event: SharedEvent) {
-        self.approx_bytes += event.approx_size();
-        self.events.insert((event.timestamp, seq), event);
+        let at = (event.timestamp, seq);
+        if self.events.last().is_none_or(|last| key(last) < at) {
+            self.events.push((seq, event));
+        } else {
+            let pos = self.events.partition_point(|e| key(e) < at);
+            self.events.insert(pos, (seq, event));
+        }
     }
 
     /// Number of buffered events.
@@ -43,29 +53,28 @@ impl MemTable {
         self.events.is_empty()
     }
 
-    /// Approximate buffered payload bytes (ULM text sizing).
-    pub fn approx_bytes(&self) -> usize {
-        self.approx_bytes
-    }
-
     /// Earliest buffered timestamp.
     pub fn min_ts(&self) -> Option<Timestamp> {
-        self.events.keys().next().map(|(t, _)| *t)
+        self.events.first().map(|(_, e)| e.timestamp)
     }
 
     /// Latest buffered timestamp.
     pub fn max_ts(&self) -> Option<Timestamp> {
-        self.events.keys().next_back().map(|(t, _)| *t)
+        self.events.last().map(|(_, e)| e.timestamp)
     }
 
-    /// Move everything out in `(timestamp, sequence)` order, leaving the
-    /// memtable empty.  This is the seal path.
-    pub fn drain_sorted(&mut self) -> Vec<(u64, SharedEvent)> {
-        self.approx_bytes = 0;
-        std::mem::take(&mut self.events)
-            .into_iter()
-            .map(|((_, seq), e)| (seq, e))
-            .collect()
+    /// Everything buffered as `(seq, event)` pairs in `(timestamp,
+    /// sequence)` order.  The seal path builds its segment from this
+    /// borrow and calls [`MemTable::clear`] only once the segment is
+    /// durable; a retention cut rewrites the WAL from it.
+    pub fn as_slice(&self) -> &[(u64, SharedEvent)] {
+        &self.events
+    }
+
+    /// Forget everything buffered, keeping the allocation for the next
+    /// memtable's worth of appends.
+    pub fn clear(&mut self) {
+        self.events.clear();
     }
 
     /// Snapshot the events a query's pushdown [`Facts`] admit, in order,
@@ -74,54 +83,38 @@ impl MemTable {
     /// anything.  Only the cheap facts apply here; the full plan runs
     /// post-merge inside the scan iterator.
     pub fn matching(&self, facts: &Facts) -> Vec<(u64, SharedEvent)> {
-        let lower = facts
-            .from_micros
-            .map(|t| (Timestamp::from_micros(t), 0))
-            .unwrap_or((Timestamp::EPOCH, 0));
-        let mut out = Vec::new();
-        for ((ts, seq), e) in self.events.range(lower..) {
-            if let Some(to) = facts.to_micros {
-                if ts.as_micros() >= to {
-                    break;
-                }
-            }
-            if facts.admits(&**e) {
-                // A snapshot entry is a refcount bump, not an event copy.
-                out.push((*seq, SharedEvent::clone(e)));
-            }
-        }
-        out
-    }
-
-    /// Iterate all buffered events in order (for catalog aggregation).
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.events.values().map(|e| &**e)
+        let first_at_or_after = |micros: u64| {
+            self.events
+                .partition_point(|(_, e)| e.timestamp.as_micros() < micros)
+        };
+        let start = facts.from_micros.map_or(0, first_at_or_after);
+        let end = facts.to_micros.map_or(self.events.len(), first_at_or_after);
+        self.events
+            .get(start..end)
+            .unwrap_or_default()
+            .iter()
+            .filter(|(_, e)| facts.admits(&**e))
+            // A snapshot entry is a refcount bump, not an event copy.
+            .cloned()
+            .collect()
     }
 
     /// Drop events strictly older than `cutoff`; returns how many were
     /// removed.
     pub fn prune_before(&mut self, cutoff: Timestamp) -> usize {
-        let keep = self.events.split_off(&(cutoff, 0));
-        let removed = self.events.len();
-        self.events = keep;
-        self.approx_bytes = self.events.values().map(|e| e.approx_size()).sum();
+        let removed = self.events.partition_point(|(_, e)| e.timestamp < cutoff);
+        self.events.drain(..removed);
         removed
-    }
-
-    /// The surviving `(seq, event)` pairs in order (used to rewrite the WAL
-    /// after a retention cut).
-    pub fn snapshot(&self) -> Vec<(u64, SharedEvent)> {
-        self.events
-            .iter()
-            .map(|((_, seq), e)| (*seq, SharedEvent::clone(e)))
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jamm_ulm::Level;
+    use jamm_core::check::forall;
+    use jamm_core::query::Predicate;
+    use jamm_ulm::{Event, Level};
+    use std::collections::BTreeMap;
 
     fn ev(host: &str, ty: &str, t: u64) -> SharedEvent {
         SharedEvent::new(
@@ -134,19 +127,20 @@ mod tests {
         )
     }
 
+    fn seqs(entries: &[(u64, SharedEvent)]) -> Vec<u64> {
+        entries.iter().map(|(s, _)| *s).collect()
+    }
+
     #[test]
     fn drain_is_sorted_by_time_then_seq() {
         let mut m = MemTable::new();
         m.insert(2, ev("h", "X", 10));
         m.insert(1, ev("h", "X", 20));
         m.insert(3, ev("h", "X", 10));
-        let drained = m.drain_sorted();
-        assert_eq!(
-            drained.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![2, 3, 1]
-        );
+        assert_eq!(seqs(m.as_slice()), vec![2, 3, 1]);
+        m.clear();
         assert!(m.is_empty());
-        assert_eq!(m.approx_bytes(), 0);
+        assert_eq!((m.min_ts(), m.max_ts()), (None, None));
     }
 
     #[test]
@@ -155,7 +149,6 @@ mod tests {
         for t in 0..10 {
             m.insert(t, ev(if t % 2 == 0 { "a" } else { "b" }, "X", t));
         }
-        use jamm_core::query::Predicate;
         let plan = Predicate::and(vec![
             Predicate::between_micros(2_000_000, 8_000_000),
             Predicate::hosts(["a"]),
@@ -164,6 +157,9 @@ mod tests {
         let hits = m.matching(plan.facts());
         assert_eq!(hits.len(), 3); // t = 2, 4, 6
         assert!(hits.iter().all(|(_, e)| e.host == "a"));
+        // An inverted window is empty, not a panic.
+        let inverted = Predicate::between_micros(8_000_000, 2_000_000).compile();
+        assert!(m.matching(inverted.facts()).is_empty());
     }
 
     #[test]
@@ -176,6 +172,66 @@ mod tests {
         assert_eq!(removed, 4);
         assert_eq!(m.len(), 6);
         assert_eq!(m.min_ts(), Some(Timestamp::from_secs(4)));
-        assert_eq!(m.snapshot().len(), 6);
+        assert_eq!(m.as_slice().len(), 6);
+    }
+
+    /// The `Vec` memtable against the `BTreeMap` it replaced, under random
+    /// in-order and out-of-order inserts interleaved with range matches,
+    /// retention cuts and the seal path's borrow-then-clear.
+    #[test]
+    fn equivalent_to_a_btreemap_model() {
+        forall("memtable-vs-btreemap", 200, |g| {
+            let mut m = MemTable::new();
+            let mut model: BTreeMap<(Timestamp, u64), SharedEvent> = BTreeMap::new();
+            let in_order = g.bool(0.5);
+            let mut clock = 0u64;
+            for seq in 0..g.u64(120) {
+                match g.u64(10) {
+                    0 => {
+                        let cutoff = Timestamp::from_secs(g.u64(clock + 2));
+                        let keep = model.split_off(&(cutoff, 0));
+                        assert_eq!(m.prune_before(cutoff), model.len());
+                        model = keep;
+                    }
+                    1 => {
+                        let from = g.u64(clock + 2) * 1_000_000;
+                        let to = g.u64(clock + 2) * 1_000_000;
+                        let plan = Predicate::and(vec![
+                            Predicate::between_micros(from, to),
+                            Predicate::hosts(["a"]),
+                        ])
+                        .compile();
+                        let want: Vec<u64> = model
+                            .iter()
+                            .filter(|((ts, _), e)| {
+                                (from..to).contains(&ts.as_micros()) && e.host == "a"
+                            })
+                            .map(|((_, seq), _)| *seq)
+                            .collect();
+                        assert_eq!(seqs(&m.matching(plan.facts())), want);
+                    }
+                    2 if g.bool(0.2) => {
+                        m.clear();
+                        model.clear();
+                    }
+                    _ => {
+                        let t = if in_order || g.bool(0.5) {
+                            clock += g.u64(2); // repeats exercise the seq tie-break
+                            clock
+                        } else {
+                            g.u64(clock + 1)
+                        };
+                        let e = ev(if g.bool(0.5) { "a" } else { "b" }, "X", t);
+                        model.insert((e.timestamp, seq), SharedEvent::clone(&e));
+                        m.insert(seq, e);
+                    }
+                }
+                assert_eq!(m.len(), model.len());
+                assert_eq!(m.min_ts(), model.keys().next().map(|k| k.0));
+                assert_eq!(m.max_ts(), model.keys().next_back().map(|k| k.0));
+                let want: Vec<u64> = model.keys().map(|k| k.1).collect();
+                assert_eq!(seqs(m.as_slice()), want);
+            }
+        });
     }
 }

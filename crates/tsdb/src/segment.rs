@@ -21,12 +21,12 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 
-use jamm_core::intern::Sym;
 use jamm_core::query::{BatchScratch, ColumnBatch, Facts, Plan, Selection};
 use jamm_ulm::{binary, Event, Timestamp, Value};
 
 use crate::codec::{
     fnv64, get_bytes, get_ivarint, get_str, get_uvarint, put_ivarint, put_str, put_uvarint,
+    FnvBuildHasher,
 };
 use crate::{Result, TsdbError};
 
@@ -235,50 +235,79 @@ fn bitmap_get(bits: &[u8], row: usize) -> bool {
         .is_some_and(|b| b & (1u8 << (row % 8)) != 0)
 }
 
+/// The string dictionary of one [`Segment::build`]: every distinct string
+/// of the batch — identifiers and string values alike — gets one slot,
+/// found through an index of `&str`s borrowed from the batch.  Nothing
+/// outlives the build: payload strings never reach the leaking interner.
+#[derive(Default)]
+struct DictBuilder<'a> {
+    slots: HashMap<&'a str, u64, FnvBuildHasher>,
+    strings: Vec<String>,
+}
+
+impl<'a> DictBuilder<'a> {
+    fn slot(&mut self, s: &'a str) -> u64 {
+        let strings = &mut self.strings;
+        *self.slots.entry(s).or_insert_with(|| {
+            strings.push(s.to_string());
+            strings.len() as u64 - 1
+        })
+    }
+}
+
+/// Append one field value as `tag + payload`; `str_slot` assigns a
+/// [`Value::Str`] its dictionary slot.
+fn put_value<'a>(data: &mut Vec<u8>, v: &'a Value, str_slot: impl FnOnce(&'a str) -> u64) {
+    match v {
+        Value::UInt(u) => {
+            data.push(TAG_UINT);
+            put_uvarint(data, *u);
+        }
+        Value::Int(s) => {
+            data.push(TAG_INT);
+            put_ivarint(data, *s);
+        }
+        Value::Float(f) => {
+            data.push(TAG_FLOAT);
+            data.extend_from_slice(&f.to_le_bytes());
+        }
+        Value::Bool(b) => {
+            data.push(TAG_BOOL);
+            data.push(*b as u8);
+        }
+        Value::Str(s) => {
+            data.push(TAG_STR);
+            put_uvarint(data, str_slot(s));
+        }
+    }
+}
+
 impl Segment {
     /// Freeze a batch of `(sequence, event)` pairs, **already sorted** by
     /// `(timestamp, sequence)`, into a segment.  Panics on an empty batch —
     /// the store never seals an empty memtable.
     ///
     /// Generic over `Borrow<Event>`: the seal path hands the memtable's
-    /// shared (`Arc<Event>`) batch in without copying any event, while
+    /// shared (`Arc<Event>`) slice in without copying any event, while
     /// compaction and retention rewrites pass owned decoded events.
     pub fn build<B: std::borrow::Borrow<Event>>(id: u64, sorted: &[(u64, B)]) -> Segment {
         assert!(!sorted.is_empty(), "segments are never empty");
-        // The string dictionary, built in one pass over the batch.  The
-        // *identifier* strings (hosts, programs, event types, field keys)
-        // repeat thousands of times and come from a bounded set, so their
-        // index is keyed by interned `Sym` — each repeat lookup hashes a
-        // u32 instead of a string.  String *values* are unbounded payload
-        // data and must never reach the leaking interner (see
-        // `jamm_core::intern`); they go through a borrowed-str index local
-        // to this build.
-        let mut dict: Vec<String> = Vec::new();
-        let mut sym_index: HashMap<Sym, u64> = HashMap::new();
-        let collect = |s: &str, dict: &mut Vec<String>, index: &mut HashMap<Sym, u64>| -> u64 {
-            let sym = Sym::intern(s);
-            *index.entry(sym).or_insert_with(|| {
-                dict.push(s.to_string());
-                dict.len() as u64 - 1
-            })
-        };
-        let mut value_index: HashMap<&str, u64> = HashMap::new();
+        let mut dict = DictBuilder::default();
         let mut cols = ColData::default();
         let nrows = sorted.len();
         cols.val_present = vec![0u8; nrows.div_ceil(8)];
         cols.val_float = vec![0u8; nrows.div_ceil(8)];
-        // Per-key sparse columns accumulate out of line and are stitched
-        // into the `sparse` region after the row loop; BTreeMap keeps the
-        // key directory in deterministic (dictionary-index) order.
-        let mut sparse_cols: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
+        // Per-key sparse columns (entry count, entries), indexed by the
+        // key's dictionary slot; stitched into `sparse` after the row loop.
+        let mut sparse_cols: Vec<(u64, Vec<u8>)> = Vec::new();
+        // Rows per `(host slot, type slot)`: the whole catalog, counted
+        // without touching a string.
+        let mut series_rows: HashMap<(u64, u64), usize, FnvBuildHasher> = HashMap::default();
         let mut prev_ts = 0u64;
         let mut prev_delta = 0u64;
         let mut prev_seq = 0u64;
         let mut min_seq = u64::MAX;
         let mut max_seq = 0u64;
-        let mut hosts: BTreeMap<String, usize> = BTreeMap::new();
-        let mut event_types: BTreeMap<String, usize> = BTreeMap::new();
-        let mut series: BTreeMap<(String, String), usize> = BTreeMap::new();
         let mut max_level = 0u8;
         for (r, (seq, e)) in sorted.iter().enumerate() {
             let e = e.borrow();
@@ -302,12 +331,13 @@ impl Segment {
             min_seq = min_seq.min(*seq);
             max_seq = max_seq.max(*seq);
             cols.levels.push(binary::level_code(e.level));
-            let host_ix = collect(&e.host, &mut dict, &mut sym_index);
+            max_level = max_level.max(e.level.severity());
+            let host_ix = dict.slot(&e.host);
             put_uvarint(&mut cols.host_ix, host_ix);
-            let prog_ix = collect(&e.program, &mut dict, &mut sym_index);
-            put_uvarint(&mut cols.prog_ix, prog_ix);
-            let ty_ix = collect(&e.event_type, &mut dict, &mut sym_index);
-            put_uvarint(&mut cols.type_ix, ty_ix);
+            put_uvarint(&mut cols.prog_ix, dict.slot(&e.program));
+            let type_ix = dict.slot(&e.event_type);
+            put_uvarint(&mut cols.type_ix, type_ix);
+            *series_rows.entry((host_ix, type_ix)).or_insert(0) += 1;
             if let Some(v) = e.value() {
                 cols.val_present[r / 8] |= 1u8 << (r % 8);
                 cols.vals.extend_from_slice(&v.to_le_bytes());
@@ -315,7 +345,7 @@ impl Segment {
             put_uvarint(&mut cols.nfields, e.fields.len() as u64);
             let mut saw_val = false;
             for (k, v) in &e.fields {
-                let key_ix = collect(k, &mut dict, &mut sym_index);
+                let key_ix = dict.slot(k);
                 put_uvarint(&mut cols.keys, key_ix);
                 if !saw_val && k == jamm_ulm::keys::VALUE {
                     saw_val = true;
@@ -327,56 +357,35 @@ impl Segment {
                         continue;
                     }
                 }
-                let (count, data) = sparse_cols.entry(key_ix).or_default();
-                *count += 1;
-                match v {
-                    Value::UInt(u) => {
-                        data.push(TAG_UINT);
-                        put_uvarint(data, *u);
-                    }
-                    Value::Int(s) => {
-                        data.push(TAG_INT);
-                        put_ivarint(data, *s);
-                    }
-                    Value::Float(f) => {
-                        data.push(TAG_FLOAT);
-                        data.extend_from_slice(&f.to_le_bytes());
-                    }
-                    Value::Bool(b) => {
-                        data.push(TAG_BOOL);
-                        data.push(*b as u8);
-                    }
-                    Value::Str(s) => {
-                        data.push(TAG_STR);
-                        // Reuse an identifier's slot when the value is the
-                        // same string (e.g. a PEER=host field) — `lookup`
-                        // never inserts, so payload values still cannot
-                        // reach the leaking interner.
-                        let identifier_slot =
-                            Sym::lookup(s).and_then(|sym| sym_index.get(&sym).copied());
-                        let str_ix = identifier_slot.unwrap_or_else(|| {
-                            *value_index.entry(s.as_str()).or_insert_with(|| {
-                                dict.push(s.clone());
-                                dict.len() as u64 - 1
-                            })
-                        });
-                        put_uvarint(data, str_ix);
-                    }
+                if sparse_cols.len() <= key_ix as usize {
+                    sparse_cols.resize_with(key_ix as usize + 1, Default::default);
                 }
+                let (count, data) = &mut sparse_cols[key_ix as usize];
+                *count += 1;
+                // A string value shares the dictionary with the
+                // identifiers (a `PEER=host` field costs one varint).
+                put_value(data, v, |s| dict.slot(s));
             }
-            *hosts.entry(e.host.clone()).or_insert(0) += 1;
-            *event_types.entry(e.event_type.clone()).or_insert(0) += 1;
-            *series
-                .entry((e.host.clone(), e.event_type.clone()))
-                .or_insert(0) += 1;
-            max_level = max_level.max(e.level.severity());
         }
-        put_uvarint(&mut cols.sparse, sparse_cols.len() as u64);
-        for (key_ix, (count, data)) in &sparse_cols {
-            put_uvarint(&mut cols.sparse, *key_ix);
+        let keyed = sparse_cols.iter().zip(0u64..).filter(|((n, _), _)| *n > 0);
+        put_uvarint(&mut cols.sparse, keyed.clone().count() as u64);
+        for ((count, data), key_ix) in keyed {
+            put_uvarint(&mut cols.sparse, key_ix);
             put_uvarint(&mut cols.sparse, *count);
             put_uvarint(&mut cols.sparse, data.len() as u64);
             cols.sparse.extend_from_slice(data);
+        }
+
+        // The string-keyed catalog, once per segment rather than per row.
+        let dict = dict.strings;
+        let mut hosts: BTreeMap<String, usize> = BTreeMap::new();
+        let mut event_types: BTreeMap<String, usize> = BTreeMap::new();
+        let mut series: BTreeMap<(String, String), usize> = BTreeMap::new();
+        for ((host_ix, type_ix), n) in series_rows {
+            let (host, ty) = (&dict[host_ix as usize], &dict[type_ix as usize]);
+            *hosts.entry(host.clone()).or_insert(0) += n;
+            *event_types.entry(ty.clone()).or_insert(0) += n;
+            series.insert((host.clone(), ty.clone()), n);
         }
 
         Segment {
@@ -449,7 +458,9 @@ impl Segment {
     /// rebuild through [`Segment::build`] — seal, compaction, retention —
     /// upgrades the layout).
     pub fn to_bytes(&self) -> Vec<u8> {
+        // Magic (patched in below), body, checksum of the body: one buffer.
         let mut body = Vec::with_capacity(self.data_bytes() + 256);
+        body.extend_from_slice(SEGMENT_MAGIC);
         put_uvarint(&mut body, self.catalog.id);
         put_uvarint(&mut body, self.min_seq);
         put_uvarint(&mut body, self.max_seq);
@@ -477,11 +488,11 @@ impl Segment {
         for s in &self.dict {
             put_str(&mut body, s);
         }
-        let magic = match &self.repr {
+        match &self.repr {
             Repr::Rows(data) => {
                 put_uvarint(&mut body, data.len() as u64);
                 body.extend_from_slice(data);
-                SEGMENT_MAGIC_V2
+                body[..4].copy_from_slice(SEGMENT_MAGIC_V2);
             }
             Repr::Cols(cols) => {
                 for region in [
@@ -501,15 +512,11 @@ impl Segment {
                     put_uvarint(&mut body, region.len() as u64);
                     body.extend_from_slice(region);
                 }
-                SEGMENT_MAGIC
             }
-        };
-
-        let mut out = Vec::with_capacity(body.len() + 12);
-        out.extend_from_slice(magic);
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&fnv64(&body).to_le_bytes());
-        out
+        }
+        let checksum = fnv64(&body[4..]);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        body
     }
 
     /// Deserialize a segment from its file form, verifying magic and
@@ -691,16 +698,7 @@ impl Segment {
     ) -> Segment {
         let columnar = Segment::build(id, sorted);
         let mut data = Vec::new();
-        let mut dict: Vec<String> = Vec::new();
-        let mut sym_index: HashMap<Sym, u64> = HashMap::new();
-        let collect = |s: &str, dict: &mut Vec<String>, index: &mut HashMap<Sym, u64>| -> u64 {
-            let sym = Sym::intern(s);
-            *index.entry(sym).or_insert_with(|| {
-                dict.push(s.to_string());
-                dict.len() as u64 - 1
-            })
-        };
-        let mut value_index: HashMap<String, u64> = HashMap::new();
+        let mut dict = DictBuilder::default();
         let mut prev_ts = 0u64;
         let mut prev_delta = 0u64;
         let mut prev_seq = 0u64;
@@ -724,49 +722,20 @@ impl Segment {
             put_ivarint(&mut data, seq.wrapping_sub(prev_seq) as i64);
             prev_seq = *seq;
             data.push(binary::level_code(e.level));
-            put_uvarint(&mut data, collect(&e.host, &mut dict, &mut sym_index));
-            put_uvarint(&mut data, collect(&e.program, &mut dict, &mut sym_index));
-            put_uvarint(&mut data, collect(&e.event_type, &mut dict, &mut sym_index));
+            put_uvarint(&mut data, dict.slot(&e.host));
+            put_uvarint(&mut data, dict.slot(&e.program));
+            put_uvarint(&mut data, dict.slot(&e.event_type));
             put_uvarint(&mut data, e.fields.len() as u64);
             for (k, v) in &e.fields {
-                put_uvarint(&mut data, collect(k, &mut dict, &mut sym_index));
-                match v {
-                    Value::UInt(u) => {
-                        data.push(TAG_UINT);
-                        put_uvarint(&mut data, *u);
-                    }
-                    Value::Int(s) => {
-                        data.push(TAG_INT);
-                        put_ivarint(&mut data, *s);
-                    }
-                    Value::Float(f) => {
-                        data.push(TAG_FLOAT);
-                        data.extend_from_slice(&f.to_le_bytes());
-                    }
-                    Value::Bool(b) => {
-                        data.push(TAG_BOOL);
-                        data.push(*b as u8);
-                    }
-                    Value::Str(s) => {
-                        data.push(TAG_STR);
-                        let identifier_slot =
-                            Sym::lookup(s).and_then(|sym| sym_index.get(&sym).copied());
-                        let str_ix = identifier_slot.unwrap_or_else(|| {
-                            *value_index.entry(s.clone()).or_insert_with(|| {
-                                dict.push(s.clone());
-                                dict.len() as u64 - 1
-                            })
-                        });
-                        put_uvarint(&mut data, str_ix);
-                    }
-                }
+                put_uvarint(&mut data, dict.slot(k));
+                put_value(&mut data, v, |s| dict.slot(s));
             }
         }
         Segment {
             catalog: columnar.catalog,
             min_seq: columnar.min_seq,
             max_seq: columnar.max_seq,
-            dict,
+            dict: dict.strings,
             repr: Repr::Rows(data),
         }
     }
@@ -1669,6 +1638,114 @@ mod tests {
         for (seq, e) in &batch {
             let (got_seq, got) = cur.next_event().unwrap().unwrap();
             assert_eq!((got_seq, &got), (*seq, e));
+        }
+    }
+
+    /// Generated batches built to collide in the dictionary: hosts, event
+    /// types, field keys and string values all draw from one small pool
+    /// (so a value equals an identifier, sometimes before that identifier
+    /// first appears), keys repeat within an event, `VAL` is float,
+    /// non-float or missing, and every level occurs.
+    fn colliding_batch(g: &mut jamm_core::check::Gen) -> Vec<(u64, Event)> {
+        const POOL: [&str; 8] = ["h1", "h2", "CPU", "MEM", "VAL", "NOTE", "PEER", ""];
+        let mut ts = g.u64(1_000_000);
+        let mut seq = g.u64(1_000);
+        (0..g.usize_in(1, 60))
+            .map(|_| {
+                ts += g.u64(3) * g.u64(500_000);
+                seq += 1 + g.u64(3);
+                let level = binary::level_from_code(g.u64(9) as u8).unwrap();
+                let mut b = Event::builder(g.choice(&POOL), g.choice(&POOL))
+                    .level(level)
+                    .event_type(g.choice(&POOL))
+                    .timestamp(Timestamp::from_micros(ts));
+                for _ in 0..g.usize_in(0, 5) {
+                    let value = match g.u64(6) {
+                        0 => Value::UInt(g.any_u64()),
+                        1 => Value::Int(g.any_i64()),
+                        2 => Value::Float(g.f64_in(-1e9, 1e9)),
+                        3 => Value::Bool(g.bool(0.5)),
+                        4 => Value::Str(g.choice(&POOL).to_string()),
+                        _ => Value::Str(g.printable_string(6)),
+                    };
+                    b = b.field(g.choice(&POOL), value);
+                }
+                (seq, b.build())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn build_round_trips_colliding_batches_and_recounts_the_catalog() {
+        use jamm_core::query::Predicate;
+        jamm_core::check::forall("segment build ≡ input", 300, |g| {
+            let batch = colliding_batch(g);
+            let built = Segment::build(7, &batch);
+            let seg = Arc::new(Segment::from_bytes(&built.to_bytes()).unwrap());
+            assert_eq!(seg.catalog(), built.catalog());
+
+            let mut cursor = seg.cursor();
+            let rows: Vec<(u64, Event)> =
+                std::iter::from_fn(|| cursor.next_event().map(|r| r.unwrap())).collect();
+            assert_eq!(rows, batch, "cursor");
+            let everything = Predicate::True.compile();
+            let mut scan = seg.col_scan().expect("columnar");
+            let rows: Vec<(u64, Event)> = std::iter::from_fn(|| {
+                scan.next_match(&everything, ColMode::Exact)
+                    .map(|r| r.unwrap())
+            })
+            .collect();
+            assert_eq!(rows, batch, "col_scan");
+
+            // The catalog against a naive row-by-row recount.
+            let mut want = SegmentCatalog {
+                id: 7,
+                event_count: batch.len(),
+                min_ts: batch[0].1.timestamp,
+                max_ts: batch[batch.len() - 1].1.timestamp,
+                hosts: BTreeMap::new(),
+                event_types: BTreeMap::new(),
+                series: BTreeMap::new(),
+                max_level: 0,
+            };
+            for (_, e) in &batch {
+                *want.hosts.entry(e.host.clone()).or_insert(0) += 1;
+                *want.event_types.entry(e.event_type.clone()).or_insert(0) += 1;
+                *want
+                    .series
+                    .entry((e.host.clone(), e.event_type.clone()))
+                    .or_insert(0) += 1;
+                want.max_level = want.max_level.max(e.level.severity());
+            }
+            assert_eq!(seg.catalog(), &want);
+            assert_eq!(seg.min_seq(), batch[0].0);
+            assert_eq!(seg.max_seq(), batch[batch.len() - 1].0);
+            // One dictionary for identifiers and values: no string twice.
+            let distinct: std::collections::BTreeSet<&String> = seg.dict.iter().collect();
+            assert_eq!(distinct.len(), seg.dict.len());
+        });
+    }
+
+    #[test]
+    fn build_never_reaches_the_process_wide_interner() {
+        // Strings no other test uses: had the build interned them they
+        // would now be in the (leaking) table.  Checked per string rather
+        // than through `interned_count()`, which tests running in parallel
+        // in this process also move.
+        let names = [
+            "segment-build-host",
+            "segment-build-type",
+            "SEGMENT_BUILD_KEY",
+        ];
+        let e = Event::builder("segment-build-prog", names[0])
+            .event_type(names[1])
+            .timestamp(Timestamp::from_micros(1))
+            .field(names[2], "segment-build-value")
+            .build();
+        let seg = Segment::build(1, &[(1, e)]);
+        assert_eq!(seg.dict.len(), 5);
+        for s in &seg.dict {
+            assert!(jamm_core::intern::Sym::lookup(s).is_none(), "{s} interned");
         }
     }
 

@@ -59,6 +59,8 @@ pub struct TsdbStats {
     expired_events: AtomicU64,
     wal_recovered_events: AtomicU64,
     wal_torn_bytes: AtomicU64,
+    append_errors: AtomicU64,
+    seal_errors: AtomicU64,
     append_us: jamm_core::obs::Histogram,
     seal_us: jamm_core::obs::Histogram,
     compact_us: jamm_core::obs::Histogram,
@@ -105,6 +107,16 @@ impl TsdbStats {
     /// Torn-tail bytes discarded from the WAL at open.
     pub fn wal_torn_bytes(&self) -> u64 {
         self.wal_torn_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Appends refused because the WAL write failed (nothing was stored).
+    pub fn append_errors(&self) -> u64 {
+        self.append_errors.load(Ordering::Relaxed)
+    }
+
+    /// Seals that failed to write their segment (the memtable is untouched).
+    pub fn seal_errors(&self) -> u64 {
+        self.seal_errors.load(Ordering::Relaxed)
     }
 
     /// Microsecond latency of append calls (WAL write + memtable insert;
@@ -319,7 +331,9 @@ impl Tsdb {
         let mut inner = self.inner.write();
         let first_seq = inner.next_seq;
         if let Some(wal) = &mut inner.wal {
-            wal.append_batch(first_seq, events)?;
+            wal.append_batch(first_seq, events).inspect_err(|_| {
+                self.stats.append_errors.fetch_add(1, Ordering::Relaxed);
+            })?;
         }
         let n = events.len();
         for (i, event) in events.iter().enumerate() {
@@ -331,7 +345,7 @@ impl Tsdb {
         self.stats.appended.fetch_add(n as u64, Ordering::Relaxed);
         self.stats.append_us.record_micros(start.elapsed());
         while inner.mem.len() >= self.opts.memtable_max_events {
-            if !matches!(self.seal_inner(&mut inner), Ok(Some(_))) {
+            if !matches!(self.seal_inner(&mut inner), Ok(true)) {
                 break;
             }
         }
@@ -342,29 +356,26 @@ impl Tsdb {
     /// new segment's catalog, or `None` when the memtable was empty.
     pub fn seal(&self) -> Result<Option<SegmentCatalog>> {
         let mut inner = self.inner.write();
-        self.seal_inner(&mut inner)
+        let sealed = self.seal_inner(&mut inner)?;
+        let newest = inner.segments.last().filter(|_| sealed);
+        Ok(newest.map(|seg| seg.catalog().clone()))
     }
 
-    fn seal_inner(&self, inner: &mut Inner) -> Result<Option<SegmentCatalog>> {
+    /// Seal under the caller's lock; `false` when the memtable was empty.
+    fn seal_inner(&self, inner: &mut Inner) -> Result<bool> {
         if inner.mem.is_empty() {
-            return Ok(None);
+            return Ok(false);
         }
         let start = std::time::Instant::now();
-        let batch = inner.mem.drain_sorted();
-        let id = inner.next_segment_id;
-        let seg = Segment::build(id, &batch);
+        // Built from the memtable *borrowed*: nothing moves until the segment
+        // is durable, so a failing seal has no side effects to undo.
+        let seg = Segment::build(inner.next_segment_id, inner.mem.as_slice());
         if let Some(dir) = &self.dir {
-            if let Err(e) = seg.write_to_dir(dir) {
-                // Keep the data: put the batch back so nothing is lost and
-                // a later seal can retry.
-                for (seq, event) in batch {
-                    inner.mem.insert(seq, event);
-                }
-                return Err(e);
-            }
+            seg.write_to_dir(dir).inspect_err(|_| {
+                self.stats.seal_errors.fetch_add(1, Ordering::Relaxed);
+            })?;
         }
         inner.next_segment_id += 1;
-        let catalog = seg.catalog().clone();
         // Commit the segment to the in-memory list *before* touching the
         // WAL: the data is durable at this point, and it must not vanish
         // from the live store if the WAL reset below fails.
@@ -378,7 +389,10 @@ impl Tsdb {
             let _ = wal.reset();
         }
         self.stats.seal_us.record_micros(start.elapsed());
-        Ok(Some(catalog))
+        // `seal_us` times making the segment durable; freeing the sealed
+        // events is the allocator's time and stays outside it.
+        inner.mem.clear();
+        Ok(true)
     }
 
     /// Merge every run of two or more consecutive segments that are each
@@ -518,9 +532,9 @@ impl Tsdb {
             // (write-new-then-rename), so a crash leaves either the old or
             // the new log — never a torn mix that loses acknowledged
             // events.
-            let survivors = inner.mem.snapshot();
+            let inner = &mut *inner;
             if let Some(wal) = &mut inner.wal {
-                wal.rewrite(&survivors)?;
+                wal.rewrite(inner.mem.as_slice())?;
             }
         }
         self.stats
@@ -595,48 +609,58 @@ impl Tsdb {
     /// Per-segment catalogs, in segment order (what the archiver publishes
     /// in the directory).
     pub fn segment_catalogs(&self) -> Vec<SegmentCatalog> {
-        self.inner
-            .read()
-            .segments
-            .iter()
-            .map(|s| s.catalog().clone())
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_segment_catalog(|c| out.push(c.clone()));
+        out
     }
 
-    /// Aggregate catalog over every tier.
+    /// Visit every segment's catalog by reference, in segment order, under
+    /// the store's read lock: a caller that wants a few (the archiver
+    /// publishes only new ones) copies nothing for the rest.
+    pub fn for_each_segment_catalog(&self, mut visit: impl FnMut(&SegmentCatalog)) {
+        for seg in &self.inner.read().segments {
+            visit(seg.catalog());
+        }
+    }
+
+    /// Aggregate catalog over every tier.  Counts fold by `&str`; only the
+    /// distinct hosts and types are copied out at the end.
     pub fn catalog(&self) -> StoreCatalog {
         let inner = self.inner.read();
-        let mut out = StoreCatalog::default();
+        let mut hosts: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut event_types: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut event_count = inner.mem.len();
+        let mut earliest = inner.mem.min_ts();
+        let mut latest = inner.mem.max_ts();
         for seg in &inner.segments {
             let c = seg.catalog();
-            out.event_count += c.event_count;
-            out.earliest = Some(match out.earliest {
-                Some(e) => e.min(c.min_ts),
-                None => c.min_ts,
-            });
-            out.latest = Some(match out.latest {
-                Some(l) => l.max(c.max_ts),
-                None => c.max_ts,
-            });
+            event_count += c.event_count;
+            earliest = Some(earliest.map_or(c.min_ts, |e| e.min(c.min_ts)));
+            latest = Some(latest.map_or(c.max_ts, |l| l.max(c.max_ts)));
             for (h, n) in &c.hosts {
-                *out.hosts.entry(h.clone()).or_insert(0) += n;
+                *hosts.entry(h).or_insert(0) += n;
             }
             for (t, n) in &c.event_types {
-                *out.event_types.entry(t.clone()).or_insert(0) += n;
+                *event_types.entry(t).or_insert(0) += n;
             }
         }
-        for e in inner.mem.iter() {
-            out.event_count += 1;
-            *out.hosts.entry(e.host.clone()).or_insert(0) += 1;
-            *out.event_types.entry(e.event_type.clone()).or_insert(0) += 1;
+        for (_, e) in inner.mem.as_slice() {
+            *hosts.entry(&e.host).or_insert(0) += 1;
+            *event_types.entry(&e.event_type).or_insert(0) += 1;
         }
-        if let Some(min) = inner.mem.min_ts() {
-            out.earliest = Some(out.earliest.map_or(min, |e| e.min(min)));
+        let owned = |counts: BTreeMap<&str, usize>| {
+            counts
+                .into_iter()
+                .map(|(name, n)| (name.to_string(), n))
+                .collect()
+        };
+        StoreCatalog {
+            event_count,
+            earliest,
+            latest,
+            hosts: owned(hosts),
+            event_types: owned(event_types),
         }
-        if let Some(max) = inner.mem.max_ts() {
-            out.latest = Some(out.latest.map_or(max, |l| l.max(max)));
-        }
-        out
     }
 }
 
@@ -989,6 +1013,22 @@ mod tests {
             1,
             "stale crash leftovers are deleted at open"
         );
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_refused_append_is_counted_and_stores_nothing() {
+        let dir = TempDir::new("store-append-refused");
+        let db = Tsdb::open_with(dir.path(), small_opts(100)).unwrap();
+        db.append(ev("h", "X", 0)).unwrap();
+        // Point the WAL at a device that refuses every write.
+        let full = TempDir::new("store-append-refused-wal");
+        std::os::unix::fs::symlink("/dev/full", full.path().join(crate::wal::WAL_FILE)).unwrap();
+        db.inner.write().wal = Some(Wal::open(full.path(), false).unwrap());
+        assert!(db.append(ev("h", "X", 1)).is_err());
+        assert_eq!(db.stats().append_errors(), 1);
+        assert_eq!((db.len(), db.memtable_len()), (1, 1), "nothing stored");
+        assert_eq!(db.stats().appended(), 1);
     }
 
     #[test]

@@ -40,6 +40,9 @@ pub struct Wal {
     /// append).
     len: u64,
     sync: bool,
+    /// Encode scratch, kept between appends so the steady state encodes a
+    /// batch without allocating.
+    buf: Vec<u8>,
 }
 
 impl Wal {
@@ -58,6 +61,7 @@ impl Wal {
             path,
             len,
             sync,
+            buf: Vec::new(),
         })
     }
 
@@ -70,27 +74,26 @@ impl Wal {
         first_seq: u64,
         events: &[B],
     ) -> Result<()> {
-        let mut buf =
-            Vec::with_capacity(events.iter().map(|e| e.borrow().approx_size() + 24).sum());
+        self.buf.clear();
         for (i, event) in events.iter().enumerate() {
-            encode_record(&mut buf, first_seq + i as u64, event.borrow());
+            encode_record(&mut self.buf, first_seq + i as u64, event.borrow());
         }
-        self.write_record_bytes(&buf)
+        self.write_buf()
     }
 
-    /// Write fully-formed record bytes.  Any failure — a partial write
+    /// Write the fully-formed records in `buf`.  Any failure — a partial write
     /// (e.g. ENOSPC midway) or a failed fsync — rolls the file back to the
     /// last record boundary, so an erroring append leaves no trace: torn
     /// bytes can never sit between acknowledged records, and a caller
     /// retrying the same batch (which a failed append leaves with it)
     /// cannot duplicate records.
-    fn write_record_bytes(&mut self, bytes: &[u8]) -> Result<()> {
+    fn write_buf(&mut self) -> Result<()> {
         let rollback = |file: &mut File, len: u64, e: std::io::Error| {
             let _ = file.set_len(len);
             let _ = file.seek(SeekFrom::End(0));
             TsdbError::from(e)
         };
-        if let Err(e) = self.file.write_all(bytes) {
+        if let Err(e) = self.file.write_all(&self.buf) {
             return Err(rollback(&mut self.file, self.len, e));
         }
         if self.sync {
@@ -98,7 +101,7 @@ impl Wal {
                 return Err(rollback(&mut self.file, self.len, e));
             }
         }
-        self.len += bytes.len() as u64;
+        self.len += self.buf.len() as u64;
         Ok(())
     }
 
