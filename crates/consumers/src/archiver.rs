@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use jamm_archive::EventArchive;
 use jamm_core::flow::{EventSink, EventSource, SinkError};
-use jamm_directory::{DirectoryServer, Dn, Entry};
+use jamm_directory::{DirectoryError, DirectoryServer, Dn, Entry};
 use jamm_gateway::{PipelineTracer, Predicate, Subscription};
 use jamm_tsdb::{SegmentCatalog, TsdbError};
 use jamm_ulm::{Event, SharedEvent, Timestamp};
@@ -147,7 +147,17 @@ impl ArchiverAgent {
     /// archive" — per-segment entries let a consumer see *which* slice of
     /// history each immutable segment covers).  Stale segment entries
     /// (merged away by compaction or expired by retention) are removed.
+    ///
+    /// Segment entries are written once (see
+    /// [`ArchiverAgent::publish_segment_catalogs`]); the archive's own
+    /// entry doubles as the marker that they are still there.  When this
+    /// directory does not hold it — a restarted master, a replica that
+    /// lost state, a different directory than last pass — every segment
+    /// entry is published again.
     pub fn publish_catalog(&mut self, directory: &Arc<DirectoryServer>, now: Timestamp) -> bool {
+        if let Err(DirectoryError::NoSuchEntry(_)) = directory.lookup(&self.catalog_dn) {
+            self.published_segments.clear();
+        }
         let catalog = self.archive.catalog();
         let mut entry = Entry::new(self.catalog_dn.clone())
             .with("objectclass", "eventarchive")
@@ -175,7 +185,8 @@ impl ArchiverAgent {
     /// Publish one directory entry per sealed segment under the archive's
     /// catalog DN and drop entries for segments that no longer exist.
     /// Segments are immutable, so an entry is written once: a pass costs
-    /// what changed since the last one, not the size of the archive.
+    /// what changed since the last one, not the size of the archive (and a
+    /// segment entry's `lastupdate` is when it was published).
     /// Returns how many segment entries are now published.
     pub fn publish_segment_catalogs(
         &mut self,
@@ -501,5 +512,42 @@ mod tests {
         assert_eq!(left.len(), 1);
         assert_eq!(left[0].get("eventcount"), Some("25"));
         assert_eq!(left[0].get("lastupdate"), Some(stamp(300).as_str()));
+    }
+
+    #[test]
+    fn a_directory_that_lost_its_entries_is_republished() {
+        use jamm_directory::{Filter, Scope};
+        let (reg, gw, mut agent, dir) = setup();
+        agent.subscribe(&reg, "gw1", vec![]).unwrap();
+        for t in 0..3 {
+            gw.publish(&ev("dpss1.lbl.gov", "CPU_TOTAL", t, Level::Usage));
+            agent.poll();
+            agent.flush().unwrap().expect("one event seals");
+        }
+        let catalog_dn = Dn::parse("archive=main,o=lbl,o=grid").unwrap();
+        let segments = |dir: &DirectoryServer| {
+            let filter = Filter::eq("objectclass", "archivesegment");
+            let found = dir.search(&catalog_dn, Scope::OneLevel, &filter).unwrap();
+            found.entries.len()
+        };
+        assert!(agent.publish_catalog(&dir, Timestamp::from_secs(100)));
+        assert_eq!(segments(&dir), 3);
+
+        // The master restarts empty: the next pass finds its archive entry
+        // gone and writes every segment entry again, not only new ones.
+        let restarted = Arc::new(DirectoryServer::new(
+            "ldap://dir",
+            Dn::parse("o=grid").unwrap(),
+        ));
+        assert!(agent.publish_catalog(&restarted, Timestamp::from_secs(200)));
+        assert_eq!(segments(&restarted), 3);
+        // Healed: the pass after that is incremental again.
+        let writes = &restarted.stats().writes;
+        let before = writes.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(agent.publish_catalog(&restarted, Timestamp::from_secs(300)));
+        assert_eq!(
+            writes.load(std::sync::atomic::Ordering::Relaxed) - before,
+            1
+        );
     }
 }

@@ -96,37 +96,12 @@ pub fn get_bytes<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]>
 /// 64-bit FNV-1a hash, used as the integrity checksum of WAL records and
 /// segment files (error detection, not authentication).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    use std::hash::Hasher;
-    let mut h = FnvHasher::default();
-    h.write(bytes);
-    h.finish()
-}
-
-/// FNV-1a as a [`std::hash::Hasher`]: no setup and a few cycles per byte,
-/// which beats SipHash on the short identifier strings the segment encoder
-/// keys its build-local maps by.  Not DoS-resistant: one-call maps only.
-pub(crate) struct FnvHasher(u64);
-
-/// `BuildHasher` for maps keyed through [`FnvHasher`].
-pub(crate) type FnvBuildHasher = std::hash::BuildHasherDefault<FnvHasher>;
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-}
-
-impl std::hash::Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    h
 }
 
 #[cfg(test)]

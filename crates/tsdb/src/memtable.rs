@@ -3,9 +3,11 @@
 //!
 //! Events sit in one `Vec` ordered by `(timestamp, sequence)` — the
 //! store's canonical order, so identical timestamps never collide and
-//! sealing builds straight from the slice, no sort.  Arrival in that order
-//! is the only case the pipeline produces, so an insert is normally a
-//! `push`; a late event pays a binary search and a shift.
+//! sealing builds straight from the slice, no sort.  A batch is pushed
+//! whole; one that arrived in order (a single gateway's stream) is done
+//! there, and one that did not (an archiver draining several gateways'
+//! queues one after the other) pays one run-merging sort of the tail it
+//! overlaps — per batch, not per late event.
 
 use jamm_core::query::Facts;
 use jamm_ulm::{SharedEvent, Timestamp};
@@ -32,14 +34,25 @@ impl MemTable {
         MemTable::default()
     }
 
-    /// Insert one event under its sequence number.
-    pub fn insert(&mut self, seq: u64, event: SharedEvent) {
-        let at = (event.timestamp, seq);
-        if self.events.last().is_none_or(|last| key(last) < at) {
-            self.events.push((seq, event));
-        } else {
-            let pos = self.events.partition_point(|e| key(e) < at);
-            self.events.insert(pos, (seq, event));
+    /// Insert a batch of `(sequence, event)` pairs, in any order.
+    pub fn extend(&mut self, entries: impl IntoIterator<Item = (u64, SharedEvent)>) {
+        let sorted_len = self.events.len();
+        // The smallest key that arrived behind a larger one, if any did.
+        let mut earliest_late = None;
+        for entry in entries {
+            let at = key(&entry);
+            if self.events.last().is_some_and(|last| key(last) > at) {
+                earliest_late = Some(earliest_late.map_or(at, |e: (Timestamp, u64)| e.min(at)));
+            }
+            self.events.push(entry);
+        }
+        if let Some(at) = earliest_late {
+            // Everything before `from` sorts before every new entry (each
+            // is at or after `at`, or after the old last entry), so only
+            // the tail moves.  It is a few sorted runs, which the stable
+            // sort detects and merges rather than comparing from scratch.
+            let from = self.events[..sorted_len].partition_point(|e| key(e) < at);
+            self.events[from..].sort_by_key(key);
         }
     }
 
@@ -134,9 +147,8 @@ mod tests {
     #[test]
     fn drain_is_sorted_by_time_then_seq() {
         let mut m = MemTable::new();
-        m.insert(2, ev("h", "X", 10));
-        m.insert(1, ev("h", "X", 20));
-        m.insert(3, ev("h", "X", 10));
+        m.extend([(2, ev("h", "X", 10))]);
+        m.extend([(1, ev("h", "X", 20)), (3, ev("h", "X", 10))]);
         assert_eq!(seqs(m.as_slice()), vec![2, 3, 1]);
         m.clear();
         assert!(m.is_empty());
@@ -147,7 +159,7 @@ mod tests {
     fn matching_applies_range_and_filters() {
         let mut m = MemTable::new();
         for t in 0..10 {
-            m.insert(t, ev(if t % 2 == 0 { "a" } else { "b" }, "X", t));
+            m.extend([(t, ev(if t % 2 == 0 { "a" } else { "b" }, "X", t))]);
         }
         let plan = Predicate::and(vec![
             Predicate::between_micros(2_000_000, 8_000_000),
@@ -166,7 +178,7 @@ mod tests {
     fn prune_removes_old_keeps_new() {
         let mut m = MemTable::new();
         for t in 0..10 {
-            m.insert(t, ev("h", "X", t));
+            m.extend([(t, ev("h", "X", t))]);
         }
         let removed = m.prune_before(Timestamp::from_secs(4));
         assert_eq!(removed, 4);
@@ -185,7 +197,8 @@ mod tests {
             let mut model: BTreeMap<(Timestamp, u64), SharedEvent> = BTreeMap::new();
             let in_order = g.bool(0.5);
             let mut clock = 0u64;
-            for seq in 0..g.u64(120) {
+            let mut next_seq = 0u64;
+            for _ in 0..g.u64(120) {
                 match g.u64(10) {
                     0 => {
                         let cutoff = Timestamp::from_secs(g.u64(clock + 2));
@@ -215,15 +228,22 @@ mod tests {
                         model.clear();
                     }
                     _ => {
-                        let t = if in_order || g.bool(0.5) {
-                            clock += g.u64(2); // repeats exercise the seq tie-break
-                            clock
-                        } else {
-                            g.u64(clock + 1)
-                        };
-                        let e = ev(if g.bool(0.5) { "a" } else { "b" }, "X", t);
-                        model.insert((e.timestamp, seq), SharedEvent::clone(&e));
-                        m.insert(seq, e);
+                        // One append: a batch of one, or several whose late
+                        // entries land anywhere in what is buffered.
+                        let mut batch = Vec::new();
+                        for _ in 0..1 + g.u64(6) {
+                            let t = if in_order || g.bool(0.5) {
+                                clock += g.u64(2); // repeats exercise the seq tie-break
+                                clock
+                            } else {
+                                g.u64(clock + 1)
+                            };
+                            let e = ev(if g.bool(0.5) { "a" } else { "b" }, "X", t);
+                            model.insert((e.timestamp, next_seq), SharedEvent::clone(&e));
+                            batch.push((next_seq, e));
+                            next_seq += 1;
+                        }
+                        m.extend(batch);
                     }
                 }
                 assert_eq!(m.len(), model.len());

@@ -26,7 +26,6 @@ use jamm_ulm::{binary, Event, Timestamp, Value};
 
 use crate::codec::{
     fnv64, get_bytes, get_ivarint, get_str, get_uvarint, put_ivarint, put_str, put_uvarint,
-    FnvBuildHasher,
 };
 use crate::{Result, TsdbError};
 
@@ -241,7 +240,7 @@ fn bitmap_get(bits: &[u8], row: usize) -> bool {
 /// outlives the build: payload strings never reach the leaking interner.
 #[derive(Default)]
 struct DictBuilder<'a> {
-    slots: HashMap<&'a str, u64, FnvBuildHasher>,
+    slots: HashMap<&'a str, u64>,
     strings: Vec<String>,
 }
 
@@ -297,12 +296,14 @@ impl Segment {
         let nrows = sorted.len();
         cols.val_present = vec![0u8; nrows.div_ceil(8)];
         cols.val_float = vec![0u8; nrows.div_ceil(8)];
-        // Per-key sparse columns (entry count, entries), indexed by the
-        // key's dictionary slot; stitched into `sparse` after the row loop.
-        let mut sparse_cols: Vec<(u64, Vec<u8>)> = Vec::new();
+        // Per-key sparse columns (entry count, entries) accumulate out of
+        // line and are stitched into the `sparse` region after the row
+        // loop; a segment has a handful of keys, and BTreeMap keeps the
+        // key order deterministic.
+        let mut sparse_cols: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
         // Rows per `(host slot, type slot)`: the whole catalog, counted
         // without touching a string.
-        let mut series_rows: HashMap<(u64, u64), usize, FnvBuildHasher> = HashMap::default();
+        let mut series_rows: HashMap<(u64, u64), usize> = HashMap::new();
         let mut prev_ts = 0u64;
         let mut prev_delta = 0u64;
         let mut prev_seq = 0u64;
@@ -357,20 +358,16 @@ impl Segment {
                         continue;
                     }
                 }
-                if sparse_cols.len() <= key_ix as usize {
-                    sparse_cols.resize_with(key_ix as usize + 1, Default::default);
-                }
-                let (count, data) = &mut sparse_cols[key_ix as usize];
+                let (count, data) = sparse_cols.entry(key_ix).or_default();
                 *count += 1;
                 // A string value shares the dictionary with the
                 // identifiers (a `PEER=host` field costs one varint).
                 put_value(data, v, |s| dict.slot(s));
             }
         }
-        let keyed = sparse_cols.iter().zip(0u64..).filter(|((n, _), _)| *n > 0);
-        put_uvarint(&mut cols.sparse, keyed.clone().count() as u64);
-        for ((count, data), key_ix) in keyed {
-            put_uvarint(&mut cols.sparse, key_ix);
+        put_uvarint(&mut cols.sparse, sparse_cols.len() as u64);
+        for (key_ix, (count, data)) in &sparse_cols {
+            put_uvarint(&mut cols.sparse, *key_ix);
             put_uvarint(&mut cols.sparse, *count);
             put_uvarint(&mut cols.sparse, data.len() as u64);
             cols.sparse.extend_from_slice(data);

@@ -257,22 +257,19 @@ impl Tsdb {
         let (recovered, torn) = Wal::replay(&dir)?;
         let stats = TsdbStats::default();
         stats.wal_torn_bytes.store(torn, Ordering::Relaxed);
+        // Not the last record's: a retention rewrite leaves the WAL in
+        // time order.
+        let wal_max_seq = recovered.iter().map(|(seq, _)| *seq).max();
+        next_seq = next_seq.max(wal_max_seq.map_or(0, |seq| seq + 1));
         let mut mem = MemTable::new();
-        let mut recovered_count = 0u64;
-        for (seq, event) in recovered {
-            next_seq = next_seq.max(seq + 1);
-            // A crash between sealing a segment and resetting the WAL
-            // leaves the sealed events in both places; records already
-            // durable in a segment are skipped, not duplicated.
-            if seq <= seg_max_seq {
-                continue;
-            }
-            mem.insert(seq, Arc::new(event));
-            recovered_count += 1;
-        }
+        // A crash between sealing a segment and resetting the WAL leaves
+        // the sealed events in both places; records already durable in a
+        // segment are skipped, not duplicated.
+        let unsealed = recovered.into_iter().filter(|(seq, _)| *seq > seg_max_seq);
+        mem.extend(unsealed.map(|(seq, event)| (seq, Arc::new(event))));
         stats
             .wal_recovered_events
-            .store(recovered_count, Ordering::Relaxed);
+            .store(mem.len() as u64, Ordering::Relaxed);
         let wal = Wal::open(&dir, opts.sync_wal)?;
         Ok(Tsdb {
             inner: RwLock::new(Inner {
@@ -336,11 +333,9 @@ impl Tsdb {
             })?;
         }
         let n = events.len();
-        for (i, event) in events.iter().enumerate() {
-            inner
-                .mem
-                .insert(first_seq + i as u64, SharedEvent::clone(event));
-        }
+        inner
+            .mem
+            .extend((first_seq..).zip(events.iter().map(SharedEvent::clone)));
         inner.next_seq += n as u64;
         self.stats.appended.fetch_add(n as u64, Ordering::Relaxed);
         self.stats.append_us.record_micros(start.elapsed());
