@@ -1079,9 +1079,14 @@ impl JammSystem {
         let (history, history_source) = if view_names.is_empty() {
             // The historical scan runs through its own plan clone (fresh
             // stateful memory), with segment pruning and limit pushdown.
-            let scanned0 = self.archive.stats().segments_scanned();
-            let pruned0 = self.archive.stats().segments_pruned();
-            let history: Vec<Event> = self.archive.scan(&plan).collect();
+            // Provenance comes from the scan itself: the store-wide
+            // counters also move under every concurrent reader.
+            let scan = self.archive.scan(&plan);
+            let source = HistorySource::ArchiveScan {
+                segments_scanned: scan.segments_scanned(),
+                segments_pruned: scan.segments_pruned(),
+            };
+            let history: Vec<Event> = scan.collect();
             self.query_tiers.archive_scans.fetch_add(1, Relaxed);
             // Ad-hoc aggregate queries fold the scan result; continuous
             // queries maintain theirs incrementally.
@@ -1092,10 +1097,6 @@ impl JammSystem {
                 }
                 aggregates = agg.rows(now.as_micros());
             }
-            let source = HistorySource::ArchiveScan {
-                segments_scanned: self.archive.stats().segments_scanned() - scanned0,
-                segments_pruned: self.archive.stats().segments_pruned() - pruned0,
-            };
             (history, source)
         } else {
             self.query_tiers.views_served.fetch_add(1, Relaxed);
@@ -1193,7 +1194,8 @@ pub enum HistorySource {
     },
     /// Served by scanning the archive.
     ArchiveScan {
-        /// Segments the scan actually opened.
+        /// Segments whose catalog admitted the query.  The scan opens them
+        /// lazily, in time order, so a `(limit=N)` may stop short of some.
         segments_scanned: u64,
         /// Segments skipped whole by catalog pruning.
         segments_pruned: u64,
@@ -1574,6 +1576,44 @@ mod tests {
             jamm.register_continuous_query("bad", "((("),
             Err(QueryError::BadQuery(_))
         ));
+    }
+
+    #[test]
+    fn concurrent_queries_each_report_their_own_scan_provenance() {
+        let jamm = JammBuilder::new()
+            .gateway("gw1")
+            .archiver("archiver", "archive=main,o=grid")
+            .build()
+            .unwrap();
+        // Six sealed segments, one second of history each.
+        for seg in 0..6u64 {
+            let events: Vec<_> = (0..4)
+                .map(|i| Arc::new(ev("h1", Level::Usage, 100 * seg + i)))
+                .collect();
+            jamm.archive.store(&events).unwrap();
+            jamm.archive.seal().unwrap();
+        }
+        // One reader's query prunes to a single segment, the other's reads
+        // all six; with provenance taken from store-wide counter deltas
+        // each would also report segments of the other's scans.
+        let start = std::sync::Barrier::new(2);
+        let reader = |query: &str, want: (u64, u64)| {
+            start.wait();
+            for _ in 0..300 {
+                let answer = jamm.query("ops", query, Timestamp::from_secs(1_000));
+                match answer.unwrap().history_source {
+                    HistorySource::ArchiveScan {
+                        segments_scanned,
+                        segments_pruned,
+                    } => assert_eq!((segments_scanned, segments_pruned), want, "{query}"),
+                    other => panic!("expected an archive scan, got {other:?}"),
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| reader("(&(time>=200000000)(time<204000000))", (1, 5)));
+            s.spawn(|| reader("(type=CPU_TOTAL)", (6, 0)));
+        });
     }
 
     #[test]

@@ -22,7 +22,20 @@ pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Read a LEB128 unsigned varint, advancing the cursor.
+#[inline]
 pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64> {
+    // Dictionary indices, tags, field counts and the deltas of a regular
+    // stream are one byte: decide that case without entering the loop.
+    match buf.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(byte))
+        }
+        _ => get_uvarint_multibyte(buf, pos),
+    }
+}
+
+fn get_uvarint_multibyte(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -84,13 +97,12 @@ pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
 
 /// Read `N` raw bytes, advancing the cursor.
 pub fn get_bytes<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]> {
-    let end = pos
-        .checked_add(N)
-        .filter(|&e| e <= buf.len())
+    let out = buf
+        .get(*pos..)
+        .and_then(|rest| rest.first_chunk::<N>())
         .ok_or(TsdbError::Corrupt("truncated bytes"))?;
-    let out: [u8; N] = buf[*pos..end].try_into().expect("exact length");
-    *pos = end;
-    Ok(out)
+    *pos += N;
+    Ok(*out)
 }
 
 /// 64-bit FNV-1a hash, used as the integrity checksum of WAL records and

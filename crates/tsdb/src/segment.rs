@@ -290,7 +290,10 @@ impl Segment {
     /// shared (`Arc<Event>`) slice in without copying any event, while
     /// compaction and retention rewrites pass owned decoded events.
     pub fn build<B: std::borrow::Borrow<Event>>(id: u64, sorted: &[(u64, B)]) -> Segment {
-        assert!(!sorted.is_empty(), "segments are never empty");
+        let (Some((_, first)), Some((_, last))) = (sorted.first(), sorted.last()) else {
+            panic!("segments are never empty");
+        };
+        let (min_ts, max_ts) = (first.borrow().timestamp, last.borrow().timestamp);
         let mut dict = DictBuilder::default();
         let mut cols = ColData::default();
         let nrows = sorted.len();
@@ -389,8 +392,8 @@ impl Segment {
             catalog: SegmentCatalog {
                 id,
                 event_count: sorted.len(),
-                min_ts: sorted.first().expect("non-empty").1.borrow().timestamp,
-                max_ts: sorted.last().expect("non-empty").1.borrow().timestamp,
+                min_ts,
+                max_ts,
                 hosts,
                 event_types,
                 series,
@@ -521,10 +524,14 @@ impl Segment {
     /// maximum severity rank) load with `max_level = u8::MAX`, so an old
     /// store stays readable and is simply never level-pruned.
     pub fn from_bytes(bytes: &[u8]) -> Result<Segment> {
-        if bytes.len() < 12 {
-            return Err(TsdbError::Corrupt("bad segment magic"));
-        }
-        let version = match &bytes[..4] {
+        let too_short = TsdbError::Corrupt("bad segment magic");
+        let Some((magic, rest)) = bytes.split_first_chunk::<4>() else {
+            return Err(too_short);
+        };
+        let Some((body, stored)) = rest.split_last_chunk::<8>() else {
+            return Err(too_short);
+        };
+        let version = match magic {
             m if m == SEGMENT_MAGIC_V1 => 1u8,
             m if m == SEGMENT_MAGIC_V2 => 2,
             m if m == SEGMENT_MAGIC => 3,
@@ -539,13 +546,7 @@ impl Segment {
             _ => return Err(TsdbError::Corrupt("bad segment magic")),
         };
         let v1 = version == 1;
-        let body = &bytes[4..bytes.len() - 8];
-        let stored = u64::from_le_bytes(
-            bytes[bytes.len() - 8..]
-                .try_into()
-                .expect("8 checksum bytes"),
-        );
-        if fnv64(body) != stored {
+        if fnv64(body) != u64::from_le_bytes(*stored) {
             return Err(TsdbError::Corrupt("segment checksum mismatch"));
         }
         let mut pos = 0usize;
@@ -670,10 +671,16 @@ impl Segment {
 
     /// A cursor decoding the segment's events one at a time.
     pub fn cursor(self: &std::sync::Arc<Self>) -> SegmentCursor {
-        SegmentCursor {
-            seg: std::sync::Arc::clone(self),
-            state: CursorState::default(),
-        }
+        SegmentCursor(match self.col_scan() {
+            Some(scan) => CursorRepr::Cols(Box::new(AllRows {
+                scan,
+                everything: jamm_core::query::Predicate::True.compile(),
+            })),
+            None => CursorRepr::Rows {
+                seg: std::sync::Arc::clone(self),
+                state: RowState::default(),
+            },
+        })
     }
 
     /// A batched columnar scan over this segment, or `None` when the
@@ -739,118 +746,103 @@ impl Segment {
 }
 
 /// Streaming decoder over one segment's compressed data.  Yields events in
-/// `(timestamp, sequence)` order without materializing the segment, and
-/// works over both the legacy row-major stream and the columnar layout.
+/// `(timestamp, sequence)` order without materializing the segment.  A
+/// legacy row-major stream decodes row by row; a columnar segment reads
+/// through [`ColScan`] — the only `JSG3` decoder there is — with every row
+/// selected, so compaction and retention rewrites run the loop plan scans
+/// run.
 #[derive(Debug)]
-pub struct SegmentCursor {
-    seg: std::sync::Arc<Segment>,
-    state: CursorState,
+pub struct SegmentCursor(CursorRepr);
+
+#[derive(Debug)]
+enum CursorRepr {
+    Rows {
+        seg: std::sync::Arc<Segment>,
+        state: RowState,
+    },
+    Cols(Box<AllRows>),
 }
 
-/// Mutable decode position and delta-decoding state, split from the
-/// segment handle so the hot decode loop borrows the two disjointly (no
-/// per-event `Arc` clone).
+/// A columnar segment read in full: the scan, and the plan that selects
+/// every row.
+#[derive(Debug)]
+struct AllRows {
+    scan: ColScan,
+    everything: Plan,
+}
+
+/// Delta-of-delta timestamp decoding state (both generations encode the
+/// timestamp stream the same way).
 #[derive(Debug, Default)]
-struct CursorState {
-    /// Row-major stream position (legacy repr only).
-    pos: usize,
-    decoded: usize,
+struct TsDecoder {
     prev_ts: u64,
     prev_delta: u64,
-    prev_seq: u64,
-    /// Columnar region positions, initialized on first decode of a
-    /// columnar segment.
-    cols: Option<Box<ColsPos>>,
 }
 
-/// Per-region decode positions for a columnar segment.
-#[derive(Debug, Default)]
-struct ColsPos {
-    ts: usize,
-    seqs: usize,
-    host: usize,
-    prog: usize,
-    ty: usize,
-    /// Byte offset into the packed `vals` column.
-    vals: usize,
-    nf: usize,
-    keys: usize,
-    /// Per-key cursor into the sparse region, keyed by dictionary index.
-    sparse: HashMap<u64, SparseCur>,
-}
-
-/// A cursor into one key's sparse value column.
-#[derive(Debug, Clone, Copy)]
-struct SparseCur {
-    pos: usize,
-    end: usize,
-}
-
-impl ColsPos {
-    /// Parse the sparse-region key directory into per-key cursors.
-    fn init(cols: &ColData) -> Result<ColsPos> {
-        let mut cp = ColsPos::default();
-        let data: &[u8] = &cols.sparse;
-        let mut pos = 0usize;
-        let n_keys = get_uvarint(data, &mut pos)? as usize;
-        for _ in 0..n_keys {
-            let key_ix = get_uvarint(data, &mut pos)?;
-            let _n_entries = get_uvarint(data, &mut pos)?;
-            let byte_len = get_uvarint(data, &mut pos)? as usize;
-            let end = pos
-                .checked_add(byte_len)
-                .filter(|end| *end <= data.len())
-                .ok_or(TsdbError::Corrupt("truncated sparse column"))?;
-            cp.sparse.insert(key_ix, SparseCur { pos, end });
-            pos = end;
-        }
-        Ok(cp)
+impl TsDecoder {
+    /// Decode the timestamp of row `row` at `*pos`, and check the
+    /// segment's first stamp against its catalog: a segment starting
+    /// before its `min_ts` would be opened too late by the scan's merge
+    /// and answer out of order.
+    #[inline]
+    fn next(&mut self, seg: &Segment, row: usize, data: &[u8], pos: &mut usize) -> Result<u64> {
+        let ts = match row {
+            0 => {
+                let first = get_uvarint(data, pos)?;
+                if first < seg.catalog.min_ts.as_micros() {
+                    return Err(TsdbError::Corrupt(
+                        "first timestamp precedes catalog min_ts",
+                    ));
+                }
+                first
+            }
+            1 => {
+                self.prev_delta = get_uvarint(data, pos)?;
+                self.prev_ts.wrapping_add(self.prev_delta)
+            }
+            _ => {
+                let dod = get_ivarint(data, pos)?;
+                self.prev_delta = self.prev_delta.wrapping_add(dod as u64);
+                self.prev_ts.wrapping_add(self.prev_delta)
+            }
+        };
+        self.prev_ts = ts;
+        Ok(ts)
     }
+}
+
+/// Decode position of a legacy row-major stream.
+#[derive(Debug, Default)]
+struct RowState {
+    pos: usize,
+    decoded: usize,
+    ts: TsDecoder,
+    prev_seq: u64,
 }
 
 impl SegmentCursor {
-    /// Decode the next event; `None` at the end of the segment.  Corrupt
-    /// in-memory data is unreachable (segments are checksummed at load),
-    /// so decode errors surface as `Some(Err)` only for defensive depth.
+    /// Decode the next event; `None` at the end of the segment.  A decode
+    /// error (a segment image that passed its checksum but is not a valid
+    /// stream) surfaces as `Some(Err)`.
     pub fn next_event(&mut self) -> Option<Result<(u64, Event)>> {
-        if self.state.decoded >= self.seg.len() {
-            return None;
+        match &mut self.0 {
+            CursorRepr::Rows { seg, state } => {
+                (state.decoded < seg.len()).then(|| decode_event(seg, state))
+            }
+            CursorRepr::Cols(all) => all.scan.next_match(&all.everything, ColMode::Exact),
         }
-        Some(match &self.seg.repr {
-            Repr::Rows(_) => decode_event(&self.seg, &mut self.state),
-            Repr::Cols(_) => decode_event_cols(&self.seg, &mut self.state),
-        })
-    }
-
-    /// The segment this cursor reads.
-    pub(crate) fn segment(&self) -> &std::sync::Arc<Segment> {
-        &self.seg
     }
 }
 
 /// Decode one event from a legacy row-major stream, advancing the cursor
 /// state only on success.
-fn decode_event(seg: &Segment, st: &mut CursorState) -> Result<(u64, Event)> {
+fn decode_event(seg: &Segment, st: &mut RowState) -> Result<(u64, Event)> {
     let data: &[u8] = match &seg.repr {
         Repr::Rows(data) => data,
         Repr::Cols(_) => unreachable!("row decode on a columnar segment"),
     };
     let mut pos = st.pos;
-    let ts = match st.decoded {
-        0 => get_uvarint(data, &mut pos)?,
-        1 => {
-            let delta = get_uvarint(data, &mut pos)?;
-            st.prev_delta = delta;
-            st.prev_ts.wrapping_add(delta)
-        }
-        _ => {
-            let dod = get_ivarint(data, &mut pos)?;
-            let delta = st.prev_delta.wrapping_add(dod as u64);
-            st.prev_delta = delta;
-            st.prev_ts.wrapping_add(delta)
-        }
-    };
-    st.prev_ts = ts;
+    let ts = st.ts.next(seg, st.decoded, data, &mut pos)?;
     let dseq = get_ivarint(data, &mut pos)?;
     let seq = st.prev_seq.wrapping_add(dseq as u64);
     st.prev_seq = seq;
@@ -861,23 +853,12 @@ fn decode_event(seg: &Segment, st: &mut CursorState) -> Result<(u64, Event)> {
     let program = dict_str(seg, data, &mut pos)?;
     let event_type = dict_str(seg, data, &mut pos)?;
     let n_fields = get_uvarint(data, &mut pos)? as usize;
-    let mut fields = Vec::with_capacity(n_fields);
+    // Every field takes more than a byte of the stream, which bounds the
+    // allocation a hostile count can ask for.
+    let mut fields = Vec::with_capacity(n_fields.min(data.len() - pos));
     for _ in 0..n_fields {
         let key = dict_str(seg, data, &mut pos)?;
-        let tag = *data.get(pos).ok_or(TsdbError::Corrupt("truncated tag"))?;
-        pos += 1;
-        let value = match tag {
-            TAG_UINT => Value::UInt(get_uvarint(data, &mut pos)?),
-            TAG_INT => Value::Int(get_ivarint(data, &mut pos)?),
-            TAG_FLOAT => Value::Float(f64::from_le_bytes(get_bytes::<8>(data, &mut pos)?)),
-            TAG_BOOL => {
-                let b = *data.get(pos).ok_or(TsdbError::Corrupt("truncated bool"))?;
-                pos += 1;
-                Value::Bool(b != 0)
-            }
-            TAG_STR => Value::Str(dict_str(seg, data, &mut pos)?),
-            _ => return Err(TsdbError::Corrupt("unknown value tag")),
-        };
+        let value = read_value(seg, data, &mut pos)?;
         fields.push((key, value));
     }
     st.pos = pos;
@@ -895,140 +876,42 @@ fn decode_event(seg: &Segment, st: &mut CursorState) -> Result<(u64, Event)> {
     ))
 }
 
-/// Decode one event from the columnar regions, advancing every column
-/// position by one row.
-fn decode_event_cols(seg: &Segment, st: &mut CursorState) -> Result<(u64, Event)> {
-    let cols = match &seg.repr {
-        Repr::Cols(cols) => cols,
-        Repr::Rows(_) => unreachable!("column decode on a row-major segment"),
-    };
-    if st.cols.is_none() {
-        st.cols = Some(Box::new(ColsPos::init(cols)?));
-    }
-    let r = st.decoded;
-    let cp = st.cols.as_mut().expect("initialized above");
-    let ts = match r {
-        0 => get_uvarint(&cols.ts, &mut cp.ts)?,
-        1 => {
-            let delta = get_uvarint(&cols.ts, &mut cp.ts)?;
-            st.prev_delta = delta;
-            st.prev_ts.wrapping_add(delta)
-        }
-        _ => {
-            let dod = get_ivarint(&cols.ts, &mut cp.ts)?;
-            let delta = st.prev_delta.wrapping_add(dod as u64);
-            st.prev_delta = delta;
-            st.prev_ts.wrapping_add(delta)
-        }
-    };
-    st.prev_ts = ts;
-    let dseq = get_ivarint(&cols.seqs, &mut cp.seqs)?;
-    let seq = st.prev_seq.wrapping_add(dseq as u64);
-    st.prev_seq = seq;
-    let level = *cols
-        .levels
-        .get(r)
-        .ok_or(TsdbError::Corrupt("truncated level column"))?;
-    let level = binary::level_from_code(level).map_err(|_| TsdbError::Corrupt("bad level code"))?;
-    let host = dict_str(seg, &cols.host_ix, &mut cp.host)?;
-    let program = dict_str(seg, &cols.prog_ix, &mut cp.prog)?;
-    let event_type = dict_str(seg, &cols.type_ix, &mut cp.ty)?;
-    let val = if bitmap_get(&cols.val_present, r) {
-        Some(f64::from_le_bytes(get_bytes::<8>(
-            &cols.vals,
-            &mut cp.vals,
-        )?))
-    } else {
-        None
-    };
-    let val_is_float = bitmap_get(&cols.val_float, r);
-    let n_fields = get_uvarint(&cols.nfields, &mut cp.nf)? as usize;
-    let mut fields = Vec::with_capacity(n_fields);
-    let mut saw_val = false;
-    for _ in 0..n_fields {
-        let key_ix = get_uvarint(&cols.keys, &mut cp.keys)?;
-        let key = seg
-            .dict
-            .get(key_ix as usize)
-            .cloned()
-            .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
-        if !saw_val && key == jamm_ulm::keys::VALUE {
-            saw_val = true;
-            if val_is_float {
-                let v = val.ok_or(TsdbError::Corrupt("float VAL bit without typed value"))?;
-                fields.push((key, Value::Float(v)));
-                continue;
-            }
-        }
-        let cur = cp
-            .sparse
-            .get_mut(&key_ix)
-            .ok_or(TsdbError::Corrupt("missing sparse column"))?;
-        let value = read_sparse_value(seg, &cols.sparse, cur)?;
-        fields.push((key, value));
-    }
-    st.decoded += 1;
-    Ok((
-        seq,
-        Event {
-            timestamp: Timestamp::from_micros(ts),
-            host,
-            program,
-            level,
-            event_type,
-            fields,
-        },
-    ))
-}
-
-/// Read one `tag + payload` entry from a sparse column.
-fn read_sparse_value(seg: &Segment, data: &[u8], cur: &mut SparseCur) -> Result<Value> {
-    if cur.pos >= cur.end {
-        return Err(TsdbError::Corrupt("sparse column exhausted"));
-    }
-    let tag = data[cur.pos];
-    cur.pos += 1;
-    let value = match tag {
-        TAG_UINT => Value::UInt(get_uvarint(data, &mut cur.pos)?),
-        TAG_INT => Value::Int(get_ivarint(data, &mut cur.pos)?),
-        TAG_FLOAT => Value::Float(f64::from_le_bytes(get_bytes::<8>(data, &mut cur.pos)?)),
+/// Read one `tag + payload` field value at `*pos`.
+fn read_value(seg: &Segment, data: &[u8], pos: &mut usize) -> Result<Value> {
+    let tag = *data.get(*pos).ok_or(TsdbError::Corrupt("truncated tag"))?;
+    *pos += 1;
+    Ok(match tag {
+        TAG_UINT => Value::UInt(get_uvarint(data, pos)?),
+        TAG_INT => Value::Int(get_ivarint(data, pos)?),
+        TAG_FLOAT => Value::Float(f64::from_le_bytes(get_bytes::<8>(data, pos)?)),
         TAG_BOOL => {
-            let b = *data
-                .get(cur.pos)
-                .ok_or(TsdbError::Corrupt("truncated bool"))?;
-            cur.pos += 1;
+            let b = *data.get(*pos).ok_or(TsdbError::Corrupt("truncated bool"))?;
+            *pos += 1;
             Value::Bool(b != 0)
         }
-        TAG_STR => Value::Str(dict_str(seg, data, &mut cur.pos)?),
+        TAG_STR => Value::Str(dict_str(seg, data, pos)?),
         _ => return Err(TsdbError::Corrupt("unknown value tag")),
-    };
-    Ok(value)
+    })
 }
 
-/// Skip one `tag + payload` entry in a sparse column — the late-
-/// materialization fast path for rows the filter rejected: no dictionary
-/// lookup, no `String`, just position arithmetic.
-fn skip_sparse_value(data: &[u8], cur: &mut SparseCur) -> Result<()> {
-    if cur.pos >= cur.end {
-        return Err(TsdbError::Corrupt("sparse column exhausted"));
-    }
-    let tag = data[cur.pos];
-    cur.pos += 1;
+/// Skip one `tag + payload` field value — the late-materialization fast
+/// path for rows the filter rejected: no dictionary lookup, no `String`,
+/// just position arithmetic.
+fn skip_value(data: &[u8], pos: &mut usize) -> Result<()> {
+    let tag = *data.get(*pos).ok_or(TsdbError::Corrupt("truncated tag"))?;
+    *pos += 1;
     match tag {
-        TAG_UINT | TAG_STR => {
-            get_uvarint(data, &mut cur.pos)?;
-        }
-        TAG_INT => {
-            get_ivarint(data, &mut cur.pos)?;
+        TAG_UINT | TAG_STR | TAG_INT => {
+            get_uvarint(data, pos)?;
         }
         TAG_FLOAT => {
-            get_bytes::<8>(data, &mut cur.pos)?;
+            get_bytes::<8>(data, pos)?;
         }
         TAG_BOOL => {
-            if cur.pos >= data.len() {
+            if *pos >= data.len() {
                 return Err(TsdbError::Corrupt("truncated bool"));
             }
-            cur.pos += 1;
+            *pos += 1;
         }
         _ => return Err(TsdbError::Corrupt("unknown value tag")),
     }
@@ -1037,9 +920,14 @@ fn skip_sparse_value(data: &[u8], cur: &mut SparseCur) -> Result<()> {
 
 /// Resolve a dictionary reference from a data stream.
 fn dict_str(seg: &Segment, data: &[u8], pos: &mut usize) -> Result<String> {
-    let idx = get_uvarint(data, pos)? as usize;
-    seg.dict
-        .get(idx)
+    dict_at(seg, get_uvarint(data, pos)?)
+}
+
+/// The dictionary string in slot `ix`.
+fn dict_at(seg: &Segment, ix: u64) -> Result<String> {
+    usize::try_from(ix)
+        .ok()
+        .and_then(|ix| seg.dict.get(ix))
         .cloned()
         .ok_or(TsdbError::Corrupt("dictionary index out of range"))
 }
@@ -1069,29 +957,135 @@ pub enum ColMode {
 /// Rows per [`ColScan`] decode batch.
 const COL_BATCH: usize = 1024;
 
-/// A scan-optimized reader over one columnar segment: decodes the fixed
-/// columns a batch at a time into reusable buffers, evaluates the plan
-/// once per batch via [`Plan::eval_batch`], and materializes only the
-/// selected rows.
+/// Per-region decode positions of a columnar segment, and what the scan
+/// knows about each dictionary slot a field key can name.
+#[derive(Debug)]
+struct ColsPos {
+    ts: usize,
+    seqs: usize,
+    host: usize,
+    prog: usize,
+    ty: usize,
+    /// Byte offset into the packed `vals` column.
+    vals: usize,
+    nf: usize,
+    keys: usize,
+    /// One entry per dictionary slot, indexed by the key list's indices.
+    key_slots: Vec<KeySlot>,
+}
+
+/// A dictionary slot seen as a field key.
+#[derive(Debug, Clone, Copy)]
+struct KeySlot {
+    /// The slot's string is `VAL`.  Decided by string, per slot: segments
+    /// written before the one-dictionary encoder can hold a string twice.
+    is_val: bool,
+    /// `[pos, end)` of the key's sparse value column still unread; `None`
+    /// when the sparse directory has no column for the slot.
+    sparse: Option<(usize, usize)>,
+}
+
+impl KeySlot {
+    /// The position in the sparse region of this key's next value.
+    #[inline]
+    fn next_value(&mut self) -> Result<&mut usize> {
+        match &mut self.sparse {
+            None => Err(TsdbError::Corrupt("missing sparse column")),
+            Some((pos, end)) if *pos >= *end => Err(TsdbError::Corrupt("sparse column exhausted")),
+            Some((pos, _)) => Ok(pos),
+        }
+    }
+}
+
+impl ColsPos {
+    /// Flag the dictionary's `VAL` slots and parse the sparse region's key
+    /// directory into per-slot column bounds.
+    fn init(dict: &[String], cols: &ColData) -> Result<ColsPos> {
+        let mut key_slots: Vec<KeySlot> = dict
+            .iter()
+            .map(|s| KeySlot {
+                is_val: s == jamm_ulm::keys::VALUE,
+                sparse: None,
+            })
+            .collect();
+        let data: &[u8] = &cols.sparse;
+        let mut pos = 0usize;
+        let n_keys = get_uvarint(data, &mut pos)?;
+        for _ in 0..n_keys {
+            let key_ix = get_uvarint(data, &mut pos)?;
+            let _n_entries = get_uvarint(data, &mut pos)?;
+            let byte_len = get_uvarint(data, &mut pos)?;
+            let end = usize::try_from(byte_len)
+                .ok()
+                .and_then(|len| pos.checked_add(len))
+                .filter(|end| *end <= data.len())
+                .ok_or(TsdbError::Corrupt("truncated sparse column"))?;
+            let slot = usize::try_from(key_ix)
+                .ok()
+                .and_then(|ix| key_slots.get_mut(ix))
+                .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
+            slot.sparse = Some((pos, end));
+            pos = end;
+        }
+        Ok(ColsPos {
+            ts: 0,
+            seqs: 0,
+            host: 0,
+            prog: 0,
+            ty: 0,
+            vals: 0,
+            nf: 0,
+            keys: 0,
+            key_slots,
+        })
+    }
+}
+
+/// Decode `n` dictionary indices from an index column.  The batch layer
+/// compares ids as `u32`, so one that does not fit cannot name a slot.
+fn fill_ids(out: &mut Vec<u32>, n: usize, data: &[u8], pos: &mut usize) -> Result<()> {
+    out.clear();
+    out.reserve(n);
+    let mut all_bits = 0u64;
+    for _ in 0..n {
+        let ix = get_uvarint(data, pos)?;
+        all_bits |= ix;
+        out.push(ix as u32);
+    }
+    if all_bits > u64::from(u32::MAX) {
+        return Err(TsdbError::Corrupt("dictionary index out of range"));
+    }
+    Ok(())
+}
+
+/// The scan-optimized — and only — reader of a columnar segment: decodes
+/// the fixed columns a batch at a time into reusable buffers, one tight
+/// loop per region, evaluates the plan once per batch via
+/// [`Plan::eval_batch`], then walks the batch's rows through the field
+/// regions on demand, materializing a selected row only when the caller
+/// asks for the next match.
 #[derive(Debug)]
 pub struct ColScan {
     seg: std::sync::Arc<Segment>,
-    state: CursorState,
-    /// Decoded fixed columns for the current batch (reused).
+    /// Rows whose fixed columns are decoded (all batches so far).
+    decoded: usize,
+    ts_state: TsDecoder,
+    prev_seq: u64,
+    /// Region positions, parsed on the first batch.
+    pos: Option<ColsPos>,
+    /// Decoded fixed columns of the current batch (reused).
     ts: Vec<u64>,
     seqs: Vec<u64>,
-    level_codes: Vec<u8>,
     levels_sev: Vec<u8>,
     hosts: Vec<u32>,
     progs: Vec<u32>,
     types: Vec<u32>,
     vals: Vec<f64>,
     present: Vec<u64>,
-    floats: Vec<u64>,
     sel: Selection,
     scratch: BatchScratch,
-    /// Materialized matches awaiting the merge loop.
-    out: std::collections::VecDeque<(u64, Event)>,
+    /// Rows of the current batch already walked through the field regions.
+    walked: usize,
     done: bool,
 }
 
@@ -1099,129 +1093,116 @@ impl ColScan {
     fn new(seg: std::sync::Arc<Segment>) -> ColScan {
         ColScan {
             seg,
-            state: CursorState::default(),
+            decoded: 0,
+            ts_state: TsDecoder::default(),
+            prev_seq: 0,
+            pos: None,
             ts: Vec::new(),
             seqs: Vec::new(),
-            level_codes: Vec::new(),
             levels_sev: Vec::new(),
             hosts: Vec::new(),
             progs: Vec::new(),
             types: Vec::new(),
             vals: Vec::new(),
             present: Vec::new(),
-            floats: Vec::new(),
             sel: Selection::new(),
             scratch: BatchScratch::new(),
-            out: std::collections::VecDeque::new(),
+            walked: 0,
             done: false,
         }
     }
 
     /// The next row surviving the batch filter, in `(timestamp, sequence)`
     /// order; `None` when the segment (or the plan's time window) is
-    /// exhausted.
+    /// exhausted.  A decode error ends the scan.
     pub fn next_match(&mut self, plan: &Plan, mode: ColMode) -> Option<Result<(u64, Event)>> {
+        if self.done {
+            return None;
+        }
+        let next = self.next_row(plan, mode).transpose();
+        self.done = !matches!(next, Some(Ok(_)));
+        next
+    }
+
+    /// Walk to the next selected row, decoding batches as they run out.
+    fn next_row(&mut self, plan: &Plan, mode: ColMode) -> Result<Option<(u64, Event)>> {
         loop {
-            if let Some(hit) = self.out.pop_front() {
-                return Some(Ok(hit));
+            if let Some(hit) = self.walk_batch()? {
+                return Ok(Some(hit));
             }
-            if self.done || self.state.decoded >= self.seg.len() {
-                return None;
-            }
-            if let Err(e) = self.fill_batch(plan, mode) {
-                self.done = true;
-                return Some(Err(e));
+            if self.decoded >= self.seg.len() || !self.fill_batch(plan, mode)? {
+                return Ok(None);
             }
         }
     }
 
-    /// Decode one batch of fixed columns, filter it, and materialize the
-    /// survivors into `out`.
-    fn fill_batch(&mut self, plan: &Plan, mode: ColMode) -> Result<()> {
-        let seg = &*self.seg;
-        let cols = match &seg.repr {
+    /// The segment's column regions.
+    fn cols(seg: &Segment) -> &ColData {
+        match &seg.repr {
             Repr::Cols(cols) => cols,
             Repr::Rows(_) => unreachable!("ColScan over a row-major segment"),
-        };
-        let st = &mut self.state;
-        if st.cols.is_none() {
-            st.cols = Some(Box::new(ColsPos::init(cols)?));
         }
-        let base = st.decoded;
-        let n = (seg.len() - base).min(COL_BATCH);
-        let words = n.div_ceil(64);
-        self.ts.clear();
-        self.seqs.clear();
-        self.level_codes.clear();
-        self.levels_sev.clear();
-        self.hosts.clear();
-        self.progs.clear();
-        self.types.clear();
-        self.vals.clear();
-        self.present.clear();
-        self.present.resize(words, 0);
-        self.floats.clear();
-        self.floats.resize(words, 0);
-        {
-            let cp = st.cols.as_mut().expect("initialized above");
-            for i in 0..n {
-                let r = base + i;
-                let ts = match r {
-                    0 => get_uvarint(&cols.ts, &mut cp.ts)?,
-                    1 => {
-                        let delta = get_uvarint(&cols.ts, &mut cp.ts)?;
-                        st.prev_delta = delta;
-                        st.prev_ts.wrapping_add(delta)
-                    }
-                    _ => {
-                        let dod = get_ivarint(&cols.ts, &mut cp.ts)?;
-                        let delta = st.prev_delta.wrapping_add(dod as u64);
-                        st.prev_delta = delta;
-                        st.prev_ts.wrapping_add(delta)
-                    }
-                };
-                st.prev_ts = ts;
-                self.ts.push(ts);
-                let dseq = get_ivarint(&cols.seqs, &mut cp.seqs)?;
-                let seq = st.prev_seq.wrapping_add(dseq as u64);
-                st.prev_seq = seq;
-                self.seqs.push(seq);
-                let code = *cols
-                    .levels
-                    .get(r)
-                    .ok_or(TsdbError::Corrupt("truncated level column"))?;
-                self.level_codes.push(code);
-                let level = binary::level_from_code(code)
-                    .map_err(|_| TsdbError::Corrupt("bad level code"))?;
-                self.levels_sev.push(level.severity());
-                self.hosts
-                    .push(get_uvarint(&cols.host_ix, &mut cp.host)? as u32);
-                self.progs
-                    .push(get_uvarint(&cols.prog_ix, &mut cp.prog)? as u32);
-                self.types
-                    .push(get_uvarint(&cols.type_ix, &mut cp.ty)? as u32);
-                if bitmap_get(&cols.val_present, r) {
-                    self.present[i / 64] |= 1u64 << (i % 64);
-                    self.vals.push(f64::from_le_bytes(get_bytes::<8>(
-                        &cols.vals,
-                        &mut cp.vals,
-                    )?));
-                } else {
-                    self.vals.push(0.0);
-                }
-                if bitmap_get(&cols.val_float, r) {
-                    self.floats[i / 64] |= 1u64 << (i % 64);
-                }
-            }
-            st.decoded = base + n;
-        }
+    }
 
-        // Early stop: a sorted segment whose batch starts at or past the
-        // plan's exclusive upper time bound has nothing left to offer.
+    /// Decode the next batch of fixed columns and filter it.  `false` when
+    /// the batch starts at or past the plan's exclusive upper time bound:
+    /// a sorted segment has nothing left to offer then.
+    fn fill_batch(&mut self, plan: &Plan, mode: ColMode) -> Result<bool> {
+        let seg = &*self.seg;
+        let cols = ColScan::cols(seg);
+        let pos = match &mut self.pos {
+            Some(pos) => pos,
+            none => none.insert(ColsPos::init(&seg.dict, cols)?),
+        };
+        let base = self.decoded;
+        let n = (seg.len() - base).min(COL_BATCH);
+
+        // One region at a time.
+        self.ts.clear();
+        self.ts.reserve(n);
+        for r in base..base + n {
+            self.ts
+                .push(self.ts_state.next(seg, r, &cols.ts, &mut pos.ts)?);
+        }
+        self.seqs.clear();
+        self.seqs.reserve(n);
+        for _ in 0..n {
+            let dseq = get_ivarint(&cols.seqs, &mut pos.seqs)?;
+            self.prev_seq = self.prev_seq.wrapping_add(dseq as u64);
+            self.seqs.push(self.prev_seq);
+        }
+        let level_codes = cols
+            .levels
+            .get(base..base + n)
+            .ok_or(TsdbError::Corrupt("truncated level column"))?;
+        self.levels_sev.clear();
+        self.levels_sev.reserve(n);
+        for code in level_codes {
+            let level =
+                binary::level_from_code(*code).map_err(|_| TsdbError::Corrupt("bad level code"))?;
+            self.levels_sev.push(level.severity());
+        }
+        fill_ids(&mut self.hosts, n, &cols.host_ix, &mut pos.host)?;
+        fill_ids(&mut self.progs, n, &cols.prog_ix, &mut pos.prog)?;
+        fill_ids(&mut self.types, n, &cols.type_ix, &mut pos.ty)?;
+        self.vals.clear();
+        self.vals.reserve(n);
+        self.present.clear();
+        self.present.resize(n.div_ceil(64), 0);
+        for i in 0..n {
+            self.vals.push(if bitmap_get(&cols.val_present, base + i) {
+                self.present[i / 64] |= 1u64 << (i % 64);
+                f64::from_le_bytes(get_bytes::<8>(&cols.vals, &mut pos.vals)?)
+            } else {
+                0.0
+            });
+        }
+        self.decoded = base + n;
+        self.walked = 0;
+
         if let Some(to) = plan.facts().to_micros {
             if self.ts.first().is_some_and(|first| *first >= to) {
-                self.done = true;
-                return Ok(());
+                return Ok(false);
             }
         }
 
@@ -1243,69 +1224,79 @@ impl ColScan {
                     .eval_batch(&batch, &mut self.sel, &mut self.scratch);
             }
         }
+        Ok(true)
+    }
 
-        // Late materialization: walk the rows in order (the key-list and
-        // sparse positions are strictly sequential), building an `Event`
-        // only for selected rows; rejected rows pay varint skips.
-        let cp = st.cols.as_mut().expect("initialized above");
-        for i in 0..n {
-            let n_fields = get_uvarint(&cols.nfields, &mut cp.nf)? as usize;
+    /// Late materialization: walk the current batch's remaining rows in
+    /// order (the key-list and sparse positions are strictly sequential)
+    /// up to and including the next selected one, and build its `Event`;
+    /// rejected rows pay varint skips.  `None` when the batch is used up.
+    fn walk_batch(&mut self) -> Result<Option<(u64, Event)>> {
+        let seg = &*self.seg;
+        let cols = ColScan::cols(seg);
+        let Some(pos) = &mut self.pos else {
+            return Ok(None);
+        };
+        let base = self.decoded - self.ts.len();
+        while self.walked < self.ts.len() {
+            let i = self.walked;
+            self.walked += 1;
+            let n_fields = get_uvarint(&cols.nfields, &mut pos.nf)? as usize;
             let selected = self.sel.contains(i);
-            let val_is_float = self.floats[i / 64] & (1u64 << (i % 64)) != 0;
-            let mut fields = if selected {
-                Vec::with_capacity(n_fields)
+            let val_is_float = bitmap_get(&cols.val_float, base + i);
+            // Every field takes a byte of the key list, which bounds the
+            // allocation a hostile count can ask for.
+            let mut fields = Vec::with_capacity(if selected {
+                n_fields.min(cols.keys.len() - pos.keys)
             } else {
-                Vec::new()
-            };
+                0
+            });
             let mut saw_val = false;
             for _ in 0..n_fields {
-                let key_ix = get_uvarint(&cols.keys, &mut cp.keys)?;
-                let key_str = seg
-                    .dict
-                    .get(key_ix as usize)
+                let key_ix = get_uvarint(&cols.keys, &mut pos.keys)?;
+                let slot = usize::try_from(key_ix)
+                    .ok()
+                    .and_then(|ix| pos.key_slots.get_mut(ix))
                     .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
-                if !saw_val && key_str == jamm_ulm::keys::VALUE {
+                if slot.is_val && !saw_val {
                     saw_val = true;
                     if val_is_float {
+                        // The row's first `VAL` field lives in the typed
+                        // column only.
                         if selected {
-                            fields.push((key_str.clone(), Value::Float(self.vals[i])));
+                            if self.present[i / 64] & (1u64 << (i % 64)) == 0 {
+                                return Err(TsdbError::Corrupt(
+                                    "float VAL bit without typed value",
+                                ));
+                            }
+                            fields.push((dict_at(seg, key_ix)?, Value::Float(self.vals[i])));
                         }
                         continue;
                     }
                 }
-                let cur = cp
-                    .sparse
-                    .get_mut(&key_ix)
-                    .ok_or(TsdbError::Corrupt("missing sparse column"))?;
+                let at = slot.next_value()?;
                 if selected {
-                    let value = read_sparse_value(seg, &cols.sparse, cur)?;
-                    fields.push((key_str.clone(), value));
+                    let value = read_value(seg, &cols.sparse, at)?;
+                    fields.push((dict_at(seg, key_ix)?, value));
                 } else {
-                    skip_sparse_value(&cols.sparse, cur)?;
+                    skip_value(&cols.sparse, at)?;
                 }
             }
             if selected {
-                let dict_at = |ix: u32| -> Result<String> {
-                    seg.dict
-                        .get(ix as usize)
-                        .cloned()
-                        .ok_or(TsdbError::Corrupt("dictionary index out of range"))
+                let level_code = cols.levels[base + i]; // in range: `fill_batch` sliced it
+                let event = Event {
+                    timestamp: Timestamp::from_micros(self.ts[i]),
+                    host: dict_at(seg, self.hosts[i].into())?,
+                    program: dict_at(seg, self.progs[i].into())?,
+                    level: binary::level_from_code(level_code)
+                        .map_err(|_| TsdbError::Corrupt("bad level code"))?,
+                    event_type: dict_at(seg, self.types[i].into())?,
+                    fields,
                 };
-                self.out.push_back((
-                    self.seqs[i],
-                    Event {
-                        timestamp: Timestamp::from_micros(self.ts[i]),
-                        host: dict_at(self.hosts[i])?,
-                        program: dict_at(self.progs[i])?,
-                        level: binary::level_from_code(self.level_codes[i])
-                            .map_err(|_| TsdbError::Corrupt("bad level code"))?,
-                        event_type: dict_at(self.types[i])?,
-                        fields,
-                    },
-                ));
+                return Ok(Some((self.seqs[i], event)));
             }
         }
-        Ok(())
+        Ok(None)
     }
 }
 
@@ -1554,6 +1545,14 @@ mod tests {
             assert_eq!(x.unwrap(), b.next_event().unwrap().unwrap());
         }
         assert!(b.next_event().is_none());
+        // Both generations answer a plan scan, side by side in one merge.
+        let everything = jamm_core::query::Predicate::True.compile();
+        let merged = crate::query::ScanIter::new(everything, Vec::new(), vec![back, modern], 0);
+        let doubled: Vec<Event> = batch
+            .iter()
+            .flat_map(|(_, e)| [e.clone(), e.clone()])
+            .collect();
+        assert_eq!(merged.collect::<Vec<Event>>(), doubled);
         // Round-trips through a file like any current segment.
         let dir = crate::test_util::TempDir::new("segment-jsg2");
         std::fs::write(dir.path().join(Segment::file_name(4)), &bytes).unwrap();
@@ -1790,5 +1789,222 @@ mod tests {
             }
             assert_eq!(got, want, "{text}");
         }
+    }
+
+    /// Every event a columnar scan of `seg` selects under the plan that
+    /// matches everything, or the error that stopped it.
+    fn scan_all(seg: &Arc<Segment>) -> Result<Vec<(u64, Event)>> {
+        let everything = jamm_core::query::Predicate::True.compile();
+        let mut scan = seg.col_scan().expect("columnar");
+        std::iter::from_fn(|| scan.next_match(&everything, ColMode::Exact)).collect()
+    }
+
+    /// The same through the sequential cursor.
+    fn cursor_all(seg: &Arc<Segment>) -> Result<Vec<(u64, Event)>> {
+        let mut cursor = seg.cursor();
+        std::iter::from_fn(|| cursor.next_event()).collect()
+    }
+
+    #[test]
+    fn a_dictionary_holding_val_twice_scans_to_the_same_events() {
+        // Assembled by hand from the documented layout, not by
+        // `Segment::build`, which never writes a string twice; segments
+        // from before the one-dictionary encoder can.  Slots: 0 host,
+        // 1 program, 2 type, 3 `VAL`, 4 `VAL` again, 5 `N`.
+        let dict = ["h", "prog", "T", "VAL", "VAL", "N"];
+        type Row = (u64, u64, Vec<(u64, Value)>); // timestamp, seq, (key slot, value)s
+        let rows: [Row; 3] = [
+            (10, 1, vec![(3, Value::Float(1.5)), (5, Value::UInt(7))]),
+            (20, 2, vec![(4, Value::UInt(9)), (3, Value::Float(2.5))]),
+            // The row "the first index of `VAL`" gets wrong: its reading
+            // is typed-column-only and keyed by the second slot.
+            (30, 3, vec![(5, Value::Int(-3)), (4, Value::Float(4.0))]),
+        ];
+        let mut cols = ColData {
+            val_present: vec![0],
+            val_float: vec![0],
+            ..ColData::default()
+        };
+        let mut sparse: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
+        let mut want = Vec::new();
+        for (r, (ts, seq, fields)) in rows.iter().enumerate() {
+            // Ten-second period: first stamp, first delta, then zero
+            // delta-of-deltas; sequence deltas of one.
+            put_uvarint(&mut cols.ts, if r < 2 { 10 } else { 0 });
+            put_ivarint(&mut cols.seqs, 1);
+            cols.levels.push(binary::level_code(Level::Usage));
+            put_uvarint(&mut cols.host_ix, 0);
+            put_uvarint(&mut cols.prog_ix, 1);
+            put_uvarint(&mut cols.type_ix, 2);
+            put_uvarint(&mut cols.nfields, fields.len() as u64);
+            let mut event = Event::builder("prog", "h")
+                .event_type("T")
+                .timestamp(Timestamp::from_micros(*ts));
+            for (key, value) in fields {
+                event = event.field(dict[*key as usize], value.clone());
+            }
+            let event = event.build();
+            let first_val = fields
+                .iter()
+                .position(|(key, _)| dict[*key as usize] == "VAL");
+            if let Some(reading) = event.value() {
+                cols.val_present[0] |= 1 << r;
+                cols.vals.extend_from_slice(&reading.to_le_bytes());
+            }
+            for (at, (key, value)) in fields.iter().enumerate() {
+                put_uvarint(&mut cols.keys, *key);
+                if Some(at) == first_val && matches!(value, Value::Float(_)) {
+                    cols.val_float[0] |= 1 << r;
+                    continue;
+                }
+                let (count, data) = sparse.entry(*key).or_default();
+                *count += 1;
+                put_value(data, value, |_| unreachable!("no string values"));
+            }
+            want.push((*seq, event));
+        }
+        put_uvarint(&mut cols.sparse, sparse.len() as u64);
+        for (key, (count, data)) in &sparse {
+            put_uvarint(&mut cols.sparse, *key);
+            put_uvarint(&mut cols.sparse, *count);
+            put_uvarint(&mut cols.sparse, data.len() as u64);
+            cols.sparse.extend_from_slice(data);
+        }
+        let mut image = Segment::build(1, &want);
+        image.dict = dict.iter().map(|s| s.to_string()).collect();
+        image.repr = Repr::Cols(Box::new(cols));
+        let seg = Arc::new(Segment::from_bytes(&image.to_bytes()).unwrap());
+        assert_eq!(scan_all(&seg).unwrap(), want);
+        assert_eq!(cursor_all(&seg).unwrap(), want);
+        // The typed column answers for the second slot's reading too.
+        let over_three = jamm_core::query::Predicate::parse("(val>3)")
+            .unwrap()
+            .compile();
+        let mut scan = seg.col_scan().unwrap();
+        let hits: Vec<u64> = std::iter::from_fn(|| scan.next_match(&over_three, ColMode::Exact))
+            .map(|hit| hit.unwrap().0)
+            .collect();
+        assert_eq!(hits, [2, 3]);
+    }
+
+    /// A segment of `sorted_batch` rows with `tamper` applied, taken
+    /// through its file form so the image carries a valid checksum.
+    fn tampered(legacy: bool, tamper: impl FnOnce(&mut Segment)) -> Arc<Segment> {
+        let batch = sorted_batch(5);
+        let mut seg = if legacy {
+            Segment::build_rows_legacy(1, &batch)
+        } else {
+            Segment::build(1, &batch)
+        };
+        tamper(&mut seg);
+        Arc::new(Segment::from_bytes(&seg.to_bytes()).expect("the container is intact"))
+    }
+
+    fn cols_mut(seg: &mut Segment) -> &mut ColData {
+        match &mut seg.repr {
+            Repr::Cols(cols) => cols,
+            Repr::Rows(_) => panic!("columnar segment expected"),
+        }
+    }
+
+    #[test]
+    fn hostile_key_lists_directories_and_catalogs_are_corrupt_not_panics() {
+        let host_slot = |seg: &Segment| seg.dict.iter().position(|s| s == "h1").unwrap() as u8;
+        type Tamper = Box<dyn FnOnce(&mut Segment)>;
+        let cases: [(&str, Tamper); 4] = [
+            (
+                "dictionary index out of range",
+                // A row's key index past the dictionary.
+                Box::new(|seg| cols_mut(seg).keys[1] = 0x7F),
+            ),
+            (
+                "dictionary index out of range",
+                // The sparse directory's first entry names such a key.
+                Box::new(|seg| cols_mut(seg).sparse[1] = 0x7F),
+            ),
+            (
+                "missing sparse column",
+                // A row keyed by a string the directory has no column for.
+                Box::new(move |seg| cols_mut(seg).keys[1] = host_slot(seg)),
+            ),
+            (
+                "first timestamp precedes catalog min_ts",
+                Box::new(|seg| seg.catalog.min_ts = Timestamp::from_micros(1_000_001)),
+            ),
+        ];
+        for (want, tamper) in cases {
+            let seg = tampered(false, tamper);
+            assert_eq!(scan_all(&seg), Err(TsdbError::Corrupt(want)));
+            assert_eq!(cursor_all(&seg), Err(TsdbError::Corrupt(want)));
+        }
+        // The row-major generations check their first stamp the same way.
+        let legacy = tampered(true, |seg| {
+            seg.catalog.min_ts = Timestamp::from_micros(1_000_001)
+        });
+        assert_eq!(
+            cursor_all(&legacy),
+            Err(TsdbError::Corrupt(
+                "first timestamp precedes catalog min_ts"
+            ))
+        );
+    }
+
+    #[test]
+    fn mutated_column_regions_decode_or_error_but_never_panic() {
+        use jamm_core::query::Predicate;
+        let plans = [
+            (Predicate::True.compile(), ColMode::Exact),
+            (
+                Predicate::parse("(&(host=h1)(val>0))").unwrap().compile(),
+                ColMode::Exact,
+            ),
+            (
+                Predicate::parse("(NOTE=*)").unwrap().compile(),
+                ColMode::Superset,
+            ),
+            (
+                Predicate::parse("(onchange)").unwrap().compile(),
+                ColMode::FactsOnly,
+            ),
+        ];
+        jamm_core::check::forall("column mutation never panics", 600, |g| {
+            let mut seg = Segment::build(1, &colliding_batch(g));
+            let cols = cols_mut(&mut seg);
+            let regions: [&mut Vec<u8>; 12] = [
+                &mut cols.ts,
+                &mut cols.seqs,
+                &mut cols.levels,
+                &mut cols.host_ix,
+                &mut cols.prog_ix,
+                &mut cols.type_ix,
+                &mut cols.val_present,
+                &mut cols.val_float,
+                &mut cols.vals,
+                &mut cols.nfields,
+                &mut cols.keys,
+                &mut cols.sparse,
+            ];
+            let mut regions: Vec<&mut Vec<u8>> =
+                regions.into_iter().filter(|r| !r.is_empty()).collect();
+            let pick = g.usize_in(0, regions.len() - 1);
+            let region = &mut regions[pick];
+            let at = g.usize_in(0, region.len() - 1);
+            region[at] = g.u64(256) as u8;
+            // The checksum is recomputed, so the image loads.
+            let seg = Arc::new(Segment::from_bytes(&seg.to_bytes()).unwrap());
+            let (plan, mode) = &plans[g.usize_in(0, plans.len() - 1)];
+            let mut scan = seg.col_scan().unwrap();
+            let mut rows = 0;
+            while let Some(row) = scan.next_match(plan, *mode) {
+                match row {
+                    Ok(_) => rows += 1,
+                    Err(e) => {
+                        assert!(matches!(e, TsdbError::Corrupt(_)), "{e}");
+                        assert!(scan.next_match(plan, *mode).is_none(), "an error ends it");
+                    }
+                }
+            }
+            assert!(rows <= seg.len());
+        });
     }
 }

@@ -559,25 +559,21 @@ impl Tsdb {
         let plan = plan.clone();
         let inner = self.inner.read();
         let mem = inner.mem.matching(plan.facts());
-        let mut cursors = Vec::new();
-        let mut scanned = 0u64;
-        let mut pruned = 0u64;
-        for seg in &inner.segments {
-            if seg.catalog().overlaps(plan.facts()) {
-                scanned += 1;
-                cursors.push(seg.cursor());
-            } else {
-                pruned += 1;
-            }
-        }
+        let segments: Vec<Arc<Segment>> = inner
+            .segments
+            .iter()
+            .filter(|seg| seg.catalog().overlaps(plan.facts()))
+            .map(Arc::clone)
+            .collect();
+        let pruned = (inner.segments.len() - segments.len()) as u64;
         self.stats
             .segments_scanned
-            .fetch_add(scanned, Ordering::Relaxed);
+            .fetch_add(segments.len() as u64, Ordering::Relaxed);
         self.stats
             .segments_pruned
             .fetch_add(pruned, Ordering::Relaxed);
         self.stats.scan_setup_us.record_micros(start.elapsed());
-        ScanIter::new(plan, mem, cursors)
+        ScanIter::new(plan, mem, segments, pruned)
     }
 
     /// Total number of stored events (memtable plus every segment).

@@ -16,6 +16,9 @@ pub struct TempDir {
 
 impl TempDir {
     /// Create `jamm-tsdb-<label>-<pid>-<n>` under [`std::env::temp_dir`].
+    /// Panics when the directory cannot be made: this is a test helper, and
+    /// a test without its scratch directory has nothing to run on.
+    #[allow(clippy::expect_used)]
     pub fn new(label: &str) -> TempDir {
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let path =

@@ -207,20 +207,14 @@ fn encode_record(buf: &mut Vec<u8>, seq: u64, event: &Event) {
 /// Parse one record from the front of `buf`; `None` if it is truncated or
 /// fails its checksum.
 fn parse_record(buf: &[u8]) -> Option<(u64, Event, usize)> {
-    if buf.len() < 8 + 4 + 8 {
-        return None;
-    }
-    let seq = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-    let (event, frame_len) = binary::decode(&buf[8..]).ok()?;
+    let (seq, frame) = buf.split_first_chunk::<8>()?;
+    let (event, frame_len) = binary::decode(frame).ok()?;
     let body_end = 8 + frame_len;
-    if buf.len() < body_end + 8 {
+    let stored = buf.get(body_end..)?.first_chunk::<8>()?;
+    if fnv64(&buf[..body_end]) != u64::from_le_bytes(*stored) {
         return None;
     }
-    let stored = u64::from_le_bytes(buf[body_end..body_end + 8].try_into().expect("8 bytes"));
-    if fnv64(&buf[..body_end]) != stored {
-        return None;
-    }
-    Some((seq, event, body_end + 8))
+    Some((u64::from_le_bytes(*seq), event, body_end + 8))
 }
 
 #[cfg(test)]

@@ -233,3 +233,80 @@ fn persistent_store_matches_model_and_survives_kill() {
         drive(g, &db, &mut model);
     });
 }
+
+/// What a scan of `plan` must yield: the appended events sorted by
+/// `(timestamp, append order)`, filtered row by row through a fresh clone
+/// of the plan (so a stateful plan's memory sees the whole admissible
+/// stream in that order), cut at the plan's limit.
+fn sort_then_filter(appended: &[Event], plan: &Plan) -> Vec<Event> {
+    let plan = plan.clone();
+    let mut sorted: Vec<(usize, &Event)> = appended.iter().enumerate().collect();
+    sorted.sort_by_key(|(seq, e)| (e.timestamp, *seq));
+    sorted
+        .into_iter()
+        .map(|(_, e)| e)
+        .filter(|e| plan.facts().admits(*e) && plan.eval(*e))
+        .take(plan.limit().unwrap_or(usize::MAX))
+        .cloned()
+        .collect()
+}
+
+#[test]
+fn overlapping_segments_merge_in_timestamp_then_sequence_order() {
+    forall("merge order ≡ sort-then-filter", 80, |g| {
+        // Seals happen only where the schedule says, so segment boundaries
+        // fall anywhere in the arrival order.
+        let db = Tsdb::in_memory_with(TsdbOptions {
+            memtable_max_events: usize::MAX,
+            small_segment_events: g.usize_in(2, 16),
+            sync_wal: false,
+        });
+        let mut appended = Vec::new();
+        for _ in 0..g.usize_in(3, 12) {
+            for _ in 0..g.usize_in(1, 24) {
+                // A twelve-second grid with arrivals in any order: every
+                // segment overlaps the others, and most stamps repeat — in
+                // one segment, across segments and in the memtable — so
+                // only the sequence number orders them.
+                let mut b = Event::builder("sensor", g.choice(&HOSTS[..2]))
+                    .event_type(g.choice(&TYPES[..2]))
+                    .timestamp(Timestamp::from_secs(g.u64(12)))
+                    .value(g.u64(3) as f64);
+                if g.bool(0.3) {
+                    b = b.field("NOTE", Value::Str(g.printable_string(4)));
+                }
+                let e = b.build();
+                appended.push(e.clone());
+                db.append(e).unwrap();
+            }
+            match g.u64(4) {
+                // Stays hot: the next round's arrivals join it.
+                0 => {}
+                // A compacted run beside the fresh segments that follow.
+                1 => {
+                    db.seal().unwrap();
+                    db.compact().unwrap();
+                }
+                _ => {
+                    db.seal().unwrap();
+                }
+            }
+        }
+        let limit = g.usize_in(0, 12);
+        for text in [
+            "(type=CPU_TOTAL)".to_string(),
+            "(&(host=dpss1.lbl.gov)(val>0))".to_string(),
+            "(&(time>=3s)(time<8s))".to_string(),
+            "(NOTE=*)".to_string(),
+            format!("(limit={limit})"),
+            format!("(&(type=TCPD_RETRANSMITS)(limit={limit}))"),
+            "(onchange)".to_string(),
+            "(&(type=CPU_TOTAL)(onchange))".to_string(),
+            format!("(&(onchange)(time>=2s)(limit={limit}))"),
+        ] {
+            let plan = Predicate::parse(&text).unwrap().compile();
+            let got: Vec<Event> = db.scan(&plan).collect();
+            assert_eq!(got, sort_then_filter(&appended, &plan), "{text}");
+        }
+    });
+}

@@ -4,23 +4,31 @@
 # sides once (each into its own target dir), then run <n> parent/change
 # pairs of one workload at the driver's settings, alternating which side
 # goes first.  Prints one markdown row per pair as it completes and, at the
-# end, per end-to-end metric: both medians, their ratio, the parent's
-# Q1-Q3 and how many pairs the change won - the table CHANGES.md quotes.
+# end, per metric: both medians, their ratio, the parent's Q1-Q3 and how
+# many pairs the change won - the table CHANGES.md quotes.
 #
-#   scripts/e21-pairs.sh <parent-rev> <workload> <n> [seed]
+#   scripts/e21-pairs.sh <parent-rev> <workload> <n> [seed] [metrics]
+#
+# Without [metrics] the runs are untraced and the three end-to-end metrics
+# are tabulated.  A fifth argument lists per-layer names instead, e.g.
+# "query.selective.p50_us query.full.p50_us tsdb.rows_per_s": each run is
+# then traced (`--trace 1`, which is what reports them) and "won" follows
+# the metric's `better` direction in BENCHMARK.json.
 #
 # Run from the repository root on a committed or uncommitted working tree
 # (the change side is whatever is checked out here).  The parent tree is
 # extracted with `git archive`, so nothing is registered in .git and
 # `rm -rf target/e21-pairs` is the whole clean-up.
 set -eu
-[ $# -ge 3 ] || { echo "usage: $0 <parent-rev> <workload> <n> [seed]" >&2; exit 2; }
+[ $# -ge 3 ] || { echo "usage: $0 <parent-rev> <workload> <n> [seed] [metrics]" >&2; exit 2; }
 rev=$(git rev-parse --verify "$1^{commit}")
 workload=$2
 pairs=$3
 seed=${4:-1}
 manifest=crates/bench/src/bin/e21_end_to_end/Cargo.toml
-metrics="setup_s cpu_us_per_event peak_rss_mb"
+metrics=${5:-"setup_s cpu_us_per_event peak_rss_mb"}
+[ $# -ge 5 ] && trace=1 || trace=0
+nmetrics=$(echo "$metrics" | wc -w)
 root=$(pwd)/target/e21-pairs
 parent=$root/parent-$rev
 
@@ -35,12 +43,12 @@ for side in parent change; do
 done
 
 # run <side>: one benchmark run from that side's checkout; prints the
-# result line's `failed`, `correct` and the end-to-end metric values.
+# result line's `failed`, `correct` and the metric values.
 run() {
     [ "$1" = parent ] && src=$parent || src=.
     (cd "$src" && CARGO_TARGET_DIR="$root/target-$1" \
         "$root/target-$1/release/e21_end_to_end" \
-        --workload "$workload" --seed "$seed" --seconds 20 --trace 0) |
+        --workload "$workload" --seed "$seed" --seconds 20 --trace "$trace") |
         tail -n 1 | awk -v metrics="$metrics" '{
             line = $0
             out = field(line, "\"failed\":") " " field(line, "\"correct\":")
@@ -62,30 +70,43 @@ log=$root/$workload-$(date +%s).txt
 : > "$log"
 echo "e21 $workload, seed $seed, 20 s, parent $(git rev-parse --short "$rev") vs working tree; values are parent/change"
 echo "| pair | first | $(echo "$metrics" | sed 's/ / | /g') | failed | correct |"
-echo "|---|---|---|---|---|---|---|"
+echo "|---|---|$(echo "$metrics" | sed 's/[^ ]*/---|/g; s/ //g')---|---|"
 i=1
 while [ "$i" -le "$pairs" ]; do
     if [ $((i % 2)) -eq 1 ]; then first=parent; p=$(run parent); c=$(run change)
     else first=change; c=$(run change); p=$(run parent); fi
     echo "$p $c" >> "$log"
-    echo "$p $c" | awk -v i="$i" -v first="$first" '{
-        printf "| %d | %s | %.3f/%.3f | %.3f/%.3f | %.1f/%.1f | %s/%s | %s/%s |\n",
-            i, first, $3, $8, $4, $9, $5, $10, $1, $6, $2, $7 }'
+    # A log line is the parent's `failed correct v1..vn`, then the change's.
+    echo "$p $c" | awk -v i="$i" -v first="$first" -v n="$nmetrics" '{
+        printf "| %d | %s |", i, first
+        for (k = 1; k <= n; k++) printf " %.3f/%.3f |", $(2 + k), $(n + 4 + k)
+        printf " %s/%s | %s/%s |\n", $1, $(n + 3), $2, $(n + 4) }'
     i=$((i + 1))
 done
+
+# better <metric>: the direction BENCHMARK.json declares (lower by default).
+better() {
+    awk -v name="\"name\": \"$1\"" '
+        index($0, name) { hit = 1 }
+        hit && /"better"/ { print (/higher/ ? "higher" : "lower"); found = 1; exit }
+        END { if (!found) print "lower" }' BENCHMARK.json
+}
 
 echo
 echo "| metric | parent median | change median | change/parent | parent Q1-Q3 | pairs won |"
 echo "|---|---|---|---|---|---|"
 col=3
 for metric in $metrics; do
-    awk -v col="$col" -v name="$metric" '
-        { p[NR] = $col; c[NR] = $(col + 5); if ($(col + 5) < $col) won++ }
+    awk -v col="$col" -v skip="$((nmetrics + 2))" -v name="$metric" -v better="$(better "$metric")" '
+        {
+            p[NR] = $col; c[NR] = $(col + skip)
+            if (better == "higher" ? c[NR] > p[NR] : c[NR] < p[NR]) won++
+        }
         END {
             sort(p, NR); sort(c, NR)
-            printf "| %s | %.3f | %.3f | %.3f | %.3f-%.3f | %d of %d |\n", name,
-                q(p, NR, 0.5), q(c, NR, 0.5), q(c, NR, 0.5) / q(p, NR, 0.5),
-                q(p, NR, 0.25), q(p, NR, 0.75), won, NR
+            pm = q(p, NR, 0.5); cm = q(c, NR, 0.5)
+            printf "| %s | %.3f | %.3f | %s | %.3f-%.3f | %d of %d |\n", name, pm, cm,
+                (pm ? sprintf("%.3f", cm / pm) : "-"), q(p, NR, 0.25), q(p, NR, 0.75), won, NR
         }
         function sort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++)
