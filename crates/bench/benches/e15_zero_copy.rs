@@ -4,11 +4,10 @@
 //! rather than the monitored host" (§2.3).  PR 3 made fan-out *lookups*
 //! O(1); this bench proves the remaining per-subscriber cost is gone too:
 //! publishing a `SharedEvent` to N subscribers performs **zero** event
-//! deep-clones (fan-out bumps `Arc` refcounts), the archiver ingests the
-//! same shared allocations, and the text encoder reuses one buffer
-//! instead of allocating per line.
+//! deep-clones (fan-out bumps `Arc` refcounts), and the text encoder
+//! reuses one buffer instead of allocating per line.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! 1. **fan-out sweep** — publish throughput at 1 → 256 wildcard
 //!    subscribers on the shared (`publish_shared`) and by-value
@@ -16,23 +15,17 @@
 //!    `deep_clone_bytes()` deltas recorded across each timed loop.  The
 //!    shared path must copy **nothing**; the by-value path copies exactly
 //!    once per publish (its entry allocation), never per subscriber.
-//! 2. **publish → deliver → archive** — the full pipeline with an
-//!    archiver draining into the segmented store, still at zero copies.
-//! 3. **encode reuse** — `text::encode` (fresh `String` per line) vs
+//! 2. **encode reuse** — `text::encode` (fresh `String` per line) vs
 //!    `text::encode_into` (one reused buffer).
 //!
-//! Baseline recorded in BENCH_e15.json (JAMM_BENCH_JSON=BENCH_e15.json
-//! cargo bench --bench e15_zero_copy).  With JAMM_BENCH_BASELINE pointing
-//! at the committed baseline, the run **fails** if throughput regresses
-//! by more than 2x — the CI regression guard.  The zero-copy assertions
-//! are deterministic and always enforced.
+//! The publish → archive pipeline this bench used to time is e21's
+//! `full_pipeline` workload (`ulm.deep_clones` must read 0 there), and
+//! `tests/prop_zero_copy.rs` asserts the archiver stores the stream at zero
+//! deep clones; what e21 has no workload for is the 1 → 256 subscriber
+//! sweep.  The deep-clone counts are exact rows: they must equal
+//! BENCH_e15.json.
 
-use jamm::jamm_archive::EventArchive;
-use jamm::jamm_consumers::archiver::ArchiverAgent;
-use jamm::jamm_consumers::GatewayRegistry;
-use jamm::jamm_directory::Dn;
-use jamm_bench::{compare_row, data_row, header};
-use jamm_core::json::{Json, Map};
+use jamm_bench::{best_of, compare_row, data_row, header, kevps, time, Report};
 use jamm_gateway::{EventGateway, GatewayConfig};
 use jamm_ulm::{deep_clone_bytes, deep_clone_count, text, Event, Level, SharedEvent, Timestamp};
 
@@ -53,24 +46,6 @@ fn sample(i: u64) -> Event {
 
 fn shared_events(n: u64) -> Vec<SharedEvent> {
     (0..n).map(|i| SharedEvent::new(sample(i))).collect()
-}
-
-fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = std::time::Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
-}
-
-fn kevps(n: u64, secs: f64) -> f64 {
-    n as f64 / secs.max(1e-9) / 1_000.0
-}
-
-/// Best (fastest) of `n` rounds after one discarded warm-up — wall-clock
-/// on shared CI runners is only meaningful on the least-descheduled
-/// sample.
-fn best_of(n: usize, mut round: impl FnMut() -> f64) -> f64 {
-    round();
-    (0..n).map(|_| round()).fold(f64::MIN, f64::max)
 }
 
 /// Run one fan-out round; returns (kev/s, deep clones, bytes copied)
@@ -111,49 +86,6 @@ fn fanout_round(subscribers: usize, shared: bool) -> (f64, u64, u64) {
     );
     drop(subs);
     (kevps(EVENTS_PER_ROUND, secs), clones, bytes)
-}
-
-/// The full pipeline: publish shared events into a gateway, an archiver
-/// agent drains its subscription and batch-stores into the segmented
-/// archive, with `extra` additional streaming subscribers along for the
-/// fan-out.  Returns (kev/s end-to-end, deep clones).
-fn pipeline_round(extra: usize) -> (f64, u64) {
-    let gw = std::sync::Arc::new(EventGateway::new(GatewayConfig::open("gw")));
-    let mut registry = GatewayRegistry::new();
-    registry.register("gw", std::sync::Arc::clone(&gw));
-    let archive = std::sync::Arc::new(EventArchive::new());
-    let mut archiver = ArchiverAgent::new(
-        "archiver",
-        std::sync::Arc::clone(&archive),
-        Dn::parse("archive=bench,o=lbl,o=grid").unwrap(),
-    );
-    archiver.subscribe(&registry, "gw", vec![]).unwrap();
-    let subs: Vec<_> = (0..extra)
-        .map(|i| {
-            gw.subscribe()
-                .capacity(QUEUE_CAPACITY)
-                .as_consumer(format!("c{i}"))
-                .open()
-                .unwrap()
-        })
-        .collect();
-    let events = shared_events(EVENTS_PER_ROUND);
-    let clones0 = deep_clone_count();
-    let (_, secs) = time(|| {
-        for chunk in events.chunks(512) {
-            gw.publish_shared_batch(chunk);
-            archiver.poll();
-        }
-        archiver.poll();
-    });
-    let clones = deep_clone_count() - clones0;
-    assert_eq!(
-        archive.len(),
-        EVENTS_PER_ROUND as usize,
-        "the archiver stored the whole stream"
-    );
-    drop(subs);
-    (kevps(EVENTS_PER_ROUND, secs), clones)
 }
 
 /// Text encoding: fresh `String` per line vs one reused buffer.
@@ -200,7 +132,7 @@ fn main() {
         format!("{:>14}", "shared clones"),
         format!("{:>15}", "by-value clones"),
     ]);
-    let mut rows: Vec<(usize, f64, f64, u64, u64)> = Vec::new();
+    let mut report = Report::new(env!("CARGO_CRATE_NAME"));
     for &n in &SWEEP {
         let mut shared_clones = 0u64;
         let mut shared_bytes = 0u64;
@@ -237,36 +169,22 @@ fn main() {
             byvalue_clones, EVENTS_PER_ROUND,
             "by-value publish clones once per event, never per subscriber"
         );
-        rows.push((n, shared, byvalue, shared_clones, byvalue_clones));
+        report.measured(format!("shared_kev_per_s_{n}"), shared);
+        report.measured(format!("byvalue_kev_per_s_{n}"), byvalue);
+        report.exact(format!("shared_deep_clones_{n}"), shared_clones);
+        report.exact(format!("shared_deep_clone_bytes_{n}"), shared_bytes);
+        report.exact(format!("byvalue_deep_clones_{n}"), byvalue_clones);
     }
 
-    let (pipeline_kev, pipeline_clones) = {
-        let mut clones = 0u64;
-        let kev = best_of(3, || {
-            let (kev, c) = pipeline_round(8);
-            clones = c;
-            kev
-        });
-        (kev, clones)
-    };
-    assert_eq!(
-        pipeline_clones, 0,
-        "publish -> deliver -> archive must deep-clone nothing"
-    );
-
     let (encode_fresh, encode_reused) = encode_round();
+    report.measured("encode_fresh_kev_per_s", encode_fresh);
+    report.measured("encode_reused_kev_per_s", encode_reused);
 
     println!("\npaper vs measured:\n");
-    let top = rows[rows.len() - 1];
     compare_row(
         "event copies per publish at 256 subscribers",
         "0 (consumers load the gateway, not the event)",
-        &format!("{} deep clones, {} bytes copied", top.3, 0),
-    );
-    compare_row(
-        "publish -> deliver -> archive (8 subs + archiver)",
-        "refcounted end to end",
-        &format!("{pipeline_kev:.0} kev/s, {pipeline_clones} deep clones"),
+        "0 deep clones, 0 bytes copied (asserted at every sweep point)",
     );
     compare_row(
         "text encode, reused buffer vs fresh string",
@@ -274,91 +192,5 @@ fn main() {
         &format!("{encode_reused:.0} vs {encode_fresh:.0} kev/s"),
     );
     println!();
-
-    // ---- regression guard -------------------------------------------
-    // With JAMM_BENCH_BASELINE set to the committed BENCH_e15.json, a
-    // >2x throughput drop against the recorded numbers fails the run.
-    // JAMM_BENCH_NO_ASSERT (the same escape hatch e14 uses) downgrades
-    // the wall-clock comparison to a report for hosts that are simply
-    // slower than the baseline machine; the zero-clone assertions above
-    // are deterministic and never disabled.
-    let no_assert = std::env::var_os("JAMM_BENCH_NO_ASSERT").is_some();
-    if let Ok(path) = std::env::var("JAMM_BENCH_BASELINE") {
-        // Committed baselines live at the workspace root; cargo runs the
-        // bench with the package directory as cwd, so fall back there.
-        let root_relative = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(&path);
-        let doc = std::fs::read_to_string(&path)
-            .or_else(|_| std::fs::read_to_string(&root_relative))
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let json = Json::parse(&doc).expect("baseline is valid JSON");
-        let num = |v: &Json| v.as_f64().expect("numeric baseline field");
-        let obj = json.as_object().expect("baseline is an object");
-        let mut checked = 0;
-        let mut check = |name: &str, baseline: f64, measured: f64| {
-            checked += 1;
-            println!(
-                "  guard {name:<42} baseline {baseline:>10.0} kev/s   measured {measured:>10.0} kev/s"
-            );
-            assert!(
-                no_assert || measured * 2.0 >= baseline,
-                "{name}: measured {measured:.0} kev/s is more than 2x below the \
-                 committed baseline {baseline:.0} kev/s ({path})"
-            );
-        };
-        if let Some(results) = obj.get("results").and_then(|r| r.as_array()) {
-            for row in results {
-                let row = row.as_object().expect("result row");
-                let n = num(row.get("subscribers").expect("subscribers field")) as usize;
-                if let Some((_, shared, ..)) = rows.iter().find(|(rn, ..)| *rn == n) {
-                    check(
-                        &format!("shared publish @ {n} subscribers"),
-                        num(row.get("shared_kev_per_s").expect("shared field")),
-                        *shared,
-                    );
-                }
-            }
-        }
-        if let Some(p) = obj.get("pipeline_kev_per_s") {
-            check("publish -> deliver -> archive", num(p), pipeline_kev);
-        }
-        assert!(checked > 0, "baseline {path} had no comparable fields");
-        println!("\n  regression guard: {checked} checks within 2x of baseline\n");
-    }
-
-    if let Ok(path) = std::env::var("JAMM_BENCH_JSON") {
-        let round1 = |v: f64| (v * 10.0).round() / 10.0;
-        let mut doc = Map::new();
-        doc.insert("target".into(), Json::from("e15_zero_copy"));
-        doc.insert("events_per_round".into(), Json::from(EVENTS_PER_ROUND));
-        doc.insert("queue_capacity".into(), Json::from(QUEUE_CAPACITY as u64));
-        let mut results = Vec::new();
-        for (n, shared, byvalue, shared_clones, byvalue_clones) in &rows {
-            let mut row = Map::new();
-            row.insert("subscribers".into(), Json::from(*n as u64));
-            row.insert("shared_kev_per_s".into(), Json::from(round1(*shared)));
-            row.insert("byvalue_kev_per_s".into(), Json::from(round1(*byvalue)));
-            row.insert("shared_deep_clones".into(), Json::from(*shared_clones));
-            row.insert("byvalue_deep_clones".into(), Json::from(*byvalue_clones));
-            results.push(Json::Object(row));
-        }
-        doc.insert("results".into(), Json::Array(results));
-        doc.insert(
-            "pipeline_kev_per_s".into(),
-            Json::from(round1(pipeline_kev)),
-        );
-        doc.insert("pipeline_deep_clones".into(), Json::from(pipeline_clones));
-        doc.insert(
-            "encode_fresh_kev_per_s".into(),
-            Json::from(round1(encode_fresh)),
-        );
-        doc.insert(
-            "encode_reused_kev_per_s".into(),
-            Json::from(round1(encode_reused)),
-        );
-        std::fs::write(&path, Json::Object(doc).to_string())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    report.finish();
 }

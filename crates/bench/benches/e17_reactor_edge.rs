@@ -19,20 +19,19 @@
 //! delivery latency (both processes share the host clock), and reports
 //! JSON on stdout.
 //!
-//! Deterministic assertions (always enforced):
+//! Asserted on every run:
 //!   * every subscriber receives the complete byte stream;
-//!   * zero deep event clones across publish + encode + broadcast;
-//!   * zero dropped frames, zero refused accepts;
-//!   * the 10,000-connection point is held by ONE reactor thread.
+//!   * the 10,000-connection point is held by ONE reactor thread;
+//!   * the exact rows — deep event clones across publish + encode +
+//!     broadcast, dropped frames, refused accepts, all zero — equal
+//!     BENCH_e17.json.
 //!
-//! Wall-clock assertion (downgradeable with JAMM_BENCH_NO_ASSERT):
-//! delivered throughput at 10k connections stays within 2x of the
-//! 100-connection point.  Baseline recorded in BENCH_e17.json
-//! (JAMM_BENCH_JSON=BENCH_e17.json cargo bench --bench e17_reactor_edge);
-//! with JAMM_BENCH_BASELINE set, a >2x drop against the recorded numbers
-//! fails the run.
+//! Delivered throughput and p99 latency are measured rows, printed beside
+//! the baseline; the design target is that 10k connections stay within 2x
+//! of the 100-connection point.  e21's `stream_edge` drives the same edge
+//! over 2 connections; this sweep stays until it has a connection sweep.
 
-use jamm_bench::{compare_row, data_row, header};
+use jamm_bench::{compare_row, data_row, header, kevps, Report};
 use jamm_core::json::{Json, Map};
 use jamm_gateway::{EventGateway, GatewayConfig};
 use jamm_reactor::{Reactor, ReactorConfig};
@@ -61,10 +60,6 @@ fn sample(i: u64) -> Event {
         .value((i % 100) as f64)
         .field("BLOCK.ID", i)
         .build()
-}
-
-fn kevps(n: u64, secs: f64) -> f64 {
-    n as f64 / secs.max(1e-9) / 1_000.0
 }
 
 // ---------------------------------------------------------------------
@@ -171,6 +166,8 @@ struct PointResult {
     kev_per_s: f64,
     p99_latency_us: u64,
     deep_clones: u64,
+    dropped_frames: u64,
+    refused_accepts: u64,
 }
 
 fn run_point(conns: usize) -> PointResult {
@@ -250,9 +247,8 @@ fn run_point(conns: usize) -> PointResult {
     let deep_clones = deep_clone_count() - clones0;
 
     let rows = edge.socket_stats();
-    let dropped: u64 = rows.iter().map(|r| r.stats.dropped_frames).sum();
-    assert_eq!(dropped, 0, "no frame was dropped at {conns} conns");
-    assert_eq!(reactor.refused(), 0, "no accept was refused");
+    let dropped_frames: u64 = rows.iter().map(|r| r.stats.dropped_frames).sum();
+    let refused_accepts = reactor.refused();
     let encoded = edge.stats().encoded_bytes;
 
     edge.stop();
@@ -286,6 +282,8 @@ fn run_point(conns: usize) -> PointResult {
         kev_per_s: kevps(events * conns as u64, secs),
         p99_latency_us: num("p99_latency_us"),
         deep_clones,
+        dropped_frames,
+        refused_accepts,
     }
 }
 
@@ -313,9 +311,15 @@ fn main() {
         format!("{:>12}", "p99 latency"),
         format!("{:>12}", "deep clones"),
     ]);
+    let mut report = Report::new(env!("CARGO_CRATE_NAME"));
     let mut results: Vec<PointResult> = Vec::new();
     for &conns in &SWEEP {
         let r = run_point(conns);
+        report.measured(format!("kev_per_s_{conns}"), r.kev_per_s);
+        report.measured(format!("p99_latency_us_{conns}"), r.p99_latency_us as f64);
+        report.exact(format!("deep_clones_{conns}"), r.deep_clones);
+        report.exact(format!("dropped_frames_{conns}"), r.dropped_frames);
+        report.exact(format!("refused_accepts_{conns}"), r.refused_accepts);
         data_row(&[
             format!("{:>11}", r.conns),
             format!("{:>10}", r.events),
@@ -323,10 +327,6 @@ fn main() {
             format!("{:>9.1} ms", r.p99_latency_us as f64 / 1_000.0),
             format!("{:>12}", r.deep_clones),
         ]);
-        assert_eq!(
-            r.deep_clones, 0,
-            "broadcast to {conns} subscribers must deep-clone nothing"
-        );
         results.push(r);
     }
 
@@ -354,75 +354,5 @@ fn main() {
         &format!("{} deep clones at every sweep point", top.deep_clones),
     );
     println!();
-
-    // ---- scaling assertion (wall-clock; JAMM_BENCH_NO_ASSERT downgrades)
-    let no_assert = std::env::var_os("JAMM_BENCH_NO_ASSERT").is_some();
-    assert!(
-        no_assert || top.kev_per_s * 2.0 >= base.kev_per_s,
-        "throughput at {} conns ({:.0} kev/s) fell more than 2x below the \
-         {}-connection point ({:.0} kev/s)",
-        top.conns,
-        top.kev_per_s,
-        base.conns,
-        base.kev_per_s
-    );
-
-    // ---- regression guard vs the committed baseline -------------------
-    if let Ok(path) = std::env::var("JAMM_BENCH_BASELINE") {
-        let root_relative = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(&path);
-        let doc = std::fs::read_to_string(&path)
-            .or_else(|_| std::fs::read_to_string(&root_relative))
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let json = Json::parse(&doc).expect("baseline is valid JSON");
-        let obj = json.as_object().expect("baseline is an object");
-        let num = |v: &Json| v.as_f64().expect("numeric baseline field");
-        let mut checked = 0;
-        if let Some(rows) = obj.get("results").and_then(|r| r.as_array()) {
-            for row in rows {
-                let row = row.as_object().expect("result row");
-                let conns = num(row.get("connections").expect("connections field")) as usize;
-                let Some(r) = results.iter().find(|r| r.conns == conns) else {
-                    continue;
-                };
-                let baseline = num(row.get("kev_per_s").expect("kev_per_s field"));
-                checked += 1;
-                println!(
-                    "  guard broadcast @ {conns:>6} conns   baseline {baseline:>10.0} kev/s   \
-                     measured {:>10.0} kev/s",
-                    r.kev_per_s
-                );
-                assert!(
-                    no_assert || r.kev_per_s * 2.0 >= baseline,
-                    "broadcast @ {conns} conns: measured {:.0} kev/s is more than 2x \
-                     below the committed baseline {baseline:.0} kev/s ({path})",
-                    r.kev_per_s
-                );
-            }
-        }
-        assert!(checked > 0, "baseline {path} had no comparable fields");
-        println!("\n  regression guard: {checked} checks within 2x of baseline\n");
-    }
-
-    if let Ok(path) = std::env::var("JAMM_BENCH_JSON") {
-        let round1 = |v: f64| (v * 10.0).round() / 10.0;
-        let mut doc = Map::new();
-        doc.insert("target".into(), Json::from("e17_reactor_edge"));
-        doc.insert("publish_chunk".into(), Json::from(PUBLISH_CHUNK as u64));
-        let mut rows = Vec::new();
-        for r in &results {
-            let mut row = Map::new();
-            row.insert("connections".into(), Json::from(r.conns as u64));
-            row.insert("events".into(), Json::from(r.events));
-            row.insert("kev_per_s".into(), Json::from(round1(r.kev_per_s)));
-            row.insert("p99_latency_us".into(), Json::from(r.p99_latency_us));
-            row.insert("deep_clones".into(), Json::from(r.deep_clones));
-            rows.push(Json::Object(row));
-        }
-        doc.insert("results".into(), Json::Array(rows));
-        std::fs::write(&path, Json::Object(doc).to_string())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    report.finish();
 }

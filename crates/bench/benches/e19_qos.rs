@@ -18,19 +18,15 @@
 //!    every delivery through the full queues.
 //!
 //! Structural assertions (tier assignment, shed attribution, protected
-//! delivery, fast-tier losslessness) always run; the wall-clock
-//! comparisons are downgraded under JAMM_BENCH_NO_ASSERT.
-//!
-//! Baseline recorded in BENCH_e19.json
-//! (JAMM_BENCH_JSON=BENCH_e19.json cargo bench --bench e19_qos);
-//! JAMM_BENCH_BASELINE=BENCH_e19.json enables the >2x regression guard.
+//! delivery, fast-tier losslessness) run inline on every run; the
+//! throughput rows are printed beside BENCH_e19.json and not asserted.
+//! No e21 workload stalls a consumer, which is why this bench stays.
 
 use std::sync::Arc;
 
-use jamm::jamm_core::json::{Json, Map};
 use jamm::jamm_core::EventSource;
 use jamm::jamm_gateway::{EventGateway, GatewayConfig, QosConfig, ShedLevel, Subscription, Tier};
-use jamm_bench::{compare_row, data_row, header};
+use jamm_bench::{compare_row, data_row, header, kevps, Report};
 use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
 
 const HOSTS: [&str; 4] = [
@@ -65,10 +61,6 @@ fn summary(i: u64) -> Event {
         .timestamp(Timestamp::from_micros(1_000_000_000 + i * 1_000))
         .value((i % 100) as f64)
         .build()
-}
-
-fn kevps(n: u64, secs: f64) -> f64 {
-    n as f64 / secs.max(1e-9) / 1_000.0
 }
 
 fn best_of(runs: usize, mut f: impl FnMut() -> (f64, f64)) -> (f64, f64) {
@@ -288,70 +280,9 @@ fn main() {
     );
     println!();
 
-    let no_assert = std::env::var_os("JAMM_BENCH_NO_ASSERT").is_some();
-    assert!(
-        no_assert || qos8 >= 0.7 * noqos,
-        "qos-on fast-tier throughput {qos8:.1}k ev/s fell more than 30% below the \
-         bare gateway's {noqos:.1}k ev/s at the same fan-out"
-    );
-    assert!(
-        no_assert || shed_thr >= 0.8 * noshed_thr,
-        "shedding throughput {shed_thr:.1}k ev/s fell more than 20% below the \
-         haul-everything path {noshed_thr:.1}k ev/s"
-    );
-
-    // --- regression guard against the committed baseline ---
-    if let Ok(path) = std::env::var("JAMM_BENCH_BASELINE") {
-        let root_relative = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(&path);
-        let doc = std::fs::read_to_string(&path)
-            .or_else(|_| std::fs::read_to_string(&root_relative))
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let json = Json::parse(&doc).expect("baseline is valid JSON");
-        let obj = json.as_object().expect("baseline is an object");
-        let rows = obj
-            .get("results")
-            .and_then(|r| r.as_object())
-            .expect("results object");
-        let mut checked = 0;
-        for name in [
-            "fast_kev_per_s_0stalled",
-            "fast_kev_per_s_8stalled",
-            "burst_shed_kev_per_s",
-        ] {
-            let baseline = rows
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| panic!("baseline missing {name}"));
-            let measured = results
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .expect("measured");
-            checked += 1;
-            println!("  guard {name:<36} baseline {baseline:>10.1}   measured {measured:>10.1}");
-            assert!(
-                no_assert || measured * 2.0 >= baseline,
-                "{name}: measured {measured:.1} is more than 2x below the \
-                 committed baseline {baseline:.1} ({path})"
-            );
-        }
-        println!("\n  regression guard: {checked} checks within 2x of baseline\n");
+    let mut report = Report::new(env!("CARGO_CRATE_NAME"));
+    for (k, v) in results {
+        report.measured(k, v);
     }
-
-    if let Ok(path) = std::env::var("JAMM_BENCH_JSON") {
-        let mut doc = Map::new();
-        doc.insert("target".into(), Json::from("e19_qos"));
-        doc.insert("events".into(), Json::from(n));
-        doc.insert("runs".into(), Json::from(runs as u64));
-        let mut rows = Map::new();
-        for (k, v) in &results {
-            rows.insert(k.clone(), Json::from((v * 10.0).round() / 10.0));
-        }
-        doc.insert("results".into(), Json::Object(rows));
-        if let Err(e) = std::fs::write(&path, Json::Object(doc).to_pretty() + "\n") {
-            eprintln!("could not write {path}: {e}");
-        }
-    }
+    report.finish();
 }

@@ -3,62 +3,30 @@
 //! vs rescanning at dashboard fan-in.
 //!
 //! The columnar refactor gives the query plane two fast paths and this
-//! bench guards both:
+//! bench times both:
 //!
 //! 1. **vectorized eval** — `Plan::eval_batch` over dictionary-encoded
 //!    column batches vs per-row `Plan::eval` on the same type/host/
-//!    level/VAL mix; the batch path must hold a >= 3x advantage and run
-//!    allocation-free in steady state (counting global allocator, never
-//!    disabled);
+//!    level/VAL mix; the design target is a >= 3x advantage (that both
+//!    run allocation-free is asserted by `tests/zero_alloc.rs`);
 //! 2. **continuous queries** — 32 concurrent readers taking snapshots of
 //!    one incrementally-maintained view vs 32 readers re-scanning the
-//!    archive for the same predicate; snapshots must be >= 10x faster
-//!    per read.
+//!    archive for the same predicate; the design target is >= 10x per
+//!    read.
 //!
-//! Baseline recorded in BENCH_e20.json
-//! (JAMM_BENCH_JSON=BENCH_e20.json cargo bench --bench e20_columnar);
-//! JAMM_BENCH_BASELINE=BENCH_e20.json enables the >2x regression guard
-//! and JAMM_BENCH_NO_ASSERT downgrades the wall-clock comparisons (the
-//! allocation assertion stays on).
+//! e21 sees `eval_batch` only as a share of `query.*.p50_us`, which is why
+//! the kernel rows stay here.  Every row is wall-clock: printed beside
+//! BENCH_e20.json, not asserted.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jamm::jamm_archive::EventArchive;
-use jamm::jamm_core::json::{Json, Map};
 use jamm::jamm_core::query::{BatchScratch, ColumnBatch, Predicate, Selection};
 use jamm::jamm_gateway::{EventGateway, GatewayConfig};
 use jamm::jamm_tsdb::TsdbOptions;
-use jamm_bench::{compare_row, data_row, header};
+use jamm_bench::{compare_row, data_row, header, time, Report};
 use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
-
-/// Counts every heap allocation so the zero-allocation claim is measured,
-/// not asserted from type signatures.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to the system allocator unchanged;
-// the counter is a relaxed atomic increment on the side.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 const HOSTS: [&str; 4] = [
     "dpss1.lbl.gov",
@@ -79,12 +47,6 @@ fn sample(i: u64) -> Event {
         .timestamp(Timestamp::from_micros(1_000_000_000 + i * 1_000))
         .value((i % 100) as f64)
         .build()
-}
-
-fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = std::time::Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
 }
 
 fn mevps(n: u64, secs: f64) -> f64 {
@@ -173,7 +135,6 @@ fn main() {
     let events: Vec<Event> = (0..n).map(sample).collect();
     let shared: Vec<SharedEvent> = events.iter().map(|e| Arc::new(e.clone())).collect();
     let mut results: Vec<(&str, f64)> = Vec::new();
-    let no_assert = std::env::var_os("JAMM_BENCH_NO_ASSERT").is_some();
 
     // --- 1. row-oriented baseline: Plan::eval per event ---
     let plan = Predicate::parse(QUERY).unwrap().compile();
@@ -205,7 +166,6 @@ fn main() {
         plan.eval_batch(&b.view(), &mut sel, &mut scratch); // warm-up
         batch_hits += sel.count() as u64;
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
     let (_, batch_secs) = time(|| {
         for _ in 0..passes {
             for b in &batches {
@@ -214,24 +174,13 @@ fn main() {
             }
         }
     });
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        allocs, 0,
-        "steady-state eval_batch must not allocate (saw {allocs} allocations)"
-    );
     let batch_mevps = mevps(passes * n, batch_secs);
     let speedup = batch_mevps / row_mevps.max(1e-9);
     results.push(("batch_eval_mev_per_s", batch_mevps));
     results.push(("batch_eval_speedup", speedup));
-    results.push(("batch_eval_allocations", allocs as f64));
     // Both evaluators counted the same matches (the plan is stateless and
     // batch-definite, so the selection is exact).
     assert_eq!(batch_hits % (passes + 1), 0);
-    assert!(
-        no_assert || speedup >= 3.0,
-        "vectorized eval must be >= 3x the row path (got {speedup:.1}x: \
-         {batch_mevps:.1} vs {row_mevps:.1} Mev/s)"
-    );
     std::hint::black_box((row_hits, batch_hits));
 
     // --- 3. 32 readers: view snapshots vs archive rescans ---
@@ -294,11 +243,6 @@ fn main() {
     results.push(("view_reads_kops_per_s", reads_kops));
     results.push(("rescan_kops_per_s", scans_kops));
     results.push(("view_over_rescan", view_speedup));
-    assert!(
-        no_assert || view_speedup >= 10.0,
-        "view snapshots must be >= 10x rescans at {READERS} readers \
-         (got {view_speedup:.1}x: {reads_kops:.1}k vs {scans_kops:.3}k ops/s)"
-    );
 
     println!("\nmeasured ({n} events, {READERS} readers):\n");
     data_row(&[format!("{:<30}", "metric"), format!("{:>14}", "value")]);
@@ -316,68 +260,11 @@ fn main() {
         ">= 10x per read",
         &format!("{view_speedup:.0}x ({reads_kops:.0}k vs {scans_kops:.2}k ops/s)"),
     );
-    compare_row(
-        "steady-state eval_batch",
-        "0 allocations",
-        &format!(
-            "{allocs} allocations over {} batches",
-            passes * batches.len() as u64
-        ),
-    );
     println!();
 
-    // --- regression guard against the committed baseline ---
-    if let Ok(path) = std::env::var("JAMM_BENCH_BASELINE") {
-        let root_relative = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(&path);
-        let doc = std::fs::read_to_string(&path)
-            .or_else(|_| std::fs::read_to_string(&root_relative))
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let json = Json::parse(&doc).expect("baseline is valid JSON");
-        let obj = json.as_object().expect("baseline is an object");
-        let rows = obj
-            .get("results")
-            .and_then(|r| r.as_object())
-            .expect("results object");
-        let mut checked = 0;
-        for name in [
-            "row_eval_mev_per_s",
-            "batch_eval_mev_per_s",
-            "view_reads_kops_per_s",
-        ] {
-            let baseline = rows
-                .get(name)
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| panic!("baseline missing {name}"));
-            let measured = results
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| *v)
-                .expect("measured");
-            checked += 1;
-            println!("  guard {name:<32} baseline {baseline:>10.1}   measured {measured:>10.1}");
-            assert!(
-                no_assert || measured * 2.0 >= baseline,
-                "{name}: measured {measured:.1} is more than 2x below the \
-                 committed baseline {baseline:.1} ({path})"
-            );
-        }
-        println!("\n  regression guard: {checked} checks within 2x of baseline\n");
+    let mut report = Report::new(env!("CARGO_CRATE_NAME"));
+    for (k, v) in results {
+        report.measured(k, v);
     }
-
-    if let Ok(path) = std::env::var("JAMM_BENCH_JSON") {
-        let mut doc = Map::new();
-        doc.insert("target".into(), Json::from("e20_columnar"));
-        doc.insert("events".into(), Json::from(n));
-        doc.insert("readers".into(), Json::from(READERS as u64));
-        let mut rows = Map::new();
-        for (k, v) in &results {
-            rows.insert((*k).into(), Json::from((v * 10.0).round() / 10.0));
-        }
-        doc.insert("results".into(), Json::Object(rows));
-        if let Err(e) = std::fs::write(&path, Json::Object(doc).to_pretty() + "\n") {
-            eprintln!("could not write {path}: {e}");
-        }
-    }
+    report.finish();
 }

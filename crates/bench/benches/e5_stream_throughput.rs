@@ -5,8 +5,7 @@
 //! both one and four data streams are 200 Mbits/second."  Using one DPSS
 //! server instead of four "increased the throughput to 140 Mbits/sec".
 
-use jamm_bench::{compare_row, data_row, header};
-use jamm_core::json::{Json, Map};
+use jamm_bench::{compare_row, data_row, header, Report};
 use jamm_netsim::scenario::matisse_iperf;
 
 fn main() {
@@ -26,6 +25,7 @@ fn main() {
         format!("{:>10}", "timeouts"),
     ]);
     let mut results = std::collections::HashMap::new();
+    let mut report = Report::new(env!("CARGO_CRATE_NAME"));
     for (wan, label) in [(true, "WAN"), (false, "LAN")] {
         for streams in [1usize, 2, 4, 8] {
             let r = matisse_iperf(wan, streams, duration, seed);
@@ -36,6 +36,7 @@ fn main() {
                 format!("{:>14}", r.retransmits),
                 format!("{:>10}", r.timeouts),
             ]);
+            report.measured(format!("{label}_{streams}_streams_mbps"), r.aggregate_mbps);
             results.insert((wan, streams), r.aggregate_mbps);
         }
     }
@@ -67,36 +68,6 @@ fn main() {
         "~4.7x",
         &format!("{collapse:.1}x"),
     );
-
-    // Record the sweep as a JSON baseline (see BENCH_e5.json at the repo
-    // root) when asked: JAMM_BENCH_JSON=BENCH_e5.json cargo bench --bench
-    // e5_stream_throughput
-    if let Ok(path) = std::env::var("JAMM_BENCH_JSON") {
-        let mut sorted: Vec<_> = results.iter().collect();
-        sorted.sort_by_key(|((wan, streams), _)| (!wan, *streams));
-        let rows: Vec<Json> = sorted
-            .into_iter()
-            .map(|(&(wan, streams), &mbps)| {
-                let mut row = Map::new();
-                row.insert(
-                    "network".into(),
-                    Json::from(if wan { "WAN" } else { "LAN" }),
-                );
-                row.insert("streams".into(), Json::from(streams));
-                row.insert(
-                    "aggregate_mbps".into(),
-                    Json::from((mbps * 10.0).round() / 10.0),
-                );
-                Json::Object(row)
-            })
-            .collect();
-        let mut doc = Map::new();
-        doc.insert("target".into(), Json::from("e5_stream_throughput"));
-        doc.insert("duration_simulated_secs".into(), Json::from(duration));
-        doc.insert("seed".into(), Json::from(seed));
-        doc.insert("results".into(), Json::Array(rows));
-        if let Err(e) = std::fs::write(&path, Json::Object(doc).to_pretty() + "\n") {
-            eprintln!("could not write {path}: {e}");
-        }
-    }
+    println!();
+    report.finish();
 }

@@ -11,12 +11,19 @@
 //! copies delivered (grows with consumers, absorbed by the gateway), and (c)
 //! the same with the consumer load spread over more gateways.  The Criterion
 //! part measures raw gateway publish throughput at different subscriber
-//! counts.
+//! counts, and the two costs of the metrics plane that no e21 metric
+//! isolates (e21's `trace.overhead_pct` covers sampled lifelines, not
+//! these): a publish with route timing on vs off, and one pass of the
+//! metric record path (counter, gauge, histogram, unwatched-event ring
+//! scan).
+
+use std::sync::Arc;
 
 use jamm::cluster::ClusterDeployment;
-use jamm_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use jamm_bench::harness::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
 use jamm_bench::{compare_row, data_row, header};
-use jamm_gateway::{EventGateway, GatewayConfig};
+use jamm_core::obs::MetricsRegistry;
+use jamm_gateway::{EventGateway, GatewayConfig, PipelineTracer};
 use jamm_ulm::{Event, Level, Timestamp};
 
 fn fanout_report() {
@@ -72,6 +79,26 @@ fn publish_event(i: u64) -> Event {
         .build()
 }
 
+/// Publish into a gateway with `subscribers` wildcard subscriptions.
+fn publish_and_drain(b: &mut Bencher, config: GatewayConfig, subscribers: usize) {
+    let gw = EventGateway::new(config);
+    let subs: Vec<_> = (0..subscribers)
+        .map(|i| gw.subscribe().as_consumer(format!("c{i}")).open().unwrap())
+        .collect();
+    let mut i = 0u64;
+    b.iter(|| {
+        i += 1;
+        gw.publish(std::hint::black_box(&publish_event(i)));
+        // Drain periodically; the bounded queues would otherwise
+        // overwrite and count drops, skewing the comparison.
+        if i.is_multiple_of(1_024) {
+            for s in &subs {
+                while s.events.try_recv().is_ok() {}
+            }
+        }
+    });
+}
+
 fn bench_gateway_publish(c: &mut Criterion) {
     fanout_report();
     let mut group = c.benchmark_group("gateway_publish_throughput");
@@ -79,32 +106,44 @@ fn bench_gateway_publish(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(subscribers),
             &subscribers,
-            |b, &n| {
-                let gw = EventGateway::new(GatewayConfig::open("bench-gw"));
-                let subs: Vec<_> = (0..n)
-                    .map(|i| gw.subscribe().as_consumer(format!("c{i}")).open().unwrap())
-                    .collect();
-                let mut i = 0u64;
-                b.iter(|| {
-                    i += 1;
-                    gw.publish(std::hint::black_box(&publish_event(i)));
-                    // Drain periodically; the bounded queues would otherwise
-                    // overwrite and count drops, skewing the comparison.
-                    if i.is_multiple_of(1_024) {
-                        for s in &subs {
-                            while s.events.try_recv().is_ok() {}
-                        }
-                    }
-                });
-            },
+            |b, &n| publish_and_drain(b, GatewayConfig::open("bench-gw"), n),
         );
     }
     group.finish();
 }
 
+fn bench_metrics_plane(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gateway_publish_route_timing");
+    for on in [false, true] {
+        let id = BenchmarkId::from_parameter(if on { "on" } else { "off" });
+        group.bench_with_input(id, &on, |b, &on| {
+            publish_and_drain(b, GatewayConfig::open("bench-gw").with_route_timing(on), 1);
+        });
+    }
+    group.finish();
+
+    c.bench_function("metric_record_path", |b| {
+        let registry = MetricsRegistry::new();
+        let counter = registry.counter("e7_ops");
+        let gauge = registry.gauge("e7_level");
+        let hist = registry.histogram("e7_us");
+        let sink = Arc::new(EventGateway::new(GatewayConfig::open("_jamm")));
+        let tracer = PipelineTracer::new(sink, "bench-host", 64);
+        let unwatched = Arc::new(publish_event(7));
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            counter.inc();
+            gauge.set(i as f64);
+            hist.record(i & 0xFFFF);
+            tracer.trace_id(&unwatched)
+        });
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_gateway_publish
+    targets = bench_gateway_publish, bench_metrics_plane
 }
 criterion_main!(benches);

@@ -5,12 +5,8 @@
 //! `Bencher::iter`, benchmark groups with parameterised ids, and the
 //! `criterion_group!` / `criterion_main!` macros — backed by plain
 //! `std::time::Instant` sampling.  Results print one line per benchmark
-//! (median ns/iter with min..max spread) and, when the
-//! `JAMM_BENCH_JSON` environment variable names a file, are also written
-//! there as one JSON document covering every group in the bench target
-//! (bench targets sharing one path overwrite each other — point each
-//! target at its own file).  The committed baselines (e.g.
-//! `BENCH_e5.json`) are recorded this way.
+//! (median ns/iter with min..max spread); `criterion_main!` then hands the
+//! medians of every group to one [`crate::report::Report`].
 
 use std::time::Instant;
 
@@ -76,42 +72,6 @@ impl Criterion {
     /// All results recorded so far.
     pub fn results(&self) -> &[BenchResult] {
         &self.results
-    }
-
-    /// Write results as JSON to the file named by `JAMM_BENCH_JSON`, if set.
-    /// Called by `criterion_main!` at exit with the merged results of every
-    /// group, so one bench target produces one document.
-    pub fn finalize(&self, target: &str) {
-        write_json(&self.results, target);
-    }
-}
-
-/// Write a result set as one JSON document to `JAMM_BENCH_JSON`, if set.
-pub fn write_json(results: &[BenchResult], target: &str) {
-    let Ok(path) = std::env::var("JAMM_BENCH_JSON") else {
-        return;
-    };
-    {
-        let mut entries = String::new();
-        for (i, r) in results.iter().enumerate() {
-            if i > 0 {
-                entries.push(',');
-            }
-            entries.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"samples\": {}}}",
-                r.name.replace('"', "'"),
-                r.median_ns,
-                r.min_ns,
-                r.max_ns,
-                r.samples
-            ));
-        }
-        let doc = format!(
-            "{{\n  \"target\": \"{target}\",\n  \"unit\": \"ns/iter\",\n  \"results\": [{entries}\n  ]\n}}\n"
-        );
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("could not write {path}: {e}");
-        }
     }
 }
 
@@ -274,12 +234,13 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            let mut all_results: Vec<$crate::harness::BenchResult> = Vec::new();
+            let mut report = $crate::report::Report::new(env!("CARGO_CRATE_NAME"));
             $(
-                let criterion = $group();
-                all_results.extend(criterion.results().iter().cloned());
+                for r in $group().results() {
+                    report.measured(format!("{}/median_ns", r.name), r.median_ns);
+                }
             )+
-            $crate::harness::write_json(&all_results, env!("CARGO_CRATE_NAME"));
+            report.finish();
         }
     };
 }

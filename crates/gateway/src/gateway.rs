@@ -243,8 +243,8 @@ pub struct GatewayConfig {
     /// Record per-publish routing latency into
     /// [`GatewayStats::route_us`] (two clock reads plus one atomic add
     /// per publish call).  On by default; switch off to reproduce the
-    /// uninstrumented hot path (the `e18_observability` bench's
-    /// baseline row).
+    /// uninstrumented hot path (the `route_timing/off` row of the
+    /// `e7_gateway_scalability` bench).
     pub route_timing: bool,
     /// Self-lifeline tracer: when set, a sampled fraction of published
     /// events is followed through the pipeline with NetLogger-style

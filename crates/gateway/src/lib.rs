@@ -16,9 +16,7 @@
 //!   kept beside the latest event in the gateway's per-series table;
 //! * [`routing`] — the sharded fan-out engine: an event-type-indexed
 //!   routing table split across N shards, each an immutable snapshot
-//!   swapped on the cold path so publish fans out without holding a lock
-//!   (plus [`routing::FlatFanout`], the original flat-list reference the
-//!   property tests and the `e14_gateway_fanout` bench compare against);
+//!   swapped on the cold path so publish fans out without holding a lock;
 //! * [`qos`] — the delivery QoS plane: drain-rate tier classification
 //!   with hysteresis, per-tier queue budgets and worker pools, and
 //!   declared overload shedding that drops lowest-tier raw events first
@@ -55,7 +53,7 @@ pub use jamm_core::query::{Plan, Predicate};
 pub use qos::{
     OverloadPolicy, QosConfig, QosRuntime, QosSnapshot, ShedLevel, Tier, TierPolicy, TierRow,
 };
-pub use routing::{FlatFanout, RouteOutcome, ShardReport, DEFAULT_GATEWAY_SHARDS};
+pub use routing::{RouteOutcome, ShardReport, DEFAULT_GATEWAY_SHARDS};
 pub use summary::{SummaryEngine, SummaryWindow};
 pub use trace::{PipelineTracer, TraceClock, DEFAULT_SAMPLE_EVERY};
 pub use views::{ContinuousQuery, ViewEngine, ViewSnapshot, VIEW_RING_CAPACITY};

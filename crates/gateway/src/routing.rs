@@ -28,10 +28,9 @@
 //!   batches, so a burst costs one queue-lock acquisition per subscription
 //!   instead of one per event.
 //!
-//! [`FlatFanout`] preserves the original flat-list algorithm as a reference
-//! implementation: the property tests assert the sharded router delivers
-//! exactly the same event sets, and the `e14_gateway_fanout` bench records
-//! it as the baseline the sharded engine is compared against.
+//! The flat list lives on only as the oracle in `tests/prop_gateway.rs`,
+//! written against the public API: the property tests assert the sharded
+//! router delivers exactly the event sequences and counters it does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -40,7 +39,7 @@ use std::sync::Arc;
 use jamm_core::channel::{bounded, Sender, TrySendError};
 use jamm_core::flow::{DeliveryCounters, OverflowPolicy};
 use jamm_core::intern::Sym;
-use jamm_core::query::{Plan, Predicate};
+use jamm_core::query::Plan;
 use jamm_core::sync::{Mutex, RwLock};
 use jamm_ulm::keys::jamm::SUB_DELIVER;
 use jamm_ulm::SharedEvent;
@@ -745,91 +744,4 @@ struct Pending {
     bytes: u64,
     /// Shard of the first buffered event (where evictions are attributed).
     shard: usize,
-}
-
-/// The original flat-list fan-out, kept as the reference implementation.
-///
-/// Every subscription lives in one mutex-guarded vector that is scanned
-/// linearly — under the lock — for every published event: O(subscribers)
-/// work and a global serialization point per event.  The property tests
-/// assert the sharded router delivers exactly the same event sets as this
-/// list, and the `e14_gateway_fanout` bench records it as the baseline the
-/// sharded engine's scaling is measured against.
-#[derive(Default)]
-pub struct FlatFanout {
-    subs: Mutex<Vec<Arc<RouteEntry>>>,
-    next_id: AtomicU64,
-}
-
-impl FlatFanout {
-    /// An empty flat fan-out list.
-    pub fn new() -> Self {
-        FlatFanout {
-            subs: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(1),
-        }
-    }
-
-    /// Open a subscription with the given predicate, queue bound and
-    /// overflow policy (the flat-list equivalent of
-    /// `EventGateway::subscribe`).
-    pub fn subscribe(
-        &self,
-        predicate: &Predicate,
-        capacity: usize,
-        overflow: OverflowPolicy,
-    ) -> Subscription {
-        let (tx, rx) = bounded(capacity.max(1));
-        let counters = Arc::new(DeliveryCounters::new());
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.subs.lock().push(Arc::new(RouteEntry::new(
-            id,
-            "flat".to_string(),
-            predicate.compile(),
-            tx,
-            overflow,
-            Arc::clone(&counters),
-        )));
-        Subscription::from_parts(id, rx, counters)
-    }
-
-    /// Publish one event to every matching subscription, scanning the whole
-    /// list under the lock.  Returns the aggregate outcome.
-    pub fn publish(&self, event: &SharedEvent) -> RouteOutcome {
-        let size = event.approx_size() as u64;
-        let mut out = RouteOutcome::default();
-        let mut subs = self.subs.lock();
-        subs.retain(
-            |entry| match entry.deliver(SharedEvent::clone(event), size, None) {
-                Delivery::Sent { evicted } => {
-                    out.delivered += 1;
-                    out.bytes += size;
-                    if evicted {
-                        out.dropped += 1;
-                    }
-                    true
-                }
-                Delivery::Dropped => {
-                    out.dropped += 1;
-                    true
-                }
-                Delivery::Filtered => true,
-                Delivery::Closed => false,
-            },
-        );
-        out
-    }
-
-    /// Live subscriptions.
-    pub fn subscriber_count(&self) -> usize {
-        self.subs.lock().len()
-    }
-}
-
-impl std::fmt::Debug for FlatFanout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlatFanout")
-            .field("subscribers", &self.subscriber_count())
-            .finish()
-    }
 }

@@ -16,10 +16,7 @@ use jamm_core::obs::{MetricsRegistry, MetricsSnapshot, Sample};
 use jamm_core::query::{AggRow, Aggregator, Facts, Plan, Predicate};
 use jamm_core::Sym;
 use jamm_directory::{DirectoryServer, Dn, Filter};
-use jamm_gateway::{
-    EventGateway, GatewayConfig, PipelineTracer, QosConfig, Subscription, Tier, TraceClock,
-    DEFAULT_SAMPLE_EVERY,
-};
+use jamm_gateway::{EventGateway, GatewayConfig, PipelineTracer, QosConfig, Subscription, Tier};
 use jamm_reactor::{Reactor, ReactorConfig};
 use jamm_rmi::edge::{EdgeConfig, EventEdge};
 use jamm_ulm::{Event, SharedEvent};
@@ -106,7 +103,6 @@ pub struct JammBuilder {
     edge_max_connections: Option<usize>,
     edge_write_budget: Option<usize>,
     self_monitor: Option<u64>,
-    self_monitor_clock: Option<TraceClock>,
 }
 
 impl JammBuilder {
@@ -236,25 +232,13 @@ impl JammBuilder {
     /// emitted as ULM events (`PROG=_jamm`) into an internal [`SELF_GATEWAY`]
     /// gateway.  Drain them with `JammSystem::drain_self_events` and feed
     /// them to `jamm_netlogger::analysis::diagnose` to localise the slow
-    /// stage.  Use [`jamm_gateway::DEFAULT_SAMPLE_EVERY`] for the default
-    /// rate.
+    /// stage.  [`jamm_gateway::DEFAULT_SAMPLE_EVERY`] (1 in 64) is the
+    /// production rate.  Trace points are stamped from the wall clock; a
+    /// simulation that needs them on its own clock builds its tracer
+    /// directly (`PipelineTracer::with_clock`, as the netsim scenario
+    /// engine does).
     pub fn self_monitor(mut self, sample_every: u64) -> Self {
         self.self_monitor = Some(sample_every);
-        self
-    }
-
-    /// [`JammBuilder::self_monitor`] at the default 1-in-64 sample rate.
-    pub fn self_monitor_default(self) -> Self {
-        self.self_monitor(DEFAULT_SAMPLE_EVERY)
-    }
-
-    /// Stamp self-lifeline trace points from the given clock instead of
-    /// the wall clock.  A simulation driving this deployment (the netsim
-    /// scenario engine) passes a [`TraceClock::Shared`] cell it advances
-    /// with its own simulated clock, so stage-to-stage durations in
-    /// `diagnose()` reflect simulated time and the run is reproducible.
-    pub fn self_monitor_clock(mut self, clock: TraceClock) -> Self {
-        self.self_monitor_clock = Some(clock);
         self
     }
 
@@ -279,9 +263,7 @@ impl JammBuilder {
         let (self_gateway, tracer) = match self.self_monitor {
             Some(every) => {
                 let sink = Arc::new(EventGateway::new(GatewayConfig::open(SELF_GATEWAY)));
-                let clock = self.self_monitor_clock.unwrap_or_default();
-                let tracer =
-                    PipelineTracer::with_clock(Arc::clone(&sink), "jamm-monitor", every, clock);
+                let tracer = PipelineTracer::new(Arc::clone(&sink), "jamm-monitor", every);
                 (Some(sink), Some(tracer))
             }
             None => (None, None),

@@ -192,10 +192,9 @@ impl Outbox {
                     // written: a truncated frame would desync the peer's
                     // decoder.  Everything behind it is fair game.
                     let from = usize::from(self.head_offset > 0);
-                    if self.frames.len() <= from {
+                    let Some(victim) = self.frames.remove(from) else {
                         break;
-                    }
-                    let victim = self.frames.remove(from).expect("index checked");
+                    };
                     self.queued_bytes -= victim.len();
                     evicted += 1;
                     evicted_bytes += victim.len() as u64;

@@ -24,6 +24,9 @@
 //! on nothing but `jamm-core` and std.
 
 #![deny(missing_docs)]
+// Bytes from the network reach every function here: production code
+// returns errors or handles the empty case, it does not unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod conn;
 pub mod poller;

@@ -617,17 +617,14 @@ impl EventLoop {
         if let Some(idle) = self.cfg.idle_timeout {
             self.timers.schedule(id, Instant::now(), idle);
         }
-        self.conns.insert(
-            id,
-            LoopConn {
-                conn,
-                handler,
-                listener,
-                interest: Interest::READ,
-            },
-        );
-        let lc = self.conns.get_mut(&id).expect("just inserted");
+        let mut lc = LoopConn {
+            conn,
+            handler,
+            listener,
+            interest: Interest::READ,
+        };
         lc.handler.on_open(&mut ConnIo { conn: &mut lc.conn });
+        self.conns.insert(id, lc);
         self.after_io(id);
     }
 

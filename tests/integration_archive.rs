@@ -3,11 +3,12 @@
 //! provably prune non-overlapping segments, and an archived MATISSE-style
 //! run replays through a gateway into nlv analysis.
 
+use jamm::jamm_archive::EventArchive;
 use jamm::jamm_core::query::{Plan, Predicate};
 use jamm::jamm_tsdb::test_util::TempDir;
 use jamm::JammBuilder;
 use jamm_netlogger::nlv;
-use jamm_ulm::{Event, Level, Timestamp};
+use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
 
 /// Half-open `[from, to)` time range.
 fn between(from: Timestamp, to: Timestamp) -> Plan {
@@ -133,6 +134,75 @@ fn range_queries_prune_non_overlapping_segments() {
     let nowhere = Predicate::hosts(["unknown.example.org"]).compile();
     assert_eq!(jamm.archive.scan(&nowhere).count(), 0);
     assert_eq!(jamm.archive.stats().segments_pruned() - pruned_before, 4);
+}
+
+/// A selective query (host + severity floor + time floor) over a
+/// many-segment archive: every segment is either scanned or pruned, the
+/// severity floor and the series (host) facts each prune on their own, and
+/// pruning loses no event a row-by-row filter finds.
+#[test]
+fn selective_queries_prune_by_level_and_series_and_still_find_their_events() {
+    const HOSTS: [&str; 2] = ["dpss1.lbl.gov", "dpss2.lbl.gov"];
+    let archive = EventArchive::new();
+    let mut stored = Vec::new();
+    // Eight sealed segments of 50 events; one host per segment, and a single
+    // Warning in segments 2 and 5 among Usage-level readings.
+    for seg in 0..8u64 {
+        let batch: Vec<SharedEvent> = (0..50u64)
+            .map(|i| {
+                let warn = (seg == 2 || seg == 5) && i == 25;
+                let mut e = dpss_event(
+                    HOSTS[(seg % 2) as usize],
+                    "DPSS_SERV_IN",
+                    (seg * 50 + i) * 1_000,
+                    i,
+                );
+                e.level = if warn { Level::Warning } else { Level::Usage };
+                SharedEvent::new(e)
+            })
+            .collect();
+        archive.store(&batch).unwrap();
+        archive.seal().unwrap();
+        stored.extend(batch);
+    }
+    let segments = archive.tsdb().segment_count() as u64;
+    assert_eq!(segments, 8);
+
+    // Scan `query`, returning (hits, segments scanned, segments pruned); the
+    // hits must be what filtering every stored event row by row finds.
+    let scan = |query: &str| {
+        let (s0, p0) = (
+            archive.stats().segments_scanned(),
+            archive.stats().segments_pruned(),
+        );
+        let hits = archive.scan_str(query).unwrap().count();
+        let plan = Predicate::parse(query).unwrap().compile();
+        let expected = stored.iter().filter(|e| plan.eval(&***e)).count();
+        assert_eq!(hits, expected, "{query}: pruning lost or invented events");
+        let scanned = archive.stats().segments_scanned() - s0;
+        let pruned = archive.stats().segments_pruned() - p0;
+        assert_eq!(
+            scanned + pruned,
+            segments,
+            "{query}: every segment accounted for"
+        );
+        (hits, scanned, pruned)
+    };
+    assert_eq!(scan("(level>=warning)"), (2, 2, 6), "the level tier prunes");
+    assert_eq!(
+        scan("(level>=error)"),
+        (0, 0, 8),
+        "a floor above everything stored"
+    );
+    assert_eq!(
+        scan("(host=dpss2.lbl.gov)"),
+        (200, 4, 4),
+        "the series tier prunes"
+    );
+    // Segment 2 (dpss1, has a Warning) starts at t=100_000; segment 5's
+    // Warning is on dpss2.
+    let (hits, scanned, pruned) = scan("(&(host=dpss1.lbl.gov)(level>=warning)(time>=100000))");
+    assert_eq!((hits, scanned, pruned), (1, 1, 7));
 }
 
 /// Historical query mode: an archived MATISSE-style run is replayed through

@@ -5,7 +5,13 @@
 //! zero event deep-clones, and the buffer-reusing encoders must emit
 //! exactly what their allocating forms emit.
 
+use std::sync::Arc;
+
+use jamm::jamm_archive::EventArchive;
+use jamm::jamm_consumers::archiver::ArchiverAgent;
+use jamm::jamm_consumers::GatewayRegistry;
 use jamm::jamm_core::check::{forall, Gen};
+use jamm::jamm_directory::Dn;
 use jamm::jamm_gateway::{EventGateway, GatewayConfig};
 use jamm::jamm_ulm::{binary, deep_clone_count, text, Event, Level, SharedEvent, Timestamp, Value};
 
@@ -43,7 +49,8 @@ fn arb_event(g: &mut Gen) -> Event {
 
 /// Publishing shared events through the gateway delivers streams whose
 /// text and binary encodings are byte-identical to the seed-era by-value
-/// pipeline's — and the shared leg deep-clones nothing.
+/// pipeline's — and the shared leg deep-clones nothing, an archiver
+/// draining into the segmented store included.
 #[test]
 fn shared_pipeline_output_is_byte_identical_to_by_value() {
     forall("shared == by-value encodings", 32, |g| {
@@ -51,7 +58,16 @@ fn shared_pipeline_output_is_byte_identical_to_by_value() {
         let subscribers = g.usize_in(1, 5);
 
         // The zero-copy pipeline: pre-shared events, publish_shared.
-        let shared_gw = EventGateway::new(GatewayConfig::open("shared"));
+        let shared_gw = Arc::new(EventGateway::new(GatewayConfig::open("shared")));
+        let mut registry = GatewayRegistry::new();
+        registry.register("shared", Arc::clone(&shared_gw));
+        let archive = Arc::new(EventArchive::new());
+        let mut archiver = ArchiverAgent::new(
+            "archiver",
+            Arc::clone(&archive),
+            Dn::parse("archive=zero-copy,o=grid").unwrap(),
+        );
+        archiver.subscribe(&registry, "shared", vec![]).unwrap();
         let shared_subs: Vec<_> = (0..subscribers)
             .map(|_| shared_gw.subscribe().as_consumer("c").open().unwrap())
             .collect();
@@ -60,6 +76,12 @@ fn shared_pipeline_output_is_byte_identical_to_by_value() {
         for e in &shared {
             shared_gw.publish_shared(SharedEvent::clone(e));
         }
+        archiver.poll();
+        assert_eq!(
+            archive.len(),
+            events.len(),
+            "the archiver stored the stream"
+        );
         let shared_streams: Vec<Vec<SharedEvent>> = shared_subs
             .into_iter()
             .map(|s| s.events.try_iter().collect())
@@ -67,7 +89,7 @@ fn shared_pipeline_output_is_byte_identical_to_by_value() {
         assert_eq!(
             deep_clone_count() - clones0,
             0,
-            "shared publish + fan-out + drain deep-clones nothing"
+            "shared publish + fan-out + drain + archive deep-clones nothing"
         );
 
         // The seed-era shape: by-value publish (its one entry copy is the

@@ -1,0 +1,189 @@
+//! The hot-path kernels that promise to run allocation-free in steady state
+//! are held to it here, under the suite's only counting allocator.
+//!
+//! The count is per thread — a `const`-initialised `thread_local!` cell — so
+//! the parallel test runner's other threads cannot pollute a reading: each
+//! test measures exactly what its own thread allocated between two reads.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use jamm::jamm_core::obs::MetricsRegistry;
+use jamm::jamm_core::query::{BatchScratch, ColumnBatch, Predicate, Selection};
+use jamm::jamm_gateway::{EventGateway, GatewayConfig, PipelineTracer};
+use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread that is tearing down may still free and allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every operation is delegated to the system allocator unchanged;
+// the counter is a plain thread-local cell with no destructor, so touching
+// it neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread made while running `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+const HOSTS: [&str; 4] = [
+    "dpss1.lbl.gov",
+    "dpss2.lbl.gov",
+    "mems.cairn.net",
+    "portnoy.lbl.gov",
+];
+const TYPES: [&str; 3] = ["CPU_TOTAL", "MEM_FREE", "TCPD_RETRANSMITS"];
+
+fn sample(i: u64) -> Event {
+    Event::builder("vmstat", HOSTS[(i % 4) as usize])
+        .level(if i.is_multiple_of(97) {
+            Level::Warning
+        } else {
+            Level::Usage
+        })
+        .event_type(TYPES[(i % 3) as usize])
+        .timestamp(Timestamp::from_micros(1_000_000_000 + i * 1_000))
+        .value((i % 100) as f64)
+        .build()
+}
+
+#[test]
+fn the_counter_sees_this_threads_allocations() {
+    assert_eq!(
+        allocations_in(|| drop(std::hint::black_box(Box::new(7u64)))),
+        1
+    );
+}
+
+/// A stateful plan (`onchange` keeps per-series memory) evaluates without
+/// allocating once every series has been seen.
+#[test]
+fn plan_eval_does_not_allocate_in_steady_state() {
+    let events: Vec<Event> = (0..20_000).map(sample).collect();
+    let plan = Predicate::parse("(&(type=CPU_TOTAL)(host=dpss1.lbl.gov)(val>50)(onchange))")
+        .unwrap()
+        .compile();
+    let mut matches = 0u64;
+    for e in &events {
+        matches += plan.eval(e) as u64; // first sightings grow the state map
+    }
+    let allocs = allocations_in(|| {
+        for e in &events {
+            matches += plan.eval(e) as u64;
+        }
+    });
+    assert!(matches > 0, "the plan selects something");
+    assert_eq!(allocs, 0, "steady-state Plan::eval must not allocate");
+}
+
+/// `eval_batch` over dictionary-encoded column batches reuses its selection
+/// and scratch: after one warm-up pass nothing is allocated.
+#[test]
+fn plan_eval_batch_does_not_allocate_in_steady_state() {
+    const ROWS: usize = 4_096;
+    let events: Vec<Event> = (0..3 * ROWS as u64).map(sample).collect();
+    let dict: Vec<String> = HOSTS.iter().chain(&TYPES).map(|s| s.to_string()).collect();
+    let id = |s: &str| dict.iter().position(|d| d == s).unwrap() as u32;
+    let ts: Vec<u64> = events.iter().map(|e| e.timestamp.as_micros()).collect();
+    let hosts: Vec<u32> = events.iter().map(|e| id(&e.host)).collect();
+    let types: Vec<u32> = events.iter().map(|e| id(&e.event_type)).collect();
+    let levels: Vec<u8> = events.iter().map(|e| e.level.severity()).collect();
+    let vals: Vec<f64> = events.iter().map(|e| e.value().unwrap()).collect();
+    let present = vec![u64::MAX; ROWS / 64];
+    let batch = |k: usize| {
+        let rows = k * ROWS..(k + 1) * ROWS;
+        ColumnBatch {
+            ts_micros: &ts[rows.clone()],
+            host_ids: &hosts[rows.clone()],
+            type_ids: &types[rows.clone()],
+            levels: &levels[rows.clone()],
+            values: &vals[rows],
+            val_present: &present,
+            dict: &dict,
+        }
+    };
+
+    let plan = Predicate::parse(
+        "(&(|(type=CPU_TOTAL)(type=MEM_FREE))(host=dpss1.lbl.gov)(level>=usage)(val>50))",
+    )
+    .unwrap()
+    .compile();
+    assert!(plan.batch_definite(), "the mix is batch-decidable");
+    let mut sel = Selection::new();
+    let mut scratch = BatchScratch::new();
+    let mut pass = || {
+        (0..3)
+            .map(|k| {
+                plan.eval_batch(&batch(k), &mut sel, &mut scratch);
+                sel.count()
+            })
+            .sum::<usize>()
+    };
+    let warm = pass();
+    let mut steady = 0;
+    let allocs = allocations_in(|| steady = pass());
+    let by_row = events.iter().filter(|e| plan.eval(*e)).count();
+    assert_eq!(
+        (warm, steady),
+        (by_row, by_row),
+        "batch and row paths agree"
+    );
+    assert_eq!(allocs, 0, "steady-state Plan::eval_batch must not allocate");
+}
+
+/// What every pipeline stage does per event on the unwatched path — counter
+/// increment, gauge set, histogram record, tracer ring scan — allocates
+/// nothing.
+#[test]
+fn metric_record_path_does_not_allocate() {
+    let registry = MetricsRegistry::new();
+    let counter = registry.counter("ops");
+    let gauge = registry.gauge("level");
+    let hist = registry.histogram("us");
+    let sink = Arc::new(EventGateway::new(GatewayConfig::open("_jamm")));
+    let tracer = PipelineTracer::new(sink, "test-host", 64);
+    let unwatched: SharedEvent = Arc::new(sample(7));
+    let record = |rounds: u64| {
+        for i in 0..rounds {
+            counter.inc();
+            gauge.set(i as f64);
+            hist.record(i & 0xFFFF);
+            assert!(tracer.trace_id(&unwatched).is_none());
+        }
+    };
+    record(1_000); // first-touch effects
+    let allocs = allocations_in(|| record(100_000));
+    assert_eq!(counter.get(), 101_000);
+    assert_eq!(allocs, 0, "steady-state metric recording must not allocate");
+}
