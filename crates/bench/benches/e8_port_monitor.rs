@@ -17,7 +17,7 @@ fn run(port_triggered: bool, duty_frames: u64, secs: f64) -> (u64, u64) {
     cfg.matisse.player.frame_bytes = 400_000;
     cfg.matisse.player.max_frames = duty_frames;
     cfg.port_triggered = port_triggered;
-    let mut jamm = JammDeployment::matisse(cfg);
+    let mut jamm = JammDeployment::matisse(cfg).unwrap();
     jamm.run_secs(secs);
     (jamm.events_published(), jamm.events_delivered())
 }

@@ -20,7 +20,7 @@ fn monitored_log() -> Vec<Event> {
     let mut cfg = DeploymentConfig::matisse_lan(2);
     cfg.matisse.seed = 5;
     cfg.matisse.player.frame_bytes = 600_000;
-    let mut jamm = JammDeployment::matisse(cfg);
+    let mut jamm = JammDeployment::matisse(cfg).unwrap();
     jamm.run_secs(10.0);
     jamm.merged_log()
 }

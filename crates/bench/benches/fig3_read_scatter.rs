@@ -17,7 +17,7 @@ fn main() {
 
     let mut cfg = DeploymentConfig::matisse_wan(1);
     cfg.matisse.seed = 77;
-    let mut jamm = JammDeployment::matisse(cfg);
+    let mut jamm = JammDeployment::matisse(cfg).unwrap();
     jamm.run_secs(25.0);
 
     let reads = &jamm.scenario.player.read_sizes;

@@ -19,7 +19,7 @@ fn main() {
 
     let mut cfg = DeploymentConfig::matisse_wan(4);
     cfg.matisse.seed = 2000;
-    let mut jamm = JammDeployment::matisse(cfg);
+    let mut jamm = JammDeployment::matisse(cfg).unwrap();
     jamm.run_secs(30.0);
 
     let log = jamm.merged_log();

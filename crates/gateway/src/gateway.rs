@@ -743,12 +743,15 @@ impl EventGateway {
     }
 
     /// Summary data for consumers entitled to summaries only (or anyone who
-    /// prefers them): one synthetic event per tracked series per window.
-    pub fn summaries(&self, consumer: &str, now: Timestamp) -> Result<Vec<Event>> {
+    /// prefers them): one synthetic event per window for every tracked
+    /// series whose host and event type `plan`'s pushdown facts admit
+    /// (`Predicate::everything()` admits every series).  Time bounds,
+    /// severity floors and value tests describe raw events, not rollups,
+    /// and are not applied.
+    pub fn summaries(&self, consumer: &str, plan: &Plan, now: Timestamp) -> Result<Vec<Event>> {
         self.check(consumer, Action::Summary)?;
-        Ok(self
-            .series
-            .summary_events(&self.config.summary_windows, now, &self.config.name))
+        let (windows, name) = (&self.config.summary_windows, &self.config.name);
+        Ok(self.series.summary_events(plan, windows, now, name))
     }
 
     /// Register a continuous query: `text` is parsed, compiled, and from
@@ -1204,7 +1207,10 @@ mod tests {
         ));
         gw.publish(&ev("h", "CPU_TOTAL", 42.0, 10));
         assert!(gw.query(offsite, "h", "CPU_TOTAL").unwrap().is_some());
-        assert!(gw.summaries(offsite, Timestamp::from_secs(11)).is_ok());
+        let all = Predicate::everything().compile();
+        assert!(gw
+            .summaries(offsite, &all, Timestamp::from_secs(11))
+            .is_ok());
     }
 
     #[test]
@@ -1213,7 +1219,10 @@ mod tests {
         for i in 0..30u64 {
             gw.publish(&ev("h", "CPU_TOTAL", 60.0, 1_000 + i));
         }
-        let summaries = gw.summaries("c", Timestamp::from_secs(1_030)).unwrap();
+        let all = Predicate::everything().compile();
+        let summaries = gw
+            .summaries("c", &all, Timestamp::from_secs(1_030))
+            .unwrap();
         let one_min = summaries
             .iter()
             .find(|e| e.event_type == "CPU_TOTAL_AVG_1MIN")

@@ -328,23 +328,31 @@ impl SeriesTable {
         out
     }
 
-    /// Summary events for every series with readings and every requested
-    /// window, ordered by (host, event type) with the windows in the
-    /// order requested — the same output [`SummaryEngine::summary_events`]
-    /// fed the same events produces.  Each shard is read-locked exactly
-    /// once.
+    /// Summary events for every requested window of every series whose
+    /// (host, event type) key `plan`'s host and type facts admit, ordered
+    /// by (host, event type) with the windows in the order requested —
+    /// with an unconstrained plan, the same output
+    /// [`SummaryEngine::summary_events`] fed the same events produces.  A
+    /// rejected series is skipped by its key before any event is built.
+    /// Each shard is read-locked exactly once.
     pub(crate) fn summary_events(
         &self,
+        plan: &Plan,
         windows: &[SummaryWindow],
         now: Timestamp,
         gateway_name: &str,
     ) -> Vec<Event> {
+        let facts = plan.facts();
+        let admitted = |(host, ty): &SeriesKey| {
+            facts.hosts.as_ref().is_none_or(|h| h.contains(host))
+                && facts.types.as_ref().is_none_or(|t| t.contains(ty))
+        };
         let mut rows = Vec::new();
         for shard in &self.shards {
             let series = shard.read();
             let row =
                 |(key, s): (_, &Series)| s.readings.summary_row(key, windows, now, gateway_name);
-            rows.extend(series.iter().map(row));
+            rows.extend(series.iter().filter(|(key, _)| admitted(key)).map(row));
         }
         in_series_order(rows)
     }

@@ -393,13 +393,17 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
 
 /// The gateway's per-series table — for 1, 3 and 8 shards — answers
 /// `summaries()` exactly as one flat engine fed the same events does (byte
-/// for byte, in the same order), and `query()` from the same table with
-/// the last event published for the series.
+/// for byte, in the same order), a host/type-filtered `summaries()` with
+/// exactly the flat events of the admitted series, and `query()` from the
+/// same table with the last event published for the series.
 #[test]
 fn gateway_series_table_matches_the_flat_engine() {
     forall("series table == flat", 48, |g| {
         let events: Vec<Event> = (0..g.usize_in(1, 120)).map(|_| arb_event(g)).collect();
         let now = Timestamp::from_secs(10_000 + 121);
+        let (host, ty) = (g.choice(&HOSTS), g.choice(&TYPES));
+        let filtered = Predicate::And(vec![Predicate::hosts([host]), Predicate::types([ty])]);
+        let windows = SummaryWindow::all();
         for shards in [1usize, 3, 8] {
             let gw = EventGateway::new(GatewayConfig::open("gw").with_shards(shards));
             let mut flat = SummaryEngine::new();
@@ -407,10 +411,26 @@ fn gateway_series_table_matches_the_flat_engine() {
                 gw.publish(e);
                 flat.record(e);
             }
+            let all = flat.summary_events(&windows, now, "gw");
             assert_eq!(
-                gw.summaries("c", now).unwrap(),
-                flat.summary_events(&SummaryWindow::all(), now, "gw"),
+                gw.summaries("c", &Predicate::everything().compile(), now)
+                    .unwrap(),
+                all,
                 "{shards} shards: identical summary events, identical order"
+            );
+            let of_series: Vec<Event> = all
+                .into_iter()
+                .filter(|e| {
+                    e.host == host
+                        && windows
+                            .iter()
+                            .any(|w| e.event_type == format!("{ty}_{}", w.suffix()))
+                })
+                .collect();
+            assert_eq!(
+                gw.summaries("c", &filtered.compile(), now).unwrap(),
+                of_series,
+                "{shards} shards: {host}/{ty} summaries only"
             );
             for host in HOSTS {
                 for ty in TYPES {

@@ -1,14 +1,16 @@
 //! Administrative views of a running deployment.
 //!
-//! Two things live here:
+//! Three things live here:
 //!
-//! * [`gateway_admin_stats`] — the one aggregation that turns a
-//!   deployment's live atomic counters (gateway stats, per-shard and
-//!   per-subscription reports, edge socket rows, the reactor's loop
-//!   saturation) into [`GatewayAdminStats`] rows.  `JammSystem::admin_stats`
-//!   and the metrics exposition both read through the same underlying
-//!   counters, so an operator comparing the two views always sees the same
-//!   numbers.
+//! * `gateway_admin_stats` — the facade's only reader of gateway,
+//!   subscription, QoS, tier, edge and reactor counters.  Its
+//!   [`GatewayAdminStats`] rows are what [`JammSystem::admin_stats`]
+//!   returns, what one metrics collector turns into the gateway, edge and
+//!   reactor samples of [`JammSystem::metrics`], and what the RMI
+//!   `admin.qos` verb renders — three views of one reading, so they cannot
+//!   disagree.
+//! * The exposition and the RMI `admin` service
+//!   ([`JammSystem::register_admin_rmi`]).
 //! * [`AdminEffort`] — the administrative-effort accounting of experiment
 //!   E9.  The paper closes its results section with an effort argument:
 //!   "One would need to have an account on every system, with superuser
@@ -23,11 +25,16 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use jamm_gateway::EventGateway;
-use jamm_reactor::{LoopStats, Reactor, SocketRow};
-use jamm_rmi::edge::EventEdge;
+use jamm_archive::EventArchive;
+use jamm_core::json::Json;
+use jamm_core::obs::{MetricsRegistry, MetricsSnapshot, Sample, SampleValue};
+use jamm_gateway::{EventGateway, PipelineTracer, Tier};
+use jamm_reactor::{ListenerId, LoopStats, Reactor, SocketRow};
+use jamm_rmi::edge::{EdgeStats, EdgeStatsHandle, EventEdge};
 
-/// One gateway's row of `JammSystem::admin_stats`.
+use crate::system::JammSystem;
+
+/// One gateway's row of [`JammSystem::admin_stats`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatewayAdminStats {
     /// Gateway name.
@@ -59,6 +66,9 @@ pub struct GatewayAdminStats {
     /// declared shed level, current pressure, and per-tier shed and
     /// budget-drop totals.
     pub qos: Option<jamm_gateway::QosSnapshot>,
+    /// The gateway's network-edge broadcast counters (batches, events,
+    /// encoded bytes); `None` when no edge is running.
+    pub edge: Option<EdgeStats>,
     /// Per-socket rows of the gateway's network edge (queued bytes, drops,
     /// stalls per remote subscriber); empty when no edge is running.
     pub sockets: Vec<SocketRow>,
@@ -67,22 +77,56 @@ pub struct GatewayAdminStats {
     /// `loop_stats.saturation()` near 1.0 means the single loop thread is
     /// the bottleneck.
     pub loop_stats: Option<LoopStats>,
+    /// Live connections on the shared reactor, across every listener (0
+    /// when this gateway has no network edge).
+    pub connections: usize,
 }
 
-/// Build the admin rows for a set of gateways from their live counters.
-/// This is the single aggregation both `JammSystem::admin_stats` and the
-/// metrics exposition trust; the numbers come straight from the same
-/// atomics the hot paths increment.
-pub fn gateway_admin_stats(
-    gateways: &[Arc<EventGateway>],
-    edges: &[EventEdge],
-    reactor: Option<&Reactor>,
-) -> Vec<GatewayAdminStats> {
-    gateways
+/// Cheap handles to every counter the admin rows read: the metrics
+/// collector and the RMI `admin` service each own a copy, and
+/// [`JammSystem::admin_stats`] takes a fresh one so a shut-down edge
+/// drops out of its rows.
+struct Sources {
+    gateways: Vec<Arc<EventGateway>>,
+    /// Per edge: the gateway it broadcasts, its counters, its listener.
+    edges: Vec<(String, EdgeStatsHandle, ListenerId)>,
+    reactor: Option<Arc<Reactor>>,
+}
+
+impl Sources {
+    fn new(
+        gateways: &[Arc<EventGateway>],
+        edges: &[EventEdge],
+        reactor: Option<&Arc<Reactor>>,
+    ) -> Sources {
+        Sources {
+            gateways: gateways.to_vec(),
+            edges: edges
+                .iter()
+                .map(|e| (e.gateway_name().to_string(), e.stats_handle(), e.listener()))
+                .collect(),
+            reactor: reactor.cloned(),
+        }
+    }
+}
+
+/// Build the admin rows for a set of gateways from their live counters —
+/// the one reading behind [`JammSystem::admin_stats`], the gateway, edge
+/// and reactor metric samples, and `admin.qos`.  The numbers come straight
+/// from the same atomics the hot paths increment.
+fn gateway_admin_stats(src: &Sources) -> Vec<GatewayAdminStats> {
+    let sockets = src
+        .reactor
+        .as_ref()
+        .map(|r| r.socket_stats())
+        .unwrap_or_default();
+    src.gateways
         .iter()
         .map(|gw| {
             let stats = gw.stats();
-            let edge = edges.iter().find(|e| e.gateway_name() == gw.name());
+            let qos = gw.qos_snapshot();
+            let edge = src.edges.iter().find(|(name, ..)| name == gw.name());
+            let reactor = edge.and(src.reactor.as_ref());
             GatewayAdminStats {
                 name: gw.name().to_string(),
                 events_in: stats.events_in.load(Ordering::Relaxed),
@@ -94,16 +138,315 @@ pub fn gateway_admin_stats(
                 delivery_workers: gw.delivery_worker_count(),
                 shards: gw.shard_report(),
                 subscriptions: gw.delivery_report(),
-                tiers: gw
-                    .qos_snapshot()
-                    .map(|_| gw.tier_report())
+                tiers: qos.as_ref().map(|_| gw.tier_report()).unwrap_or_default(),
+                qos,
+                edge: edge.map(|(_, handle, _)| handle.stats()),
+                sockets: edge
+                    .map(|&(_, _, listener)| {
+                        let mine = sockets.iter().filter(|r| r.listener == Some(listener));
+                        mine.cloned().collect()
+                    })
                     .unwrap_or_default(),
-                qos: gw.qos_snapshot(),
-                sockets: edge.map(|e| e.socket_stats()).unwrap_or_default(),
-                loop_stats: edge.and(reactor).map(|r| r.loop_stats()),
+                loop_stats: reactor.map(|r| r.loop_stats()),
+                connections: reactor.map_or(0, |r| r.connections()),
             }
         })
         .collect()
+}
+
+/// Admin rows of gateways running without a network edge — what the
+/// simulated deployments (`deployment`, `cluster`) total their counters
+/// from.
+pub(crate) fn gateway_rows(gateways: &[Arc<EventGateway>]) -> Vec<GatewayAdminStats> {
+    gateway_admin_stats(&Sources::new(gateways, &[], None))
+}
+
+/// Register the deployment's metric collectors: one turning the admin rows
+/// into gateway, subscription, QoS, edge and reactor samples, one for the
+/// archive's storage counters and one for the self-lifeline tracer.
+pub(crate) fn register_collectors(
+    metrics: &MetricsRegistry,
+    gateways: &[Arc<EventGateway>],
+    edges: &[EventEdge],
+    reactor: Option<&Arc<Reactor>>,
+    archive: &Arc<EventArchive>,
+    tracer: Option<&Arc<PipelineTracer>>,
+) {
+    let sources = Sources::new(gateways, edges, reactor);
+    metrics.register_collector(Box::new(move |out: &mut Vec<Sample>| {
+        let rows = gateway_admin_stats(&sources);
+        for row in &rows {
+            row_samples(row, out);
+        }
+        if let Some((row, ls)) = rows.iter().find_map(|r| Some((r, r.loop_stats?))) {
+            out.push(Sample::counter("jamm_reactor_ticks", ls.ticks));
+            out.push(Sample::counter(
+                "jamm_reactor_poll_wait_ns",
+                ls.poll_wait_ns,
+            ));
+            out.push(Sample::counter("jamm_reactor_dispatch_ns", ls.dispatch_ns));
+            out.push(Sample::gauge("jamm_reactor_saturation", ls.saturation()));
+            out.push(Sample::gauge(
+                "jamm_reactor_connections",
+                row.connections as f64,
+            ));
+        }
+    }));
+    let archive = Arc::clone(archive);
+    metrics.register_collector(Box::new(move |out: &mut Vec<Sample>| {
+        let stats = archive.stats();
+        for (name, v) in [
+            ("jamm_tsdb_appended", stats.appended()),
+            ("jamm_tsdb_sealed_segments", stats.sealed_segments()),
+            ("jamm_tsdb_compactions", stats.compactions()),
+            ("jamm_tsdb_segments_scanned", stats.segments_scanned()),
+            ("jamm_tsdb_segments_pruned", stats.segments_pruned()),
+            ("jamm_tsdb_expired_events", stats.expired_events()),
+            ("jamm_tsdb_append_errors", stats.append_errors()),
+            ("jamm_tsdb_seal_errors", stats.seal_errors()),
+        ] {
+            out.push(Sample::counter(name, v));
+        }
+        for (name, h) in [
+            ("jamm_tsdb_append_us", stats.append_us()),
+            ("jamm_tsdb_seal_us", stats.seal_us()),
+            ("jamm_tsdb_compact_us", stats.compact_us()),
+            ("jamm_tsdb_scan_setup_us", stats.scan_setup_us()),
+        ] {
+            out.push(histogram(name, h.snapshot()));
+        }
+    }));
+    if let Some(tracer) = tracer {
+        let tracer = Arc::clone(tracer);
+        metrics.register_collector(Box::new(move |out: &mut Vec<Sample>| {
+            out.push(Sample::gauge(
+                "jamm_trace_sample_every",
+                tracer.sample_every() as f64,
+            ));
+            out.push(Sample::counter(
+                "jamm_trace_sampled",
+                tracer.sampled_count(),
+            ));
+            out.push(Sample::counter("jamm_trace_points", tracer.point_count()));
+        }));
+    }
+}
+
+fn histogram(name: &str, h: jamm_core::obs::HistogramSnapshot) -> Sample {
+    Sample {
+        name: name.to_string(),
+        labels: Vec::new(),
+        value: SampleValue::Histogram(h),
+    }
+}
+
+/// One row's gateway, subscription, QoS and edge samples, each labelled
+/// with the gateway's name.
+fn row_samples(row: &GatewayAdminStats, out: &mut Vec<Sample>) {
+    let gw = |s: Sample| s.with_label("gateway", row.name.clone());
+    for (name, v) in [
+        ("jamm_gateway_events_in", row.events_in),
+        ("jamm_gateway_events_out", row.events_out),
+        ("jamm_gateway_events_dropped", row.events_dropped),
+        ("jamm_gateway_bytes_out", row.bytes_out),
+        ("jamm_gateway_queries", row.queries),
+    ] {
+        out.push(gw(Sample::counter(name, v)));
+    }
+    out.push(gw(histogram("jamm_gateway_route_us", row.route_us.clone())));
+    for sub in &row.subscriptions {
+        let labelled = |s: Sample| {
+            gw(s)
+                .with_label("consumer", sub.consumer.clone())
+                .with_label("subscription", sub.id.to_string())
+        };
+        for (name, v) in [
+            ("jamm_subscription_delivered", sub.delivered),
+            ("jamm_subscription_dropped", sub.dropped),
+            ("jamm_subscription_bytes", sub.bytes),
+        ] {
+            out.push(labelled(Sample::counter(name, v)));
+        }
+    }
+    if let Some(qos) = &row.qos {
+        out.push(gw(Sample::gauge(
+            "jamm_gateway_overload_level",
+            qos.level as u8 as f64,
+        )));
+        out.push(gw(Sample::gauge(
+            "jamm_gateway_overload_pressure",
+            qos.pressure,
+        )));
+        out.push(gw(Sample::counter("jamm_gateway_retiers", qos.retiers)));
+        for tier in Tier::ALL {
+            let tiered = |s: Sample| gw(s).with_label("tier", tier.as_str());
+            let census = row.tiers.iter().filter(|r| r.tier == tier).count();
+            out.push(tiered(Sample::counter(
+                "jamm_gateway_shed_total",
+                qos.shed[tier as usize],
+            )));
+            out.push(tiered(Sample::counter(
+                "jamm_gateway_budget_drops_total",
+                qos.budget_drops[tier as usize],
+            )));
+            out.push(tiered(Sample::gauge(
+                "jamm_gateway_tier_subscriptions",
+                census as f64,
+            )));
+        }
+    }
+    let Some(edge) = &row.edge else { return };
+    let sum = |f: fn(&SocketRow) -> u64| row.sockets.iter().map(f).sum::<u64>();
+    let dropped_frames = sum(|r| r.stats.dropped_frames);
+    for (name, v) in [
+        ("jamm_edge_batches", edge.batches),
+        ("jamm_edge_events", edge.events),
+        ("jamm_edge_encoded_bytes", edge.encoded_bytes),
+        ("jamm_edge_socket_bytes_out", sum(|r| r.stats.bytes_out)),
+        ("jamm_edge_socket_dropped_frames", dropped_frames),
+        ("jamm_edge_socket_stalls", sum(|r| r.stats.stalls)),
+    ] {
+        out.push(gw(Sample::counter(name, v)));
+    }
+    out.push(gw(Sample::gauge(
+        "jamm_edge_subscribers",
+        row.sockets.len() as f64,
+    )));
+    // With a QoS plane, the edge's socket frame drops are also attributed
+    // to the tier its gateway subscription currently sits in, so
+    // `admin.metrics` answers "is the network edge the laggard?" without
+    // scraping per-socket rows.
+    if row.qos.is_some() {
+        let tier = row.tiers.iter().find(|r| r.consumer == "edge");
+        let tier = tier.map_or(Tier::Fast, |r| r.tier);
+        out.push(
+            gw(Sample::counter(
+                "jamm_edge_tier_dropped_frames",
+                dropped_frames,
+            ))
+            .with_label("tier", tier.as_str()),
+        );
+    }
+}
+
+/// One gateway's `admin.qos` document: shed level, pressure, per-tier shed
+/// and budget-drop counters and the per-subscription tier table — or
+/// `"qos": false` without a QoS plane.
+fn qos_json(row: &GatewayAdminStats) -> Json {
+    let mut obj = vec![("gateway".to_string(), Json::from(row.name.clone()))];
+    let Some(qos) = &row.qos else {
+        obj.push(("qos".to_string(), Json::from(false)));
+        return Json::Object(obj.into_iter().collect());
+    };
+    obj.push(("level".to_string(), Json::from(qos.level.as_str())));
+    obj.push(("pressure".to_string(), Json::from(qos.pressure)));
+    obj.push(("retiers".to_string(), Json::from(qos.retiers)));
+    for tier in Tier::ALL {
+        let shed = qos.shed[tier as usize];
+        obj.push((format!("shed_{tier}"), Json::from(shed)));
+        let drops = qos.budget_drops[tier as usize];
+        obj.push((format!("budget_drops_{tier}"), Json::from(drops)));
+    }
+    let tiers = row.tiers.iter().map(|r| {
+        let fields = [
+            ("id", Json::from(r.id)),
+            ("consumer", Json::from(r.consumer.clone())),
+            ("tier", Json::from(r.tier.as_str())),
+            ("score", Json::from(r.score)),
+            ("queue_len", Json::from(r.queue_len as u64)),
+            ("capacity", Json::from(r.capacity as u64)),
+        ];
+        Json::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    });
+    obj.push(("subscriptions".to_string(), Json::Array(tiers.collect())));
+    Json::Object(obj.into_iter().collect())
+}
+
+/// A registry counter's value in a snapshot (0 when absent).
+pub(crate) fn counter(snapshot: &MetricsSnapshot, name: &str) -> u64 {
+    match snapshot.get(name).map(|s| &s.value) {
+        Some(SampleValue::Counter(v)) => *v,
+        _ => 0,
+    }
+}
+
+impl JammSystem {
+    /// Administrative statistics: one row per gateway with its cumulative
+    /// totals, routing latency, the per-shard delivered/dropped/bytes
+    /// breakdown from the fan-out engine (per-subscription totals alone
+    /// cannot show a hot shard or a skewed event-type distribution), QoS
+    /// tiers, edge broadcast counters and socket rows, and the reactor's
+    /// loop saturation.  [`JammSystem::metrics`] prints the same rows.
+    pub fn admin_stats(&self) -> Vec<GatewayAdminStats> {
+        let sources = Sources::new(&self.gateways, &self.edges, self.reactor.as_ref());
+        gateway_admin_stats(&sources)
+    }
+
+    /// Point-in-time reading of every metric the deployment exposes:
+    /// gateway and subscription counters, routing and storage latency
+    /// histograms, edge broadcast and socket totals, reactor loop
+    /// saturation, which tier served query history, and the self-lifeline
+    /// tracer's counters.  `docs/ARCHITECTURE.md` catalogues every name.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
+    }
+
+    /// The deployment's metrics in Prometheus-style text exposition format.
+    pub fn render_metrics(&self) -> String {
+        self.metrics().render_text()
+    }
+
+    /// Expose the deployment's observability plane on an RMI bus as the
+    /// `admin` service: method `metrics` returns the text exposition,
+    /// method `diagnose` runs [`jamm_netlogger::analysis::diagnose`] over
+    /// the lifelines drained so far and returns its report rendered as
+    /// text, followed by the query-tier counters and each view's update
+    /// and read counts, and method `qos` returns each gateway's
+    /// delivery-QoS state — shed level, pressure, per-tier shed counters
+    /// and the per-subscription tier table — as a JSON document.  Call
+    /// [`JammSystem::drain_self_events`] before invoking `diagnose`
+    /// remotely.
+    pub fn register_admin_rmi(&self, bus: &jamm_rmi::MessageBus) {
+        let metrics = Arc::clone(&self.metrics);
+        let self_log = Arc::clone(&self.self_log);
+        let sources = Sources::new(&self.gateways, &self.edges, self.reactor.as_ref());
+        bus.register_fn("admin", move |method, _args| match method {
+            "metrics" => Ok(Json::String(metrics.snapshot().render_text())),
+            "diagnose" => {
+                let log = self_log.lock();
+                let report = jamm_netlogger::analysis::diagnose(log.iter().map(|e| e.as_ref()));
+                let mut text = report.render_text();
+                let snapshot = metrics.snapshot();
+                text.push_str(&format!(
+                    "\nquery tiers: views_served={} archive_scans={}\n",
+                    counter(&snapshot, "jamm_query_views_served"),
+                    counter(&snapshot, "jamm_query_archive_scans"),
+                ));
+                for gw in &sources.gateways {
+                    for view in gw.views().all() {
+                        text.push_str(&format!(
+                            "view {}/{}: updates={} reads={}\n",
+                            gw.name(),
+                            view.name(),
+                            view.updates(),
+                            view.reads(),
+                        ));
+                    }
+                }
+                Ok(Json::String(text))
+            }
+            "qos" => {
+                let rows = gateway_admin_stats(&sources);
+                Ok(Json::Array(rows.iter().map(qos_json).collect()))
+            }
+            other => Err(jamm_rmi::RmiError::NoSuchMethod(other.to_string())),
+        });
+    }
 }
 
 /// The administrative operations needed to run one monitored analysis.

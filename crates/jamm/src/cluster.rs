@@ -24,6 +24,8 @@ use jamm_netsim::{HostId, Network};
 use jamm_sensors::sim::NetworkSource;
 use jamm_ulm::Timestamp;
 
+use crate::admin::gateway_rows;
+
 /// A monitored compute farm.
 pub struct ClusterDeployment {
     /// The simulated cluster network.
@@ -52,9 +54,10 @@ impl ClusterDeployment {
     pub fn new(nodes: usize, n_gateways: usize, seed: u64) -> Self {
         assert!(n_gateways >= 1);
         let (net, node_ids, _switch) = cluster_topology(nodes, seed);
+        let farm = Dn::root().child("o", "grid").child("o", "farm");
         let directory = Arc::new(DirectoryServer::new(
             "ldap://dir.farm.lbl.gov",
-            Dn::parse("o=farm,o=grid").expect("valid suffix"),
+            farm.clone(),
         ));
         let mut registry = GatewayRegistry::new();
         let mut gateways = Vec::new();
@@ -69,10 +72,7 @@ impl ClusterDeployment {
             let host = net.host(id).name().to_string();
             let gw_name = format!("gw{}.farm.lbl.gov:8765", i % n_gateways);
             let cfg = ManagerConfig::standard_host(host, gw_name, &["worker"]);
-            managers.push(SensorManager::new(
-                &cfg,
-                Dn::parse("o=farm,o=grid").expect("valid base"),
-            ));
+            managers.push(SensorManager::new(&cfg, farm.clone()));
         }
         let mut process_monitor = ProcessMonitorConsumer::new("farm-admin");
         process_monitor.watch("worker", None, vec![RecoveryAction::Restart]);
@@ -176,25 +176,17 @@ impl ClusterDeployment {
 
     /// Total events published into all gateways.
     pub fn events_published(&self) -> u64 {
-        self.gateways
+        gateway_rows(&self.gateways)
             .iter()
-            .map(|g| {
-                g.stats()
-                    .events_in
-                    .load(std::sync::atomic::Ordering::Relaxed)
-            })
+            .map(|r| r.events_in)
             .sum()
     }
 
     /// Total event copies delivered to consumers by all gateways.
     pub fn events_delivered(&self) -> u64 {
-        self.gateways
+        gateway_rows(&self.gateways)
             .iter()
-            .map(|g| {
-                g.stats()
-                    .events_out
-                    .load(std::sync::atomic::Ordering::Relaxed)
-            })
+            .map(|r| r.events_out)
             .sum()
     }
 }

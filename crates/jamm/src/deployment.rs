@@ -16,7 +16,8 @@ use jamm_consumers::GatewayRegistry;
 use jamm_directory::{DirectoryServer, Dn, Filter};
 use jamm_gateway::{EventGateway, Predicate};
 
-use crate::builder::JammBuilder;
+use crate::admin::gateway_rows;
+use crate::builder::{BuildError, JammBuilder};
 use jamm_manager::config::{ManagerConfig, RunPolicy, SensorConfigEntry, SensorTemplate};
 use jamm_manager::manager::{PortActivitySource, SensorManager};
 use jamm_netlogger::nlv::NlvChart;
@@ -109,30 +110,26 @@ pub struct JammDeployment {
 impl JammDeployment {
     /// Build the MATISSE deployment of §6: JAMM monitoring every host of the
     /// storage cluster, the receiving host, and the routers in between.
-    pub fn matisse(config: DeploymentConfig) -> Self {
+    pub fn matisse(config: DeploymentConfig) -> Result<Self, BuildError> {
         let scenario = MatisseScenario::new(config.matisse.clone());
 
         // One gateway per site, as in Figure 6: the storage cluster's events
         // go through the LBNL gateway, the compute cluster's through ISI's.
-        // The builder wires directory + gateways + consumers in one place.
+        // The builder wires directory + gateways + archiver in one place.
         let mut builder = JammBuilder::new()
             .directory("ldap://dir.lbl.gov", "o=grid")
             .gateway("gw.lbl.gov:8765")
-            .gateway("gw.cairn.net:8765")
-            .collector("nlv-analyst");
+            .gateway("gw.cairn.net:8765");
         if config.archive {
             builder = builder.archiver("archiver", "archive=matisse,o=lbl,o=grid");
         }
-        let system = builder
-            .build()
-            .expect("static deployment description is valid");
+        let system = builder.build()?;
         let directory = system.directory;
         let registry = system.registry;
         let gateways = system.gateways;
-        let mut collectors = system.collectors;
-        let collector = collectors.pop().expect("one collector declared");
         let archiver = system.archiver;
         let archive = system.archive;
+        let grid = Dn::root().child("o", "grid");
 
         // Sensor managers: one per monitored host.
         let mut managers = Vec::new();
@@ -191,10 +188,7 @@ impl JammDeployment {
                     });
                 }
             }
-            managers.push(SensorManager::new(
-                &cfg,
-                Dn::parse("o=lbl,o=grid").expect("valid base"),
-            ));
+            managers.push(SensorManager::new(&cfg, grid.child("o", "lbl")));
         }
 
         // The receiving host (compute cluster head) at ISI.
@@ -218,23 +212,20 @@ impl JammDeployment {
             frequency_secs: 5.0,
             policy: RunPolicy::Always,
         });
-        managers.push(SensorManager::new(
-            &client_cfg,
-            Dn::parse("o=isi,o=grid").expect("valid base"),
-        ));
+        managers.push(SensorManager::new(&client_cfg, grid.child("o", "isi")));
 
-        JammDeployment {
+        Ok(JammDeployment {
             scenario,
             directory,
             registry,
             gateways,
             managers,
-            collector,
+            collector: EventCollector::new("nlv-analyst"),
             archiver,
             archive,
             config,
             subscribed: false,
-        }
+        })
     }
 
     /// The deployment's configuration.
@@ -254,8 +245,8 @@ impl JammDeployment {
     pub fn connect_consumers(&mut self) -> usize {
         let found = self.collector.discover(
             &self.directory,
-            &Dn::parse("o=grid").expect("valid"),
-            &Filter::parse("(objectclass=sensor)").expect("valid filter"),
+            &Dn::root().child("o", "grid"),
+            &Filter::eq("objectclass", "sensor"),
         );
         let opened = self.collector.subscribe_all(&self.registry, vec![]);
         if let Some(archiver) = &mut self.archiver {
@@ -363,25 +354,17 @@ impl JammDeployment {
 
     /// Total monitoring events delivered by all gateways to all consumers.
     pub fn events_delivered(&self) -> u64 {
-        self.gateways
+        gateway_rows(&self.gateways)
             .iter()
-            .map(|g| {
-                g.stats()
-                    .events_out
-                    .load(std::sync::atomic::Ordering::Relaxed)
-            })
+            .map(|r| r.events_out)
             .sum()
     }
 
     /// Total monitoring events published into the gateways by the managers.
     pub fn events_published(&self) -> u64 {
-        self.gateways
+        gateway_rows(&self.gateways)
             .iter()
-            .map(|g| {
-                g.stats()
-                    .events_in
-                    .load(std::sync::atomic::Ordering::Relaxed)
-            })
+            .map(|r| r.events_in)
             .sum()
     }
 
@@ -389,9 +372,12 @@ impl JammDeployment {
     pub fn sensors_running(&self) -> usize {
         self.directory
             .search(
-                &Dn::parse("o=grid").expect("valid"),
+                &Dn::root().child("o", "grid"),
                 jamm_directory::Scope::Subtree,
-                &Filter::parse("(&(objectclass=sensor)(status=running))").expect("valid"),
+                &Filter::and(vec![
+                    Filter::eq("objectclass", "sensor"),
+                    Filter::eq("status", "running"),
+                ]),
             )
             .map(|r| r.entries.len())
             .unwrap_or(0)
@@ -407,7 +393,7 @@ mod tests {
         cfg.matisse.player.frame_bytes = 400_000;
         cfg.matisse.player.max_frames = 0;
         cfg.matisse.seed = 11;
-        JammDeployment::matisse(cfg)
+        JammDeployment::matisse(cfg).unwrap()
     }
 
     #[test]
@@ -452,7 +438,7 @@ mod tests {
             cfg.matisse.player.max_frames = 5;
             cfg.matisse.seed = 3;
             cfg.port_triggered = port_triggered;
-            let mut jamm = JammDeployment::matisse(cfg);
+            let mut jamm = JammDeployment::matisse(cfg).unwrap();
             jamm.run_secs(20.0);
             jamm.events_published()
         };

@@ -31,7 +31,13 @@
 //! ## Entry points
 //!
 //! * [`JammBuilder`] — declare a deployment (directory, gateways,
-//!   consumers) and get a wired [`builder::JammSystem`]:
+//!   consumers) and get a wired [`JammSystem`]: its query endpoint
+//!   ([`JammSystem::query`]) and its admin rows, metrics and RMI verbs
+//!   ([`admin`]), each number read once from the component that owns it.
+//!   Everything else — gateway shards, delivery workers, QoS, external
+//!   overload pressure (`EventGateway::set_external_pressure`), re-tiering —
+//!   is set on the component itself (`GatewayConfig::with_*`, the
+//!   `gateways` field):
 //!
 //! ```
 //! use jamm::JammBuilder;
@@ -55,28 +61,32 @@
 //! // fully monitored by JAMM.
 //! let mut config = DeploymentConfig::matisse_lan(2);
 //! config.matisse.player.max_frames = 5;
-//! let mut jamm = JammDeployment::matisse(config);
+//! let mut jamm = JammDeployment::matisse(config)?;
 //! jamm.run_secs(5.0);
 //! assert!(jamm.collector_event_count() > 0);
+//! # Ok::<(), jamm::BuildError>(())
 //! ```
 //!
 //! * [`cluster::ClusterDeployment`] — the §1.1 monitored compute farm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod admin;
 pub mod builder;
 pub mod cluster;
 pub mod deployment;
+mod query;
+mod system;
 
-pub use builder::{
-    ArchiveMaintenanceReport, BuildError, GatewayAdminStats, HistorySource, JammBuilder,
-    JammSystem, QueryAnswer, QueryError, QueryTierStats, SELF_GATEWAY,
-};
+pub use admin::GatewayAdminStats;
+pub use builder::{BuildError, JammBuilder, SELF_GATEWAY};
 pub use deployment::{DeploymentConfig, JammDeployment};
 pub use jamm_core::query::AggRow;
 pub use jamm_ulm::SharedEvent;
+pub use query::{HistorySource, QueryAnswer, QueryError};
+pub use system::{ArchiveMaintenanceReport, JammSystem};
 
 // Re-export the sub-crates under predictable names so downstream users need
 // only one dependency.

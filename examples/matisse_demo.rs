@@ -19,7 +19,7 @@ use jamm_ulm::keys;
 fn run_configuration(dpss_servers: usize, seconds: f64) -> JammDeployment {
     let mut config = DeploymentConfig::matisse_wan(dpss_servers);
     config.matisse.seed = 2000;
-    let mut jamm = JammDeployment::matisse(config);
+    let mut jamm = JammDeployment::matisse(config).expect("static deployment description is valid");
     jamm.run_secs(seconds);
     jamm
 }

@@ -16,7 +16,7 @@
 //! cargo run --release --example overload_shedding
 //! ```
 
-use jamm::jamm_gateway::{OverloadPolicy, QosConfig, Tier};
+use jamm::jamm_gateway::{GatewayConfig, OverloadPolicy, QosConfig, Tier};
 use jamm::JammBuilder;
 use jamm_ulm::{Event, Level};
 
@@ -35,8 +35,7 @@ fn main() {
         ..QosConfig::default()
     };
     let mut jamm = JammBuilder::new()
-        .gateway("gw.lbl.gov")
-        .gateway_qos(qos)
+        .gateway_config(GatewayConfig::open("gw.lbl.gov").with_qos(qos))
         .collector("ops")
         .collector("trend")
         .build()
@@ -81,8 +80,11 @@ fn main() {
     }
     jamm.collectors[ops].poll();
 
-    let gw = &jamm.gateways[0];
-    let snap = gw.qos_snapshot().expect("qos plane attached");
+    // One admin row per gateway: the same reading the metrics exposition
+    // and the `admin.qos` RMI verb print.
+    let admin = jamm.admin_stats();
+    let gw = &admin[0];
+    let snap = gw.qos.as_ref().expect("qos plane attached");
     println!(
         "after the burst: overload level = {}, pressure = {:.3}, {} re-tier passes\n",
         snap.level, snap.pressure, snap.retiers
@@ -93,9 +95,8 @@ fn main() {
         "  {:<10} {:<10} {:>6} {:>8} {:>10} {:>9}",
         "consumer", "tier", "score", "queued", "delivered", "dropped"
     );
-    let deliveries = gw.delivery_report();
-    for row in gw.tier_report() {
-        let d = deliveries.iter().find(|d| d.id == row.id);
+    for row in &gw.tiers {
+        let d = gw.subscriptions.iter().find(|d| d.id == row.id);
         println!(
             "  {:<10} {:<10} {:>6.2} {:>8} {:>10} {:>9}",
             row.consumer,

@@ -20,7 +20,7 @@ fn main() {
     let mut config = DeploymentConfig::matisse_lan(2);
     config.matisse.player.frame_bytes = 800_000;
     config.matisse.seed = 42;
-    let mut jamm = JammDeployment::matisse(config);
+    let mut jamm = JammDeployment::matisse(config).expect("static deployment description is valid");
 
     // 2. Run ten simulated seconds of the monitored application.
     println!("running 10 simulated seconds of the monitored application...\n");

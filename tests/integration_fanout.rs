@@ -1,12 +1,14 @@
 //! Cross-crate integration of the sharded gateway fan-out engine: a
-//! deployment built with the `gateway_shards` / `delivery_workers` knobs
-//! delivers exactly what a default (single-threaded, flat) deployment
-//! delivers, survives parallel publishers, and exposes a per-shard
-//! accounting breakdown through `JammSystem::admin_stats`.
+//! deployment whose gateway is configured with
+//! `GatewayConfig::with_shards` / `with_delivery_workers` delivers exactly
+//! what a default (single-threaded, flat) deployment delivers, survives
+//! parallel publishers, and exposes a per-shard accounting breakdown
+//! through `JammSystem::admin_stats`.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use jamm::jamm_gateway::GatewayConfig;
 use jamm::JammBuilder;
 use jamm_core::query::{Predicate, ValueCmp};
 use jamm_ulm::{Event, Level, Timestamp};
@@ -45,11 +47,15 @@ fn tuned_and_default_deployments_deliver_the_same_events() {
     let events = workload();
     let mut collected: Vec<Vec<jamm::SharedEvent>> = Vec::new();
     for tuned in [false, true] {
-        let mut b = JammBuilder::new().gateway("gw").collector("ops");
+        let mut config = GatewayConfig::open("gw");
         if tuned {
-            b = b.gateway_shards(8).delivery_workers(4);
+            config = config.with_shards(8).with_delivery_workers(4);
         }
-        let mut jamm = b.build().unwrap();
+        let mut jamm = JammBuilder::new()
+            .gateway_config(config)
+            .collector("ops")
+            .build()
+            .unwrap();
         assert_eq!(jamm.connect_collectors(vec![]), 1);
         for e in &events {
             jamm.publish("gw", e);
@@ -74,9 +80,11 @@ fn tuned_and_default_deployments_deliver_the_same_events() {
 fn parallel_publishers_scale_across_shards_and_workers() {
     let jamm = Arc::new(
         JammBuilder::new()
-            .gateway("gw")
-            .gateway_shards(8)
-            .delivery_workers(4)
+            .gateway_config(
+                GatewayConfig::open("gw")
+                    .with_shards(8)
+                    .with_delivery_workers(4),
+            )
             .build()
             .unwrap(),
     );
@@ -139,10 +147,12 @@ fn parallel_publishers_scale_across_shards_and_workers() {
 #[test]
 fn typed_subscriptions_and_filters_compose_with_sharding() {
     let mut jamm = JammBuilder::new()
-        .gateway("gw")
+        .gateway_config(
+            GatewayConfig::open("gw")
+                .with_shards(8)
+                .with_delivery_workers(2),
+        )
         .collector("cpu-watcher")
-        .gateway_shards(8)
-        .delivery_workers(2)
         .build()
         .unwrap();
     let registry_names = jamm.registry.names();

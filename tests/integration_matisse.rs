@@ -53,7 +53,7 @@ fn iperf_stream_comparison_matches_the_paper_shape() {
 fn monitored_matisse_run_reproduces_figure7_correlations() {
     let mut cfg = DeploymentConfig::matisse_wan(4);
     cfg.matisse.seed = 2000;
-    let mut four = JammDeployment::matisse(cfg);
+    let mut four = JammDeployment::matisse(cfg).unwrap();
     four.run_secs(30.0);
 
     assert!(
@@ -90,7 +90,7 @@ fn monitored_matisse_run_reproduces_figure7_correlations() {
     // Work-around run: a single DPSS server (one socket) performs much better.
     let mut cfg1 = DeploymentConfig::matisse_wan(1);
     cfg1.matisse.seed = 2000;
-    let mut one = JammDeployment::matisse(cfg1);
+    let mut one = JammDeployment::matisse(cfg1).unwrap();
     one.run_secs(30.0);
     assert!(
         one.scenario.aggregate_mbps() > 2.0 * four.scenario.aggregate_mbps(),
@@ -179,7 +179,7 @@ fn self_monitoring_diagnoses_an_injected_slow_consumer() {
 fn read_sizes_cluster_around_two_values() {
     let mut cfg = DeploymentConfig::matisse_wan(1);
     cfg.matisse.seed = 77;
-    let mut jamm = JammDeployment::matisse(cfg);
+    let mut jamm = JammDeployment::matisse(cfg).unwrap();
     jamm.run_secs(25.0);
     let readings: Vec<f64> = jamm
         .scenario

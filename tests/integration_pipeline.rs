@@ -11,7 +11,7 @@ fn lan_deployment(seed: u64) -> JammDeployment {
     let mut cfg = DeploymentConfig::matisse_lan(2);
     cfg.matisse.seed = seed;
     cfg.matisse.player.frame_bytes = 600_000;
-    JammDeployment::matisse(cfg)
+    JammDeployment::matisse(cfg).unwrap()
 }
 
 #[test]
@@ -86,8 +86,9 @@ fn late_consumer_discovers_sensors_and_queries_most_recent_values() {
     assert!(latest.value().is_some());
 
     // Summary data is also available (the 1/10/60-minute averages).
+    let cpu = Predicate::types([keys::cpu::SYS]).compile();
     let summaries = gateway
-        .summaries("late-consumer", jamm.scenario.net.clock().timestamp())
+        .summaries("late-consumer", &cpu, jamm.scenario.net.clock().timestamp())
         .unwrap();
     assert!(summaries
         .iter()

@@ -6,7 +6,7 @@ use jamm_auth::acl::{AccessControlList, Action, GatewayAllowList, Principal};
 use jamm_auth::identity::{CertificateAuthority, TrustStore};
 use jamm_auth::mapfile::GridMapFile;
 use jamm_auth::policy::{AttributeCertificate, PolicyEngine, Requirement, UseCondition};
-use jamm_gateway::{EventGateway, GatewayConfig};
+use jamm_gateway::{EventGateway, GatewayConfig, Predicate};
 use jamm_ulm::{Event, Level, Timestamp};
 
 const NOW: u64 = 959_400_000;
@@ -84,8 +84,9 @@ fn certificate_to_mapfile_to_gateway_acl_chain() {
         .query(local_remote, "dpss1.lbl.gov", "CPU_TOTAL")
         .unwrap()
         .is_some());
+    let all = Predicate::everything().compile();
     assert!(!gateway
-        .summaries(local_remote, Timestamp::from_secs(NOW + 30))
+        .summaries(local_remote, &all, Timestamp::from_secs(NOW + 30))
         .unwrap()
         .is_empty());
 }
