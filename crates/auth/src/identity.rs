@@ -14,8 +14,9 @@ use crate::{AuthError, Result};
 ///
 /// The hash is FNV-1a over the canonical certificate encoding mixed with the
 /// signing key.  It is *not* cryptographically secure — the point of this
-/// crate is the authorization architecture, not the cryptography (see the
-/// substitution note in DESIGN.md).
+/// crate is the authorization architecture, not the cryptography: a real
+/// deployment would verify X.509 public-key signatures here, and nothing
+/// above this function would change.
 fn keyed_hash(key: u64, data: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ key.rotate_left(17);
     for b in data.as_bytes() {

@@ -12,21 +12,28 @@
 //! 2. **continuous queries** — 32 concurrent readers taking snapshots of
 //!    one incrementally-maintained view vs 32 readers re-scanning the
 //!    archive for the same predicate; the design target is >= 10x per
-//!    read.
+//!    read;
+//! 3. **the column scan** — one thread scanning 64 e21-shaped segments of
+//!    4,096 rows: per scanned row, a selective threshold query (most 64-row
+//!    groups skipped) and a query with one match in every group (every
+//!    group decoded and walked).
 //!
-//! e21 sees `eval_batch` only as a share of `query.*.p50_us`, which is why
-//! the kernel rows stay here.  Every row is wall-clock: printed beside
-//! BENCH_e20.json, not asserted.
+//! e21 sees `eval_batch` and the scan only as a share of `query.*.p50_us`,
+//! which is why the kernel rows stay here.  They are wall-clock: printed
+//! beside BENCH_e20.json, not asserted.  The one exact row,
+//! `colscan_groups_decoded`, counts the groups the selective query decodes
+//! on the seeded segments, so a scan that silently stops skipping fails.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jamm::jamm_archive::EventArchive;
 use jamm::jamm_core::query::{BatchScratch, ColumnBatch, Predicate, Selection};
+use jamm::jamm_core::rng::Rng;
 use jamm::jamm_gateway::{EventGateway, GatewayConfig};
-use jamm::jamm_tsdb::TsdbOptions;
+use jamm::jamm_tsdb::{Tsdb, TsdbOptions};
 use jamm_bench::{compare_row, data_row, header, time, Report};
-use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
+use jamm_ulm::{keys, Event, Level, SharedEvent, Timestamp};
 
 const HOSTS: [&str; 4] = [
     "dpss1.lbl.gov",
@@ -68,6 +75,7 @@ struct OwnedBatch {
 impl OwnedBatch {
     fn view(&self) -> ColumnBatch<'_> {
         ColumnBatch {
+            rows: self.ts.len(),
             ts_micros: &self.ts,
             host_ids: &self.hosts,
             type_ids: &self.types,
@@ -119,6 +127,81 @@ fn columnarize(events: &[Event], rows_per_batch: usize) -> Vec<OwnedBatch> {
             b
         })
         .collect()
+}
+
+/// Rows of the column-scan store: 64 segments of 4,096.
+const SCAN_ROWS: u64 = 64 * 4_096;
+
+/// A store of `SCAN_ROWS` events in the e21 fleet's shape: 64 hosts
+/// reporting in a seeded order, each tick stamping CPU total (user + sys),
+/// user, sys, free memory and one or two TCP counters, every event carrying
+/// `SENSOR`, `UNITS` and `VAL`.  Every 64th event is a warning: appended in
+/// 1,024-event batches, each 4,096-event segment then holds exactly one in
+/// each of its 64-row groups.
+fn e21_shaped_store() -> Tsdb {
+    let db = Tsdb::in_memory();
+    let mut rng = Rng::seed_from_u64(21);
+    let mut order: Vec<u64> = (0..64).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..i + 1));
+    }
+    let mut pending: Vec<SharedEvent> = Vec::with_capacity(1_024);
+    let mut emitted = 0u64;
+    for tick in 0u64.. {
+        let host = format!("h{:02}.grid", order[(tick % 64) as usize]);
+        let (user, sys) = (rng.gen_f64() * 80.0, rng.gen_f64() * 20.0);
+        let mut readings = vec![
+            (keys::cpu::TOTAL, user + sys, "cpu", "percent"),
+            (keys::cpu::USER, user, "cpu", "percent"),
+            (keys::cpu::SYS, sys, "cpu", "percent"),
+            (
+                keys::mem::FREE,
+                rng.gen_range(100_000..4_000_000u64) as f64,
+                "memory",
+                "kilobytes",
+            ),
+            (
+                keys::tcp::RETRANSMITS,
+                rng.gen_range(0..1_000u64) as f64,
+                "tcp",
+                "count",
+            ),
+        ];
+        if rng.gen_bool(0.6) {
+            readings.push((
+                keys::tcp::WINDOW_SIZE,
+                rng.gen_range(1..64u64) as f64,
+                "tcp",
+                "bytes",
+            ));
+        }
+        for (ty, value, sensor, units) in readings {
+            let level = if emitted.is_multiple_of(64) {
+                Level::Warning
+            } else {
+                Level::Usage
+            };
+            let e = Event::builder("jamm-sensor", &host)
+                .level(level)
+                .event_type(ty)
+                .timestamp(Timestamp::from_micros(1_000_000_000 + tick * 1_000))
+                .field(keys::SENSOR, sensor)
+                .field(keys::UNITS, units)
+                .value(value)
+                .build();
+            pending.push(Arc::new(e));
+            emitted += 1;
+            if pending.len() == 1_024 {
+                db.append_shared_batch(&pending).unwrap();
+                pending.clear();
+            }
+            if emitted == SCAN_ROWS {
+                assert_eq!(db.segment_count(), 64);
+                return db;
+            }
+        }
+    }
+    unreachable!("the tick loop returns")
 }
 
 /// The dashboard predicate every tier answers: a type/host/level/VAL mix.
@@ -244,6 +327,30 @@ fn main() {
     results.push(("rescan_kops_per_s", scans_kops));
     results.push(("view_over_rescan", view_speedup));
 
+    // --- 4. the column scan, one thread ---
+    let db = e21_shaped_store();
+    let selective = Predicate::parse("(&(type=CPU_TOTAL)(val>97.3))")
+        .unwrap()
+        .compile();
+    let every_group = Predicate::parse("(level>=warning)").unwrap().compile();
+    let stats = db.stats();
+    let before = stats.scan_groups_decoded();
+    let selected = db.scan(&selective).count(); // also builds the row-group indexes
+    let groups_decoded = stats.scan_groups_decoded() - before;
+    assert_eq!(db.scan(&every_group).count() as u64, SCAN_ROWS / 64);
+    let ns_per_row = |plan, scans: u64| {
+        let (_, secs) = time(|| {
+            for _ in 0..scans {
+                std::hint::black_box(db.scan(plan).count());
+            }
+        });
+        secs * 1e9 / (scans * SCAN_ROWS) as f64
+    };
+    let selective_ns = ns_per_row(&selective, 40);
+    let all_ns = ns_per_row(&every_group, 10);
+    results.push(("colscan_selective_ns_per_row", selective_ns));
+    results.push(("colscan_all_ns_per_row", all_ns));
+
     println!("\nmeasured ({n} events, {READERS} readers):\n");
     data_row(&[format!("{:<30}", "metric"), format!("{:>14}", "value")]);
     for (k, v) in &results {
@@ -260,9 +367,18 @@ fn main() {
         ">= 10x per read",
         &format!("{view_speedup:.0}x ({reads_kops:.0}k vs {scans_kops:.2}k ops/s)"),
     );
+    compare_row(
+        "selective vs every-group scan, per row",
+        "skipped groups cost their plan's columns only",
+        &format!(
+            "{selective_ns:.1} vs {all_ns:.1} ns ({selected} rows, {groups_decoded} of {} groups decoded)",
+            SCAN_ROWS / 64
+        ),
+    );
     println!();
 
     let mut report = Report::new(env!("CARGO_CRATE_NAME"));
+    report.exact("colscan_groups_decoded", groups_decoded);
     for (k, v) in results {
         report.measured(k, v);
     }

@@ -146,13 +146,9 @@ impl Default for Histogram {
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        // A Vec round-trip keeps the 496-slot array off the stack.
-        let v: Vec<AtomicU64> = (0..BUCKETS).map(|_| AtomicU64::new(0)).collect();
-        let counts: Box<[AtomicU64; BUCKETS]> = v
-            .into_boxed_slice()
-            .try_into()
-            .expect("BUCKETS-length vec converts to array");
-        Histogram { counts }
+        Histogram {
+            counts: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
+        }
     }
 
     /// Record one value: exactly one relaxed atomic add.

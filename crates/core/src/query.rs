@@ -1350,7 +1350,9 @@ fn eval_node<R: Record + ?Sized>(n: &Node, rec: &R, ctx: &Ctx) -> bool {
 /// columnar segments decode into, and what [`Plan::eval_batch`] evaluates
 /// without building a single row.
 ///
-/// All row slices must have the same length.  Host and event-type columns
+/// Every row slice holds `rows` entries, or none: a column the evaluation
+/// does not read ([`Plan::columns`], [`Facts::columns`]) may be left empty,
+/// so a scan decodes only what the plan asks for.  Host and event-type columns
 /// hold *dictionary indices* into `dict`; a typed leaf resolves its interned
 /// strings to matching dictionary indices once per batch and then compares
 /// integers per row.  `values` carries the conventional `VAL` reading per
@@ -1359,6 +1361,8 @@ fn eval_node<R: Record + ?Sized>(n: &Node, rec: &R, ctx: &Ctx) -> bool {
 /// row evaluator's `Some(NaN)`.
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnBatch<'a> {
+    /// Rows in the batch.
+    pub rows: usize,
     /// Timestamp column, microseconds.
     pub ts_micros: &'a [u64],
     /// Host column as dictionary indices into `dict`.
@@ -1378,24 +1382,72 @@ pub struct ColumnBatch<'a> {
 impl<'a> ColumnBatch<'a> {
     /// Rows in the batch.
     pub fn len(&self) -> usize {
-        self.ts_micros.len()
+        self.rows
     }
 
     /// True when the batch has no rows.
     pub fn is_empty(&self) -> bool {
-        self.ts_micros.is_empty()
+        self.rows == 0
     }
 
     fn check(&self) {
-        let n = self.ts_micros.len();
+        let n = self.rows;
+        let fits = |len: usize| len == 0 || len == n;
         assert!(
-            self.host_ids.len() == n
-                && self.type_ids.len() == n
-                && self.levels.len() == n
-                && self.values.len() == n
-                && self.val_present.len() >= n.div_ceil(64),
-            "column batch slices must agree on length"
+            fits(self.ts_micros.len())
+                && fits(self.host_ids.len())
+                && fits(self.type_ids.len())
+                && fits(self.levels.len())
+                && fits(self.values.len())
+                && (self.val_present.is_empty() || self.val_present.len() >= n.div_ceil(64)),
+            "a column batch slice is neither empty nor `rows` long"
         );
+    }
+}
+
+/// A set of [`ColumnBatch`] columns: what an evaluation reads.  A scan
+/// decodes these before [`Plan::eval_batch`] and may hand every other
+/// column over empty; an evaluation that read one anyway would index an
+/// empty slice and panic rather than see stale data.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Columns(u8);
+
+impl Columns {
+    /// No column.
+    pub const NONE: Columns = Columns(0);
+    /// `ts_micros`.
+    pub const TS: Columns = Columns(1);
+    /// `host_ids`.
+    pub const HOSTS: Columns = Columns(1 << 1);
+    /// `type_ids`.
+    pub const TYPES: Columns = Columns(1 << 2);
+    /// `levels`.
+    pub const LEVELS: Columns = Columns(1 << 3);
+    /// `values` and `val_present`.
+    pub const VALUES: Columns = Columns(1 << 4);
+    /// Every column.
+    pub const ALL: Columns = Columns(0b1_1111);
+
+    /// True when every column of `other` is in the set.
+    pub fn contains(self, other: Columns) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+impl std::ops::BitOr for Columns {
+    type Output = Columns;
+
+    fn bitor(self, other: Columns) -> Columns {
+        Columns(self.0 | other.0)
+    }
+}
+
+impl std::ops::Not for Columns {
+    type Output = Columns;
+
+    /// The columns not in the set.
+    fn not(self) -> Columns {
+        Columns(!self.0 & Columns::ALL.0)
     }
 }
 
@@ -1428,6 +1480,12 @@ impl Selection {
     /// Is row `i` selected?
     pub fn contains(&self, i: usize) -> bool {
         i < self.len && self.bits[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    /// The selection of rows `64 * w ..= 64 * w + 63`, row `64 * w + b` in
+    /// bit `b`; 0 past the end.
+    pub fn word(&self, w: usize) -> u64 {
+        self.bits.get(w).copied().unwrap_or(0)
     }
 
     /// How many rows are selected.
@@ -1653,6 +1711,29 @@ fn eval_node_batch(
     }
 }
 
+/// The columns [`eval_node_batch`] reads for `n`.
+fn node_columns(n: &Node) -> Columns {
+    match n {
+        Node::And(cs) | Node::Or(cs) => cs
+            .iter()
+            .fold(Columns::NONE, |acc, c| acc | node_columns(c)),
+        Node::Not(c) => node_columns(c),
+        Node::Types(_) => Columns::TYPES,
+        Node::Hosts(_) => Columns::HOSTS,
+        Node::MinLevel(_) => Columns::LEVELS,
+        Node::Time { .. } => Columns::TS,
+        Node::Value(..) => Columns::VALUES,
+        // These select every row without looking at one.
+        Node::True
+        | Node::OnChange
+        | Node::Crosses(_)
+        | Node::RelativeChange(_)
+        | Node::Equals(..)
+        | Node::Present(_)
+        | Node::Substring(..) => Columns::NONE,
+    }
+}
+
 fn node_batch_definite(n: &Node) -> bool {
     match n {
         Node::True
@@ -1693,9 +1774,35 @@ impl Plan {
         sel.resize_for(batch.len());
         eval_node_batch(&self.root, batch, &mut sel.bits, scratch)
     }
+
+    /// The columns [`Plan::eval_batch`] reads: time bounds read `ts_micros`,
+    /// host and type leaves their id columns, a level floor `levels`, `VAL`
+    /// comparisons `values` and `val_present`.  Stateful and attribute
+    /// leaves read none.
+    pub fn columns(&self) -> Columns {
+        node_columns(&self.root)
+    }
 }
 
 impl Facts {
+    /// The columns [`Facts::eval_batch`] reads.
+    pub fn columns(&self) -> Columns {
+        let mut read = Columns::NONE;
+        if self.from_micros.is_some() || self.to_micros.is_some() {
+            read = read | Columns::TS;
+        }
+        if self.level_floor.is_some() {
+            read = read | Columns::LEVELS;
+        }
+        if self.types.is_some() {
+            read = read | Columns::TYPES;
+        }
+        if self.hosts.is_some() {
+            read = read | Columns::HOSTS;
+        }
+        read
+    }
+
     /// Vectorized [`Facts::admits`]: select exactly the rows the pushdown
     /// facts admit.  Used by scans of *stateful* plans, which must feed
     /// every facts-admissible row (in merge order) through the row
@@ -1711,30 +1818,35 @@ impl Facts {
         let len = batch.len();
         sel.resize_for(len);
         let out = &mut sel.bits;
-        let (from, to) = (
-            self.from_micros.unwrap_or(0),
-            self.to_micros.unwrap_or(u64::MAX),
-        );
-        let floor = self.level_floor.unwrap_or(0);
-        fill_rows(out, len, |i| {
-            let t = batch.ts_micros[i];
-            t >= from && t < to && batch.levels[i] >= floor
-        });
+        fill_ones(out, len);
         let mut tmp = scratch.take_buf(out.len());
+        let and_tmp = |out: &mut [u64], tmp: &[u64]| {
+            for (o, t) in out.iter_mut().zip(tmp) {
+                *o &= *t;
+            }
+        };
+        if self.from_micros.is_some() || self.to_micros.is_some() {
+            let from = self.from_micros.unwrap_or(0);
+            fill_rows(&mut tmp, len, |i| {
+                let t = batch.ts_micros[i];
+                t >= from && self.to_micros.is_none_or(|to| t < to)
+            });
+            and_tmp(out, &tmp);
+        }
+        if let Some(floor) = self.level_floor {
+            fill_rows(&mut tmp, len, |i| batch.levels[i] >= floor);
+            and_tmp(out, &tmp);
+        }
         let mut ids = std::mem::take(&mut scratch.ids);
         if let Some(types) = &self.types {
             resolve_dict_ids(batch.dict, types, &mut ids);
             fill_id_match(&mut tmp, len, batch.type_ids, &ids);
-            for (o, t) in out.iter_mut().zip(tmp.iter()) {
-                *o &= *t;
-            }
+            and_tmp(out, &tmp);
         }
         if let Some(hosts) = &self.hosts {
             resolve_dict_ids(batch.dict, hosts, &mut ids);
             fill_id_match(&mut tmp, len, batch.host_ids, &ids);
-            for (o, t) in out.iter_mut().zip(tmp.iter()) {
-                *o &= *t;
-            }
+            and_tmp(out, &tmp);
         }
         scratch.ids = ids;
         scratch.put_buf(tmp);
@@ -2281,13 +2393,26 @@ mod tests {
         }
 
         fn batch(&self) -> ColumnBatch<'_> {
+            self.batch_of(Columns::ALL)
+        }
+
+        /// The batch with every column outside `read` left empty.
+        fn batch_of(&self, read: Columns) -> ColumnBatch<'_> {
+            fn keep<T>(read: Columns, col: Columns, data: &[T]) -> &[T] {
+                if read.contains(col) {
+                    data
+                } else {
+                    &[]
+                }
+            }
             ColumnBatch {
-                ts_micros: &self.ts,
-                host_ids: &self.hosts,
-                type_ids: &self.types,
-                levels: &self.levels,
-                values: &self.values,
-                val_present: &self.present,
+                rows: self.ts.len(),
+                ts_micros: keep(read, Columns::TS, &self.ts),
+                host_ids: keep(read, Columns::HOSTS, &self.hosts),
+                type_ids: keep(read, Columns::TYPES, &self.types),
+                levels: keep(read, Columns::LEVELS, &self.levels),
+                values: keep(read, Columns::VALUES, &self.values),
+                val_present: keep(read, Columns::VALUES, &self.present),
                 dict: &self.dict,
             }
         }
@@ -2382,6 +2507,63 @@ mod tests {
                 assert_eq!(sel.contains(i), plan.facts().admits(&data.row(i)));
             }
         });
+    }
+
+    #[test]
+    fn a_batch_of_only_the_declared_columns_evaluates_the_same() {
+        let plans = [
+            "(&)",
+            "(type=A)",
+            "(host=h2)",
+            "(level>=warning)",
+            "(val>50)",
+            "(&(time>=1000000)(time<2000000))",
+            "(&(|(host=h1)(host=h2))(!(type=C))(level>=error))",
+            "(&(type=A)(name=y))",
+            "(&(type=B)(onchange))",
+            "(limit=3)",
+        ];
+        crate::check::forall("declared columns suffice", 64, |g| {
+            let rows = g.usize_in(1, 150);
+            let data = BatchData::random(g, rows);
+            let (mut full, mut declared) = (Selection::new(), Selection::new());
+            let mut scratch = BatchScratch::new();
+            for text in plans {
+                let plan = Predicate::parse(text).unwrap().compile();
+                plan.eval_batch(&data.batch(), &mut full, &mut scratch);
+                plan.eval_batch(&data.batch_of(plan.columns()), &mut declared, &mut scratch);
+                assert!(full.ones().eq(declared.ones()), "{text}");
+                let facts = plan.facts();
+                facts.eval_batch(&data.batch(), &mut full, &mut scratch);
+                facts.eval_batch(&data.batch_of(facts.columns()), &mut declared, &mut scratch);
+                assert!(full.ones().eq(declared.ones()), "facts of {text}");
+            }
+        });
+        assert_eq!(
+            Predicate::parse("(&(type=A)(val>1)(time<9))")
+                .unwrap()
+                .compile()
+                .columns(),
+            Columns::TYPES | Columns::VALUES | Columns::TS
+        );
+        assert_eq!(Predicate::True.compile().columns(), Columns::NONE);
+    }
+
+    #[test]
+    #[should_panic]
+    fn reading_an_undeclared_column_panics() {
+        let data = BatchData {
+            dict: vec!["h1".into()],
+            ts: vec![0; 3],
+            hosts: vec![0; 3],
+            types: vec![0; 3],
+            levels: vec![0; 3],
+            values: vec![0.0; 3],
+            present: vec![0],
+        };
+        let plan = Predicate::parse("(host=h1)").unwrap().compile();
+        let batch = data.batch_of(Columns::TYPES);
+        plan.eval_batch(&batch, &mut Selection::new(), &mut BatchScratch::new());
     }
 
     #[test]

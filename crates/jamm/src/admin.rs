@@ -201,6 +201,8 @@ pub(crate) fn register_collectors(
             ("jamm_tsdb_compactions", stats.compactions()),
             ("jamm_tsdb_segments_scanned", stats.segments_scanned()),
             ("jamm_tsdb_segments_pruned", stats.segments_pruned()),
+            ("jamm_tsdb_scan_groups_decoded", stats.scan_groups_decoded()),
+            ("jamm_tsdb_scan_groups_skipped", stats.scan_groups_skipped()),
             ("jamm_tsdb_expired_events", stats.expired_events()),
             ("jamm_tsdb_append_errors", stats.append_errors()),
             ("jamm_tsdb_seal_errors", stats.seal_errors()),

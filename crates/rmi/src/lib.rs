@@ -6,7 +6,9 @@
 //! objects are loaded on first use and unload themselves after a period of
 //! inactivity, and code updates are picked up automatically.
 //!
-//! This crate is the Rust stand-in (see DESIGN.md, substitution 1):
+//! There is no JVM here, so this crate stands in for Java RMI with
+//! JSON-framed calls over an in-process bus and TCP, keeping the paper's
+//! call shape:
 //!
 //! * [`message`] — the call/response envelope (JSON-encoded arguments);
 //! * [`bus`] — an in-process service registry and dispatcher: the

@@ -25,6 +25,7 @@ use jamm_core::query::Plan;
 use jamm_ulm::{Event, SharedEvent, Timestamp};
 
 use crate::segment::{ColMode, ColScan, Segment, SegmentCursor};
+use crate::store::TsdbStats;
 
 /// One merge source: the (facts-pre-filtered, pre-sorted) memtable
 /// snapshot, a lazily decoding row-major segment cursor, or a batched
@@ -111,6 +112,8 @@ pub struct ScanIter {
     remaining: Option<usize>,
     segments_pruned: u64,
     segments_scanned: u64,
+    /// Where each segment scan reports its row-group counts.
+    stats: Arc<TsdbStats>,
 }
 
 impl ScanIter {
@@ -122,20 +125,9 @@ impl ScanIter {
         mem: Vec<(u64, SharedEvent)>,
         mut segments: Vec<Arc<Segment>>,
         segments_pruned: u64,
+        stats: Arc<TsdbStats>,
     ) -> ScanIter {
-        // Stateful plans must feed *every* facts-admissible row through
-        // the row evaluator in merge order (its per-series memory updates
-        // on evaluation, match or not), so their columnar batches filter
-        // by facts alone.  Stateless plans batch-filter with the full
-        // plan: exactly when every node is column-decidable, as a
-        // superset (re-checked post-merge) otherwise.
-        let mode = if plan.is_stateful() {
-            ColMode::FactsOnly
-        } else if plan.batch_definite() {
-            ColMode::Exact
-        } else {
-            ColMode::Superset
-        };
+        let mode = ColMode::of(&plan);
         let segments_scanned = segments.len() as u64;
         segments.sort_by_key(|seg| std::cmp::Reverse(seg.catalog().min_ts));
         let mut iter = ScanIter {
@@ -146,6 +138,7 @@ impl ScanIter {
             pending: segments,
             segments_pruned,
             segments_scanned,
+            stats,
         };
         if iter.remaining == Some(0) {
             iter.pending.clear();
@@ -203,7 +196,8 @@ impl Iterator for ScanIter {
             if let Some(seg) = self.pending.pop_if(reached) {
                 match seg.col_scan() {
                     Some(scan) => {
-                        self.open(Source::Col(Box::new(scan)), self.mode != ColMode::Exact)
+                        let scan = Box::new(scan.reporting_to(&self.stats));
+                        self.open(Source::Col(scan), self.mode != ColMode::Exact)
                     }
                     None => self.open(Source::Seg(seg.cursor()), true),
                 }
@@ -275,7 +269,13 @@ mod tests {
             (6u64, std::sync::Arc::new(ev(25, "m"))),
             (7u64, std::sync::Arc::new(ev(60, "m"))),
         ];
-        let iter = ScanIter::new(Predicate::True.compile(), mem, vec![seg_a, seg_b], 0);
+        let iter = ScanIter::new(
+            Predicate::True.compile(),
+            mem,
+            vec![seg_a, seg_b],
+            0,
+            Default::default(),
+        );
         let times: Vec<u64> = iter.map(|e| e.timestamp.as_secs()).collect();
         assert_eq!(times, vec![10, 20, 25, 30, 40, 50, 60]);
     }
@@ -287,7 +287,13 @@ mod tests {
             (2u64, std::sync::Arc::new(ev(10, "m"))),
             (9u64, std::sync::Arc::new(ev(10, "m"))),
         ];
-        let iter = ScanIter::new(Predicate::True.compile(), mem, vec![seg], 0);
+        let iter = ScanIter::new(
+            Predicate::True.compile(),
+            mem,
+            vec![seg],
+            0,
+            Default::default(),
+        );
         let hosts: Vec<String> = iter.map(|e| e.host).collect();
         assert_eq!(hosts, vec!["m", "a", "m"]); // seq 2, 5, 9
     }
@@ -302,7 +308,7 @@ mod tests {
             Predicate::between_micros(4_000_000, 15_000_000),
             Predicate::hosts(["even"]),
         ]);
-        let iter = ScanIter::new(q.compile(), Vec::new(), vec![seg], 0);
+        let iter = ScanIter::new(q.compile(), Vec::new(), vec![seg], 0, Default::default());
         let times: Vec<u64> = iter.map(|e| e.timestamp.as_secs()).collect();
         assert_eq!(times, vec![4, 6, 8, 10, 12, 14]);
     }
@@ -312,7 +318,7 @@ mod tests {
         let batch: Vec<(u64, Event)> = (0..20).map(|i| (i, ev(i, "h"))).collect();
         let seg = Arc::new(Segment::build(1, &batch));
         let plan = Predicate::parse("(val>=15)").unwrap().compile();
-        let iter = ScanIter::new(plan, Vec::new(), vec![seg], 0);
+        let iter = ScanIter::new(plan, Vec::new(), vec![seg], 0, Default::default());
         let times: Vec<u64> = iter.map(|e| e.timestamp.as_secs()).collect();
         assert_eq!(times, vec![15, 16, 17, 18, 19]);
     }
@@ -322,7 +328,7 @@ mod tests {
         let batch: Vec<(u64, Event)> = (0..100).map(|i| (i, ev(i, "h"))).collect();
         let seg = Arc::new(Segment::build(1, &batch));
         let plan = Predicate::parse("(limit=3)").unwrap().compile();
-        let mut iter = ScanIter::new(plan, Vec::new(), vec![seg], 0);
+        let mut iter = ScanIter::new(plan, Vec::new(), vec![seg], 0, Default::default());
         assert_eq!(iter.next().map(|e| e.timestamp.as_secs()), Some(0));
         assert_eq!(iter.next().map(|e| e.timestamp.as_secs()), Some(1));
         assert_eq!(iter.next().map(|e| e.timestamp.as_secs()), Some(2));
@@ -336,7 +342,13 @@ mod tests {
 
     #[test]
     fn empty_scan_yields_nothing() {
-        let iter = ScanIter::new(Predicate::True.compile(), Vec::new(), Vec::new(), 0);
+        let iter = ScanIter::new(
+            Predicate::True.compile(),
+            Vec::new(),
+            Vec::new(),
+            0,
+            Default::default(),
+        );
         assert_eq!(iter.count(), 0);
     }
 
@@ -364,7 +376,7 @@ mod tests {
         let mut segments = segment_run(50, false);
         segments.reverse(); // the catalog decides the order, not the caller
         let plan = Predicate::parse("(limit=3)").unwrap().compile();
-        let mut iter = ScanIter::new(plan, Vec::new(), segments, 0);
+        let mut iter = ScanIter::new(plan, Vec::new(), segments, 0, Default::default());
         assert_eq!(
             (live_segments(&iter), iter.pending.len()),
             (0, 50),
@@ -388,7 +400,13 @@ mod tests {
         for touching in [false, true] {
             let segments = segment_run(30, touching);
             let mem = vec![(301u64, Arc::new(ev(1_000, "m")))];
-            let mut iter = ScanIter::new(Predicate::True.compile(), mem, segments, 0);
+            let mut iter = ScanIter::new(
+                Predicate::True.compile(),
+                mem,
+                segments,
+                0,
+                Default::default(),
+            );
             let mut keys = Vec::new();
             let mut most = 0;
             while let Some(e) = iter.next() {
@@ -407,7 +425,13 @@ mod tests {
         // first segment's last event, smaller sequence number.
         let early = Arc::new(Segment::build(1, &[(1, ev(5, "a")), (5, ev(10, "a"))]));
         let late = Arc::new(Segment::build(2, &[(2, ev(10, "b")), (6, ev(11, "b"))]));
-        let iter = ScanIter::new(Predicate::True.compile(), Vec::new(), vec![early, late], 0);
+        let iter = ScanIter::new(
+            Predicate::True.compile(),
+            Vec::new(),
+            vec![early, late],
+            0,
+            Default::default(),
+        );
         let hosts: Vec<String> = iter.map(|e| e.host).collect();
         assert_eq!(hosts, ["a", "b", "a", "b"]); // seq 1, 2, 5, 6
     }

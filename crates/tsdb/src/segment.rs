@@ -19,14 +19,17 @@
 //! at a time instead of materializing the segment.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-use jamm_core::query::{BatchScratch, ColumnBatch, Facts, Plan, Selection};
+use jamm_core::query::{BatchScratch, ColumnBatch, Columns, Facts, Plan, Selection};
 use jamm_ulm::{binary, Event, Timestamp, Value};
 
 use crate::codec::{
     fnv64, get_bytes, get_ivarint, get_str, get_uvarint, put_ivarint, put_str, put_uvarint,
 };
+use crate::store::TsdbStats;
 use crate::{Result, TsdbError};
 
 /// Magic bytes opening a segment file.  `JSG3` lays the event stream out
@@ -142,11 +145,12 @@ impl SegmentCatalog {
 /// codes, host/program/type dictionary indices, a typed `f64` column for
 /// the conventional `VAL` reading (with presence bitmap), per-row field
 /// counts and key lists, and *sparse per-key columns* holding the
-/// remaining field payloads grouped by key.  A plan scan decodes the fixed
-/// columns a batch at a time, runs the vectorized
-/// [`jamm_core::query::Plan::eval_batch`] over them, and only
-/// *materializes* full [`Event`]s for rows that survive the filter (late
-/// materialization) — skipped rows pay varint skips, never a `String`.
+/// remaining field payloads grouped by key.  A plan scan decodes just the
+/// columns the plan reads a batch at a time, runs the vectorized
+/// [`jamm_core::query::Plan::eval_batch`] over them, passes over the
+/// 64-row groups it rejects whole, and only *materializes* full
+/// [`Event`]s for rows that survive the filter (late materialization) —
+/// rejected rows of the other groups pay varint skips, never a `String`.
 #[derive(Debug)]
 pub struct Segment {
     catalog: SegmentCatalog,
@@ -161,6 +165,10 @@ pub struct Segment {
     dict: Vec<String>,
     /// The compressed event stream, row-major (legacy) or columnar.
     repr: Repr,
+    /// The row-group index of a columnar segment: built in memory by the
+    /// first scan that skips a group, shared by every later scan, never
+    /// written to disk.
+    groups: OnceLock<Result<Option<GroupIndex>>>,
 }
 
 /// The two on-disk generations of a segment's event stream.
@@ -403,6 +411,7 @@ impl Segment {
             max_seq,
             dict,
             repr: Repr::Cols(Box::new(cols)),
+            groups: OnceLock::new(),
         }
     }
 
@@ -639,6 +648,7 @@ impl Segment {
             max_seq,
             dict,
             repr,
+            groups: OnceLock::new(),
         })
     }
 
@@ -691,6 +701,29 @@ impl Segment {
             .then(|| ColScan::new(std::sync::Arc::clone(self)))
     }
 
+    /// The column regions of a columnar segment.
+    fn cols(&self) -> &ColData {
+        match &self.repr {
+            Repr::Cols(cols) => cols,
+            Repr::Rows(_) => unreachable!("column access on a row-major segment"),
+        }
+    }
+
+    /// The row-group index, built now if no scan has built it yet; `None`
+    /// for a segment too large to index.  A corrupt region fails the build
+    /// with the error a sequential walk would have met further on.
+    fn group_index(&self) -> Result<Option<&GroupIndex>> {
+        match self.groups.get_or_init(|| GroupIndex::build(self)) {
+            Ok(index) => Ok(index.as_ref()),
+            Err(e) => Err(e.clone()),
+        }
+    }
+
+    /// The row-group index if a scan has already built it.
+    fn built_group_index(&self) -> Option<&GroupIndex> {
+        self.groups.get()?.as_ref().ok()?.as_ref()
+    }
+
     /// Build a segment in the legacy `JSG2` row-major shape — what PR 5-era
     /// code wrote.  Test-only: it exists so compatibility tests can
     /// produce genuine old-format fixtures (and exercise the row-major
@@ -741,6 +774,7 @@ impl Segment {
             max_seq: columnar.max_seq,
             dict: dict.strings,
             repr: Repr::Rows(data),
+            groups: OnceLock::new(),
         }
     }
 }
@@ -773,7 +807,7 @@ struct AllRows {
 
 /// Delta-of-delta timestamp decoding state (both generations encode the
 /// timestamp stream the same way).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, Copy)]
 struct TsDecoder {
     prev_ts: u64,
     prev_delta: u64,
@@ -954,20 +988,52 @@ pub enum ColMode {
     FactsOnly,
 }
 
-/// Rows per [`ColScan`] decode batch.
-const COL_BATCH: usize = 1024;
+impl ColMode {
+    /// The mode a scan of `plan` runs in.  Stateful plans must feed *every*
+    /// facts-admissible row through the row evaluator in merge order (its
+    /// per-series memory updates on evaluation, match or not), so their
+    /// batches filter by facts alone.  Stateless plans batch-filter with
+    /// the full plan: exactly when every node is column-decidable, as a
+    /// superset (re-checked post-merge) otherwise.
+    pub(crate) fn of(plan: &Plan) -> ColMode {
+        if plan.is_stateful() {
+            ColMode::FactsOnly
+        } else if plan.batch_definite() {
+            ColMode::Exact
+        } else {
+            ColMode::Superset
+        }
+    }
+}
 
-/// Per-region decode positions of a columnar segment, and what the scan
-/// knows about each dictionary slot a field key can name.
-#[derive(Debug)]
-struct ColsPos {
+/// Rows per row group: one [`Selection`] word, the unit a scan passes over
+/// and the unit [`GroupIndex`] checkpoints.
+const GROUP: usize = 64;
+
+/// Rows per [`ColScan`] decode batch: sixteen groups.
+const COL_BATCH: usize = 16 * GROUP;
+
+/// Where the fixed-column decoders stand in their regions, with what delta
+/// decoding carries from one row to the next.  Levels and the `VAL`
+/// bitmaps are read by row number and need no position.
+#[derive(Debug, Clone, Copy, Default)]
+struct FixedPos {
     ts: usize,
+    ts_state: TsDecoder,
     seqs: usize,
+    prev_seq: u64,
     host: usize,
     prog: usize,
     ty: usize,
     /// Byte offset into the packed `vals` column.
     vals: usize,
+}
+
+/// Where the field walk stands in the per-row field counts and the key
+/// list, and what the scan knows about each dictionary slot a field key
+/// can name.
+#[derive(Debug)]
+struct FieldPos {
     nf: usize,
     keys: usize,
     /// One entry per dictionary slot, indexed by the key list's indices.
@@ -997,10 +1063,10 @@ impl KeySlot {
     }
 }
 
-impl ColsPos {
+impl FieldPos {
     /// Flag the dictionary's `VAL` slots and parse the sparse region's key
     /// directory into per-slot column bounds.
-    fn init(dict: &[String], cols: &ColData) -> Result<ColsPos> {
+    fn init(dict: &[String], cols: &ColData) -> Result<FieldPos> {
         let mut key_slots: Vec<KeySlot> = dict
             .iter()
             .map(|s| KeySlot {
@@ -1027,30 +1093,89 @@ impl ColsPos {
             slot.sparse = Some((pos, end));
             pos = end;
         }
-        Ok(ColsPos {
-            ts: 0,
-            seqs: 0,
-            host: 0,
-            prog: 0,
-            ty: 0,
-            vals: 0,
+        Ok(FieldPos {
             nf: 0,
             keys: 0,
             key_slots,
         })
     }
+
+    /// Walk segment row `r`, row `i` of `batch`, through the field regions
+    /// (the key-list and sparse positions are strictly sequential): build
+    /// its event when `keep`, else skip its values — varint skips, no
+    /// string touched.
+    fn walk(
+        &mut self,
+        seg: &Segment,
+        batch: &Batch,
+        r: usize,
+        i: usize,
+        keep: bool,
+    ) -> Result<Option<(u64, Event)>> {
+        let cols = seg.cols();
+        let n_fields = get_uvarint(&cols.nfields, &mut self.nf)? as usize;
+        let val_is_float = bitmap_get(&cols.val_float, r);
+        // Every field takes a byte of the key list, which bounds the
+        // allocation a hostile count can ask for.
+        let mut fields = Vec::with_capacity(if keep {
+            n_fields.min(cols.keys.len().saturating_sub(self.keys))
+        } else {
+            0
+        });
+        let mut saw_val = false;
+        for _ in 0..n_fields {
+            let key_ix = get_uvarint(&cols.keys, &mut self.keys)?;
+            let slot = usize::try_from(key_ix)
+                .ok()
+                .and_then(|ix| self.key_slots.get_mut(ix))
+                .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
+            if slot.is_val && !saw_val {
+                saw_val = true;
+                if val_is_float {
+                    // The row's first `VAL` field lives in the typed
+                    // column only.
+                    if keep {
+                        if batch.present[i / 64] & (1u64 << (i % 64)) == 0 {
+                            return Err(TsdbError::Corrupt("float VAL bit without typed value"));
+                        }
+                        fields.push((dict_at(seg, key_ix)?, Value::Float(batch.vals[i])));
+                    }
+                    continue;
+                }
+            }
+            let at = slot.next_value()?;
+            if keep {
+                let value = read_value(seg, &cols.sparse, at)?;
+                fields.push((dict_at(seg, key_ix)?, value));
+            } else {
+                skip_value(&cols.sparse, at)?;
+            }
+        }
+        if !keep {
+            return Ok(None);
+        }
+        let level_code = cols.levels[r]; // in range: the group's levels were decoded
+        let event = Event {
+            timestamp: Timestamp::from_micros(batch.ts[i]),
+            host: dict_at(seg, batch.hosts[i].into())?,
+            program: dict_at(seg, batch.progs[i].into())?,
+            level: binary::level_from_code(level_code)
+                .map_err(|_| TsdbError::Corrupt("bad level code"))?,
+            event_type: dict_at(seg, batch.types[i].into())?,
+            fields,
+        };
+        Ok(Some((batch.seqs[i], event)))
+    }
 }
 
-/// Decode `n` dictionary indices from an index column.  The batch layer
-/// compares ids as `u32`, so one that does not fit cannot name a slot.
-fn fill_ids(out: &mut Vec<u32>, n: usize, data: &[u8], pos: &mut usize) -> Result<()> {
-    out.clear();
-    out.reserve(n);
+/// Decode dictionary indices from an index column into `out`.  The batch
+/// layer compares ids as `u32`, so one that does not fit cannot name a slot.
+fn fill_ids(out: &mut [u32], data: &[u8], pos: &mut usize) -> Result<()> {
     let mut all_bits = 0u64;
-    for _ in 0..n {
+    for id in out {
         let ix = get_uvarint(data, pos)?;
         all_bits |= ix;
-        out.push(ix as u32);
+        *id = ix as u32;
     }
     if all_bits > u64::from(u32::MAX) {
         return Err(TsdbError::Corrupt("dictionary index out of range"));
@@ -1058,34 +1183,302 @@ fn fill_ids(out: &mut Vec<u32>, n: usize, data: &[u8], pos: &mut usize) -> Resul
     Ok(())
 }
 
-/// The scan-optimized — and only — reader of a columnar segment: decodes
-/// the fixed columns a batch at a time into reusable buffers, one tight
-/// loop per region, evaluates the plan once per batch via
-/// [`Plan::eval_batch`], then walks the batch's rows through the field
-/// regions on demand, materializing a selected row only when the caller
-/// asks for the next match.
-#[derive(Debug)]
-pub struct ColScan {
-    seg: std::sync::Arc<Segment>,
-    /// Rows whose fixed columns are decoded (all batches so far).
-    decoded: usize,
-    ts_state: TsDecoder,
-    prev_seq: u64,
-    /// Region positions, parsed on the first batch.
-    pos: Option<ColsPos>,
-    /// Decoded fixed columns of the current batch (reused).
+/// One batch's fixed columns, by row within the batch (reused).  Pass 1
+/// fills the columns the plan reads for every row, pass 2 the others for
+/// the groups pass 1 selected; rows of a skipped group keep stale values
+/// nothing reads.
+#[derive(Debug, Default)]
+struct Batch {
     ts: Vec<u64>,
     seqs: Vec<u64>,
-    levels_sev: Vec<u8>,
+    /// Severity ranks.
+    levels: Vec<u8>,
     hosts: Vec<u32>,
     progs: Vec<u32>,
     types: Vec<u32>,
     vals: Vec<f64>,
     present: Vec<u64>,
+}
+
+impl Batch {
+    /// Size every column for `n` rows.
+    fn resize(&mut self, n: usize) {
+        self.ts.resize(n, 0);
+        self.seqs.resize(n, 0);
+        self.levels.resize(n, 0);
+        self.hosts.resize(n, 0);
+        self.progs.resize(n, 0);
+        self.types.resize(n, 0);
+        self.vals.resize(n, 0.0);
+        self.present.resize(n.div_ceil(64), 0);
+    }
+
+    /// Decode segment rows `rows` of the columns in `read` into batch rows
+    /// from `at` (a group boundary), one tight loop per region.
+    fn decode(
+        &mut self,
+        seg: &Segment,
+        st: &mut FixedPos,
+        read: Columns,
+        rows: Range<usize>,
+        at: usize,
+    ) -> Result<()> {
+        let cols = seg.cols();
+        let out = at..at + rows.len();
+        if read.contains(Columns::TS) {
+            for (r, ts) in rows.clone().zip(&mut self.ts[out.clone()]) {
+                *ts = st.ts_state.next(seg, r, &cols.ts, &mut st.ts)?;
+            }
+        }
+        if read.contains(Columns::LEVELS) {
+            let codes = cols
+                .levels
+                .get(rows.clone())
+                .ok_or(TsdbError::Corrupt("truncated level column"))?;
+            for (code, rank) in codes.iter().zip(&mut self.levels[out.clone()]) {
+                let level = binary::level_from_code(*code)
+                    .map_err(|_| TsdbError::Corrupt("bad level code"))?;
+                *rank = level.severity();
+            }
+        }
+        if read.contains(Columns::HOSTS) {
+            fill_ids(&mut self.hosts[out.clone()], &cols.host_ix, &mut st.host)?;
+        }
+        if read.contains(Columns::TYPES) {
+            fill_ids(&mut self.types[out.clone()], &cols.type_ix, &mut st.ty)?;
+        }
+        if read.contains(Columns::VALUES) {
+            self.present[at / 64..out.end.div_ceil(64)].fill(0);
+            for (i, r) in out.zip(rows) {
+                self.vals[i] = if bitmap_get(&cols.val_present, r) {
+                    self.present[i / 64] |= 1u64 << (i % 64);
+                    f64::from_le_bytes(get_bytes::<8>(&cols.vals, &mut st.vals)?)
+                } else {
+                    0.0
+                };
+            }
+        }
+        Ok(())
+    }
+
+    /// Decode the two columns only a built event needs, sequence numbers
+    /// and programs, like [`Batch::decode`].
+    fn decode_seqs_and_programs(
+        &mut self,
+        seg: &Segment,
+        st: &mut FixedPos,
+        rows: Range<usize>,
+        at: usize,
+    ) -> Result<()> {
+        let cols = seg.cols();
+        let out = at..at + rows.len();
+        for seq in &mut self.seqs[out.clone()] {
+            let dseq = get_ivarint(&cols.seqs, &mut st.seqs)?;
+            st.prev_seq = st.prev_seq.wrapping_add(dseq as u64);
+            *seq = st.prev_seq;
+        }
+        fill_ids(&mut self.progs[out], &cols.prog_ix, &mut st.prog)
+    }
+
+    /// The batch as [`Plan::eval_batch`] sees it: the columns in `read`,
+    /// every other one empty.
+    fn view<'a>(&'a self, read: Columns, dict: &'a [String]) -> ColumnBatch<'a> {
+        fn keep<T>(read: Columns, col: Columns, data: &[T]) -> &[T] {
+            if read.contains(col) {
+                data
+            } else {
+                &[]
+            }
+        }
+        ColumnBatch {
+            rows: self.ts.len(),
+            ts_micros: keep(read, Columns::TS, &self.ts),
+            host_ids: keep(read, Columns::HOSTS, &self.hosts),
+            type_ids: keep(read, Columns::TYPES, &self.types),
+            levels: keep(read, Columns::LEVELS, &self.levels),
+            values: keep(read, Columns::VALUES, &self.vals),
+            val_present: keep(read, Columns::VALUES, &self.present),
+            dict,
+        }
+    }
+}
+
+/// The decoder state at the first row of one row group, its offsets
+/// narrowed to `u32` (an index is only built when every region fits).
+#[derive(Debug, Clone, Copy)]
+struct Checkpoint {
+    ts_state: TsDecoder,
+    prev_seq: u64,
+    ts: u32,
+    seqs: u32,
+    host: u32,
+    prog: u32,
+    ty: u32,
+    vals: u32,
+    nf: u32,
+    keys: u32,
+}
+
+/// A segment's row-group index: every region's decoder state at the start
+/// of each 64-row group, so a scan can pass over the groups its plan
+/// rejects and resume at the next one it selects.  56 bytes a group plus 4
+/// per sparse column — about one byte a row for e21-shaped events.  Built
+/// in memory by the first scan that skips a group and never persisted.
+#[derive(Debug)]
+struct GroupIndex {
+    groups: Vec<Checkpoint>,
+    /// The dictionary slots that have a sparse value column, in slot order.
+    sparse_slots: Vec<usize>,
+    /// Each group's position in each of those columns, `sparse_slots.len()`
+    /// entries a group.
+    sparse: Vec<u32>,
+}
+
+impl GroupIndex {
+    /// Walk the whole segment once with the scan's own decoders — every
+    /// column, every field skipped — checkpointing each group's start.
+    /// `None` when a region is too large for `u32` offsets; such a segment
+    /// scans without skipping.
+    fn build(seg: &Segment) -> Result<Option<GroupIndex>> {
+        let cols = seg.cols();
+        if u32::try_from(cols.total_bytes()).is_err() {
+            return Ok(None);
+        }
+        let mut fixed = FixedPos::default();
+        let mut fields = FieldPos::init(&seg.dict, cols)?;
+        let sparse_slots: Vec<usize> = (0..fields.key_slots.len())
+            .filter(|slot| fields.key_slots[*slot].sparse.is_some())
+            .collect();
+        // Every row takes a byte of the level column, which bounds the
+        // allocation a hostile row count can ask for.
+        let groups = seg.len().min(cols.levels.len()).div_ceil(GROUP);
+        let mut index = GroupIndex {
+            groups: Vec::with_capacity(groups),
+            sparse: Vec::with_capacity(groups.saturating_mul(sparse_slots.len())),
+            sparse_slots,
+        };
+        let mut batch = Batch::default();
+        batch.resize(GROUP);
+        for start in (0..seg.len()).step_by(GROUP) {
+            index.push(&fixed, &fields);
+            let rows = start..(start + GROUP).min(seg.len());
+            batch.decode(seg, &mut fixed, Columns::ALL, rows.clone(), 0)?;
+            batch.decode_seqs_and_programs(seg, &mut fixed, rows.clone(), 0)?;
+            for (i, r) in rows.enumerate() {
+                fields.walk(seg, &batch, r, i, false)?;
+            }
+        }
+        Ok(Some(index))
+    }
+
+    /// Checkpoint the state at the start of the next group.
+    fn push(&mut self, fixed: &FixedPos, fields: &FieldPos) {
+        // Lossless: `build` checked that every region fits in `u32`.
+        let narrow = |pos: usize| pos as u32;
+        self.groups.push(Checkpoint {
+            ts_state: fixed.ts_state,
+            prev_seq: fixed.prev_seq,
+            ts: narrow(fixed.ts),
+            seqs: narrow(fixed.seqs),
+            host: narrow(fixed.host),
+            prog: narrow(fixed.prog),
+            ty: narrow(fixed.ty),
+            vals: narrow(fixed.vals),
+            nf: narrow(fields.nf),
+            keys: narrow(fields.keys),
+        });
+        for slot in &self.sparse_slots {
+            let pos = fields.key_slots[*slot].sparse.map_or(0, |(pos, _)| pos);
+            self.sparse.push(narrow(pos));
+        }
+    }
+
+    /// Put the fixed-column decoders back where they stood at the start of
+    /// group `g`.
+    fn restore_fixed(&self, g: usize, fixed: &mut FixedPos) {
+        let c = &self.groups[g];
+        *fixed = FixedPos {
+            ts: c.ts as usize,
+            ts_state: c.ts_state,
+            seqs: c.seqs as usize,
+            prev_seq: c.prev_seq,
+            host: c.host as usize,
+            prog: c.prog as usize,
+            ty: c.ty as usize,
+            vals: c.vals as usize,
+        };
+    }
+
+    /// Put the fixed-column decoders and the field walk back where they
+    /// stood at the start of group `g`.
+    fn restore(&self, g: usize, fixed: &mut FixedPos, fields: &mut FieldPos) {
+        self.restore_fixed(g, fixed);
+        let c = &self.groups[g];
+        (fields.nf, fields.keys) = (c.nf as usize, c.keys as usize);
+        let saved = &self.sparse[g * self.sparse_slots.len()..];
+        for (slot, pos) in self.sparse_slots.iter().zip(saved) {
+            if let Some((at, _)) = &mut fields.key_slots[*slot].sparse {
+                *at = *pos as usize;
+            }
+        }
+    }
+
+    /// The first group from `start` on whose last row is stamped at or after
+    /// `from`: every group before it ends before that bound.  The last
+    /// group is never passed over.
+    fn first_reaching(&self, start: usize, from: u64) -> usize {
+        // A group's last stamp is what the next checkpoint carries forward.
+        let later = self.groups.get(start + 1..).unwrap_or(&[]);
+        start + later.partition_point(|next| next.ts_state.prev_ts < from)
+    }
+}
+
+/// The scan-optimized — and only — reader of a columnar segment.  Each
+/// 1,024-row batch is read in two passes:
+///
+/// 1. decode just the columns the plan's batch evaluation reads
+///    ([`Plan::columns`]), one tight loop per region, and evaluate the
+///    plan once over them with [`Plan::eval_batch`];
+/// 2. visit only the 64-row groups holding a selected row: decode their
+///    other fixed columns and walk their rows through the field regions,
+///    materializing a selected row only when the caller asks for the next
+///    match.
+///
+/// Resuming after a skipped group takes the segment's row-group index,
+/// built in memory by the first scan that skips one; when every group is
+/// selected, pass 2 is one sequential decode and no index is built.  A
+/// plan's lower time bound also lets pass 1 jump over the groups that end
+/// before it once the index exists.
+#[derive(Debug)]
+pub struct ColScan {
+    seg: std::sync::Arc<Segment>,
+    /// First segment row of the current batch.
+    base: usize,
+    /// Rows in the current batch.
+    rows: usize,
+    /// Pass 1's decoders: the plan's columns, over every batch.
+    lead: FixedPos,
+    /// Pass 2's decoders: the other fixed columns, over selected groups.
+    trail: FixedPos,
+    /// Pass 2's field walk, parsed on the first batch.
+    fields: Option<FieldPos>,
+    /// Segment row pass 2 stands at: behind the group it enters only when
+    /// groups were skipped.
+    trail_row: usize,
+    /// The columns pass 1 decodes.
+    read: Columns,
+    batch: Batch,
     sel: Selection,
     scratch: BatchScratch,
-    /// Rows of the current batch already walked through the field regions.
+    /// Rows of the current batch already walked.
     walked: usize,
+    /// Rows of the current batch pass 2 has decoded or skipped.
+    ready: usize,
+    groups_decoded: u64,
+    groups_skipped: u64,
+    /// Where the group counts go when the scan is dropped: plan scans
+    /// report, the all-rows cursor does not.
+    stats: Option<std::sync::Arc<TsdbStats>>,
     done: bool,
 }
 
@@ -1093,28 +1486,37 @@ impl ColScan {
     fn new(seg: std::sync::Arc<Segment>) -> ColScan {
         ColScan {
             seg,
-            decoded: 0,
-            ts_state: TsDecoder::default(),
-            prev_seq: 0,
-            pos: None,
-            ts: Vec::new(),
-            seqs: Vec::new(),
-            levels_sev: Vec::new(),
-            hosts: Vec::new(),
-            progs: Vec::new(),
-            types: Vec::new(),
-            vals: Vec::new(),
-            present: Vec::new(),
+            base: 0,
+            rows: 0,
+            lead: FixedPos::default(),
+            trail: FixedPos::default(),
+            fields: None,
+            trail_row: 0,
+            read: Columns::NONE,
+            batch: Batch::default(),
             sel: Selection::new(),
             scratch: BatchScratch::new(),
             walked: 0,
+            ready: 0,
+            groups_decoded: 0,
+            groups_skipped: 0,
+            stats: None,
             done: false,
         }
     }
 
+    /// Add this scan's row-group counts to `stats` when it is dropped —
+    /// once per segment scan, however it ends.
+    pub(crate) fn reporting_to(mut self, stats: &std::sync::Arc<TsdbStats>) -> ColScan {
+        self.stats = Some(std::sync::Arc::clone(stats));
+        self
+    }
+
     /// The next row surviving the batch filter, in `(timestamp, sequence)`
     /// order; `None` when the segment (or the plan's time window) is
-    /// exhausted.  A decode error ends the scan.
+    /// exhausted.  A decode error ends the scan; one in a region of a
+    /// group this scan skips surfaces at the first skip, from the index
+    /// build, rather than where a sequential walk would have met it.
     pub fn next_match(&mut self, plan: &Plan, mode: ColMode) -> Option<Result<(u64, Event)>> {
         if self.done {
             return None;
@@ -1130,173 +1532,110 @@ impl ColScan {
             if let Some(hit) = self.walk_batch()? {
                 return Ok(Some(hit));
             }
-            if self.decoded >= self.seg.len() || !self.fill_batch(plan, mode)? {
+            if self.base + self.rows >= self.seg.len() || !self.fill_batch(plan, mode)? {
                 return Ok(None);
             }
         }
     }
 
-    /// The segment's column regions.
-    fn cols(seg: &Segment) -> &ColData {
-        match &seg.repr {
-            Repr::Cols(cols) => cols,
-            Repr::Rows(_) => unreachable!("ColScan over a row-major segment"),
-        }
-    }
-
-    /// Decode the next batch of fixed columns and filter it.  `false` when
-    /// the batch starts at or past the plan's exclusive upper time bound:
-    /// a sorted segment has nothing left to offer then.
+    /// Pass 1: decode the plan's columns of the next batch and filter it.
+    /// `false` when the batch starts at or past the plan's exclusive upper
+    /// time bound: a sorted segment has nothing left to offer then.
     fn fill_batch(&mut self, plan: &Plan, mode: ColMode) -> Result<bool> {
         let seg = &*self.seg;
-        let cols = ColScan::cols(seg);
-        let pos = match &mut self.pos {
-            Some(pos) => pos,
-            none => none.insert(ColsPos::init(&seg.dict, cols)?),
-        };
-        let base = self.decoded;
-        let n = (seg.len() - base).min(COL_BATCH);
-
-        // One region at a time.
-        self.ts.clear();
-        self.ts.reserve(n);
-        for r in base..base + n {
-            self.ts
-                .push(self.ts_state.next(seg, r, &cols.ts, &mut pos.ts)?);
+        if self.fields.is_none() {
+            self.fields = Some(FieldPos::init(&seg.dict, seg.cols())?);
         }
-        self.seqs.clear();
-        self.seqs.reserve(n);
-        for _ in 0..n {
-            let dseq = get_ivarint(&cols.seqs, &mut pos.seqs)?;
-            self.prev_seq = self.prev_seq.wrapping_add(dseq as u64);
-            self.seqs.push(self.prev_seq);
-        }
-        let level_codes = cols
-            .levels
-            .get(base..base + n)
-            .ok_or(TsdbError::Corrupt("truncated level column"))?;
-        self.levels_sev.clear();
-        self.levels_sev.reserve(n);
-        for code in level_codes {
-            let level =
-                binary::level_from_code(*code).map_err(|_| TsdbError::Corrupt("bad level code"))?;
-            self.levels_sev.push(level.severity());
-        }
-        fill_ids(&mut self.hosts, n, &cols.host_ix, &mut pos.host)?;
-        fill_ids(&mut self.progs, n, &cols.prog_ix, &mut pos.prog)?;
-        fill_ids(&mut self.types, n, &cols.type_ix, &mut pos.ty)?;
-        self.vals.clear();
-        self.vals.reserve(n);
-        self.present.clear();
-        self.present.resize(n.div_ceil(64), 0);
-        for i in 0..n {
-            self.vals.push(if bitmap_get(&cols.val_present, base + i) {
-                self.present[i / 64] |= 1u64 << (i % 64);
-                f64::from_le_bytes(get_bytes::<8>(&cols.vals, &mut pos.vals)?)
-            } else {
-                0.0
-            });
-        }
-        self.decoded = base + n;
-        self.walked = 0;
-
-        if let Some(to) = plan.facts().to_micros {
-            if self.ts.first().is_some_and(|first| *first >= to) {
-                return Ok(false);
+        let facts = plan.facts();
+        let mut base = self.base + self.rows;
+        if let (Some(from), Some(index)) = (facts.from_micros, seg.built_group_index()) {
+            let (here, first) = (base / GROUP, index.first_reaching(base / GROUP, from));
+            if first > here {
+                index.restore_fixed(first, &mut self.lead);
+                self.groups_skipped += (first - here) as u64;
+                base = first * GROUP;
             }
         }
-
-        let batch = ColumnBatch {
-            ts_micros: &self.ts,
-            host_ids: &self.hosts,
-            type_ids: &self.types,
-            levels: &self.levels_sev,
-            values: &self.vals,
-            val_present: &self.present,
-            dict: &seg.dict,
+        let n = (seg.len() - base).min(COL_BATCH);
+        self.read = match mode {
+            ColMode::Exact | ColMode::Superset => plan.columns(),
+            ColMode::FactsOnly => facts.columns(),
         };
+        self.batch.resize(n);
+        self.batch
+            .decode(seg, &mut self.lead, self.read, base..base + n, 0)?;
+        (self.base, self.rows, self.walked, self.ready) = (base, n, 0, 0);
+
+        let past_end = |to| self.read.contains(Columns::TS) && self.batch.ts[0] >= to;
+        if facts.to_micros.is_some_and(past_end) {
+            return Ok(false);
+        }
+        let batch = self.batch.view(self.read, &seg.dict);
         match mode {
             ColMode::Exact | ColMode::Superset => {
                 plan.eval_batch(&batch, &mut self.sel, &mut self.scratch);
             }
             ColMode::FactsOnly => {
-                plan.facts()
-                    .eval_batch(&batch, &mut self.sel, &mut self.scratch);
+                facts.eval_batch(&batch, &mut self.sel, &mut self.scratch);
             }
         }
         Ok(true)
     }
 
-    /// Late materialization: walk the current batch's remaining rows in
-    /// order (the key-list and sparse positions are strictly sequential)
-    /// up to and including the next selected one, and build its `Event`;
-    /// rejected rows pay varint skips.  `None` when the batch is used up.
+    /// Pass 2 and late materialization: walk the current batch's rows in
+    /// order up to and including the next selected one, and build its
+    /// `Event`; rejected rows pay varint skips.  A group with nothing
+    /// selected is passed over whole, and entering a group decodes the
+    /// other fixed columns of it and of the selected groups right after
+    /// it.  `None` when the batch is used up.
     fn walk_batch(&mut self) -> Result<Option<(u64, Event)>> {
         let seg = &*self.seg;
-        let cols = ColScan::cols(seg);
-        let Some(pos) = &mut self.pos else {
+        let Some(fields) = &mut self.fields else {
             return Ok(None);
         };
-        let base = self.decoded - self.ts.len();
-        while self.walked < self.ts.len() {
+        while self.walked < self.rows {
             let i = self.walked;
-            self.walked += 1;
-            let n_fields = get_uvarint(&cols.nfields, &mut pos.nf)? as usize;
-            let selected = self.sel.contains(i);
-            let val_is_float = bitmap_get(&cols.val_float, base + i);
-            // Every field takes a byte of the key list, which bounds the
-            // allocation a hostile count can ask for.
-            let mut fields = Vec::with_capacity(if selected {
-                n_fields.min(cols.keys.len() - pos.keys)
-            } else {
-                0
-            });
-            let mut saw_val = false;
-            for _ in 0..n_fields {
-                let key_ix = get_uvarint(&cols.keys, &mut pos.keys)?;
-                let slot = usize::try_from(key_ix)
-                    .ok()
-                    .and_then(|ix| pos.key_slots.get_mut(ix))
-                    .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
-                if slot.is_val && !saw_val {
-                    saw_val = true;
-                    if val_is_float {
-                        // The row's first `VAL` field lives in the typed
-                        // column only.
-                        if selected {
-                            if self.present[i / 64] & (1u64 << (i % 64)) == 0 {
-                                return Err(TsdbError::Corrupt(
-                                    "float VAL bit without typed value",
-                                ));
-                            }
-                            fields.push((dict_at(seg, key_ix)?, Value::Float(self.vals[i])));
-                        }
-                        continue;
+            if i == self.ready {
+                if self.sel.word(i / GROUP) == 0 && seg.group_index()?.is_some() {
+                    self.walked = (i + GROUP).min(self.rows);
+                    self.ready = self.walked;
+                    self.groups_skipped += 1;
+                    continue;
+                }
+                let mut end = (i + GROUP).min(self.rows);
+                while end < self.rows && self.sel.word(end / GROUP) != 0 {
+                    end = (end + GROUP).min(self.rows);
+                }
+                let rows = self.base + i..self.base + end;
+                if self.trail_row != rows.start {
+                    // Only a skip leaves pass 2 behind, and skipping built
+                    // the index.
+                    if let Some(index) = seg.group_index()? {
+                        index.restore(rows.start / GROUP, &mut self.trail, fields);
                     }
                 }
-                let at = slot.next_value()?;
-                if selected {
-                    let value = read_value(seg, &cols.sparse, at)?;
-                    fields.push((dict_at(seg, key_ix)?, value));
-                } else {
-                    skip_value(&cols.sparse, at)?;
-                }
+                self.batch
+                    .decode(seg, &mut self.trail, !self.read, rows.clone(), i)?;
+                self.batch
+                    .decode_seqs_and_programs(seg, &mut self.trail, rows.clone(), i)?;
+                self.groups_decoded += (end - i).div_ceil(GROUP) as u64;
+                (self.trail_row, self.ready) = (rows.end, end);
             }
-            if selected {
-                let level_code = cols.levels[base + i]; // in range: `fill_batch` sliced it
-                let event = Event {
-                    timestamp: Timestamp::from_micros(self.ts[i]),
-                    host: dict_at(seg, self.hosts[i].into())?,
-                    program: dict_at(seg, self.progs[i].into())?,
-                    level: binary::level_from_code(level_code)
-                        .map_err(|_| TsdbError::Corrupt("bad level code"))?,
-                    event_type: dict_at(seg, self.types[i].into())?,
-                    fields,
-                };
-                return Ok(Some((self.seqs[i], event)));
+            self.walked += 1;
+            let selected = self.sel.contains(i);
+            if let Some(hit) = fields.walk(seg, &self.batch, self.base + i, i, selected)? {
+                return Ok(Some(hit));
             }
         }
         Ok(None)
+    }
+}
+
+impl Drop for ColScan {
+    fn drop(&mut self) {
+        if let Some(stats) = &self.stats {
+            stats.count_scan_groups(self.groups_decoded, self.groups_skipped);
+        }
     }
 }
 
@@ -1547,7 +1886,13 @@ mod tests {
         assert!(b.next_event().is_none());
         // Both generations answer a plan scan, side by side in one merge.
         let everything = jamm_core::query::Predicate::True.compile();
-        let merged = crate::query::ScanIter::new(everything, Vec::new(), vec![back, modern], 0);
+        let merged = crate::query::ScanIter::new(
+            everything,
+            Vec::new(),
+            vec![back, modern],
+            0,
+            Default::default(),
+        );
         let doubled: Vec<Event> = batch
             .iter()
             .flat_map(|(_, e)| [e.clone(), e.clone()])
@@ -1641,12 +1986,12 @@ mod tests {
     /// types, field keys and string values all draw from one small pool
     /// (so a value equals an identifier, sometimes before that identifier
     /// first appears), keys repeat within an event, `VAL` is float,
-    /// non-float or missing, and every level occurs.
-    fn colliding_batch(g: &mut jamm_core::check::Gen) -> Vec<(u64, Event)> {
+    /// non-float or missing, and every level occurs.  Up to `max_rows` rows.
+    fn colliding_batch(g: &mut jamm_core::check::Gen, max_rows: usize) -> Vec<(u64, Event)> {
         const POOL: [&str; 8] = ["h1", "h2", "CPU", "MEM", "VAL", "NOTE", "PEER", ""];
         let mut ts = g.u64(1_000_000);
         let mut seq = g.u64(1_000);
-        (0..g.usize_in(1, 60))
+        (0..g.usize_in(1, max_rows))
             .map(|_| {
                 ts += g.u64(3) * g.u64(500_000);
                 seq += 1 + g.u64(3);
@@ -1675,7 +2020,7 @@ mod tests {
     fn build_round_trips_colliding_batches_and_recounts_the_catalog() {
         use jamm_core::query::Predicate;
         jamm_core::check::forall("segment build ≡ input", 300, |g| {
-            let batch = colliding_batch(g);
+            let batch = colliding_batch(g, 60);
             let built = Segment::build(7, &batch);
             let seg = Arc::new(Segment::from_bytes(&built.to_bytes()).unwrap());
             assert_eq!(seg.catalog(), built.catalog());
@@ -1745,6 +2090,39 @@ mod tests {
         }
     }
 
+    /// What the all-rows cursor and row-wise `plan.eval` answer: the first
+    /// `plan.limit()` rows the plan's facts admit and a fresh clone of it
+    /// (fresh stateful memory) accepts, in `(timestamp, sequence)` order.
+    fn oracle(seg: &Arc<Segment>, plan: &Plan) -> Vec<(u64, Event)> {
+        let plan = plan.clone();
+        let mut cursor = seg.cursor();
+        std::iter::from_fn(|| cursor.next_event().map(|row| row.unwrap()))
+            .filter(|(_, e)| plan.facts().admits(e) && plan.eval(e))
+            .take(plan.limit().unwrap_or(usize::MAX))
+            .collect()
+    }
+
+    /// The same question put to one columnar scan, the way `ScanIter`
+    /// drives it: the batch filter, the row re-check every mode but
+    /// `Exact` needs, and the plan's limit.
+    fn plan_scan(seg: &Arc<Segment>, plan: &Plan) -> (Result<Vec<(u64, Event)>>, ColScan) {
+        let (plan, mode) = (plan.clone(), ColMode::of(plan));
+        let mut scan = seg.col_scan().expect("columnar");
+        let mut got = Vec::new();
+        while got.len() < plan.limit().unwrap_or(usize::MAX) {
+            match scan.next_match(&plan, mode) {
+                None => break,
+                Some(Err(e)) => return (Err(e), scan),
+                Some(Ok((seq, e))) => {
+                    if mode == ColMode::Exact || plan.eval(&e) {
+                        got.push((seq, e));
+                    }
+                }
+            }
+        }
+        (Ok(got), scan)
+    }
+
     #[test]
     fn col_scan_matches_cursor_under_every_mode() {
         use jamm_core::query::Predicate;
@@ -1757,37 +2135,132 @@ mod tests {
             ("(onchange)", ColMode::FactsOnly),
         ] {
             let plan = Predicate::parse(text).unwrap().compile();
-            let mode = if plan.is_stateful() {
-                ColMode::FactsOnly
-            } else if plan.batch_definite() {
-                ColMode::Exact
-            } else {
-                ColMode::Superset
-            };
-            assert_eq!(mode, want_mode, "{text}");
-            // Oracle: row-at-a-time over the sequential cursor with a
-            // fresh plan clone (fresh stateful memory).
-            let oracle_plan = plan.clone();
-            let mut cur = seg.cursor();
-            let mut want = Vec::new();
-            while let Some(item) = cur.next_event() {
-                let (seq, e) = item.unwrap();
-                if oracle_plan.facts().admits(&e) && oracle_plan.eval(&e) {
-                    want.push((seq, e));
+            assert_eq!(ColMode::of(&plan), want_mode, "{text}");
+            assert_eq!(
+                plan_scan(&seg, &plan).0.unwrap(),
+                oracle(&seg, &plan),
+                "{text}"
+            );
+        }
+    }
+
+    /// `n` rows in runs of one host, type and level whose readings come
+    /// from the run's own ten-wide band, so a selective plan matches whole
+    /// groups or none of a group.  Stamps repeat; some rows have no
+    /// reading, an integer one or a `NOTE`.
+    fn clustered_batch(g: &mut jamm_core::check::Gen, n: usize) -> Vec<(u64, Event)> {
+        let mut rows = Vec::with_capacity(n);
+        let mut ts = 1_000_000u64;
+        while rows.len() < n {
+            let host = format!("h{}", g.u64(4));
+            let ty = g.choice(&["CPU", "MEM", "NET"]);
+            let level = g.choice(&[Level::Usage, Level::Warning, Level::Error]);
+            let low = g.f64_in(0.0, 90.0);
+            for _ in 0..g.usize_in(1, 150).min(n - rows.len()) {
+                ts += g.u64(3) * 1_000;
+                let mut e = Event::builder("prog", &host)
+                    .level(level)
+                    .event_type(ty)
+                    .timestamp(Timestamp::from_micros(ts));
+                e = match g.u64(10) {
+                    0 => e,
+                    1 => e.field("VAL", g.u64(100)),
+                    _ => e.value(g.f64_in(low, low + 10.0)),
+                };
+                e = e.field("UNITS", "percent");
+                if g.bool(0.1) {
+                    e = e.field("NOTE", "x");
                 }
+                rows.push((rows.len() as u64 + 1, e.build()));
             }
-            // Columnar: batch filter + (except Exact) row re-check, the
-            // same shape ScanIter runs.
-            let mut scan = seg.col_scan().expect("columnar");
-            let col_plan = plan.clone();
-            let mut got = Vec::new();
-            while let Some(item) = scan.next_match(&col_plan, mode) {
-                let (seq, e) = item.unwrap();
-                if mode == ColMode::Exact || col_plan.eval(&e) {
-                    got.push((seq, e));
+        }
+        rows
+    }
+
+    #[test]
+    fn index_driven_scans_match_the_cursor_at_every_group_boundary() {
+        use jamm_core::query::Predicate;
+        let skipped = std::sync::atomic::AtomicU64::new(0);
+        for n in [1, 63, 64, 65, 1_023, 1_024, 1_025, 4_097] {
+            jamm_core::check::forall("index-driven scan ≡ cursor", 4, |g| {
+                let batch = clustered_batch(g, n);
+                // A stamp from anywhere in the segment, or past its end.
+                let stamp = |g: &mut jamm_core::check::Gen| {
+                    let row = g.usize_in(0, n);
+                    batch
+                        .get(row)
+                        .map_or(u64::MAX / 2, |(_, e)| e.timestamp.as_micros())
+                };
+                let texts = [
+                    "(&)".to_string(),
+                    format!("(time>={})", stamp(g)),
+                    format!("(&(time>={})(time<{}))", stamp(g), stamp(g)),
+                    format!("(host=h{})", g.u64(5)),
+                    format!("(type={})", g.choice(&["CPU", "MEM", "NET", "DISK"])),
+                    "(level>=error)".to_string(),
+                    format!("(val>{})", g.choice(&[-1.0, 50.0, 95.0, 1e9])),
+                    format!("(&(type=CPU)(val>{}))", g.f64_in(0.0, 100.0)),
+                    "(&(host=h1)(NOTE=x))".to_string(),
+                    format!("(&(type=MEM)(time>={})(onchange))", stamp(g)),
+                    format!(
+                        "(&(val>{})(limit={}))",
+                        g.f64_in(0.0, 100.0),
+                        g.usize_in(1, 70)
+                    ),
+                    "(limit=1)".to_string(),
+                ];
+                for text in &texts {
+                    let plan = Predicate::parse(text).unwrap().compile();
+                    // A fresh segment, whose first skip builds the index,
+                    // then the same one again, which finds it built.
+                    let seg = Arc::new(Segment::build(1, &batch));
+                    let want = oracle(&seg, &plan);
+                    for pass in ["first", "second"] {
+                        let (got, scan) = plan_scan(&seg, &plan);
+                        assert_eq!(got.unwrap(), want, "{text}, {pass} scan of {n} rows");
+                        let (decoded, passed) = (scan.groups_decoded, scan.groups_skipped);
+                        assert!(decoded + passed <= n.div_ceil(GROUP) as u64, "{text}");
+                        skipped.fetch_add(passed, std::sync::atomic::Ordering::Relaxed);
+                    }
+                    let events: Vec<Event> = want.into_iter().map(|(_, e)| e).collect();
+                    let merged = crate::query::ScanIter::new(
+                        plan,
+                        Vec::new(),
+                        vec![seg],
+                        0,
+                        Default::default(),
+                    );
+                    assert_eq!(
+                        merged.collect::<Vec<Event>>(),
+                        events,
+                        "{text} via ScanIter"
+                    );
                 }
-            }
-            assert_eq!(got, want, "{text}");
+            });
+        }
+        assert!(skipped.into_inner() > 0, "some scan passed a group over");
+    }
+
+    #[test]
+    fn two_first_scans_racing_on_one_segment_both_get_the_oracles_answer() {
+        use jamm_core::query::Predicate;
+        let batch = clustered_batch(&mut jamm_core::check::Gen::from_seed(28), 4_097);
+        let plan = Predicate::parse("(&(type=CPU)(val>90))").unwrap().compile();
+        for _ in 0..8 {
+            let seg = Arc::new(Segment::build(1, &batch));
+            let want = oracle(&seg, &plan);
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        start.wait();
+                        let (got, scan) = plan_scan(&seg, &plan);
+                        assert_eq!(got.unwrap(), want);
+                        assert!(scan.groups_skipped > 0, "the scan skipped");
+                    });
+                }
+            });
+            assert!(seg.built_group_index().is_some());
         }
     }
 
@@ -1950,25 +2423,74 @@ mod tests {
     }
 
     #[test]
+    fn truncated_sparse_columns_and_key_lists_are_corrupt_on_every_path() {
+        use jamm_core::query::Predicate;
+        let selective = Predicate::parse("(&(type=CPU_TOTAL)(val>250))")
+            .unwrap()
+            .compile();
+        let first = Predicate::parse("(limit=1)").unwrap().compile();
+        let image = |tamper: fn(&mut ColData)| {
+            let mut seg = Segment::build(1, &sorted_batch(300));
+            tamper(cols_mut(&mut seg));
+            Arc::new(Segment::from_bytes(&seg.to_bytes()).expect("the container is intact"))
+        };
+        // The directory's last column claims a byte the region lacks: no
+        // scan gets past parsing the directory.
+        let seg = image(|cols| {
+            cols.sparse.pop();
+        });
+        let truncated = Err(TsdbError::Corrupt("truncated sparse column"));
+        assert_eq!(scan_all(&seg), truncated);
+        assert_eq!(plan_scan(&seg, &selective).0, truncated);
+        assert_eq!(plan_scan(&seg, &first).0, truncated);
+        // The key list stops one key short: the walk meets it at the last
+        // row, the skipping scan when its first skip builds the index, and
+        // a one-row answer never.
+        let seg = image(|cols| {
+            cols.keys.pop();
+        });
+        let short = Err(TsdbError::Corrupt("truncated varint"));
+        assert_eq!(scan_all(&seg), short);
+        let (got, scan) = plan_scan(&seg, &selective);
+        assert_eq!(got, short);
+        assert_eq!((scan.groups_decoded, scan.groups_skipped), (0, 0));
+        assert_eq!(plan_scan(&seg, &first).0.map(|rows| rows.len()), Ok(1));
+    }
+
+    #[test]
+    fn a_row_count_past_the_columns_is_corrupt_not_a_huge_index() {
+        use jamm_core::query::Predicate;
+        // 2,048 rows stored, 2^40 claimed: the first batch decodes, skips,
+        // and the index build meets the end of the columns.
+        let mut seg = Segment::build(1, &sorted_batch(2_048));
+        seg.catalog.event_count = 1 << 40;
+        let seg = Arc::new(Segment::from_bytes(&seg.to_bytes()).expect("the container is intact"));
+        let selective = Predicate::parse("(&(type=CPU_TOTAL)(val>2000))")
+            .unwrap()
+            .compile();
+        let past_the_end = TsdbError::Corrupt("truncated varint");
+        assert_eq!(plan_scan(&seg, &selective).0, Err(past_the_end.clone()));
+        assert_eq!(scan_all(&seg), Err(past_the_end));
+    }
+
+    #[test]
     fn mutated_column_regions_decode_or_error_but_never_panic() {
         use jamm_core::query::Predicate;
+        // Everything, skipping (selective, time-bounded), attribute,
+        // stateful and one-row plans, in that order on each image: the
+        // first that skips builds the index the rest restore from.
         let plans = [
-            (Predicate::True.compile(), ColMode::Exact),
-            (
-                Predicate::parse("(&(host=h1)(val>0))").unwrap().compile(),
-                ColMode::Exact,
-            ),
-            (
-                Predicate::parse("(NOTE=*)").unwrap().compile(),
-                ColMode::Superset,
-            ),
-            (
-                Predicate::parse("(onchange)").unwrap().compile(),
-                ColMode::FactsOnly,
-            ),
-        ];
-        jamm_core::check::forall("column mutation never panics", 600, |g| {
-            let mut seg = Segment::build(1, &colliding_batch(g));
+            "(&)",
+            "(&(type=CPU)(val>0))",
+            "(&(time>=50000000)(type=MEM))",
+            "(&(host=h1)(val>0))",
+            "(NOTE=*)",
+            "(onchange)",
+            "(limit=1)",
+        ]
+        .map(|text| Predicate::parse(text).unwrap().compile());
+        jamm_core::check::forall("column mutation never panics", 300, |g| {
+            let mut seg = Segment::build(1, &colliding_batch(g, 300));
             let cols = cols_mut(&mut seg);
             let regions: [&mut Vec<u8>; 12] = [
                 &mut cols.ts,
@@ -1992,19 +2514,24 @@ mod tests {
             region[at] = g.u64(256) as u8;
             // The checksum is recomputed, so the image loads.
             let seg = Arc::new(Segment::from_bytes(&seg.to_bytes()).unwrap());
-            let (plan, mode) = &plans[g.usize_in(0, plans.len() - 1)];
-            let mut scan = seg.col_scan().unwrap();
-            let mut rows = 0;
-            while let Some(row) = scan.next_match(plan, *mode) {
-                match row {
-                    Ok(_) => rows += 1,
-                    Err(e) => {
-                        assert!(matches!(e, TsdbError::Corrupt(_)), "{e}");
-                        assert!(scan.next_match(plan, *mode).is_none(), "an error ends it");
+            for plan in &plans {
+                let mode = ColMode::of(plan);
+                let mut scan = seg.col_scan().unwrap();
+                let mut rows = 0;
+                while let Some(row) = scan.next_match(plan, mode) {
+                    match row {
+                        Ok(_) => rows += 1,
+                        Err(e) => {
+                            assert!(matches!(e, TsdbError::Corrupt(_)), "{e}");
+                            assert!(scan.next_match(plan, mode).is_none(), "an error ends it");
+                        }
+                    }
+                    if plan.limit() == Some(rows) {
+                        break;
                     }
                 }
+                assert!(rows <= seg.len());
             }
-            assert!(rows <= seg.len());
         });
     }
 }

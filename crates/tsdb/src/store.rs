@@ -56,6 +56,8 @@ pub struct TsdbStats {
     compactions: AtomicU64,
     segments_scanned: AtomicU64,
     segments_pruned: AtomicU64,
+    scan_groups_decoded: AtomicU64,
+    scan_groups_skipped: AtomicU64,
     expired_events: AtomicU64,
     wal_recovered_events: AtomicU64,
     wal_torn_bytes: AtomicU64,
@@ -92,6 +94,27 @@ impl TsdbStats {
     /// absent host or absent event type).
     pub fn segments_pruned(&self) -> u64 {
         self.segments_pruned.load(Ordering::Relaxed)
+    }
+
+    /// 64-row groups of columnar segments that scans decoded: groups
+    /// holding a row the plan's batch evaluation selected.
+    pub fn scan_groups_decoded(&self) -> u64 {
+        self.scan_groups_decoded.load(Ordering::Relaxed)
+    }
+
+    /// 64-row groups of columnar segments that scans passed over: nothing
+    /// in them was selected, or they end before the plan's lower time
+    /// bound.
+    pub fn scan_groups_skipped(&self) -> u64 {
+        self.scan_groups_skipped.load(Ordering::Relaxed)
+    }
+
+    /// Add one finished segment scan's group counts.
+    pub(crate) fn count_scan_groups(&self, decoded: u64, skipped: u64) {
+        self.scan_groups_decoded
+            .fetch_add(decoded, Ordering::Relaxed);
+        self.scan_groups_skipped
+            .fetch_add(skipped, Ordering::Relaxed);
     }
 
     /// Events dropped by retention cuts.
@@ -173,7 +196,8 @@ pub struct Tsdb {
     inner: RwLock<Inner>,
     dir: Option<PathBuf>,
     opts: TsdbOptions,
-    stats: TsdbStats,
+    /// Shared with every [`ScanIter`], which reports its segment scans.
+    stats: Arc<TsdbStats>,
 }
 
 impl Tsdb {
@@ -196,7 +220,7 @@ impl Tsdb {
             }),
             dir: None,
             opts,
-            stats: TsdbStats::default(),
+            stats: Arc::default(),
         }
     }
 
@@ -281,7 +305,7 @@ impl Tsdb {
             }),
             dir: Some(dir),
             opts,
-            stats,
+            stats: Arc::new(stats),
         })
     }
 
@@ -573,7 +597,7 @@ impl Tsdb {
             .segments_pruned
             .fetch_add(pruned, Ordering::Relaxed);
         self.stats.scan_setup_us.record_micros(start.elapsed());
-        ScanIter::new(plan, mem, segments, pruned)
+        ScanIter::new(plan, mem, segments, pruned, Arc::clone(&self.stats))
     }
 
     /// Total number of stored events (memtable plus every segment).
@@ -715,6 +739,48 @@ mod tests {
         let eb: Vec<Event> = b.scan(&all()).collect();
         assert_eq!(ea, eb);
         assert_eq!(a.len(), b.len());
+    }
+
+    #[test]
+    fn scans_count_the_row_groups_they_decode_and_skip() {
+        // One seeded 4,096-row segment: 64 groups of 64 rows.
+        let mut rng = jamm_core::rng::Rng::seed_from_u64(28);
+        let events: Vec<SharedEvent> = (0..4_096u64)
+            .map(|i| {
+                let e = Event::builder("vmstat", format!("h{}", rng.gen_range(0..8u64)))
+                    .event_type(["CPU_TOTAL", "MEM_FREE", "TCP_RETRANS"][(i % 3) as usize])
+                    .timestamp(Timestamp::from_micros(1_000_000 + i * 1_000))
+                    .value(rng.gen_f64() * 100.0)
+                    .build();
+                Arc::new(e)
+            })
+            .collect();
+        let db = Tsdb::in_memory();
+        db.append_shared_batch(&events).unwrap();
+        db.seal().unwrap();
+        assert_eq!(db.segment_count(), 1);
+        let stats = db.stats();
+
+        let selective = Predicate::parse("(&(type=CPU_TOTAL)(val>99))")
+            .unwrap()
+            .compile();
+        let rows = db.scan(&selective).count();
+        let empty_groups = events
+            .chunks(64)
+            .filter(|group| !group.iter().any(|e| selective.eval(&**e)))
+            .count() as u64;
+        assert_eq!(rows, 10);
+        assert_eq!(stats.scan_groups_skipped(), empty_groups);
+        assert_eq!(stats.scan_groups_skipped(), 55);
+        assert_eq!(stats.scan_groups_decoded(), 64 - 55);
+
+        // The everything plan decodes every group and skips none.
+        assert_eq!(db.scan(&all()).count(), 4_096);
+        assert_eq!(stats.scan_groups_skipped(), 55);
+        assert_eq!(stats.scan_groups_decoded(), 9 + 64);
+        // A scan dropped after its first row still reports.
+        drop(db.scan(&selective).next());
+        assert!(stats.scan_groups_skipped() > 55);
     }
 
     #[test]

@@ -555,6 +555,7 @@ fn eval_batch_agrees_with_row_eval() {
             }
         }
         let batch = ColumnBatch {
+            rows: n,
             ts_micros: &ts_micros,
             host_ids: &host_ids,
             type_ids: &type_ids,

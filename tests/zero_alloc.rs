@@ -124,6 +124,7 @@ fn plan_eval_batch_does_not_allocate_in_steady_state() {
     let batch = |k: usize| {
         let rows = k * ROWS..(k + 1) * ROWS;
         ColumnBatch {
+            rows: ROWS,
             ts_micros: &ts[rows.clone()],
             host_ids: &hosts[rows.clone()],
             type_ids: &types[rows.clone()],
