@@ -236,9 +236,9 @@ impl ArchiverAgent {
     }
 }
 
-/// The archiver is itself a sink: events pushed straight at it (e.g. from
-/// an RMI event bridge at a site with no local gateway) are stored exactly
-/// as subscribed events are — and an event the storage engine refuses is
+/// The archiver is itself a sink: events pushed straight at it (e.g. by a
+/// sensor manager or a `NetLogger` pipeline sink at a site with no local
+/// gateway) are stored exactly as subscribed events are — and an event the storage engine refuses is
 /// reported as rejected, never counted as stored.
 impl EventSink<Event> for ArchiverAgent {
     fn accept(&self, event: &Event) -> Result<usize, SinkError> {

@@ -1,11 +1,10 @@
 //! Push and pull ends of the event pipeline.
 //!
 //! [`EventSink`] is anything events can be pushed into (gateways, archives,
-//! remote bridges, test probes); [`EventSource`] is anything events can be
+//! archivers, test probes); [`EventSource`] is anything events can be
 //! drained out of (subscriptions, collectors, application feeds).  Both are
 //! object safe so a sensor manager can publish through `&dyn EventSink<E>`
-//! without knowing whether the other end is an in-process gateway or a
-//! remote transport.  [`DeliveryCounters`] is the shared accounting block
+//! without knowing which of them is on the other end.  [`DeliveryCounters`] is the shared accounting block
 //! every sink keeps, and [`OverflowPolicy`] names what a bounded hop does
 //! when a consumer falls behind.
 

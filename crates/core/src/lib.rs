@@ -11,8 +11,8 @@
 //!   ([`jamm_ulm`](https://docs.rs) implements it for the ULM text, binary
 //!   and JSON formats);
 //! * [`flow::EventSink`] / [`flow::EventSource`] — push and pull ends of
-//!   the pipeline, implemented by the gateway, the collector, the archiver,
-//!   the sensor manager's push path and the RMI event bridge;
+//!   the pipeline, implemented by the gateway, the collector, the archiver
+//!   and the sensor manager's push path;
 //! * [`channel`] — the **bounded** MPMC channel the pipeline runs on, with
 //!   an explicit overflow policy instead of unbounded growth;
 //! * [`flow::DeliveryCounters`] — per-sink delivered/dropped/byte counters;

@@ -1,11 +1,9 @@
 //! Jittered exponential backoff and a circuit breaker.
 //!
-//! The network clients (the RMI `ReactorClient`, the netlogger
-//! `SocketSink`, the edge subscriber client) all used to die permanently
-//! on their first transport failure: a timed-out invoke poisoned the
-//! connection forever, a collector crash latched `closed` and every later
-//! push failed.  This module is the shared self-healing discipline that
-//! replaces those dead-ends:
+//! The network clients (the RMI `ReactorClient` and the edge subscriber
+//! client) used to die permanently on their first transport failure: a
+//! timed-out invoke poisoned the connection forever.  This module is the
+//! shared self-healing discipline that replaces that dead-end:
 //!
 //! * [`Backoff`] — exponential delay with deterministic, seeded jitter
 //!   (from [`crate::rng::Rng`], so simulated-clock tests stay

@@ -50,11 +50,6 @@ impl Dn {
         }
     }
 
-    /// Build a DN from components, most specific first.
-    pub fn from_components(components: Vec<Rdn>) -> Self {
-        Dn { components }
-    }
-
     /// Parse a DN string such as `sensor=cpu,host=dpss1.lbl.gov,o=lbl`.
     /// Whitespace around commas is ignored.  The empty string is the root.
     pub fn parse(s: &str) -> crate::Result<Self> {

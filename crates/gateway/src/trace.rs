@@ -201,7 +201,7 @@ impl PipelineTracer {
             .ptr
             .store(Arc::as_ptr(event) as usize, Ordering::Release);
         self.sampled.fetch_add(1, Ordering::Relaxed);
-        self.emit(id, keys::jamm::GW_PUBLISH, gateway, None);
+        self.emit(id, keys::jamm::GW_PUBLISH, gateway);
     }
 
     /// The correlation id of a watched event, or `None` for the (vastly
@@ -222,39 +222,28 @@ impl PipelineTracer {
     #[inline]
     pub fn stage(&self, event: &SharedEvent, stage: &'static str, target: &str) {
         if let Some(id) = self.trace_id(event) {
-            self.emit(id, stage, target, None);
-        }
-    }
-
-    /// Emit a stage point carrying a duration reading (`VAL`,
-    /// microseconds) for a watched event.
-    #[inline]
-    pub fn stage_timed(&self, event: &SharedEvent, stage: &'static str, target: &str, us: f64) {
-        if let Some(id) = self.trace_id(event) {
-            self.emit(id, stage, target, Some(us));
+            self.emit(id, stage, target);
         }
     }
 
     /// Emit a stage point for an already-resolved correlation id (for
     /// callers that looked the id up before the event's `Arc` moved on).
     pub fn stage_id(&self, id: u64, stage: &'static str, target: &str) {
-        self.emit(id, stage, target, None);
+        self.emit(id, stage, target);
     }
 
     /// Build and publish one trace point (the sampled slow path — this
     /// allocates, like any event publish).
-    fn emit(&self, id: u64, stage: &'static str, target: &str, value_us: Option<f64>) {
+    fn emit(&self, id: u64, stage: &'static str, target: &str) {
         self.points.fetch_add(1, Ordering::Relaxed);
-        let mut b = Event::builder("_jamm", self.host.clone())
+        let point = Event::builder("_jamm", self.host.clone())
             .level(Level::Usage)
             .event_type(stage)
             .timestamp(self.clock.now())
             .field(keys::OBJECT_ID, format!("jamm-{id}"))
-            .field(keys::TARGET, target.to_string());
-        if let Some(us) = value_us {
-            b = b.value(us);
-        }
-        self.sink.publish_shared(Arc::new(b.build()));
+            .field(keys::TARGET, target.to_string())
+            .build();
+        self.sink.publish_shared(Arc::new(point));
     }
 }
 

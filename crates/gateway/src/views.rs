@@ -119,11 +119,6 @@ impl ContinuousQuery {
         &self.name
     }
 
-    /// Canonical predicate text this view materializes.
-    pub fn query_text(&self) -> &str {
-        &self.text
-    }
-
     /// Snapshot reads served so far.
     pub fn reads(&self) -> u64 {
         self.reads.load(Ordering::Relaxed)
@@ -277,11 +272,6 @@ impl ViewEngine {
         for view in self.views.read().iter() {
             view.flush();
         }
-    }
-
-    /// Total snapshot reads served across views.
-    pub fn total_reads(&self) -> u64 {
-        self.views.read().iter().map(|v| v.reads()).sum()
     }
 
     /// Total matching updates folded across views.

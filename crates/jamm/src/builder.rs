@@ -863,6 +863,32 @@ mod tests {
             )),
             Err(jamm_rmi::RmiError::NoSuchMethod(_))
         ));
+
+        // The same bus served over TCP: a remote agent sees the same
+        // exposition and the same method error as an in-process caller.
+        let mut server = jamm_rmi::tcp::RmiServer::start(bus).unwrap();
+        let reactor = Arc::new(Reactor::start(ReactorConfig::default()).unwrap());
+        let mut client =
+            jamm_rmi::tcp::ReactorClient::connect(Arc::clone(&reactor), server.addr()).unwrap();
+        let remote = client
+            .invoke(&jamm_rmi::MethodCall::new(
+                "admin",
+                "metrics",
+                jamm_core::json::Json::Null,
+            ))
+            .unwrap();
+        assert!(remote.as_str().unwrap().contains("jamm_gateway_events_in"));
+        assert!(matches!(
+            client.invoke(&jamm_rmi::MethodCall::new(
+                "admin",
+                "nope",
+                jamm_core::json::Json::Null
+            )),
+            Err(jamm_rmi::RmiError::NoSuchMethod(_))
+        ));
+        drop(client);
+        server.shutdown();
+        reactor.shutdown();
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //! | Archive storage engine (WAL, segments, pruned scans) | [`jamm_tsdb`] |
 //! | ULM events and the text/binary/JSON codecs | [`jamm_ulm`] |
 //! | NetLogger toolkit (API, merge, clocks, nlv) | [`jamm_netlogger`] |
-//! | RMI substrate and event bridge | [`jamm_rmi`] |
+//! | RMI call path (admin service) and network edge | [`jamm_rmi`] |
 //! | Certificates, grid-mapfile, policy | [`jamm_auth`] |
 //! | Simulated Grid testbed | [`jamm_netsim`] |
 //!
 //! Every hop speaks the shared pipeline vocabulary from `jamm-core`: events
 //! move through [`jamm_core::flow::EventSink`] / `EventSource`
 //! implementations over **bounded** channels, wire formats implement
-//! [`jamm_core::codec::Codec`] and are negotiated by content type, and
+//! [`jamm_core::codec::Codec`] and are selected by content type, and
 //! consumers subscribe with the gateway's fluent `SubscriptionBuilder`.
 //!
 //! ## Entry points

@@ -96,11 +96,6 @@ impl SensorManager {
         &self.host
     }
 
-    /// The port monitor agent (for GUI-style reconfiguration).
-    pub fn port_monitor_mut(&mut self) -> &mut PortMonitorAgent {
-        &mut self.port_monitor
-    }
-
     /// Total events pushed to the gateway since the manager started.
     pub fn events_published(&self) -> u64 {
         self.events_published
@@ -228,8 +223,8 @@ impl SensorManager {
     /// 2. start / stop sensors according to their run policy;
     /// 3. sample every running sensor whose period has elapsed;
     /// 4. push the events into the sink (normally the host's event
-    ///    gateway, but any [`EventSink`] — a remote bridge, an archive, a
-    ///    test probe — works).  Each sampled event is wrapped once as a
+    ///    gateway, but any [`EventSink`] — an archiver, an archive, a test
+    ///    probe — works).  Each sampled event is wrapped once as a
     ///    [`SharedEvent`] at the push boundary: the publish side of the
     ///    pipeline never copies it again;
     /// 5. refresh the sensor directory.

@@ -384,8 +384,10 @@ pub fn throughput_bps(events: &[Event], event_type: &str, field: &str) -> f64 {
         return 0.0;
     }
     let bytes: f64 = relevant.iter().filter_map(|e| e.field_f64(field)).sum();
-    let t0 = relevant.iter().map(|e| e.timestamp).min().unwrap();
-    let t1 = relevant.iter().map(|e| e.timestamp).max().unwrap();
+    let times = relevant.iter().map(|e| e.timestamp);
+    let (Some(t0), Some(t1)) = (times.clone().min(), times.max()) else {
+        return 0.0;
+    };
     let secs = ((t1 - t0).max(1)) as f64 / 1e6;
     bytes * 8.0 / secs
 }

@@ -12,8 +12,6 @@
 //! The Rust API keeps the same shape: create a logger for a program, open a
 //! sink (memory buffer, local file, or a channel to a remote collector),
 //! `write` events with automatic microsecond timestamps, and flush/close.
-//! Logging to memory buffers with explicit or size-triggered flushing is
-//! supported, as the paper describes.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
@@ -45,14 +43,8 @@ pub enum Sink {
         /// Negotiated content type, e.g. `application/x-ulm-binary`.
         content_type: &'static str,
     },
-    /// Push events into any pipeline sink: a local gateway, an archive, or
-    /// a remote gateway behind an RMI event bridge.
+    /// Push events into any local pipeline sink: a gateway or an archive.
     Pipeline(Arc<dyn EventSink<Event>>),
-    /// Stream frames to a remote collector over a nonblocking TCP socket
-    /// owned by a reactor — the paper's `open("dolly.lbl.gov", 14830)`
-    /// with real wire bytes.  Write stalls land in the reactor outbox,
-    /// never on the instrumented thread.
-    Socket(Arc<crate::socket::SocketSink>),
 }
 
 impl std::fmt::Debug for Sink {
@@ -65,7 +57,6 @@ impl std::fmt::Debug for Sink {
                 write!(f, "Sink::EncodedFile({}, {content_type})", path.display())
             }
             Sink::Pipeline(_) => write!(f, "Sink::Pipeline(..)"),
-            Sink::Socket(s) => write!(f, "Sink::Socket(conn {:?})", s.conn()),
         }
     }
 }
@@ -122,9 +113,6 @@ pub struct NetLogger {
     host: String,
     sink: Option<OpenSink>,
     buffer: Vec<Event>,
-    /// Flush the memory buffer automatically once it reaches this many
-    /// events (0 disables auto-flush).
-    auto_flush_at: usize,
     written: u64,
     /// Fixed timestamp override used by tests and the simulator; `None`
     /// means stamp with wall-clock time.
@@ -161,7 +149,6 @@ impl NetLogger {
             host: host.into(),
             sink: None,
             buffer: Vec::new(),
-            auto_flush_at: 1_024,
             written: 0,
             clock_override: None,
             scratch: Vec::new(),
@@ -187,17 +174,8 @@ impl NetLogger {
                 }
             }
             Sink::Pipeline(sink) => OpenSink::Pipeline(sink),
-            // The socket sink is pipeline-shaped: encode + enqueue on the
-            // reactor, no blocking I/O on this thread.
-            Sink::Socket(sink) => OpenSink::Pipeline(sink),
         });
         Ok(())
-    }
-
-    /// Set the number of buffered events that triggers an automatic flush
-    /// (only meaningful for the memory sink; 0 disables).
-    pub fn set_auto_flush(&mut self, events: usize) {
-        self.auto_flush_at = events;
     }
 
     /// Force timestamps to a fixed value (used by tests / simulation).
@@ -238,17 +216,14 @@ impl NetLogger {
             Some(OpenSink::Memory) => {
                 self.buffer.push(event);
                 self.written += 1;
-                if self.auto_flush_at > 0 && self.buffer.len() >= self.auto_flush_at {
-                    // With a pure memory sink a "flush" just keeps the data;
-                    // the application is expected to drain it.  Nothing to do
-                    // beyond honouring the documented trigger point.
-                }
                 Ok(())
             }
             Some(OpenSink::File(w)) => {
                 self.scratch.clear();
-                let mut line = String::from_utf8(std::mem::take(&mut self.scratch))
-                    .expect("scratch holds previously encoded UTF-8");
+                // An empty buffer is valid UTF-8, so only its capacity is
+                // carried over.
+                let mut line =
+                    String::from_utf8(std::mem::take(&mut self.scratch)).unwrap_or_default();
                 text::encode_into(&mut line, &event);
                 line.push('\n');
                 w.write_all(line.as_bytes())?;

@@ -36,11 +36,6 @@ impl HostClock {
         }
     }
 
-    /// A perfectly synchronised, drift-free clock.
-    pub fn perfect() -> Self {
-        HostClock::new(0.0, 0.0)
-    }
-
     /// Advance true time by `dt_secs`, accumulating drift.
     pub fn advance(&mut self, dt_secs: f64) {
         self.offset_us += self.drift_ppm * dt_secs;

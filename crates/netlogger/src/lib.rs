@@ -18,22 +18,18 @@
 //!   point series from an event log (§4.5, Figures 2, 3 and 7);
 //! * [`analysis`] — lifeline latency breakdowns, delivery-gap detection,
 //!   retransmit/gap correlation and read-size clustering — the quantitative
-//!   backbone of the Figure 3 and Figure 7 reproductions;
-//! * [`socket`] — a reactor-backed TCP destination ([`socket::SocketSink`]):
-//!   the paper's "log to a remote host on port 14830" over a real socket,
-//!   without ever blocking the instrumented thread.
+//!   backbone of the Figure 3 and Figure 7 reproductions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analysis;
 pub mod api;
 pub mod clock;
 pub mod merge;
 pub mod nlv;
-pub mod socket;
 
 pub use api::{NetLogger, Sink};
 pub use clock::{HostClock, NtpSimulation};
 pub use nlv::{Lifeline, Loadline, NlvChart, PointSeries};
-pub use socket::SocketSink;

@@ -76,11 +76,6 @@ impl SimClock {
     pub fn advance(&mut self) {
         self.now_us += self.tick_us;
     }
-
-    /// Advance by an arbitrary number of microseconds (used by tests).
-    pub fn advance_us(&mut self, us: u64) {
-        self.now_us += us;
-    }
 }
 
 impl Default for SimClock {

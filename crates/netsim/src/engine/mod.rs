@@ -341,7 +341,6 @@ pub struct ScenarioEngine {
     pub(crate) clock_cell: Arc<AtomicU64>,
     pub(crate) directory: Arc<DirectoryServer>,
     pub(crate) registry: GatewayRegistry,
-    tracer: Arc<PipelineTracer>,
     self_sub: Subscription,
     pub(crate) gateways: Vec<GatewayRt>,
     pub(crate) subscribers: Vec<SubscriberRt>,
@@ -620,7 +619,6 @@ impl ScenarioEngine {
             clock_cell,
             directory,
             registry,
-            tracer,
             self_sub,
             gateways,
             subscribers,
@@ -986,11 +984,6 @@ impl ScenarioEngine {
             self.step();
         }
         self.finish()
-    }
-
-    /// Lifelines sampled by the tracer so far.
-    pub fn lifelines_sampled(&self) -> u64 {
-        self.tracer.sampled_count()
     }
 
     fn finish(mut self) -> ScenarioReport {

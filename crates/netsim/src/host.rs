@@ -197,11 +197,6 @@ impl Host {
         self.sockets_this_tick += 1;
     }
 
-    /// Number of sockets marked active so far in the current tick.
-    pub fn sockets_active_now(&self) -> u32 {
-        self.sockets_this_tick
-    }
-
     /// The driver's per-packet drop probability given the sockets currently
     /// marked active (zero for a single socket).
     pub fn driver_loss_probability(&self) -> f64 {

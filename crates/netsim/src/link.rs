@@ -117,12 +117,6 @@ impl Link {
         self.spec.bandwidth_bps / 8 * tick_us / 1_000_000
     }
 
-    /// Bytes still available on the link in this tick.
-    pub fn available_bytes(&self, tick_us: u64) -> u64 {
-        self.capacity_bytes_per_tick(tick_us)
-            .saturating_sub(self.used_this_tick)
-    }
-
     /// Commit `bytes` / `packets` of traffic to the link for this tick.
     ///
     /// Returns the number of bytes actually carried; the remainder found the
@@ -174,11 +168,6 @@ impl Link {
         self.backlog = (self.backlog + self.used_this_tick).saturating_sub(cap);
         self.backlog = self.backlog.min(self.spec.queue_bytes);
         self.used_this_tick = 0;
-    }
-
-    /// Bytes currently waiting in the drop-tail queue.
-    pub fn backlog_bytes(&self) -> u64 {
-        self.backlog
     }
 }
 

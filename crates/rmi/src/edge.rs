@@ -39,6 +39,8 @@ use jamm_reactor::{ConnHandler, ConnId, ConnIo, ListenerId, Reactor, SocketRow};
 use jamm_ulm::codec::{codec_for, EventCodec, BINARY};
 use jamm_ulm::Event;
 
+use crate::tcp::frame_len;
+
 /// Configuration for [`EventEdge::open`].
 #[derive(Debug, Clone)]
 pub struct EdgeConfig {
@@ -271,7 +273,14 @@ impl EventEdge {
                         }
                     }
                 })
-                .expect("spawn edge pump")
+        };
+        let pump = match pump {
+            Ok(pump) => pump,
+            Err(e) => {
+                let _ = gateway.unsubscribe(subscription_id);
+                reactor.unlisten(listener, true);
+                return Err(EdgeError::Io(e));
+            }
         };
 
         Ok(EventEdge {
@@ -421,11 +430,6 @@ impl ClientShared {
     }
 }
 
-/// Largest binary frame the client will buffer before declaring the
-/// stream corrupt (matches the edge's encode-side frames, which are far
-/// smaller).
-const CLIENT_MAX_FRAME: usize = 16 * 1024 * 1024;
-
 /// A self-healing subscriber to an [`EventEdge`] broadcast stream.
 ///
 /// A reader thread owns the TCP connection: it decodes broadcast frames
@@ -548,8 +552,7 @@ impl EdgeClient {
                             shared.breaker.lock().record_failure(shared.now_us());
                         }
                     }
-                })
-                .expect("spawn edge client")
+                })?
         };
         Ok(EdgeClient {
             events: rx,
@@ -629,18 +632,15 @@ fn drain_frames(
             }
         }
     } else {
-        while buf.len() - consumed >= 4 {
-            let head: [u8; 4] = buf[consumed..consumed + 4].try_into().expect("4 bytes");
-            let len = u32::from_le_bytes(head) as usize;
-            if len > CLIENT_MAX_FRAME {
+        // The binary codec decodes a whole frame, length prefix included.
+        while let Some(total) = match frame_len(&buf[consumed..]) {
+            Ok(total) => total,
+            Err(()) => {
                 shared.decode_errors.fetch_add(1, Ordering::Relaxed);
                 buf.clear();
                 return false;
             }
-            let total = 4 + len;
-            if buf.len() - consumed < total {
-                break;
-            }
+        } {
             match codec.decode(&buf[consumed..consumed + total]) {
                 Ok(ev) => deliver(ev, overflow, tx, shared),
                 Err(_) => {
@@ -826,6 +826,31 @@ mod tests {
         client.stop();
         edge2.stop();
         reactor.shutdown();
+    }
+
+    /// A peer announcing a frame one byte over `MAX_FRAME` costs the client
+    /// a decode error and the connection, never a panic or the buffer.
+    #[test]
+    fn an_oversized_frame_header_is_a_decode_error() {
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = EdgeClient::connect(
+            listener.local_addr().unwrap(),
+            EdgeClientConfig {
+                retry_base: Duration::from_secs(30),
+                poll_interval: Duration::from_millis(2),
+                ..EdgeClientConfig::default()
+            },
+        )
+        .unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let max = crate::tcp::MAX_FRAME as u32;
+        peer.write_all(&(max + 1).to_le_bytes()).unwrap();
+        wait_for(|| client.stats().disconnects == 1, "the client to hang up");
+        let stats = client.stats();
+        assert_eq!(stats.decode_errors, 1);
+        assert_eq!(stats.received, 0);
+        client.stop();
     }
 
     #[test]

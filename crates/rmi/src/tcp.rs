@@ -32,8 +32,9 @@ use jamm_reactor::{CloseReason, ConnHandler, ConnId, ConnIo, Reactor, ReactorCon
 use crate::bus::MessageBus;
 use crate::message::{MethodCall, RmiError, RmiResult, WireResponse};
 
-/// Frames larger than this are treated as a protocol error.
-const MAX_FRAME: usize = 16 * 1024 * 1024;
+/// Frame bodies larger than this are treated as a protocol error, by the
+/// RMI server and client here and by [`crate::edge::EdgeClient`].
+pub(crate) const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// How long [`ReactorClient::invoke`] waits for a response.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -197,15 +198,15 @@ struct ServerConn {
 impl ConnHandler for ServerConn {
     fn on_data(&mut self, io: &mut ConnIo<'_>, buf: &[u8]) -> usize {
         let mut consumed = 0;
-        while let Some((body, frame_len)) = match next_frame(&buf[consumed..]) {
-            Ok(f) => f,
-            Err(_) => {
-                // Oversized or malformed framing: the stream is poisoned.
+        while let Some(len) = match frame_len(&buf[consumed..]) {
+            Ok(len) => len,
+            Err(()) => {
+                // Oversized framing: the stream is poisoned.
                 io.close();
                 return buf.len();
             }
         } {
-            let call = Json::parse_slice(body)
+            let call = Json::parse_slice(&buf[consumed + 4..consumed + len])
                 .map_err(|e| RmiError::Transport(e.to_string()))
                 .and_then(|doc| MethodCall::from_json(&doc));
             let call = match call {
@@ -215,7 +216,7 @@ impl ConnHandler for ServerConn {
                     return buf.len();
                 }
             };
-            consumed += frame_len;
+            consumed += len;
             let job = Job {
                 conn: io.id(),
                 call,
@@ -230,20 +231,18 @@ impl ConnHandler for ServerConn {
     }
 }
 
-/// Split the next `len || body` frame off `buf`.  Returns `Ok(None)` while
-/// incomplete, `Err` when the header is illegal.
-fn next_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, ()> {
-    if buf.len() < 4 {
+/// Total length (4-byte header included) of the `len || body` frame at the
+/// start of `buf`.  Returns `Ok(None)` while incomplete, `Err` when the
+/// header announces a body over [`MAX_FRAME`].
+pub(crate) fn frame_len(buf: &[u8]) -> Result<Option<usize>, ()> {
+    let [a, b, c, d, ..] = *buf else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
+    };
+    let len = u32::from_le_bytes([a, b, c, d]) as usize;
     if len > MAX_FRAME {
         return Err(());
     }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    Ok(Some((&buf[4..4 + len], 4 + len)))
+    Ok((buf.len() >= 4 + len).then_some(4 + len))
 }
 
 /// Encode one `len || body` frame.
@@ -299,14 +298,15 @@ struct ClientConn {
 impl ConnHandler for ClientConn {
     fn on_data(&mut self, io: &mut ConnIo<'_>, buf: &[u8]) -> usize {
         let mut consumed = 0;
-        while let Some((body, frame_len)) = match next_frame(&buf[consumed..]) {
-            Ok(f) => f,
-            Err(_) => {
+        while let Some(len) = match frame_len(&buf[consumed..]) {
+            Ok(len) => len,
+            Err(()) => {
                 io.close();
                 return buf.len();
             }
         } {
-            consumed += frame_len;
+            let body = &buf[consumed + 4..consumed + len];
+            consumed += len;
             match Json::parse_slice(body) {
                 Ok(doc) => {
                     if self.responses.send(doc).is_err() {
@@ -399,7 +399,7 @@ impl ReactorClient {
     /// late response still in flight on the old connection is discarded
     /// with the old receiver, so it can never surface as the answer to a
     /// later call.
-    fn reconnect(&mut self) -> std::io::Result<()> {
+    fn reconnect(&mut self) -> std::io::Result<ConnId> {
         let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
         let (tx, rx) = unbounded();
         let conn = self
@@ -408,7 +408,7 @@ impl ReactorClient {
         self.conn = Some(conn);
         self.responses = rx;
         self.reconnects += 1;
-        Ok(())
+        Ok(conn)
     }
 
     /// Invoke a remote method.  Calls are serialized per connection (one
@@ -421,20 +421,25 @@ impl ReactorClient {
     /// half-open: it reconnects and — if the round-trip succeeds —
     /// closes the breaker, reviving the client.
     pub fn invoke(&mut self, call: &MethodCall) -> RmiResult {
-        if self.conn.is_none() {
-            if !self.breaker.allow(self.now_us()) {
-                return Err(RmiError::Transport(format!(
-                    "circuit open after {} failures; probe in {}us",
-                    self.breaker.stats().failures,
-                    self.breaker.retry_at_us().saturating_sub(self.now_us())
-                )));
+        let conn = match self.conn {
+            Some(conn) => conn,
+            None => {
+                if !self.breaker.allow(self.now_us()) {
+                    return Err(RmiError::Transport(format!(
+                        "circuit open after {} failures; probe in {}us",
+                        self.breaker.stats().failures,
+                        self.breaker.retry_at_us().saturating_sub(self.now_us())
+                    )));
+                }
+                match self.reconnect() {
+                    Ok(conn) => conn,
+                    Err(e) => {
+                        self.breaker.record_failure(self.now_us());
+                        return Err(RmiError::Transport(format!("reconnect failed: {e}")));
+                    }
+                }
             }
-            if let Err(e) = self.reconnect() {
-                self.breaker.record_failure(self.now_us());
-                return Err(RmiError::Transport(format!("reconnect failed: {e}")));
-            }
-        }
-        let conn = self.conn.expect("connected above");
+        };
         self.reactor
             .send_strict(conn, Arc::new(encode_frame(&call.to_json())));
         match self.responses.recv_timeout(self.timeout) {
@@ -670,19 +675,40 @@ mod tests {
         let mut buf = Vec::new();
         let mut chunk = [0u8; 4096];
         for i in 0..16i64 {
-            let (doc, frame_len) = loop {
-                if let Some((body, frame_len)) = next_frame(&buf).unwrap() {
-                    break (Json::parse_slice(body).unwrap(), frame_len);
+            let (doc, len) = loop {
+                if let Some(len) = frame_len(&buf).unwrap() {
+                    break (Json::parse_slice(&buf[4..len]).unwrap(), len);
                 }
                 let n = stream.read(&mut chunk).unwrap();
                 assert!(n > 0, "server closed before response {i}");
                 buf.extend_from_slice(&chunk[..n]);
             };
-            buf.drain(..frame_len);
+            buf.drain(..len);
             match WireResponse::from_json(&doc).unwrap() {
                 WireResponse::Ok(v) => assert_eq!(v.as_i64(), Some(i), "response out of order"),
                 WireResponse::Err(e) => panic!("echo {i} failed: {e:?}"),
             }
+        }
+        server.shutdown();
+    }
+
+    /// A header announcing a body one byte over `MAX_FRAME` poisons the
+    /// stream: the server closes the connection instead of buffering.
+    #[test]
+    fn an_oversized_frame_header_closes_the_connection() {
+        let mut server = RmiServer::start(bus()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .write_all(&(MAX_FRAME as u32 + 1).to_le_bytes())
+            .unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        // EOF or a reset: either way the server hung up, not timed out.
+        match stream.read(&mut byte) {
+            Ok(n) => assert_eq!(n, 0, "server answered an oversized frame"),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
         }
         server.shutdown();
     }

@@ -46,8 +46,8 @@ pub fn encode(event: &Event) -> Vec<u8> {
 /// This is the allocation-free building block `encode` wraps: the frame is
 /// encoded directly into the caller's buffer (the length prefix is
 /// back-patched once the body size is known), so callers that batch many
-/// frames into one buffer — the archive's write-ahead log, the RMI bridge
-/// — pay no per-event allocation.
+/// frames into one buffer — the archive's write-ahead log, the network
+/// edge's broadcast batches — pay no per-event allocation.
 pub fn encode_into(frame: &mut Vec<u8>, event: &Event) {
     let len_pos = frame.len();
     frame.extend_from_slice(&[0u8; 4]); // length prefix, patched below

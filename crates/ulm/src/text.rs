@@ -251,7 +251,6 @@ impl<W: Write> UlmWriter<W> {
 pub struct UlmReader<R: BufRead> {
     inner: R,
     line: String,
-    line_no: u64,
 }
 
 impl<R: BufRead> UlmReader<R> {
@@ -260,7 +259,6 @@ impl<R: BufRead> UlmReader<R> {
         UlmReader {
             inner,
             line: String::new(),
-            line_no: 0,
         }
     }
 
@@ -272,18 +270,12 @@ impl<R: BufRead> UlmReader<R> {
             if n == 0 {
                 return Ok(None);
             }
-            self.line_no += 1;
             let trimmed = self.line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
             return Ok(Some(decode(trimmed)));
         }
-    }
-
-    /// The line number of the most recently read line (1-based).
-    pub fn line_number(&self) -> u64 {
-        self.line_no
     }
 }
 

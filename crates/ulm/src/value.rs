@@ -57,11 +57,6 @@ impl Value {
         }
     }
 
-    /// True if the value is one of the numeric variants.
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Value::UInt(_) | Value::Int(_) | Value::Float(_))
-    }
-
     /// Render the value exactly as it appears in a ULM line (no quoting).
     pub fn to_ulm_string(&self) -> String {
         let mut out = String::new();
