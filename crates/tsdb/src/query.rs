@@ -9,31 +9,29 @@
 //! [`Predicate`](jamm_core::query::Predicate) (constructors or text),
 //! compiles it, and hands the plan to [`crate::Tsdb::scan`].
 //!
-//! [`ScanIter`] merges the memtable snapshot with the surviving segments,
-//! yielding events in `(timestamp, sequence)` order while decoding segment
-//! data lazily — the whole match set is never materialized, and a segment
-//! is not opened (its first batch decoded) until the merge has reached its
-//! catalog `min_ts`.  A pushed-down result limit (`(limit=N)` in query
-//! text, `Predicate::Limit(N)` in the IR) stops the merge as soon as `N`
-//! events have been yielded: the remaining sources — segment handles and
-//! the memtable snapshot — are dropped immediately instead of being decoded
-//! and truncated afterwards.
+//! [`ScanIter`] merges the memtable snapshot with a batched scan of each
+//! surviving segment, yielding events in `(timestamp, sequence)` order
+//! while decoding segment data lazily — the whole match set is never
+//! materialized, and a segment is not opened (its first batch decoded)
+//! until the merge has reached its catalog `min_ts`.  A pushed-down result
+//! limit (`(limit=N)` in query text, `Predicate::Limit(N)` in the IR)
+//! stops the merge as soon as `N` events have been yielded: the remaining
+//! sources — segment handles and the memtable snapshot — are dropped
+//! immediately instead of being decoded and truncated afterwards.
 
 use std::sync::Arc;
 
 use jamm_core::query::Plan;
 use jamm_ulm::{Event, SharedEvent, Timestamp};
 
-use crate::segment::{ColMode, ColScan, Segment, SegmentCursor};
+use crate::segment::{ColMode, ColScan, Segment};
 use crate::store::TsdbStats;
 
 /// One merge source: the (facts-pre-filtered, pre-sorted) memtable
-/// snapshot, a lazily decoding row-major segment cursor, or a batched
-/// columnar scan that filters with [`jamm_core::query::Plan::eval_batch`]
-/// before materializing anything.
+/// snapshot, or a segment's batched scan that filters with
+/// [`jamm_core::query::Plan::eval_batch`] before materializing anything.
 enum Source {
     Mem(std::vec::IntoIter<(u64, SharedEvent)>),
-    Seg(SegmentCursor),
     Col(Box<ColScan>),
 }
 
@@ -41,42 +39,24 @@ enum Source {
 type Head = (Timestamp, u64, Event);
 
 impl Source {
-    /// The source's next admissible event.  Memtable and row-major segment
-    /// sources filter by the cheap pushdown facts — the full plan (which
-    /// may carry per-series state) runs post-merge, in global time order.
-    /// Columnar sources arrive pre-filtered by their batch pass.
+    /// The source's next admissible event.  Both kinds arrive filtered —
+    /// the memtable snapshot by the cheap pushdown facts, a segment scan
+    /// by its batch pass — and the full plan (which may carry per-series
+    /// state) runs post-merge, in global time order, where the mode needs
+    /// it.
     fn next_admissible(&mut self, plan: &Plan, mode: ColMode) -> Option<Head> {
-        let facts = plan.facts();
-        loop {
-            match self {
-                Source::Mem(iter) => {
-                    // Already filtered and ordered.  Yielding an owned
-                    // event deep-copies from the shared snapshot here —
-                    // the scan (cold) path, never the ingest path.
-                    return iter.next().map(|(seq, e)| (e.timestamp, seq, (*e).clone()));
-                }
-                Source::Seg(cursor) => match cursor.next_event()? {
-                    // Checksummed at load; a decode error here means the
-                    // image was not a valid stream, so surface it loudly
-                    // rather than silently truncating a historical analysis.
-                    Err(e) => panic!("segment decode failed mid-scan: {e}"),
-                    Ok((seq, e)) => {
-                        if let Some(to) = facts.to_micros {
-                            if e.timestamp.as_micros() >= to {
-                                // Sorted: nothing later can match.
-                                return None;
-                            }
-                        }
-                        if facts.admits(&e) {
-                            return Some((e.timestamp, seq, e));
-                        }
-                    }
-                },
-                Source::Col(scan) => match scan.next_match(plan, mode)? {
-                    Err(e) => panic!("segment decode failed mid-scan: {e}"),
-                    Ok((seq, e)) => return Some((e.timestamp, seq, e)),
-                },
-            }
+        match self {
+            // Already ordered.  Yielding an owned event deep-copies from
+            // the shared snapshot here — the scan (cold) path, never the
+            // ingest path.
+            Source::Mem(iter) => iter.next().map(|(seq, e)| (e.timestamp, seq, (*e).clone())),
+            Source::Col(scan) => match scan.next_match(plan, mode)? {
+                // Checksummed at load; a decode error here means the image
+                // was not a valid stream, so surface it loudly rather than
+                // silently truncating a historical analysis.
+                Err(e) => panic!("segment decode failed mid-scan: {e}"),
+                Ok((seq, e)) => Some((e.timestamp, seq, e)),
+            },
         }
     }
 }
@@ -87,7 +67,7 @@ struct Live {
     source: Source,
     head: Head,
     /// Whether heads from this source still need the row-at-a-time
-    /// `plan.eval` post-merge.  False only for columnar sources under
+    /// `plan.eval` post-merge.  False only for segment scans under
     /// [`ColMode::Exact`], where the batch selection *is* the match set.
     needs_eval: bool,
 }
@@ -99,7 +79,7 @@ struct Live {
 /// can outlive the store lock it was created under.
 pub struct ScanIter {
     plan: Plan,
-    /// How columnar segments batch-filter for this plan (see [`ColMode`]).
+    /// How segment scans batch-filter for this plan (see [`ColMode`]).
     mode: ColMode,
     /// Opened sources (the memtable snapshot and the segments the merge
     /// has reached).
@@ -194,13 +174,8 @@ impl Iterator for ScanIter {
                 min.is_none_or(|(_, head_ts)| seg.catalog().min_ts <= head_ts)
             };
             if let Some(seg) = self.pending.pop_if(reached) {
-                match seg.col_scan() {
-                    Some(scan) => {
-                        let scan = Box::new(scan.reporting_to(&self.stats));
-                        self.open(Source::Col(scan), self.mode != ColMode::Exact)
-                    }
-                    None => self.open(Source::Seg(seg.cursor()), true),
-                }
+                let scan = Box::new(seg.col_scan().reporting_to(&self.stats));
+                self.open(Source::Col(scan), self.mode != ColMode::Exact);
                 continue;
             }
             let (min, _) = min?;
@@ -212,7 +187,7 @@ impl Iterator for ScanIter {
             };
             // The full plan runs post-merge so stateful predicates (e.g. an
             // on-change replay query) see the stream in global time order.
-            // Rows from an exact columnar batch pass already *are* matches
+            // Rows from an exact batch pass already *are* matches
             // and skip the re-check (their plans are stateless, so no
             // per-series memory is starved by skipping).
             if needs_eval && !self.plan.eval(&item.2) {

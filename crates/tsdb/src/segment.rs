@@ -32,23 +32,12 @@ use crate::codec::{
 use crate::store::TsdbStats;
 use crate::{Result, TsdbError};
 
-/// Magic bytes opening a segment file.  `JSG3` lays the event stream out
-/// as per-field *columns* (see [`Segment`]); the previous row-major
-/// generations stay readable: `JSG2` added the catalog's maximum severity
-/// rank (level-floor pruning) and `JSG1` predates even that
-/// ([`Segment::from_bytes`] treats those as containing every level, so
-/// they are never level-pruned).  A `JSG`-prefixed magic this build does
-/// not know is reported as an unsupported *version* rather than
-/// corruption, so downgrading past a future format fails loudly and
-/// clearly.
+/// Magic bytes opening a segment file: `JSG3`, the event stream laid out
+/// as per-field *columns* (see [`Segment`]).  Any other `JSG`-prefixed
+/// magic, from an older generation or a newer one, is reported as an
+/// unsupported *version* rather than corruption, so opening a store this
+/// build cannot read fails loudly and clearly.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"JSG3";
-
-/// Previous-generation row-major magic (still readable).
-pub const SEGMENT_MAGIC_V2: &[u8; 4] = b"JSG2";
-
-/// First-generation magic: identical to `JSG2` minus the catalog's
-/// `max_level` byte (still readable).
-pub const SEGMENT_MAGIC_V1: &[u8; 4] = b"JSG1";
 
 /// File extension of segment files inside a store directory.
 pub const SEGMENT_EXT: &str = "jseg";
@@ -140,12 +129,12 @@ impl SegmentCatalog {
 
 /// An immutable sorted run of compressed events.
 ///
-/// Newly built segments are **columnar** (`JSG3`): each event field lives
-/// in its own region — delta-of-delta timestamps, sequence deltas, level
-/// codes, host/program/type dictionary indices, a typed `f64` column for
-/// the conventional `VAL` reading (with presence bitmap), per-row field
-/// counts and key lists, and *sparse per-key columns* holding the
-/// remaining field payloads grouped by key.  A plan scan decodes just the
+/// A segment is **columnar** (`JSG3`): each event field lives in its own
+/// region — delta-of-delta timestamps, sequence deltas, level codes,
+/// host/program/type dictionary indices, a typed `f64` column for the
+/// conventional `VAL` reading (with presence bitmap), per-row field counts
+/// and key lists, and *sparse per-key columns* holding the remaining field
+/// payloads grouped by key.  A plan scan decodes just the
 /// columns the plan reads a batch at a time, runs the vectorized
 /// [`jamm_core::query::Plan::eval_batch`] over them, passes over the
 /// 64-row groups it rejects whole, and only *materializes* full
@@ -163,25 +152,14 @@ pub struct Segment {
     max_seq: u64,
     /// String dictionary referenced by the data stream.
     dict: Vec<String>,
-    /// The compressed event stream, row-major (legacy) or columnar.
-    repr: Repr,
-    /// The row-group index of a columnar segment: built in memory by the
-    /// first scan that skips a group, shared by every later scan, never
-    /// written to disk.
+    /// The compressed event stream, one region per column.
+    cols: ColData,
+    /// The row-group index: built in memory by the first scan that skips a
+    /// group, shared by every later scan, never written to disk.
     groups: OnceLock<Result<Option<GroupIndex>>>,
 }
 
-/// The two on-disk generations of a segment's event stream.
-#[derive(Debug)]
-enum Repr {
-    /// `JSG1`/`JSG2` row-major stream: events concatenated field-by-field.
-    /// Read-compat only — new segments are never built in this shape.
-    Rows(Vec<u8>),
-    /// `JSG3` per-field columns.
-    Cols(Box<ColData>),
-}
-
-/// The encoded column regions of a `JSG3` segment.
+/// The encoded column regions of a segment.
 #[derive(Debug, Default)]
 struct ColData {
     /// Timestamps: first row uvarint, second row uvarint delta, then
@@ -214,8 +192,7 @@ struct ColData {
     keys: Vec<u8>,
     /// Sparse per-key value columns: `uvarint n_keys`, then per key
     /// `uvarint key_ix, uvarint n_entries, uvarint byte_len, entries…`
-    /// where each entry is `tag + payload` in row order (same encoding as
-    /// the row-major generations).
+    /// where each entry is `tag + payload` in row order.
     sparse: Vec<u8>,
 }
 
@@ -410,7 +387,7 @@ impl Segment {
             min_seq,
             max_seq,
             dict,
-            repr: Repr::Cols(Box::new(cols)),
+            cols,
             groups: OnceLock::new(),
         }
     }
@@ -449,25 +426,14 @@ impl Segment {
     /// Size in bytes of the compressed event stream (excluding dictionary
     /// and catalog).
     pub fn data_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Rows(data) => data.len(),
-            Repr::Cols(cols) => cols.total_bytes(),
-        }
+        self.cols.total_bytes()
     }
 
-    /// True when the segment stores per-field columns (`JSG3`) rather than
-    /// a legacy row-major stream.
-    pub(crate) fn is_columnar(&self) -> bool {
-        matches!(self.repr, Repr::Cols(_))
-    }
-
-    /// Serialize the segment to its file form: `JSG3` for columnar
-    /// segments, `JSG2` for a loaded legacy row-major segment (so
-    /// re-serializing an old segment never silently re-encodes it; only a
-    /// rebuild through [`Segment::build`] — seal, compaction, retention —
-    /// upgrades the layout).
+    /// Serialize the segment to its file form: the magic, the catalog, the
+    /// dictionary and each column region behind its length, then a
+    /// checksum of everything after the magic.
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Magic (patched in below), body, checksum of the body: one buffer.
+        // Magic, body, checksum of the body: one buffer.
         let mut body = Vec::with_capacity(self.data_bytes() + 256);
         body.extend_from_slice(SEGMENT_MAGIC);
         put_uvarint(&mut body, self.catalog.id);
@@ -497,31 +463,23 @@ impl Segment {
         for s in &self.dict {
             put_str(&mut body, s);
         }
-        match &self.repr {
-            Repr::Rows(data) => {
-                put_uvarint(&mut body, data.len() as u64);
-                body.extend_from_slice(data);
-                body[..4].copy_from_slice(SEGMENT_MAGIC_V2);
-            }
-            Repr::Cols(cols) => {
-                for region in [
-                    &cols.ts,
-                    &cols.seqs,
-                    &cols.levels,
-                    &cols.host_ix,
-                    &cols.prog_ix,
-                    &cols.type_ix,
-                    &cols.val_present,
-                    &cols.val_float,
-                    &cols.vals,
-                    &cols.nfields,
-                    &cols.keys,
-                    &cols.sparse,
-                ] {
-                    put_uvarint(&mut body, region.len() as u64);
-                    body.extend_from_slice(region);
-                }
-            }
+        let cols = &self.cols;
+        for region in [
+            &cols.ts,
+            &cols.seqs,
+            &cols.levels,
+            &cols.host_ix,
+            &cols.prog_ix,
+            &cols.type_ix,
+            &cols.val_present,
+            &cols.val_float,
+            &cols.vals,
+            &cols.nfields,
+            &cols.keys,
+            &cols.sparse,
+        ] {
+            put_uvarint(&mut body, region.len() as u64);
+            body.extend_from_slice(region);
         }
         let checksum = fnv64(&body[4..]);
         body.extend_from_slice(&checksum.to_le_bytes());
@@ -529,9 +487,7 @@ impl Segment {
     }
 
     /// Deserialize a segment from its file form, verifying magic and
-    /// checksum.  `JSG1` files (written before the catalog carried a
-    /// maximum severity rank) load with `max_level = u8::MAX`, so an old
-    /// store stays readable and is simply never level-pruned.
+    /// checksum.
     pub fn from_bytes(bytes: &[u8]) -> Result<Segment> {
         let too_short = TsdbError::Corrupt("bad segment magic");
         let Some((magic, rest)) = bytes.split_first_chunk::<4>() else {
@@ -540,21 +496,17 @@ impl Segment {
         let Some((body, stored)) = rest.split_last_chunk::<8>() else {
             return Err(too_short);
         };
-        let version = match magic {
-            m if m == SEGMENT_MAGIC_V1 => 1u8,
-            m if m == SEGMENT_MAGIC_V2 => 2,
-            m if m == SEGMENT_MAGIC => 3,
-            m if &m[..3] == b"JSG" => {
-                // A future generation this build does not know: refuse with
-                // a version error, not a corruption error, so operators see
-                // "upgrade the reader" instead of "restore from backup".
-                return Err(TsdbError::Corrupt(
-                    "unsupported segment version (written by a newer build)",
-                ));
-            }
-            _ => return Err(TsdbError::Corrupt("bad segment magic")),
-        };
-        let v1 = version == 1;
+        if magic != SEGMENT_MAGIC {
+            return Err(TsdbError::Corrupt(if magic.starts_with(b"JSG") {
+                // A generation this build does not read, older or newer:
+                // refuse with a version error, not a corruption error, so
+                // operators see "use a build that reads it" instead of
+                // "restore from backup".
+                "unsupported segment version"
+            } else {
+                "bad segment magic"
+            }));
+        }
         if fnv64(body) != u64::from_le_bytes(*stored) {
             return Err(TsdbError::Corrupt("segment checksum mismatch"));
         }
@@ -565,17 +517,10 @@ impl Segment {
         let event_count = get_uvarint(body, &mut pos)? as usize;
         let min_ts = Timestamp::from_micros(get_uvarint(body, &mut pos)?);
         let max_ts = Timestamp::from_micros(get_uvarint(body, &mut pos)?);
-        let max_level = if v1 {
-            // Unknown in the old format: assume every level is present so
-            // level-floor pruning never skips a legacy segment.
-            u8::MAX
-        } else {
-            let lvl = *body
-                .get(pos)
-                .ok_or(TsdbError::Corrupt("truncated max level"))?;
-            pos += 1;
-            lvl
-        };
+        let max_level = *body
+            .get(pos)
+            .ok_or(TsdbError::Corrupt("truncated max level"))?;
+        pos += 1;
         let mut hosts = BTreeMap::new();
         for _ in 0..get_uvarint(body, &mut pos)? {
             let h = get_str(body, &mut pos)?;
@@ -597,42 +542,33 @@ impl Segment {
         for _ in 0..dict_len {
             dict.push(get_str(body, &mut pos)?);
         }
-        let repr = if version <= 2 {
-            let data_len = get_uvarint(body, &mut pos)? as usize;
-            if body.len() - pos != data_len {
-                return Err(TsdbError::Corrupt("segment data length mismatch"));
-            }
-            Repr::Rows(body[pos..].to_vec())
-        } else {
-            let mut region = || -> Result<Vec<u8>> {
-                let len = get_uvarint(body, &mut pos)? as usize;
-                let end = pos
-                    .checked_add(len)
-                    .filter(|end| *end <= body.len())
-                    .ok_or(TsdbError::Corrupt("truncated column region"))?;
-                let bytes = body[pos..end].to_vec();
-                pos = end;
-                Ok(bytes)
-            };
-            let cols = ColData {
-                ts: region()?,
-                seqs: region()?,
-                levels: region()?,
-                host_ix: region()?,
-                prog_ix: region()?,
-                type_ix: region()?,
-                val_present: region()?,
-                val_float: region()?,
-                vals: region()?,
-                nfields: region()?,
-                keys: region()?,
-                sparse: region()?,
-            };
-            if pos != body.len() {
-                return Err(TsdbError::Corrupt("segment data length mismatch"));
-            }
-            Repr::Cols(Box::new(cols))
+        let mut region = || -> Result<Vec<u8>> {
+            let len = get_uvarint(body, &mut pos)? as usize;
+            let end = pos
+                .checked_add(len)
+                .filter(|end| *end <= body.len())
+                .ok_or(TsdbError::Corrupt("truncated column region"))?;
+            let bytes = body[pos..end].to_vec();
+            pos = end;
+            Ok(bytes)
         };
+        let cols = ColData {
+            ts: region()?,
+            seqs: region()?,
+            levels: region()?,
+            host_ix: region()?,
+            prog_ix: region()?,
+            type_ix: region()?,
+            val_present: region()?,
+            val_float: region()?,
+            vals: region()?,
+            nfields: region()?,
+            keys: region()?,
+            sparse: region()?,
+        };
+        if pos != body.len() {
+            return Err(TsdbError::Corrupt("segment data length mismatch"));
+        }
         Ok(Segment {
             catalog: SegmentCatalog {
                 id,
@@ -647,7 +583,7 @@ impl Segment {
             min_seq,
             max_seq,
             dict,
-            repr,
+            cols,
             groups: OnceLock::new(),
         })
     }
@@ -681,32 +617,15 @@ impl Segment {
 
     /// A cursor decoding the segment's events one at a time.
     pub fn cursor(self: &std::sync::Arc<Self>) -> SegmentCursor {
-        SegmentCursor(match self.col_scan() {
-            Some(scan) => CursorRepr::Cols(Box::new(AllRows {
-                scan,
-                everything: jamm_core::query::Predicate::True.compile(),
-            })),
-            None => CursorRepr::Rows {
-                seg: std::sync::Arc::clone(self),
-                state: RowState::default(),
-            },
-        })
-    }
-
-    /// A batched columnar scan over this segment, or `None` when the
-    /// segment is a legacy row-major one (those scan through
-    /// [`Segment::cursor`] instead).
-    pub(crate) fn col_scan(self: &std::sync::Arc<Self>) -> Option<ColScan> {
-        self.is_columnar()
-            .then(|| ColScan::new(std::sync::Arc::clone(self)))
-    }
-
-    /// The column regions of a columnar segment.
-    fn cols(&self) -> &ColData {
-        match &self.repr {
-            Repr::Cols(cols) => cols,
-            Repr::Rows(_) => unreachable!("column access on a row-major segment"),
+        SegmentCursor {
+            scan: self.col_scan(),
+            everything: jamm_core::query::Predicate::True.compile(),
         }
+    }
+
+    /// A batched scan over this segment.
+    pub(crate) fn col_scan(self: &std::sync::Arc<Self>) -> ColScan {
+        ColScan::new(std::sync::Arc::clone(self))
     }
 
     /// The row-group index, built now if no scan has built it yet; `None`
@@ -723,90 +642,28 @@ impl Segment {
     fn built_group_index(&self) -> Option<&GroupIndex> {
         self.groups.get()?.as_ref().ok()?.as_ref()
     }
-
-    /// Build a segment in the legacy `JSG2` row-major shape — what PR 5-era
-    /// code wrote.  Test-only: it exists so compatibility tests can
-    /// produce genuine old-format fixtures (and exercise the row-major
-    /// scan path) now that [`Segment::build`] always emits columns.
-    #[cfg(test)]
-    pub(crate) fn build_rows_legacy<B: std::borrow::Borrow<Event>>(
-        id: u64,
-        sorted: &[(u64, B)],
-    ) -> Segment {
-        let columnar = Segment::build(id, sorted);
-        let mut data = Vec::new();
-        let mut dict = DictBuilder::default();
-        let mut prev_ts = 0u64;
-        let mut prev_delta = 0u64;
-        let mut prev_seq = 0u64;
-        for (i, (seq, e)) in sorted.iter().enumerate() {
-            let e = e.borrow();
-            let ts = e.timestamp.as_micros();
-            match i {
-                0 => put_uvarint(&mut data, ts),
-                1 => {
-                    let delta = ts.wrapping_sub(prev_ts);
-                    put_uvarint(&mut data, delta);
-                    prev_delta = delta;
-                }
-                _ => {
-                    let delta = ts.wrapping_sub(prev_ts);
-                    put_ivarint(&mut data, delta.wrapping_sub(prev_delta) as i64);
-                    prev_delta = delta;
-                }
-            }
-            prev_ts = ts;
-            put_ivarint(&mut data, seq.wrapping_sub(prev_seq) as i64);
-            prev_seq = *seq;
-            data.push(binary::level_code(e.level));
-            put_uvarint(&mut data, dict.slot(&e.host));
-            put_uvarint(&mut data, dict.slot(&e.program));
-            put_uvarint(&mut data, dict.slot(&e.event_type));
-            put_uvarint(&mut data, e.fields.len() as u64);
-            for (k, v) in &e.fields {
-                put_uvarint(&mut data, dict.slot(k));
-                put_value(&mut data, v, |s| dict.slot(s));
-            }
-        }
-        Segment {
-            catalog: columnar.catalog,
-            min_seq: columnar.min_seq,
-            max_seq: columnar.max_seq,
-            dict: dict.strings,
-            repr: Repr::Rows(data),
-            groups: OnceLock::new(),
-        }
-    }
 }
 
 /// Streaming decoder over one segment's compressed data.  Yields events in
-/// `(timestamp, sequence)` order without materializing the segment.  A
-/// legacy row-major stream decodes row by row; a columnar segment reads
-/// through [`ColScan`] — the only `JSG3` decoder there is — with every row
-/// selected, so compaction and retention rewrites run the loop plan scans
-/// run.
+/// `(timestamp, sequence)` order without materializing the segment: a
+/// [`ColScan`] under the plan that selects every row, so compaction and
+/// retention rewrites run the loop plan scans run.
 #[derive(Debug)]
-pub struct SegmentCursor(CursorRepr);
-
-#[derive(Debug)]
-enum CursorRepr {
-    Rows {
-        seg: std::sync::Arc<Segment>,
-        state: RowState,
-    },
-    Cols(Box<AllRows>),
-}
-
-/// A columnar segment read in full: the scan, and the plan that selects
-/// every row.
-#[derive(Debug)]
-struct AllRows {
+pub struct SegmentCursor {
     scan: ColScan,
     everything: Plan,
 }
 
-/// Delta-of-delta timestamp decoding state (both generations encode the
-/// timestamp stream the same way).
+impl SegmentCursor {
+    /// Decode the next event; `None` at the end of the segment.  A decode
+    /// error (a segment image that passed its checksum but is not a valid
+    /// stream) surfaces as `Some(Err)`.
+    pub fn next_event(&mut self) -> Option<Result<(u64, Event)>> {
+        self.scan.next_match(&self.everything, ColMode::Exact)
+    }
+}
+
+/// Delta-of-delta timestamp decoding state.
 #[derive(Debug, Default, Clone, Copy)]
 struct TsDecoder {
     prev_ts: u64,
@@ -845,71 +702,6 @@ impl TsDecoder {
     }
 }
 
-/// Decode position of a legacy row-major stream.
-#[derive(Debug, Default)]
-struct RowState {
-    pos: usize,
-    decoded: usize,
-    ts: TsDecoder,
-    prev_seq: u64,
-}
-
-impl SegmentCursor {
-    /// Decode the next event; `None` at the end of the segment.  A decode
-    /// error (a segment image that passed its checksum but is not a valid
-    /// stream) surfaces as `Some(Err)`.
-    pub fn next_event(&mut self) -> Option<Result<(u64, Event)>> {
-        match &mut self.0 {
-            CursorRepr::Rows { seg, state } => {
-                (state.decoded < seg.len()).then(|| decode_event(seg, state))
-            }
-            CursorRepr::Cols(all) => all.scan.next_match(&all.everything, ColMode::Exact),
-        }
-    }
-}
-
-/// Decode one event from a legacy row-major stream, advancing the cursor
-/// state only on success.
-fn decode_event(seg: &Segment, st: &mut RowState) -> Result<(u64, Event)> {
-    let data: &[u8] = match &seg.repr {
-        Repr::Rows(data) => data,
-        Repr::Cols(_) => unreachable!("row decode on a columnar segment"),
-    };
-    let mut pos = st.pos;
-    let ts = st.ts.next(seg, st.decoded, data, &mut pos)?;
-    let dseq = get_ivarint(data, &mut pos)?;
-    let seq = st.prev_seq.wrapping_add(dseq as u64);
-    st.prev_seq = seq;
-    let level = *data.get(pos).ok_or(TsdbError::Corrupt("truncated level"))?;
-    pos += 1;
-    let level = binary::level_from_code(level).map_err(|_| TsdbError::Corrupt("bad level code"))?;
-    let host = dict_str(seg, data, &mut pos)?;
-    let program = dict_str(seg, data, &mut pos)?;
-    let event_type = dict_str(seg, data, &mut pos)?;
-    let n_fields = get_uvarint(data, &mut pos)? as usize;
-    // Every field takes more than a byte of the stream, which bounds the
-    // allocation a hostile count can ask for.
-    let mut fields = Vec::with_capacity(n_fields.min(data.len() - pos));
-    for _ in 0..n_fields {
-        let key = dict_str(seg, data, &mut pos)?;
-        let value = read_value(seg, data, &mut pos)?;
-        fields.push((key, value));
-    }
-    st.pos = pos;
-    st.decoded += 1;
-    Ok((
-        seq,
-        Event {
-            timestamp: Timestamp::from_micros(ts),
-            host,
-            program,
-            level,
-            event_type,
-            fields,
-        },
-    ))
-}
-
 /// Read one `tag + payload` field value at `*pos`.
 fn read_value(seg: &Segment, data: &[u8], pos: &mut usize) -> Result<Value> {
     let tag = *data.get(*pos).ok_or(TsdbError::Corrupt("truncated tag"))?;
@@ -923,7 +715,7 @@ fn read_value(seg: &Segment, data: &[u8], pos: &mut usize) -> Result<Value> {
             *pos += 1;
             Value::Bool(b != 0)
         }
-        TAG_STR => Value::Str(dict_str(seg, data, pos)?),
+        TAG_STR => Value::Str(dict_at(seg, get_uvarint(data, pos)?)?),
         _ => return Err(TsdbError::Corrupt("unknown value tag")),
     })
 }
@@ -950,11 +742,6 @@ fn skip_value(data: &[u8], pos: &mut usize) -> Result<()> {
         _ => return Err(TsdbError::Corrupt("unknown value tag")),
     }
     Ok(())
-}
-
-/// Resolve a dictionary reference from a data stream.
-fn dict_str(seg: &Segment, data: &[u8], pos: &mut usize) -> Result<String> {
-    dict_at(seg, get_uvarint(data, pos)?)
 }
 
 /// The dictionary string in slot `ix`.
@@ -1112,7 +899,7 @@ impl FieldPos {
         i: usize,
         keep: bool,
     ) -> Result<Option<(u64, Event)>> {
-        let cols = seg.cols();
+        let cols = &seg.cols;
         let n_fields = get_uvarint(&cols.nfields, &mut self.nf)? as usize;
         let val_is_float = bitmap_get(&cols.val_float, r);
         // Every field takes a byte of the key list, which bounds the
@@ -1223,7 +1010,7 @@ impl Batch {
         rows: Range<usize>,
         at: usize,
     ) -> Result<()> {
-        let cols = seg.cols();
+        let cols = &seg.cols;
         let out = at..at + rows.len();
         if read.contains(Columns::TS) {
             for (r, ts) in rows.clone().zip(&mut self.ts[out.clone()]) {
@@ -1270,7 +1057,7 @@ impl Batch {
         rows: Range<usize>,
         at: usize,
     ) -> Result<()> {
-        let cols = seg.cols();
+        let cols = &seg.cols;
         let out = at..at + rows.len();
         for seq in &mut self.seqs[out.clone()] {
             let dseq = get_ivarint(&cols.seqs, &mut st.seqs)?;
@@ -1340,7 +1127,7 @@ impl GroupIndex {
     /// `None` when a region is too large for `u32` offsets; such a segment
     /// scans without skipping.
     fn build(seg: &Segment) -> Result<Option<GroupIndex>> {
-        let cols = seg.cols();
+        let cols = &seg.cols;
         if u32::try_from(cols.total_bytes()).is_err() {
             return Ok(None);
         }
@@ -1433,7 +1220,7 @@ impl GroupIndex {
     }
 }
 
-/// The scan-optimized — and only — reader of a columnar segment.  Each
+/// The scan-optimized — and only — reader of a segment.  Each
 /// 1,024-row batch is read in two passes:
 ///
 /// 1. decode just the columns the plan's batch evaluation reads
@@ -1544,7 +1331,7 @@ impl ColScan {
     fn fill_batch(&mut self, plan: &Plan, mode: ColMode) -> Result<bool> {
         let seg = &*self.seg;
         if self.fields.is_none() {
-            self.fields = Some(FieldPos::init(&seg.dict, seg.cols())?);
+            self.fields = Some(FieldPos::init(&seg.dict, &seg.cols)?);
         }
         let facts = plan.facts();
         let mut base = self.base + self.rows;
@@ -1780,42 +1567,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_jsg1_segments_still_load_and_are_never_level_pruned() {
-        use jamm_core::query::Predicate;
-        // all Usage level; JSG2-shaped so stripping max_level yields JSG1
-        let seg = Segment::build_rows_legacy(7, &sorted_batch(25));
-        let bytes = seg.to_bytes();
-        // Re-encode as the previous generation: JSG1 magic, no max_level
-        // byte (it sits right after the sixth leading varint), fresh
-        // checksum.
-        let body = &bytes[4..bytes.len() - 8];
-        let mut pos = 0usize;
-        for _ in 0..6 {
-            get_uvarint(body, &mut pos).unwrap(); // id..max_ts
-        }
-        let mut v1_body = body[..pos].to_vec();
-        v1_body.extend_from_slice(&body[pos + 1..]); // skip max_level
-        let mut v1 = Vec::with_capacity(v1_body.len() + 12);
-        v1.extend_from_slice(SEGMENT_MAGIC_V1);
-        v1.extend_from_slice(&v1_body);
-        v1.extend_from_slice(&fnv64(&v1_body).to_le_bytes());
-
-        let back = Segment::from_bytes(&v1).expect("JSG1 stays readable");
-        assert_eq!(back.len(), seg.len());
-        assert_eq!(back.catalog().hosts, seg.catalog().hosts);
-        assert_eq!(back.catalog().max_level, u8::MAX, "unknown = all levels");
-        // Unknown level data must never be pruned by a severity floor...
-        let errors = Predicate::parse("(level>=error)").unwrap().compile();
-        assert!(back.catalog().overlaps(errors.facts()));
-        // ...and the events themselves still decode identically.
-        let mut a = Arc::new(seg).cursor();
-        let mut b = Arc::new(back).cursor();
-        while let Some(x) = a.next_event() {
-            assert_eq!(x.unwrap(), b.next_event().unwrap().unwrap());
-        }
-    }
-
-    #[test]
     fn compression_beats_binary_frames_on_regular_streams() {
         let batch = sorted_batch(1_000);
         let seg = Segment::build(1, &batch);
@@ -1863,60 +1614,17 @@ mod tests {
     }
 
     #[test]
-    fn jsg2_fixture_written_by_pr5_era_code_still_opens_and_scans() {
-        // `build_rows_legacy` reproduces the exact PR 5-era encoder, so
-        // its bytes are a faithful JSG2 fixture: JSG2 magic, row-major
-        // stream after the dictionary.
-        let batch = sorted_batch(40);
-        let legacy = Segment::build_rows_legacy(4, &batch);
-        let bytes = legacy.to_bytes();
-        assert_eq!(&bytes[..4], SEGMENT_MAGIC_V2);
-
-        let back = Arc::new(Segment::from_bytes(&bytes).expect("JSG2 stays readable"));
-        assert!(!back.is_columnar(), "legacy bytes load as row-major");
-        assert_eq!(back.catalog(), legacy.catalog());
-        // Events decode identically to the same batch built columnar.
-        let modern = Arc::new(Segment::build(4, &batch));
-        assert!(modern.is_columnar());
-        let mut a = back.cursor();
-        let mut b = modern.cursor();
-        while let Some(x) = a.next_event() {
-            assert_eq!(x.unwrap(), b.next_event().unwrap().unwrap());
-        }
-        assert!(b.next_event().is_none());
-        // Both generations answer a plan scan, side by side in one merge.
-        let everything = jamm_core::query::Predicate::True.compile();
-        let merged = crate::query::ScanIter::new(
-            everything,
-            Vec::new(),
-            vec![back, modern],
-            0,
-            Default::default(),
-        );
-        let doubled: Vec<Event> = batch
-            .iter()
-            .flat_map(|(_, e)| [e.clone(), e.clone()])
-            .collect();
-        assert_eq!(merged.collect::<Vec<Event>>(), doubled);
-        // Round-trips through a file like any current segment.
-        let dir = crate::test_util::TempDir::new("segment-jsg2");
-        std::fs::write(dir.path().join(Segment::file_name(4)), &bytes).unwrap();
-        let from_file = Segment::read_from_file(&dir.path().join(Segment::file_name(4))).unwrap();
-        assert_eq!(from_file.catalog(), legacy.catalog());
-        // Re-serializing a loaded legacy segment preserves its generation.
-        assert_eq!(&from_file.to_bytes()[..4], SEGMENT_MAGIC_V2);
-    }
-
-    #[test]
     fn unknown_future_segment_version_errors_clearly() {
         let mut bytes = Segment::build(1, &sorted_batch(5)).to_bytes();
         assert_eq!(&bytes[..4], SEGMENT_MAGIC);
-        bytes[3] = b'9'; // "JSG9": a generation this build does not know
-        let err = Segment::from_bytes(&bytes).expect_err("future version");
-        assert!(
-            err.to_string().contains("unsupported segment version"),
-            "got {err}"
-        );
+        // A future generation, and the retired row-major JSG1 and JSG2 that
+        // came before JSG3: the checksum covers the body only, so each
+        // image is intact but for its magic.
+        for magic in [b"JSG9", b"JSG1", b"JSG2"] {
+            bytes[..4].copy_from_slice(magic);
+            let err = Segment::from_bytes(&bytes).expect_err("unsupported version");
+            assert_eq!(err, TsdbError::Corrupt("unsupported segment version"));
+        }
         // Non-JSG garbage is still plain corruption, not a version error.
         bytes[0] = b'X';
         let err = Segment::from_bytes(&bytes).expect_err("garbage");
@@ -1972,9 +1680,8 @@ mod tests {
             assert_eq!((got_seq, &got), (*seq, e));
         }
         assert!(cur.next_event().is_none());
-        // File round trip preserves the columnar generation.
+        // And so does the file round trip.
         let back = Arc::new(Segment::from_bytes(&seg.to_bytes()).unwrap());
-        assert!(back.is_columnar());
         let mut cur = back.cursor();
         for (seq, e) in &batch {
             let (got_seq, got) = cur.next_event().unwrap().unwrap();
@@ -2030,7 +1737,7 @@ mod tests {
                 std::iter::from_fn(|| cursor.next_event().map(|r| r.unwrap())).collect();
             assert_eq!(rows, batch, "cursor");
             let everything = Predicate::True.compile();
-            let mut scan = seg.col_scan().expect("columnar");
+            let mut scan = seg.col_scan();
             let rows: Vec<(u64, Event)> = std::iter::from_fn(|| {
                 scan.next_match(&everything, ColMode::Exact)
                     .map(|r| r.unwrap())
@@ -2107,7 +1814,7 @@ mod tests {
     /// `Exact` needs, and the plan's limit.
     fn plan_scan(seg: &Arc<Segment>, plan: &Plan) -> (Result<Vec<(u64, Event)>>, ColScan) {
         let (plan, mode) = (plan.clone(), ColMode::of(plan));
-        let mut scan = seg.col_scan().expect("columnar");
+        let mut scan = seg.col_scan();
         let mut got = Vec::new();
         while got.len() < plan.limit().unwrap_or(usize::MAX) {
             match scan.next_match(&plan, mode) {
@@ -2268,7 +1975,7 @@ mod tests {
     /// matches everything, or the error that stopped it.
     fn scan_all(seg: &Arc<Segment>) -> Result<Vec<(u64, Event)>> {
         let everything = jamm_core::query::Predicate::True.compile();
-        let mut scan = seg.col_scan().expect("columnar");
+        let mut scan = seg.col_scan();
         std::iter::from_fn(|| scan.next_match(&everything, ColMode::Exact)).collect()
     }
 
@@ -2345,7 +2052,7 @@ mod tests {
         }
         let mut image = Segment::build(1, &want);
         image.dict = dict.iter().map(|s| s.to_string()).collect();
-        image.repr = Repr::Cols(Box::new(cols));
+        image.cols = cols;
         let seg = Arc::new(Segment::from_bytes(&image.to_bytes()).unwrap());
         assert_eq!(scan_all(&seg).unwrap(), want);
         assert_eq!(cursor_all(&seg).unwrap(), want);
@@ -2353,7 +2060,7 @@ mod tests {
         let over_three = jamm_core::query::Predicate::parse("(val>3)")
             .unwrap()
             .compile();
-        let mut scan = seg.col_scan().unwrap();
+        let mut scan = seg.col_scan();
         let hits: Vec<u64> = std::iter::from_fn(|| scan.next_match(&over_three, ColMode::Exact))
             .map(|hit| hit.unwrap().0)
             .collect();
@@ -2362,22 +2069,10 @@ mod tests {
 
     /// A segment of `sorted_batch` rows with `tamper` applied, taken
     /// through its file form so the image carries a valid checksum.
-    fn tampered(legacy: bool, tamper: impl FnOnce(&mut Segment)) -> Arc<Segment> {
-        let batch = sorted_batch(5);
-        let mut seg = if legacy {
-            Segment::build_rows_legacy(1, &batch)
-        } else {
-            Segment::build(1, &batch)
-        };
+    fn tampered(tamper: impl FnOnce(&mut Segment)) -> Arc<Segment> {
+        let mut seg = Segment::build(1, &sorted_batch(5));
         tamper(&mut seg);
         Arc::new(Segment::from_bytes(&seg.to_bytes()).expect("the container is intact"))
-    }
-
-    fn cols_mut(seg: &mut Segment) -> &mut ColData {
-        match &mut seg.repr {
-            Repr::Cols(cols) => cols,
-            Repr::Rows(_) => panic!("columnar segment expected"),
-        }
     }
 
     #[test]
@@ -2388,17 +2083,17 @@ mod tests {
             (
                 "dictionary index out of range",
                 // A row's key index past the dictionary.
-                Box::new(|seg| cols_mut(seg).keys[1] = 0x7F),
+                Box::new(|seg| seg.cols.keys[1] = 0x7F),
             ),
             (
                 "dictionary index out of range",
                 // The sparse directory's first entry names such a key.
-                Box::new(|seg| cols_mut(seg).sparse[1] = 0x7F),
+                Box::new(|seg| seg.cols.sparse[1] = 0x7F),
             ),
             (
                 "missing sparse column",
                 // A row keyed by a string the directory has no column for.
-                Box::new(move |seg| cols_mut(seg).keys[1] = host_slot(seg)),
+                Box::new(move |seg| seg.cols.keys[1] = host_slot(seg)),
             ),
             (
                 "first timestamp precedes catalog min_ts",
@@ -2406,20 +2101,10 @@ mod tests {
             ),
         ];
         for (want, tamper) in cases {
-            let seg = tampered(false, tamper);
+            let seg = tampered(tamper);
             assert_eq!(scan_all(&seg), Err(TsdbError::Corrupt(want)));
             assert_eq!(cursor_all(&seg), Err(TsdbError::Corrupt(want)));
         }
-        // The row-major generations check their first stamp the same way.
-        let legacy = tampered(true, |seg| {
-            seg.catalog.min_ts = Timestamp::from_micros(1_000_001)
-        });
-        assert_eq!(
-            cursor_all(&legacy),
-            Err(TsdbError::Corrupt(
-                "first timestamp precedes catalog min_ts"
-            ))
-        );
     }
 
     #[test]
@@ -2431,7 +2116,7 @@ mod tests {
         let first = Predicate::parse("(limit=1)").unwrap().compile();
         let image = |tamper: fn(&mut ColData)| {
             let mut seg = Segment::build(1, &sorted_batch(300));
-            tamper(cols_mut(&mut seg));
+            tamper(&mut seg.cols);
             Arc::new(Segment::from_bytes(&seg.to_bytes()).expect("the container is intact"))
         };
         // The directory's last column claims a byte the region lacks: no
@@ -2491,7 +2176,7 @@ mod tests {
         .map(|text| Predicate::parse(text).unwrap().compile());
         jamm_core::check::forall("column mutation never panics", 300, |g| {
             let mut seg = Segment::build(1, &colliding_batch(g, 300));
-            let cols = cols_mut(&mut seg);
+            let cols = &mut seg.cols;
             let regions: [&mut Vec<u8>; 12] = [
                 &mut cols.ts,
                 &mut cols.seqs,
@@ -2516,7 +2201,7 @@ mod tests {
             let seg = Arc::new(Segment::from_bytes(&seg.to_bytes()).unwrap());
             for plan in &plans {
                 let mode = ColMode::of(plan);
-                let mut scan = seg.col_scan().unwrap();
+                let mut scan = seg.col_scan();
                 let mut rows = 0;
                 while let Some(row) = scan.next_match(plan, mode) {
                     match row {
@@ -2533,5 +2218,66 @@ mod tests {
                 assert!(rows <= seg.len());
             }
         });
+    }
+
+    /// A seeded 5,000-row batch touching every column: four hosts, three
+    /// event types, every level, float, integer and absent `VAL`s, string,
+    /// signed and boolean fields, a key repeated within a row, and stamps
+    /// that repeat, jitter and jump.
+    fn golden_batch() -> Vec<(u64, Event)> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut ts = 1_700_000_000_000_000u64;
+        (0..5_000u64)
+            .map(|i| {
+                ts += match next(10) {
+                    0 => 0,
+                    1 => 1 + next(5_000_000),
+                    _ => 250_000 + next(100),
+                };
+                let host = ["h1", "h2", "lbl.gov", "mems.cairn.net"][next(4) as usize];
+                let ty = ["CPU_TOTAL", "MEM_FREE", "TCP_RETRANS"][next(3) as usize];
+                let mut e = Event::builder("vmstat", host)
+                    .level(binary::level_from_code(next(9) as u8).unwrap())
+                    .event_type(ty)
+                    .timestamp(Timestamp::from_micros(ts));
+                e = match next(4) {
+                    0 => e,
+                    1 => e.field("VAL", next(100)),
+                    _ => e.value(next(10_000) as f64 / 8.0),
+                };
+                e = e.field("PEER", ["a.lbl.gov", "b.lbl.gov"][next(2) as usize]);
+                if next(5) == 0 {
+                    e = e
+                        .field("DELTA", -(next(50) as i64))
+                        .field("UP", next(2) == 0);
+                }
+                if i % 97 == 0 {
+                    e = e.field("NOTE", "first").field("NOTE", "second");
+                }
+                (i * 2 + next(2), e.build())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn jsg3_bytes_of_a_seeded_batch_are_pinned() {
+        let batch = golden_batch();
+        let seg = Arc::new(Segment::build(31, &batch));
+        let bytes = seg.to_bytes();
+        assert_eq!(&bytes[..4], SEGMENT_MAGIC);
+        assert_eq!(
+            (bytes.len(), fnv64(&bytes)),
+            (98_977, 0x3e10_e109_da27_7179)
+        );
+        let mut cursor = seg.cursor();
+        let rows: Vec<(u64, Event)> =
+            std::iter::from_fn(|| cursor.next_event().map(|r| r.unwrap())).collect();
+        assert_eq!(rows, batch);
     }
 }

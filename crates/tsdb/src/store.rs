@@ -427,63 +427,20 @@ impl Tsdb {
         let threshold = self.opts.small_segment_events;
         let before = inner.segments.len();
         let mut result: Vec<Arc<Segment>> = Vec::with_capacity(before);
-        let mut run: Vec<Arc<Segment>> = Vec::new();
         let mut stale_ids: Vec<u64> = Vec::new();
         let mut next_id = inner.next_segment_id;
         let mut merges = 0u64;
-
-        let flush_run = |run: &mut Vec<Arc<Segment>>,
-                         result: &mut Vec<Arc<Segment>>,
-                         next_id: &mut u64,
-                         stale_ids: &mut Vec<u64>,
-                         merges: &mut u64|
-         -> Result<()> {
-            if run.len() < 2 {
-                result.append(run);
-                return Ok(());
+        let small = |seg: &Arc<Segment>| seg.len() < threshold;
+        for run in inner.segments.chunk_by(|a, b| small(a) == small(b)) {
+            if run.len() < 2 || !small(&run[0]) {
+                result.extend(run.iter().cloned());
+                continue;
             }
-            let mut merged: Vec<(u64, Event)> = Vec::new();
-            for seg in run.iter() {
-                let mut cursor = seg.cursor();
-                while let Some(item) = cursor.next_event() {
-                    let (seq, event) = item?;
-                    merged.push((seq, event));
-                }
-            }
-            merged.sort_by_key(|(seq, e)| (e.timestamp, *seq));
-            let seg = Segment::build(*next_id, &merged);
-            if let Some(dir) = &self.dir {
-                seg.write_to_dir(dir)?;
-            }
-            *next_id += 1;
-            *merges += 1;
+            result.extend(self.rewrite(run, next_id, |_| true)?.map(Arc::new));
+            next_id += 1;
+            merges += 1;
             stale_ids.extend(run.iter().map(|s| s.id()));
-            run.clear();
-            result.push(Arc::new(seg));
-            Ok(())
-        };
-
-        for seg in &inner.segments {
-            if seg.len() < threshold {
-                run.push(Arc::clone(seg));
-            } else {
-                flush_run(
-                    &mut run,
-                    &mut result,
-                    &mut next_id,
-                    &mut stale_ids,
-                    &mut merges,
-                )?;
-                result.push(Arc::clone(seg));
-            }
         }
-        flush_run(
-            &mut run,
-            &mut result,
-            &mut next_id,
-            &mut stale_ids,
-            &mut merges,
-        )?;
 
         // Commit point: every merged segment is on disk.
         inner.next_segment_id = next_id;
@@ -519,23 +476,12 @@ impl Tsdb {
                 kept.push(Arc::clone(seg));
             } else {
                 // Straddles the cutoff: rewrite the surviving suffix.
-                let mut survivors: Vec<(u64, Event)> = Vec::new();
-                let mut cursor = seg.cursor();
-                while let Some(item) = cursor.next_event() {
-                    let (seq, event) = item?;
-                    if event.timestamp >= cutoff {
-                        survivors.push((seq, event));
-                    }
-                }
-                removed += seg.len() - survivors.len();
-                survivors.sort_by_key(|(seq, e)| (e.timestamp, *seq));
-                let new_seg = Segment::build(next_id, &survivors);
-                if let Some(dir) = &self.dir {
-                    new_seg.write_to_dir(dir)?;
-                }
+                let inputs = std::slice::from_ref(seg);
+                let survivors = self.rewrite(inputs, next_id, |e| e.timestamp >= cutoff)?;
                 next_id += 1;
+                removed += seg.len() - survivors.as_ref().map_or(0, Segment::len);
                 stale_ids.push(seg.id());
-                kept.push(Arc::new(new_seg));
+                kept.extend(survivors.map(Arc::new));
             }
         }
         // Commit point: every rewritten segment is on disk.
@@ -560,6 +506,41 @@ impl Tsdb {
             .expired_events
             .fetch_add(removed as u64, Ordering::Relaxed);
         Ok(removed)
+    }
+
+    /// Rewrite `inputs`, consecutive segments of the list, as one segment
+    /// numbered `id` holding the rows `keep` accepts, in `(timestamp,
+    /// sequence)` order, and make it durable; `None`, with nothing
+    /// written, when `keep` accepts no row.  The caller commits it.
+    fn rewrite(
+        &self,
+        inputs: &[Arc<Segment>],
+        id: u64,
+        keep: impl Fn(&Event) -> bool,
+    ) -> Result<Option<Segment>> {
+        let mut rows: Vec<(u64, Event)> = Vec::new();
+        for seg in inputs {
+            let mut cursor = seg.cursor();
+            while let Some(row) = cursor.next_event() {
+                let row = row?;
+                if keep(&row.1) {
+                    rows.push(row);
+                }
+            }
+        }
+        if rows.is_empty() {
+            return Ok(None);
+        }
+        // Each input yields its rows in order; segments of one run can
+        // still overlap in time (a late arrival seals into the next one).
+        if inputs.len() > 1 {
+            rows.sort_by_key(|(seq, e)| (e.timestamp, *seq));
+        }
+        let seg = Segment::build(id, &rows);
+        if let Some(dir) = &self.dir {
+            seg.write_to_dir(dir)?;
+        }
+        Ok(Some(seg))
     }
 
     fn remove_segment_files(&self, ids: &[u64]) {
@@ -1070,6 +1051,33 @@ mod tests {
             1,
             "stale crash leftovers are deleted at open"
         );
+    }
+
+    #[test]
+    fn a_store_holding_a_retired_segment_generation_refuses_to_open_and_keeps_it() {
+        for magic in [b"JSG1", b"JSG2"] {
+            let dir = TempDir::new("store-retired-generation");
+            let db = Tsdb::open_with(dir.path(), small_opts(100)).unwrap();
+            for t in 0..5 {
+                db.append(ev("h", "X", t)).unwrap();
+            }
+            let id = db.seal().unwrap().expect("sealed").id;
+            drop(db);
+            // The checksum covers the body only: this image is intact but
+            // for its magic.
+            let path = dir.path().join(Segment::file_name(id));
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[..4].copy_from_slice(magic);
+            std::fs::write(&path, &bytes).unwrap();
+            let Err(err) = Tsdb::open_with(dir.path(), small_opts(100)) else {
+                panic!("a store holding a retired segment opened");
+            };
+            assert_eq!(
+                err,
+                crate::TsdbError::Corrupt("unsupported segment version")
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "left as it was");
+        }
     }
 
     #[test]
