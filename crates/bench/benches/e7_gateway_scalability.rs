@@ -11,11 +11,10 @@
 //! copies delivered (grows with consumers, absorbed by the gateway), and (c)
 //! the same with the consumer load spread over more gateways.  The Criterion
 //! part measures raw gateway publish throughput at different subscriber
-//! counts, and the two costs of the metrics plane that no e21 metric
+//! counts, and the one cost of the metrics plane that no e21 metric
 //! isolates (e21's `trace.overhead_pct` covers sampled lifelines, not
-//! these): a publish with route timing on vs off, and one pass of the
-//! metric record path (counter, gauge, histogram, unwatched-event ring
-//! scan).
+//! this): one pass of the metric record path (counter, gauge, histogram,
+//! unwatched-event ring scan).
 
 use std::sync::Arc;
 
@@ -113,15 +112,6 @@ fn bench_gateway_publish(c: &mut Criterion) {
 }
 
 fn bench_metrics_plane(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gateway_publish_route_timing");
-    for on in [false, true] {
-        let id = BenchmarkId::from_parameter(if on { "on" } else { "off" });
-        group.bench_with_input(id, &on, |b, &on| {
-            publish_and_drain(b, GatewayConfig::open("bench-gw").with_route_timing(on), 1);
-        });
-    }
-    group.finish();
-
     c.bench_function("metric_record_path", |b| {
         let registry = MetricsRegistry::new();
         let counter = registry.counter("e7_ops");

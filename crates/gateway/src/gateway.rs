@@ -240,12 +240,6 @@ pub struct GatewayConfig {
     /// returns immediately — call [`EventGateway::quiesce`] to wait for
     /// in-flight deliveries before reading counters.
     pub delivery_workers: usize,
-    /// Record per-publish routing latency into
-    /// [`GatewayStats::route_us`] (two clock reads plus one atomic add
-    /// per publish call).  On by default; switch off to reproduce the
-    /// uninstrumented hot path (the `route_timing/off` row of the
-    /// `e7_gateway_scalability` bench).
-    pub route_timing: bool,
     /// Self-lifeline tracer: when set, a sampled fraction of published
     /// events is followed through the pipeline with NetLogger-style
     /// trace points (see [`crate::trace::PipelineTracer`]).  The
@@ -269,7 +263,6 @@ impl GatewayConfig {
             summary_windows: SummaryWindow::all().to_vec(),
             shards: DEFAULT_GATEWAY_SHARDS,
             delivery_workers: 0,
-            route_timing: true,
             tracer: None,
             qos: None,
         }
@@ -292,12 +285,6 @@ impl GatewayConfig {
     /// Set the number of background delivery workers (0 = synchronous).
     pub fn with_delivery_workers(mut self, workers: usize) -> Self {
         self.delivery_workers = workers;
-        self
-    }
-
-    /// Enable or disable per-publish route-latency recording.
-    pub fn with_route_timing(mut self, on: bool) -> Self {
-        self.route_timing = on;
         self
     }
 
@@ -329,8 +316,8 @@ pub struct GatewayStats {
     /// Query-mode requests served.
     pub queries: AtomicU64,
     /// Latency distribution of routing (fan-out) per publish call,
-    /// microseconds.  Recorded only while
-    /// [`GatewayConfig::route_timing`] is on.
+    /// microseconds: two clock reads and one histogram add per routed
+    /// batch, always on.
     pub route_us: jamm_core::obs::Histogram,
 }
 
@@ -417,11 +404,9 @@ fn route_and_account(
     events: &[SharedEvent],
     tier: Option<Tier>,
 ) -> RouteOutcome {
-    let start = config.route_timing.then(std::time::Instant::now);
+    let start = std::time::Instant::now();
     let out = router.route(events, tier);
-    if let Some(start) = start {
-        stats.route_us.record_micros(start.elapsed());
-    }
+    stats.route_us.record_micros(start.elapsed());
     if let Some(tracer) = &config.tracer {
         for event in events {
             tracer.stage(event, keys::jamm::GW_ROUTED, &config.name);

@@ -21,6 +21,7 @@
 //! | RMI call path (admin service) and network edge | [`jamm_rmi`] |
 //! | Certificates, grid-mapfile, policy | [`jamm_auth`] |
 //! | Simulated Grid testbed | [`jamm_netsim`] |
+//! | Declarative scenarios run by real JAMM components | [`testbed`] |
 //!
 //! Every hop speaks the shared pipeline vocabulary from `jamm-core`: events
 //! move through [`jamm_core::flow::EventSink`] / `EventSource`
@@ -79,6 +80,7 @@ pub mod cluster;
 pub mod deployment;
 mod query;
 mod system;
+pub mod testbed;
 
 pub use admin::GatewayAdminStats;
 pub use builder::{BuildError, JammBuilder, SELF_GATEWAY};

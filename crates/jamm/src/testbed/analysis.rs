@@ -7,13 +7,12 @@
 //! scenario suite asserts exactly that.  The
 //! [`Expectations::diagnosis_localizes`] assertion feeds the captured
 //! self-lifeline events through `jamm_netlogger::analysis::diagnose`,
-//! closing the loop the ISSUE asks for: an *injected* bottleneck must be
-//! *automatically* localized to the right stage pair and host.
+//! closing the loop: an *injected* bottleneck must be *automatically*
+//! localized to the right stage pair and host.
 
 use jamm_netlogger::analysis::{diagnose, Diagnosis};
+use jamm_netsim::spec::TimelineEntry;
 use jamm_ulm::SharedEvent;
-
-use super::spec::TimelineEntry;
 
 /// One simulated second of aggregate activity.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,7 +140,7 @@ pub struct ScenarioReport {
     /// Events dropped from the monitoring plane's own self-lifeline
     /// subscription — must stay 0 even under declared overload.
     pub self_dropped: u64,
-    /// Summary (`*_AVG_*`) events emitted by `summaries=` sensor pumps.
+    /// Summary (`*_AVG_*`) events pushed by `summaries=` sensor sinks.
     pub summaries_published: u64,
     /// (simulated µs, host) per sensor-breaker revival.
     pub revivals: Vec<(u64, String)>,
@@ -405,11 +404,11 @@ impl<'a> Expectations<'a> {
     /// Within `secs` simulated seconds of the *last* timeline entry, data
     /// throughput is back to at least half its pre-fault baseline.
     pub fn recovered_within(self, secs: u64) -> Self {
-        let Some(first) = self.report.first_fault_us() else {
+        let (Some(first), Some(last)) = (self.report.first_fault_us(), self.report.last_fault_us())
+        else {
             return self.check(false, "recovered_within on a faultless scenario".into());
         };
-        let last = self.report.last_fault_us().unwrap() / 1_000_000;
-        let first = first / 1_000_000;
+        let (first, last) = (first / 1_000_000, last / 1_000_000);
         let baseline = if first == 0 {
             0.0
         } else {
@@ -602,13 +601,8 @@ impl<'a> Expectations<'a> {
                     ),
                 )
             }
-            (s, b) => {
-                let missing = [(small, s.is_none()), (big, b.is_none())]
-                    .iter()
-                    .filter(|(_, m)| *m)
-                    .map(|(n, _)| n.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
+            (s, _) => {
+                let missing = if s.is_none() { small } else { big };
                 self.check(false, format!("no reader pool named {missing}"))
             }
         }

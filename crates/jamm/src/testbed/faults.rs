@@ -9,8 +9,9 @@
 
 use jamm_core::query::Predicate;
 use jamm_directory::Dn;
+use jamm_netsim::link::LinkId;
+use jamm_netsim::spec::{Fault, TimelineEntry};
 
-use super::spec::{Fault, TimelineEntry};
 use super::ScenarioEngine;
 
 /// Releases timeline entries as simulated time passes them.
@@ -91,13 +92,13 @@ impl ScenarioEngine {
             }
             Fault::SensorStop { host } => {
                 for s in self.sensors.iter_mut().filter(|s| s.host == *host) {
-                    s.on = false;
+                    s.request(false);
                 }
                 format!("sensors on {host} stopped")
             }
             Fault::SensorStart { host } => {
                 for s in self.sensors.iter_mut().filter(|s| s.host == *host) {
-                    s.on = true;
+                    s.request(true);
                 }
                 format!("sensors on {host} started")
             }
@@ -107,7 +108,7 @@ impl ScenarioEngine {
                     .iter_mut()
                     .filter(|s| host == "*" || s.host == *host)
                 {
-                    s.every_us = *every_us;
+                    s.set_period(*every_us);
                 }
                 format!("sensors on {host} now every {every_us} us")
             }
@@ -141,7 +142,7 @@ impl ScenarioEngine {
         }
     }
 
-    fn link_id_by_name(&self, name: &str) -> Option<crate::link::LinkId> {
+    fn link_id_by_name(&self, name: &str) -> Option<LinkId> {
         self.net
             .links()
             .iter()
@@ -180,15 +181,7 @@ impl ScenarioEngine {
             }
         }
         // Mark the host's gateways down so sensor routing fails over.
-        let down: Vec<String> = self
-            .gateways
-            .iter()
-            .filter(|g| g.host == host)
-            .map(|g| g.name.clone())
-            .collect();
-        for name in down {
-            self.set_gateway_status(&name, "down");
-        }
+        self.set_gateway_status(host, "down");
     }
 
     /// Recover a crashed host: processes restart, gateways come back up,
@@ -247,24 +240,19 @@ impl ScenarioEngine {
                 }
             }
         }
-        let up: Vec<String> = self
-            .gateways
-            .iter()
-            .filter(|g| g.host == host)
-            .map(|g| g.name.clone())
-            .collect();
-        for name in up {
-            self.set_gateway_status(&name, "up");
-        }
+        self.set_gateway_status(host, "up");
     }
 
-    fn set_gateway_status(&self, gateway: &str, status: &str) {
-        let Ok(dn) = Dn::parse(&format!("gw={gateway},o=grid")) else {
-            return;
-        };
-        let _ = self
-            .directory
-            .modify(&dn, |e| e.set("status", vec![status.to_string()]));
+    /// Set `status` on the directory entry of every gateway on `host`.
+    fn set_gateway_status(&self, host: &str, status: &str) {
+        for g in self.gateways.iter().filter(|g| g.host == host) {
+            let Ok(dn) = Dn::parse(&format!("gw={},o=grid", g.name)) else {
+                continue;
+            };
+            let _ = self
+                .directory
+                .modify(&dn, |e| e.set("status", vec![status.to_string()]));
+        }
     }
 
     /// Replay everything an archiver has stored back through a gateway —
@@ -275,12 +263,12 @@ impl ScenarioEngine {
             return 0;
         };
         let events: Vec<_> = a.agent.archive().scan(&Predicate::True.compile()).collect();
-        let Some(gw) = self.registry.resolve(via) else {
+        let Some(g) = self.gateways.iter().find(|g| g.name == via) else {
             return 0;
         };
         let n = events.len();
         for e in &events {
-            gw.publish(e);
+            g.gw.publish(e);
         }
         self.published += n as u64;
         n

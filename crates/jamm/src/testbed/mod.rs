@@ -1,28 +1,30 @@
-//! The declarative scenario engine.
+//! The testbed: declarative scenarios run by real JAMM components.
 //!
-//! The ROADMAP asks for fault scenarios to be *tests*, not demos: a
-//! config-driven simulator in the simba style (declarative config + a
-//! result analyser).  This module compiles a [`ScenarioSpec`] — a small
-//! text format describing hosts, links, TCP flows, a real monitoring
-//! deployment (event gateways, subscribing consumers, an archiver, a
-//! sensor directory) and a fault timeline — onto the existing
-//! [`crate::network::Network`] simulator, runs it on the simulated clock
+//! Fault scenarios are *tests*, not demos: a config-driven simulator in
+//! the simba style (declarative config + a result analyser).  This
+//! module compiles a [`ScenarioSpec`] — the
+//! text format of `jamm_netsim::spec`, describing hosts, links, TCP
+//! flows, a monitoring deployment (event gateways, subscribing
+//! consumers, an archiver, per-host sensors) and a fault timeline —
+//! onto the `jamm_netsim` simulator, runs it on the simulated clock
 //! with **no wall-clock dependence anywhere**, and hands back a
 //! [`ScenarioReport`] with a fluent assertion API
 //! ([`ScenarioReport::expect`]).
 //!
-//! The monitoring components are the real ones: `jamm_gateway`
-//! gateways with a `PipelineTracer` whose [`TraceClock`] is the shared
-//! simulated-time cell, `jamm_consumers` collectors and archiver,
-//! and a `jamm_directory` server used for gateway failover.  The
-//! self-lifeline events the tracer emits therefore measure *simulated*
-//! stage-to-stage latencies, and `jamm_netlogger::analysis::diagnose`
-//! localizes injected bottlenecks exactly the way the paper's human
-//! analyst localized the MATISSE receive-host collapse.
+//! Every monitoring component is the real one: each `sensors` line is a
+//! `jamm_manager` [`SensorManager`] sampling the simulated host through
+//! `jamm_sensors` and publishing its sensors in the testbed's
+//! directory, `jamm_gateway` gateways carry a `PipelineTracer` whose
+//! [`TraceClock`] is the shared simulated-time cell, the consumers are
+//! `jamm_consumers` collectors and archivers, and a `jamm_directory`
+//! server serves gateway failover.  The self-lifeline events the tracer
+//! emits therefore measure *simulated* stage-to-stage latencies, and
+//! `jamm_netlogger::analysis::diagnose` localizes injected bottlenecks
+//! exactly the way the paper's human analyst localized the MATISSE
+//! receive-host collapse.
 
 pub mod analysis;
 pub mod faults;
-pub mod spec;
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,158 +33,34 @@ use std::sync::Arc;
 use jamm_consumers::archiver::ArchiverAgent;
 use jamm_consumers::collector::EventCollector;
 use jamm_consumers::GatewayRegistry;
+use jamm_core::flow::{EventSink, SinkError};
+use jamm_core::sync::Mutex;
 use jamm_core::{Backoff, CircuitBreaker};
 use jamm_directory::{DirectoryServer, Dn, Entry, Filter, Scope};
 use jamm_gateway::{
     EventGateway, GatewayConfig, PipelineTracer, QosConfig, Subscription, TraceClock,
 };
+use jamm_manager::manager::NoPortActivity;
+use jamm_manager::{ManagerConfig, RunPolicy, SensorConfigEntry, SensorManager, SensorTemplate};
+use jamm_netsim::host::HostId;
+use jamm_netsim::link::LinkId;
+use jamm_netsim::spec::{self, compile_topology};
+use jamm_netsim::{FlowId, Network};
+use jamm_sensors::sim::NetworkSource;
 use jamm_ulm::{keys, Event, Level, SharedEvent};
-
-use crate::host::HostId;
-use crate::link::{LinkId, Router};
-use crate::network::Network;
-use crate::{clock::SimClock, host::HostSpec, link::LinkSpec, FlowId};
 
 pub use analysis::{
     ConsumerReport, Expectations, GatewayQosReport, ReaderReport, ScenarioReport, SecondSample,
 };
 pub use faults::FaultInjector;
-pub use spec::{Fault, QosDecl, ReaderDecl, ScenarioSpec, SpecError, TimelineEntry};
-
-/// Why a spec failed to compile or parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// The text did not parse.
-    Parse(SpecError),
-    /// The spec parsed but references something undeclared (an unknown
-    /// host, link or gateway).
-    Compile(String),
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::Parse(e) => write!(f, "{e}"),
-            EngineError::Compile(reason) => write!(f, "scenario compile error: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-impl From<SpecError> for EngineError {
-    fn from(e: SpecError) -> Self {
-        EngineError::Parse(e)
-    }
-}
-
-/// A spec's topology compiled onto a fresh [`Network`] (hosts, links and
-/// routers only — no flows, no monitoring plane).  This is the piece the
-/// canned [`crate::scenario::matisse_topology`] builds on.
-#[derive(Debug)]
-pub struct CompiledTopology {
-    /// The simulated network.
-    pub net: Network,
-    /// Host IDs, in declaration order.
-    pub hosts: Vec<(String, HostId)>,
-    /// Link IDs, in declaration order.
-    pub links: Vec<(String, LinkId)>,
-}
-
-impl CompiledTopology {
-    /// Look up a declared host by name.
-    pub fn host_id(&self, name: &str) -> Option<HostId> {
-        self.hosts
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, id)| *id)
-    }
-
-    /// Look up a declared link by name.
-    pub fn link_id(&self, name: &str) -> Option<LinkId> {
-        self.links
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, id)| *id)
-    }
-
-    /// Resolve a list of link names to IDs (a flow path).
-    pub fn resolve_path(&self, via: &[String]) -> Result<Vec<LinkId>, EngineError> {
-        via.iter()
-            .map(|name| {
-                self.link_id(name)
-                    .ok_or_else(|| EngineError::Compile(format!("unknown link `{name}`")))
-            })
-            .collect()
-    }
-}
-
-/// Build the network described by a spec's `host` / `link` / `router`
-/// directives, in declaration order (which fixes simulator IDs and the
-/// seeded RNG stream — byte-identical specs produce identical networks).
-pub fn compile_topology(spec: &ScenarioSpec) -> Result<CompiledTopology, EngineError> {
-    let mut net = Network::new(
-        SimClock::new(crate::clock::SimClock::matisse().timestamp(), spec.tick_us),
-        spec.seed,
-    );
-    let mut hosts = Vec::new();
-    for h in &spec.hosts {
-        let mut hs = HostSpec::new(&h.name);
-        if let Some(v) = h.cpus {
-            hs = hs.cpus(v);
-        }
-        if let Some(v) = h.memory_kb {
-            hs = hs.memory_kb(v);
-        }
-        if let Some(v) = h.pkt_cost_us {
-            hs = hs.pkt_cost_us(v);
-        }
-        if let Some(v) = h.socket_overhead {
-            hs = hs.socket_overhead(v);
-        }
-        if let Some(v) = h.rcv_buffer_bytes {
-            hs = hs.rcv_buffer_bytes(v);
-        }
-        if let Some(v) = h.multi_socket_loss {
-            hs = hs.multi_socket_loss(v);
-        }
-        let id = net.add_host(hs);
-        for p in &h.processes {
-            net.host_mut(id).register_process(p);
-        }
-        hosts.push((h.name.clone(), id));
-    }
-    let mut links: Vec<(String, LinkId)> = Vec::new();
-    for l in &spec.links {
-        let mut ls = LinkSpec::new(&l.name, l.bandwidth_bps, l.delay_us);
-        if let Some(q) = l.queue_bytes {
-            ls = ls.queue_bytes(q);
-        }
-        if let Some(e) = l.error_rate {
-            ls = ls.error_rate(e);
-        }
-        links.push((l.name.clone(), net.add_link(ls)));
-    }
-    for r in &spec.routers {
-        let resolved = r
-            .links
-            .iter()
-            .map(|name| {
-                links
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, id)| *id)
-                    .ok_or_else(|| EngineError::Compile(format!("unknown link `{name}`")))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        net.add_router(Router::new(&r.name, resolved));
-    }
-    Ok(CompiledTopology { net, hosts, links })
-}
+pub use jamm_netsim::spec::{
+    EngineError, Fault, QosDecl, ReaderDecl, ScenarioSpec, SpecError, TimelineEntry,
+};
 
 pub(crate) struct GatewayRt {
     pub name: String,
     pub host: String,
+    pub gw: Arc<EventGateway>,
     /// Does this gateway run a QoS plane (tiering + shedding)?
     pub qos: bool,
 }
@@ -190,33 +68,16 @@ pub(crate) struct GatewayRt {
 /// Translate a spec's qos attributes onto the library defaults.
 fn qos_config(d: &spec::QosDecl) -> QosConfig {
     let mut c = QosConfig::default();
-    if let Some(v) = d.retier {
-        c.retier_every = v.max(1);
-    }
-    if let Some(v) = d.lag_enter {
-        c.tiers.lag_enter = v;
-    }
-    if let Some(v) = d.lag_exit {
-        c.tiers.lag_exit = v;
-    }
-    if let Some(v) = d.probation_enter {
-        c.tiers.probation_enter = v;
-    }
-    if let Some(v) = d.probation_exit {
-        c.tiers.probation_exit = v;
-    }
-    if let Some(v) = d.shed_enter {
-        c.overload.enter = v;
-    }
-    if let Some(v) = d.shed_exit {
-        c.overload.exit = v;
-    }
-    if let Some(v) = d.budget_lagging {
-        c.budgets[1] = v;
-    }
-    if let Some(v) = d.budget_probation {
-        c.budgets[2] = v;
-    }
+    let set = |field: &mut f64, v: Option<f64>| *field = v.unwrap_or(*field);
+    c.retier_every = d.retier.map_or(c.retier_every, |v| v.max(1));
+    set(&mut c.tiers.lag_enter, d.lag_enter);
+    set(&mut c.tiers.lag_exit, d.lag_exit);
+    set(&mut c.tiers.probation_enter, d.probation_enter);
+    set(&mut c.tiers.probation_exit, d.probation_exit);
+    set(&mut c.overload.enter, d.shed_enter);
+    set(&mut c.overload.exit, d.shed_exit);
+    set(&mut c.budgets[1], d.budget_lagging);
+    set(&mut c.budgets[2], d.budget_probation);
     c
 }
 
@@ -286,26 +147,141 @@ pub(crate) struct ArchiverRt {
     pub agent: ArchiverAgent,
 }
 
-pub(crate) struct SensorRt {
+/// One `sensors` line: the host's sensor manager, its configuration
+/// file and the sink it publishes through.
+pub(crate) struct SensorHostRt {
     pub host: String,
-    pub host_id: HostId,
-    pub via: String,
+    pub config: ManagerConfig,
+    pub manager: SensorManager,
+    pub sink: SensorSink,
+    /// Are the host's sensors requested on (`sensor <h> stop|start`)?
+    /// A re-versioned config rebuilds them stopped; only these restart.
     pub on: bool,
-    pub every_us: u64,
-    pub next_at_us: u64,
+}
+
+impl SensorHostRt {
+    /// Request every configured sensor on or off.
+    pub(crate) fn request(&mut self, on: bool) {
+        self.on = on;
+        for entry in &self.config.sensors {
+            let name = entry.template.sensor_name();
+            if on {
+                self.manager.request_start(&name);
+            } else {
+                self.manager.request_stop(&name);
+            }
+        }
+    }
+
+    /// Re-sample at a new period: a re-versioned config, applied.
+    pub(crate) fn set_period(&mut self, every_us: u64) {
+        self.config.version += 1;
+        for entry in &mut self.config.sensors {
+            entry.frequency_secs = every_us as f64 / 1e6;
+        }
+        self.manager.apply_config(&self.config);
+        self.request(self.on);
+    }
+}
+
+/// How many locally buffered sensor events a cut-off host keeps.
+const SENSOR_BUFFER_CAP: usize = 65_536;
+
+/// The publish path of one host's sensor manager.  The manager pushes a
+/// tick's events here; [`SensorSink::flush`] then routes them as one
+/// batch: through the preferred gateway, or one the directory lists as
+/// up, or into a bounded local buffer (NetLogger-style) that the next
+/// routed tick flushes first.
+pub(crate) struct SensorSink {
+    /// Events pushed by the manager during the current tick.
+    sampled: Mutex<Vec<SharedEvent>>,
     /// Events that could not reach any gateway (host crashed upstream,
-    /// partition): buffered locally, NetLogger-style, and flushed when a
-    /// gateway becomes reachable again.
-    pub pending: VecDeque<Event>,
+    /// partition).
+    pending: VecDeque<SharedEvent>,
     /// Self-healing routing, when `backoff=` was declared: after a failed
-    /// resolution the breaker opens and the pump buffers without probing
+    /// resolution the breaker opens and the sink buffers without probing
     /// the directory again until the (jittered, exponential, sim-clock)
     /// retry time — the fail-fast discipline of the network clients.
-    pub breaker: Option<CircuitBreaker>,
-    /// Pumps run so far (drives the `summaries=` cadence).
-    pub pumps: u64,
-    /// Emit a `*_AVG_*` summary every n-th pump.
-    pub summary_every: Option<u64>,
+    breaker: Option<CircuitBreaker>,
+    /// Ticks that published (drives the `summaries=` cadence).
+    ticks: u64,
+    /// Push a `*_AVG_*` summary every n-th publishing tick.
+    summary_every: Option<u64>,
+}
+
+/// What one [`SensorSink::flush`] did, for the engine's counters.
+#[derive(Default)]
+pub(crate) struct Flushed {
+    published: u64,
+    summary: bool,
+    revived: bool,
+}
+
+impl EventSink<SharedEvent> for SensorSink {
+    fn accept(&self, event: &SharedEvent) -> Result<usize, SinkError> {
+        self.sampled.lock().push(SharedEvent::clone(event));
+        Ok(1)
+    }
+}
+
+impl SensorSink {
+    /// End of a manager tick: publish what it sampled (and anything
+    /// buffered before it) through the gateway `route` resolves, or
+    /// buffer it.  With a breaker, a tick whose last resolution failed
+    /// does not call `route` until the retry time.
+    fn flush(&mut self, now_us: u64, route: impl FnOnce() -> Option<Arc<EventGateway>>) -> Flushed {
+        let mut batch = std::mem::take(&mut *self.sampled.lock());
+        if batch.is_empty() {
+            return Flushed::default();
+        }
+        self.ticks += 1;
+        // Every n-th tick also pushes a summary reading — the protected
+        // (`_AVG_`) stream overload shedding never cuts.
+        let summary = self
+            .summary_every
+            .filter(|n| self.ticks.is_multiple_of(*n))
+            .and_then(|_| batch.iter().find(|e| e.event_type == keys::cpu::TOTAL))
+            .map(|cpu| {
+                Event::builder(cpu.program.clone(), cpu.host.clone())
+                    .level(Level::Usage)
+                    .event_type(format!("{}_AVG_1M", keys::cpu::TOTAL))
+                    .timestamp(cpu.timestamp)
+                    .value(cpu.value().unwrap_or(0.0))
+                    .build()
+            });
+        let mut flushed = Flushed {
+            summary: summary.is_some(),
+            ..Flushed::default()
+        };
+        batch.extend(summary.map(SharedEvent::new));
+        let allowed = self.breaker.as_mut().is_none_or(|b| b.allow(now_us));
+        let routed = if allowed { route() } else { None };
+        if let (true, Some(br)) = (allowed, &mut self.breaker) {
+            if routed.is_some() {
+                let before = br.stats().revivals;
+                br.record_success();
+                flushed.revived = br.stats().revivals > before;
+            } else {
+                br.record_failure(now_us);
+            }
+        }
+        match routed {
+            Some(gw) => {
+                batch.splice(0..0, self.pending.drain(..));
+                gw.publish_shared_batch(&batch);
+                flushed.published = batch.len() as u64;
+            }
+            None => {
+                for e in batch {
+                    if self.pending.len() == SENSOR_BUFFER_CAP {
+                        self.pending.pop_front();
+                    }
+                    self.pending.push_back(e);
+                }
+            }
+        }
+        flushed
+    }
 }
 
 pub(crate) struct FlowRt {
@@ -330,9 +306,6 @@ impl FlowRt {
     }
 }
 
-/// How many locally buffered sensor events a cut-off host keeps.
-const SENSOR_BUFFER_CAP: usize = 65_536;
-
 /// A compiled, runnable scenario: the simulated network plus a real
 /// monitoring deployment driven tick-by-tick on the simulated clock.
 pub struct ScenarioEngine {
@@ -340,13 +313,12 @@ pub struct ScenarioEngine {
     pub(crate) net: Network,
     pub(crate) clock_cell: Arc<AtomicU64>,
     pub(crate) directory: Arc<DirectoryServer>,
-    pub(crate) registry: GatewayRegistry,
     self_sub: Subscription,
     pub(crate) gateways: Vec<GatewayRt>,
     pub(crate) subscribers: Vec<SubscriberRt>,
     pub(crate) readers: Vec<ReaderRt>,
     pub(crate) archivers: Vec<ArchiverRt>,
-    pub(crate) sensors: Vec<SensorRt>,
+    pub(crate) sensors: Vec<SensorHostRt>,
     pub(crate) flows: Vec<FlowRt>,
     /// Current partition groups (None = fully connected).
     pub(crate) partition: Option<Vec<Vec<String>>>,
@@ -356,7 +328,7 @@ pub struct ScenarioEngine {
     pub(crate) saved_bw: Vec<(String, u64)>,
     injector: FaultInjector,
     pub(crate) published: u64,
-    /// Summary (`*_AVG_*`) events emitted by `summaries=` sensor pumps.
+    /// Summary (`*_AVG_*`) events pushed by `summaries=` sensor sinks.
     pub(crate) summaries_published: u64,
     /// (simulated µs, host) per sensor-breaker revival (a probe that
     /// succeeded after the breaker had opened).
@@ -385,35 +357,14 @@ impl ScenarioEngine {
     /// Compile a parsed spec: build the network, open the flows, wire the
     /// monitoring deployment, register gateways in the directory.
     pub fn new(spec: ScenarioSpec) -> Result<ScenarioEngine, EngineError> {
-        let CompiledTopology {
-            mut net,
-            hosts,
-            links,
-        } = compile_topology(&spec)?;
-        let host_id = |name: &str| -> Result<HostId, EngineError> {
-            hosts
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, id)| *id)
-                .ok_or_else(|| EngineError::Compile(format!("unknown host `{name}`")))
-        };
-        let resolve_path = |via: &[String]| -> Result<Vec<LinkId>, EngineError> {
-            via.iter()
-                .map(|name| {
-                    links
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, id)| *id)
-                        .ok_or_else(|| EngineError::Compile(format!("unknown link `{name}`")))
-                })
-                .collect()
-        };
-
+        let mut topo = compile_topology(&spec)?;
+        let unknown = |name: &str| EngineError::Compile(format!("unknown host `{name}`"));
         let mut flows = Vec::new();
         for f in &spec.flows {
-            let src = host_id(&f.src)?;
-            let dst = host_id(&f.dst)?;
-            let path = resolve_path(&f.via)?;
+            let src = topo.host_id(&f.src).ok_or_else(|| unknown(&f.src))?;
+            let dst = topo.host_id(&f.dst).ok_or_else(|| unknown(&f.dst))?;
+            let path = topo.resolve_path(&f.via)?;
+            let net = &mut topo.net;
             let id = net.open_flow(&f.name, src, dst, f.port, path.clone(), f.window);
             match f.bytes {
                 Some(b) => net.flow_mut(id).enqueue(b),
@@ -429,9 +380,10 @@ impl ScenarioEngine {
                 suspended: false,
             });
         }
+        let host_id = |name: &str| topo.host_id(name).ok_or_else(|| unknown(name));
 
         // The monitoring plane, stamped from the shared simulated clock.
-        let clock_cell = Arc::new(AtomicU64::new(net.clock().timestamp().as_micros()));
+        let clock_cell = Arc::new(AtomicU64::new(topo.net.clock().timestamp().as_micros()));
         let sink = Arc::new(EventGateway::new(GatewayConfig::open("_jamm")));
         let self_sub = sink
             .subscribe()
@@ -439,7 +391,7 @@ impl ScenarioEngine {
             .as_consumer("_monitor")
             .capacity(1 << 16)
             .open()
-            .expect("self-gateway subscription");
+            .map_err(|e| EngineError::Compile(format!("self-gateway subscription: {e}")))?;
         let tracer = PipelineTracer::with_clock(
             Arc::clone(&sink),
             "sim-monitor",
@@ -447,10 +399,8 @@ impl ScenarioEngine {
             TraceClock::shared(Arc::clone(&clock_cell)),
         );
 
-        let directory = Arc::new(DirectoryServer::new(
-            "ldap://sim-directory",
-            Dn::parse("o=grid").expect("static dn"),
-        ));
+        let grid = Dn::root().child("o", "grid");
+        let directory = Arc::new(DirectoryServer::new("ldap://sim-directory", grid.clone()));
         let mut registry = GatewayRegistry::new();
         let mut gateways = Vec::new();
         for g in &spec.gateways {
@@ -475,10 +425,11 @@ impl ScenarioEngine {
             gateways.push(GatewayRt {
                 name: g.name.clone(),
                 host: g.host.clone(),
+                gw,
                 qos: g.qos.is_some(),
             });
         }
-        let gateway_exists = |name: &str| gateways.iter().any(|g| g.name == name);
+        let gateway = |name: &str| gateways.iter().find(|g| g.name == name).map(|g| &g.gw);
 
         let mut subscribers = Vec::new();
         for s in &spec.subscribers {
@@ -489,15 +440,14 @@ impl ScenarioEngine {
             };
             let mut collectors = Vec::new();
             for gw_name in &s.via {
-                if !gateway_exists(gw_name) {
+                let Some(gw) = gateway(gw_name) else {
                     return Err(EngineError::Compile(format!(
                         "subscriber `{}` references unknown gateway `{gw_name}`",
                         s.name
                     )));
-                }
+                };
                 let mut c = EventCollector::new(&s.name);
                 c.set_tracer(Arc::clone(&tracer));
-                let gw = registry.resolve(gw_name).expect("gateway just registered");
                 let sub = gw
                     .subscribe()
                     .stream()
@@ -527,16 +477,15 @@ impl ScenarioEngine {
         let mut readers = Vec::new();
         for r in &spec.readers {
             host_id(&r.host)?;
-            if !gateway_exists(&r.via) {
+            let Some(gw) = gateway(&r.via) else {
                 return Err(EngineError::Compile(format!(
                     "readers `{}` reference unknown gateway `{}`",
                     r.name, r.via
                 )));
-            }
+            };
             // Register the pool's continuous query as a materialized view
             // on the gateway: from here on the publish path maintains it
             // and the readers only ever take snapshots.
-            let gw = registry.resolve(&r.via).expect("gateway just registered");
             gw.register_view(&r.name, &r.query).map_err(|e| {
                 EngineError::Compile(format!("readers `{}`: bad query: {e}", r.name))
             })?;
@@ -578,13 +527,29 @@ impl ScenarioEngine {
             });
         }
 
+        // Each `sensors` line is a sensor manager running CPU, memory and
+        // TCP sensors at `every=`, started on request at compile time and
+        // published in the testbed's directory on its first tick.
         let mut sensors = Vec::new();
         for s in &spec.sensors {
-            if !gateway_exists(&s.via) {
+            host_id(&s.host)?;
+            if gateway(&s.via).is_none() {
                 return Err(EngineError::Compile(format!(
                     "sensors on `{}` reference unknown gateway `{}`",
                     s.host, s.via
                 )));
+            }
+            let mut config = ManagerConfig::empty(&s.host, &s.via);
+            for template in [
+                SensorTemplate::Cpu,
+                SensorTemplate::Memory,
+                SensorTemplate::Tcp,
+            ] {
+                config.sensors.push(SensorConfigEntry {
+                    template,
+                    frequency_secs: s.every_us.max(spec.tick_us) as f64 / 1e6,
+                    policy: RunPolicy::OnRequest,
+                });
             }
             // Deterministic jitter stream: the spec seed folded with the
             // host name, so runs of the same spec replay byte-identically.
@@ -597,28 +562,30 @@ impl ScenarioEngine {
                     });
                 CircuitBreaker::new(1, Backoff::new(base.max(1), base.max(1) * 8, seed))
             });
-            sensors.push(SensorRt {
+            let mut rt = SensorHostRt {
                 host: s.host.clone(),
-                host_id: host_id(&s.host)?,
-                via: s.via.clone(),
+                manager: SensorManager::new(&config, grid.clone()),
+                config,
+                sink: SensorSink {
+                    sampled: Mutex::new(Vec::new()),
+                    pending: VecDeque::new(),
+                    breaker,
+                    ticks: 0,
+                    summary_every: s.summary_every.map(|n| n.max(1)),
+                },
                 on: true,
-                every_us: s.every_us.max(spec.tick_us),
-                next_at_us: s.every_us.max(spec.tick_us),
-                pending: VecDeque::new(),
-                breaker,
-                pumps: 0,
-                summary_every: s.summary_every.map(|n| n.max(1)),
-            });
+            };
+            rt.request(true);
+            sensors.push(rt);
         }
 
         let injector = FaultInjector::new(&spec.timeline);
         let first_second = 1_000_000;
         Ok(ScenarioEngine {
             spec,
-            net,
+            net: topo.net,
             clock_cell,
             directory,
-            registry,
             self_sub,
             gateways,
             subscribers,
@@ -667,142 +634,54 @@ impl ScenarioEngine {
         }
     }
 
-    pub(crate) fn gateway_up(&self, name: &str) -> bool {
+    /// Gateway `name`, if it is declared and `host` can reach it.
+    fn gateway_for(&self, host: &str, name: &str) -> Option<&GatewayRt> {
         self.gateways
             .iter()
             .find(|g| g.name == name)
-            .is_some_and(|g| !self.crashed.contains(&g.host))
-    }
-
-    fn gateway_host(&self, name: &str) -> Option<&str> {
-        self.gateways
-            .iter()
-            .find(|g| g.name == name)
-            .map(|g| g.host.as_str())
+            .filter(|g| self.reachable(host, &g.host))
     }
 
     /// Pick the gateway a sensor on `host` publishes through: its
     /// preferred one if up and reachable, otherwise the first `status=up`
     /// gateway in the directory that is reachable — failover exactly as
     /// the paper's sensors re-resolve via the directory service.
-    fn route_gateway(&self, host: &str, preferred: &str) -> Option<String> {
-        let ok = |gw_name: &str| {
-            self.gateway_up(gw_name)
-                && self
-                    .gateway_host(gw_name)
-                    .is_some_and(|gh| self.reachable(host, gh))
-        };
-        if ok(preferred) {
-            return Some(preferred.to_string());
-        }
-        let filter = Filter::parse("(&(objectclass=gateway)(status=up))").expect("static filter");
-        let base = Dn::parse("o=grid").expect("static dn");
-        let result = self.directory.search(&base, Scope::Subtree, &filter).ok()?;
-        result
-            .entries
-            .iter()
-            .filter_map(|e| e.get("gateway"))
-            .find(|name| ok(name))
-            .map(str::to_string)
+    fn route_gateway(&self, host: &str, preferred: &str) -> Option<Arc<EventGateway>> {
+        let routed = self.gateway_for(host, preferred).or_else(|| {
+            let filter = Filter::and(vec![
+                Filter::eq("objectclass", "gateway"),
+                Filter::eq("status", "up"),
+            ]);
+            let base = Dn::root().child("o", "grid");
+            let result = self.directory.search(&base, Scope::Subtree, &filter).ok()?;
+            (result.entries.iter()).find_map(|e| self.gateway_for(host, e.get("gateway")?))
+        });
+        routed.map(|g| Arc::clone(&g.gw))
     }
 
-    fn pump_sensors(&mut self) {
+    /// Tick every live host's sensor manager over the simulated network
+    /// and flush what it sampled.  A crashed host's manager is not ticked.
+    fn tick_sensors(&mut self) {
         let now = self.net.clock().now_us();
         let ts = self.net.clock().timestamp();
-        for i in 0..self.sensors.len() {
-            if now < self.sensors[i].next_at_us {
+        let mut sensors = std::mem::take(&mut self.sensors);
+        for s in &mut sensors {
+            if self.crashed.contains(&s.host) {
                 continue;
             }
-            let every = self.sensors[i].every_us;
-            self.sensors[i].next_at_us = now + every;
-            let host_crashed = {
-                let h = &self.sensors[i].host;
-                self.crashed.iter().any(|c| c == h)
-            };
-            if !self.sensors[i].on || host_crashed {
-                continue;
-            }
-            self.sensors[i].pumps += 1;
-            // Read the simulated host and build the readings.
-            let stats = *self.net.host(self.sensors[i].host_id).stats();
-            let host = self.sensors[i].host.clone();
-            let mk = |ty: &str, v: f64| {
-                Event::builder("netlogd", host.clone())
-                    .level(Level::Usage)
-                    .event_type(ty)
-                    .timestamp(ts)
-                    .value(v)
-                    .build()
-            };
-            let mut batch = vec![
-                mk(keys::cpu::TOTAL, stats.cpu_user_pct + stats.cpu_sys_pct),
-                mk(keys::mem::FREE, stats.mem_free_kb as f64),
-                mk(keys::tcp::RETRANSMITS, stats.tcp_retransmits as f64),
-            ];
-            // Every n-th pump also emits a summary reading — the
-            // protected (`_AVG_`) stream overload shedding never cuts.
-            if let Some(n) = self.sensors[i].summary_every {
-                if self.sensors[i].pumps.is_multiple_of(n) {
-                    batch.push(mk(
-                        &format!("{}_AVG_1M", keys::cpu::TOTAL),
-                        stats.cpu_user_pct + stats.cpu_sys_pct,
-                    ));
-                    self.summaries_published += 1;
-                }
-            }
-            // With a breaker, a pump whose last resolution failed does
-            // not touch the directory again until the retry time — it
-            // fails fast and buffers, exactly like an open-circuit
-            // network client.
-            let allowed = match &mut self.sensors[i].breaker {
-                Some(br) => br.allow(now),
-                None => true,
-            };
-            let routed = if allowed {
-                self.route_gateway(&self.sensors[i].host, &self.sensors[i].via.clone())
-            } else {
-                None
-            };
-            if allowed {
-                if let Some(br) = &mut self.sensors[i].breaker {
-                    if routed.is_some() {
-                        let before = br.stats().revivals;
-                        br.record_success();
-                        if br.stats().revivals > before {
-                            self.revival_log.push((now, self.sensors[i].host.clone()));
-                        }
-                    } else {
-                        br.record_failure(now);
-                    }
-                }
-            }
-            match routed {
-                Some(gw_name) => {
-                    let gw = self
-                        .registry
-                        .resolve(&gw_name)
-                        .expect("routed gateway is registered");
-                    // Flush anything buffered while cut off, then publish.
-                    while let Some(e) = self.sensors[i].pending.pop_front() {
-                        gw.publish(&e);
-                        self.published += 1;
-                    }
-                    for e in batch {
-                        gw.publish(&e);
-                        self.published += 1;
-                    }
-                }
-                None => {
-                    let pending = &mut self.sensors[i].pending;
-                    for e in batch {
-                        if pending.len() == SENSOR_BUFFER_CAP {
-                            pending.pop_front();
-                        }
-                        pending.push_back(e);
-                    }
-                }
+            let stats = NetworkSource::new(&self.net);
+            s.manager
+                .tick(ts, &stats, &NoPortActivity, &s.sink, Some(&self.directory));
+            let flushed = s
+                .sink
+                .flush(now, || self.route_gateway(&s.host, &s.config.gateway));
+            self.published += flushed.published;
+            self.summaries_published += u64::from(flushed.summary);
+            if flushed.revived {
+                self.revival_log.push((now, s.host.clone()));
             }
         }
+        self.sensors = sensors;
     }
 
     fn drain_subscribers(&mut self) {
@@ -834,22 +713,9 @@ impl ScenarioEngine {
             }
             self.subscribers[i].starved = false;
             self.subscribers[i].next_drain_us = now + period;
-            let host_down = {
-                let h = &self.subscribers[i].host;
-                self.crashed.iter().any(|c| c == h)
-            };
-            if host_down {
-                continue;
-            }
-            let sub_host = self.subscribers[i].host.clone();
             for ci in 0..self.subscribers[i].collectors.len() {
-                let gw_name = self.subscribers[i].collectors[ci].0.clone();
-                let up = self.gateway_up(&gw_name);
-                let reach = self
-                    .gateway_host(&gw_name)
-                    .map(str::to_string)
-                    .is_some_and(|gh| self.reachable(&sub_host, &gh));
-                if !up || !reach {
+                let sub = &self.subscribers[i];
+                if self.gateway_for(&sub.host, &sub.collectors[ci].0).is_none() {
                     continue;
                 }
                 let sub = &mut self.subscribers[i];
@@ -878,23 +744,10 @@ impl ScenarioEngine {
             }
             let every = self.readers[i].every_us;
             self.readers[i].next_at_us = now + every;
-            let host = self.readers[i].host.clone();
-            if self.crashed.contains(&host) {
+            let r = &self.readers[i];
+            let Some(gw) = self.gateway_for(&r.host, &r.via).map(|g| Arc::clone(&g.gw)) else {
                 continue;
-            }
-            let gw_name = self.readers[i].via.clone();
-            let reach = self.gateway_up(&gw_name)
-                && self
-                    .gateway_host(&gw_name)
-                    .map(str::to_string)
-                    .is_some_and(|gh| self.reachable(&host, &gh));
-            if !reach {
-                continue;
-            }
-            let gw = self
-                .registry
-                .resolve(&gw_name)
-                .expect("reader gateway is registered");
+            };
             // One deterministic snapshot cut per period (bounded
             // staleness), then the whole pool reads it concurrently.
             gw.views().flush();
@@ -914,17 +767,11 @@ impl ScenarioEngine {
 
     fn poll_archivers(&mut self) {
         for i in 0..self.archivers.len() {
-            let host = self.archivers[i].host.clone();
-            if self.crashed.contains(&host) {
-                continue;
-            }
-            let ok = self.archivers[i].via.iter().all(|gw| {
-                self.gateway_up(gw)
-                    && self
-                        .gateway_host(gw)
-                        .is_some_and(|gh| self.reachable(&host, gh))
-            });
-            if ok {
+            let a = &self.archivers[i];
+            if a.via
+                .iter()
+                .all(|gw| self.gateway_for(&a.host, gw).is_some())
+            {
                 self.archivers[i].agent.poll();
             }
         }
@@ -958,8 +805,9 @@ impl ScenarioEngine {
         }
     }
 
-    /// Advance one simulated tick: apply due faults, pump sensors, step
-    /// the network, drain consumers and the self-lifeline stream.
+    /// Advance one simulated tick: apply due faults, tick the sensor
+    /// managers, step the network, drain consumers and the self-lifeline
+    /// stream.
     pub fn step(&mut self) {
         self.clock_cell
             .store(self.net.clock().timestamp().as_micros(), Ordering::Relaxed);
@@ -967,7 +815,7 @@ impl ScenarioEngine {
         for entry in due {
             self.apply(&entry);
         }
-        self.pump_sensors();
+        self.tick_sensors();
         self.net.step();
         self.clock_cell
             .store(self.net.clock().timestamp().as_micros(), Ordering::Relaxed);
@@ -1033,8 +881,7 @@ impl ScenarioEngine {
             .iter()
             .filter(|g| g.qos)
             .filter_map(|g| {
-                let gw = self.registry.resolve(&g.name)?;
-                let snap = gw.qos_snapshot()?;
+                let snap = g.gw.qos_snapshot()?;
                 Some(analysis::GatewayQosReport {
                     gateway: g.name.clone(),
                     level: snap.level.as_str().to_string(),
@@ -1042,7 +889,8 @@ impl ScenarioEngine {
                     shed: snap.shed,
                     budget_drops: snap.budget_drops,
                     retiers: snap.retiers,
-                    tiers: gw
+                    tiers: g
+                        .gw
                         .tier_report()
                         .into_iter()
                         .map(|r| (r.consumer, r.tier.as_str().to_string()))
@@ -1067,5 +915,72 @@ impl ScenarioEngine {
             published: self.published,
             timeline: self.spec.timeline.clone(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TWO_HOSTS: &str = "\
+scenario sensors-in-the-directory
+seed 3
+duration 1s
+host a.lbl.gov process=worker
+host b.lbl.gov process=worker
+gateway gw on a.lbl.gov
+subscriber ops on a.lbl.gov via=gw drain=2ms
+sensors a.lbl.gov every=10ms via=gw
+sensors b.lbl.gov every=10ms via=gw
+at 5ms sensor b.lbl.gov stop
+";
+
+    /// `(host, sensor, status)` of every sensor entry in the directory.
+    fn sensor_entries(engine: &ScenarioEngine) -> Vec<(String, String, String)> {
+        let result = engine
+            .directory
+            .search(
+                &Dn::root().child("o", "grid"),
+                Scope::Subtree,
+                &Filter::eq("objectclass", "sensor"),
+            )
+            .unwrap();
+        let mut rows: Vec<_> = result
+            .entries
+            .iter()
+            .map(|e| {
+                let get = |attr| e.get(attr).unwrap().to_string();
+                (get("host"), get("sensor"), get("status"))
+            })
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    fn expected(b_status: &str) -> Vec<(String, String, String)> {
+        let mut rows = Vec::new();
+        for (host, status) in [("a.lbl.gov", "running"), ("b.lbl.gov", b_status)] {
+            for sensor in ["cpu", "memory", "tcp"] {
+                rows.push((host.into(), sensor.into(), status.into()));
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn the_testbeds_sensors_are_managed_and_published_in_its_directory() {
+        let mut engine = ScenarioEngine::from_text(TWO_HOSTS).unwrap();
+        assert!(sensor_entries(&engine).is_empty(), "nothing before a tick");
+        engine.step();
+        assert_eq!(sensor_entries(&engine), expected("running"));
+        // Step until the stop entry has applied; the tick that follows it
+        // in the same step writes the transition.
+        while engine.fault_log.is_empty() {
+            assert_eq!(sensor_entries(&engine), expected("running"));
+            engine.step();
+        }
+        assert_eq!(sensor_entries(&engine), expected("stopped"));
+        let report = engine.run();
+        assert!(report.consumer("ops").unwrap().delivered > 0);
     }
 }

@@ -8,7 +8,7 @@
 //! entry when a sensor starts, refreshing its status, and marking it stopped
 //! when it stops).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use jamm_core::flow::EventSink;
@@ -66,7 +66,9 @@ pub struct SensorManager {
     host: String,
     gateway_name: String,
     config_version: u64,
-    sensors: HashMap<String, ManagedSensor>,
+    /// Keyed by sensor name; a `BTreeMap` so every tick samples, publishes
+    /// and writes directory transitions in name order, the same on every run.
+    sensors: BTreeMap<String, ManagedSensor>,
     port_monitor: PortMonitorAgent,
     directory_base: Dn,
     events_published: u64,
@@ -81,7 +83,7 @@ impl SensorManager {
             host: config.host.clone(),
             gateway_name: config.gateway.clone(),
             config_version: 0,
-            sensors: HashMap::new(),
+            sensors: BTreeMap::new(),
             port_monitor: PortMonitorAgent::new(),
             directory_base,
             events_published: 0,
@@ -187,10 +189,9 @@ impl SensorManager {
         }
     }
 
-    /// Status of every configured sensor.
+    /// Status of every configured sensor, in name order.
     pub fn status(&self) -> Vec<SensorStatus> {
-        let mut out: Vec<SensorStatus> = self
-            .sensors
+        self.sensors
             .iter()
             .map(|(name, s)| SensorStatus {
                 name: name.clone(),
@@ -200,21 +201,16 @@ impl SensorManager {
                 last_sample: s.last_sample,
                 events_emitted: s.events_emitted,
             })
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
+            .collect()
     }
 
-    /// Names of currently running sensors.
+    /// Names of currently running sensors, in name order.
     pub fn running_sensors(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .sensors
+        self.sensors
             .iter()
             .filter(|(_, s)| s.running)
             .map(|(n, _)| n.clone())
-            .collect();
-        v.sort();
-        v
+            .collect()
     }
 
     /// One manager cycle:
@@ -569,6 +565,70 @@ mod tests {
         let netstat = status.iter().find(|s| s.name == "netstat").unwrap();
         assert!(!netstat.running);
         assert_eq!(netstat.events_emitted, 0);
+    }
+
+    /// Records every event a tick pushes, in push order.
+    #[derive(Default)]
+    struct Recorder(jamm_core::sync::Mutex<Vec<SharedEvent>>);
+
+    impl EventSink<SharedEvent> for Recorder {
+        fn accept(&self, event: &SharedEvent) -> Result<usize, jamm_core::flow::SinkError> {
+            self.0.lock().push(SharedEvent::clone(event));
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn a_tick_publishes_in_sensor_name_order_on_every_instance() {
+        let entry = |template| SensorConfigEntry {
+            template,
+            frequency_secs: 1.0,
+            policy: RunPolicy::Always,
+        };
+        // Declared out of name order on purpose.
+        let mut cfg = ManagerConfig::empty("h", "gw");
+        for template in [
+            SensorTemplate::Tcp,
+            SensorTemplate::Process {
+                process: "zeta".into(),
+            },
+            SensorTemplate::Process {
+                process: "alpha".into(),
+            },
+            SensorTemplate::NetstatCounter,
+            SensorTemplate::Memory,
+            SensorTemplate::Cpu,
+        ] {
+            cfg = cfg.with_sensor(entry(template));
+        }
+        let stats = FakeStats {
+            retrans: Cell::new(3),
+            proc_alive: Cell::new(true),
+        };
+        let tick_once = || {
+            let mut mgr = SensorManager::new(&cfg, Dn::parse("o=grid").unwrap());
+            let sink = Recorder::default();
+            mgr.tick(t(0.0), &stats, &NoPortActivity, &sink, None);
+            sink.0.into_inner()
+        };
+        let first = tick_once();
+        let sensors: Vec<String> = first
+            .iter()
+            .map(|e| e.field(jamm_ulm::keys::SENSOR).unwrap().to_string())
+            .collect();
+        let mut sorted = sensors.clone();
+        sorted.sort();
+        assert_eq!(sensors, sorted, "published out of sensor-name order");
+        sorted.dedup();
+        // The TCP sensor reports changes only, so its first sample is empty.
+        assert_eq!(
+            sorted,
+            ["cpu", "memory", "netstat", "process-alpha", "process-zeta"]
+        );
+        let types = |events: &[SharedEvent]| -> Vec<String> {
+            events.iter().map(|e| e.event_type.clone()).collect()
+        };
+        assert_eq!(types(&first), types(&tick_once()));
     }
 
     #[test]

@@ -21,11 +21,13 @@
 //! * [`iperf`] — the memory-to-memory throughput test used in §6;
 //! * [`scenario`] — canned topologies: the MATISSE WAN testbed and a LAN
 //!   variant, plus a generic monitored cluster;
-//! * [`engine`] — the declarative scenario engine: a parsed
-//!   [`engine::ScenarioSpec`] (topology + monitoring deployment + fault
-//!   timeline) compiled onto the simulator with a *real* gateway /
-//!   collector / archiver / directory deployment riding the simulated
-//!   clock, plus the [`engine::ScenarioReport`] result analyser.
+//! * [`spec`] — the declarative scenario grammar: a parsed
+//!   [`spec::ScenarioSpec`] (topology + monitoring deployment + fault
+//!   timeline) and [`spec::compile_topology`], which builds its hosts,
+//!   links and routers.  The runtime that drives real JAMM components
+//!   through a spec lives above this crate, in the `jamm` facade's
+//!   `testbed` module: this crate depends on no JAMM crate but
+//!   `jamm-core` and `jamm-ulm`.
 //!
 //! All randomness flows from a caller-supplied seed, so every experiment in
 //! the benchmark harness is reproducible bit-for-bit.
@@ -35,13 +37,13 @@
 
 pub mod clock;
 pub mod dpss;
-pub mod engine;
 pub mod host;
 pub mod iperf;
 pub mod link;
 pub mod network;
 pub mod player;
 pub mod scenario;
+pub mod spec;
 pub mod tcp;
 pub mod trace;
 pub mod workload;
@@ -55,7 +57,6 @@ pub use trace::TraceLog;
 /// Convenient prelude for building simulations.
 pub mod prelude {
     pub use crate::clock::SimClock;
-    pub use crate::engine::{ScenarioEngine, ScenarioReport, ScenarioSpec};
     pub use crate::host::{Host, HostId, HostSpec};
     pub use crate::link::{Link, LinkId, LinkSpec};
     pub use crate::network::{FlowId, Network};

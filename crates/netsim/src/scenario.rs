@@ -148,14 +148,14 @@ pub fn matisse_spec_text(wan: bool, n_storage: usize, seed: u64) -> String {
 ///
 /// This is now a thin shim over the declarative scenario engine: the
 /// testbed is rendered by [`matisse_spec_text`], parsed as a
-/// [`crate::engine::ScenarioSpec`] and compiled by
-/// [`crate::engine::compile_topology`]; only the ID bookkeeping
+/// [`crate::spec::ScenarioSpec`] and compiled by
+/// [`crate::spec::compile_topology`]; only the ID bookkeeping
 /// (`storage_paths`, `viz_path`) is recovered here by name.
 pub fn matisse_topology(wan: bool, n_storage: usize, seed: u64) -> MatisseTopology {
     assert!((1..=4).contains(&n_storage), "the DPSS had 1-4 servers");
     let text = matisse_spec_text(wan, n_storage, seed);
-    let spec = crate::engine::ScenarioSpec::parse(&text).expect("generated MATISSE spec parses");
-    let topo = crate::engine::compile_topology(&spec).expect("generated MATISSE spec compiles");
+    let spec = crate::spec::ScenarioSpec::parse(&text).expect("generated MATISSE spec parses");
+    let topo = crate::spec::compile_topology(&spec).expect("generated MATISSE spec compiles");
     let storage_hosts: Vec<HostId> = (1..=n_storage)
         .map(|i| {
             topo.host_id(&format!("dpss{i}.lbl.gov"))

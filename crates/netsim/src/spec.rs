@@ -8,6 +8,10 @@
 //! spirit as `jamm_core::query::Predicate`: parse errors carry the byte
 //! position and a reason, and every spec re-renders canonically through
 //! [`std::fmt::Display`] such that parse → render → parse round-trips.
+//! [`compile_topology`] builds a spec's hosts, links and routers onto a
+//! fresh [`Network`]; the monitoring deployment and the fault timeline
+//! run in the `jamm` facade's `testbed` module, which wires the real
+//! JAMM components onto that network.
 //!
 //! ```text
 //! scenario slow-consumer
@@ -25,6 +29,11 @@
 //! ```
 
 use std::fmt;
+
+use crate::clock::SimClock;
+use crate::host::{HostId, HostSpec};
+use crate::link::{LinkId, LinkSpec, Router};
+use crate::network::Network;
 
 /// A parse failure: where in the input, and why.
 ///
@@ -227,19 +236,20 @@ pub struct ArchiverDecl {
     pub via: Vec<String>,
 }
 
-/// Per-host sensor pump (`sensors <host> every=<dur> via=<gw>
+/// Per-host sensors (`sensors <host> every=<dur> via=<gw>
 /// [backoff=<dur>] [summaries=<n>]`).
 ///
-/// The engine publishes CPU / memory / TCP readings for the host at the
-/// given period, through the named gateway (failing over via the
-/// directory when it is down or partitioned away).  With `backoff=` the
-/// pump carries a circuit breaker: after a failed routing attempt it
-/// stops probing for a jittered exponential delay (base `backoff`,
-/// capped at 8x), buffering locally, instead of re-resolving the
-/// directory on every period — the self-healing-client discipline on
-/// the simulated clock.  With `summaries=<n>` every n-th pump also
-/// emits a `*_AVG_*` summary event, the protected stream overload
-/// shedding must never cut.
+/// The testbed runs a sensor manager on the host with CPU, memory and
+/// TCP sensors sampling at the given period, publishing through the
+/// named gateway (failing over via the directory when it is down or
+/// partitioned away).  With `backoff=` the host's publisher carries a
+/// circuit breaker: after a failed routing attempt it stops probing for
+/// a jittered exponential delay (base `backoff`, capped at 8x),
+/// buffering locally, instead of re-resolving the directory on every
+/// period — the self-healing-client discipline on the simulated clock.
+/// With `summaries=<n>` every n-th publishing tick also emits a
+/// `*_AVG_*` summary event, the protected stream overload shedding must
+/// never cut.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SensorDecl {
     /// Monitored host.
@@ -251,7 +261,8 @@ pub struct SensorDecl {
     /// Circuit-breaker base delay after a failed gateway resolution,
     /// microseconds (`None` = probe every period, the legacy behaviour).
     pub backoff_us: Option<u64>,
-    /// Emit a summary event every n-th pump (`None` = raw readings only).
+    /// Emit a summary event every n-th publishing tick (`None` = raw
+    /// readings only).
     pub summary_every: Option<u64>,
 }
 
@@ -312,12 +323,12 @@ pub enum Fault {
         /// Consumer name.
         name: String,
     },
-    /// `sensor <host> stop` — the host's sensor pump goes quiet.
+    /// `sensor <host> stop` — the host's sensors are stopped.
     SensorStop {
         /// Host name.
         host: String,
     },
-    /// `sensor <host> start` — the pump resumes.
+    /// `sensor <host> start` — they are started again.
     SensorStart {
         /// Host name.
         host: String,
@@ -342,8 +353,9 @@ pub enum Fault {
 
 /// A parsed scenario: topology + monitoring deployment + fault timeline.
 ///
-/// Build one with [`ScenarioSpec::parse`]; run it with
-/// [`crate::engine::ScenarioEngine`].
+/// Build one with [`ScenarioSpec::parse`]; compile its topology with
+/// [`compile_topology`], or run the whole spec with the `jamm` facade's
+/// `testbed::ScenarioEngine`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Scenario name.
@@ -372,7 +384,7 @@ pub struct ScenarioSpec {
     pub readers: Vec<ReaderDecl>,
     /// Archiver agents.
     pub archivers: Vec<ArchiverDecl>,
-    /// Sensor pumps.
+    /// Per-host sensors.
     pub sensors: Vec<SensorDecl>,
     /// The fault timeline, kept in declaration order (the injector sorts
     /// stably by time).
@@ -999,7 +1011,7 @@ fn parse_size(tok: &str, pos: usize) -> Result<u64, SpecError> {
 // ---------------------------------------------------------------------
 
 /// Render microseconds with the largest exact unit.
-pub(crate) fn fmt_dur(us: u64) -> String {
+fn fmt_dur(us: u64) -> String {
     if us.is_multiple_of(1_000_000) {
         format!("{}s", us / 1_000_000)
     } else if us.is_multiple_of(1_000) {
@@ -1218,6 +1230,137 @@ impl fmt::Display for ScenarioSpec {
         }
         Ok(())
     }
+}
+
+/// Why a spec failed to compile or parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EngineError {
+    /// The text did not parse.
+    Parse(SpecError),
+    /// The spec parsed but references something undeclared (an unknown
+    /// host, link or gateway).
+    Compile(String),
+}
+
+impl fmt::Display for EngineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EngineError::Parse(e) => write!(f, "{e}"),
+            EngineError::Compile(reason) => write!(f, "scenario compile error: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
+impl From<SpecError> for EngineError {
+    fn from(e: SpecError) -> Self {
+        EngineError::Parse(e)
+    }
+}
+
+/// A spec's topology compiled onto a fresh [`Network`] (hosts, links and
+/// routers only — no flows, no monitoring plane).  This is the piece the
+/// canned [`crate::scenario::matisse_topology`] builds on.
+#[derive(Debug)]
+pub struct CompiledTopology {
+    /// The simulated network.
+    pub net: Network,
+    /// Host IDs, in declaration order.
+    pub hosts: Vec<(String, HostId)>,
+    /// Link IDs, in declaration order.
+    pub links: Vec<(String, LinkId)>,
+}
+
+impl CompiledTopology {
+    /// Look up a declared host by name.
+    pub fn host_id(&self, name: &str) -> Option<HostId> {
+        self.hosts
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, id)| *id)
+    }
+
+    /// Look up a declared link by name.
+    pub fn link_id(&self, name: &str) -> Option<LinkId> {
+        self.links
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, id)| *id)
+    }
+
+    /// Resolve a list of link names to IDs (a flow path).
+    pub fn resolve_path(&self, via: &[String]) -> Result<Vec<LinkId>, EngineError> {
+        via.iter()
+            .map(|name| {
+                self.link_id(name)
+                    .ok_or_else(|| EngineError::Compile(format!("unknown link `{name}`")))
+            })
+            .collect()
+    }
+}
+
+/// Build the network described by a spec's `host` / `link` / `router`
+/// directives, in declaration order (which fixes simulator IDs and the
+/// seeded RNG stream — byte-identical specs produce identical networks).
+pub fn compile_topology(spec: &ScenarioSpec) -> Result<CompiledTopology, EngineError> {
+    let mut net = Network::new(
+        SimClock::new(SimClock::matisse().timestamp(), spec.tick_us),
+        spec.seed,
+    );
+    let mut hosts = Vec::new();
+    for h in &spec.hosts {
+        let mut hs = HostSpec::new(&h.name);
+        if let Some(v) = h.cpus {
+            hs = hs.cpus(v);
+        }
+        if let Some(v) = h.memory_kb {
+            hs = hs.memory_kb(v);
+        }
+        if let Some(v) = h.pkt_cost_us {
+            hs = hs.pkt_cost_us(v);
+        }
+        if let Some(v) = h.socket_overhead {
+            hs = hs.socket_overhead(v);
+        }
+        if let Some(v) = h.rcv_buffer_bytes {
+            hs = hs.rcv_buffer_bytes(v);
+        }
+        if let Some(v) = h.multi_socket_loss {
+            hs = hs.multi_socket_loss(v);
+        }
+        let id = net.add_host(hs);
+        for p in &h.processes {
+            net.host_mut(id).register_process(p);
+        }
+        hosts.push((h.name.clone(), id));
+    }
+    let mut links: Vec<(String, LinkId)> = Vec::new();
+    for l in &spec.links {
+        let mut ls = LinkSpec::new(&l.name, l.bandwidth_bps, l.delay_us);
+        if let Some(q) = l.queue_bytes {
+            ls = ls.queue_bytes(q);
+        }
+        if let Some(e) = l.error_rate {
+            ls = ls.error_rate(e);
+        }
+        links.push((l.name.clone(), net.add_link(ls)));
+    }
+    for r in &spec.routers {
+        let resolved = r
+            .links
+            .iter()
+            .map(|name| {
+                links
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map(|(_, id)| *id)
+                    .ok_or_else(|| EngineError::Compile(format!("unknown link `{name}`")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        net.add_router(Router::new(&r.name, resolved));
+    }
+    Ok(CompiledTopology { net, hosts, links })
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //!    tooling can underline the offending token in the spec text.
 
 use jamm_core::check::{forall, Gen};
-use jamm_netsim::engine::spec::{
+use jamm_netsim::spec::{
     Fault, FlowDecl, GatewayDecl, HostDecl, LinkDecl, QosDecl, RouterDecl, ScenarioSpec,
     SensorDecl, SubscriberDecl, TimelineEntry,
 };

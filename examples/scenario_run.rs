@@ -1,7 +1,7 @@
 //! Run a declarative scenario file and print the analyser's report.
 //!
 //! ```sh
-//! cargo run --example scenario_run -- crates/netsim/scenarios/slow_consumer.scn
+//! cargo run --example scenario_run -- scenarios/slow_consumer.scn
 //! ```
 //!
 //! The spec format, fault vocabulary and assertion API are documented in
@@ -10,7 +10,7 @@
 //! byte-identical output, which is exactly what the scenario suite's
 //! determinism test asserts.
 
-use jamm_netsim::engine::ScenarioEngine;
+use jamm::testbed::ScenarioEngine;
 
 fn main() {
     let path = std::env::args().nth(1).unwrap_or_else(|| {

@@ -11,7 +11,7 @@
 //! spec file; the determinism test at the bottom asserts that the entire
 //! rendered report is byte-identical across two runs.
 
-use jamm_netsim::engine::{ScenarioEngine, ScenarioReport, ScenarioSpec};
+use ::jamm::testbed::{ScenarioEngine, ScenarioReport, ScenarioSpec};
 use jamm_ulm::keys::jamm;
 
 fn load(name: &str) -> String {
@@ -228,7 +228,17 @@ fn a_dashboard_pool_reads_views_without_archive_scans() {
 /// free of wall-clock and iteration-order nondeterminism.
 #[test]
 fn same_spec_and_seed_render_byte_identical_reports() {
-    let a = run("partition_replay.scn").render_text();
-    let b = run("partition_replay.scn").render_text();
-    assert_eq!(a, b, "scenario runs diverged under a fixed seed");
+    let dir = format!("{}/scenarios", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("read {dir}: {e}"))
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .filter(|name| name.ends_with(".scn"))
+        .collect();
+    names.sort();
+    assert!(!names.is_empty(), "no scenario specs in {dir}");
+    for name in &names {
+        let a = run(name).render_text();
+        let b = run(name).render_text();
+        assert_eq!(a, b, "{name}: scenario runs diverged under a fixed seed");
+    }
 }
