@@ -21,6 +21,7 @@
 //! * [`policy`] — Akenti-like use-conditions and attribute certificates.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod acl;

@@ -28,7 +28,7 @@ fn main() {
     let mut report = Report::new(env!("CARGO_CRATE_NAME"));
     for (wan, label) in [(true, "WAN"), (false, "LAN")] {
         for streams in [1usize, 2, 4, 8] {
-            let r = matisse_iperf(wan, streams, duration, seed);
+            let r = matisse_iperf(wan, streams, duration, seed).expect("MATISSE topology compiles");
             data_row(&[
                 format!("{label:<8}"),
                 format!("{streams:>8}"),

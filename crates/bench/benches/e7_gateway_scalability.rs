@@ -6,10 +6,12 @@
 //! additional event gateways, and additional sensor directories as needed,
 //! reducing the load where necessary."
 //!
-//! The experiment measures, as the number of consumers grows: (a) events
+//! The experiment runs the `jamm::testbed::farm` spec with extra
+//! subscribers and measures, as the number of consumers grows: (a) events
 //! published by the monitored hosts' sensors (should stay flat), (b) event
-//! copies delivered (grows with consumers, absorbed by the gateway), and (c)
-//! the same with the consumer load spread over more gateways.  The Criterion
+//! copies delivered to the consumers (grows with consumers, absorbed by
+//! the gateway), and (c) the same with the consumer load spread over more
+//! gateways.  The Criterion
 //! part measures raw gateway publish throughput at different subscriber
 //! counts, and the one cost of the metrics plane that no e21 metric
 //! isolates (e21's `trace.overhead_pct` covers sampled lifelines, not
@@ -18,7 +20,8 @@
 
 use std::sync::Arc;
 
-use jamm::cluster::ClusterDeployment;
+use jamm::jamm_netsim::spec::SubscriberDecl;
+use jamm::testbed::{self, ScenarioEngine};
 use jamm_bench::harness::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
 use jamm_bench::{compare_row, data_row, header};
 use jamm_core::obs::MetricsRegistry;
@@ -40,11 +43,25 @@ fn fanout_report() {
     ]);
     let mut published_counts = Vec::new();
     for &(consumers, gateways) in &[(0usize, 1usize), (1, 1), (4, 1), (16, 1), (16, 2), (16, 4)] {
-        let mut cluster = ClusterDeployment::new(16, gateways, 99);
-        cluster.attach_consumers(consumers, vec![]);
-        cluster.run_secs(5.0);
-        let published = cluster.events_published();
-        let delivered = cluster.events_delivered();
+        let mut spec = testbed::farm(16, gateways).unwrap();
+        spec.seed = 99;
+        spec.duration_us = 5_000_000;
+        let via: Vec<String> = (0..gateways)
+            .map(|g| format!("gw{g}.farm.lbl.gov:8765"))
+            .collect();
+        for i in 0..consumers {
+            spec.subscribers.push(SubscriberDecl {
+                name: format!("consumer-{i}"),
+                host: "gw0.farm.lbl.gov".into(),
+                via: via.clone(),
+                drain_us: 100_000,
+                capacity: 4_096,
+                cpu_of: None,
+            });
+        }
+        let report = ScenarioEngine::new(spec).unwrap().run();
+        let published = report.published;
+        let delivered: u64 = report.consumers.iter().map(|c| c.delivered).sum();
         published_counts.push(published);
         data_row(&[
             format!("{consumers:>10}"),

@@ -5,21 +5,22 @@
 //! collected and managed."  On-demand (port-triggered) monitoring collects
 //! host data only while the monitored application is actually transferring.
 
-use jamm::deployment::{DeploymentConfig, JammDeployment};
+use jamm::testbed::{self, ScenarioEngine, DPSS_PORT};
 use jamm_bench::{compare_row, data_row, header};
 
-/// Run the MATISSE LAN scenario where the player fetches a fixed number of
+/// Run the MATISSE LAN spec where the player fetches a fixed number of
 /// frames and then goes idle; measure how much monitoring data is collected
-/// with always-on vs port-triggered sensors.
-fn run(port_triggered: bool, duty_frames: u64, secs: f64) -> (u64, u64) {
-    let mut cfg = DeploymentConfig::matisse_lan(1);
-    cfg.matisse.seed = 8;
-    cfg.matisse.player.frame_bytes = 400_000;
-    cfg.matisse.player.max_frames = duty_frames;
-    cfg.port_triggered = port_triggered;
-    let mut jamm = JammDeployment::matisse(cfg).unwrap();
-    jamm.run_secs(secs);
-    (jamm.events_published(), jamm.events_delivered())
+/// with always-on vs port-triggered (`port=`) sensors.
+fn run(port_triggered: bool, duty_frames: u64, secs: u64) -> u64 {
+    let mut spec = testbed::matisse(false, 1).unwrap();
+    spec.seed = 8;
+    spec.duration_us = secs * 1_000_000;
+    spec.players[0].frame_bytes = 400_000;
+    spec.players[0].max_frames = duty_frames;
+    for s in &mut spec.sensors {
+        s.port = port_triggered.then_some(DPSS_PORT);
+    }
+    ScenarioEngine::new(spec).unwrap().run().published
 }
 
 fn main() {
@@ -37,7 +38,7 @@ fn main() {
     let mut table = Vec::new();
     for &(frames, label) in &[(5u64, "brief transfer"), (60u64, "busy throughout")] {
         for &(triggered, mode) in &[(false, "always-on"), (true, "port-triggered")] {
-            let (published, _) = run(triggered, frames, 40.0);
+            let published = run(triggered, frames, 40);
             data_row(&[
                 format!("{label:<16}"),
                 format!("{mode:<16}"),

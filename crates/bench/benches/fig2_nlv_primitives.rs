@@ -10,18 +10,18 @@
 //! continuity, point sparsity), then measures how fast the chart extraction
 //! is with Criterion.
 
-use jamm::deployment::{DeploymentConfig, JammDeployment};
+use jamm::testbed::{self, ScenarioEngine};
 use jamm_bench::harness::{criterion_group, criterion_main, Criterion};
 use jamm_bench::{compare_row, header};
 use jamm_netlogger::nlv::{lifelines, loadline, points, NlvChart};
 use jamm_ulm::{keys, Event};
 
 fn monitored_log() -> Vec<Event> {
-    let mut cfg = DeploymentConfig::matisse_lan(2);
-    cfg.matisse.seed = 5;
-    cfg.matisse.player.frame_bytes = 600_000;
-    let mut jamm = JammDeployment::matisse(cfg).unwrap();
-    jamm.run_secs(10.0);
+    let mut spec = testbed::matisse(false, 2).unwrap();
+    spec.seed = 5;
+    spec.players[0].frame_bytes = 600_000;
+    let mut jamm = ScenarioEngine::new(spec).unwrap();
+    jamm.run_until(10_000_000);
     jamm.merged_log()
 }
 

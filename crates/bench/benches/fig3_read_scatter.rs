@@ -5,7 +5,7 @@
 //! operating system's read() function. ...  This graph makes apparent the
 //! (unexpected) clustering of the data around two distinct values."
 
-use jamm::deployment::{DeploymentConfig, JammDeployment};
+use jamm::testbed::{self, ScenarioEngine};
 use jamm_bench::{compare_row, header};
 use jamm_netlogger::analysis::two_cluster;
 
@@ -15,12 +15,12 @@ fn main() {
         "scatter plot clustering around two distinct values",
     );
 
-    let mut cfg = DeploymentConfig::matisse_wan(1);
-    cfg.matisse.seed = 77;
-    let mut jamm = JammDeployment::matisse(cfg).unwrap();
-    jamm.run_secs(25.0);
+    let mut spec = testbed::matisse(true, 1).unwrap();
+    spec.seed = 77;
+    let mut jamm = ScenarioEngine::new(spec).unwrap();
+    jamm.run_until(25_000_000);
 
-    let reads = &jamm.scenario.player.read_sizes;
+    let reads = &jamm.player("mems.cairn.net").unwrap().player.read_sizes;
     println!(
         "\n{} read() calls recorded over 25 simulated seconds",
         reads.len()

@@ -6,7 +6,7 @@
 //! data being received by the application.  Also of interest is the high
 //! level of system CPU usage on the receiving host."
 
-use jamm::deployment::{DeploymentConfig, JammDeployment};
+use jamm::testbed::{self, ScenarioEngine};
 use jamm_bench::{compare_row, header};
 use jamm_netlogger::analysis::{correlate_gaps, delivery_gaps, mean_stage_durations};
 use jamm_ulm::keys;
@@ -17,13 +17,12 @@ fn main() {
         "frame lifelines + CPU loadlines + retransmit points, and their correlation",
     );
 
-    let mut cfg = DeploymentConfig::matisse_wan(4);
-    cfg.matisse.seed = 2000;
-    let mut jamm = JammDeployment::matisse(cfg).unwrap();
-    jamm.run_secs(30.0);
+    let mut jamm = ScenarioEngine::new(testbed::matisse(true, 4).unwrap()).unwrap();
+    jamm.run_until(30_000_000);
+    let player = &jamm.player("mems.cairn.net").unwrap().player;
 
     let log = jamm.merged_log();
-    let chart = jamm.figure7_chart();
+    let chart = testbed::figure7_chart(&log);
 
     println!("\nASCII rendering of the chart (time left to right, 30 simulated seconds):\n");
     print!("{}", chart.render_ascii(100));
@@ -49,8 +48,8 @@ fn main() {
         "bursty, 1-6 frames/s",
         &format!(
             "{} frames in 30 s ({:.1}/s mean)",
-            jamm.scenario.player.frames_displayed(),
-            jamm.scenario.player.mean_frame_rate(30_000_000)
+            player.frames_displayed(),
+            player.mean_frame_rate(30_000_000)
         ),
     );
     compare_row(

@@ -4,29 +4,23 @@
 //! bursty.  Sometimes images arrived at 6 frames/sec, and other times only
 //! 1-2 frames/sec."  This binary regenerates the per-second frame-rate
 //! series for the 4-server WAN configuration and, for contrast, the
-//! single-server work-around.
+//! single-server work-around, from the `jamm::testbed::matisse` spec.
 //!
 //! ```text
 //! cargo run --release -p jamm-bench --bin e4_frame_rate
 //! ```
 
+use jamm::testbed::{self, ScenarioEngine};
 use jamm_bench::{compare_row, header};
-use jamm_netsim::player::PlayerConfig;
-use jamm_netsim::scenario::{MatisseConfig, MatisseScenario, TUNED_RCV_WINDOW};
 
 fn run(servers: usize, secs: f64) -> (Vec<(f64, f64)>, f64) {
-    let mut scenario = MatisseScenario::new(MatisseConfig {
-        dpss_servers: servers,
-        wan: true,
-        seed: 2000,
-        rcv_window: TUNED_RCV_WINDOW,
-        player: PlayerConfig::default(),
-    });
-    scenario.run_secs(secs);
     let total_us = (secs * 1e6) as u64;
+    let mut jamm = ScenarioEngine::new(testbed::matisse(true, servers).unwrap()).unwrap();
+    jamm.run_until(total_us);
+    let player = &jamm.player("mems.cairn.net").unwrap().player;
     (
-        scenario.player.frame_rate_series(total_us, 1_000_000),
-        scenario.aggregate_mbps(),
+        player.frame_rate_series(total_us, 1_000_000),
+        jamm.application_mbps(),
     )
 }
 

@@ -23,6 +23,7 @@
 //!   notified when matching entries appear, change or disappear.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod dn;

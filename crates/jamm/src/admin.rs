@@ -154,13 +154,6 @@ fn gateway_admin_stats(src: &Sources) -> Vec<GatewayAdminStats> {
         .collect()
 }
 
-/// Admin rows of gateways running without a network edge — what the
-/// simulated deployments (`deployment`, `cluster`) total their counters
-/// from.
-pub(crate) fn gateway_rows(gateways: &[Arc<EventGateway>]) -> Vec<GatewayAdminStats> {
-    gateway_admin_stats(&Sources::new(gateways, &[], None))
-}
-
 /// Register the deployment's metric collectors: one turning the admin rows
 /// into gateway, subscription, QoS, edge and reactor samples, one for the
 /// archive's storage counters and one for the self-lifeline tracer.

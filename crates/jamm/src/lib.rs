@@ -21,7 +21,7 @@
 //! | RMI call path (admin service) and network edge | [`jamm_rmi`] |
 //! | Certificates, grid-mapfile, policy | [`jamm_auth`] |
 //! | Simulated Grid testbed | [`jamm_netsim`] |
-//! | Declarative scenarios run by real JAMM components | [`testbed`] |
+//! | Declarative scenarios run by real JAMM components, the MATISSE and farm deployments | [`testbed`] |
 //!
 //! Every hop speaks the shared pipeline vocabulary from `jamm-core`: events
 //! move through [`jamm_core::flow::EventSink`] / `EventSource`
@@ -52,23 +52,24 @@
 //! assert_eq!(jamm.connect_collectors(vec![]), 1);
 //! ```
 //!
-//! * [`deployment::JammDeployment`] — the paper's Figure 4 / §6 MATISSE
-//!   case study running over the simulated testbed:
+//! * [`testbed`] — declarative scenarios run by the real components on
+//!   the simulated Grid testbed, including the paper's two deployments:
+//!   [`testbed::matisse`] (Figure 4, the §6 MATISSE case study) and
+//!   [`testbed::farm`] (the §1.1 monitored compute farm) return specs
+//!   that [`testbed::ScenarioEngine`] compiles and runs:
 //!
 //! ```
-//! use jamm::deployment::{DeploymentConfig, JammDeployment};
+//! use jamm::testbed::{self, ScenarioEngine};
 //!
 //! // A small LAN MATISSE run: 2 DPSS servers streaming frames to a client,
 //! // fully monitored by JAMM.
-//! let mut config = DeploymentConfig::matisse_lan(2);
-//! config.matisse.player.max_frames = 5;
-//! let mut jamm = JammDeployment::matisse(config)?;
-//! jamm.run_secs(5.0);
-//! assert!(jamm.collector_event_count() > 0);
-//! # Ok::<(), jamm::BuildError>(())
+//! let mut spec = testbed::matisse(false, 2)?;
+//! spec.players[0].max_frames = 5;
+//! let mut jamm = ScenarioEngine::new(spec)?;
+//! jamm.run_until(5_000_000);
+//! assert!(jamm.drained().count() > 0);
+//! # Ok::<(), jamm::testbed::EngineError>(())
 //! ```
-//!
-//! * [`cluster::ClusterDeployment`] — the §1.1 monitored compute farm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,15 +77,12 @@
 
 pub mod admin;
 pub mod builder;
-pub mod cluster;
-pub mod deployment;
 mod query;
 mod system;
 pub mod testbed;
 
 pub use admin::GatewayAdminStats;
 pub use builder::{BuildError, JammBuilder, SELF_GATEWAY};
-pub use deployment::{DeploymentConfig, JammDeployment};
 pub use jamm_core::query::AggRow;
 pub use jamm_ulm::SharedEvent;
 pub use query::{HistorySource, QueryAnswer, QueryError};

@@ -116,6 +116,12 @@ impl ScenarioEngine {
                 let n = self.replay_archive(archiver, via);
                 format!("replayed {n} archived events from {archiver} via {via}")
             }
+            Fault::ProcessKill { host, process } => {
+                if let Some(id) = self.net.host_by_name(host) {
+                    self.net.host_mut(id).kill_process(process);
+                }
+                format!("process {process} on {host} killed")
+            }
         };
         self.fault_log.push((entry.at_us, desc));
     }
@@ -186,7 +192,8 @@ impl ScenarioEngine {
 
     /// Recover a crashed host: processes restart, gateways come back up,
     /// and suspended flows reopen as fresh connections (slow-start from
-    /// scratch, like a real reconnect).
+    /// scratch, like a real reconnect) — except a player's, which the
+    /// DPSS does not redial.
     fn recover_host(&mut self, host: &str) {
         let Some(pos) = self.crashed.iter().position(|h| h == host) else {
             return;
@@ -203,7 +210,7 @@ impl ScenarioEngine {
                 self.net.host_mut(id).restart_process(&p);
             }
             for i in 0..self.flows.len() {
-                if !self.flows[i].suspended {
+                if !self.flows[i].suspended || self.flows[i].idle {
                     continue;
                 }
                 if self.flows[i].src == id || self.flows[i].dst == id {

@@ -4,8 +4,10 @@
 //! the simba style (declarative config + a result analyser).  This
 //! module compiles a [`ScenarioSpec`] — the
 //! text format of `jamm_netsim::spec`, describing hosts, links, TCP
-//! flows, a monitoring deployment (event gateways, subscribing
-//! consumers, an archiver, per-host sensors) and a fault timeline —
+//! flows, the monitored application (the MATISSE frame player), a
+//! monitoring deployment (event gateways, subscribing consumers,
+//! archivers, per-host sensors, a recovery administrator) and a fault
+//! timeline —
 //! onto the `jamm_netsim` simulator, runs it on the simulated clock
 //! with **no wall-clock dependence anywhere**, and hands back a
 //! [`ScenarioReport`] with a fluent assertion API
@@ -22,40 +24,97 @@
 //! `jamm_netlogger::analysis::diagnose` localizes injected bottlenecks
 //! exactly the way the paper's human analyst localized the MATISSE
 //! receive-host collapse.
+//!
+//! The paper's two deployments are specs too: [`matisse`] (§6, Figure 4)
+//! and [`farm`] (§1.1) render them.  A caller adjusts the returned spec's
+//! fields, compiles it with [`ScenarioEngine::new`], and either runs it to
+//! a report or steps it with [`ScenarioEngine::run_until`] and reads the
+//! live components.
 
 pub mod analysis;
+mod deployments;
 pub mod faults;
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use jamm_archive::EventArchive;
 use jamm_consumers::archiver::ArchiverAgent;
 use jamm_consumers::collector::EventCollector;
+use jamm_consumers::overview::OverviewMonitor;
+use jamm_consumers::procmon::{ProcessMonitorConsumer, RecoveryAction};
 use jamm_consumers::GatewayRegistry;
 use jamm_core::flow::{EventSink, SinkError};
+use jamm_core::query::Predicate;
 use jamm_core::sync::Mutex;
 use jamm_core::{Backoff, CircuitBreaker};
 use jamm_directory::{DirectoryServer, Dn, Entry, Filter, Scope};
 use jamm_gateway::{
     EventGateway, GatewayConfig, PipelineTracer, QosConfig, Subscription, TraceClock,
 };
-use jamm_manager::manager::NoPortActivity;
+use jamm_manager::manager::PortActivitySource;
 use jamm_manager::{ManagerConfig, RunPolicy, SensorConfigEntry, SensorManager, SensorTemplate};
+use jamm_netsim::dpss::{DpssCluster, DpssServer, DEFAULT_BLOCK_BYTES};
 use jamm_netsim::host::HostId;
 use jamm_netsim::link::LinkId;
+use jamm_netsim::player::{FramePlayer, PlayerConfig};
 use jamm_netsim::spec::{self, compile_topology};
-use jamm_netsim::{FlowId, Network};
+use jamm_netsim::{FlowId, Network, TraceLog};
 use jamm_sensors::sim::NetworkSource;
 use jamm_ulm::{keys, Event, Level, SharedEvent};
 
 pub use analysis::{
     ConsumerReport, Expectations, GatewayQosReport, ReaderReport, ScenarioReport, SecondSample,
 };
+pub use deployments::{farm, figure7_chart, matisse, DPSS_PORT};
 pub use faults::FaultInjector;
 pub use jamm_netsim::spec::{
     EngineError, Fault, QosDecl, ReaderDecl, ScenarioSpec, SpecError, TimelineEntry,
 };
+
+/// Seconds without traffic after which `port=` sensors stop again.
+const PORT_IDLE_SECS: f64 = 2.0;
+
+/// Simulated disk latency of a DPSS block server, microseconds.
+const DPSS_DISK_LATENCY_US: u64 = 8_000;
+
+/// The port monitor's view of the simulated network: bytes delivered to
+/// a host's port during the last tick.
+struct PortTraffic<'a>(&'a Network);
+
+impl PortActivitySource for PortTraffic<'_> {
+    fn bytes_on_port(&self, host: &str, port: u16) -> u64 {
+        self.0
+            .host_by_name(host)
+            .map_or(0, |id| self.0.port_activity(id, port))
+    }
+}
+
+/// The application of a `player` line: the DPSS serving its flows, the
+/// frame player, and the NetLogger trace both write.
+pub struct Player {
+    host: String,
+    /// The striped storage system.
+    pub dpss: DpssCluster,
+    /// The frame player.
+    pub player: FramePlayer,
+    /// Events the application emitted.
+    pub trace: TraceLog,
+}
+
+/// A `recovery` line: the administrator's process monitor, which
+/// restarts the watched process wherever it dies, and its overview
+/// monitor, which alerts once the process is down everywhere.
+pub struct Recovery {
+    name: String,
+    host: String,
+    via: Vec<String>,
+    /// The process monitor; its history lists every restart.
+    pub monitor: ProcessMonitorConsumer,
+    /// The overview monitor; its alerts list every full outage.
+    pub overview: OverviewMonitor,
+}
 
 pub(crate) struct GatewayRt {
     pub name: String,
@@ -293,6 +352,9 @@ pub(crate) struct FlowRt {
     /// Bytes delivered by earlier incarnations (before crash suspensions).
     pub delivered_closed: u64,
     pub suspended: bool,
+    /// A player's flow: it carries only what the DPSS enqueues, and a
+    /// crash severs it for the rest of the run.
+    pub idle: bool,
 }
 
 impl FlowRt {
@@ -320,6 +382,8 @@ pub struct ScenarioEngine {
     pub(crate) archivers: Vec<ArchiverRt>,
     pub(crate) sensors: Vec<SensorHostRt>,
     pub(crate) flows: Vec<FlowRt>,
+    players: Vec<Player>,
+    recoveries: Vec<Recovery>,
     /// Current partition groups (None = fully connected).
     pub(crate) partition: Option<Vec<Vec<String>>>,
     /// Host names currently crashed.
@@ -366,7 +430,9 @@ impl ScenarioEngine {
             let path = topo.resolve_path(&f.via)?;
             let net = &mut topo.net;
             let id = net.open_flow(&f.name, src, dst, f.port, path.clone(), f.window);
+            let idle = spec.players.iter().any(|p| p.flows.contains(&f.name));
             match f.bytes {
+                _ if idle => {}
                 Some(b) => net.flow_mut(id).enqueue(b),
                 None => net.flow_mut(id).set_unlimited(),
             }
@@ -378,9 +444,48 @@ impl ScenarioEngine {
                 path,
                 delivered_closed: 0,
                 suspended: false,
+                idle,
             });
         }
         let host_id = |name: &str| topo.host_id(name).ok_or_else(|| unknown(name));
+
+        // Each player pulls frames from a DPSS whose block servers are the
+        // sources of its flows.
+        let mut players = Vec::new();
+        for p in &spec.players {
+            let mut servers = Vec::new();
+            for name in &p.flows {
+                let Some(f) = flows.iter().find(|f| f.decl.name == *name) else {
+                    return Err(EngineError::Compile(format!(
+                        "player on `{}` references unknown flow `{name}`",
+                        p.host
+                    )));
+                };
+                servers.push(DpssServer::new(
+                    f.src,
+                    &f.decl.src,
+                    f.id,
+                    DPSS_DISK_LATENCY_US,
+                ));
+            }
+            if servers.is_empty() {
+                return Err(EngineError::Compile(format!(
+                    "player on `{}` names no flow",
+                    p.host
+                )));
+            }
+            let config = PlayerConfig {
+                frame_bytes: p.frame_bytes,
+                max_frames: p.max_frames,
+                ..PlayerConfig::default()
+            };
+            players.push(Player {
+                host: p.host.clone(),
+                dpss: DpssCluster::new(servers, DEFAULT_BLOCK_BYTES),
+                player: FramePlayer::new(host_id(&p.host)?, &p.host, config),
+                trace: TraceLog::new(),
+            });
+        }
 
         // The monitoring plane, stamped from the shared simulated clock.
         let clock_cell = Arc::new(AtomicU64::new(topo.net.clock().timestamp().as_micros()));
@@ -514,9 +619,15 @@ impl ScenarioEngine {
                 catalog_dn,
             );
             agent.set_tracer(Arc::clone(&tracer));
+            let filters = match &a.query {
+                Some(q) => vec![Predicate::parse(q).map_err(|e| {
+                    EngineError::Compile(format!("archiver `{}`: bad query: {e}", a.name))
+                })?],
+                None => Vec::new(),
+            };
             for gw_name in &a.via {
                 agent
-                    .subscribe(&registry, gw_name, vec![])
+                    .subscribe(&registry, gw_name, filters.clone())
                     .map_err(|e| EngineError::Compile(format!("archiver subscribe: {e:?}")))?;
             }
             archivers.push(ArchiverRt {
@@ -527,9 +638,42 @@ impl ScenarioEngine {
             });
         }
 
+        let mut recoveries = Vec::new();
+        for r in &spec.recoveries {
+            host_id(&r.host)?;
+            let mut monitor = ProcessMonitorConsumer::new(&r.name);
+            monitor.watch(&r.process, None, vec![RecoveryAction::Restart]);
+            let mut overview = OverviewMonitor::new(&r.name);
+            let hosts = (spec.hosts.iter())
+                .filter(|h| h.processes.contains(&r.process))
+                .map(|h| h.name.clone())
+                .collect();
+            overview.alert_when_all_down(format!("{}-down", r.process), &r.process, hosts);
+            for gw_name in &r.via {
+                if !(monitor.subscribe(&registry, gw_name)
+                    && overview.subscribe(&registry, gw_name))
+                {
+                    return Err(EngineError::Compile(format!(
+                        "recovery `{}` references unknown gateway `{gw_name}`",
+                        r.name
+                    )));
+                }
+            }
+            recoveries.push(Recovery {
+                name: r.name.clone(),
+                host: r.host.clone(),
+                via: r.via.clone(),
+                monitor,
+                overview,
+            });
+        }
+
         // Each `sensors` line is a sensor manager running CPU, memory and
-        // TCP sensors at `every=`, started on request at compile time and
-        // published in the testbed's directory on its first tick.
+        // TCP sensors, a process sensor per `process=` of the host and an
+        // SNMP sensor per `snmp=` router, all at `every=`, started on
+        // request at compile time (the host sensors by port traffic under
+        // `port=`) and published in the testbed's directory on its first
+        // tick.
         let mut sensors = Vec::new();
         for s in &spec.sensors {
             host_id(&s.host)?;
@@ -539,18 +683,47 @@ impl ScenarioEngine {
                     s.host, s.via
                 )));
             }
-            let mut config = ManagerConfig::empty(&s.host, &s.via);
-            for template in [
+            if let Some(r) = s
+                .snmp
+                .iter()
+                .find(|r| !spec.routers.iter().any(|d| d.name == **r))
+            {
+                return Err(EngineError::Compile(format!(
+                    "sensors on `{}` poll unknown router `{r}`",
+                    s.host
+                )));
+            }
+            let host_policy = match s.port {
+                Some(port) => RunPolicy::PortTriggered {
+                    port,
+                    idle_secs: PORT_IDLE_SECS,
+                },
+                None => RunPolicy::OnRequest,
+            };
+            let host_sensors = [
                 SensorTemplate::Cpu,
                 SensorTemplate::Memory,
                 SensorTemplate::Tcp,
-            ] {
-                config.sensors.push(SensorConfigEntry {
-                    template,
-                    frequency_secs: s.every_us.max(spec.tick_us) as f64 / 1e6,
-                    policy: RunPolicy::OnRequest,
-                });
-            }
+            ];
+            let processes = (spec.hosts.iter())
+                .filter(|h| h.name == s.host)
+                .flat_map(|h| &h.processes)
+                .map(|p| SensorTemplate::Process { process: p.clone() });
+            let routers = (s.snmp.iter()).map(|r| SensorTemplate::Snmp { device: r.clone() });
+            let entry = |template, policy| SensorConfigEntry {
+                template,
+                frequency_secs: s.every_us.max(spec.tick_us) as f64 / 1e6,
+                policy,
+            };
+            let mut config = ManagerConfig::empty(&s.host, &s.via);
+            config.sensors = (host_sensors.into_iter())
+                .map(|t| entry(t, host_policy.clone()))
+                .chain(
+                    processes
+                        .chain(routers)
+                        .map(|t| entry(t, RunPolicy::OnRequest)),
+                )
+                .collect();
             // Deterministic jitter stream: the spec seed folded with the
             // host name, so runs of the same spec replay byte-identically.
             let breaker = s.backoff_us.map(|base| {
@@ -593,6 +766,8 @@ impl ScenarioEngine {
             archivers,
             sensors,
             flows,
+            players,
+            recoveries,
             partition: None,
             crashed: Vec::new(),
             saved_bw: Vec::new(),
@@ -670,8 +845,9 @@ impl ScenarioEngine {
                 continue;
             }
             let stats = NetworkSource::new(&self.net);
+            let ports = PortTraffic(&self.net);
             s.manager
-                .tick(ts, &stats, &NoPortActivity, &s.sink, Some(&self.directory));
+                .tick(ts, &stats, &ports, &s.sink, Some(&self.directory));
             let flushed = s
                 .sink
                 .flush(now, || self.route_gateway(&s.host, &s.config.gateway));
@@ -765,15 +941,46 @@ impl ScenarioEngine {
         }
     }
 
+    /// Can `host` reach every gateway in `via`?
+    fn reaches_all(&self, host: &str, via: &[String]) -> bool {
+        via.iter().all(|gw| self.gateway_for(host, gw).is_some())
+    }
+
+    /// Archivers drain their subscriptions and, once per simulated
+    /// second, publish their catalog in the directory.
     fn poll_archivers(&mut self) {
+        let new_second = self.net.clock().now_us().is_multiple_of(1_000_000);
+        let ts = self.net.clock().timestamp();
         for i in 0..self.archivers.len() {
             let a = &self.archivers[i];
-            if a.via
-                .iter()
-                .all(|gw| self.gateway_for(&a.host, gw).is_some())
-            {
-                self.archivers[i].agent.poll();
+            if self.reaches_all(&a.host, &a.via) {
+                let agent = &mut self.archivers[i].agent;
+                agent.poll();
+                if new_second {
+                    agent.publish_catalog(&self.directory, ts);
+                }
             }
+        }
+    }
+
+    /// Recovery administrators act on process deaths: each restart the
+    /// process monitor triggers is applied to the simulated host.
+    fn poll_recoveries(&mut self) {
+        for i in 0..self.recoveries.len() {
+            let r = &self.recoveries[i];
+            if !self.reaches_all(&r.host, &r.via) {
+                continue;
+            }
+            let r = &mut self.recoveries[i];
+            for action in r.monitor.poll() {
+                if action.action != RecoveryAction::Restart {
+                    continue;
+                }
+                if let Some(id) = self.net.host_by_name(&action.host) {
+                    self.net.host_mut(id).restart_process(&action.process);
+                }
+            }
+            r.overview.poll();
         }
     }
 
@@ -806,8 +1013,8 @@ impl ScenarioEngine {
     }
 
     /// Advance one simulated tick: apply due faults, tick the sensor
-    /// managers, step the network, drain consumers and the self-lifeline
-    /// stream.
+    /// managers, step the network and the application, drain consumers
+    /// and the self-lifeline stream.
     pub fn step(&mut self) {
         self.clock_cell
             .store(self.net.clock().timestamp().as_micros(), Ordering::Relaxed);
@@ -817,21 +1024,100 @@ impl ScenarioEngine {
         }
         self.tick_sensors();
         self.net.step();
+        for p in &mut self.players {
+            p.player.tick(&mut self.net, &mut p.dpss, &mut p.trace);
+        }
         self.clock_cell
             .store(self.net.clock().timestamp().as_micros(), Ordering::Relaxed);
         self.drain_subscribers();
         self.poll_readers();
         self.poll_archivers();
+        self.poll_recoveries();
         self.self_events.extend(self.self_sub.drain());
         self.sample_second();
     }
 
-    /// Run the scenario to its declared duration and produce the report.
-    pub fn run(mut self) -> ScenarioReport {
-        while self.net.clock().now_us() < self.spec.duration_us {
+    /// Step until the simulated clock reaches `at_us`.
+    pub fn run_until(&mut self, at_us: u64) {
+        while self.net.clock().now_us() < at_us {
             self.step();
         }
+    }
+
+    /// Run the scenario to its declared duration and produce the report.
+    pub fn run(mut self) -> ScenarioReport {
+        self.run_until(self.spec.duration_us);
         self.finish()
+    }
+
+    /// The simulated network.
+    pub fn net(&self) -> &Network {
+        &self.net
+    }
+
+    /// The testbed's directory: gateways, sensors, archive catalogs.
+    pub fn directory(&self) -> &Arc<DirectoryServer> {
+        &self.directory
+    }
+
+    /// A declared gateway.
+    pub fn gateway(&self, name: &str) -> Option<&Arc<EventGateway>> {
+        self.gateways.iter().find(|g| g.name == name).map(|g| &g.gw)
+    }
+
+    /// A declared archiver's archive.
+    pub fn archive(&self, name: &str) -> Option<&Arc<EventArchive>> {
+        (self.archivers.iter())
+            .find(|a| a.name == name)
+            .map(|a| a.agent.archive())
+    }
+
+    /// The application of the `player` line on `host`.
+    pub fn player(&self, host: &str) -> Option<&Player> {
+        self.players.iter().find(|p| p.host == host)
+    }
+
+    /// A declared recovery administrator.
+    pub fn recovery(&self, name: &str) -> Option<&Recovery> {
+        self.recoveries.iter().find(|r| r.name == name)
+    }
+
+    /// Events published to the gateways so far.
+    pub fn published(&self) -> u64 {
+        self.published
+    }
+
+    /// Every event the subscribers have drained so far.
+    pub fn drained(&self) -> impl Iterator<Item = &SharedEvent> {
+        (self.subscribers.iter())
+            .flat_map(|s| &s.collectors)
+            .flat_map(|(_, c)| c.events())
+    }
+
+    /// Mean rate at which the players' DPSS delivered data so far,
+    /// Mbit/s.
+    pub fn application_mbps(&self) -> f64 {
+        let elapsed_us = self.net.clock().now_us();
+        if elapsed_us == 0 {
+            return 0.0;
+        }
+        let bytes: u64 = (self.players.iter())
+            .flat_map(|p| p.dpss.servers())
+            .map(|s| s.bytes_served)
+            .sum();
+        bytes as f64 * 8.0 / (elapsed_us as f64 / 1e6) / 1e6
+    }
+
+    /// The log NetLogger analysis reads: the application's trace and
+    /// every drained monitoring event, time-ordered.
+    pub fn merged_log(&self) -> Vec<Event> {
+        let mut all: Vec<Event> = (self.players.iter())
+            .flat_map(|p| p.trace.events())
+            .cloned()
+            .collect();
+        all.extend(self.drained().map(|e| (**e).clone()));
+        all.sort_by_key(|e| e.timestamp);
+        all
     }
 
     fn finish(mut self) -> ScenarioReport {
@@ -960,7 +1246,8 @@ at 5ms sensor b.lbl.gov stop
     fn expected(b_status: &str) -> Vec<(String, String, String)> {
         let mut rows = Vec::new();
         for (host, status) in [("a.lbl.gov", "running"), ("b.lbl.gov", b_status)] {
-            for sensor in ["cpu", "memory", "tcp"] {
+            // The host's `process=worker` adds a process sensor.
+            for sensor in ["cpu", "memory", "process-worker", "tcp"] {
                 rows.push((host.into(), sensor.into(), status.into()));
             }
         }

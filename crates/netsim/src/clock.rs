@@ -9,6 +9,9 @@ use jamm_ulm::Timestamp;
 /// Default tick length: 1 millisecond.
 pub const DEFAULT_TICK_US: u64 = 1_000;
 
+/// The MATISSE demo date, 2000-05-15 12:00 UTC.
+const MATISSE_EPOCH: Timestamp = Timestamp::from_micros(958_392_000_000_000);
+
 /// The simulation clock: current simulated time plus the tick length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimClock {
@@ -26,7 +29,7 @@ impl SimClock {
     pub fn matisse() -> Self {
         SimClock {
             now_us: 0,
-            epoch: Timestamp::parse_ulm_date("20000515120000.000000").expect("valid epoch"),
+            epoch: MATISSE_EPOCH,
             tick_us: DEFAULT_TICK_US,
         }
     }

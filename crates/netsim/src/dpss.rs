@@ -170,11 +170,11 @@ impl DpssCluster {
 
         for server in &mut self.servers {
             // Disk reads that completed become TCP payload.
-            while let Some(block) = server.disk_queue.front() {
+            while let Some(block) = server.disk_queue.pop_front() {
                 if block.ready_at_us > now {
+                    server.disk_queue.push_front(block);
                     break;
                 }
-                let block = server.disk_queue.pop_front().expect("front checked");
                 trace.record(
                     Event::builder("dpss_block_server", server.host_name.clone())
                         .level(Level::Usage)

@@ -19,11 +19,13 @@
 //!   System) and its client;
 //! * [`player`] — the MEMS video frame player from the MATISSE demo;
 //! * [`iperf`] — the memory-to-memory throughput test used in §6;
-//! * [`scenario`] — canned topologies: the MATISSE WAN testbed and a LAN
-//!   variant, plus a generic monitored cluster;
+//! * [`scenario`] — the MATISSE WAN testbed and its LAN variant as spec
+//!   text, compiled to a topology for the §6 iperf comparison (the
+//!   MATISSE application and its monitoring run as a `jamm::testbed`
+//!   spec);
 //! * [`spec`] — the declarative scenario grammar: a parsed
-//!   [`spec::ScenarioSpec`] (topology + monitoring deployment + fault
-//!   timeline) and [`spec::compile_topology`], which builds its hosts,
+//!   [`spec::ScenarioSpec`] (topology + application + monitoring
+//!   deployment + fault timeline) and [`spec::compile_topology`], which builds its hosts,
 //!   links and routers.  The runtime that drives real JAMM components
 //!   through a spec lives above this crate, in the `jamm` facade's
 //!   `testbed` module: this crate depends on no JAMM crate but
@@ -34,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod clock;
 pub mod dpss;
@@ -60,6 +63,6 @@ pub mod prelude {
     pub use crate::host::{Host, HostId, HostSpec};
     pub use crate::link::{Link, LinkId, LinkSpec};
     pub use crate::network::{FlowId, Network};
-    pub use crate::scenario::{self, MatisseScenario};
+    pub use crate::scenario;
     pub use crate::trace::TraceLog;
 }

@@ -1,10 +1,11 @@
 //! The declarative scenario format.
 //!
 //! A scenario is a small line-oriented text file: a topology (hosts,
-//! links, routers, TCP flows), a monitoring deployment (gateways,
-//! subscribers, an archiver, per-host sensors), and a **fault timeline**
-//! of `at <time> ...` entries applied deterministically at simulated
-//! ticks.  The format is std-only — no external parser — in the same
+//! links, routers, TCP flows), the monitored application (a MATISSE frame
+//! player over DPSS flows), a monitoring deployment (gateways,
+//! subscribers, archivers, per-host sensors, a process-recovery
+//! administrator), and a **fault timeline** of `at <time> ...` entries
+//! applied deterministically at simulated ticks.  The format is std-only — no external parser — in the same
 //! spirit as `jamm_core::query::Predicate`: parse errors carry the byte
 //! position and a reason, and every spec re-renders canonically through
 //! [`std::fmt::Display`] such that parse → render → parse round-trips.
@@ -26,6 +27,17 @@
 //!
 //! at 10s subscriber viz stall 80ms
 //! at 20s subscriber viz resume
+//! ```
+//!
+//! The paper's two deployments (`jamm::testbed::matisse` and
+//! `jamm::testbed::farm` render them) use five more forms:
+//!
+//! ```text
+//! player mems.cairn.net flows=dpss1-data,dpss2-data frame=1500000 frames=5
+//! sensors dpss1.lbl.gov every=1s via=gw-lbl port=7000 snmp=lbl-border-router
+//! archiver keeper on dpss1.lbl.gov via=gw-lbl query=(level>=warning)
+//! recovery admin on ops.farm.lbl.gov via=gw0 process=worker
+//! at 3s process node001.farm.lbl.gov kill worker
 //! ```
 
 use std::fmt;
@@ -78,7 +90,8 @@ pub struct HostDecl {
     pub rcv_buffer_bytes: Option<u64>,
     /// Driver loss probability per extra concurrent socket.
     pub multi_socket_loss: Option<f64>,
-    /// Processes registered on the host (`process=` repeats).
+    /// Processes registered on the host (`process=` repeats).  A host
+    /// with a `sensors` line also runs a process sensor for each.
     pub processes: Vec<String>,
 }
 
@@ -109,7 +122,8 @@ pub struct RouterDecl {
 
 /// A TCP flow declaration (`flow <name> <src> -> <dst> port=<p>
 /// window=<size> via=<l1>,... [bytes=<size>]`).  Without `bytes=` the
-/// flow is an unlimited bulk stream.
+/// flow is an unlimited bulk stream, unless a `player` names it: then it
+/// opens idle and carries only the blocks the player's DPSS serves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowDecl {
     /// Flow name.
@@ -225,7 +239,9 @@ pub struct ReaderDecl {
     pub every_us: u64,
 }
 
-/// An archiver agent (`archiver <name> on <host> via=<gw>,...`).
+/// An archiver agent (`archiver <name> on <host> via=<gw>,...
+/// [query=<predicate>]`).  It publishes its catalog in the testbed's
+/// directory once per simulated second.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchiverDecl {
     /// Archiver consumer principal.
@@ -234,15 +250,55 @@ pub struct ArchiverDecl {
     pub host: String,
     /// Gateways it subscribes to.
     pub via: Vec<String>,
+    /// Subscription filter, in the readers' predicate grammar (`None`
+    /// archives everything).
+    pub query: Option<String>,
+}
+
+/// The monitored application (`player <host> flows=<f>,... frame=<size>
+/// [frames=<n>]`): a MATISSE frame player on `host` pulling frames from
+/// a DPSS whose block servers are the sources of the named flows.  It
+/// ticks right after the network each step and keeps its own NetLogger
+/// trace.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlayerDecl {
+    /// Host the player runs on (every named flow ends here).
+    pub host: String,
+    /// The DPSS data flows, one per block server.
+    pub flows: Vec<String>,
+    /// Frame size, bytes.
+    pub frame_bytes: u64,
+    /// Frames to fetch before going idle (0 = unlimited).
+    pub max_frames: u64,
+}
+
+/// A farm administrator (`recovery <name> on <host> via=<gw>,...
+/// process=<p>`): a process monitor that restarts `p` wherever a process
+/// sensor reports it dead, and an overview monitor that alerts once `p`
+/// is down on every host that declares it (§1.1).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecoveryDecl {
+    /// Consumer principal of both monitors.
+    pub name: String,
+    /// Host the administrator runs on.
+    pub host: String,
+    /// Gateways it subscribes to.
+    pub via: Vec<String>,
+    /// The watched process.
+    pub process: String,
 }
 
 /// Per-host sensors (`sensors <host> every=<dur> via=<gw>
-/// [backoff=<dur>] [summaries=<n>]`).
+/// [backoff=<dur>] [summaries=<n>] [port=<n>] [snmp=<router>,...]`).
 ///
 /// The testbed runs a sensor manager on the host with CPU, memory and
-/// TCP sensors sampling at the given period, publishing through the
-/// named gateway (failing over via the directory when it is down or
-/// partitioned away).  With `backoff=` the host's publisher carries a
+/// TCP sensors, a process sensor per `process=` of the host's
+/// declaration and an SNMP sensor per `snmp=` router (§2.2's remote
+/// network sensors), all sampling at the given period and publishing
+/// through the named gateway (failing over via the directory when it is
+/// down or partitioned away).  With `port=` the CPU, memory and TCP
+/// sensors run only while the port monitor sees traffic to the host on
+/// that port (the paper's on-demand monitoring).  With `backoff=` the host's publisher carries a
 /// circuit breaker: after a failed routing attempt it stops probing for
 /// a jittered exponential delay (base `backoff`, capped at 8x),
 /// buffering locally, instead of re-resolving the directory on every
@@ -264,6 +320,10 @@ pub struct SensorDecl {
     /// Emit a summary event every n-th publishing tick (`None` = raw
     /// readings only).
     pub summary_every: Option<u64>,
+    /// Port whose traffic triggers the host sensors (`None` = always on).
+    pub port: Option<u16>,
+    /// Routers this host's manager polls over SNMP.
+    pub snmp: Vec<String>,
 }
 
 /// One fault-timeline entry: apply `fault` once the simulated clock
@@ -349,6 +409,13 @@ pub enum Fault {
         /// Gateway to publish the replayed events through.
         via: String,
     },
+    /// `process <host> kill <name>` — one process on the host dies.
+    ProcessKill {
+        /// Host name.
+        host: String,
+        /// Process name.
+        process: String,
+    },
 }
 
 /// A parsed scenario: topology + monitoring deployment + fault timeline.
@@ -386,6 +453,10 @@ pub struct ScenarioSpec {
     pub archivers: Vec<ArchiverDecl>,
     /// Per-host sensors.
     pub sensors: Vec<SensorDecl>,
+    /// The monitored application.
+    pub players: Vec<PlayerDecl>,
+    /// Process-recovery administrators.
+    pub recoveries: Vec<RecoveryDecl>,
     /// The fault timeline, kept in declaration order (the injector sorts
     /// stably by time).
     pub timeline: Vec<TimelineEntry>,
@@ -408,6 +479,8 @@ impl Default for ScenarioSpec {
             readers: Vec::new(),
             archivers: Vec::new(),
             sensors: Vec::new(),
+            players: Vec::new(),
+            recoveries: Vec::new(),
             timeline: Vec::new(),
         }
     }
@@ -444,6 +517,8 @@ impl ScenarioSpec {
                 "readers" => spec.readers.push(parse_readers(&mut p)?),
                 "archiver" => spec.archivers.push(parse_archiver(&mut p)?),
                 "sensors" => spec.sensors.push(parse_sensors(&mut p)?),
+                "player" => spec.players.push(parse_player(&mut p)?),
+                "recovery" => spec.recoveries.push(parse_recovery(&mut p)?),
                 "at" => spec.timeline.push(parse_timeline(&mut p)?),
                 other => {
                     return Err(SpecError {
@@ -699,11 +774,17 @@ fn parse_readers(p: &mut LineParser<'_>) -> Result<ReaderDecl, SpecError> {
 fn parse_archiver(p: &mut LineParser<'_>) -> Result<ArchiverDecl, SpecError> {
     let name = p.required("archiver name")?.0.to_string();
     let host = parse_on(p, "archiver")?;
-    let mut via = Vec::new();
+    let mut a = ArchiverDecl {
+        name,
+        host,
+        via: Vec::new(),
+        query: None,
+    };
     while let Some((tok, pos)) = p.next_token() {
         let (key, value) = split_attr(tok, pos)?;
         match key {
-            "via" => via = split_list(value),
+            "via" => a.via = split_list(value),
+            "query" => a.query = Some(value.to_string()),
             other => {
                 return Err(SpecError {
                     pos,
@@ -712,7 +793,73 @@ fn parse_archiver(p: &mut LineParser<'_>) -> Result<ArchiverDecl, SpecError> {
             }
         }
     }
-    Ok(ArchiverDecl { name, host, via })
+    Ok(a)
+}
+
+fn parse_player(p: &mut LineParser<'_>) -> Result<PlayerDecl, SpecError> {
+    let (host, hpos) = p.required("host name")?;
+    let mut d = PlayerDecl {
+        host: host.to_string(),
+        flows: Vec::new(),
+        frame_bytes: 0,
+        max_frames: 0,
+    };
+    while let Some((tok, pos)) = p.next_token() {
+        let (key, value) = split_attr(tok, pos)?;
+        match key {
+            "flows" => d.flows = split_list(value),
+            "frame" => d.frame_bytes = parse_size(value, pos)?,
+            "frames" => d.max_frames = parse_u64(value, pos)?,
+            other => {
+                return Err(SpecError {
+                    pos,
+                    reason: format!("unknown player attribute `{other}`"),
+                })
+            }
+        }
+    }
+    if d.flows.is_empty() || d.frame_bytes == 0 {
+        return Err(SpecError {
+            pos: hpos,
+            reason: format!("player on `{}` needs flows=<f,..> and frame=<size>", d.host),
+        });
+    }
+    Ok(d)
+}
+
+fn parse_recovery(p: &mut LineParser<'_>) -> Result<RecoveryDecl, SpecError> {
+    let (name, npos) = p.required("recovery name")?;
+    let name = name.to_string();
+    let host = parse_on(p, "recovery")?;
+    let mut r = RecoveryDecl {
+        name,
+        host,
+        via: Vec::new(),
+        process: String::new(),
+    };
+    while let Some((tok, pos)) = p.next_token() {
+        let (key, value) = split_attr(tok, pos)?;
+        match key {
+            "via" => r.via = split_list(value),
+            "process" => r.process = value.to_string(),
+            other => {
+                return Err(SpecError {
+                    pos,
+                    reason: format!("unknown recovery attribute `{other}`"),
+                })
+            }
+        }
+    }
+    if r.via.is_empty() || r.process.is_empty() {
+        return Err(SpecError {
+            pos: npos,
+            reason: format!(
+                "recovery `{}` needs via=<gateway,..> and process=<name>",
+                r.name
+            ),
+        });
+    }
+    Ok(r)
 }
 
 fn parse_sensors(p: &mut LineParser<'_>) -> Result<SensorDecl, SpecError> {
@@ -723,6 +870,8 @@ fn parse_sensors(p: &mut LineParser<'_>) -> Result<SensorDecl, SpecError> {
         via: String::new(),
         backoff_us: None,
         summary_every: None,
+        port: None,
+        snmp: Vec::new(),
     };
     while let Some((tok, pos)) = p.next_token() {
         let (key, value) = split_attr(tok, pos)?;
@@ -731,6 +880,8 @@ fn parse_sensors(p: &mut LineParser<'_>) -> Result<SensorDecl, SpecError> {
             "via" => s.via = value.to_string(),
             "backoff" => s.backoff_us = Some(parse_duration(value, pos)?),
             "summaries" => s.summary_every = Some(parse_u64(value, pos)?),
+            "port" => s.port = Some(parse_u64(value, pos)? as u16),
+            "snmp" => s.snmp = split_list(value),
             other => {
                 return Err(SpecError {
                     pos,
@@ -854,6 +1005,20 @@ fn parse_timeline(p: &mut LineParser<'_>) -> Result<TimelineEntry, SpecError> {
             Fault::Replay {
                 archiver,
                 via: p.required("gateway name")?.0.to_string(),
+            }
+        }
+        "process" => {
+            let host = p.required("host name")?.0.to_string();
+            let (verb, vpos) = p.required("kill")?;
+            if verb != "kill" {
+                return Err(SpecError {
+                    pos: vpos,
+                    reason: format!("unknown process fault `{verb}`"),
+                });
+            }
+            Fault::ProcessKill {
+                host,
+                process: p.required("process name")?.0.to_string(),
             }
         }
         other => {
@@ -1174,13 +1339,17 @@ impl fmt::Display for ScenarioSpec {
             )?;
         }
         for a in &self.archivers {
-            writeln!(
+            write!(
                 f,
                 "archiver {} on {} via={}",
                 a.name,
                 a.host,
                 a.via.join(",")
             )?;
+            if let Some(q) = &a.query {
+                write!(f, " query={q}")?;
+            }
+            writeln!(f)?;
         }
         for s in &self.sensors {
             write!(
@@ -1196,7 +1365,36 @@ impl fmt::Display for ScenarioSpec {
             if let Some(n) = s.summary_every {
                 write!(f, " summaries={n}")?;
             }
+            if let Some(port) = s.port {
+                write!(f, " port={port}")?;
+            }
+            if !s.snmp.is_empty() {
+                write!(f, " snmp={}", s.snmp.join(","))?;
+            }
             writeln!(f)?;
+        }
+        for pl in &self.players {
+            write!(
+                f,
+                "player {} flows={} frame={}",
+                pl.host,
+                pl.flows.join(","),
+                fmt_size(pl.frame_bytes)
+            )?;
+            if pl.max_frames > 0 {
+                write!(f, " frames={}", pl.max_frames)?;
+            }
+            writeln!(f)?;
+        }
+        for r in &self.recoveries {
+            writeln!(
+                f,
+                "recovery {} on {} via={} process={}",
+                r.name,
+                r.host,
+                r.via.join(","),
+                r.process
+            )?;
         }
         for entry in &self.timeline {
             write!(f, "at {} ", fmt_dur(entry.at_us))?;
@@ -1226,6 +1424,9 @@ impl fmt::Display for ScenarioSpec {
                     writeln!(f, "sensor {host} period {}", fmt_dur(*every_us))?
                 }
                 Fault::Replay { archiver, via } => writeln!(f, "replay {archiver} via {via}")?,
+                Fault::ProcessKill { host, process } => {
+                    writeln!(f, "process {host} kill {process}")?
+                }
             }
         }
         Ok(())
@@ -1384,8 +1585,11 @@ gateway gw2 on b.isi.edu qos=on retier=64 lag-enter=0.25 lag-exit=0.1 shed-enter
 subscriber viz on b.isi.edu via=gw drain=2ms capacity=512 cpu-of=b.isi.edu
 readers dash on b.isi.edu n=32 via=gw query=(&(type=CPU_TOTAL)(host=a.lbl.gov)) every=250ms
 archiver arch on a.lbl.gov via=gw
-sensors a.lbl.gov every=100ms via=gw
+archiver keeper on a.lbl.gov via=gw,gw2 query=(level>=warning)
+sensors a.lbl.gov every=100ms via=gw port=7000 snmp=core
 sensors b.isi.edu every=100ms via=gw2 backoff=500ms summaries=10
+player b.isi.edu flows=bulk frame=1500000 frames=5
+recovery admin on a.lbl.gov via=gw,gw2 process=worker
 at 12s link wan degrade 30mbit
 at 20s host b.isi.edu crash
 at 25s host b.isi.edu recover
@@ -1397,6 +1601,7 @@ at 42s sensor a.lbl.gov stop
 at 43s sensor a.lbl.gov start
 at 44s sensor * period 10ms
 at 45s replay arch via gw
+at 46s process a.lbl.gov kill worker
 ";
 
     #[test]
@@ -1420,7 +1625,24 @@ at 45s replay arch via gw
         assert_eq!(spec.readers[0].count, 32);
         assert_eq!(spec.readers[0].query, "(&(type=CPU_TOTAL)(host=a.lbl.gov))");
         assert_eq!(spec.readers[0].every_us, 250_000);
-        assert_eq!(spec.timeline.len(), 11);
+        assert_eq!(spec.sensors[0].port, Some(7000));
+        assert_eq!(spec.sensors[0].snmp, vec!["core".to_string()]);
+        assert_eq!(spec.sensors[1].port, None);
+        assert_eq!(spec.archivers[0].query, None);
+        assert_eq!(spec.archivers[1].query.as_deref(), Some("(level>=warning)"));
+        let player = &spec.players[0];
+        assert_eq!(player.flows, vec!["bulk".to_string()]);
+        assert_eq!((player.frame_bytes, player.max_frames), (1_500_000, 5));
+        assert_eq!(spec.recoveries[0].via.len(), 2);
+        assert_eq!(spec.recoveries[0].process, "worker");
+        assert_eq!(spec.timeline.len(), 12);
+        assert_eq!(
+            spec.timeline[11].fault,
+            Fault::ProcessKill {
+                host: "a.lbl.gov".into(),
+                process: "worker".into()
+            }
+        );
         let rendered = spec.to_string();
         let again = ScenarioSpec::parse(&rendered).expect("round-trip parses");
         assert_eq!(spec, again);
@@ -1428,10 +1650,18 @@ at 45s replay arch via gw
 
     #[test]
     fn unknown_directive_reports_byte_position() {
-        let input = "scenario x\nfrobnicate y\n";
-        let err = ScenarioSpec::parse(input).unwrap_err();
-        assert_eq!(err.pos, input.find("frobnicate").unwrap());
-        assert!(err.reason.contains("frobnicate"), "{}", err.reason);
+        for input in [
+            "scenario x\nfrobnicate y\n",
+            "player h flows=f frame=1m frames=2\nfrobnicate y\n",
+            "recovery r on h via=gw process=p\nfrobnicate y\n",
+            "sensors h every=1s via=gw port=80 snmp=r1,r2\nfrobnicate y\n",
+            "archiver a on h via=gw query=(level>=error)\nfrobnicate y\n",
+            "at 1s process h kill p\nfrobnicate y\n",
+        ] {
+            let err = ScenarioSpec::parse(input).unwrap_err();
+            assert_eq!(err.pos, input.find("frobnicate").unwrap(), "{input}");
+            assert!(err.reason.contains("frobnicate"), "{}", err.reason);
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use jamm_core::check::{forall, Gen};
 use jamm_netsim::spec::{
-    Fault, FlowDecl, GatewayDecl, HostDecl, LinkDecl, QosDecl, RouterDecl, ScenarioSpec,
-    SensorDecl, SubscriberDecl, TimelineEntry,
+    ArchiverDecl, Fault, FlowDecl, GatewayDecl, HostDecl, LinkDecl, PlayerDecl, QosDecl,
+    RecoveryDecl, RouterDecl, ScenarioSpec, SensorDecl, SubscriberDecl, TimelineEntry,
 };
 
 fn name(g: &mut Gen, prefix: &str, i: usize) -> String {
@@ -128,20 +128,63 @@ fn gen_spec(g: &mut Gen) -> ScenarioSpec {
                 cpu_of: g.bool(0.3).then(|| pick(g, &hosts)),
             });
         }
+        let routers: Vec<String> = spec.routers.iter().map(|r| r.name.clone()).collect();
         for _ in 0..g.usize_in(0, 2) {
+            let snmp = if routers.is_empty() || g.bool(0.5) {
+                Vec::new()
+            } else {
+                (0..g.usize_in(1, 2)).map(|_| pick(g, &routers)).collect()
+            };
             spec.sensors.push(SensorDecl {
                 host: pick(g, &hosts),
                 every_us: g.rng().gen_range(1u64..5_000) * 1_000,
                 via: pick(g, &gws),
                 backoff_us: g.bool(0.4).then(|| g.rng().gen_range(1u64..2_000) * 1_000),
                 summary_every: g.bool(0.4).then(|| g.rng().gen_range(1u64..64)),
+                port: g.bool(0.4).then(|| g.rng().gen_range(1u64..65_535) as u16),
+                snmp,
             });
         }
+        for i in 0..g.usize_in(0, 2) {
+            // Query text is whitespace-free, as the grammar requires.
+            let query = match g.usize_in(0, 2) {
+                0 => None,
+                1 => Some("(level>=warning)".to_string()),
+                _ => Some(format!("(&(type=CPU_TOTAL)(host={}))", pick(g, &hosts))),
+            };
+            spec.archivers.push(ArchiverDecl {
+                name: name(g, "arch", i),
+                host: pick(g, &hosts),
+                via: (0..g.usize_in(1, gws.len()))
+                    .map(|_| pick(g, &gws))
+                    .collect(),
+                query,
+            });
+        }
+        if g.bool(0.3) {
+            spec.recoveries.push(RecoveryDecl {
+                name: name(g, "admin", 0),
+                host: pick(g, &hosts),
+                via: (0..g.usize_in(1, gws.len()))
+                    .map(|_| pick(g, &gws))
+                    .collect(),
+                process: name(g, "proc", 0),
+            });
+        }
+    }
+    if !spec.flows.is_empty() && g.bool(0.4) {
+        let flows: Vec<String> = spec.flows.iter().map(|f| f.name.clone()).collect();
+        spec.players.push(PlayerDecl {
+            host: pick(g, &hosts),
+            flows: (0..g.usize_in(1, 3)).map(|_| pick(g, &flows)).collect(),
+            frame_bytes: g.rng().gen_range(1u64..4_000_000),
+            max_frames: g.rng().gen_range(0u64..20),
+        });
     }
     let subs: Vec<String> = spec.subscribers.iter().map(|s| s.name.clone()).collect();
     for _ in 0..g.usize_in(0, 6) {
         let at_us = g.rng().gen_range(0u64..200) * 500_000;
-        let fault = match g.usize_in(0, 8) {
+        let fault = match g.usize_in(0, 9) {
             0 => Fault::LinkDegrade {
                 link: pick(g, &links),
                 bandwidth_bps: g.rng().gen_range(1u64..1_000) * 1_000_000,
@@ -170,6 +213,10 @@ fn gen_spec(g: &mut Gen) -> ScenarioSpec {
             7 if !subs.is_empty() => Fault::SubscriberStall {
                 name: pick(g, &subs),
                 period_us: g.rng().gen_range(1u64..200) * 1_000,
+            },
+            8 => Fault::ProcessKill {
+                host: pick(g, &hosts),
+                process: name(g, "proc", 0),
             },
             _ => Fault::SensorStop {
                 host: pick(g, &hosts),

@@ -23,6 +23,7 @@
 //! Linux host ([`live::ProcSource`] parses `/proc`).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod application;

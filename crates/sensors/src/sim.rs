@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn sensors_sample_the_matisse_topology() {
-        let topo = matisse_topology(true, 4, 9);
+        let topo = matisse_topology(true, 4, 9).unwrap();
         let mut net = topo.net;
         // Drive some traffic so the sensors have something to report.
         let f = net.open_flow(
@@ -127,13 +127,13 @@ mod tests {
             .any(|e| e.event_type == "VMSTAT_SYS_TIME" && e.value().unwrap_or(0.0) > 0.0));
         assert!(events.iter().any(|e| e.event_type == "PROC_STARTED"));
         // Sanity: iperf on the same topology still behaves (module linkage).
-        let r = matisse_iperf(false, 1, 1.0, 2);
+        let r = matisse_iperf(false, 1, 1.0, 2).unwrap();
         assert!(r.aggregate_mbps > 0.0);
     }
 
     #[test]
     fn router_interfaces_visible() {
-        let topo = matisse_topology(true, 2, 3);
+        let topo = matisse_topology(true, 2, 3).unwrap();
         let src = NetworkSource::new(&topo.net);
         let ifaces = src.device_interfaces("lbl-border-router");
         assert_eq!(ifaces.len(), 2);
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn process_liveness_via_adapter() {
-        let topo = matisse_topology(true, 1, 3);
+        let topo = matisse_topology(true, 1, 3).unwrap();
         let mut net = topo.net;
         let src = NetworkSource::new(&net);
         assert_eq!(

@@ -7,25 +7,27 @@
 //! bursty frame delivery whose gaps line up with TCP retransmissions and
 //! high system CPU on the receiver.  The run is then repeated with a single
 //! DPSS server (the paper's work-around) to show throughput recovering.
+//! Both runs are the `jamm::testbed::matisse` spec on the scenario engine.
 //!
 //! ```text
 //! cargo run --release --example matisse_demo
 //! ```
 
-use jamm::deployment::{DeploymentConfig, JammDeployment};
+use jamm::testbed::{self, ScenarioEngine};
 use jamm_netlogger::analysis::{correlate_gaps, delivery_gaps};
 use jamm_ulm::keys;
 
-fn run_configuration(dpss_servers: usize, seconds: f64) -> JammDeployment {
-    let mut config = DeploymentConfig::matisse_wan(dpss_servers);
-    config.matisse.seed = 2000;
-    let mut jamm = JammDeployment::matisse(config).expect("static deployment description is valid");
-    jamm.run_secs(seconds);
+fn run_configuration(dpss_servers: usize, seconds: f64) -> ScenarioEngine {
+    let spec =
+        testbed::matisse(true, dpss_servers).expect("static deployment description is valid");
+    let mut jamm = ScenarioEngine::new(spec).expect("static deployment description is valid");
+    jamm.run_until((seconds * 1e6) as u64);
     jamm
 }
 
-fn report(label: &str, jamm: &JammDeployment, seconds: f64) {
-    let player = &jamm.scenario.player;
+fn report(label: &str, jamm: &ScenarioEngine, seconds: f64) {
+    let app = jamm.player("mems.cairn.net").expect("declared player");
+    let player = &app.player;
     let series = player.frame_rate_series((seconds * 1e6) as u64, 1_000_000);
     let rates: Vec<f64> = series.iter().map(|&(_, fps)| fps).collect();
     let min_fps = rates.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -34,7 +36,7 @@ fn report(label: &str, jamm: &JammDeployment, seconds: f64) {
     println!("== {label} ==");
     println!(
         "  aggregate DPSS throughput : {:>6.1} Mbit/s",
-        jamm.scenario.aggregate_mbps()
+        jamm.application_mbps()
     );
     println!(
         "  frames displayed          : {:>6}  (mean {:.1} frames/s, range {:.0}-{:.0})",
@@ -45,7 +47,7 @@ fn report(label: &str, jamm: &JammDeployment, seconds: f64) {
     );
     println!(
         "  TCP retransmissions       : {:>6}",
-        jamm.scenario.client_retransmits()
+        jamm.net().host(player.host).stats().tcp_retransmits
     );
 
     // The Figure 7 analysis: do delivery gaps line up with retransmissions?
@@ -75,7 +77,8 @@ fn main() {
     report("1 DPSS server (the paper's work-around)", &one, seconds);
 
     println!("== Figure 7 (ASCII rendering of the nlv chart, 4-server run) ==\n");
-    print!("{}", four.figure7_chart().render_ascii(100));
+    let chart = testbed::figure7_chart(&four.merged_log());
+    print!("{}", chart.render_ascii(100));
 
     println!("\npaper observation: four sockets collapse WAN throughput (~30 vs ~140 Mbit/s),");
     println!("and the gaps in frame delivery coincide with TCP retransmission bursts on the");

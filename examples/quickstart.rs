@@ -1,10 +1,11 @@
 //! Quickstart: monitor a small Grid application with JAMM.
 //!
-//! Builds the LAN variant of the MATISSE scenario (two DPSS storage servers
-//! streaming video frames to a client), deploys JAMM over it — sensor
-//! managers on every host, site event gateways, the LDAP-like sensor
-//! directory, an event collector and an archiver — runs it for a few
-//! simulated seconds, and prints what the monitoring system saw.
+//! Takes the LAN variant of the MATISSE deployment as a testbed spec
+//! (`jamm::testbed::matisse`: two DPSS storage servers streaming video
+//! frames to a client, with sensor managers on every host, site event
+//! gateways, the LDAP-like sensor directory, an event collector and an
+//! archiver), runs it for a few simulated seconds on the scenario
+//! engine, and prints what the monitoring system saw.
 //!
 //! Run with:
 //!
@@ -12,24 +13,25 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use jamm::deployment::{DeploymentConfig, JammDeployment};
+use jamm::testbed::{self, ScenarioEngine};
 use jamm_directory::{Dn, Filter, Scope};
 
 fn main() {
-    // 1. Configure the deployment: LAN topology, two DPSS servers, archive on.
-    let mut config = DeploymentConfig::matisse_lan(2);
-    config.matisse.player.frame_bytes = 800_000;
-    config.matisse.seed = 42;
-    let mut jamm = JammDeployment::matisse(config).expect("static deployment description is valid");
+    // 1. Take the deployment's spec: LAN topology, two DPSS servers, an
+    //    archiver keeping warnings and errors; adjust frame size and seed.
+    let mut spec = testbed::matisse(false, 2).expect("static deployment description is valid");
+    spec.players[0].frame_bytes = 800_000;
+    spec.seed = 42;
+    let mut jamm = ScenarioEngine::new(spec).expect("static deployment description is valid");
 
     // 2. Run ten simulated seconds of the monitored application.
     println!("running 10 simulated seconds of the monitored application...\n");
-    jamm.run_secs(10.0);
+    jamm.run_until(10_000_000);
 
     // 3. What did the directory end up knowing about?
     println!("== sensor directory ==");
     let sensors = jamm
-        .directory
+        .directory()
         .search(
             &Dn::parse("o=grid").unwrap(),
             Scope::Subtree,
@@ -46,31 +48,26 @@ fn main() {
     }
 
     // 4. Application progress and monitoring volume.
+    let app = jamm.player("mems.cairn.net").expect("declared player");
     println!("\n== summary ==");
     println!(
         "  frames displayed ............ {}",
-        jamm.scenario.player.frames_displayed()
+        app.player.frames_displayed()
     );
+    println!("  application events .......... {}", app.trace.len());
+    println!("  sensor events published ..... {}", jamm.published());
+    println!("  events delivered to consumers {}", jamm.drained().count());
     println!(
-        "  application events .......... {}",
-        jamm.application_event_count()
+        "  events archived ............. {}",
+        jamm.archive("matisse").expect("declared archiver").len()
     );
-    println!(
-        "  sensor events published ..... {}",
-        jamm.events_published()
-    );
-    println!(
-        "  events delivered to consumers {}",
-        jamm.events_delivered()
-    );
-    println!("  events archived ............. {}", jamm.archive.len());
     println!(
         "  DPSS -> client throughput ... {:.1} Mbit/s",
-        jamm.scenario.aggregate_mbps()
+        jamm.application_mbps()
     );
     println!(
         "  TCP retransmissions ......... {}",
-        jamm.scenario.client_retransmits()
+        jamm.net().host(app.player.host).stats().tcp_retransmits
     );
 
     // 5. A peek at the merged NetLogger log (what nlv would consume).

@@ -1,7 +1,7 @@
 //! Integration test of the §6 MATISSE case study: the qualitative results
 //! the paper reports must hold in the reproduction.
 
-use jamm::deployment::{DeploymentConfig, JammDeployment};
+use jamm::testbed::{self, ScenarioEngine};
 use jamm::JammBuilder;
 use jamm_netlogger::analysis::{correlate_gaps, delivery_gaps, diagnose, two_cluster};
 use jamm_netsim::scenario::matisse_iperf;
@@ -11,10 +11,10 @@ use jamm_ulm::keys;
 /// a small fraction of that, and on the LAN both configurations are fine.
 #[test]
 fn iperf_stream_comparison_matches_the_paper_shape() {
-    let wan_one = matisse_iperf(true, 1, 20.0, 42);
-    let wan_four = matisse_iperf(true, 4, 20.0, 42);
-    let lan_one = matisse_iperf(false, 1, 10.0, 42);
-    let lan_four = matisse_iperf(false, 4, 10.0, 42);
+    let wan_one = matisse_iperf(true, 1, 20.0, 42).unwrap();
+    let wan_four = matisse_iperf(true, 4, 20.0, 42).unwrap();
+    let lan_one = matisse_iperf(false, 1, 10.0, 42).unwrap();
+    let lan_four = matisse_iperf(false, 4, 10.0, 42).unwrap();
 
     assert!(
         wan_one.aggregate_mbps > 100.0 && wan_one.aggregate_mbps < 180.0,
@@ -51,17 +51,17 @@ fn iperf_stream_comparison_matches_the_paper_shape() {
 /// and switching to a single server roughly triples throughput.
 #[test]
 fn monitored_matisse_run_reproduces_figure7_correlations() {
-    let mut cfg = DeploymentConfig::matisse_wan(4);
-    cfg.matisse.seed = 2000;
-    let mut four = JammDeployment::matisse(cfg).unwrap();
-    four.run_secs(30.0);
+    let run = |servers: usize| {
+        let mut jamm = ScenarioEngine::new(testbed::matisse(true, servers).unwrap()).unwrap();
+        jamm.run_until(30_000_000);
+        jamm
+    };
+    let four = run(4);
+    let player = four.player("mems.cairn.net").unwrap();
 
+    assert!(player.player.frames_displayed() > 3, "frames arrived");
     assert!(
-        four.scenario.player.frames_displayed() > 3,
-        "frames arrived"
-    );
-    assert!(
-        four.scenario.client_retransmits() > 0,
+        four.net().host(player.player.host).stats().tcp_retransmits > 0,
         "retransmissions occurred"
     );
 
@@ -82,21 +82,18 @@ fn monitored_matisse_run_reproduces_figure7_correlations() {
         );
     }
     // The Figure 7 chart itself assembles: lifelines, CPU loadlines, points.
-    let chart = four.figure7_chart();
+    let chart = testbed::figure7_chart(&log);
     assert!(!chart.lifelines.is_empty());
     assert!(chart.loadlines.iter().any(|l| !l.samples.is_empty()));
     assert!(chart.point_series.iter().any(|p| !p.points.is_empty()));
 
     // Work-around run: a single DPSS server (one socket) performs much better.
-    let mut cfg1 = DeploymentConfig::matisse_wan(1);
-    cfg1.matisse.seed = 2000;
-    let mut one = JammDeployment::matisse(cfg1).unwrap();
-    one.run_secs(30.0);
+    let one = run(1);
     assert!(
-        one.scenario.aggregate_mbps() > 2.0 * four.scenario.aggregate_mbps(),
+        one.application_mbps() > 2.0 * four.application_mbps(),
         "single server restores throughput: {:.1} vs {:.1} Mbit/s",
-        one.scenario.aggregate_mbps(),
-        four.scenario.aggregate_mbps()
+        one.application_mbps(),
+        four.application_mbps()
     );
 }
 
@@ -177,12 +174,13 @@ fn self_monitoring_diagnoses_an_injected_slow_consumer() {
 /// two distinct values (the full 64 KB buffer and the small remainder).
 #[test]
 fn read_sizes_cluster_around_two_values() {
-    let mut cfg = DeploymentConfig::matisse_wan(1);
-    cfg.matisse.seed = 77;
-    let mut jamm = JammDeployment::matisse(cfg).unwrap();
-    jamm.run_secs(25.0);
+    let mut spec = testbed::matisse(true, 1).unwrap();
+    spec.seed = 77;
+    let mut jamm = ScenarioEngine::new(spec).unwrap();
+    jamm.run_until(25_000_000);
     let readings: Vec<f64> = jamm
-        .scenario
+        .player("mems.cairn.net")
+        .unwrap()
         .player
         .read_sizes
         .iter()

@@ -11,7 +11,7 @@
 //! spec file; the determinism test at the bottom asserts that the entire
 //! rendered report is byte-identical across two runs.
 
-use ::jamm::testbed::{ScenarioEngine, ScenarioReport, ScenarioSpec};
+use ::jamm::testbed::{self, ScenarioEngine, ScenarioReport, ScenarioSpec};
 use jamm_ulm::keys::jamm;
 
 fn load(name: &str) -> String {
@@ -225,7 +225,9 @@ fn a_dashboard_pool_reads_views_without_archive_scans() {
 /// Same spec + same seed => byte-identical analyser report.  The whole
 /// pipeline — fluid TCP, fault injection, gateway routing, self-lifeline
 /// timestamps (via the shared TraceClock), the diagnosis text — must be
-/// free of wall-clock and iteration-order nondeterminism.
+/// free of wall-clock and iteration-order nondeterminism.  The paper's
+/// two deployments, rendered by `testbed::matisse` and `testbed::farm`,
+/// run beside the spec files.
 #[test]
 fn same_spec_and_seed_render_byte_identical_reports() {
     let dir = format!("{}/scenarios", env!("CARGO_MANIFEST_DIR"));
@@ -240,5 +242,18 @@ fn same_spec_and_seed_render_byte_identical_reports() {
         let a = run(name).render_text();
         let b = run(name).render_text();
         assert_eq!(a, b, "{name}: scenario runs diverged under a fixed seed");
+    }
+    let deployments = [
+        testbed::matisse(false, 2).expect("renders"),
+        testbed::farm(8, 2).expect("renders"),
+    ];
+    for spec in deployments {
+        let run = || ScenarioEngine::new(spec.clone()).expect("compiles").run();
+        let (a, b) = (run().render_text(), run().render_text());
+        assert_eq!(
+            a, b,
+            "{}: scenario runs diverged under a fixed seed",
+            spec.name
+        );
     }
 }
