@@ -1190,7 +1190,7 @@ fn predicate_aggregate(p: &Predicate) -> Option<AggregateSpec> {
 /// Stateful predicates (on-change, crosses, relative-change) keep their
 /// per-series previous readings inside the plan behind a mutex, so `eval`
 /// takes `&self` and a plan can sit in a routing table evaluated by
-/// parallel delivery workers.  Cloning a plan starts **fresh** stateful
+/// concurrent publishers.  Cloning a plan starts **fresh** stateful
 /// memory (a clone is "the same question asked anew", e.g. a new scan).
 #[derive(Debug)]
 pub struct Plan {
@@ -1907,7 +1907,7 @@ struct AggGroup {
 /// spec's keys, so pushing a record hashes `u32`s; readings feed
 /// count/sum/min/max, and when a rate window is requested each group keeps
 /// its in-window timestamps (pruned as newer records arrive, the
-/// `SummaryEngine` horizon discipline).
+/// horizon discipline of the gateway's summary readings).
 #[derive(Debug)]
 pub struct Aggregator {
     spec: AggregateSpec,

@@ -15,10 +15,9 @@
 //! Every publish form is one body, [`EventGateway::publish_shared_batch`]
 //! (a single event is a batch of one), and it runs on the sharded fan-out
 //! engine in [`crate::routing`]: subscriptions are indexed by event type
-//! across [`GatewayConfig::shards`] routing shards, each shard's table is
-//! an immutable snapshot swapped on the cold path, and delivery
-//! optionally moves to [`GatewayConfig::delivery_workers`] background
-//! threads draining the shards in parallel.
+//! across [`crate::GATEWAY_SHARDS`] routing shards, each shard's table is an
+//! immutable snapshot swapped on the cold path, and delivery runs on the
+//! publisher's thread.
 //!
 //! Consumers subscribe with the fluent [`SubscriptionBuilder`]:
 //!
@@ -40,7 +39,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use jamm_core::channel::{bounded, Receiver, Sender};
+use jamm_core::channel::Receiver;
 use jamm_core::flow::{DeliveryCounters, EventSink, EventSource, OverflowPolicy, SinkError};
 use jamm_core::intern::Sym;
 use jamm_ulm::{keys, Event, SharedEvent, Timestamp};
@@ -49,19 +48,12 @@ use jamm_auth::acl::{AccessControlList, Action};
 use jamm_core::query::{Plan, Predicate};
 
 use crate::qos::{QosConfig, QosRuntime, QosSnapshot, Tier, TierRow};
-use crate::routing::{RouteOutcome, ShardReport, ShardedRouter, DEFAULT_GATEWAY_SHARDS};
+use crate::routing::{ShardReport, ShardedRouter};
 use crate::summary::{SeriesTable, SummaryWindow};
 use crate::{GatewayError, Result};
 
 /// Default bound on a subscription's in-flight event queue.
 pub const DEFAULT_SUBSCRIPTION_CAPACITY: usize = 4_096;
-
-/// Bound on each delivery worker's ingest queue, counted in handoffs (one
-/// per `publish`, one per worker per batched publish).  Publishing blocks
-/// (rather than drops) when a worker falls this far behind, so worker mode
-/// trades bounded publisher back-pressure for parallel fan-out — events
-/// are never lost between the publisher and the router.
-pub const DELIVERY_WORKER_QUEUE_CAPACITY: usize = 8_192;
 
 /// A live streaming subscription handle returned to the consumer.
 ///
@@ -227,19 +219,6 @@ pub struct GatewayConfig {
     /// Access policy; `None` means a completely open gateway (the prototype
     /// default in the paper's current-status section).
     pub acl: Option<AccessControlList>,
-    /// Summary windows the gateway maintains.
-    pub summary_windows: Vec<SummaryWindow>,
-    /// Routing (and summary) shards the fan-out engine is split across.
-    /// More shards mean less contention between publisher threads carrying
-    /// different event types; one shard serializes everything.  Clamped to
-    /// at least 1.
-    pub shards: usize,
-    /// Background delivery-worker threads.  `0` (the default) delivers
-    /// synchronously inside [`EventGateway::publish`]; with `N > 0`
-    /// workers, publish hands the event to the owning shard's worker and
-    /// returns immediately — call [`EventGateway::quiesce`] to wait for
-    /// in-flight deliveries before reading counters.
-    pub delivery_workers: usize,
     /// Self-lifeline tracer: when set, a sampled fraction of published
     /// events is followed through the pipeline with NetLogger-style
     /// trace points (see [`crate::trace::PipelineTracer`]).  The
@@ -247,10 +226,8 @@ pub struct GatewayConfig {
     pub tracer: Option<Arc<crate::trace::PipelineTracer>>,
     /// Delivery QoS plane (see [`crate::qos`]): when set, subscriptions
     /// are classified into drain-rate tiers with per-tier queue budgets,
-    /// the gateway sheds lowest-tier raw events under declared overload,
-    /// and (with worker delivery) each tier gets its own worker pool
-    /// sized by [`QosConfig::workers_per_tier`] — `delivery_workers`
-    /// then only selects worker mode (`> 0`) versus synchronous (`0`).
+    /// and the gateway sheds lowest-tier raw events under declared
+    /// overload.
     pub qos: Option<QosConfig>,
 }
 
@@ -260,9 +237,6 @@ impl GatewayConfig {
         GatewayConfig {
             name: name.into(),
             acl: None,
-            summary_windows: SummaryWindow::all().to_vec(),
-            shards: DEFAULT_GATEWAY_SHARDS,
-            delivery_workers: 0,
             tracer: None,
             qos: None,
         }
@@ -274,18 +248,6 @@ impl GatewayConfig {
             acl: Some(acl),
             ..GatewayConfig::open(name)
         }
-    }
-
-    /// Set the number of routing/summary shards.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Set the number of background delivery workers (0 = synchronous).
-    pub fn with_delivery_workers(mut self, workers: usize) -> Self {
-        self.delivery_workers = workers;
-        self
     }
 
     /// Attach a self-lifeline tracer (see
@@ -338,31 +300,15 @@ pub struct DeliveryReport {
     pub tier: Tier,
 }
 
-/// One background delivery worker: its ingest queue (carrying batches, so
-/// a publish hands a worker all its events in one send) plus the join
-/// handle used for clean shutdown when the gateway is dropped.
-struct DeliveryWorker {
-    tx: Sender<Vec<SharedEvent>>,
-    handle: std::thread::JoinHandle<()>,
-}
-
 /// The JAMM event gateway.
 pub struct EventGateway {
     config: GatewayConfig,
-    router: Arc<ShardedRouter>,
+    router: ShardedRouter,
     /// What the gateway remembers per (host, event type) series: the
     /// query cache and the summary readings under one key.
     series: SeriesTable,
     stats: Arc<GatewayStats>,
     next_id: AtomicU64,
-    workers: Vec<DeliveryWorker>,
-    /// `(offset, len)` spans into `workers`, one per pool: none under
-    /// synchronous delivery, one generic pool without a QoS plane, one
-    /// per tier (in [`Tier::ALL`] order, fast first) with one.
-    pools: Vec<(usize, usize)>,
-    /// Events handed to a worker but not yet routed (see
-    /// [`EventGateway::quiesce`]).
-    in_flight: Arc<AtomicU64>,
     /// The QoS plane shared with the router, when configured.
     qos: Option<Arc<QosRuntime>>,
     /// Publishes since the gateway opened, driving the re-tier cadence.
@@ -375,104 +321,22 @@ impl std::fmt::Debug for EventGateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventGateway")
             .field("name", &self.config.name)
-            .field("shards", &self.router.shard_count())
-            .field("workers", &self.workers.len())
             .field("subscribers", &self.router.live_count())
             .finish_non_exhaustive()
     }
 }
 
-impl Drop for EventGateway {
-    fn drop(&mut self) {
-        // Dropping the worker list drops the senders and so disconnects
-        // the queues; each worker drains what it already holds and exits.
-        let handles: Vec<_> = self.workers.drain(..).map(|w| w.handle).collect();
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Route one batch and account for it — the step the synchronous publish
-/// path and every delivery worker share: time the routing, emit each
-/// watched event's [`keys::jamm::GW_ROUTED`] point after its
-/// [`keys::jamm::SUB_DELIVER`] points, fold the outcome into the totals.
-fn route_and_account(
-    router: &ShardedRouter,
-    stats: &GatewayStats,
-    config: &GatewayConfig,
-    events: &[SharedEvent],
-    tier: Option<Tier>,
-) -> RouteOutcome {
-    let start = std::time::Instant::now();
-    let out = router.route(events, tier);
-    stats.route_us.record_micros(start.elapsed());
-    if let Some(tracer) = &config.tracer {
-        for event in events {
-            tracer.stage(event, keys::jamm::GW_ROUTED, &config.name);
-        }
-    }
-    stats.events_out.fetch_add(out.delivered, Ordering::Relaxed);
-    stats
-        .events_dropped
-        .fetch_add(out.dropped, Ordering::Relaxed);
-    stats.bytes_out.fetch_add(out.bytes, Ordering::Relaxed);
-    out
-}
-
 impl EventGateway {
     /// Create a gateway.
     pub fn new(config: GatewayConfig) -> Self {
-        let shards = config.shards.max(1);
         let qos = config.qos.clone().map(|c| Arc::new(QosRuntime::new(c)));
-        let router = Arc::new(ShardedRouter::new(
-            shards,
-            config.tracer.clone(),
-            qos.clone(),
-        ));
-        let stats = Arc::new(GatewayStats::default());
-        let in_flight = Arc::new(AtomicU64::new(0));
-        // Worker layout.  Without QoS: `delivery_workers` generic workers,
-        // capped at the shard count (a shard's traffic is pinned to one
-        // worker to preserve per-type ordering; more would sit idle).
-        // With QoS: one pool per tier sized by `workers_per_tier`, so a
-        // stalled probation consumer's delivery cost stays on its pool.
-        let pool_sizes: Vec<(Option<Tier>, usize)> = match (config.delivery_workers, &qos) {
-            (0, _) => Vec::new(),
-            (n, None) => vec![(None, n.min(shards))],
-            (_, Some(q)) => Tier::ALL
-                .iter()
-                .map(|t| (Some(*t), q.config.workers_per_tier[*t as usize].max(1)))
-                .collect(),
-        };
-        let mut pools = Vec::new();
-        let mut workers = Vec::new();
-        for (tier, n) in pool_sizes {
-            pools.push((workers.len(), n));
-            for _ in 0..n {
-                let (tx, rx) = bounded::<Vec<SharedEvent>>(DELIVERY_WORKER_QUEUE_CAPACITY);
-                let router = Arc::clone(&router);
-                let stats = Arc::clone(&stats);
-                let in_flight = Arc::clone(&in_flight);
-                let config = config.clone();
-                let handle = std::thread::spawn(move || {
-                    while let Ok(batch) = rx.recv() {
-                        route_and_account(&router, &stats, &config, &batch, tier);
-                        in_flight.fetch_sub(batch.len() as u64, Ordering::Release);
-                    }
-                });
-                workers.push(DeliveryWorker { tx, handle });
-            }
-        }
+        let router = ShardedRouter::new(config.tracer.clone(), qos.clone());
         EventGateway {
-            series: SeriesTable::new(shards),
+            series: SeriesTable::new(),
             config,
             router,
-            stats,
+            stats: Arc::new(GatewayStats::default()),
             next_id: AtomicU64::new(1),
-            workers,
-            pools,
-            in_flight,
             qos,
             qos_publishes: AtomicU64::new(0),
             views: crate::views::ViewEngine::new(),
@@ -498,16 +362,6 @@ impl EventGateway {
     /// The self-lifeline tracer attached to this gateway, if any.
     pub fn tracer(&self) -> Option<&Arc<crate::trace::PipelineTracer>> {
         self.config.tracer.as_ref()
-    }
-
-    /// Number of routing (and summary) shards.
-    pub fn shard_count(&self) -> usize {
-        self.router.shard_count()
-    }
-
-    /// Number of background delivery workers (0 = synchronous delivery).
-    pub fn delivery_worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     fn check(&self, consumer: &str, action: Action) -> Result<()> {
@@ -545,9 +399,8 @@ impl EventGateway {
 
     /// Cancel a streaming subscription.
     ///
-    /// Publishes racing this call (or already handed to a delivery
-    /// worker) may still deliver a final few events into the
-    /// subscription's queue after it returns; drop the [`Subscription`]
+    /// Publishes racing this call may still deliver a final few events
+    /// into the subscription's queue after it returns; drop the [`Subscription`]
     /// handle when a hard delivery cutoff is needed — a send to a dropped
     /// receiver always fails.
     pub fn unsubscribe(&self, id: u64) -> Result<()> {
@@ -563,19 +416,15 @@ impl EventGateway {
         self.router.live_count()
     }
 
-    /// Record an event in the per-series table and the views (the parts
-    /// of publish that always run synchronously, so query mode and
-    /// summaries stay ordered even when fan-out is asynchronous).  The
-    /// series identity is interned once: one keyed update under one lock
-    /// feeds the query cache and the summary readings, and the event-type
-    /// handle is returned so worker dispatch need not hash the string again.
-    fn observe(&self, event: &SharedEvent) -> Sym {
+    /// Record an event in the per-series table and the views.  The series
+    /// identity is interned once: one keyed update under one lock feeds
+    /// the query cache and the summary readings.
+    fn observe(&self, event: &SharedEvent) {
         self.stats.events_in.fetch_add(1, Ordering::Relaxed);
         let host = Sym::intern(&event.host);
         let ty = Sym::intern(&event.event_type);
         self.series.observe((host, ty), event);
         self.views.observe(host, ty, event);
-        ty
     }
 
     /// Publish one event into the gateway (called by the sensor manager).
@@ -601,10 +450,9 @@ impl EventGateway {
     /// Publish a batch of already-shared events: the one body every
     /// publish form runs (a single event is a batch of one).  Each event
     /// is observed (query cache, summaries, views) and trace-sampled in
-    /// order on the caller's thread; the batch is then routed here
-    /// (synchronous delivery) or handed to the delivery workers, each
-    /// receiving its whole sub-batch in one queue handoff.  Events are
-    /// shared by refcount throughout — nothing on this path copies one.
+    /// order, then the batch is routed — all on the caller's thread.
+    /// Events are shared by refcount throughout — nothing on this path
+    /// copies one.
     ///
     /// What callers may rely on:
     ///
@@ -612,10 +460,8 @@ impl EventGateway {
     ///   events one at a time, in publish order, so stateful predicates
     ///   (on-change, relative change) behave exactly as under one-by-one
     ///   publishing; its queue is then locked once per batch.
-    /// * **Queue order.**  Under synchronous delivery a subscription's
-    ///   queue order equals publish order, across and within batches.
-    ///   Under workers a type is pinned to one shard and a shard to one
-    ///   worker per pool, so order holds per event type.
+    /// * **Queue order.**  A subscription's queue order equals publish
+    ///   order, across and within batches.
     /// * **Trace order.**  A watched event's self-lifeline points are
     ///   emitted in the order [`keys::jamm::GW_PUBLISH`] →
     ///   [`keys::jamm::SUB_DELIVER`] (one per queue) →
@@ -623,52 +469,34 @@ impl EventGateway {
     /// * **Protected streams.**  `_jamm` self-lifelines and `*_AVG_*`
     ///   summary events pass both QoS gates (overload shedding and the
     ///   per-tier queue budget); only raw events are ever shed.
-    /// * **Return value.**  Under synchronous delivery, the deliveries
-    ///   made.  Under workers, the events accepted for delivery — each
-    ///   counted once, though with a QoS plane every tier's pool receives
-    ///   it and delivers to its own tier's subscriptions; delivery counts
-    ///   then accumulate in [`EventGateway::stats`] and are exact after
-    ///   [`EventGateway::quiesce`].
+    /// * **Return value.**  The deliveries made.
     pub fn publish_shared_batch(&self, events: &[SharedEvent]) -> usize {
         if events.is_empty() {
             return 0;
         }
         self.maybe_retier(events.len() as u64);
-        // One sub-batch per worker, in publish order (none without
-        // workers): grouping bumps refcounts, never copies events.
-        let mut groups = vec![Vec::new(); self.workers.len()];
+        let tracer = self.config.tracer.as_ref();
         for event in events {
-            let ty = self.observe(event);
-            if let Some(tracer) = &self.config.tracer {
+            self.observe(event);
+            if let Some(tracer) = tracer {
                 tracer.on_publish(event, &self.config.name);
             }
-            let base = self.router.shard_of_sym(ty);
-            for (off, len) in &self.pools {
-                groups[off + base % len].push(SharedEvent::clone(event));
+        }
+        let start = std::time::Instant::now();
+        let out = self.router.route(events);
+        self.stats.route_us.record_micros(start.elapsed());
+        if let Some(tracer) = tracer {
+            for event in events {
+                tracer.stage(event, keys::jamm::GW_ROUTED, &self.config.name);
             }
         }
-        // Every pool receives every event; the first (generic, or the
-        // fast tier's) is the one that counts it accepted.
-        let Some(&(_, counting_workers)) = self.pools.first() else {
-            let out = route_and_account(&self.router, &self.stats, &self.config, events, None);
-            return out.delivered as usize;
-        };
-        let mut accepted = 0;
-        for (widx, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            // The in-flight count stays exact whether or not the worker
-            // is still accepting.
-            let n = group.len();
-            self.in_flight.fetch_add(n as u64, Ordering::Acquire);
-            if self.workers[widx].tx.send(group).is_err() {
-                self.in_flight.fetch_sub(n as u64, Ordering::Release);
-            } else if widx < counting_workers {
-                accepted += n;
-            }
-        }
-        accepted
+        let stats = &self.stats;
+        stats.events_out.fetch_add(out.delivered, Ordering::Relaxed);
+        stats
+            .events_dropped
+            .fetch_add(out.dropped, Ordering::Relaxed);
+        stats.bytes_out.fetch_add(out.bytes, Ordering::Relaxed);
+        out.delivered as usize
     }
 
     /// Publish a batch of by-value events (each is copied once into its
@@ -677,24 +505,6 @@ impl EventGateway {
     pub fn publish_batch(&self, events: &[Event]) -> usize {
         let shared: Vec<SharedEvent> = events.iter().map(|e| Arc::new(e.clone())).collect();
         self.publish_shared_batch(&shared)
-    }
-
-    /// Wait until every event handed to a delivery worker has been routed.
-    /// A no-op under synchronous delivery.  After this returns (with no
-    /// concurrent publishers), [`EventGateway::stats`] and the
-    /// per-subscription counters are exact.
-    pub fn quiesce(&self) {
-        // Yield while the drain is short, then back off to short sleeps so
-        // a long drain does not burn a core the workers could be using.
-        let mut spins = 0u32;
-        while self.in_flight.load(Ordering::Acquire) > 0 {
-            spins += 1;
-            if spins < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-        }
     }
 
     /// Query mode: the most recent event of `event_type` from `host`.
@@ -735,8 +545,10 @@ impl EventGateway {
     /// and are not applied.
     pub fn summaries(&self, consumer: &str, plan: &Plan, now: Timestamp) -> Result<Vec<Event>> {
         self.check(consumer, Action::Summary)?;
-        let (windows, name) = (&self.config.summary_windows, &self.config.name);
-        Ok(self.series.summary_events(plan, windows, now, name))
+        let windows = SummaryWindow::all();
+        Ok(self
+            .series
+            .summary_events(plan, &windows, now, &self.config.name))
     }
 
     /// Register a continuous query: `text` is parsed, compiled, and from
@@ -1065,8 +877,7 @@ mod tests {
 
     #[test]
     fn shard_report_accounts_for_routed_traffic() {
-        let gw = EventGateway::new(GatewayConfig::open("gw1").with_shards(4));
-        assert_eq!(gw.shard_count(), 4);
+        let gw = EventGateway::new(GatewayConfig::open("gw1"));
         let _all = gw.subscribe().as_consumer("all").open().unwrap();
         let _cpu = gw
             .subscribe()
@@ -1079,7 +890,7 @@ mod tests {
             gw.publish(&ev("h", "MEM_FREE", 2.0, i));
         }
         let report = gw.shard_report();
-        assert_eq!(report.len(), 4);
+        assert_eq!(report.len(), crate::GATEWAY_SHARDS);
         let events_in: u64 = report.iter().map(|r| r.events_in).sum();
         assert_eq!(events_in, 40, "each event routed to exactly one shard");
         let delivered: u64 = report.iter().map(|r| r.delivered).sum();
@@ -1092,81 +903,6 @@ mod tests {
         // typed one only from the shard owning CPU_TOTAL.
         assert!(report.iter().all(|r| r.subscriptions >= 1));
         assert!(report.iter().any(|r| r.subscriptions == 2));
-    }
-
-    #[test]
-    fn delivery_workers_fan_out_in_parallel() {
-        let gw = std::sync::Arc::new(EventGateway::new(
-            GatewayConfig::open("gw1")
-                .with_shards(4)
-                .with_delivery_workers(2),
-        ));
-        assert_eq!(gw.delivery_worker_count(), 2);
-        let sub = gw.subscribe().as_consumer("c").open().unwrap();
-        let publishers: Vec<_> = (0..4)
-            .map(|p| {
-                let gw = std::sync::Arc::clone(&gw);
-                std::thread::spawn(move || {
-                    for i in 0..250u64 {
-                        gw.publish(&ev("h", &format!("TYPE_{p}"), i as f64, i));
-                    }
-                })
-            })
-            .collect();
-        for h in publishers {
-            h.join().unwrap();
-        }
-        gw.quiesce();
-        assert_eq!(gw.stats().events_in.load(Ordering::Relaxed), 1_000);
-        assert_eq!(gw.stats().events_out.load(Ordering::Relaxed), 1_000);
-        assert_eq!(sub.delivered(), 1_000);
-        let mut got: Vec<SharedEvent> = sub.events.try_iter().collect();
-        assert_eq!(got.len(), 1_000);
-        // Per-type ordering survives parallel delivery: a type is pinned to
-        // one shard, a shard to one worker.
-        got.sort_by_key(|e| e.timestamp);
-        for ty in ["TYPE_0", "TYPE_1", "TYPE_2", "TYPE_3"] {
-            let times: Vec<u64> = got
-                .iter()
-                .filter(|e| e.event_type == ty)
-                .map(|e| e.timestamp.as_secs())
-                .collect();
-            assert_eq!(times, (0..250).collect::<Vec<_>>(), "{ty} stayed ordered");
-        }
-    }
-
-    #[test]
-    fn batch_publish_through_workers_delivers_everything_in_type_order() {
-        let gw = EventGateway::new(
-            GatewayConfig::open("gw1")
-                .with_shards(4)
-                .with_delivery_workers(2),
-        );
-        let sub = gw.subscribe().as_consumer("c").open().unwrap();
-        let events: Vec<Event> = (0..300u64)
-            .map(|i| ev("h", &format!("TYPE_{}", i % 3), i as f64, i))
-            .collect();
-        // One grouped handoff per worker per chunk, not one send per event.
-        for chunk in events.chunks(50) {
-            assert_eq!(gw.publish_batch(chunk), 50, "all accepted");
-        }
-        gw.quiesce();
-        assert_eq!(gw.in_flight.load(Ordering::Acquire), 0, "nothing in flight");
-        assert_eq!(gw.stats().events_out.load(Ordering::Relaxed), 300);
-        assert_eq!(sub.delivered(), 300);
-        let got: Vec<SharedEvent> = sub.events.try_iter().collect();
-        assert_eq!(got.len(), 300);
-        for ty in ["TYPE_0", "TYPE_1", "TYPE_2"] {
-            let times: Vec<u64> = got
-                .iter()
-                .filter(|e| e.event_type == ty)
-                .map(|e| e.timestamp.as_secs())
-                .collect();
-            let mut sorted = times.clone();
-            sorted.sort_unstable();
-            assert_eq!(times, sorted, "{ty} stayed in publish order");
-            assert_eq!(times.len(), 100);
-        }
     }
 
     #[test]
@@ -1218,7 +954,7 @@ mod tests {
 
     #[test]
     fn query_string_subscriptions_route_and_filter_like_builders() {
-        let gw = EventGateway::new(GatewayConfig::open("gw1").with_shards(4));
+        let gw = EventGateway::new(GatewayConfig::open("gw1"));
         let by_text = gw
             .subscribe()
             .stream()
@@ -1385,40 +1121,6 @@ mod tests {
         assert_eq!(gw.qos_snapshot().unwrap().level, ShedLevel::None);
         gw.publish(&ev("h", "CPU_TOTAL", 2.0, 4));
         assert_eq!(sub.events.try_iter().count(), 1, "shedding stopped");
-    }
-
-    #[test]
-    fn tier_pools_deliver_each_event_exactly_once_per_subscription() {
-        let gw = EventGateway::new(
-            GatewayConfig::open("gw1")
-                .with_shards(4)
-                .with_delivery_workers(1)
-                .with_qos(QosConfig {
-                    retier_every: u64::MAX,
-                    ..QosConfig::default()
-                }),
-        );
-        // One pool per tier: 2 fast + 1 lagging + 1 probation workers.
-        assert_eq!(gw.delivery_worker_count(), 4);
-        let sub = gw.subscribe().as_consumer("c").open().unwrap();
-        for i in 0..100u64 {
-            gw.publish(&ev("h", "CPU_TOTAL", i as f64, i));
-        }
-        let events: Vec<Event> = (100..200u64)
-            .map(|i| ev("h", "MEM_FREE", i as f64, i))
-            .collect();
-        gw.publish_batch(&events);
-        gw.quiesce();
-        assert_eq!(
-            gw.in_flight.load(Ordering::Acquire),
-            0,
-            "every pool drained"
-        );
-        assert_eq!(sub.delivered(), 200, "fast pool delivers, others skip");
-        assert_eq!(sub.events.try_iter().count(), 200);
-        assert_eq!(gw.stats().events_in.load(Ordering::Relaxed), 200);
-        let ingest: u64 = gw.shard_report().iter().map(|r| r.events_in).sum();
-        assert_eq!(ingest, 200, "shard ingest counted once, not per pool");
     }
 
     #[test]

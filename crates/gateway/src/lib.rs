@@ -15,22 +15,23 @@
 //! * [`summary`] — 1/10/60-minute windowed averages of numeric readings,
 //!   kept beside the latest event in the gateway's per-series table;
 //! * [`routing`] — the sharded fan-out engine: an event-type-indexed
-//!   routing table split across N shards, each an immutable snapshot
-//!   swapped on the cold path so publish fans out without holding a lock;
+//!   routing table split across [`GATEWAY_SHARDS`] shards, each an
+//!   immutable snapshot swapped on the cold path so publish fans out on
+//!   the publisher's thread without holding a lock;
 //! * [`qos`] — the delivery QoS plane: drain-rate tier classification
-//!   with hysteresis, per-tier queue budgets and worker pools, and
+//!   with hysteresis, per-tier queue budgets, and
 //!   declared overload shedding that drops lowest-tier raw events first
 //!   while summaries and `_jamm` self-lifelines survive;
 //! * [`views`] — continuous queries: registered query-plane plans
-//!   maintained incrementally on the publish path (the summary engine
-//!   generalized to arbitrary predicates plus group-by/top-k/rate
+//!   maintained incrementally on the publish path (the per-series
+//!   summaries generalized to arbitrary predicates plus group-by/top-k/rate
 //!   aggregation), snapshot-readable by any number of concurrent
 //!   dashboards without rescanning;
 //! * [`gateway`] — the [`EventGateway`] itself: publish (as a
 //!   [`jamm_core::flow::EventSink`]), the fluent [`SubscriptionBuilder`]
 //!   for bounded streaming subscriptions, query (most recent event),
-//!   access control, per-subscription and per-shard delivery/drop
-//!   accounting, and optional parallel delivery workers.
+//!   access control, and per-subscription and per-shard delivery/drop
+//!   accounting.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -53,8 +54,8 @@ pub use jamm_core::query::{Plan, Predicate};
 pub use qos::{
     OverloadPolicy, QosConfig, QosRuntime, QosSnapshot, ShedLevel, Tier, TierPolicy, TierRow,
 };
-pub use routing::{RouteOutcome, ShardReport, DEFAULT_GATEWAY_SHARDS};
-pub use summary::{SummaryEngine, SummaryWindow};
+pub use routing::{ShardReport, GATEWAY_SHARDS};
+pub use summary::SummaryWindow;
 pub use trace::{PipelineTracer, TraceClock, DEFAULT_SAMPLE_EVERY};
 pub use views::{ContinuousQuery, ViewEngine, ViewSnapshot, VIEW_RING_CAPACITY};
 

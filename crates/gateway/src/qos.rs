@@ -308,10 +308,6 @@ pub struct QosConfig {
     /// Publishes between re-tier passes (the dynamic-tiering cadence).
     /// Counted, not timed, so simulated-clock runs stay deterministic.
     pub retier_every: u64,
-    /// Delivery workers per tier when the gateway runs worker delivery:
-    /// each tier gets its own pool, so a stalled probation consumer's
-    /// delivery cost is confined to the probation pool.
-    pub workers_per_tier: [usize; 3],
 }
 
 impl Default for QosConfig {
@@ -321,7 +317,6 @@ impl Default for QosConfig {
             overload: OverloadPolicy::default(),
             budgets: [1.0, 0.5, 0.25],
             retier_every: 512,
-            workers_per_tier: [2, 1, 1],
         }
     }
 }
@@ -482,7 +477,7 @@ pub struct TierRow {
 
 /// Events that must never be shed: the monitoring plane's own
 /// self-lifelines (`PROG == "_jamm"`) and summary events (the
-/// `*_AVG_<window>` series the summary engine emits) — under overload
+/// `*_AVG_<window>` series of the gateway's summaries) — under overload
 /// the plane degrades to summaries, it does not go dark.
 pub fn protected(event: &SharedEvent) -> bool {
     event.program == "_jamm" || event.event_type.contains("_AVG_")

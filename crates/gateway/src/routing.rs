@@ -15,9 +15,9 @@
 //!   [`jamm_core::query::Plan::routed_types`]) is registered only in
 //!   the buckets for those types; only subscriptions with no type
 //!   constraint sit in the per-shard wildcard list;
-//! * the table is split across **N shards** by a hash of the event type,
-//!   so two publisher threads carrying different event types touch
-//!   different shards;
+//! * the table is split across [`GATEWAY_SHARDS`] **shards** by a hash of
+//!   the event type, so two publisher threads carrying different event
+//!   types touch different shards;
 //! * each shard's table is an immutable [`Arc`] snapshot behind a
 //!   reader/writer lock.  Publishing clones the `Arc` (a refcount bump
 //!   under a briefly-held read lock) and fans out **without any lock
@@ -47,8 +47,8 @@ use jamm_ulm::SharedEvent;
 use crate::gateway::{DeliveryReport, Subscription};
 use crate::qos::{self, QosRuntime, Tier, TierRow, TierState};
 
-/// Default number of routing (and summary) shards a gateway runs with.
-pub const DEFAULT_GATEWAY_SHARDS: usize = 8;
+/// Number of routing (and summary) shards every gateway runs with.
+pub const GATEWAY_SHARDS: usize = 8;
 
 /// Where a subscription is registered in the routing table.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ enum RouteKeys {
 /// Shared (`Arc`) between the routing snapshots that reference it and the
 /// router's own registry.  The compiled plan carries its own (Sym-keyed,
 /// mutex-guarded) per-series memory for stateful predicates, so parallel
-/// delivery workers evaluate the same wildcard subscription concurrently
+/// publishers evaluate the same wildcard subscription concurrently
 /// through `&Plan` with no outer lock.
 pub(crate) struct RouteEntry {
     id: u64,
@@ -264,7 +264,7 @@ impl ShardStats {
 /// has seen and done since the gateway started.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardReport {
-    /// Shard index, `0..gateway_shards`.
+    /// Shard index, `0..GATEWAY_SHARDS`.
     pub shard: usize,
     /// Distinct subscriptions currently routable in this shard.
     pub subscriptions: usize,
@@ -280,7 +280,7 @@ pub struct ShardReport {
 
 /// Aggregate result of routing one event (or one batch).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RouteOutcome {
+pub(crate) struct RouteOutcome {
     /// Event copies pushed into subscription queues.
     pub delivered: u64,
     /// Event copies dropped on full queues (including evictions).
@@ -311,13 +311,11 @@ pub(crate) struct ShardedRouter {
 
 impl ShardedRouter {
     pub(crate) fn new(
-        shards: usize,
         tracer: Option<Arc<crate::trace::PipelineTracer>>,
         qos: Option<Arc<QosRuntime>>,
     ) -> Self {
-        let shards = shards.max(1);
         ShardedRouter {
-            shards: (0..shards)
+            shards: (0..GATEWAY_SHARDS)
                 .map(|_| Shard {
                     table: RwLock::new(Arc::new(ShardTable::default())),
                     stats: ShardStats::default(),
@@ -329,13 +327,9 @@ impl ShardedRouter {
         }
     }
 
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard that owns an interned event type: pure integer
     /// arithmetic, no string hashing.
-    pub(crate) fn shard_of_sym(&self, ty: Sym) -> usize {
+    fn shard_of_sym(&self, ty: Sym) -> usize {
         (crate::hash::mix64(ty.index() as u64) % self.shards.len() as u64) as usize
     }
 
@@ -569,34 +563,21 @@ impl ShardedRouter {
     /// A batch of one has no queue operation to amortise, so it skips the
     /// buffers and pushes straight into each queue; the arm is chosen by the
     /// batch length, here only, and both make the same deliveries in order.
-    ///
-    /// With `tier` set, only subscriptions currently in that tier are
-    /// served: each per-tier worker pool routes the same batch with its own
-    /// tier, so every subscription is delivered by exactly one pool and a
-    /// stalled probation consumer's queue churn stays on its pool's thread.
-    pub(crate) fn route(&self, events: &[SharedEvent], tier: Option<Tier>) -> RouteOutcome {
+    pub(crate) fn route(&self, events: &[SharedEvent]) -> RouteOutcome {
         let qos = self.qos.as_deref();
         let mut out = RouteOutcome::default();
         let mut saw_closed = false;
-        // When the tier pools each route the same batch, only the fast
-        // pool attributes shard ingest, so `events_in` stays per-event.
-        let count_ingest = tier.is_none_or(|t| t == Tier::Fast);
         if let [event] = events {
             let size = event.approx_size() as u64;
             let ty = Sym::intern(&event.event_type);
             let shard = &self.shards[self.shard_of_sym(ty)];
-            if count_ingest {
-                shard.stats.events_in.fetch_add(1, Ordering::Relaxed);
-            }
+            shard.stats.events_in.fetch_add(1, Ordering::Relaxed);
             let table = shard.table.read().clone();
             // One watched-ring scan per event, not one per candidate.
             let tracer = self.tracer.as_deref();
             let traced = tracer.and_then(|t| Some((t, t.trace_id(event)?)));
             let typed = table.by_type.get(&ty);
             for entry in typed.into_iter().flatten().chain(table.wildcard.iter()) {
-                if tier.is_some_and(|t| entry.current_tier() != t) {
-                    continue;
-                }
                 match entry.deliver(SharedEvent::clone(event), size, qos) {
                     Delivery::Sent { evicted } => {
                         if let Some((tracer, id)) = traced {
@@ -628,10 +609,8 @@ impl ShardedRouter {
             let size = event.approx_size() as u64;
             let ty = Sym::intern(&event.event_type);
             let idx = self.shard_of_sym(ty);
-            if count_ingest {
-                let ingest = &self.shards[idx].stats.events_in;
-                ingest.fetch_add(1, Ordering::Relaxed);
-            }
+            let ingest = &self.shards[idx].stats.events_in;
+            ingest.fetch_add(1, Ordering::Relaxed);
             // Borrow the cached snapshot in place — no per-event Arc
             // refcount round-trip on the table itself.
             let table = snapshots[idx].get_or_insert_with(|| self.shards[idx].table.read().clone());
@@ -641,7 +620,7 @@ impl ShardedRouter {
                     saw_closed = true;
                     continue;
                 }
-                if tier.is_some_and(|t| entry.current_tier() != t) || !entry.plan.eval(&**event) {
+                if !entry.plan.eval(&**event) {
                     continue;
                 }
                 let slot = *slot_of.entry(entry.id).or_insert_with(|| {

@@ -13,6 +13,8 @@ use jamm_core::query::Plan;
 use jamm_core::sync::RwLock;
 use jamm_ulm::{keys, Event, Level, SharedEvent, Timestamp};
 
+use crate::routing::GATEWAY_SHARDS;
+
 /// A summary window length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SummaryWindow {
@@ -55,22 +57,20 @@ impl SummaryWindow {
 
 /// Summary statistics for one (host, event type) over one window.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Window the summary covers.
-    pub window: SummaryWindow,
+struct Summary {
+    window: SummaryWindow,
     /// Number of readings in the window.
-    pub count: usize,
-    /// Mean reading.
-    pub mean: f64,
-    /// Minimum reading.
-    pub min: f64,
-    /// Maximum reading.
-    pub max: f64,
+    count: usize,
+    mean: f64,
+    min: f64,
+    max: f64,
 }
 
-/// One series' readings in timestamp order, bounded by the longest window
-/// — the window maths (inclusive edges, out-of-order insert, horizon
-/// pruning) written once for [`SummaryEngine`] and the gateway's table.
+/// One series' readings in timestamp order, bounded by the longest window.
+///
+/// A window covers `[now - length, now]`, both edges inclusive: a reading
+/// exactly one window-length old still counts, a reading exactly at `now`
+/// counts, and a reading after `now` (clock skew) is ignored.
 #[derive(Debug, Default)]
 struct Readings(VecDeque<(Timestamp, f64)>);
 
@@ -138,9 +138,7 @@ impl Readings {
     }
 
     /// The synthetic ULM events carrying this series' summaries for the
-    /// requested windows (empty windows emit nothing) — the one event
-    /// shape the flat engine and the gateway's table both emit, so the
-    /// table ≡ flat property test can compare them byte for byte.
+    /// requested windows (empty windows emit nothing).
     fn summary_row(
         &self,
         (host, ty): &SeriesKey,
@@ -176,96 +174,6 @@ fn in_series_order(mut rows: Vec<SummaryRow>) -> Vec<Event> {
     rows.into_iter().flat_map(|(_, events)| events).collect()
 }
 
-/// Maintains sliding-window summaries of numeric readings.
-///
-/// A window covers `[now - length, now]`, both edges inclusive: a reading
-/// exactly one window-length old still counts, a reading exactly at `now`
-/// counts, and a reading after `now` (clock skew) is ignored.
-///
-/// The gateway keeps its readings in its per-series table beside the
-/// query cache; this flat engine is the standalone form of the same window
-/// maths, and the oracle the property tests hold `summaries()` against.
-///
-/// ```
-/// use jamm_gateway::summary::{SummaryEngine, SummaryWindow};
-/// use jamm_ulm::{Event, Level, Timestamp};
-///
-/// let mut engine = SummaryEngine::new();
-/// for i in 0..6u64 {
-///     engine.record(
-///         &Event::builder("vmstat", "h1")
-///             .level(Level::Usage)
-///             .event_type("CPU_TOTAL")
-///             .timestamp(Timestamp::from_secs(1_000 + i * 10))
-///             .value(40.0 + i as f64 * 4.0)
-///             .build(),
-///     );
-/// }
-/// let s = engine
-///     .summary("h1", "CPU_TOTAL", SummaryWindow::OneMinute, Timestamp::from_secs(1_050))
-///     .unwrap();
-/// assert_eq!(s.count, 6);
-/// assert_eq!(s.mean, 50.0);
-/// assert_eq!((s.min, s.max), (40.0, 60.0));
-/// ```
-#[derive(Debug, Default)]
-pub struct SummaryEngine {
-    /// Series keyed by interned (host, event type): recording a reading
-    /// hashes two `u32`s and allocates nothing, where the string-keyed map
-    /// used to clone both strings on every lookup-or-insert.
-    series: HashMap<SeriesKey, Readings>,
-}
-
-impl SummaryEngine {
-    /// Create an empty engine.
-    pub fn new() -> Self {
-        SummaryEngine::default()
-    }
-
-    /// Record an event's numeric reading (events without a `VAL` are
-    /// ignored); out-of-order arrivals are integrated in timestamp order.
-    pub fn record(&mut self, event: &Event) {
-        if event.value().is_some() {
-            let key = (Sym::intern(&event.host), Sym::intern(&event.event_type));
-            self.series.entry(key).or_default().record(event);
-        }
-    }
-
-    /// Compute the summary of one (host, event type) over one window ending
-    /// at `now`.  Returns `None` when the window holds no readings.
-    pub fn summary(
-        &self,
-        host: &str,
-        event_type: &str,
-        window: SummaryWindow,
-        now: Timestamp,
-    ) -> Option<Summary> {
-        // Query path: a never-recorded series has no interned identity;
-        // `lookup` avoids growing the intern table for probes.
-        let key = (Sym::lookup(host)?, Sym::lookup(event_type)?);
-        self.series.get(&key)?.summarize(window, now)
-    }
-
-    /// Produce summary *events* for every tracked series and every requested
-    /// window — this is what the gateway hands to consumers who are only
-    /// entitled to (or only want) summary data.
-    pub fn summary_events(
-        &self,
-        windows: &[SummaryWindow],
-        now: Timestamp,
-        gateway_name: &str,
-    ) -> Vec<Event> {
-        let row =
-            |(key, readings): (_, &Readings)| readings.summary_row(key, windows, now, gateway_name);
-        in_series_order(self.series.iter().map(row).collect())
-    }
-
-    /// Number of (host, event type) series being tracked.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-}
-
 /// What the gateway remembers about one (host, event type) series.
 struct Series {
     /// The most recently published event — query mode's answer, shared
@@ -279,16 +187,16 @@ struct Series {
 /// readings under one key, split across N shards by series so publishers
 /// carrying different series do not serialize on one lock.  A publish is
 /// one keyed update under one write lock; a series lands in one shard, so
-/// its summaries are exactly a flat [`SummaryEngine`]'s.
+/// its summaries do not depend on the split.
 pub(crate) struct SeriesTable {
     shards: Vec<RwLock<HashMap<SeriesKey, Series>>>,
 }
 
 impl SeriesTable {
-    /// Create a table split across `shards` locks (clamped to at least 1).
-    pub(crate) fn new(shards: usize) -> Self {
+    /// Create a table split across [`GATEWAY_SHARDS`] locks.
+    pub(crate) fn new() -> Self {
         SeriesTable {
-            shards: (0..shards.max(1)).map(|_| RwLock::default()).collect(),
+            shards: (0..GATEWAY_SHARDS).map(|_| RwLock::default()).collect(),
         }
     }
 
@@ -330,9 +238,7 @@ impl SeriesTable {
 
     /// Summary events for every requested window of every series whose
     /// (host, event type) key `plan`'s host and type facts admit, ordered
-    /// by (host, event type) with the windows in the order requested —
-    /// with an unconstrained plan, the same output
-    /// [`SummaryEngine::summary_events`] fed the same events produces.  A
+    /// by (host, event type) with the windows in the order requested.  A
     /// rejected series is skipped by its key before any event is built.
     /// Each shard is read-locked exactly once.
     pub(crate) fn summary_events(
@@ -371,85 +277,75 @@ mod tests {
             .build()
     }
 
+    /// One series' readings fed `(t_secs, value)` pairs in the given order.
+    fn series(readings: &[(u64, f64)]) -> Readings {
+        let mut r = Readings::default();
+        for &(t, v) in readings {
+            r.record(&reading("h", "CPU_TOTAL", t, v));
+        }
+        r
+    }
+
     #[test]
     fn one_minute_average_of_cpu_usage() {
-        let mut eng = SummaryEngine::new();
         // Readings every 10 s for 2 minutes: 0..12 readings of increasing load.
-        for i in 0..12u64 {
-            eng.record(&reading("h", "CPU_TOTAL", 1_000 + i * 10, i as f64 * 10.0));
-        }
+        let r = series(
+            &(0..12u64)
+                .map(|i| (1_000 + i * 10, i as f64 * 10.0))
+                .collect::<Vec<_>>(),
+        );
         let now = Timestamp::from_secs(1_000 + 110);
-        let one = eng
-            .summary("h", "CPU_TOTAL", SummaryWindow::OneMinute, now)
-            .unwrap();
+        let one = r.summarize(SummaryWindow::OneMinute, now).unwrap();
         // The last 60 s contain readings at t=1050..1110 -> values 50..110.
         assert_eq!(one.count, 7);
         assert!((one.mean - 80.0).abs() < 1e-9);
         assert_eq!(one.min, 50.0);
         assert_eq!(one.max, 110.0);
         // The 10-minute window sees everything.
-        let ten = eng
-            .summary("h", "CPU_TOTAL", SummaryWindow::TenMinutes, now)
-            .unwrap();
+        let ten = r.summarize(SummaryWindow::TenMinutes, now).unwrap();
         assert_eq!(ten.count, 12);
         assert!((ten.mean - 55.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_window_returns_none() {
-        let mut eng = SummaryEngine::new();
-        eng.record(&reading("h", "CPU_TOTAL", 100, 10.0));
+        let r = series(&[(100, 10.0)]);
         let much_later = Timestamp::from_secs(100 + 7_200);
-        assert!(eng
-            .summary("h", "CPU_TOTAL", SummaryWindow::OneMinute, much_later)
-            .is_none());
-        assert!(eng
-            .summary(
-                "h",
-                "UNKNOWN",
-                SummaryWindow::OneMinute,
-                Timestamp::from_secs(100)
-            )
-            .is_none());
+        assert!(r.summarize(SummaryWindow::OneMinute, much_later).is_none());
+        let never = Readings::default();
+        let at = Timestamp::from_secs(100);
+        assert!(never.summarize(SummaryWindow::OneMinute, at).is_none());
     }
 
     #[test]
     fn non_numeric_events_are_ignored() {
-        let mut eng = SummaryEngine::new();
+        let mut r = Readings::default();
         let ev = Event::builder("p", "h")
             .event_type("PROC_DIED")
             .timestamp(Timestamp::from_secs(1))
             .build();
-        eng.record(&ev);
-        assert_eq!(eng.series_count(), 0);
+        r.record(&ev);
+        assert!(r.0.is_empty());
     }
 
     #[test]
     fn old_readings_are_pruned() {
-        let mut eng = SummaryEngine::new();
-        for i in 0..200u64 {
-            eng.record(&reading("h", "CPU_TOTAL", i * 60, 1.0));
-        }
+        let r = series(&(0..200u64).map(|i| (i * 60, 1.0)).collect::<Vec<_>>());
         // Only about an hour's worth (60 one-minute-spaced readings) remains.
-        let series = eng
-            .series
-            .get(&(Sym::intern("h"), Sym::intern("CPU_TOTAL")))
-            .unwrap();
-        assert!(series.0.len() <= 62, "len = {}", series.0.len());
+        assert!(r.0.len() <= 62, "len = {}", r.0.len());
     }
 
     #[test]
     fn window_edges_are_inclusive() {
         // A window covers [now - length, now]: a reading exactly one
         // window-length old still counts, a reading exactly at `now` counts.
-        let mut eng = SummaryEngine::new();
-        eng.record(&reading("h", "CPU_TOTAL", 1_000, 10.0)); // == now - 60
-        eng.record(&reading("h", "CPU_TOTAL", 1_001, 20.0)); // just inside
-        eng.record(&reading("h", "CPU_TOTAL", 1_060, 30.0)); // == now
+        let r = series(&[
+            (1_000, 10.0), // == now - 60
+            (1_001, 20.0), // just inside
+            (1_060, 30.0), // == now
+        ]);
         let now = Timestamp::from_secs(1_060);
-        let s = eng
-            .summary("h", "CPU_TOTAL", SummaryWindow::OneMinute, now)
-            .unwrap();
+        let s = r.summarize(SummaryWindow::OneMinute, now).unwrap();
         assert_eq!(s.count, 3, "both edges inclusive");
         assert_eq!((s.min, s.max), (10.0, 30.0));
         // One microsecond past the trailing edge the reading ages out, for
@@ -459,108 +355,86 @@ mod tests {
             (SummaryWindow::TenMinutes, 600),
             (SummaryWindow::OneHour, 3_600),
         ] {
-            let mut eng = SummaryEngine::new();
-            eng.record(&reading("h", "X", 10_000, 1.0));
+            let one = series(&[(10_000, 1.0)]);
             let on_edge = Timestamp::from_secs(10_000 + secs);
             assert_eq!(
-                eng.summary("h", "X", w, on_edge).unwrap().count,
+                one.summarize(w, on_edge).unwrap().count,
                 1,
                 "reading exactly on the {secs}s trailing edge still counts"
             );
             let past_edge = Timestamp::from_micros((10_000 + secs) * 1_000_000 + 1);
             assert!(
-                eng.summary("h", "X", w, past_edge).is_none(),
+                one.summarize(w, past_edge).is_none(),
                 "one microsecond past the {secs}s edge it has aged out"
             );
         }
         // Readings *after* `now` (clock skew between hosts) are ignored.
         let early = Timestamp::from_secs(1_001);
-        let s = eng
-            .summary("h", "CPU_TOTAL", SummaryWindow::OneMinute, early)
-            .unwrap();
+        let s = r.summarize(SummaryWindow::OneMinute, early).unwrap();
         assert_eq!(s.count, 2, "the t=1060 reading is in the future of `now`");
         assert_eq!((s.min, s.max), (10.0, 20.0));
     }
 
     #[test]
     fn out_of_order_arrivals_are_integrated_in_timestamp_order() {
-        let mut in_order = SummaryEngine::new();
-        let mut reordered = SummaryEngine::new();
-        let times = [1_000u64, 1_010, 1_020, 1_030, 1_040];
-        for &t in &times {
-            in_order.record(&reading("h", "CPU_TOTAL", t, t as f64));
-        }
+        let in_order = series(&[1_000u64, 1_010, 1_020, 1_030, 1_040].map(|t| (t, t as f64)));
         // The same readings arriving shuffled (a late sensor catching up).
-        for &t in &[1_020u64, 1_000, 1_040, 1_010, 1_030] {
-            reordered.record(&reading("h", "CPU_TOTAL", t, t as f64));
-        }
+        let reordered = series(&[1_020u64, 1_000, 1_040, 1_010, 1_030].map(|t| (t, t as f64)));
         let now = Timestamp::from_secs(1_040);
         for w in SummaryWindow::all() {
             assert_eq!(
-                in_order.summary("h", "CPU_TOTAL", w, now),
-                reordered.summary("h", "CPU_TOTAL", w, now),
+                in_order.summarize(w, now),
+                reordered.summarize(w, now),
                 "summaries are arrival-order independent"
             );
         }
         // A late arrival never truncates fresher data: pruning is relative
         // to the newest reading, not the last-recorded one.
-        let mut eng = SummaryEngine::new();
-        eng.record(&reading("h", "X", 10_000, 1.0));
-        eng.record(&reading("h", "X", 5_000, 2.0)); // 83 min late
-        let s = eng
-            .summary(
-                "h",
-                "X",
-                SummaryWindow::OneMinute,
-                Timestamp::from_secs(10_000),
-            )
+        let r = series(&[(10_000, 1.0), (5_000, 2.0)]); // 83 min late
+        let s = r
+            .summarize(SummaryWindow::OneMinute, Timestamp::from_secs(10_000))
             .unwrap();
         assert_eq!(s.count, 1, "fresh reading survives the late arrival");
     }
 
     #[test]
     fn empty_window_rollover_recovers_when_data_resumes() {
-        let mut eng = SummaryEngine::new();
-        eng.record(&reading("h", "CPU_TOTAL", 1_000, 50.0));
+        let mut r = series(&[(1_000, 50.0)]);
         // The 1-minute window empties while the 10-minute one still holds
         // the reading...
         let now = Timestamp::from_secs(1_200);
-        assert!(eng
-            .summary("h", "CPU_TOTAL", SummaryWindow::OneMinute, now)
-            .is_none());
-        assert_eq!(
-            eng.summary("h", "CPU_TOTAL", SummaryWindow::TenMinutes, now)
-                .unwrap()
-                .count,
-            1
-        );
-        // ...and summary_events emits only the non-empty windows.
-        let events = eng.summary_events(&SummaryWindow::all(), now, "gw");
+        assert!(r.summarize(SummaryWindow::OneMinute, now).is_none());
+        let ten = r.summarize(SummaryWindow::TenMinutes, now).unwrap();
+        assert_eq!(ten.count, 1);
+        // ...and the series' summary events cover only the non-empty windows.
+        let key = (Sym::intern("h"), Sym::intern("CPU_TOTAL"));
+        let (_, events) = r.summary_row(&key, &SummaryWindow::all(), now, "gw");
         assert_eq!(events.len(), 2, "10- and 60-minute only");
         assert!(events.iter().all(|e| !e.event_type.ends_with("AVG_1MIN")));
         // When readings resume, the rolled-over window fills again with
         // only the new data.
-        eng.record(&reading("h", "CPU_TOTAL", 1_201, 80.0));
-        let s = eng
-            .summary(
-                "h",
-                "CPU_TOTAL",
-                SummaryWindow::OneMinute,
-                Timestamp::from_secs(1_201),
-            )
+        r.record(&reading("h", "CPU_TOTAL", 1_201, 80.0));
+        let s = r
+            .summarize(SummaryWindow::OneMinute, Timestamp::from_secs(1_201))
             .unwrap();
         assert_eq!((s.count, s.mean), (1, 80.0));
     }
 
     #[test]
     fn summary_events_cover_all_series_and_windows() {
-        let mut eng = SummaryEngine::new();
+        let table = SeriesTable::new();
         for i in 0..10u64 {
-            eng.record(&reading("h1", "CPU_TOTAL", 1_000 + i, 50.0));
-            eng.record(&reading("h2", "VMSTAT_FREE_MEMORY", 1_000 + i, 1_000.0));
+            for e in [
+                reading("h1", "CPU_TOTAL", 1_000 + i, 50.0),
+                reading("h2", "VMSTAT_FREE_MEMORY", 1_000 + i, 1_000.0),
+            ] {
+                let key = (Sym::intern(&e.host), Sym::intern(&e.event_type));
+                table.observe(key, &SharedEvent::new(e));
+            }
         }
         let now = Timestamp::from_secs(1_010);
-        let events = eng.summary_events(&SummaryWindow::all(), now, "gw1");
+        let all = jamm_core::query::Predicate::everything().compile();
+        let events = table.summary_events(&all, &SummaryWindow::all(), now, "gw1");
         // 2 series x 3 windows.
         assert_eq!(events.len(), 6);
         assert!(events.iter().any(|e| e.event_type == "CPU_TOTAL_AVG_1MIN"));

@@ -1,8 +1,8 @@
 //! Continuous queries: incrementally-maintained materialized views.
 //!
 //! A *continuous query* is a compiled query-plane [`Plan`] registered on
-//! the gateway and maintained on the publish path — the
-//! [`crate::summary::SummaryEngine`] generalized from fixed per-series
+//! the gateway and maintained on the publish path — the gateway's
+//! [`crate::summary`] windows generalized from fixed per-series
 //! averages to arbitrary predicates with optional group-by / top-k / rate
 //! aggregation.  Each published event is evaluated once per view; matches
 //! land in a bounded ring (most recent first out) and fold into the view's
@@ -57,8 +57,7 @@ pub struct ViewSnapshot {
 }
 
 /// Mutable maintenance state of one view, touched only by the publish
-/// path (under a mutex — observation is already serialized per gateway
-/// by the synchronous observe step).
+/// path, under a mutex: every publisher observes on its own thread.
 #[derive(Debug)]
 struct ViewState {
     ring: VecDeque<SharedEvent>,

@@ -4,14 +4,16 @@
 //! computation.
 
 use jamm_core::check::{forall, Gen};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use jamm_core::query::{Plan, ValueCmp};
-use jamm_gateway::summary::{SummaryEngine, SummaryWindow};
-use jamm_gateway::{EventGateway, GatewayConfig, OverflowPolicy, Predicate, QosConfig};
-use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
+use jamm_gateway::summary::SummaryWindow;
+use jamm_gateway::{
+    EventGateway, GatewayConfig, OverflowPolicy, Predicate, QosConfig, GATEWAY_SHARDS,
+};
+use jamm_ulm::{keys, Event, Level, SharedEvent, Timestamp};
 
 const TYPES: [&str; 3] = ["CPU_TOTAL", "VMSTAT_FREE_MEMORY", "NETSTAT_RETRANS"];
 const HOSTS: [&str; 3] = ["h1", "h2", "h3"];
@@ -159,15 +161,15 @@ fn query_returns_the_latest() {
     });
 }
 
-/// The summary engine's mean always equals the arithmetic mean of the
-/// readings inside the window, and min <= mean <= max.
+/// The gateway's 60-minute summary always carries the arithmetic mean
+/// of the readings inside the window, with min <= mean <= max.
 #[test]
 fn summary_mean_matches_direct_computation() {
     forall("summary mean", 48, |g| {
         let values: Vec<f64> = (0..g.usize_in(1, 60))
             .map(|_| g.f64_in(0.0, 100.0))
             .collect();
-        let mut engine = SummaryEngine::new();
+        let gw = EventGateway::new(GatewayConfig::open("gw"));
         let base = 50_000u64;
         for (i, v) in values.iter().enumerate() {
             let e = Event::builder("s", "h")
@@ -176,16 +178,25 @@ fn summary_mean_matches_direct_computation() {
                 .timestamp(Timestamp::from_secs(base + i as u64))
                 .value(*v)
                 .build();
-            engine.record(&e);
+            gw.publish(&e);
         }
         let now = Timestamp::from_secs(base + values.len() as u64);
-        let s = engine
-            .summary("h", "CPU_TOTAL", SummaryWindow::OneHour, now)
+        let summaries = gw
+            .summaries("c", &Predicate::everything().compile(), now)
+            .unwrap();
+        let s = summaries
+            .iter()
+            .find(|e| e.event_type == "CPU_TOTAL_AVG_60MIN")
             .expect("readings inside the window");
+        let (avg, min, max) = (
+            s.value().unwrap(),
+            s.field_f64("MIN").unwrap(),
+            s.field_f64("MAX").unwrap(),
+        );
         let mean: f64 = values.iter().sum::<f64>() / values.len() as f64;
-        assert!((s.mean - mean).abs() < 1e-6);
-        assert!(s.min <= s.mean + 1e-9 && s.mean <= s.max + 1e-9);
-        assert_eq!(s.count, values.len());
+        assert!((avg - mean).abs() < 1e-6);
+        assert!(min <= avg + 1e-9 && avg <= max + 1e-9);
+        assert_eq!(s.field_f64("COUNT"), Some(values.len() as f64));
     });
 }
 
@@ -235,47 +246,23 @@ impl FlatSub {
     }
 }
 
-/// How the gateway under test delivers — one more generated input of the
-/// routing equivalence property.
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    /// Routed inside `publish`.
-    Sync,
-    /// This many generic delivery workers.
-    Workers(usize),
-    /// One worker pool per QoS tier, re-tiering every 512 publishes.
-    TierPools,
-}
-
-/// The sharded router — under any shard count, any delivery mode
-/// (synchronous, 1–4 workers, per-tier worker pools), any filter mix
-/// (typed and wildcard), any queue bound, either overflow policy, and any
-/// split of the stream across `publish`, `publish_shared` and
-/// `publish_batch` — delivers exactly the same event sequences, with the
-/// same per-subscription counters, as the original flat-list fan-out.
-/// Workers keep order per event type, not across types, so the worker
-/// modes compare per-(subscription, type) sequences over queues deep
-/// enough that nothing is dropped.
+/// The sharded router — with or without a QoS plane (re-tiering every
+/// 512 publishes), under any filter mix (typed and wildcard), any queue
+/// bound, either overflow policy, and any split of the stream across
+/// `publish`, `publish_shared` and `publish_batch` — delivers exactly the
+/// same event sequences, with the same per-subscription counters, as the
+/// original flat-list fan-out.
 #[test]
 fn sharded_routing_is_equivalent_to_the_flat_list() {
     forall("sharded == flat", 64, |g| {
-        let mode = match g.usize_in(0, 2) {
-            0 => Mode::Sync,
-            1 => Mode::Workers(g.usize_in(1, 4)),
-            _ => Mode::TierPools,
-        };
-        // Under tier pools the stream is long enough to cross the re-tier
-        // cadence, and the queues deep enough (fill <= 1/8) that the pass
-        // leaves every subscription in the fast tier.
-        let (max_events, headroom) = match mode {
-            Mode::Sync => (160, 0),
-            Mode::Workers(_) => (160, 1),
-            Mode::TierPools => (700, 8),
-        };
+        let qos = g.bool(0.5);
+        // With QoS the stream is long enough to cross the re-tier cadence,
+        // and the queues deep enough (fill <= 1/8) that the pass leaves
+        // every subscription in the fast tier.
+        let (max_events, headroom) = if qos { (700, 8) } else { (160, 0) };
         let events: Vec<Event> = (0..g.usize_in(1, max_events))
             .map(|_| arb_event(g))
             .collect();
-        let shards = g.choice(&[1usize, 2, 4, 7, 16]);
         let n_subs = g.usize_in(1, 6);
         let specs: Vec<(Predicate, usize, OverflowPolicy)> = (0..n_subs)
             .map(|_| {
@@ -303,13 +290,11 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
             .iter()
             .map(|(f, cap, pol)| FlatSub::new(f, *cap, *pol))
             .collect();
-        let config = GatewayConfig::open("gw").with_shards(shards);
-        let gw = EventGateway::new(match mode {
-            Mode::Sync => config,
-            Mode::Workers(n) => config.with_delivery_workers(n),
-            Mode::TierPools => config
-                .with_delivery_workers(1)
-                .with_qos(QosConfig::default()),
+        let config = GatewayConfig::open("gw");
+        let gw = EventGateway::new(if qos {
+            config.with_qos(QosConfig::default())
+        } else {
+            config
         });
         let gw_subs: Vec<_> = specs
             .iter()
@@ -345,7 +330,6 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
             };
             i += run;
         }
-        gw.quiesce();
         for e in &events {
             let shared = Arc::new(e.clone());
             for sub in &mut flat_subs {
@@ -356,21 +340,12 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
         for (a, b) in flat_subs.iter().zip(gw_subs.iter()) {
             let left: Vec<SharedEvent> = a.queue.iter().cloned().collect();
             let right: Vec<SharedEvent> = b.events.try_iter().collect();
-            if matches!(mode, Mode::Sync) {
-                assert_eq!(left, right, "same delivered sequence either way");
-            }
-            for ty in TYPES {
-                let of_type = |q: &[SharedEvent]| -> Vec<SharedEvent> {
-                    q.iter().filter(|e| e.event_type == ty).cloned().collect()
-                };
-                assert_eq!(of_type(&left), of_type(&right), "{mode:?}: {ty} sequence");
-            }
-            assert_eq!(a.delivered, b.delivered(), "{mode:?}");
-            assert_eq!(a.dropped, b.dropped(), "{mode:?}");
-            assert_eq!(a.bytes, b.bytes(), "{mode:?}");
+            assert_eq!(left, right, "qos {qos}: same delivered sequence");
+            assert_eq!(a.delivered, b.delivered(), "qos {qos}");
+            assert_eq!(a.dropped, b.dropped(), "qos {qos}");
+            assert_eq!(a.bytes, b.bytes(), "qos {qos}");
         }
-        // Nothing is still in flight after quiesce(): the gateway totals
-        // already equal what the subscriptions counted.
+        // The gateway totals equal what the subscriptions counted.
         let delivered: u64 = gw_subs.iter().map(|s| s.delivered()).sum();
         let stats = gw.stats();
         assert_eq!(
@@ -378,68 +353,123 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
             events.len()
         );
         assert_eq!(stats.events_out.load(Ordering::Relaxed), delivered);
-        // The per-shard rows decompose the gateway totals exactly — each
-        // event ingested once, even when three tier pools route it.
+        // The per-shard rows decompose the gateway totals exactly.
         let report = gw.shard_report();
-        assert_eq!(report.len(), shards);
+        assert_eq!(report.len(), GATEWAY_SHARDS);
         assert_eq!(
             report.iter().map(|s| s.events_in).sum::<u64>() as usize,
             events.len(),
-            "{mode:?}"
+            "qos {qos}"
         );
         assert_eq!(report.iter().map(|s| s.delivered).sum::<u64>(), delivered);
     });
 }
 
-/// The gateway's per-series table — for 1, 3 and 8 shards — answers
-/// `summaries()` exactly as one flat engine fed the same events does (byte
-/// for byte, in the same order), a host/type-filtered `summaries()` with
-/// exactly the flat events of the admitted series, and `query()` from the
-/// same table with the last event published for the series.
+/// The flat summary oracle: every numeric reading per (host, event type)
+/// series in arrival order, summarized by direct computation.  It shares
+/// no code with the gateway's per-series table.
+#[derive(Default)]
+struct FlatSummaries {
+    series: BTreeMap<(String, String), Vec<(Timestamp, f64)>>,
+}
+
+impl FlatSummaries {
+    fn record(&mut self, e: &Event) {
+        if let Some(v) = e.value() {
+            let key = (e.host.clone(), e.event_type.clone());
+            self.series.entry(key).or_default().push((e.timestamp, v));
+        }
+    }
+
+    /// One event per series and non-empty window over `[now - length,
+    /// now]` (both edges inclusive), in (host, type) order.  Readings are
+    /// summed newest first in timestamp order, arrival order breaking
+    /// ties, so the floating-point mean is reproduced bit for bit.
+    fn events(&self, now: Timestamp, gateway: &str) -> Vec<Event> {
+        let mut out = Vec::new();
+        for ((host, ty), readings) in &self.series {
+            let mut sorted = readings.clone();
+            sorted.sort_by_key(|(t, _)| *t);
+            for w in SummaryWindow::all() {
+                let cutoff = now.sub_micros(w.micros());
+                let inside: Vec<f64> = sorted
+                    .iter()
+                    .rev()
+                    .filter(|(t, _)| *t >= cutoff && *t <= now)
+                    .map(|(_, v)| *v)
+                    .collect();
+                if inside.is_empty() {
+                    continue;
+                }
+                let sum = inside.iter().fold(0.0, |acc, v| acc + v);
+                let min = inside.iter().copied().fold(f64::INFINITY, f64::min);
+                let max = inside.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                out.push(
+                    Event::builder(gateway, host.as_str())
+                        .level(Level::Usage)
+                        .event_type(format!("{ty}_{}", w.suffix()))
+                        .timestamp(now)
+                        .field(keys::SENSOR, "summary")
+                        .value(sum / inside.len() as f64)
+                        .field("MIN", min)
+                        .field("MAX", max)
+                        .field("COUNT", inside.len() as u64)
+                        .build(),
+                );
+            }
+        }
+        out
+    }
+}
+
+/// The gateway's per-series table answers `summaries()` exactly as the
+/// flat oracle fed the same events does (byte for byte, in the same
+/// order), a host/type-filtered `summaries()` with exactly the flat events
+/// of the admitted series, and `query()` from the same table with the last
+/// event published for the series.
 #[test]
 fn gateway_series_table_matches_the_flat_engine() {
     forall("series table == flat", 48, |g| {
         let events: Vec<Event> = (0..g.usize_in(1, 120)).map(|_| arb_event(g)).collect();
+        // After every reading, and within an hour of all of them, so the
+        // table's horizon pruning cannot remove a reading any window needs.
         let now = Timestamp::from_secs(10_000 + 121);
         let (host, ty) = (g.choice(&HOSTS), g.choice(&TYPES));
         let filtered = Predicate::And(vec![Predicate::hosts([host]), Predicate::types([ty])]);
-        let windows = SummaryWindow::all();
-        for shards in [1usize, 3, 8] {
-            let gw = EventGateway::new(GatewayConfig::open("gw").with_shards(shards));
-            let mut flat = SummaryEngine::new();
-            for e in &events {
-                gw.publish(e);
-                flat.record(e);
-            }
-            let all = flat.summary_events(&windows, now, "gw");
-            assert_eq!(
-                gw.summaries("c", &Predicate::everything().compile(), now)
-                    .unwrap(),
-                all,
-                "{shards} shards: identical summary events, identical order"
-            );
-            let of_series: Vec<Event> = all
-                .into_iter()
-                .filter(|e| {
-                    e.host == host
-                        && windows
-                            .iter()
-                            .any(|w| e.event_type == format!("{ty}_{}", w.suffix()))
-                })
-                .collect();
-            assert_eq!(
-                gw.summaries("c", &filtered.compile(), now).unwrap(),
-                of_series,
-                "{shards} shards: {host}/{ty} summaries only"
-            );
-            for host in HOSTS {
-                for ty in TYPES {
-                    let last = events
+        let gw = EventGateway::new(GatewayConfig::open("gw"));
+        let mut flat = FlatSummaries::default();
+        for e in &events {
+            gw.publish(e);
+            flat.record(e);
+        }
+        let all = flat.events(now, "gw");
+        assert_eq!(
+            gw.summaries("c", &Predicate::everything().compile(), now)
+                .unwrap(),
+            all,
+            "identical summary events, identical order"
+        );
+        let of_series: Vec<Event> = all
+            .into_iter()
+            .filter(|e| {
+                e.host == host
+                    && SummaryWindow::all()
                         .iter()
-                        .rfind(|e| e.host == host && e.event_type == ty);
-                    let got = gw.query("c", host, ty).unwrap();
-                    assert_eq!(got.as_deref(), last, "{shards} shards: {host}/{ty}");
-                }
+                        .any(|w| e.event_type == format!("{ty}_{}", w.suffix()))
+            })
+            .collect();
+        assert_eq!(
+            gw.summaries("c", &filtered.compile(), now).unwrap(),
+            of_series,
+            "{host}/{ty} summaries only"
+        );
+        for host in HOSTS {
+            for ty in TYPES {
+                let last = events
+                    .iter()
+                    .rfind(|e| e.host == host && e.event_type == ty);
+                let got = gw.query("c", host, ty).unwrap();
+                assert_eq!(got.as_deref(), last, "{host}/{ty}");
             }
         }
     });

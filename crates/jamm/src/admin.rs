@@ -51,8 +51,6 @@ pub struct GatewayAdminStats {
     pub queries: u64,
     /// Routing (fan-out) latency distribution per publish, microseconds.
     pub route_us: jamm_core::obs::HistogramSnapshot,
-    /// Background delivery workers (0 = synchronous delivery).
-    pub delivery_workers: usize,
     /// Per-shard routing breakdown: how traffic, deliveries, drops and
     /// bytes distribute across the fan-out engine's shards.
     pub shards: Vec<jamm_gateway::ShardReport>,
@@ -135,7 +133,6 @@ fn gateway_admin_stats(src: &Sources) -> Vec<GatewayAdminStats> {
                 bytes_out: stats.bytes_out.load(Ordering::Relaxed),
                 queries: stats.queries.load(Ordering::Relaxed),
                 route_us: stats.route_us.snapshot(),
-                delivery_workers: gw.delivery_worker_count(),
                 shards: gw.shard_report(),
                 subscriptions: gw.delivery_report(),
                 tiers: qos.as_ref().map(|_| gw.tier_report()).unwrap_or_default(),

@@ -4,7 +4,7 @@
 //! gateways, consumers subscribed through them — used to take a page of
 //! imperative setup.  The builder names each part once and `build()`
 //! returns a [`JammSystem`] holding the wired components.  Gateway tuning
-//! (shards, delivery workers, QoS, ACLs) lives on each gateway's
+//! (QoS, ACLs, the self-lifeline tracer) lives on each gateway's
 //! [`GatewayConfig`], passed with [`JammBuilder::gateway_config`].
 
 use std::sync::Arc;
@@ -119,9 +119,9 @@ impl JammBuilder {
         self
     }
 
-    /// Add a gateway with a full configuration: ACL, summary windows,
-    /// shards (`with_shards`), delivery workers (`with_delivery_workers`)
-    /// and the delivery-QoS plane (`with_qos`, see [`jamm_gateway::qos`]).
+    /// Add a gateway with a full configuration: ACL (`with_acl`), the
+    /// self-lifeline tracer (`with_tracer`) and the delivery-QoS plane
+    /// (`with_qos`, see [`jamm_gateway::qos`]).
     pub fn gateway_config(mut self, config: GatewayConfig) -> Self {
         self.gateways.push(config);
         self
@@ -315,7 +315,7 @@ mod tests {
     use crate::admin::counter;
     use crate::{HistorySource, QueryError};
     use jamm_core::query::Predicate;
-    use jamm_gateway::{QosConfig, Tier};
+    use jamm_gateway::{QosConfig, Tier, GATEWAY_SHARDS};
     use jamm_ulm::{Event, Level, Timestamp};
 
     fn ev(host: &str, level: Level, t: u64) -> Event {
@@ -419,34 +419,23 @@ mod tests {
 
     #[test]
     fn fanout_knobs_and_admin_stats_expose_per_shard_counters() {
-        let tuned = |name| {
-            GatewayConfig::open(name)
-                .with_shards(4)
-                .with_delivery_workers(2)
-        };
         let mut jamm = JammBuilder::new()
-            .gateway_config(tuned("gw1"))
-            .gateway_config(tuned("gw2"))
+            .gateway_config(GatewayConfig::open("gw1"))
+            .gateway("gw2")
             .collector("ops")
             .build()
             .unwrap();
-        assert!(jamm
-            .gateways
-            .iter()
-            .all(|gw| gw.shard_count() == 4 && gw.delivery_worker_count() == 2));
         jamm.connect_collectors(vec![]);
         for t in 0..40u64 {
             jamm.publish("gw1", &ev("h1", Level::Usage, t));
         }
-        jamm.quiesce();
         let stats = jamm.admin_stats();
         assert_eq!(stats.len(), 2);
         let gw1 = &stats[0];
         assert_eq!(gw1.name, "gw1");
         assert_eq!(gw1.events_in, 40);
         assert_eq!(gw1.events_out, 40);
-        assert_eq!(gw1.delivery_workers, 2);
-        assert_eq!(gw1.shards.len(), 4);
+        assert_eq!(gw1.shards.len(), GATEWAY_SHARDS);
         // The shard rows decompose the gateway totals.
         assert_eq!(gw1.shards.iter().map(|s| s.events_in).sum::<u64>(), 40);
         assert_eq!(gw1.shards.iter().map(|s| s.delivered).sum::<u64>(), 40);
@@ -458,7 +447,7 @@ mod tests {
         assert_eq!(gw1.subscriptions[0].delivered, 40);
         // The idle gateway's rows are all zero but still present.
         assert_eq!(stats[1].events_in, 0);
-        assert_eq!(stats[1].shards.len(), 4);
+        assert_eq!(stats[1].shards.len(), GATEWAY_SHARDS);
     }
 
     #[test]

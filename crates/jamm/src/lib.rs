@@ -35,9 +35,9 @@
 //!   consumers) and get a wired [`JammSystem`]: its query endpoint
 //!   ([`JammSystem::query`]) and its admin rows, metrics and RMI verbs
 //!   ([`admin`]), each number read once from the component that owns it.
-//!   Everything else — gateway shards, delivery workers, QoS, external
-//!   overload pressure (`EventGateway::set_external_pressure`), re-tiering —
-//!   is set on the component itself (`GatewayConfig::with_*`, the
+//!   Everything else — gateway ACLs, QoS, external overload pressure
+//!   (`EventGateway::set_external_pressure`), re-tiering — is set on the
+//!   component itself (`GatewayConfig::with_*`, the
 //!   `gateways` field):
 //!
 //! ```

@@ -172,16 +172,6 @@ impl JammSystem {
         }
     }
 
-    /// Wait until every gateway's delivery workers have routed what they
-    /// were handed (a no-op under synchronous delivery).  Call before
-    /// reading [`JammSystem::admin_stats`] when a gateway was configured
-    /// with `GatewayConfig::with_delivery_workers`.
-    pub fn quiesce(&self) {
-        for gw in &self.gateways {
-            gw.quiesce();
-        }
-    }
-
     /// Drain lifeline trace events from the self-monitoring gateway into
     /// the retained log ([`JammSystem::self_events`]).  Returns how many
     /// arrived.  A no-op without

@@ -21,28 +21,27 @@ use std::sync::Arc;
 use jamm_core::channel::Sender;
 use jamm_core::flow::EventSink;
 use jamm_ulm::codec::{codec_for, EventCodec};
-use jamm_ulm::{keys, text, Event, Level, Timestamp, Value};
+use jamm_ulm::{keys, Event, Level, Timestamp, Value};
 
 /// Where a [`NetLogger`] sends its events.
 pub enum Sink {
     /// Keep events in an in-memory buffer until flushed to another sink or
     /// read back by the application.
     Memory,
-    /// Append ULM lines to a local file.
-    File(PathBuf),
-    /// Send events to a collector over a channel (the in-process stand-in
-    /// for "log to a remote host on port 14830").
-    Net(Sender<Event>),
     /// Append frames of the named ULM content type to a local file — the
     /// file-sink analogue of wire codec negotiation: callers pass the
     /// content type the downstream analysis tools asked for (see
-    /// [`jamm_ulm::codec`]).
-    EncodedFile {
+    /// [`jamm_ulm::codec`]).  [`jamm_ulm::codec::TEXT`] writes classic
+    /// NetLogger logs, one ULM line per event.
+    File {
         /// File to append to.
         path: PathBuf,
         /// Negotiated content type, e.g. `application/x-ulm-binary`.
         content_type: &'static str,
     },
+    /// Send events to a collector over a channel (the in-process stand-in
+    /// for "log to a remote host on port 14830").
+    Net(Sender<Event>),
     /// Push events into any local pipeline sink: a gateway or an archive.
     Pipeline(Arc<dyn EventSink<Event>>),
 }
@@ -51,11 +50,10 @@ impl std::fmt::Debug for Sink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Sink::Memory => write!(f, "Sink::Memory"),
-            Sink::File(p) => write!(f, "Sink::File({})", p.display()),
-            Sink::Net(_) => write!(f, "Sink::Net(..)"),
-            Sink::EncodedFile { path, content_type } => {
-                write!(f, "Sink::EncodedFile({}, {content_type})", path.display())
+            Sink::File { path, content_type } => {
+                write!(f, "Sink::File({}, {content_type})", path.display())
             }
+            Sink::Net(_) => write!(f, "Sink::Net(..)"),
             Sink::Pipeline(_) => write!(f, "Sink::Pipeline(..)"),
         }
     }
@@ -98,12 +96,11 @@ impl From<std::io::Error> for LogError {
 
 enum OpenSink {
     Memory,
-    File(BufWriter<File>),
-    Net(Sender<Event>),
-    EncodedFile {
+    File {
         writer: BufWriter<File>,
         codec: EventCodec,
     },
+    Net(Sender<Event>),
     Pipeline(Arc<dyn EventSink<Event>>),
 }
 
@@ -117,7 +114,7 @@ pub struct NetLogger {
     /// Fixed timestamp override used by tests and the simulator; `None`
     /// means stamp with wall-clock time.
     clock_override: Option<Timestamp>,
-    /// Reused encode scratch for the file sinks: one line/frame buffer
+    /// Reused encode scratch for the file sink: one line/frame buffer
     /// amortized over the stream instead of an allocation per write.
     scratch: Vec<u8>,
 }
@@ -159,20 +156,17 @@ impl NetLogger {
     pub fn open(&mut self, sink: Sink) -> Result<(), LogError> {
         self.sink = Some(match sink {
             Sink::Memory => OpenSink::Memory,
-            Sink::File(path) => OpenSink::File(BufWriter::new(
-                OpenOptions::new().create(true).append(true).open(path)?,
-            )),
-            Sink::Net(tx) => OpenSink::Net(tx),
-            Sink::EncodedFile { path, content_type } => {
+            Sink::File { path, content_type } => {
                 let codec = codec_for(content_type)
                     .ok_or_else(|| LogError::UnknownContentType(content_type.to_string()))?;
-                OpenSink::EncodedFile {
+                OpenSink::File {
                     writer: BufWriter::new(
                         OpenOptions::new().create(true).append(true).open(path)?,
                     ),
                     codec,
                 }
             }
+            Sink::Net(tx) => OpenSink::Net(tx),
             Sink::Pipeline(sink) => OpenSink::Pipeline(sink),
         });
         Ok(())
@@ -218,25 +212,12 @@ impl NetLogger {
                 self.written += 1;
                 Ok(())
             }
-            Some(OpenSink::File(w)) => {
-                self.scratch.clear();
-                // An empty buffer is valid UTF-8, so only its capacity is
-                // carried over.
-                let mut line =
-                    String::from_utf8(std::mem::take(&mut self.scratch)).unwrap_or_default();
-                text::encode_into(&mut line, &event);
-                line.push('\n');
-                w.write_all(line.as_bytes())?;
-                self.scratch = line.into_bytes();
-                self.written += 1;
-                Ok(())
-            }
             Some(OpenSink::Net(tx)) => {
                 tx.send(event).map_err(|_| LogError::CollectorGone)?;
                 self.written += 1;
                 Ok(())
             }
-            Some(OpenSink::EncodedFile { writer, codec }) => {
+            Some(OpenSink::File { writer, codec }) => {
                 self.scratch.clear();
                 codec.encode_to(&mut self.scratch, &event);
                 writer.write_all(&self.scratch)?;
@@ -276,13 +257,10 @@ impl NetLogger {
         std::mem::take(&mut self.buffer)
     }
 
-    /// Flush the underlying sink (meaningful for the file sinks).
+    /// Flush the underlying sink (meaningful for the file sink).
     pub fn flush(&mut self) -> Result<(), LogError> {
-        match self.sink.as_mut() {
-            Some(OpenSink::File(w)) | Some(OpenSink::EncodedFile { writer: w, .. }) => {
-                w.flush()?;
-            }
-            _ => {}
+        if let Some(OpenSink::File { writer, .. }) = self.sink.as_mut() {
+            writer.flush()?;
         }
         Ok(())
     }
@@ -301,6 +279,7 @@ mod tests {
     use jamm_core::channel::unbounded;
     use jamm_core::flow::SinkError;
     use jamm_core::sync::Mutex;
+    use jamm_ulm::text;
 
     #[test]
     fn paper_example_produces_the_expected_ulm_line() {
@@ -340,7 +319,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut log = NetLogger::with_host("ftpd", "dpss1.lbl.gov");
-            log.open(Sink::File(path.clone())).unwrap();
+            log.open(Sink::File {
+                path: path.clone(),
+                content_type: jamm_ulm::codec::TEXT,
+            })
+            .unwrap();
             for i in 0..10u64 {
                 log.write_for_object(
                     "SEND_BLOCK",
@@ -394,7 +377,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut log = NetLogger::with_host("dpss", "dpss1.lbl.gov");
-            log.open(Sink::EncodedFile {
+            log.open(Sink::File {
                 path: path.clone(),
                 content_type: jamm_ulm::codec::BINARY,
             })
@@ -420,7 +403,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut log = NetLogger::with_host("dpss", "dpss1.lbl.gov");
-            log.open(Sink::EncodedFile {
+            log.open(Sink::File {
                 path: path.clone(),
                 content_type: jamm_ulm::codec::TEXT,
             })
@@ -441,7 +424,7 @@ mod tests {
     fn unknown_content_type_fails_to_open() {
         let mut log = NetLogger::with_host("p", "h");
         assert!(matches!(
-            log.open(Sink::EncodedFile {
+            log.open(Sink::File {
                 path: std::env::temp_dir().join("never-created.log"),
                 content_type: "application/xml",
             }),

@@ -93,11 +93,10 @@ pub fn encode_into(frame: &mut Vec<u8>, event: &Event) {
 /// Returns the event and the total number of bytes consumed, so callers can
 /// decode back-to-back frames out of a single buffer.
 pub fn decode(buf: &[u8]) -> Result<(Event, usize)> {
-    if buf.len() < 4 {
+    let Some((prefix, cursor)) = buf.split_first_chunk::<4>() else {
         return Err(UlmError::BadBinary("truncated length prefix"));
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-    let cursor = &buf[4..];
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
     if cursor.len() < len {
         return Err(UlmError::BadBinary("truncated frame body"));
     }
@@ -164,21 +163,19 @@ fn get_u8(buf: &mut &[u8]) -> Result<u8> {
 }
 
 fn get_u16(buf: &mut &[u8]) -> Result<u16> {
-    if buf.len() < 2 {
+    let Some((head, rest)) = buf.split_first_chunk::<2>() else {
         return Err(UlmError::BadBinary("truncated u16"));
-    }
-    let v = u16::from_le_bytes(buf[..2].try_into().expect("2 bytes"));
-    *buf = &buf[2..];
-    Ok(v)
+    };
+    *buf = rest;
+    Ok(u16::from_le_bytes(*head))
 }
 
 fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.len() < 8 {
+    let Some((head, rest)) = buf.split_first_chunk::<8>() else {
         return Err(UlmError::BadBinary("truncated u64"));
-    }
-    let v = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-    *buf = &buf[8..];
-    Ok(v)
+    };
+    *buf = rest;
+    Ok(u64::from_le_bytes(*head))
 }
 
 fn get_str(buf: &mut &[u8]) -> Result<String> {

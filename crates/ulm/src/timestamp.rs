@@ -88,8 +88,8 @@ impl Timestamp {
     /// Format as the ULM `DATE` value, e.g. `20000330112320.957943`.
     pub fn to_ulm_date(self) -> String {
         let mut out = String::with_capacity(21);
-        self.write_ulm_date(&mut out)
-            .expect("String writes cannot fail");
+        // Writing into a `String` cannot fail.
+        let _ = self.write_ulm_date(&mut out);
         out
     }
 
@@ -118,7 +118,8 @@ impl Timestamp {
         if frac.len() > 6 || !frac.bytes().all(|b| b.is_ascii_digit()) {
             return Err(UlmError::BadTimestamp(s.to_string()));
         }
-        let num = |r: &str| r.parse::<u64>().unwrap();
+        // Every byte was checked to be an ASCII digit above.
+        let num = |r: &str| r.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0'));
         let (y, mo, d) = (num(&whole[0..4]), num(&whole[4..6]), num(&whole[6..8]));
         let (h, mi, sec) = (num(&whole[8..10]), num(&whole[10..12]), num(&whole[12..14]));
         if !(1..=12).contains(&mo)
@@ -138,7 +139,7 @@ impl Timestamp {
             0
         } else {
             // Right-pad to six digits: ".9" means 900000 microseconds.
-            let mut v = frac.parse::<u64>().unwrap();
+            let mut v = num(frac);
             for _ in 0..(6 - frac.len()) {
                 v *= 10;
             }

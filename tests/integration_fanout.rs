@@ -1,14 +1,12 @@
 //! Cross-crate integration of the sharded gateway fan-out engine: a
-//! deployment whose gateway is configured with
-//! `GatewayConfig::with_shards` / `with_delivery_workers` delivers exactly
-//! what a default (single-threaded, flat) deployment delivers, survives
-//! parallel publishers, and exposes a per-shard accounting breakdown
-//! through `JammSystem::admin_stats`.
+//! deployment's gateway survives parallel publishers, routes typed
+//! subscriptions to the shards owning their types, and exposes a per-shard
+//! accounting breakdown through `JammSystem::admin_stats`.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use jamm::jamm_gateway::GatewayConfig;
+use jamm::jamm_gateway::GATEWAY_SHARDS;
 use jamm::JammBuilder;
 use jamm_core::query::{Predicate, ValueCmp};
 use jamm_ulm::{Event, Level, Timestamp};
@@ -40,54 +38,13 @@ fn workload() -> Vec<Event> {
         .collect()
 }
 
-/// The tuned deployment (8 shards, 4 workers) and the default one deliver
-/// the same event multiset to every consumer.
+/// Parallel publishers hammering one gateway: every event is delivered
+/// exactly once, each publisher's order survives (its events are routed on
+/// its own thread, one publish after the other), and the admin-stats shard
+/// rows decompose the totals exactly.
 #[test]
-fn tuned_and_default_deployments_deliver_the_same_events() {
-    let events = workload();
-    let mut collected: Vec<Vec<jamm::SharedEvent>> = Vec::new();
-    for tuned in [false, true] {
-        let mut config = GatewayConfig::open("gw");
-        if tuned {
-            config = config.with_shards(8).with_delivery_workers(4);
-        }
-        let mut jamm = JammBuilder::new()
-            .gateway_config(config)
-            .collector("ops")
-            .build()
-            .unwrap();
-        assert_eq!(jamm.connect_collectors(vec![]), 1);
-        for e in &events {
-            jamm.publish("gw", e);
-        }
-        jamm.quiesce();
-        jamm.poll();
-        let mut log = jamm.collectors[0].merged_log();
-        log.sort_by_key(|e| e.timestamp);
-        collected.push(log);
-    }
-    assert_eq!(collected[0].len(), events.len());
-    assert_eq!(
-        collected[0], collected[1],
-        "sharded/worker delivery is invisible to consumers"
-    );
-}
-
-/// Parallel publishers hammering one tuned gateway: nothing is lost,
-/// per-type order survives (a type is pinned to one shard, a shard to one
-/// worker), and the admin-stats shard rows decompose the totals exactly.
-#[test]
-fn parallel_publishers_scale_across_shards_and_workers() {
-    let jamm = Arc::new(
-        JammBuilder::new()
-            .gateway_config(
-                GatewayConfig::open("gw")
-                    .with_shards(8)
-                    .with_delivery_workers(4),
-            )
-            .build()
-            .unwrap(),
-    );
+fn parallel_publishers_deliver_exactly_once() {
+    let jamm = Arc::new(JammBuilder::new().gateway("gw").build().unwrap());
     let sub = jamm.gateways[0]
         .subscribe()
         .as_consumer("ops")
@@ -107,7 +64,6 @@ fn parallel_publishers_scale_across_shards_and_workers() {
     for t in threads {
         t.join().unwrap();
     }
-    jamm.quiesce();
 
     let stats = jamm.admin_stats();
     assert_eq!(stats.len(), 1);
@@ -115,8 +71,7 @@ fn parallel_publishers_scale_across_shards_and_workers() {
     assert_eq!(gw.events_in, 2_000);
     assert_eq!(gw.events_out, 2_000);
     assert_eq!(gw.events_dropped, 0);
-    assert_eq!(gw.delivery_workers, 4);
-    assert_eq!(gw.shards.len(), 8);
+    assert_eq!(gw.shards.len(), GATEWAY_SHARDS);
     assert_eq!(gw.shards.iter().map(|s| s.events_in).sum::<u64>(), 2_000);
     assert_eq!(gw.shards.iter().map(|s| s.delivered).sum::<u64>(), 2_000);
     assert_eq!(gw.shards.iter().map(|s| s.bytes).sum::<u64>(), gw.bytes_out);
@@ -143,15 +98,11 @@ fn parallel_publishers_scale_across_shards_and_workers() {
 }
 
 /// Typed consumer subscriptions only load the shards owning their types,
-/// and filters still reduce delivered volume under worker delivery.
+/// and filters still reduce delivered volume.
 #[test]
 fn typed_subscriptions_and_filters_compose_with_sharding() {
     let mut jamm = JammBuilder::new()
-        .gateway_config(
-            GatewayConfig::open("gw")
-                .with_shards(8)
-                .with_delivery_workers(2),
-        )
+        .gateway("gw")
         .collector("cpu-watcher")
         .build()
         .unwrap();
@@ -169,7 +120,6 @@ fn typed_subscriptions_and_filters_compose_with_sharding() {
     for e in &events {
         jamm.publish("gw", e);
     }
-    jamm.quiesce();
     jamm.poll();
     let expected = events
         .iter()
