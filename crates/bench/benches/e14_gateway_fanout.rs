@@ -1,4 +1,4 @@
-//! E14 — sharded gateway fan-out across a 1 → 256 consumer sweep.
+//! E14 — gateway fan-out across a 1 → 256 consumer sweep.
 //!
 //! The paper's scalability claim is that "added consumers load the gateway
 //! rather than the monitored host" (§2.3) — which requires the gateway
@@ -9,13 +9,14 @@
 //!
 //! This bench sweeps 1 → 256 consumers, each subscribed to its own event
 //! type (the realistic shape: different tools watch different readings),
-//! and measures single-publisher publish throughput through the sharded
-//! router (the event-type-indexed table behind `EventGateway`, default
-//! shard count), per event and batched.  The design target: the rate at
+//! and measures single-publisher publish throughput through the router
+//! (the event-type-indexed table behind `EventGateway`), per event and
+//! batched.  The design target: the rate at
 //! 256 subscribers stays within 2x of the 1-subscriber rate.  (The flat
 //! list this replaced fell 41x over the same sweep; docs/ARCHITECTURE.md
 //! keeps that figure.)  e21's `stream_edge` has 17 subscriptions and no
-//! sweep, which is why this bench stays.  Baseline: BENCH_e14.json.
+//! sweep, which is why this bench stays.  Baseline: BENCH_e14.json; its
+//! per-event rows keep the `sharded_` prefix they were recorded under.
 
 use jamm_bench::{best_of, compare_row, data_row, header, kevps, time, Report};
 use jamm_gateway::{EventGateway, GatewayConfig, Predicate};
@@ -38,8 +39,8 @@ fn type_filter(i: usize) -> Predicate {
     Predicate::types([format!("TYPE_{i}")])
 }
 
-/// Sharded router: publish touches only the bucket owning the event type.
-fn sharded_round(subscribers: usize, batch: Option<usize>) -> f64 {
+/// One round: publish touches only the bucket of the event's type.
+fn typed_round(subscribers: usize, batch: Option<usize>) -> f64 {
     let gw = EventGateway::new(GatewayConfig::open("bench-gw"));
     let subs: Vec<_> = (0..subscribers)
         .map(|i| {
@@ -72,7 +73,7 @@ fn sharded_round(subscribers: usize, batch: Option<usize>) -> f64 {
 
 fn main() {
     header(
-        "E14: sharded fan-out engine, 1 to 256 typed subscriptions",
+        "E14: fan-out engine, 1 to 256 typed subscriptions",
         "section 2.3 scalability (the gateway must absorb consumers without collapsing)",
     );
     println!(
@@ -81,33 +82,33 @@ fn main() {
     );
     data_row(&[
         format!("{:>11}", "consumers"),
-        format!("{:>16}", "sharded kev/s"),
+        format!("{:>16}", "kev/s"),
         format!("{:>18}", "batched kev/s"),
     ]);
     let mut report = Report::new(env!("CARGO_CRATE_NAME"));
     let mut rows: Vec<(f64, f64)> = Vec::new();
     for &n in &SWEEP {
-        let sharded = best_of(3, || sharded_round(n, None));
-        let batched = best_of(3, || sharded_round(n, Some(256)));
+        let per_event = best_of(3, || typed_round(n, None));
+        let batched = best_of(3, || typed_round(n, Some(256)));
         data_row(&[
             format!("{n:>11}"),
-            format!("{sharded:>16.0}"),
+            format!("{per_event:>16.0}"),
             format!("{batched:>18.0}"),
         ]);
-        report.measured(format!("sharded_kev_per_s_{n}"), sharded);
+        report.measured(format!("sharded_kev_per_s_{n}"), per_event);
         report.measured(format!("batched_kev_per_s_{n}"), batched);
-        rows.push((sharded, batched));
+        rows.push((per_event, batched));
     }
 
     let base = rows[0];
     let top = rows[rows.len() - 1];
-    let sharded_slowdown = base.0 / top.0;
-    report.measured("sharded_slowdown_1_to_256", sharded_slowdown);
+    let slowdown = base.0 / top.0;
+    report.measured("sharded_slowdown_1_to_256", slowdown);
     println!("\npaper vs measured:\n");
     compare_row(
-        "publish rate, 1 -> 256 consumers (sharded)",
+        "publish rate, 1 -> 256 consumers",
         "within 2x of the 1-consumer rate",
-        &format!("{sharded_slowdown:.2}x slower at 256"),
+        &format!("{slowdown:.2}x slower at 256"),
     );
     compare_row(
         "batched publish at 256 consumers",

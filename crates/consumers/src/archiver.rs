@@ -68,7 +68,7 @@ impl ArchiverAgent {
     /// environments very little will be monitored, and in others, it may
     /// be desirable to archive everything"; an empty vector is
     /// everything).  A `Predicate::types([..])` among them registers the
-    /// subscription only in the sharded router's buckets for those types —
+    /// subscription only in the gateway router's buckets for those types —
     /// an archiver that keeps, say, `TCPD_RETRANSMITS` and `PROC_DIED` is
     /// never even looked at when the high-rate CPU/memory readings are
     /// published.

@@ -13,11 +13,10 @@
 //! delivered volume (E10).
 //!
 //! Every publish form is one body, [`EventGateway::publish_shared_batch`]
-//! (a single event is a batch of one), and it runs on the sharded fan-out
-//! engine in [`crate::routing`]: subscriptions are indexed by event type
-//! across [`crate::GATEWAY_SHARDS`] routing shards, each shard's table is an
-//! immutable snapshot swapped on the cold path, and delivery runs on the
-//! publisher's thread.
+//! (a single event is a batch of one), and it runs on the fan-out engine
+//! in [`crate::routing`]: subscriptions are indexed by event type in one
+//! routing table, an immutable snapshot swapped on the cold path, and
+//! delivery runs on the publisher's thread.
 //!
 //! Consumers subscribe with the fluent [`SubscriptionBuilder`]:
 //!
@@ -48,7 +47,7 @@ use jamm_auth::acl::{AccessControlList, Action};
 use jamm_core::query::{Plan, Predicate};
 
 use crate::qos::{QosConfig, QosRuntime, QosSnapshot, Tier, TierRow};
-use crate::routing::{ShardReport, ShardedRouter};
+use crate::routing::Router;
 use crate::summary::{SeriesTable, SummaryWindow};
 use crate::{GatewayError, Result};
 
@@ -303,7 +302,7 @@ pub struct DeliveryReport {
 /// The JAMM event gateway.
 pub struct EventGateway {
     config: GatewayConfig,
-    router: ShardedRouter,
+    router: Router,
     /// What the gateway remembers per (host, event type) series: the
     /// query cache and the summary readings under one key.
     series: SeriesTable,
@@ -330,9 +329,9 @@ impl EventGateway {
     /// Create a gateway.
     pub fn new(config: GatewayConfig) -> Self {
         let qos = config.qos.clone().map(|c| Arc::new(QosRuntime::new(c)));
-        let router = ShardedRouter::new(config.tracer.clone(), qos.clone());
+        let router = Router::new(config.tracer.clone(), qos.clone());
         EventGateway {
-            series: SeriesTable::new(),
+            series: SeriesTable::default(),
             config,
             router,
             stats: Arc::new(GatewayStats::default()),
@@ -589,13 +588,6 @@ impl EventGateway {
     /// the status GUI.
     pub fn delivery_report(&self) -> Vec<DeliveryReport> {
         self.router.delivery_report()
-    }
-
-    /// Per-shard routing statistics: how traffic and deliveries distribute
-    /// across the fan-out engine's shards.  Feeds the facade's admin stats
-    /// and the gateway-tuning guidance in `docs/ARCHITECTURE.md`.
-    pub fn shard_report(&self) -> Vec<ShardReport> {
-        self.router.shard_reports()
     }
 
     /// Advance the publish counter and run a re-tier pass whenever the
@@ -876,10 +868,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_report_accounts_for_routed_traffic() {
+    fn gateway_stats_account_for_routed_traffic() {
         let gw = EventGateway::new(GatewayConfig::open("gw1"));
-        let _all = gw.subscribe().as_consumer("all").open().unwrap();
-        let _cpu = gw
+        let all = gw.subscribe().as_consumer("all").open().unwrap();
+        let cpu = gw
             .subscribe()
             .filter(Predicate::types(["CPU_TOTAL"]))
             .as_consumer("cpu")
@@ -889,20 +881,17 @@ mod tests {
             gw.publish(&ev("h", "CPU_TOTAL", 1.0, i));
             gw.publish(&ev("h", "MEM_FREE", 2.0, i));
         }
-        let report = gw.shard_report();
-        assert_eq!(report.len(), crate::GATEWAY_SHARDS);
-        let events_in: u64 = report.iter().map(|r| r.events_in).sum();
-        assert_eq!(events_in, 40, "each event routed to exactly one shard");
-        let delivered: u64 = report.iter().map(|r| r.delivered).sum();
+        let stats = gw.stats();
+        assert_eq!(stats.events_in.load(Ordering::Relaxed), 40);
+        // The wildcard subscription sees every event, the typed one only
+        // CPU_TOTAL; the gateway totals are their sums.
+        assert_eq!((all.delivered(), cpu.delivered()), (40, 20));
+        assert_eq!(stats.events_out.load(Ordering::Relaxed), 60);
         assert_eq!(
-            delivered,
-            gw.stats().events_out.load(Ordering::Relaxed),
-            "shard rows add up to the gateway total"
+            stats.bytes_out.load(Ordering::Relaxed),
+            all.bytes() + cpu.bytes(),
+            "subscription rows add up to the gateway total"
         );
-        // The wildcard subscription is reachable from every shard; the
-        // typed one only from the shard owning CPU_TOTAL.
-        assert!(report.iter().all(|r| r.subscriptions >= 1));
-        assert!(report.iter().any(|r| r.subscriptions == 2));
     }
 
     #[test]
@@ -970,10 +959,6 @@ mod tests {
             .as_consumer("builder")
             .open()
             .unwrap();
-        // Both are typed: together they occupy exactly one routing shard
-        // slot each (the shard owning CPU_TOTAL), not every shard.
-        let occupied: usize = gw.shard_report().iter().map(|s| s.subscriptions).sum();
-        assert_eq!(occupied, 2, "query-string subscription is routed by type");
         for i in 0..40u64 {
             gw.publish(&ev("h", "CPU_TOTAL", (i % 10) as f64 * 10.0, i));
             gw.publish(&ev("h", "MEM_FREE", 99.0, i));

@@ -14,10 +14,9 @@
 //!   a route entry holds nothing but the compiled [`Plan`];
 //! * [`summary`] — 1/10/60-minute windowed averages of numeric readings,
 //!   kept beside the latest event in the gateway's per-series table;
-//! * [`routing`] — the sharded fan-out engine: an event-type-indexed
-//!   routing table split across [`GATEWAY_SHARDS`] shards, each an
-//!   immutable snapshot swapped on the cold path so publish fans out on
-//!   the publisher's thread without holding a lock;
+//! * [`routing`] — the fan-out engine: an event-type-indexed routing
+//!   table held as one immutable snapshot, swapped on the cold path so
+//!   publish fans out on the publisher's thread without holding a lock;
 //! * [`qos`] — the delivery QoS plane: drain-rate tier classification
 //!   with hysteresis, per-tier queue budgets, and
 //!   declared overload shedding that drops lowest-tier raw events first
@@ -30,15 +29,13 @@
 //! * [`gateway`] — the [`EventGateway`] itself: publish (as a
 //!   [`jamm_core::flow::EventSink`]), the fluent [`SubscriptionBuilder`]
 //!   for bounded streaming subscriptions, query (most recent event),
-//!   access control, and per-subscription and per-shard delivery/drop
-//!   accounting.
+//!   access control, and per-subscription delivery/drop accounting.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod gateway;
-mod hash;
 pub mod qos;
 pub mod routing;
 pub mod summary;
@@ -54,7 +51,6 @@ pub use jamm_core::query::{Plan, Predicate};
 pub use qos::{
     OverloadPolicy, QosConfig, QosRuntime, QosSnapshot, ShedLevel, Tier, TierPolicy, TierRow,
 };
-pub use routing::{ShardReport, GATEWAY_SHARDS};
 pub use summary::SummaryWindow;
 pub use trace::{PipelineTracer, TraceClock, DEFAULT_SAMPLE_EVERY};
 pub use views::{ContinuousQuery, ViewEngine, ViewSnapshot, VIEW_RING_CAPACITY};

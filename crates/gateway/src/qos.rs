@@ -2,11 +2,11 @@
 //!
 //! The paper's scaling claim — added consumers load the gateway, not the
 //! monitored host — only holds if one pathological consumer cannot
-//! degrade every other subscriber on its shard.  Following the TiFL
+//! degrade every other subscriber of its gateway.  Following the TiFL
 //! discipline (tier clients by *observed* responsiveness, re-evaluate
 //! continuously), this module classifies each subscription into a
 //! [`Tier`] from an EWMA over the delivery counters the router already
-//! keeps, and layers two mechanisms on the sharded fan-out:
+//! keeps, and layers two mechanisms on the fan-out:
 //!
 //! * **per-tier queue budgets** — a lagging subscription may only fill a
 //!   fraction of its declared queue bound, so its eviction churn stays

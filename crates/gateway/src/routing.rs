@@ -1,4 +1,4 @@
-//! The sharded fan-out engine behind [`crate::EventGateway`].
+//! The fan-out engine behind [`crate::EventGateway`].
 //!
 //! The paper's scalability claim is that "added consumers load the gateway
 //! rather than the monitored host" (§2.3) — which only holds if the gateway
@@ -14,26 +14,23 @@
 //!   compiled plan names explicit event types (see
 //!   [`jamm_core::query::Plan::routed_types`]) is registered only in
 //!   the buckets for those types; only subscriptions with no type
-//!   constraint sit in the per-shard wildcard list;
-//! * the table is split across [`GATEWAY_SHARDS`] **shards** by a hash of
-//!   the event type, so two publisher threads carrying different event
-//!   types touch different shards;
-//! * each shard's table is an immutable [`Arc`] snapshot behind a
-//!   reader/writer lock.  Publishing clones the `Arc` (a refcount bump
-//!   under a briefly-held read lock) and fans out **without any lock
-//!   held**; subscribing, unsubscribing and dead-consumer collection
-//!   rebuild the snapshot and swap the `Arc` on the cold path;
+//!   constraint sit in the wildcard list;
+//! * the table is one immutable [`Arc`] snapshot behind a reader/writer
+//!   lock.  Publishing clones the `Arc` (a refcount bump under a
+//!   briefly-held read lock) and fans out **without any lock held**;
+//!   subscribing, unsubscribing and dead-consumer collection rebuild the
+//!   snapshot and swap the `Arc` on the cold path;
 //! * delivery into a subscription's bounded queue goes through the batch
 //!   send primitives of `jamm_core::channel` when events are published in
 //!   batches, so a burst costs one queue-lock acquisition per subscription
 //!   instead of one per event.
 //!
 //! The flat list lives on only as the oracle in `tests/prop_gateway.rs`,
-//! written against the public API: the property tests assert the sharded
-//! router delivers exactly the event sequences and counters it does.
+//! written against the public API: the property tests assert the router
+//! delivers exactly the event sequences and counters it does.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use jamm_core::channel::{bounded, Sender, TrySendError};
@@ -47,13 +44,10 @@ use jamm_ulm::SharedEvent;
 use crate::gateway::{DeliveryReport, Subscription};
 use crate::qos::{self, QosRuntime, Tier, TierRow, TierState};
 
-/// Number of routing (and summary) shards every gateway runs with.
-pub const GATEWAY_SHARDS: usize = 8;
-
 /// Where a subscription is registered in the routing table.
 #[derive(Debug, Clone)]
 enum RouteKeys {
-    /// No type constraint: present in every shard's wildcard list.
+    /// No type constraint: present in the wildcard list.
     Wildcard,
     /// Constrained to these event types (the plan's routed types,
     /// interned): present only in those types' buckets.  An empty list
@@ -213,69 +207,36 @@ impl RouteEntry {
     }
 }
 
-/// An immutable routing snapshot for one shard.
+/// An immutable routing snapshot.
 #[derive(Default)]
-struct ShardTable {
-    /// Subscriptions constrained to an event type owned by this shard,
-    /// keyed by the interned type: the per-publish lookup hashes a `u32`,
-    /// not the event-type string.
+struct RouteTable {
+    /// Subscriptions constrained to an event type, keyed by the interned
+    /// type: the per-publish lookup hashes a `u32`, not the event-type
+    /// string.
     by_type: HashMap<Sym, Vec<Arc<RouteEntry>>>,
-    /// Subscriptions with no type constraint (present in every shard).
+    /// Subscriptions with no type constraint.
     wildcard: Vec<Arc<RouteEntry>>,
 }
 
-impl ShardTable {
-    /// Distinct live subscriptions this shard can deliver to.
-    fn subscription_count(&self) -> usize {
-        let mut ids: Vec<u64> = self
-            .by_type
-            .values()
-            .flatten()
-            .chain(self.wildcard.iter())
-            .map(|e| e.id)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-}
-
-/// Per-shard monotonic delivery counters, readable without any lock.
-#[derive(Debug, Default)]
-struct ShardStats {
-    events_in: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl ShardStats {
-    /// Fold in one call's outcome for this shard (not one RMW per delivery).
-    fn add(&self, out: &RouteOutcome) {
-        if *out != RouteOutcome::default() {
-            self.delivered.fetch_add(out.delivered, Ordering::Relaxed);
-            self.bytes.fetch_add(out.bytes, Ordering::Relaxed);
-            self.dropped.fetch_add(out.dropped, Ordering::Relaxed);
+impl RouteTable {
+    /// The table of every live entry in `entries`, in registry order.
+    fn build(entries: &[Arc<RouteEntry>]) -> Self {
+        let mut table = RouteTable::default();
+        for entry in entries {
+            if entry.closed.load(Ordering::Relaxed) {
+                continue;
+            }
+            match &entry.routes {
+                RouteKeys::Wildcard => table.wildcard.push(Arc::clone(entry)),
+                RouteKeys::Types(types) => {
+                    for t in types {
+                        table.by_type.entry(*t).or_default().push(Arc::clone(entry));
+                    }
+                }
+            }
         }
+        table
     }
-}
-
-/// One row of [`crate::EventGateway::shard_report`]: what one routing shard
-/// has seen and done since the gateway started.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardReport {
-    /// Shard index, `0..GATEWAY_SHARDS`.
-    pub shard: usize,
-    /// Distinct subscriptions currently routable in this shard.
-    pub subscriptions: usize,
-    /// Events routed into this shard (each event hits exactly one shard).
-    pub events_in: u64,
-    /// Event copies delivered to subscriptions from this shard.
-    pub delivered: u64,
-    /// Event copies dropped (queue overflow) from this shard.
-    pub dropped: u64,
-    /// Approximate payload bytes delivered from this shard.
-    pub bytes: u64,
 }
 
 /// Aggregate result of routing one event (or one batch).
@@ -289,16 +250,11 @@ pub(crate) struct RouteOutcome {
     pub bytes: u64,
 }
 
-struct Shard {
-    table: RwLock<Arc<ShardTable>>,
-    stats: ShardStats,
-}
-
-/// The event-type-indexed, sharded routing table.
-pub(crate) struct ShardedRouter {
-    shards: Vec<Shard>,
+/// The event-type-indexed routing table.
+pub(crate) struct Router {
+    table: RwLock<Arc<RouteTable>>,
     /// Registry of every live entry in subscription order — the source of
-    /// truth the per-shard snapshots are rebuilt from on the cold path.
+    /// truth the snapshot is rebuilt from on the cold path.
     entries: Mutex<Vec<Arc<RouteEntry>>>,
     /// Self-lifeline tracer: watched events emit a
     /// [`jamm_ulm::keys::jamm::SUB_DELIVER`] point per subscription queue
@@ -309,63 +265,23 @@ pub(crate) struct ShardedRouter {
     qos: Option<Arc<QosRuntime>>,
 }
 
-impl ShardedRouter {
+impl Router {
     pub(crate) fn new(
         tracer: Option<Arc<crate::trace::PipelineTracer>>,
         qos: Option<Arc<QosRuntime>>,
     ) -> Self {
-        ShardedRouter {
-            shards: (0..GATEWAY_SHARDS)
-                .map(|_| Shard {
-                    table: RwLock::new(Arc::new(ShardTable::default())),
-                    stats: ShardStats::default(),
-                })
-                .collect(),
+        Router {
+            table: RwLock::new(Arc::new(RouteTable::default())),
             entries: Mutex::new(Vec::new()),
             tracer,
             qos,
         }
     }
 
-    /// The shard that owns an interned event type: pure integer
-    /// arithmetic, no string hashing.
-    fn shard_of_sym(&self, ty: Sym) -> usize {
-        (crate::hash::mix64(ty.index() as u64) % self.shards.len() as u64) as usize
-    }
-
-    /// Shards an entry is registered in.
-    fn shards_of_entry(&self, entry: &RouteEntry) -> Vec<usize> {
-        match &entry.routes {
-            RouteKeys::Wildcard => (0..self.shards.len()).collect(),
-            RouteKeys::Types(types) => {
-                let mut idxs: Vec<usize> = types.iter().map(|t| self.shard_of_sym(*t)).collect();
-                idxs.sort_unstable();
-                idxs.dedup();
-                idxs
-            }
-        }
-    }
-
-    /// Rebuild one shard's snapshot from the registry and swap it in.
-    /// Caller holds the registry lock, so rebuilds are serialized.
-    fn rebuild_shard(&self, idx: usize, entries: &[Arc<RouteEntry>]) {
-        let mut table = ShardTable::default();
-        for entry in entries {
-            if entry.closed.load(Ordering::Relaxed) {
-                continue;
-            }
-            match &entry.routes {
-                RouteKeys::Wildcard => table.wildcard.push(Arc::clone(entry)),
-                RouteKeys::Types(types) => {
-                    for t in types {
-                        if self.shard_of_sym(*t) == idx {
-                            table.by_type.entry(*t).or_default().push(Arc::clone(entry));
-                        }
-                    }
-                }
-            }
-        }
-        *self.shards[idx].table.write() = Arc::new(table);
+    /// Rebuild the snapshot from the registry and swap it in.  Caller
+    /// holds the registry lock, so rebuilds are serialized.
+    fn rebuild(&self, entries: &[Arc<RouteEntry>]) {
+        *self.table.write() = Arc::new(RouteTable::build(entries));
     }
 
     /// Register a new subscription, returning the consumer-side handle.
@@ -388,21 +304,18 @@ impl ShardedRouter {
             Arc::clone(&counters),
         ));
         let mut entries = self.entries.lock();
-        let affected = self.shards_of_entry(&entry);
         entries.push(entry);
-        for idx in affected {
-            self.rebuild_shard(idx, &entries);
-        }
+        self.rebuild(&entries);
         Subscription::from_parts(id, rx, counters)
     }
 
     /// Remove a subscription by id.  Returns whether it existed.
     ///
     /// Removal is cutoff-eventual, not immediate: a publish racing this
-    /// call may hold an older shard snapshot (or have already buffered a
+    /// call may hold an older snapshot (or have already buffered a
     /// batch) and still deliver into the subscription's queue after this
     /// returns.  The old flat list serialized publish and unsubscribe on
-    /// one mutex and so gave a hard cutoff — the sharded engine trades
+    /// one mutex and so gave a hard cutoff — the snapshot table trades
     /// that for a lock-free publish path.  Dropping the `Subscription`
     /// (its receiver) is the hard cutoff: every subsequent send fails.
     pub(crate) fn remove(&self, id: u64) -> bool {
@@ -412,29 +325,18 @@ impl ShardedRouter {
         };
         let entry = entries.remove(pos);
         entry.closed.store(true, Ordering::Relaxed);
-        for idx in self.shards_of_entry(&entry) {
-            self.rebuild_shard(idx, &entries);
-        }
+        self.rebuild(&entries);
         true
     }
 
     /// Drop every entry marked closed (dead consumers observed during
-    /// delivery) and rebuild the shards they were registered in.
+    /// delivery) and rebuild the snapshot without them.
     fn gc(&self) {
         let mut entries = self.entries.lock();
-        let mut affected: Vec<usize> = Vec::new();
-        entries.retain(|e| {
-            if e.closed.load(Ordering::Relaxed) {
-                affected.extend(self.shards_of_entry(e));
-                false
-            } else {
-                true
-            }
-        });
-        affected.sort_unstable();
-        affected.dedup();
-        for idx in affected {
-            self.rebuild_shard(idx, &entries);
+        let before = entries.len();
+        entries.retain(|e| !e.closed.load(Ordering::Relaxed));
+        if entries.len() != before {
+            self.rebuild(&entries);
         }
     }
 
@@ -531,28 +433,9 @@ impl ShardedRouter {
         (rows, fill)
     }
 
-    /// Per-shard accounting rows.
-    pub(crate) fn shard_reports(&self) -> Vec<ShardReport> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let table = s.table.read().clone();
-                ShardReport {
-                    shard: i,
-                    subscriptions: table.subscription_count(),
-                    events_in: s.stats.events_in.load(Ordering::Relaxed),
-                    delivered: s.stats.delivered.load(Ordering::Relaxed),
-                    dropped: s.stats.dropped.load(Ordering::Relaxed),
-                    bytes: s.stats.bytes.load(Ordering::Relaxed),
-                }
-            })
-            .collect()
-    }
-
     /// Route a batch — the router's one entry; a single event is a batch
-    /// of one.  Each event is offered to its shard's type bucket plus the
-    /// wildcard list, against table snapshots taken once per call and with
+    /// of one.  Each event is offered to its type's bucket plus the
+    /// wildcard list, against one table snapshot taken per call and with
     /// no lock held.  Filters (and the QoS gate) are evaluated per
     /// subscription **in publish order**, so stateful predicates behave
     /// exactly as under one-by-one routing, but accepted events are
@@ -565,14 +448,12 @@ impl ShardedRouter {
     /// batch length, here only, and both make the same deliveries in order.
     pub(crate) fn route(&self, events: &[SharedEvent]) -> RouteOutcome {
         let qos = self.qos.as_deref();
+        let table = self.table.read().clone();
         let mut out = RouteOutcome::default();
         let mut saw_closed = false;
         if let [event] = events {
             let size = event.approx_size() as u64;
             let ty = Sym::intern(&event.event_type);
-            let shard = &self.shards[self.shard_of_sym(ty)];
-            shard.stats.events_in.fetch_add(1, Ordering::Relaxed);
-            let table = shard.table.read().clone();
             // One watched-ring scan per event, not one per candidate.
             let tracer = self.tracer.as_deref();
             let traced = tracer.and_then(|t| Some((t, t.trace_id(event)?)));
@@ -592,29 +473,18 @@ impl ShardedRouter {
                     Delivery::Closed => saw_closed = true,
                 }
             }
-            shard.stats.add(&out);
             if saw_closed {
                 self.gc();
             }
             return out;
         }
-        // Per shard: its table snapshot (taken on first touch) and its
-        // counter movements (flushed once at the end).  Per touched
-        // subscription: one buffer, found again by subscription id.
-        let mut snapshots: Vec<Option<Arc<ShardTable>>> = vec![None; self.shards.len()];
-        let mut deltas = vec![RouteOutcome::default(); self.shards.len()];
+        // Per touched subscription: one buffer, found again by
+        // subscription id.
         let mut pending: Vec<Pending> = Vec::new();
         let mut slot_of: HashMap<u64, usize> = HashMap::new();
         for event in events {
             let size = event.approx_size() as u64;
-            let ty = Sym::intern(&event.event_type);
-            let idx = self.shard_of_sym(ty);
-            let ingest = &self.shards[idx].stats.events_in;
-            ingest.fetch_add(1, Ordering::Relaxed);
-            // Borrow the cached snapshot in place — no per-event Arc
-            // refcount round-trip on the table itself.
-            let table = snapshots[idx].get_or_insert_with(|| self.shards[idx].table.read().clone());
-            let typed = table.by_type.get(&ty);
+            let typed = table.by_type.get(&Sym::intern(&event.event_type));
             for entry in typed.into_iter().flatten().chain(table.wildcard.iter()) {
                 if entry.closed.load(Ordering::Relaxed) {
                     saw_closed = true;
@@ -629,22 +499,16 @@ impl ShardedRouter {
                         entry,
                         events,
                         bytes: 0,
-                        shard: idx,
                     });
                     pending.len() - 1
                 });
                 let buf = &mut pending[slot];
                 if qos.is_some_and(|q| entry.qos_gate(event, q, buf.events.len())) {
                     out.dropped += 1;
-                    deltas[idx].dropped += 1;
                     continue;
                 }
-                // Counted delivered to the event's shard now; the
-                // flush takes back whatever the queue does not accept.
                 buf.events.push(SharedEvent::clone(event));
                 buf.bytes += size;
-                deltas[idx].delivered += 1;
-                deltas[idx].bytes += size;
             }
         }
         for buf in pending {
@@ -670,22 +534,14 @@ impl ShardedRouter {
                     accepted.map(|accepted| (accepted, 0))
                 }
             };
-            // Whatever is still buffered was not queued — a drop-newest
-            // queue's rejected tail, or the whole batch of a consumer that
-            // is gone: take it back from its shard.
-            for event in events {
-                let size = event.approx_size() as u64;
-                let delta = &mut deltas[self.shard_of_sym(Sym::intern(&event.event_type))];
-                delta.delivered -= 1;
-                delta.bytes -= size;
-                delta.dropped += u64::from(sent.is_ok());
-                bytes -= size;
-            }
             match sent {
                 Ok((accepted, evicted)) => {
                     for (_, tracer, id) in traced.iter().filter(|w| w.0 < accepted) {
                         tracer.stage_id(*id, SUB_DELIVER, &entry.consumer);
                     }
+                    // Whatever is still buffered is a drop-newest queue's
+                    // rejected tail: its bytes were not delivered.
+                    bytes -= events.iter().map(|e| e.approx_size() as u64).sum::<u64>();
                     let dropped = (buffered - accepted + evicted) as u64;
                     entry.counters.record_delivered_n(accepted as u64, bytes);
                     if dropped > 0 {
@@ -694,18 +550,12 @@ impl ShardedRouter {
                     out.delivered += accepted as u64;
                     out.bytes += bytes;
                     out.dropped += dropped;
-                    // Evicted events may span earlier batches; attribute
-                    // them to the shard of the first buffered event.
-                    deltas[buf.shard].dropped += evicted as u64;
                 }
                 Err(_) => {
                     entry.closed.store(true, Ordering::Relaxed);
                     saw_closed = true;
                 }
             }
-        }
-        for (shard, delta) in self.shards.iter().zip(&deltas) {
-            shard.stats.add(delta);
         }
         if saw_closed {
             self.gc();
@@ -721,6 +571,62 @@ struct Pending {
     events: Vec<SharedEvent>,
     /// Running payload size of `events`.
     bytes: u64,
-    /// Shard of the first buffered event (where evictions are attributed).
-    shard: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jamm_core::query::Predicate;
+    use jamm_ulm::{Event, Timestamp};
+
+    /// The current snapshot as subscription ids: each type bucket (sorted
+    /// by type name) and the wildcard list.
+    type Placement = (Vec<(&'static str, Vec<u64>)>, Vec<u64>);
+
+    fn placement(router: &Router) -> Placement {
+        let table = router.table.read().clone();
+        let ids = |entries: &[Arc<RouteEntry>]| entries.iter().map(|e| e.id).collect();
+        let mut typed: Vec<_> = table
+            .by_type
+            .iter()
+            .map(|(ty, entries)| (ty.as_str(), ids(entries)))
+            .collect();
+        typed.sort();
+        (typed, ids(&table.wildcard))
+    }
+
+    #[test]
+    fn entries_sit_only_in_the_buckets_their_plan_routes() {
+        let router = Router::new(None, None);
+        let open = |id, filter: Predicate| {
+            let plan = filter.compile();
+            router.insert(id, "c".into(), plan, 16, OverflowPolicy::DropOldest)
+        };
+        let cpu = open(1, Predicate::types(["CPU_TOTAL"]));
+        let _both = open(2, Predicate::types(["CPU_TOTAL", "MEM_FREE"]));
+        let _all = open(3, Predicate::everything());
+        let _none = open(4, Predicate::EventTypes(vec![]));
+        let by_type = vec![("CPU_TOTAL", vec![1, 2]), ("MEM_FREE", vec![2])];
+        assert_eq!(placement(&router), (by_type, vec![3]));
+
+        assert!(router.remove(2));
+        assert!(!router.remove(2), "already gone");
+        assert_eq!(placement(&router), (vec![("CPU_TOTAL", vec![1])], vec![3]));
+
+        // A dropped receiver is noticed by the next publish, which
+        // collects the entry out of the table.
+        drop(cpu);
+        let event = Event::builder("vmstat", "h")
+            .event_type("CPU_TOTAL")
+            .timestamp(Timestamp::from_secs(1))
+            .value(1.0)
+            .build();
+        router.route(&[SharedEvent::new(event)]);
+        assert_eq!(placement(&router), (vec![], vec![3]));
+        assert_eq!(
+            router.live_count(),
+            2,
+            "the wildcard and the empty-type entry"
+        );
+    }
 }

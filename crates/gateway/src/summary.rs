@@ -13,8 +13,6 @@ use jamm_core::query::Plan;
 use jamm_core::sync::RwLock;
 use jamm_ulm::{keys, Event, Level, SharedEvent, Timestamp};
 
-use crate::routing::GATEWAY_SHARDS;
-
 /// A summary window length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SummaryWindow {
@@ -184,32 +182,19 @@ struct Series {
 }
 
 /// The gateway's per-series table: the query cache and the summary
-/// readings under one key, split across N shards by series so publishers
-/// carrying different series do not serialize on one lock.  A publish is
-/// one keyed update under one write lock; a series lands in one shard, so
-/// its summaries do not depend on the split.
+/// readings under one key, in one map.  A publish is one keyed update
+/// under the map's write lock.
+#[derive(Default)]
 pub(crate) struct SeriesTable {
-    shards: Vec<RwLock<HashMap<SeriesKey, Series>>>,
+    series: RwLock<HashMap<SeriesKey, Series>>,
 }
 
 impl SeriesTable {
-    /// Create a table split across [`GATEWAY_SHARDS`] locks.
-    pub(crate) fn new() -> Self {
-        SeriesTable {
-            shards: (0..GATEWAY_SHARDS).map(|_| RwLock::default()).collect(),
-        }
-    }
-
-    fn shard_of(&self, (host, ty): SeriesKey) -> &RwLock<HashMap<SeriesKey, Series>> {
-        let idx = crate::hash::sym_series(host, ty) % self.shards.len() as u64;
-        &self.shards[idx as usize]
-    }
-
     /// Make `event` its series' latest and record its reading: one hash
-    /// probe under the owning shard's write lock, integer keys only.
+    /// probe under the write lock, integer keys only.
     pub(crate) fn observe(&self, key: SeriesKey, event: &SharedEvent) {
-        let mut shard = self.shard_of(key).write();
-        let series = shard.entry(key).or_insert_with(|| Series {
+        let mut table = self.series.write();
+        let series = table.entry(key).or_insert_with(|| Series {
             latest: SharedEvent::clone(event),
             readings: Readings::default(),
         });
@@ -219,19 +204,20 @@ impl SeriesTable {
 
     /// The most recently observed event of one series.
     pub(crate) fn latest(&self, key: SeriesKey) -> Option<SharedEvent> {
-        let shard = self.shard_of(key).read();
-        shard.get(&key).map(|s| SharedEvent::clone(&s.latest))
+        let table = self.series.read();
+        table.get(&key).map(|s| SharedEvent::clone(&s.latest))
     }
 
     /// Every series' latest event that `plan` accepts, in (host, event
-    /// type) order.  Each shard is read-locked exactly once.
+    /// type) order.
     pub(crate) fn latest_matching(&self, plan: &Plan) -> Vec<SharedEvent> {
-        let mut out: Vec<SharedEvent> = Vec::new();
-        for shard in &self.shards {
-            let latest = shard.read();
-            let hits = latest.values().filter(|s| plan.eval(&*s.latest));
-            out.extend(hits.map(|s| SharedEvent::clone(&s.latest)));
-        }
+        let mut out: Vec<SharedEvent> = self
+            .series
+            .read()
+            .values()
+            .filter(|s| plan.eval(&*s.latest))
+            .map(|s| SharedEvent::clone(&s.latest))
+            .collect();
         out.sort_by(|a, b| (&a.host, &a.event_type).cmp(&(&b.host, &b.event_type)));
         out
     }
@@ -240,7 +226,6 @@ impl SeriesTable {
     /// (host, event type) key `plan`'s host and type facts admit, ordered
     /// by (host, event type) with the windows in the order requested.  A
     /// rejected series is skipped by its key before any event is built.
-    /// Each shard is read-locked exactly once.
     pub(crate) fn summary_events(
         &self,
         plan: &Plan,
@@ -253,13 +238,14 @@ impl SeriesTable {
             facts.hosts.as_ref().is_none_or(|h| h.contains(host))
                 && facts.types.as_ref().is_none_or(|t| t.contains(ty))
         };
-        let mut rows = Vec::new();
-        for shard in &self.shards {
-            let series = shard.read();
-            let row =
-                |(key, s): (_, &Series)| s.readings.summary_row(key, windows, now, gateway_name);
-            rows.extend(series.iter().filter(|(key, _)| admitted(key)).map(row));
-        }
+        let row = |(key, s): (_, &Series)| s.readings.summary_row(key, windows, now, gateway_name);
+        let rows = self
+            .series
+            .read()
+            .iter()
+            .filter(|(key, _)| admitted(key))
+            .map(row)
+            .collect();
         in_series_order(rows)
     }
 }
@@ -422,7 +408,7 @@ mod tests {
 
     #[test]
     fn summary_events_cover_all_series_and_windows() {
-        let table = SeriesTable::new();
+        let table = SeriesTable::default();
         for i in 0..10u64 {
             for e in [
                 reading("h1", "CPU_TOTAL", 1_000 + i, 50.0),

@@ -5,13 +5,13 @@
 
 use jamm_core::check::{forall, Gen};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jamm_core::query::{Plan, ValueCmp};
 use jamm_gateway::summary::SummaryWindow;
 use jamm_gateway::{
-    EventGateway, GatewayConfig, OverflowPolicy, Predicate, QosConfig, GATEWAY_SHARDS,
+    EventGateway, GatewayConfig, OverflowPolicy, Predicate, QosConfig, Subscription,
 };
 use jamm_ulm::{keys, Event, Level, SharedEvent, Timestamp};
 
@@ -200,7 +200,7 @@ fn summary_mean_matches_direct_computation() {
     });
 }
 
-/// One subscription of the flat-list oracle: the pre-sharding algorithm —
+/// One subscription of the flat-list oracle: the original algorithm —
 /// every subscription offered every event, in publish order — written
 /// against the public API only (a compiled [`Plan`] and a bounded deque),
 /// so it shares no code with the router it checks.
@@ -246,15 +246,16 @@ impl FlatSub {
     }
 }
 
-/// The sharded router — with or without a QoS plane (re-tiering every
+/// The router — with or without a QoS plane (re-tiering every
 /// 512 publishes), under any filter mix (typed and wildcard), any queue
 /// bound, either overflow policy, and any split of the stream across
 /// `publish`, `publish_shared` and `publish_batch` — delivers exactly the
 /// same event sequences, with the same per-subscription counters, as the
-/// original flat-list fan-out.
+/// original flat-list fan-out, and the gateway totals are the sums of
+/// the subscriptions' counters.
 #[test]
-fn sharded_routing_is_equivalent_to_the_flat_list() {
-    forall("sharded == flat", 64, |g| {
+fn routing_is_equivalent_to_the_flat_list() {
+    forall("routed == flat", 64, |g| {
         let qos = g.bool(0.5);
         // With QoS the stream is long enough to cross the re-tier cadence,
         // and the queues deep enough (fill <= 1/8) that the pass leaves
@@ -345,23 +346,17 @@ fn sharded_routing_is_equivalent_to_the_flat_list() {
             assert_eq!(a.dropped, b.dropped(), "qos {qos}");
             assert_eq!(a.bytes, b.bytes(), "qos {qos}");
         }
-        // The gateway totals equal what the subscriptions counted.
-        let delivered: u64 = gw_subs.iter().map(|s| s.delivered()).sum();
+        // The gateway totals decompose into the subscriptions' counters.
         let stats = gw.stats();
-        assert_eq!(
-            stats.events_in.load(Ordering::Relaxed) as usize,
-            events.len()
-        );
-        assert_eq!(stats.events_out.load(Ordering::Relaxed), delivered);
-        // The per-shard rows decompose the gateway totals exactly.
-        let report = gw.shard_report();
-        assert_eq!(report.len(), GATEWAY_SHARDS);
-        assert_eq!(
-            report.iter().map(|s| s.events_in).sum::<u64>() as usize,
-            events.len(),
-            "qos {qos}"
-        );
-        assert_eq!(report.iter().map(|s| s.delivered).sum::<u64>(), delivered);
+        let total = |count: fn(&Subscription) -> u64| gw_subs.iter().map(count).sum::<u64>();
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        assert_eq!(read(&stats.events_in) as usize, events.len());
+        let out = read(&stats.events_out);
+        assert_eq!(out, total(Subscription::delivered), "qos {qos}");
+        let dropped = read(&stats.events_dropped);
+        assert_eq!(dropped, total(Subscription::dropped), "qos {qos}");
+        let bytes = read(&stats.bytes_out);
+        assert_eq!(bytes, total(Subscription::bytes), "qos {qos}");
     });
 }
 

@@ -51,9 +51,6 @@ pub struct GatewayAdminStats {
     pub queries: u64,
     /// Routing (fan-out) latency distribution per publish, microseconds.
     pub route_us: jamm_core::obs::HistogramSnapshot,
-    /// Per-shard routing breakdown: how traffic, deliveries, drops and
-    /// bytes distribute across the fan-out engine's shards.
-    pub shards: Vec<jamm_gateway::ShardReport>,
     /// Per-subscription delivery totals.
     pub subscriptions: Vec<jamm_gateway::DeliveryReport>,
     /// Per-subscription QoS tier assignments (current tier plus the
@@ -133,7 +130,6 @@ fn gateway_admin_stats(src: &Sources) -> Vec<GatewayAdminStats> {
                 bytes_out: stats.bytes_out.load(Ordering::Relaxed),
                 queries: stats.queries.load(Ordering::Relaxed),
                 route_us: stats.route_us.snapshot(),
-                shards: gw.shard_report(),
                 subscriptions: gw.delivery_report(),
                 tiers: qos.as_ref().map(|_| gw.tier_report()).unwrap_or_default(),
                 qos,
@@ -369,9 +365,7 @@ pub(crate) fn counter(snapshot: &MetricsSnapshot, name: &str) -> u64 {
 
 impl JammSystem {
     /// Administrative statistics: one row per gateway with its cumulative
-    /// totals, routing latency, the per-shard delivered/dropped/bytes
-    /// breakdown from the fan-out engine (per-subscription totals alone
-    /// cannot show a hot shard or a skewed event-type distribution), QoS
+    /// totals, routing latency, per-subscription delivery totals, QoS
     /// tiers, edge broadcast counters and socket rows, and the reactor's
     /// loop saturation.  [`JammSystem::metrics`] prints the same rows.
     pub fn admin_stats(&self) -> Vec<GatewayAdminStats> {

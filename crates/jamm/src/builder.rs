@@ -315,7 +315,7 @@ mod tests {
     use crate::admin::counter;
     use crate::{HistorySource, QueryError};
     use jamm_core::query::Predicate;
-    use jamm_gateway::{QosConfig, Tier, GATEWAY_SHARDS};
+    use jamm_gateway::{QosConfig, Tier};
     use jamm_ulm::{Event, Level, Timestamp};
 
     fn ev(host: &str, level: Level, t: u64) -> Event {
@@ -418,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn fanout_knobs_and_admin_stats_expose_per_shard_counters() {
+    fn fanout_knobs_and_admin_stats_expose_gateway_counters() {
         let mut jamm = JammBuilder::new()
             .gateway_config(GatewayConfig::open("gw1"))
             .gateway("gw2")
@@ -435,19 +435,13 @@ mod tests {
         assert_eq!(gw1.name, "gw1");
         assert_eq!(gw1.events_in, 40);
         assert_eq!(gw1.events_out, 40);
-        assert_eq!(gw1.shards.len(), GATEWAY_SHARDS);
-        // The shard rows decompose the gateway totals.
-        assert_eq!(gw1.shards.iter().map(|s| s.events_in).sum::<u64>(), 40);
-        assert_eq!(gw1.shards.iter().map(|s| s.delivered).sum::<u64>(), 40);
-        assert_eq!(
-            gw1.shards.iter().map(|s| s.bytes).sum::<u64>(),
-            gw1.bytes_out
-        );
+        // The subscription row decomposes the gateway totals.
         assert_eq!(gw1.subscriptions.len(), 1);
         assert_eq!(gw1.subscriptions[0].delivered, 40);
-        // The idle gateway's rows are all zero but still present.
-        assert_eq!(stats[1].events_in, 0);
-        assert_eq!(stats[1].shards.len(), GATEWAY_SHARDS);
+        assert_eq!(gw1.subscriptions[0].bytes, gw1.bytes_out);
+        // The idle gateway's row is all zero but still present.
+        assert_eq!(stats[1].name, "gw2");
+        assert_eq!((stats[1].events_in, stats[1].events_out), (0, 0));
     }
 
     #[test]

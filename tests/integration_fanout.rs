@@ -1,12 +1,11 @@
-//! Cross-crate integration of the sharded gateway fan-out engine: a
-//! deployment's gateway survives parallel publishers, routes typed
-//! subscriptions to the shards owning their types, and exposes a per-shard
-//! accounting breakdown through `JammSystem::admin_stats`.
+//! Cross-crate integration of the gateway fan-out engine: a deployment's
+//! gateway survives parallel publishers, delivers typed subscriptions only
+//! their types, and exposes its accounting through
+//! `JammSystem::admin_stats`.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use jamm::jamm_gateway::GATEWAY_SHARDS;
 use jamm::JammBuilder;
 use jamm_core::query::{Predicate, ValueCmp};
 use jamm_ulm::{Event, Level, Timestamp};
@@ -40,8 +39,8 @@ fn workload() -> Vec<Event> {
 
 /// Parallel publishers hammering one gateway: every event is delivered
 /// exactly once, each publisher's order survives (its events are routed on
-/// its own thread, one publish after the other), and the admin-stats shard
-/// rows decompose the totals exactly.
+/// its own thread, one publish after the other), and the admin-stats
+/// subscription row decomposes the totals exactly.
 #[test]
 fn parallel_publishers_deliver_exactly_once() {
     let jamm = Arc::new(JammBuilder::new().gateway("gw").build().unwrap());
@@ -71,12 +70,9 @@ fn parallel_publishers_deliver_exactly_once() {
     assert_eq!(gw.events_in, 2_000);
     assert_eq!(gw.events_out, 2_000);
     assert_eq!(gw.events_dropped, 0);
-    assert_eq!(gw.shards.len(), GATEWAY_SHARDS);
-    assert_eq!(gw.shards.iter().map(|s| s.events_in).sum::<u64>(), 2_000);
-    assert_eq!(gw.shards.iter().map(|s| s.delivered).sum::<u64>(), 2_000);
-    assert_eq!(gw.shards.iter().map(|s| s.bytes).sum::<u64>(), gw.bytes_out);
     assert_eq!(gw.subscriptions.len(), 1);
     assert_eq!(gw.subscriptions[0].delivered, 2_000);
+    assert_eq!(gw.subscriptions[0].bytes, gw.bytes_out);
 
     let got: Vec<jamm::SharedEvent> = {
         let mut v: Vec<jamm::SharedEvent> = Vec::new();
@@ -97,10 +93,10 @@ fn parallel_publishers_deliver_exactly_once() {
     }
 }
 
-/// Typed consumer subscriptions only load the shards owning their types,
-/// and filters still reduce delivered volume.
+/// A typed consumer subscription composes with a value filter: only the
+/// readings of its type that pass the filter are delivered.
 #[test]
-fn typed_subscriptions_and_filters_compose_with_sharding() {
+fn typed_subscriptions_and_filters_compose() {
     let mut jamm = JammBuilder::new()
         .gateway("gw")
         .collector("cpu-watcher")
@@ -127,13 +123,6 @@ fn typed_subscriptions_and_filters_compose_with_sharding() {
         .count();
     assert!(expected > 0);
     assert_eq!(jamm.collectors[0].events().len(), expected);
-    // The typed subscription occupies exactly one shard.
-    let occupied: usize = jamm.gateways[0]
-        .shard_report()
-        .iter()
-        .map(|s| s.subscriptions)
-        .sum();
-    assert_eq!(occupied, 1);
     // events_in still counts every publish, absorbed by the gateway.
     assert_eq!(
         jamm.gateways[0].stats().events_in.load(Ordering::Relaxed),
