@@ -5,10 +5,10 @@
 //! changes occurred. ... the archive is just another consumer" (§2.2).
 //!
 //! [`EventArchive`] is a time-indexed store of ULM events answering the
-//! unified query plane, with normal/abnormal tagging (the paper wants "a good
-//! sampling of both normal and abnormal system operation"), and ULM / JSON
-//! export so other tools — e.g. a Network Weather Service style predictor —
-//! can consume the history.
+//! unified query plane, with ULM / JSON export so other tools — e.g. a
+//! Network Weather Service style predictor — can consume the history.  The
+//! directory entry describing the archive's contents is built from the
+//! storage engine's own [`jamm_tsdb::StoreCatalog`].
 //!
 //! Since PR 2 the archive sits on the [`jamm_tsdb`] storage engine: an
 //! in-memory archive ([`EventArchive::new`]) behaves exactly as before,
@@ -41,40 +41,12 @@ mod replay;
 
 pub use replay::ReplaySource;
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 use jamm_core::flow::{EventSink, SinkError};
 use jamm_core::query::{ParseError, Plan, Predicate};
-use jamm_core::sync::RwLock;
 use jamm_tsdb::{ScanIter, SegmentCatalog, Tsdb, TsdbError, TsdbOptions, TsdbStats};
 use jamm_ulm::{Event, SharedEvent, Timestamp};
-
-/// A label attached to a stored span of events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OperationLabel {
-    /// The system was behaving normally.
-    Normal,
-    /// The span covers a fault or performance anomaly.
-    Abnormal,
-}
-
-/// Summary of the archive's contents, published in the directory so
-/// consumers can discover what history exists ("It also creates an archive
-/// directory service entry indicating the contents of the archive").
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArchiveCatalog {
-    /// Total number of stored events.
-    pub event_count: usize,
-    /// Earliest stored timestamp.
-    pub earliest: Option<Timestamp>,
-    /// Latest stored timestamp.
-    pub latest: Option<Timestamp>,
-    /// Event types present and their counts.
-    pub event_types: BTreeMap<String, usize>,
-    /// Hosts present and their counts.
-    pub hosts: BTreeMap<String, usize>,
-}
 
 /// A streaming, time-ordered iterator over query results.
 ///
@@ -84,18 +56,11 @@ pub struct ArchiveCatalog {
 /// remaining segment handle — as soon as a pushed-down limit is reached.
 pub type ArchiveScan = ScanIter;
 
-/// Name of the sidecar file persisting operation labels in a store
-/// directory (one `from to label` line per span).
-const LABELS_FILE: &str = "labels.log";
-
 /// A time-indexed archive of monitoring events, persistent when opened on
 /// a directory.
 #[derive(Debug)]
 pub struct EventArchive {
     db: Tsdb,
-    labels: RwLock<Vec<(Timestamp, Timestamp, OperationLabel)>>,
-    /// Sidecar path persisting the labels (persistent archives only).
-    labels_path: Option<std::path::PathBuf>,
 }
 
 impl Default for EventArchive {
@@ -109,27 +74,20 @@ impl EventArchive {
     pub fn new() -> Self {
         EventArchive {
             db: Tsdb::in_memory(),
-            labels: RwLock::new(Vec::new()),
-            labels_path: None,
         }
     }
 
     /// Open (creating if needed) a persistent archive in `dir`.  Existing
-    /// segments are loaded, the write-ahead log is replayed and saved
-    /// operation labels are reloaded, so a populated archive survives
-    /// process restart.
+    /// segments are loaded and the write-ahead log is replayed, so a
+    /// populated archive survives process restart.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, TsdbError> {
         Self::open_with(dir, TsdbOptions::default())
     }
 
     /// Open a persistent archive with explicit storage-engine options.
     pub fn open_with(dir: impl AsRef<Path>, opts: TsdbOptions) -> Result<Self, TsdbError> {
-        let labels_path = dir.as_ref().join(LABELS_FILE);
-        let labels = load_labels(&labels_path);
         Ok(EventArchive {
             db: Tsdb::open_with(dir, opts)?,
-            labels: RwLock::new(labels),
-            labels_path: Some(labels_path),
         })
     }
 
@@ -138,13 +96,11 @@ impl EventArchive {
     pub fn in_memory_with(opts: TsdbOptions) -> Self {
         EventArchive {
             db: Tsdb::in_memory_with(opts),
-            labels: RwLock::new(Vec::new()),
-            labels_path: None,
         }
     }
 
-    /// The underlying storage engine (stats, segment catalogs, manual
-    /// maintenance).
+    /// The underlying storage engine (stats, the store and segment
+    /// catalogs, manual maintenance).
     pub fn tsdb(&self) -> &Tsdb {
         &self.db
     }
@@ -196,36 +152,6 @@ impl EventArchive {
         self.db.segment_catalogs()
     }
 
-    /// Label a time span as normal or abnormal operation.  Persistent
-    /// archives append the label to a sidecar file (best effort) so the
-    /// classification history survives restart alongside the events.
-    pub fn label_span(&self, from: Timestamp, to: Timestamp, label: OperationLabel) {
-        self.labels.write().push((from, to, label));
-        if let Some(path) = &self.labels_path {
-            use std::io::Write;
-            let tag = match label {
-                OperationLabel::Normal => "normal",
-                OperationLabel::Abnormal => "abnormal",
-            };
-            let line = format!("{} {} {tag}\n", from.as_micros(), to.as_micros());
-            let _ = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| f.write_all(line.as_bytes()));
-        }
-    }
-
-    /// The label covering a timestamp, if any (later labels win).
-    pub fn label_at(&self, t: Timestamp) -> Option<OperationLabel> {
-        self.labels
-            .read()
-            .iter()
-            .rev()
-            .find(|(from, to, _)| t >= *from && t < *to)
-            .map(|(_, _, l)| *l)
-    }
-
     /// Stream every event a compiled query-plane [`Plan`] matches — the
     /// same plans gateway subscriptions and directory searches run — in
     /// time order, without materializing the match set.  Segments that
@@ -244,18 +170,6 @@ impl EventArchive {
     /// the matching history.
     pub fn scan_str(&self, query: &str) -> Result<ArchiveScan, ParseError> {
         Ok(self.scan(&Predicate::parse(query)?.compile()))
-    }
-
-    /// Build the catalog entry describing the archive's contents.
-    pub fn catalog(&self) -> ArchiveCatalog {
-        let c = self.db.catalog();
-        ArchiveCatalog {
-            event_count: c.event_count,
-            earliest: c.earliest,
-            latest: c.latest,
-            event_types: c.event_types,
-            hosts: c.hosts,
-        }
     }
 
     /// Stream matching events as ULM text (one line per event) into a
@@ -303,36 +217,6 @@ impl EventArchive {
     pub fn expire_before(&self, cutoff: Timestamp) -> Result<usize, TsdbError> {
         self.db.retain(cutoff)
     }
-}
-
-/// Load persisted labels from the sidecar file; a missing or partially
-/// unparsable file yields what could be read (labels are an annotation,
-/// not a source of truth worth refusing to open over).
-fn load_labels(path: &Path) -> Vec<(Timestamp, Timestamp, OperationLabel)> {
-    let Ok(contents) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for line in contents.lines() {
-        let mut parts = line.split_whitespace();
-        let (Some(from), Some(to), Some(tag)) = (parts.next(), parts.next(), parts.next()) else {
-            continue;
-        };
-        let (Ok(from), Ok(to)) = (from.parse::<u64>(), to.parse::<u64>()) else {
-            continue;
-        };
-        let label = match tag {
-            "normal" => OperationLabel::Normal,
-            "abnormal" => OperationLabel::Abnormal,
-            _ => continue,
-        };
-        out.push((
-            Timestamp::from_micros(from),
-            Timestamp::from_micros(to),
-            label,
-        ));
-    }
-    out
 }
 
 fn rejected(e: TsdbError) -> SinkError {
@@ -455,41 +339,13 @@ mod tests {
     #[test]
     fn catalog_summarises_contents() {
         let a = populated();
-        let c = a.catalog();
+        let c = a.tsdb().catalog();
         assert_eq!(c.event_count, 110);
         assert_eq!(c.event_types.get("CPU_TOTAL"), Some(&100));
         assert_eq!(c.event_types.get("TCPD_RETRANSMITS"), Some(&10));
         assert_eq!(c.hosts.len(), 2);
         assert_eq!(c.earliest, Some(Timestamp::from_secs(1_000)));
         assert_eq!(c.latest, Some(Timestamp::from_secs(1_099)));
-    }
-
-    #[test]
-    fn normal_abnormal_labels() {
-        let a = populated();
-        a.label_span(
-            Timestamp::from_secs(1_000),
-            Timestamp::from_secs(1_050),
-            OperationLabel::Normal,
-        );
-        a.label_span(
-            Timestamp::from_secs(1_030),
-            Timestamp::from_secs(1_040),
-            OperationLabel::Abnormal,
-        );
-        assert_eq!(
-            a.label_at(Timestamp::from_secs(1_010)),
-            Some(OperationLabel::Normal)
-        );
-        assert_eq!(
-            a.label_at(Timestamp::from_secs(1_035)),
-            Some(OperationLabel::Abnormal)
-        );
-        assert_eq!(
-            a.label_at(Timestamp::from_secs(1_045)),
-            Some(OperationLabel::Normal)
-        );
-        assert_eq!(a.label_at(Timestamp::from_secs(2_000)), None);
     }
 
     #[test]
@@ -587,36 +443,6 @@ mod tests {
         let a = EventArchive::open(dir.path()).unwrap();
         assert_eq!(a.len(), 60);
         assert_eq!(a.scan(&between(45, 55)).count(), 10);
-    }
-
-    #[test]
-    fn labels_survive_restart_on_persistent_archives() {
-        let dir = TempDir::new("archive-labels");
-        {
-            let a = EventArchive::open(dir.path()).unwrap();
-            put(&a, ev("h", "X", 10, 1.0));
-            a.label_span(
-                Timestamp::from_secs(0),
-                Timestamp::from_secs(50),
-                OperationLabel::Normal,
-            );
-            a.label_span(
-                Timestamp::from_secs(20),
-                Timestamp::from_secs(30),
-                OperationLabel::Abnormal,
-            );
-        }
-        let a = EventArchive::open(dir.path()).unwrap();
-        assert_eq!(
-            a.label_at(Timestamp::from_secs(10)),
-            Some(OperationLabel::Normal)
-        );
-        assert_eq!(
-            a.label_at(Timestamp::from_secs(25)),
-            Some(OperationLabel::Abnormal),
-            "later labels still win after reload"
-        );
-        assert_eq!(a.label_at(Timestamp::from_secs(99)), None);
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl ArchiverAgent {
         if let Err(DirectoryError::NoSuchEntry(_)) = directory.lookup(&self.catalog_dn) {
             self.published_segments.clear();
         }
-        let catalog = self.archive.catalog();
+        let catalog = self.archive.tsdb().catalog();
         let mut entry = Entry::new(self.catalog_dn.clone())
             .with("objectclass", "eventarchive")
             .with("eventcount", catalog.event_count.to_string())
@@ -348,15 +348,41 @@ mod tests {
         agent.poll();
         assert!(agent.publish_catalog(&dir, Timestamp::from_secs(100)));
         let dn = Dn::parse("archive=main,o=lbl,o=grid").unwrap();
-        let entry = dir.lookup(&dn).unwrap();
-        assert_eq!(entry.get("eventcount"), Some("2"));
-        assert!(entry.has_value("eventtype", "CPU_TOTAL"));
-        assert!(entry.has_value("host", "mems.cairn.net"));
+        let date = |s: u64| Timestamp::from_secs(s).to_ulm_date();
+        // Every attribute of the entry, in attribute-name order.
+        let expected = |count: &str, latest: u64, update: u64| -> Vec<(String, Vec<String>)> {
+            [
+                ("earliest", vec![date(10)]),
+                ("eventcount", vec![count.into()]),
+                (
+                    "eventtype",
+                    vec!["CPU_TOTAL".into(), "TCPD_RETRANSMITS".into()],
+                ),
+                (
+                    "host",
+                    vec!["dpss1.lbl.gov".into(), "mems.cairn.net".into()],
+                ),
+                ("lastupdate", vec![date(update)]),
+                ("latest", vec![date(latest)]),
+                ("objectclass", vec!["eventarchive".into()]),
+            ]
+            .into_iter()
+            .map(|(attr, values)| (attr.to_string(), values))
+            .collect()
+        };
+        let published = || -> Vec<(String, Vec<String>)> {
+            let entry = dir.lookup(&dn).unwrap();
+            entry
+                .attributes()
+                .map(|(attr, values)| (attr.to_string(), values.to_vec()))
+                .collect()
+        };
+        assert_eq!(published(), expected("2", 20, 100));
         // More data arrives; the refreshed catalog reflects it.
         gw.publish(&ev("dpss1.lbl.gov", "CPU_TOTAL", 30, Level::Usage));
         agent.poll();
         agent.publish_catalog(&dir, Timestamp::from_secs(200));
-        assert_eq!(dir.lookup(&dn).unwrap().get("eventcount"), Some("3"));
+        assert_eq!(published(), expected("3", 30, 200));
     }
 
     #[test]

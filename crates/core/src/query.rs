@@ -42,7 +42,6 @@
 //! | `(limit=100)` | result limit (a pushdown directive; always matches) |
 //! | `(groupby=host)` / `(groupby=type)` / `(groupby=host,type)` | aggregate directive: group matches by host and/or event type |
 //! | `(topk=5)` | aggregate directive: keep the 5 highest-scoring groups |
-//! | `(rate=60s)` | aggregate directive: report per-group event rate over a trailing window (`N` = micros, `Ns` = seconds) |
 //! | `(attr=value)` | case-insensitive attribute equality (directory entries; event pseudo-attrs) |
 //! | `(attr~=value)` | case-insensitive equality on *any* attribute, including `host`/`type` (LDAP approximate match) |
 //! | `(attr=*)` | attribute presence |
@@ -186,9 +185,6 @@ pub enum Predicate {
     GroupBy(Vec<GroupKey>),
     /// Aggregate directive: keep only the K highest-scoring groups.
     TopK(usize),
-    /// Aggregate directive: report each group's event rate over a trailing
-    /// window of this many microseconds.
-    Rate(u64),
 }
 
 /// A grouping key for the aggregate directives.
@@ -399,7 +395,6 @@ impl std::fmt::Display for Predicate {
                 write!(f, ")")
             }
             Predicate::TopK(k) => write!(f, "(topk={k})"),
-            Predicate::Rate(w) => write!(f, "(rate={w})"),
         }
     }
 }
@@ -709,14 +704,6 @@ impl<'a> Parser<'a> {
                         .ok_or_else(|| self.err(format!("expected a count, got '{value}'")))?,
                 )
             }
-            "rate" => {
-                eq_only(self)?;
-                Predicate::Rate(
-                    parse_time_micros(value)
-                        .filter(|w| *w > 0)
-                        .ok_or_else(|| self.err(format!("expected a duration, got '{value}'")))?,
-                )
-            }
             _ => match op {
                 "~=" => Predicate::Equals(attr_lower, unescape(value)),
                 "=" => match shape(value) {
@@ -873,11 +860,9 @@ enum Node {
 
 fn compile_node(p: &Predicate) -> Node {
     match p {
-        Predicate::True
-        | Predicate::Limit(_)
-        | Predicate::GroupBy(_)
-        | Predicate::TopK(_)
-        | Predicate::Rate(_) => Node::True,
+        Predicate::True | Predicate::Limit(_) | Predicate::GroupBy(_) | Predicate::TopK(_) => {
+            Node::True
+        }
         Predicate::And(cs) => Node::And(cs.iter().map(compile_node).collect()),
         Predicate::Or(cs) => Node::Or(cs.iter().map(compile_node).collect()),
         Predicate::Not(c) => Node::Not(Box::new(compile_node(c))),
@@ -1121,17 +1106,15 @@ fn predicate_limit(p: &Predicate) -> Option<usize> {
 }
 
 /// What a plan's aggregate directives ask for.  Present on a plan only
-/// when the predicate carried at least one of `groupby` / `topk` / `rate`
-/// (through conjunctions on the way to the root, like `limit`).
+/// when the predicate carried `groupby` or `topk` (through conjunctions on
+/// the way to the root, like `limit`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AggregateSpec {
-    /// Grouping keys.  Defaults to `[Host, Type]` when `topk` or `rate`
-    /// appears without an explicit `groupby`.
+    /// Grouping keys.  Defaults to `[Host, Type]` when `topk` appears
+    /// without an explicit `groupby`.
     pub group_by: Vec<GroupKey>,
     /// Keep only the K highest-scoring groups (see [`Aggregator::rows`]).
     pub top_k: Option<usize>,
-    /// Trailing rate window in microseconds.
-    pub rate_window_micros: Option<u64>,
 }
 
 /// Aggregate directives survive only through conjunctions, like limits.
@@ -1151,11 +1134,6 @@ fn predicate_aggregate(p: &Predicate) -> Option<AggregateSpec> {
                 *any = true;
                 spec.top_k = Some(spec.top_k.map_or(*k, |prev: usize| prev.min(*k)));
             }
-            Predicate::Rate(w) => {
-                *any = true;
-                spec.rate_window_micros =
-                    Some(spec.rate_window_micros.map_or(*w, |prev: u64| prev.min(*w)));
-            }
             Predicate::And(cs) => {
                 for c in cs {
                     walk(c, spec, any);
@@ -1167,7 +1145,6 @@ fn predicate_aggregate(p: &Predicate) -> Option<AggregateSpec> {
     let mut spec = AggregateSpec {
         group_by: Vec::new(),
         top_k: None,
-        rate_window_micros: None,
     };
     let mut any = false;
     walk(p, &mut spec, &mut any);
@@ -1874,15 +1851,13 @@ pub struct AggRow {
     pub max: f64,
     /// Mean reading, when the group had any.
     pub mean: Option<f64>,
-    /// Events per second over the trailing rate window, when requested.
-    pub rate: Option<f64>,
 }
 
 impl AggRow {
-    /// The score top-k ranks groups by: the rate when requested, else the
-    /// mean reading, else the plain count.
+    /// The score top-k ranks groups by: the mean reading, else the plain
+    /// count.
     pub fn score(&self) -> f64 {
-        self.rate.or(self.mean).unwrap_or(self.count as f64)
+        self.mean.unwrap_or(self.count as f64)
     }
 }
 
@@ -1893,21 +1868,16 @@ struct AggGroup {
     sum: f64,
     min: f64,
     max: f64,
-    /// Timestamps inside the trailing rate window (kept only when the
-    /// spec asks for a rate; pruned against the newest timestamp seen).
-    times: std::collections::VecDeque<u64>,
-    newest: u64,
 }
 
-/// Incremental group-by / top-k / rate aggregation over a record stream —
-/// the engine behind both ad-hoc aggregate queries (fold a scan) and
+/// Cumulative group-by / top-k aggregation over a record stream — the
+/// engine behind both ad-hoc aggregate queries (fold a scan) and
 /// continuously-maintained views (fold the publish path).
 ///
 /// Group identity is the interned `(host, type)` pair restricted to the
 /// spec's keys, so pushing a record hashes `u32`s; readings feed
-/// count/sum/min/max, and when a rate window is requested each group keeps
-/// its in-window timestamps (pruned as newer records arrive, the
-/// horizon discipline of the gateway's summary readings).
+/// count/sum/min/max.  Nothing here is windowed: arrival order never
+/// changes a row.
 #[derive(Debug)]
 pub struct Aggregator {
     spec: AggregateSpec,
@@ -1921,11 +1891,6 @@ impl Aggregator {
             spec,
             groups: HashMap::new(),
         }
-    }
-
-    /// The spec this aggregator maintains.
-    pub fn spec(&self) -> &AggregateSpec {
-        &self.spec
     }
 
     /// Number of groups seen so far (before any top-k cut).
@@ -1952,12 +1917,12 @@ impl Aggregator {
         } else {
             None
         };
-        self.observe(host, ty, rec.time_micros().unwrap_or(0), rec.value());
+        self.observe(host, ty, rec.value());
     }
 
     /// Fold one already-interned observation in (the publish-path fast
     /// lane: the gateway has interned host and type once per event).
-    pub fn observe(&mut self, host: Option<Sym>, ty: Option<Sym>, ts: u64, value: Option<f64>) {
+    pub fn observe(&mut self, host: Option<Sym>, ty: Option<Sym>, value: Option<f64>) {
         let g = self.groups.entry((host, ty)).or_default();
         g.count += 1;
         if let Some(v) = value {
@@ -1971,54 +1936,40 @@ impl Aggregator {
             g.nvals += 1;
             g.sum += v;
         }
-        if let Some(window) = self.spec.rate_window_micros {
-            g.newest = g.newest.max(ts);
-            g.times.push_back(ts);
-            let horizon = g.newest.saturating_sub(window);
-            while g.times.front().is_some_and(|t| *t < horizon) {
-                g.times.pop_front();
-            }
-        }
     }
 
-    /// The aggregate rows as of `now_micros`: one per group, rate computed
-    /// over `[now - window, now]`, sorted by descending [`AggRow::score`]
-    /// (ties by group name) and cut to the spec's top-k.
-    pub fn rows(&self, now_micros: u64) -> Vec<AggRow> {
+    /// The aggregate rows: one per group, sorted by descending
+    /// [`AggRow::score`] with NaN scores after every number (ties by group
+    /// name) and cut to the spec's top-k.
+    pub fn rows(&self) -> Vec<AggRow> {
         let mut rows: Vec<AggRow> = self
             .groups
             .iter()
-            .map(|((host, ty), g)| {
-                let rate = self.spec.rate_window_micros.map(|window| {
-                    let horizon = now_micros.saturating_sub(window);
-                    let in_window = g.times.iter().filter(|t| **t >= horizon).count();
-                    in_window as f64 / (window as f64 / 1_000_000.0)
-                });
-                AggRow {
-                    host: *host,
-                    event_type: *ty,
-                    count: g.count,
-                    sum: g.sum,
-                    min: if g.nvals > 0 { g.min } else { 0.0 },
-                    max: if g.nvals > 0 { g.max } else { 0.0 },
-                    mean: (g.nvals > 0).then(|| g.sum / g.nvals as f64),
-                    rate,
-                }
+            .map(|((host, ty), g)| AggRow {
+                host: *host,
+                event_type: *ty,
+                count: g.count,
+                sum: g.sum,
+                min: if g.nvals > 0 { g.min } else { 0.0 },
+                max: if g.nvals > 0 { g.max } else { 0.0 },
+                mean: (g.nvals > 0).then(|| g.sum / g.nvals as f64),
             })
             .collect();
+        let name = |r: &AggRow| {
+            (
+                r.host.map(|s| s.as_str()).unwrap_or(""),
+                r.event_type.map(|s| s.as_str()).unwrap_or(""),
+            )
+        };
+        // A total order, as `sort_by` requires: one `VAL=NaN` reading makes
+        // a group's mean NaN, and NaN compares unordered with everything.
         rows.sort_by(|a, b| {
-            b.score()
-                .partial_cmp(&a.score())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    let name = |r: &AggRow| {
-                        (
-                            r.host.map(|s| s.as_str()).unwrap_or(""),
-                            r.event_type.map(|s| s.as_str()).unwrap_or(""),
-                        )
-                    };
-                    name(a).cmp(&name(b))
-                })
+            let (sa, sb) = (a.score(), b.score());
+            match (sa.is_nan(), sb.is_nan()) {
+                (false, false) => sb.total_cmp(&sa),
+                (a_nan, b_nan) => a_nan.cmp(&b_nan),
+            }
+            .then_with(|| name(a).cmp(&name(b)))
         });
         if let Some(k) = self.spec.top_k {
             rows.truncate(k);
@@ -2191,7 +2142,6 @@ mod tests {
             "(groupby=host)",
             "(groupby=host,type)",
             "(topk=5)",
-            "(rate=60000000)",
             "(&)",
             "(|)",
         ] {
@@ -2288,7 +2238,6 @@ mod tests {
             ("(type>=X)", "supports '='"),
             ("(groupby=rack)", "unknown group key"),
             ("(topk=0)", "expected a count"),
-            ("(rate=soon)", "expected a duration"),
         ] {
             let err = Predicate::parse(bad).expect_err(bad);
             assert!(
@@ -2589,14 +2538,13 @@ mod tests {
 
     #[test]
     fn aggregate_spec_survives_conjunctions_only() {
-        let plan = Predicate::parse("(&(type=A)(groupby=host)(topk=3)(rate=60s))")
+        let plan = Predicate::parse("(&(type=A)(groupby=host)(topk=3))")
             .unwrap()
             .compile();
         let spec = plan.aggregate().expect("spec");
         assert_eq!(spec.group_by, vec![GroupKey::Host]);
         assert_eq!(spec.top_k, Some(3));
-        assert_eq!(spec.rate_window_micros, Some(60_000_000));
-        // Group keys default to host+type when only topk/rate appear.
+        // Group keys default to host+type when only topk appears.
         let plan = Predicate::parse("(topk=2)").unwrap().compile();
         let spec = plan.aggregate().expect("spec");
         assert_eq!(spec.group_by, vec![GroupKey::Host, GroupKey::Type]);
@@ -2613,15 +2561,13 @@ mod tests {
     }
 
     #[test]
-    fn aggregator_groups_ranks_and_rates() {
+    fn aggregator_groups_and_ranks_by_mean() {
         let spec = AggregateSpec {
             group_by: vec![GroupKey::Host],
             top_k: Some(2),
-            rate_window_micros: Some(1_000_000),
         };
         let mut agg = Aggregator::new(spec);
-        // h1: 3 events inside the last second; h2: 1 inside, 1 stale;
-        // h3: 1 stale event only.
+        // Means: h1 20, h2 6, h3 1.
         for (host, ts, v) in [
             ("h1", 1_200_000u64, 10.0),
             ("h1", 1_500_000, 20.0),
@@ -2643,8 +2589,8 @@ mod tests {
             agg.push(&r);
         }
         assert_eq!(agg.len(), 3);
-        let rows = agg.rows(2_000_000);
-        // top_k=2 keeps the two highest-rate groups: h1 (3/s) then h2 (1/s).
+        let rows = agg.rows();
+        // top_k=2 keeps the two highest-mean groups: h1 then h2.
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].host.unwrap().as_str(), "h1");
         assert_eq!(rows[0].count, 3);
@@ -2652,9 +2598,9 @@ mod tests {
         assert_eq!(rows[0].min, 10.0);
         assert_eq!(rows[0].max, 30.0);
         assert_eq!(rows[0].mean, Some(20.0));
-        assert_eq!(rows[0].rate, Some(3.0));
         assert_eq!(rows[1].host.unwrap().as_str(), "h2");
-        assert_eq!(rows[1].rate, Some(1.0));
+        assert_eq!(rows[1].count, 2);
+        assert_eq!(rows[1].mean, Some(6.0));
     }
 
     #[test]
@@ -2662,12 +2608,11 @@ mod tests {
         let mut agg = Aggregator::new(AggregateSpec {
             group_by: vec![GroupKey::Type],
             top_k: None,
-            rate_window_micros: None,
         });
         for (ty, v) in [("A", Some(1.0)), ("A", Some(3.0)), ("B", Some(10.0))] {
             agg.push(&rec("h", if ty == "A" { "A" } else { "B" }, v));
         }
-        let rows = agg.rows(0);
+        let rows = agg.rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].event_type.unwrap().as_str(), "B");
         assert_eq!(rows[0].mean, Some(10.0));
@@ -2677,15 +2622,50 @@ mod tests {
         let mut agg = Aggregator::new(AggregateSpec {
             group_by: vec![GroupKey::Type],
             top_k: Some(1),
-            rate_window_micros: None,
         });
         for ty in ["A", "B", "B"] {
             agg.push(&rec("h", if ty == "A" { "A" } else { "B" }, None));
         }
-        let rows = agg.rows(0);
+        let rows = agg.rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].event_type.unwrap().as_str(), "B");
         assert_eq!(rows[0].count, 2);
         assert_eq!(rows[0].mean, None);
+    }
+
+    #[test]
+    fn nan_means_rank_last_and_never_break_the_sort() {
+        // Groups with numeric means plus one whose mean is NaN (a decoded
+        // `VAL=NaN` reading).  Ordering them by `partial_cmp` with NaN as
+        // "equal" is not a total order, and the standard sort may panic on
+        // one; over this many hash orders of 64 groups some order does.
+        let hosts: Vec<Sym> = (0..64)
+            .map(|i| Sym::intern(&format!("nan-h{i:02}")))
+            .collect();
+        let ranked: Vec<(usize, Vec<AggRow>)> = (0..400)
+            .map(|round| {
+                let mut agg = Aggregator::new(AggregateSpec {
+                    group_by: vec![GroupKey::Host],
+                    top_k: None,
+                });
+                let poisoned = round % hosts.len();
+                for (i, host) in hosts.iter().enumerate() {
+                    let v = if i == poisoned {
+                        f64::NAN
+                    } else {
+                        ((i * 37 + round) % 64) as f64
+                    };
+                    agg.observe(Some(*host), None, Some(v));
+                }
+                (poisoned, agg.rows())
+            })
+            .collect();
+        for (poisoned, rows) in ranked {
+            assert_eq!(rows.len(), hosts.len());
+            assert_eq!(rows.last().unwrap().host, Some(hosts[poisoned]));
+            assert!(rows[..rows.len() - 1]
+                .windows(2)
+                .all(|w| w[0].score() >= w[1].score()));
+        }
     }
 }

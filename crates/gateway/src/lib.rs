@@ -23,7 +23,7 @@
 //!   while summaries and `_jamm` self-lifelines survive;
 //! * [`views`] — continuous queries: registered query-plane plans
 //!   maintained incrementally on the publish path (the per-series
-//!   summaries generalized to arbitrary predicates plus group-by/top-k/rate
+//!   summaries generalized to arbitrary predicates plus group-by/top-k
 //!   aggregation), snapshot-readable by any number of concurrent
 //!   dashboards without rescanning;
 //! * [`gateway`] — the [`EventGateway`] itself: publish (as a

@@ -3,7 +3,7 @@
 //! A *continuous query* is a compiled query-plane [`Plan`] registered on
 //! the gateway and maintained on the publish path — the gateway's
 //! [`crate::summary`] windows generalized from fixed per-series
-//! averages to arbitrary predicates with optional group-by / top-k / rate
+//! averages to arbitrary predicates with optional group-by / top-k
 //! aggregation.  Each published event is evaluated once per view; matches
 //! land in a bounded ring (most recent first out) and fold into the view's
 //! [`Aggregator`].  Readers never touch any of that: they grab the view's
@@ -49,7 +49,7 @@ pub struct ViewSnapshot {
     /// The most recent matching events, oldest first (bounded by
     /// [`VIEW_RING_CAPACITY`]).
     pub events: Vec<SharedEvent>,
-    /// Aggregate rows (group-by / top-k / rate), when the view's query
+    /// Aggregate rows (group-by / top-k), when the view's query
     /// carries aggregate directives.
     pub aggregates: Vec<AggRow>,
     /// Matching updates folded into the view since registration.
@@ -140,12 +140,7 @@ impl ContinuousQuery {
         }
         st.ring.push_back(SharedEvent::clone(event));
         if let Some(agg) = &mut st.agg {
-            agg.observe(
-                Some(host),
-                Some(ty),
-                event.timestamp.as_micros(),
-                event.value(),
-            );
+            agg.observe(Some(host), Some(ty), event.value());
         }
         st.as_of = st.as_of.max(event.timestamp);
         st.dirty += 1;
@@ -163,11 +158,7 @@ impl ContinuousQuery {
             query: self.text.clone(),
             as_of: st.as_of,
             events: st.ring.iter().cloned().collect(),
-            aggregates: st
-                .agg
-                .as_ref()
-                .map(|a| a.rows(st.as_of.as_micros()))
-                .unwrap_or_default(),
+            aggregates: st.agg.as_ref().map(Aggregator::rows).unwrap_or_default(),
             updates: total_updates,
         });
         *self.snap.write() = snapshot;
@@ -353,25 +344,25 @@ mod tests {
     fn aggregate_views_maintain_group_rows() {
         let engine = ViewEngine::new();
         engine
-            .register(
-                "rates",
-                "(&(type=CPU_TOTAL)(groupby=host)(topk=2)(rate=1s))",
-            )
+            .register("busiest", "(&(type=CPU_TOTAL)(groupby=host)(topk=2))")
             .unwrap();
         for i in 0..10u64 {
             feed(
                 &engine,
-                &ev("busy", "CPU_TOTAL", 1_000_000 + i * 50_000, 1.0),
+                &ev("busy", "CPU_TOTAL", 1_000_000 + i * 50_000, 90.0),
             );
         }
-        feed(&engine, &ev("idle", "CPU_TOTAL", 1_200_000, 1.0));
-        feed(&engine, &ev("calm", "CPU_TOTAL", 1_300_000, 1.0));
+        feed(&engine, &ev("idle", "CPU_TOTAL", 1_200_000, 5.0));
+        feed(&engine, &ev("calm", "CPU_TOTAL", 1_300_000, 20.0));
+        feed(&engine, &ev("busy", "MEM_FREE", 1_400_000, 99.0)); // filtered
         engine.flush();
-        let snap = engine.by_name("rates").unwrap().snapshot();
+        let snap = engine.by_name("busiest").unwrap().snapshot();
         assert_eq!(snap.aggregates.len(), 2, "top-k cuts to 2 groups");
         assert_eq!(snap.aggregates[0].host.unwrap().as_str(), "busy");
         assert_eq!(snap.aggregates[0].count, 10);
-        assert!(snap.aggregates[0].rate.unwrap() > snap.aggregates[1].rate.unwrap());
+        assert_eq!(snap.aggregates[0].mean, Some(90.0));
+        assert_eq!(snap.aggregates[1].host.unwrap().as_str(), "calm");
+        assert_eq!(snap.aggregates[1].mean, Some(20.0));
     }
 
     #[test]

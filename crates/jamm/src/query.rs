@@ -78,7 +78,7 @@ impl JammSystem {
                 for event in &history {
                     agg.push(event);
                 }
-                aggregates = agg.rows(now.as_micros());
+                aggregates = agg.rows();
             }
             (history, source)
         } else {
@@ -123,7 +123,7 @@ pub struct QueryAnswer {
     /// Matching archived history, in time order (limit applied by the
     /// storage engine's scan).
     pub history: Vec<Event>,
-    /// Aggregate rows when the query carries group-by / top-k / rate
+    /// Aggregate rows when the query carries group-by / top-k
     /// directives — maintained incrementally when a view served the
     /// query, folded from the scan otherwise.
     pub aggregates: Vec<AggRow>,

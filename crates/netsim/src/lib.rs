@@ -49,7 +49,6 @@ pub mod scenario;
 pub mod spec;
 pub mod tcp;
 pub mod trace;
-pub mod workload;
 
 pub use clock::SimClock;
 pub use host::{Host, HostId, HostSpec};

@@ -19,7 +19,6 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-connection atomic counters, shared between the event loop (writer)
 /// and observers such as `admin_stats` (readers).
@@ -296,7 +295,6 @@ pub struct Conn {
     outbox: Outbox,
     counters: Arc<SocketCounters>,
     closing: bool,
-    last_activity: Instant,
 }
 
 impl Conn {
@@ -316,7 +314,6 @@ impl Conn {
             outbox: Outbox::new(outbox_capacity, policy),
             counters: Arc::new(SocketCounters::new()),
             closing: false,
-            last_activity: Instant::now(),
         }
     }
 
@@ -346,11 +343,6 @@ impl Conn {
         self.closing = true;
     }
 
-    /// When the connection last made byte progress in either direction.
-    pub fn last_activity(&self) -> Instant {
-        self.last_activity
-    }
-
     pub(crate) fn poller_source(&self) -> crate::poller::Source {
         crate::poller::Source::new(&self.stream)
     }
@@ -366,7 +358,6 @@ impl Conn {
                     self.inbuf.extend_from_slice(&scratch[..n]);
                     total += n;
                     self.counters.add_in(n as u64);
-                    self.last_activity = Instant::now();
                     if total >= READ_BUDGET {
                         return Ok((total, false));
                     }
@@ -413,7 +404,6 @@ impl Conn {
         if flush.written > 0 {
             self.counters
                 .add_out(flush.written as u64, flush.frames_completed);
-            self.last_activity = Instant::now();
         }
         if flush.blocked && !self.outbox.is_empty() {
             self.counters.add_stall();

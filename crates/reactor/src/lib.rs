@@ -10,7 +10,6 @@
 //!   so the crate builds and tests anywhere;
 //! * [`poller::Waker`] — cross-thread wakeup over a loopback UDP socket
 //!   pair, the std-only stand-in for a self-pipe;
-//! * [`timer::TimerWheel`] — hashed-wheel timeouts for idle connections;
 //! * [`conn::Conn`] / [`conn::Outbox`] — per-connection state with a
 //!   frame-aligned outbound queue mapped onto the pipeline's own
 //!   [`OverflowPolicy`](jamm_core::flow::OverflowPolicy) (`DropOldest` /
@@ -32,7 +31,6 @@ pub mod conn;
 pub mod poller;
 pub mod reactor;
 mod sys;
-pub mod timer;
 
 pub use conn::{Conn, Flush, Outbox, PushOutcome, SocketCounters, SocketStats};
 pub use poller::{Backend, Interest, Poller, Readiness, Source, Waker};
@@ -40,4 +38,3 @@ pub use reactor::{
     Acceptor, CloseReason, ConnHandler, ConnId, ConnIo, ListenerId, LoopStats, Reactor,
     ReactorConfig, SocketRow,
 };
-pub use timer::TimerWheel;

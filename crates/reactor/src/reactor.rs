@@ -1,7 +1,7 @@
 //! The event loop: one thread driving every socket of the network edge.
 //!
-//! A [`Reactor`] owns a [`Poller`], a [`TimerWheel`] and a set of
-//! connections, all serviced by a single loop thread.  Other threads talk
+//! A [`Reactor`] owns a [`Poller`] and a set of connections, all
+//! serviced by a single loop thread.  Other threads talk
 //! to the loop through a command queue paired with a [`Waker`], so every
 //! handle method is nonblocking:
 //!
@@ -12,8 +12,7 @@
 //!                    ▼
 //!   ┌─────────────── event-loop thread ────────────────┐
 //!   │ poll ─► accept ─► read ─► handler ─► outbox ─► … │
-//!   │   ▲                 timer wheel (idle timeouts)  │
-//!   └───┴──────────────────────────────────────────────┘
+//!   └──────────────────────────────────────────────────┘
 //! ```
 //!
 //! Handlers run on the loop thread and must not block; they consume
@@ -23,7 +22,6 @@
 
 use crate::conn::{Conn, PushOutcome, SocketCounters, SocketStats};
 use crate::poller::{drain_wakeups, Backend, Interest, Poller, Readiness, Source, Waker};
-use crate::timer::TimerWheel;
 use jamm_core::channel::{unbounded, Receiver, Sender};
 use jamm_core::sync::Mutex;
 use jamm_core::OverflowPolicy;
@@ -46,8 +44,6 @@ pub type ListenerId = u64;
 pub enum CloseReason {
     /// The peer closed or reset the stream.
     PeerClosed,
-    /// No byte progress in either direction within the idle timeout.
-    IdleTimeout,
     /// A handler or handle asked for the close.
     Requested,
     /// The reactor shut down (after draining queued frames).
@@ -56,21 +52,18 @@ pub enum CloseReason {
     Error(String),
 }
 
-/// Tuning for [`Reactor::start`].
+/// Tuning for [`Reactor::start`].  Connections have no idle timeout, and
+/// each flush writes at most a fixed 256 KiB to one socket.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Readiness backend (defaults to the platform's best).
     pub backend: Backend,
     /// Most simultaneous connections; accepts beyond this are refused.
     pub max_connections: usize,
-    /// Most outbound bytes written per connection per flush.
-    pub write_budget: usize,
     /// Byte budget of each connection's outbound queue.
     pub outbox_capacity: usize,
     /// What a full outbound queue does to new frames.
     pub overflow: OverflowPolicy,
-    /// Close connections with no byte progress for this long.
-    pub idle_timeout: Option<Duration>,
     /// How long shutdown waits for queued frames to drain.
     pub drain_timeout: Duration,
     /// Name of the loop thread.
@@ -82,10 +75,8 @@ impl Default for ReactorConfig {
         ReactorConfig {
             backend: Backend::native(),
             max_connections: 16_384,
-            write_budget: 256 * 1024,
             outbox_capacity: 4 * 1024 * 1024,
             overflow: OverflowPolicy::DropOldest,
-            idle_timeout: None,
             drain_timeout: Duration::from_secs(2),
             thread_name: "jamm-reactor".to_string(),
         }
@@ -229,7 +220,7 @@ pub struct LoopStats {
     pub ticks: u64,
     /// Nanoseconds spent blocked in the poller waiting for readiness.
     pub poll_wait_ns: u64,
-    /// Nanoseconds spent dispatching ready sockets, commands and timers.
+    /// Nanoseconds spent dispatching ready sockets and commands.
     pub dispatch_ns: u64,
 }
 
@@ -421,10 +412,11 @@ impl Drop for Reactor {
 }
 
 const WAKE_TOKEN: u64 = 0;
-const TIMER_TICK: Duration = Duration::from_millis(25);
-const TIMER_SLOTS: usize = 512;
 const IDLE_POLL: Duration = Duration::from_millis(250);
 const DRAIN_POLL: Duration = Duration::from_millis(5);
+/// Most outbound bytes written to one connection per flush, so one deep
+/// outbox cannot starve the other sockets of a loop iteration.
+const WRITE_BUDGET: usize = 256 * 1024;
 
 struct LoopConn {
     conn: Conn,
@@ -436,7 +428,6 @@ struct LoopConn {
 struct EventLoop {
     cfg: ReactorConfig,
     poller: Poller,
-    timers: TimerWheel,
     cmds: Receiver<Cmd>,
     wake_rx: UdpSocket,
     shared: Arc<Shared>,
@@ -459,7 +450,6 @@ impl EventLoop {
         EventLoop {
             cfg,
             poller,
-            timers: TimerWheel::new(TIMER_TICK, TIMER_SLOTS),
             cmds,
             wake_rx,
             shared,
@@ -473,7 +463,6 @@ impl EventLoop {
 
     fn run(mut self) {
         let mut readiness: Vec<Readiness> = Vec::new();
-        let mut expired: Vec<u64> = Vec::new();
         loop {
             if let Some(deadline) = self.draining {
                 // Draining: close flushed connections, force the rest once
@@ -518,11 +507,6 @@ impl EventLoop {
             }
             readiness = events;
             self.drain_cmds();
-            expired.clear();
-            self.timers.collect_expired(Instant::now(), &mut expired);
-            for &token in &expired {
-                self.timer_fired(token);
-            }
             self.shared.dispatch_ns.fetch_add(
                 dispatch_start.elapsed().as_nanos() as u64,
                 Ordering::Relaxed,
@@ -533,14 +517,10 @@ impl EventLoop {
     }
 
     fn poll_timeout(&self) -> Duration {
-        let base = if self.draining.is_some() {
+        if self.draining.is_some() {
             DRAIN_POLL
         } else {
             IDLE_POLL
-        };
-        match self.timers.next_timeout(Instant::now()) {
-            Some(t) => t.min(base).max(Duration::from_millis(1)),
-            None => base,
         }
     }
 
@@ -614,9 +594,6 @@ impl EventLoop {
             },
         );
         self.shared.conn_count.fetch_add(1, Ordering::Relaxed);
-        if let Some(idle) = self.cfg.idle_timeout {
-            self.timers.schedule(id, Instant::now(), idle);
-        }
         let mut lc = LoopConn {
             conn,
             handler,
@@ -677,7 +654,7 @@ impl EventLoop {
         let mut close: Option<CloseReason> = None;
         if let Some(lc) = self.conns.get_mut(&id) {
             if lc.conn.wants_write() {
-                if let Err(e) = lc.conn.flush(self.cfg.write_budget) {
+                if let Err(e) = lc.conn.flush(WRITE_BUDGET) {
                     close = Some(close_reason_for(&e));
                 }
             }
@@ -713,25 +690,9 @@ impl EventLoop {
         if let Some(mut lc) = self.conns.remove(&id) {
             lc.handler.on_close(id, &reason);
             self.poller.deregister(id);
-            self.timers.cancel(id);
             self.shared.registry.lock().remove(&id);
             self.shared.conn_count.fetch_sub(1, Ordering::Relaxed);
             // Dropping `lc.conn` closes the stream.
-        }
-    }
-
-    fn timer_fired(&mut self, token: u64) {
-        let Some(idle) = self.cfg.idle_timeout else {
-            return;
-        };
-        let Some(lc) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let elapsed = lc.conn.last_activity().elapsed();
-        if elapsed >= idle {
-            self.close_conn(token, CloseReason::IdleTimeout);
-        } else {
-            self.timers.schedule(token, Instant::now(), idle - elapsed);
         }
     }
 
@@ -1001,29 +962,6 @@ mod tests {
             c.read_exact(&mut got).unwrap();
             assert_eq!(&got, b"broadcast-frame");
         }
-        reactor.shutdown();
-    }
-
-    #[test]
-    fn idle_connections_are_closed_by_the_timer() {
-        let closed = Arc::new(AtomicBool::new(false));
-        let reactor = start_with(Backend::native(), |cfg| {
-            cfg.idle_timeout = Some(Duration::from_millis(60));
-        });
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        reactor
-            .listen(listener, echo_acceptor(Arc::clone(&closed)))
-            .unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        // The idle server side should close; our read then sees EOF.
-        let mut buf = [0u8; 1];
-        let n = client.read(&mut buf).unwrap();
-        assert_eq!(n, 0, "expected EOF from idle-timeout close");
-        assert!(closed.load(Ordering::SeqCst));
         reactor.shutdown();
     }
 
