@@ -46,7 +46,7 @@ use std::path::Path;
 use jamm_core::flow::{EventSink, SinkError};
 use jamm_core::query::{ParseError, Plan, Predicate};
 use jamm_tsdb::{ScanIter, SegmentCatalog, Tsdb, TsdbError, TsdbOptions, TsdbStats};
-use jamm_ulm::{Event, SharedEvent, Timestamp};
+use jamm_ulm::{SharedEvent, Timestamp};
 
 /// A streaming, time-ordered iterator over query results.
 ///
@@ -223,23 +223,9 @@ fn rejected(e: TsdbError) -> SinkError {
     SinkError::Rejected(e.to_string())
 }
 
-/// The archive is a terminal event sink: `accept` stores the event (one
-/// copy into a fresh `Arc`, the same allocation a gateway publish makes).
-impl EventSink<Event> for EventArchive {
-    fn accept(&self, event: &Event) -> Result<usize, SinkError> {
-        self.store(&[SharedEvent::new(event.clone())])
-            .map_err(rejected)
-    }
-
-    fn accept_batch(&self, events: &[Event]) -> Result<usize, SinkError> {
-        let shared: Vec<SharedEvent> = events.iter().cloned().map(SharedEvent::new).collect();
-        self.store(&shared).map_err(rejected)
-    }
-}
-
-/// The zero-copy sink: accepting a [`SharedEvent`] stores the caller's
-/// `Arc` directly (a replayed or fanned-out event is archived without any
-/// copy).
+/// The archive is a terminal event sink: accepting a [`SharedEvent`]
+/// stores the caller's `Arc` directly (a replayed or fanned-out event is
+/// archived without any copy).
 impl EventSink<SharedEvent> for EventArchive {
     fn accept(&self, event: &SharedEvent) -> Result<usize, SinkError> {
         self.store(std::slice::from_ref(event)).map_err(rejected)
@@ -254,7 +240,7 @@ impl EventSink<SharedEvent> for EventArchive {
 mod tests {
     use super::*;
     use jamm_tsdb::test_util::TempDir;
-    use jamm_ulm::Level;
+    use jamm_ulm::{Event, Level};
 
     fn ev(host: &str, ty: &str, t: u64, value: f64) -> Event {
         Event::builder("sensor", host)

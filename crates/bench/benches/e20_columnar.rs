@@ -281,7 +281,6 @@ fn main() {
     for chunk in shared.chunks(1_000) {
         gw.publish_shared_batch(chunk);
     }
-    gw.views().flush();
     let view = gw.views().by_name("dashboard").unwrap();
     assert!(view.updates() > 0, "the view saw the publish stream");
 

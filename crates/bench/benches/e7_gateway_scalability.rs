@@ -134,8 +134,7 @@ fn bench_metrics_plane(c: &mut Criterion) {
         let counter = registry.counter("e7_ops");
         let gauge = registry.gauge("e7_level");
         let hist = registry.histogram("e7_us");
-        let sink = Arc::new(EventGateway::new(GatewayConfig::open("_jamm")));
-        let tracer = PipelineTracer::new(sink, "bench-host", 64);
+        let tracer = PipelineTracer::new("bench-host", 64);
         let unwatched = Arc::new(publish_event(7));
         let mut i = 0u64;
         b.iter(|| {

@@ -12,7 +12,7 @@ use jamm_core::flow::{EventSink, EventSource, SinkError};
 use jamm_directory::{DirectoryError, DirectoryServer, Dn, Entry};
 use jamm_gateway::{PipelineTracer, Predicate, Subscription};
 use jamm_tsdb::{SegmentCatalog, TsdbError};
-use jamm_ulm::{Event, SharedEvent, Timestamp};
+use jamm_ulm::{SharedEvent, Timestamp};
 
 use crate::{GatewayRegistry, SubscribeError};
 
@@ -238,15 +238,9 @@ impl ArchiverAgent {
 
 /// The archiver is itself a sink: events pushed straight at it (e.g. by a
 /// sensor manager or a `NetLogger` pipeline sink at a site with no local
-/// gateway) are stored exactly as subscribed events are — and an event the storage engine refuses is
-/// reported as rejected, never counted as stored.
-impl EventSink<Event> for ArchiverAgent {
-    fn accept(&self, event: &Event) -> Result<usize, SinkError> {
-        self.archive.accept(event)
-    }
-}
-
-/// Shared events pushed straight at the archiver are stored by refcount.
+/// gateway) are stored by refcount exactly as subscribed events are — and
+/// an event the storage engine refuses is reported as rejected, never
+/// counted as stored.
 impl EventSink<SharedEvent> for ArchiverAgent {
     fn accept(&self, event: &SharedEvent) -> Result<usize, SinkError> {
         self.archive.accept(event)

@@ -1861,7 +1861,7 @@ impl AggRow {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct AggGroup {
     count: u64,
     nvals: u64,
@@ -1877,8 +1877,9 @@ struct AggGroup {
 /// Group identity is the interned `(host, type)` pair restricted to the
 /// spec's keys, so pushing a record hashes `u32`s; readings feed
 /// count/sum/min/max.  Nothing here is windowed: arrival order never
-/// changes a row.
-#[derive(Debug)]
+/// changes a row, and two aggregators over disjoint streams
+/// [merge](Aggregator::merge) into the one their union would have built.
+#[derive(Debug, Clone)]
 pub struct Aggregator {
     spec: AggregateSpec,
     groups: HashMap<(Option<Sym>, Option<Sym>), AggGroup>,
@@ -1891,16 +1892,6 @@ impl Aggregator {
             spec,
             groups: HashMap::new(),
         }
-    }
-
-    /// Number of groups seen so far (before any top-k cut).
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True when no records have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
     }
 
     /// Fold one record in.  Hosts and event types are bounded identifier
@@ -1917,12 +1908,19 @@ impl Aggregator {
         } else {
             None
         };
-        self.observe(host, ty, rec.value());
+        self.fold(host, ty, rec.value());
     }
 
     /// Fold one already-interned observation in (the publish-path fast
-    /// lane: the gateway has interned host and type once per event).
+    /// lane: the gateway has interned host and type once per event).  A
+    /// key the spec does not group by is ignored, as in [`Aggregator::push`].
     pub fn observe(&mut self, host: Option<Sym>, ty: Option<Sym>, value: Option<f64>) {
+        let host = host.filter(|_| self.spec.group_by.contains(&GroupKey::Host));
+        let ty = ty.filter(|_| self.spec.group_by.contains(&GroupKey::Type));
+        self.fold(host, ty, value);
+    }
+
+    fn fold(&mut self, host: Option<Sym>, ty: Option<Sym>, value: Option<f64>) {
         let g = self.groups.entry((host, ty)).or_default();
         g.count += 1;
         if let Some(v) = value {
@@ -1935,6 +1933,23 @@ impl Aggregator {
             }
             g.nvals += 1;
             g.sum += v;
+        }
+    }
+
+    /// Fold another aggregator of the same spec in, group by group: the
+    /// rows are then those of one aggregator fed both streams (sums up to
+    /// float rounding).
+    pub fn merge(&mut self, other: &Aggregator) {
+        for (key, o) in &other.groups {
+            let g = self.groups.entry(*key).or_default();
+            if o.nvals > 0 {
+                let first = g.nvals == 0;
+                g.min = if first { o.min } else { g.min.min(o.min) };
+                g.max = if first { o.max } else { g.max.max(o.max) };
+            }
+            g.count += o.count;
+            g.nvals += o.nvals;
+            g.sum += o.sum;
         }
     }
 
@@ -2588,7 +2603,6 @@ mod tests {
             r.time = ts;
             agg.push(&r);
         }
-        assert_eq!(agg.len(), 3);
         let rows = agg.rows();
         // top_k=2 keeps the two highest-mean groups: h1 then h2.
         assert_eq!(rows.len(), 2);
@@ -2601,6 +2615,40 @@ mod tests {
         assert_eq!(rows[1].host.unwrap().as_str(), "h2");
         assert_eq!(rows[1].count, 2);
         assert_eq!(rows[1].mean, Some(6.0));
+    }
+
+    #[test]
+    fn merged_aggregators_rank_like_one_fold_of_both_streams() {
+        let spec = AggregateSpec {
+            group_by: vec![GroupKey::Host],
+            top_k: Some(2),
+        };
+        let (mut a, mut b, mut both) = (
+            Aggregator::new(spec.clone()),
+            Aggregator::new(spec.clone()),
+            Aggregator::new(spec),
+        );
+        // h1 is split across both sides (and has a reading-less record on
+        // one); h2 and h3 each live on one side.
+        let left = [("h1", Some(6.0)), ("h1", None), ("h2", Some(3.0))];
+        let right = [("h1", Some(2.0)), ("h3", Some(5.0)), ("h3", Some(1.0))];
+        for (host, v) in left {
+            a.push(&rec(host, "X", v));
+            both.push(&rec(host, "X", v));
+        }
+        for (host, v) in right {
+            b.push(&rec(host, "X", v));
+            both.push(&rec(host, "X", v));
+        }
+        // Alone, each side's top-2 would name a different pair.
+        assert_eq!(a.rows()[0].host.unwrap().as_str(), "h1");
+        a.merge(&b);
+        assert_eq!(a.rows(), both.rows());
+        let rows = a.rows();
+        assert_eq!(rows[0].host.unwrap().as_str(), "h1");
+        assert_eq!((rows[0].count, rows[0].min, rows[0].max), (3, 2.0, 6.0));
+        assert_eq!(rows[0].mean, Some(4.0));
+        assert_eq!(rows[1].host.unwrap().as_str(), "h2");
     }
 
     #[test]

@@ -639,23 +639,9 @@ impl EventGateway {
 }
 
 /// The gateway is the canonical event sink: the sensor manager (or any
-/// other producer) pushes events through `&dyn EventSink<Event>` without
-/// knowing it is talking to a gateway.  Each accepted event is copied once
-/// into its shared allocation; producers that can hand over
-/// [`SharedEvent`]s should use the `EventSink<SharedEvent>` impl instead.
-impl EventSink<Event> for EventGateway {
-    fn accept(&self, event: &Event) -> std::result::Result<usize, SinkError> {
-        Ok(self.publish(event))
-    }
-
-    fn accept_batch(&self, events: &[Event]) -> std::result::Result<usize, SinkError> {
-        Ok(self.publish_batch(events))
-    }
-}
-
-/// The zero-copy sink: accepting a [`SharedEvent`] bumps its refcount and
-/// fans it out without any event copy.  This is the hop the sensor
-/// manager's push path uses.
+/// other producer) pushes events through `&dyn EventSink<SharedEvent>`
+/// without knowing it is talking to a gateway.  Accepting an event bumps
+/// its refcount and fans it out without any event copy.
 impl EventSink<SharedEvent> for EventGateway {
     fn accept(&self, event: &SharedEvent) -> std::result::Result<usize, SinkError> {
         Ok(self.publish_shared(SharedEvent::clone(event)))
@@ -813,11 +799,15 @@ mod tests {
     fn gateway_is_an_event_sink() {
         let gw = EventGateway::new(GatewayConfig::open("gw1"));
         let sub = gw.subscribe().as_consumer("c").open().unwrap();
-        let sink: &dyn EventSink<Event> = &gw;
-        assert_eq!(sink.accept(&ev("h", "X", 1.0, 1)).unwrap(), 1);
-        let batch = [ev("h", "X", 2.0, 2), ev("h", "Y", 3.0, 3)];
+        let sink: &dyn EventSink<SharedEvent> = &gw;
+        let first = SharedEvent::new(ev("h", "X", 1.0, 1));
+        assert_eq!(sink.accept(&first).unwrap(), 1);
+        let batch = [ev("h", "X", 2.0, 2), ev("h", "Y", 3.0, 3)].map(SharedEvent::new);
         assert_eq!(sink.accept_batch(&batch).unwrap(), 2);
-        assert_eq!(sub.events.try_iter().count(), 3);
+        let got: Vec<SharedEvent> = sub.events.try_iter().collect();
+        assert_eq!(got.len(), 3);
+        // Delivered by refcount: the subscriber holds the producer's event.
+        assert!(Arc::ptr_eq(&got[0], &first));
     }
 
     #[test]

@@ -24,12 +24,16 @@
 //! * [`views`] — continuous queries: registered query-plane plans
 //!   maintained incrementally on the publish path (the per-series
 //!   summaries generalized to arbitrary predicates plus group-by/top-k
-//!   aggregation), snapshot-readable by any number of concurrent
-//!   dashboards without rescanning;
+//!   aggregation), cut into a snapshot on the first read after a change
+//!   and shared by any number of concurrent dashboards without
+//!   rescanning;
+//! * [`trace`] — self-lifelines: sampled correlation-id tracing of the
+//!   pipeline itself into the tracer's own bounded queue;
 //! * [`gateway`] — the [`EventGateway`] itself: publish (as a
-//!   [`jamm_core::flow::EventSink`]), the fluent [`SubscriptionBuilder`]
-//!   for bounded streaming subscriptions, query (most recent event),
-//!   access control, and per-subscription delivery/drop accounting.
+//!   [`jamm_core::flow::EventSink`] of shared events), the fluent
+//!   [`SubscriptionBuilder`] for bounded streaming subscriptions, query
+//!   (most recent event), access control, and per-subscription
+//!   delivery/drop accounting.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

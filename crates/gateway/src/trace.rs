@@ -9,8 +9,9 @@
 //! subscription delivery, consumer drain, edge encode, broadcast, archive
 //! append — emits an ordinary ULM event (program `_jamm`, one of the
 //! [`jamm_ulm::keys::jamm`] stage types) carrying the shared correlation
-//! id.  Those events flow through an internal `_jamm` gateway like any
-//! other monitoring data, so the existing netlogger merge / nlv / analysis
+//! id.  Those events wait in the tracer's own bounded queue
+//! ([`SELF_QUEUE_CAPACITY`], oldest evicted first) until the operator
+//! drains them, and the existing netlogger merge / nlv / analysis
 //! machinery consumes them unchanged.
 //!
 //! ## Hot-path cost
@@ -34,10 +35,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use jamm_core::channel::{self, Receiver, Sender};
 use jamm_core::sync::Mutex;
 use jamm_ulm::{keys, Event, Level, SharedEvent, Timestamp};
-
-use crate::gateway::EventGateway;
 
 /// Watched-pointer ring size: how many sampled events can be in flight
 /// through the pipeline at once before the oldest slot is recycled.
@@ -45,6 +45,10 @@ pub const TRACE_SLOTS: usize = 8;
 
 /// Default sampling rate: one publish in 64 is traced.
 pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
+
+/// Trace points the tracer's queue holds until drained; past this the
+/// oldest point is evicted and counted in [`PipelineTracer::dropped`].
+pub const SELF_QUEUE_CAPACITY: usize = 65_536;
 
 /// Time source for trace points.
 ///
@@ -89,13 +93,14 @@ struct TraceSlot {
 
 /// Sampled correlation-id tracing through the event pipeline.
 ///
-/// Created once per [`crate::gateway::GatewayConfig`] deployment (see the
-/// jamm facade's `self_monitor` knob) with an internal `_jamm` gateway as
-/// its sink; shared by every traced component.  The sink gateway must
-/// itself be untraced — giving it a tracer would make every trace event
-/// emit further trace events.
+/// Created once per deployment (see the jamm facade's `self_monitor`
+/// knob) and shared by every traced component; its points are read back
+/// with [`PipelineTracer::drain_into`].
 pub struct PipelineTracer {
-    sink: Arc<EventGateway>,
+    tx: Sender<SharedEvent>,
+    rx: Receiver<SharedEvent>,
+    /// Points evicted from a full queue.
+    dropped: AtomicU64,
     host: String,
     clock: TraceClock,
     /// `sample_every - 1` for power-of-two rates (sampling is a mask
@@ -124,26 +129,23 @@ impl std::fmt::Debug for PipelineTracer {
 }
 
 impl PipelineTracer {
-    /// A tracer emitting into `sink` (the `_jamm` gateway), stamping its
-    /// points with `host`, sampling one publish in `sample_every`
-    /// (rounded up to a power of two, minimum 1).
-    pub fn new(sink: Arc<EventGateway>, host: impl Into<String>, sample_every: u64) -> Arc<Self> {
-        Self::with_clock(sink, host, sample_every, TraceClock::Wall)
+    /// A tracer stamping its points with `host`, sampling one publish in
+    /// `sample_every` (rounded up to a power of two, minimum 1).
+    pub fn new(host: impl Into<String>, sample_every: u64) -> Arc<Self> {
+        Self::with_clock(host, sample_every, TraceClock::Wall)
     }
 
     /// Like [`PipelineTracer::new`], but stamping trace points from the
     /// given [`TraceClock`] instead of the wall clock — the hook the
     /// simulated scenario engine uses to keep lifeline durations in
     /// simulated time.
-    pub fn with_clock(
-        sink: Arc<EventGateway>,
-        host: impl Into<String>,
-        sample_every: u64,
-        clock: TraceClock,
-    ) -> Arc<Self> {
+    pub fn with_clock(host: impl Into<String>, sample_every: u64, clock: TraceClock) -> Arc<Self> {
         let every = sample_every.max(1).next_power_of_two();
+        let (tx, rx) = channel::bounded(SELF_QUEUE_CAPACITY);
         Arc::new(PipelineTracer {
-            sink,
+            tx,
+            rx,
+            dropped: AtomicU64::new(0),
             host: host.into(),
             clock,
             mask: every - 1,
@@ -160,10 +162,15 @@ impl PipelineTracer {
         })
     }
 
-    /// The internal gateway trace events flow through (subscribe to it to
-    /// consume the self-lifeline stream).
-    pub fn sink(&self) -> &Arc<EventGateway> {
-        &self.sink
+    /// Move every queued trace point onto the end of `out`, oldest first.
+    /// Returns how many were moved.
+    pub fn drain_into(&self, out: &mut Vec<SharedEvent>) -> usize {
+        self.rx.drain_into(out)
+    }
+
+    /// Trace points evicted because the queue was full when they arrived.
+    pub fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Effective sampling rate (publishes per sampled lifeline).
@@ -232,7 +239,7 @@ impl PipelineTracer {
         self.emit(id, stage, target);
     }
 
-    /// Build and publish one trace point (the sampled slow path — this
+    /// Build and queue one trace point (the sampled slow path — this
     /// allocates, like any event publish).
     fn emit(&self, id: u64, stage: &'static str, target: &str) {
         self.points.fetch_add(1, Ordering::Relaxed);
@@ -243,15 +250,16 @@ impl PipelineTracer {
             .field(keys::OBJECT_ID, format!("jamm-{id}"))
             .field(keys::TARGET, target.to_string())
             .build();
-        self.sink.publish_shared(Arc::new(point));
+        // The tracer holds the receiver, so the send cannot fail.
+        if let Ok(true) = self.tx.send_overwriting(Arc::new(point)) {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gateway::GatewayConfig;
-    use jamm_core::EventSource;
 
     fn ev(ty: &str, t: u64) -> SharedEvent {
         Arc::new(
@@ -262,20 +270,9 @@ mod tests {
         )
     }
 
-    fn tracer_with_sub(every: u64) -> (Arc<PipelineTracer>, crate::Subscription) {
-        let sink = Arc::new(EventGateway::new(GatewayConfig::open("_jamm")));
-        let sub = sink
-            .subscribe()
-            .stream()
-            .as_consumer("monitor")
-            .open()
-            .unwrap();
-        (PipelineTracer::new(sink, "test.host", every), sub)
-    }
-
     #[test]
     fn samples_one_in_every_and_correlates_stages() {
-        let (tracer, mut sub) = tracer_with_sub(4);
+        let tracer = PipelineTracer::new("test.host", 4);
         assert_eq!(tracer.sample_every(), 4);
         let mut watched = Vec::new();
         for i in 0..8 {
@@ -294,7 +291,7 @@ mod tests {
         // Unwatched events emit nothing.
         tracer.stage(&ev("X", 99), keys::jamm::SUB_DELIVER, "nlv");
         let mut points = Vec::new();
-        sub.drain_into(&mut points);
+        tracer.drain_into(&mut points);
         let publishes = points
             .iter()
             .filter(|e| e.event_type == keys::jamm::GW_PUBLISH)
@@ -315,7 +312,7 @@ mod tests {
 
     #[test]
     fn ring_recycles_oldest_slot() {
-        let (tracer, _sub) = tracer_with_sub(1);
+        let tracer = PipelineTracer::new("test.host", 1);
         let first = ev("X", 0);
         tracer.on_publish(&first, "gw");
         assert!(tracer.trace_id(&first).is_some());
@@ -331,31 +328,39 @@ mod tests {
 
     #[test]
     fn shared_clock_stamps_points_with_simulated_time() {
-        let sink = Arc::new(EventGateway::new(GatewayConfig::open("_jamm")));
-        let mut sub = sink
-            .subscribe()
-            .stream()
-            .as_consumer("monitor")
-            .open()
-            .unwrap();
         let cell = Arc::new(AtomicU64::new(5_000_000));
-        let tracer =
-            PipelineTracer::with_clock(sink, "sim.host", 1, TraceClock::shared(cell.clone()));
+        let tracer = PipelineTracer::with_clock("sim.host", 1, TraceClock::shared(cell.clone()));
         let e = ev("X", 0);
         tracer.on_publish(&e, "gw");
         cell.store(5_080_000, Ordering::Relaxed);
         tracer.stage(&e, keys::jamm::SUB_DELIVER, "nlv");
         let mut points = Vec::new();
-        sub.drain_into(&mut points);
+        tracer.drain_into(&mut points);
         let stamps: Vec<u64> = points.iter().map(|p| p.timestamp.as_micros()).collect();
         assert_eq!(stamps, vec![5_000_000, 5_080_000]);
     }
 
     #[test]
     fn sample_every_rounds_to_power_of_two() {
-        let sink = Arc::new(EventGateway::new(GatewayConfig::open("_jamm")));
-        assert_eq!(PipelineTracer::new(sink.clone(), "h", 0).sample_every(), 1);
-        assert_eq!(PipelineTracer::new(sink.clone(), "h", 3).sample_every(), 4);
-        assert_eq!(PipelineTracer::new(sink, "h", 64).sample_every(), 64);
+        assert_eq!(PipelineTracer::new("h", 0).sample_every(), 1);
+        assert_eq!(PipelineTracer::new("h", 3).sample_every(), 4);
+        assert_eq!(PipelineTracer::new("h", 64).sample_every(), 64);
+    }
+
+    #[test]
+    fn a_full_queue_evicts_the_oldest_point_and_counts_it() {
+        let tracer = PipelineTracer::new("h", 1);
+        let events: Vec<SharedEvent> = (0..=SELF_QUEUE_CAPACITY as u64)
+            .map(|i| ev("X", i))
+            .collect();
+        for e in &events {
+            tracer.on_publish(e, "gw");
+        }
+        assert_eq!(tracer.dropped(), 1);
+        let mut points = Vec::new();
+        assert_eq!(tracer.drain_into(&mut points), SELF_QUEUE_CAPACITY);
+        // The first point (correlation id 1) was the one evicted.
+        assert_eq!(points[0].object_id(), Some("jamm-2"));
+        assert_eq!(tracer.drain_into(&mut points), 0);
     }
 }

@@ -6,16 +6,15 @@
 //! averages to arbitrary predicates with optional group-by / top-k
 //! aggregation.  Each published event is evaluated once per view; matches
 //! land in a bounded ring (most recent first out) and fold into the view's
-//! [`Aggregator`].  Readers never touch any of that: they grab the view's
-//! current [`ViewSnapshot`], an immutable `Arc` swapped in periodically,
-//! so a million dashboards re-reading a view cost refcount bumps — not
-//! rescans, not even a per-reader clone of the data.
-//!
-//! **Staleness semantics**: snapshots are rebuilt every
-//! [`REFRESH_EVERY`] matching updates (and on [`ViewEngine::flush`],
-//! which tests and deterministic drivers call), so a reader can lag the
-//! publish path by at most `REFRESH_EVERY - 1` matching events.  That is
-//! the explicit trade: bounded staleness for contention-free reads.
+//! [`Aggregator`], and mark the view changed.  Readers never touch any of
+//! that: they grab the view's current [`ViewSnapshot`], an immutable
+//! `Arc`.  The first read after a change cuts a fresh snapshot; every
+//! later read until the next matching publish shares it, so a million
+//! dashboards re-reading a view cost refcount bumps — not rescans, not
+//! even a per-reader clone of the data — and a snapshot is only ever cut
+//! for a reader.  The matching publish that makes a snapshot stale drops
+//! it.  A read always reflects every matching publish that completed
+//! before it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,9 +27,6 @@ use jamm_ulm::{SharedEvent, Timestamp};
 
 use crate::{GatewayError, Result};
 
-/// Matching updates between automatic snapshot rebuilds.
-pub const REFRESH_EVERY: u64 = 64;
-
 /// Most recent matching events a view's ring retains (and thus the most a
 /// snapshot exposes).
 pub const VIEW_RING_CAPACITY: usize = 1_024;
@@ -40,10 +36,6 @@ pub const VIEW_RING_CAPACITY: usize = 1_024;
 /// never changes after construction.
 #[derive(Debug, Clone)]
 pub struct ViewSnapshot {
-    /// View name.
-    pub name: String,
-    /// Canonical text of the view's predicate.
-    pub query: String,
     /// Timestamp of the newest event folded in when the snapshot was cut.
     pub as_of: Timestamp,
     /// The most recent matching events, oldest first (bounded by
@@ -52,18 +44,23 @@ pub struct ViewSnapshot {
     /// Aggregate rows (group-by / top-k), when the view's query
     /// carries aggregate directives.
     pub aggregates: Vec<AggRow>,
+    /// Every group the rows above were ranked from, before the top-k cut:
+    /// what a reader needs to merge this view with the same view on
+    /// another gateway ([`Aggregator::merge`]).
+    pub aggregator: Option<Aggregator>,
     /// Matching updates folded into the view since registration.
     pub updates: u64,
 }
 
-/// Mutable maintenance state of one view, touched only by the publish
-/// path, under a mutex: every publisher observes on its own thread.
+/// Mutable maintenance state of one view, under a mutex: every publisher
+/// folds into it on its own thread, and a reader cuts a snapshot from it.
 #[derive(Debug)]
 struct ViewState {
     ring: VecDeque<SharedEvent>,
     agg: Option<Aggregator>,
-    /// Matching updates since the last snapshot cut.
-    dirty: u64,
+    /// A matching update landed since the last snapshot cut (and dropped
+    /// that snapshot).
+    dirty: bool,
     /// Newest event timestamp seen.
     as_of: Timestamp,
 }
@@ -77,7 +74,9 @@ pub struct ContinuousQuery {
     text: String,
     plan: Plan,
     state: Mutex<ViewState>,
-    snap: RwLock<Arc<ViewSnapshot>>,
+    /// The snapshot cut by the first read since the last matching update;
+    /// `None` once that update makes it stale, so the next read cuts.
+    snap: RwLock<Option<Arc<ViewSnapshot>>>,
     /// Snapshot reads served.
     reads: AtomicU64,
     /// Matching updates folded in.
@@ -89,14 +88,6 @@ impl ContinuousQuery {
         let text = predicate.to_string();
         let plan = predicate.compile();
         let agg = plan.aggregate().cloned().map(Aggregator::new);
-        let empty = Arc::new(ViewSnapshot {
-            name: name.clone(),
-            query: text.clone(),
-            as_of: Timestamp::EPOCH,
-            events: Vec::new(),
-            aggregates: Vec::new(),
-            updates: 0,
-        });
         ContinuousQuery {
             name,
             text,
@@ -104,10 +95,10 @@ impl ContinuousQuery {
             state: Mutex::new(ViewState {
                 ring: VecDeque::with_capacity(VIEW_RING_CAPACITY.min(64)),
                 agg,
-                dirty: 0,
+                dirty: false,
                 as_of: Timestamp::EPOCH,
             }),
-            snap: RwLock::new(empty),
+            snap: RwLock::new(None),
             reads: AtomicU64::new(0),
             updates: AtomicU64::new(0),
         }
@@ -143,41 +134,44 @@ impl ContinuousQuery {
             agg.observe(Some(host), Some(ty), event.value());
         }
         st.as_of = st.as_of.max(event.timestamp);
-        st.dirty += 1;
-        let total = self.updates.fetch_add(1, Ordering::Relaxed) + 1;
-        if st.dirty >= REFRESH_EVERY {
-            self.rebuild(&mut st, total);
+        // Counted under the state mutex, so a snapshot cut under it
+        // carries exactly the updates it folded in.
+        self.updates.fetch_add(1, Ordering::Relaxed);
+        if !st.dirty {
+            st.dirty = true;
+            // Dropped here, on the publisher's thread.  Left for the next
+            // read, a stale snapshot keeps up to 1,024 events alive and
+            // frees them on the reader's thread: e21 full_pipeline spent
+            // ~17 % more CPU per event that way (2-core VM).
+            let stale = self.snap.write().take();
+            drop(st);
+            drop(stale);
         }
     }
 
-    /// Cut a fresh snapshot from the current state.
-    fn rebuild(&self, st: &mut ViewState, total_updates: u64) {
-        st.dirty = 0;
-        let snapshot = Arc::new(ViewSnapshot {
-            name: self.name.clone(),
-            query: self.text.clone(),
-            as_of: st.as_of,
-            events: st.ring.iter().cloned().collect(),
-            aggregates: st.agg.as_ref().map(Aggregator::rows).unwrap_or_default(),
-            updates: total_updates,
-        });
-        *self.snap.write() = snapshot;
-    }
-
-    /// The current snapshot: one read-lock acquisition and one `Arc`
-    /// clone, regardless of how much data the view holds.
+    /// The current snapshot.  While nothing matched since the last cut this
+    /// is one read-lock acquisition and one `Arc` clone, regardless of how
+    /// much data the view holds; the first read after a matching publish
+    /// cuts a fresh snapshot under the state mutex.
     pub fn snapshot(&self) -> Arc<ViewSnapshot> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(&self.snap.read())
-    }
-
-    /// Force a snapshot cut if anything changed since the last one.
-    pub fn flush(&self) {
-        let mut st = self.state.lock();
-        if st.dirty > 0 {
-            let total = self.updates.load(Ordering::Relaxed);
-            self.rebuild(&mut st, total);
+        if let Some(snap) = &*self.snap.read() {
+            return Arc::clone(snap);
         }
+        let mut st = self.state.lock();
+        st.dirty = false;
+        // A reader that got the mutex first may have cut it already.
+        let mut slot = self.snap.write();
+        let snap = slot.get_or_insert_with(|| {
+            Arc::new(ViewSnapshot {
+                as_of: st.as_of,
+                events: st.ring.iter().cloned().collect(),
+                aggregates: st.agg.as_ref().map(Aggregator::rows).unwrap_or_default(),
+                aggregator: st.agg.clone(),
+                updates: self.updates.load(Ordering::Relaxed),
+            })
+        });
+        Arc::clone(snap)
     }
 }
 
@@ -214,16 +208,6 @@ impl ViewEngine {
         Ok(view)
     }
 
-    /// Number of registered views.
-    pub fn len(&self) -> usize {
-        self.views.read().len()
-    }
-
-    /// True when no views are registered.
-    pub fn is_empty(&self) -> bool {
-        self.views.read().is_empty()
-    }
-
     /// Fold one published event into every view (publish path).
     pub fn observe(&self, host: Sym, ty: Sym, event: &SharedEvent) {
         if self.active.load(Ordering::Relaxed) == 0 {
@@ -254,20 +238,6 @@ impl ViewEngine {
     pub fn all(&self) -> Vec<Arc<ContinuousQuery>> {
         self.views.read().clone()
     }
-
-    /// Cut fresh snapshots on every view that changed since its last cut.
-    /// Deterministic drivers (tests, the scenario engine's sampling tick)
-    /// call this so assertions never race the refresh cadence.
-    pub fn flush(&self) {
-        for view in self.views.read().iter() {
-            view.flush();
-        }
-    }
-
-    /// Total matching updates folded across views.
-    pub fn total_updates(&self) -> u64 {
-        self.views.read().iter().map(|v| v.updates()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -293,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn views_fold_matches_and_snapshot_after_flush() {
+    fn views_fold_matches_into_the_snapshot() {
         let engine = ViewEngine::new();
         engine
             .register("hot-cpu", "(&(type=CPU_TOTAL)(val>50))")
@@ -303,27 +273,36 @@ mod tests {
         feed(&engine, &ev("h2", "MEM_FREE", 3_000, 90.0)); // filtered
         feed(&engine, &ev("h2", "CPU_TOTAL", 4_000, 60.0));
         let view = engine.by_name("hot-cpu").unwrap();
-        // Below the refresh cadence the snapshot is still the empty one.
-        assert_eq!(view.snapshot().events.len(), 0);
-        engine.flush();
         let snap = view.snapshot();
         assert_eq!(snap.events.len(), 2);
         assert_eq!(snap.updates, 2);
         assert_eq!(snap.as_of, Timestamp::from_micros(4_000));
         assert_eq!(view.updates(), 2);
-        assert!(view.reads() >= 2);
+        assert_eq!(view.reads(), 1);
     }
 
     #[test]
-    fn snapshots_auto_refresh_on_cadence() {
+    fn snapshots_are_cut_on_the_first_read_after_a_matching_publish() {
         let engine = ViewEngine::new();
-        engine.register("all", "(&)").unwrap();
-        for i in 0..REFRESH_EVERY {
-            feed(&engine, &ev("h", "T", i, i as f64));
-        }
-        let snap = engine.by_name("all").unwrap().snapshot();
-        assert_eq!(snap.updates, REFRESH_EVERY);
-        assert_eq!(snap.events.len(), REFRESH_EVERY as usize);
+        engine.register("cpu", "(type=CPU_TOTAL)").unwrap();
+        let view = engine.by_name("cpu").unwrap();
+        feed(&engine, &ev("h", "CPU_TOTAL", 1_000, 1.0));
+        let first = view.snapshot();
+        assert_eq!(first.events.len(), 1);
+        // No publish in between: the same cut.
+        assert!(Arc::ptr_eq(&first, &view.snapshot()));
+        // A publish the view does not match changes nothing.
+        feed(&engine, &ev("h", "MEM_FREE", 2_000, 2.0));
+        assert!(Arc::ptr_eq(&first, &view.snapshot()));
+        // A matching one: the next read cuts a snapshot that holds it.
+        feed(&engine, &ev("h", "CPU_TOTAL", 3_000, 3.0));
+        let second = view.snapshot();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(second.updates, 2);
+        assert_eq!(second.as_of, Timestamp::from_micros(3_000));
+        assert_eq!(second.events.last().unwrap().value(), Some(3.0));
+        assert!(Arc::ptr_eq(&second, &view.snapshot()));
+        assert_eq!(view.reads(), 5);
     }
 
     #[test]
@@ -333,7 +312,6 @@ mod tests {
         for i in 0..(VIEW_RING_CAPACITY as u64 + 100) {
             feed(&engine, &ev("h", "T", i, 0.0));
         }
-        engine.flush();
         let snap = engine.by_name("all").unwrap().snapshot();
         assert_eq!(snap.events.len(), VIEW_RING_CAPACITY);
         // Oldest entries were evicted: the ring starts at event 100.
@@ -355,7 +333,6 @@ mod tests {
         feed(&engine, &ev("idle", "CPU_TOTAL", 1_200_000, 5.0));
         feed(&engine, &ev("calm", "CPU_TOTAL", 1_300_000, 20.0));
         feed(&engine, &ev("busy", "MEM_FREE", 1_400_000, 99.0)); // filtered
-        engine.flush();
         let snap = engine.by_name("busiest").unwrap().snapshot();
         assert_eq!(snap.aggregates.len(), 2, "top-k cuts to 2 groups");
         assert_eq!(snap.aggregates[0].host.unwrap().as_str(), "busy");
@@ -366,11 +343,24 @@ mod tests {
     }
 
     #[test]
+    fn host_grouped_views_fold_every_type_into_one_row() {
+        let engine = ViewEngine::new();
+        engine.register("per-host", "(groupby=host)").unwrap();
+        feed(&engine, &ev("h", "CPU_TOTAL", 1_000, 10.0));
+        feed(&engine, &ev("h", "MEM_FREE", 2_000, 30.0));
+        let snap = engine.by_name("per-host").unwrap().snapshot();
+        assert_eq!(snap.aggregates.len(), 1);
+        let row = &snap.aggregates[0];
+        assert_eq!((row.host.unwrap().as_str(), row.event_type), ("h", None));
+        assert_eq!((row.count, row.mean), (2, Some(20.0)));
+    }
+
+    #[test]
     fn reregistering_replaces_and_lookup_by_text_uses_canonical_form() {
         let engine = ViewEngine::new();
         engine.register("v", "(host=h1)").unwrap();
         engine.register("v", "(host=h2)").unwrap();
-        assert_eq!(engine.len(), 1);
+        assert_eq!(engine.all().len(), 1);
         // Lookup key is the *canonical* display form.
         let canonical = Predicate::parse("(host=h2)").unwrap().to_string();
         assert!(engine.by_query_text(&canonical).is_some());

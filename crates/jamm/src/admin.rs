@@ -192,6 +192,10 @@ pub(crate) fn register_collectors(
             ("jamm_tsdb_expired_events", stats.expired_events()),
             ("jamm_tsdb_append_errors", stats.append_errors()),
             ("jamm_tsdb_seal_errors", stats.seal_errors()),
+            (
+                "jamm_tsdb_segments_quarantined",
+                stats.segments_quarantined(),
+            ),
         ] {
             out.push(Sample::counter(name, v));
         }

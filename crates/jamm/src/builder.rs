@@ -22,9 +22,6 @@ use jamm_rmi::edge::{EdgeConfig, EventEdge};
 use crate::admin::register_collectors;
 use crate::system::JammSystem;
 
-/// Name of the internal gateway self-lifeline trace events flow through.
-pub const SELF_GATEWAY: &str = "_jamm";
-
 /// Errors from [`JammBuilder::build`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
@@ -37,9 +34,6 @@ pub enum BuildError {
     /// The network edge (reactor or a gateway's broadcast listener) could
     /// not be brought up.
     Edge(String),
-    /// The self-monitoring plane (internal `_jamm` gateway subscription)
-    /// could not be wired.
-    SelfMonitor(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -49,7 +43,6 @@ impl std::fmt::Display for BuildError {
             BuildError::NoGateways => write!(f, "deployment declares no event gateway"),
             BuildError::Archive(e) => write!(f, "cannot open archive store: {e}"),
             BuildError::Edge(e) => write!(f, "cannot start network edge: {e}"),
-            BuildError::SelfMonitor(e) => write!(f, "cannot wire self-monitoring: {e}"),
         }
     }
 }
@@ -170,8 +163,9 @@ impl JammBuilder {
     /// events (rounded to a power of two) and follow it through the
     /// pipeline as a NetLogger lifeline — publish, route, subscription
     /// delivery and drain, edge encode and broadcast, archive append —
-    /// emitted as ULM events (`PROG=_jamm`) into an internal [`SELF_GATEWAY`]
-    /// gateway.  Drain them with `JammSystem::drain_self_events` and feed
+    /// emitted as ULM events (`PROG=_jamm`) into the tracer's bounded queue
+    /// ([`jamm_gateway::trace::SELF_QUEUE_CAPACITY`] points, oldest evicted
+    /// first).  Drain them with `JammSystem::drain_self_events` and feed
     /// them to `jamm_netlogger::analysis::diagnose` to localise the slow
     /// stage.  [`jamm_gateway::DEFAULT_SAMPLE_EVERY`] (1 in 64) is the
     /// production rate.  Trace points are stamped from the wall clock; a
@@ -197,18 +191,10 @@ impl JammBuilder {
                 .unwrap_or_else(|| "ldap://directory".to_string()),
             suffix_dn.clone(),
         ));
-        // The self-monitoring plane: an internal, untraced gateway the
-        // tracer emits lifeline events into (untraced, so tracing the
-        // trace stream cannot recurse), plus the tracer all pipeline
-        // stages share.
-        let (self_gateway, tracer) = match self.self_monitor {
-            Some(every) => {
-                let sink = Arc::new(EventGateway::new(GatewayConfig::open(SELF_GATEWAY)));
-                let tracer = PipelineTracer::new(Arc::clone(&sink), "jamm-monitor", every);
-                (Some(sink), Some(tracer))
-            }
-            None => (None, None),
-        };
+        // The self-monitoring plane: the tracer all pipeline stages share.
+        let tracer = self
+            .self_monitor
+            .map(|every| PipelineTracer::new("jamm-monitor", every));
         let mut registry = GatewayRegistry::new();
         let mut gateways = Vec::new();
         for mut config in self.gateways {
@@ -265,19 +251,6 @@ impl JammBuilder {
         } else {
             (None, Vec::new())
         };
-        // A generously bounded subscription on the self-gateway buffers
-        // lifeline events until the operator drains them.
-        let self_sub = match &self_gateway {
-            Some(gw) => Some(
-                gw.subscribe()
-                    .stream()
-                    .capacity(65_536)
-                    .as_consumer("_monitor")
-                    .open()
-                    .map_err(|e| BuildError::SelfMonitor(e.to_string()))?,
-            ),
-            None => None,
-        };
         let metrics = Arc::new(MetricsRegistry::new());
         register_collectors(
             &metrics,
@@ -298,9 +271,7 @@ impl JammBuilder {
             retention_micros: self.retention_micros,
             edges,
             reactor,
-            self_gateway,
             tracer,
-            self_sub,
             self_log: Arc::new(jamm_core::sync::Mutex::new(Vec::new())),
             views_served: metrics.counter("jamm_query_views_served"),
             archive_scans: metrics.counter("jamm_query_archive_scans"),
@@ -631,7 +602,6 @@ mod tests {
             jamm.publish("gw1", &ev("h1", Level::Usage, 2_000 + t));
             jamm.publish("gw1", &ev("h2", Level::Usage, 2_000 + t)); // filtered
         }
-        jamm.gateways[0].views().flush();
 
         let scans_before = jamm.archive.stats().segments_scanned();
         let warm = jamm
@@ -744,7 +714,6 @@ mod tests {
         for t in 0..3u64 {
             jamm.publish("gw1", &ev("h2", Level::Usage, 3_000 + t));
         }
-        jamm.gateways[0].views().flush();
         let cont = jamm
             .query("ops", text, Timestamp::from_secs(3_010))
             .unwrap();
@@ -755,6 +724,77 @@ mod tests {
         assert_eq!(cont.aggregates.len(), 2);
         assert_eq!(cont.aggregates[0].host.unwrap().as_str(), "h1");
         assert_eq!(cont.aggregates[0].count, 6);
+    }
+
+    #[test]
+    fn view_aggregates_merge_across_gateways_like_the_scan() {
+        let mut jamm = JammBuilder::new()
+            .gateway("gw1")
+            .gateway("gw2")
+            .archiver("archiver", "archive=main,o=grid")
+            .build()
+            .unwrap();
+        jamm.connect_archiver(vec![]);
+        let text = "(&(type=CPU_TOTAL)(groupby=host)(topk=2))";
+        jamm.register_continuous_query("by-host", text).unwrap();
+        // h1 reads at both gateways: 10.0 x6 at gw1 and 90.0 x2 at gw2,
+        // mean 30.0 overall.  Means: h2 40, h3 35, h1 30, h4 20.  Alone,
+        // each gateway's top-2 would name h1.  gw1 publishes at even
+        // seconds, gw2 at odd ones, so neither ring is in time order
+        // when concatenated.
+        let reading = |host: &str, t: u64, v: f64| {
+            Event::builder("sensor", host)
+                .level(Level::Usage)
+                .event_type("CPU_TOTAL")
+                .timestamp(Timestamp::from_secs(t))
+                .value(v)
+                .build()
+        };
+        let gw1 = [("h1", 10.0, 6), ("h2", 40.0, 3)];
+        let gw2 = [("h3", 35.0, 5), ("h4", 20.0, 1), ("h1", 90.0, 2)];
+        let mut t = 1_000;
+        for (host, v, n) in gw1 {
+            for _ in 0..n {
+                jamm.publish("gw1", &reading(host, t, v));
+                t += 2;
+            }
+        }
+        let mut t = 1_001;
+        for (host, v, n) in gw2 {
+            for _ in 0..n {
+                jamm.publish("gw2", &reading(host, t, v));
+                t += 2;
+            }
+        }
+        jamm.poll();
+        let now = Timestamp::from_secs(2_000);
+        let view = jamm.query("ops", text, now).unwrap();
+        assert!(matches!(
+            view.history_source,
+            HistorySource::MaterializedView { .. }
+        ));
+        // The same conjunction in another order: no view matches its text.
+        let scan = jamm
+            .query("ops", "(&(groupby=host)(topk=2)(type=CPU_TOTAL))", now)
+            .unwrap();
+        assert!(matches!(
+            scan.history_source,
+            HistorySource::ArchiveScan { .. }
+        ));
+        assert_eq!(view.aggregates, scan.aggregates);
+        let ranked: Vec<(&str, u64)> = view
+            .aggregates
+            .iter()
+            .map(|r| (r.host.unwrap().as_str(), r.count))
+            .collect();
+        assert_eq!(ranked, [("h2", 3), ("h3", 5)]);
+        // History in time order, the same events as the scan's.
+        assert_eq!(view.history.len(), 17);
+        assert!(view
+            .history
+            .windows(2)
+            .all(|w| w[0].timestamp <= w[1].timestamp));
+        assert_eq!(view.history, scan.history);
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! | Declarative scenarios run by real JAMM components, the MATISSE and farm deployments | [`testbed`] |
 //!
 //! Every hop speaks the shared pipeline vocabulary from `jamm-core`: events
-//! move through [`jamm_core::flow::EventSink`] / `EventSource`
+//! move as shared handles ([`SharedEvent`]) through
+//! [`jamm_core::flow::EventSink`]`<SharedEvent>` / `EventSource`
 //! implementations over **bounded** channels, wire formats implement
 //! [`jamm_core::codec::Codec`] and are selected by content type, and
 //! consumers subscribe with the gateway's fluent `SubscriptionBuilder`.
@@ -35,6 +36,9 @@
 //!   consumers) and get a wired [`JammSystem`]: its query endpoint
 //!   ([`JammSystem::query`]) and its admin rows, metrics and RMI verbs
 //!   ([`admin`]), each number read once from the component that owns it.
+//!   With [`JammBuilder::self_monitor`] on, the pipeline's own sampled
+//!   lifelines wait in the tracer's bounded queue until
+//!   [`JammSystem::drain_self_events`] reads them.
 //!   Everything else — gateway ACLs, QoS, external overload pressure
 //!   (`EventGateway::set_external_pressure`), re-tiering — is set on the
 //!   component itself (`GatewayConfig::with_*`, the
@@ -82,7 +86,7 @@ mod system;
 pub mod testbed;
 
 pub use admin::GatewayAdminStats;
-pub use builder::{BuildError, JammBuilder, SELF_GATEWAY};
+pub use builder::{BuildError, JammBuilder};
 pub use jamm_core::query::AggRow;
 pub use jamm_ulm::SharedEvent;
 pub use query::{HistorySource, QueryAnswer, QueryError};

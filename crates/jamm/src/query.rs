@@ -44,7 +44,7 @@ impl JammSystem {
         let mut view_names = Vec::new();
         let mut view_updates = 0u64;
         let mut view_history: Vec<Event> = Vec::new();
-        let mut aggregates: Vec<AggRow> = Vec::new();
+        let mut view_groups: Option<Aggregator> = None;
         for gw in &self.gateways {
             live.extend(gw.query_matching(consumer, &plan).map_err(denied)?);
             summaries.extend(gw.summaries(consumer, &plan, now).map_err(denied)?);
@@ -56,9 +56,17 @@ impl JammSystem {
                 view_names.push(format!("{}/{}", gw.name(), view.name()));
                 view_updates += snap.updates;
                 view_history.extend(snap.events.iter().map(|e| (**e).clone()));
-                aggregates.extend(snap.aggregates.iter().cloned());
+                // Each gateway's groups are merged before the one top-k
+                // cut, so a group seen at two gateways is one row.
+                if let Some(groups) = &snap.aggregator {
+                    match &mut view_groups {
+                        Some(merged) => merged.merge(groups),
+                        None => view_groups = Some(groups.clone()),
+                    }
+                }
             }
         }
+        let mut aggregates: Vec<AggRow> = Vec::new();
         let (history, history_source) = if view_names.is_empty() {
             // The historical scan runs through its own plan clone (fresh
             // stateful memory), with segment pruning and limit pushdown.
@@ -87,6 +95,12 @@ impl JammSystem {
                 views: view_names,
                 updates: view_updates,
             };
+            if let Some(merged) = view_groups {
+                aggregates = merged.rows();
+            }
+            // Each ring is in its gateway's publish order; the stable
+            // sort interleaves the gateways in time.
+            view_history.sort_by_key(|e| e.timestamp);
             (view_history, source)
         };
         Ok(QueryAnswer {
@@ -124,8 +138,10 @@ pub struct QueryAnswer {
     /// storage engine's scan).
     pub history: Vec<Event>,
     /// Aggregate rows when the query carries group-by / top-k
-    /// directives — maintained incrementally when a view served the
-    /// query, folded from the scan otherwise.
+    /// directives, ranked and cut to top-k once over the whole
+    /// deployment — merged from every gateway's incrementally maintained
+    /// groups when views served the query, folded from the scan
+    /// otherwise.
     pub aggregates: Vec<AggRow>,
     /// Which tier produced [`QueryAnswer::history`].
     pub history_source: HistorySource,

@@ -12,7 +12,7 @@ use jamm_consumers::GatewayRegistry;
 use jamm_core::obs::{Counter, MetricsRegistry};
 use jamm_core::query::{Plan, Predicate};
 use jamm_directory::{DirectoryServer, Dn};
-use jamm_gateway::{EventGateway, PipelineTracer, Subscription};
+use jamm_gateway::{EventGateway, PipelineTracer};
 use jamm_reactor::Reactor;
 use jamm_rmi::edge::EventEdge;
 use jamm_ulm::SharedEvent;
@@ -41,13 +41,10 @@ pub struct JammSystem {
     pub edges: Vec<EventEdge>,
     /// The shared reactor running every edge listener, if enabled.
     pub reactor: Option<Arc<Reactor>>,
-    /// The internal gateway self-lifeline trace events flow through, when
-    /// [`JammBuilder::self_monitor`](crate::JammBuilder::self_monitor) is on.
-    pub self_gateway: Option<Arc<EventGateway>>,
-    /// The pipeline tracer every stage shares, when self-monitoring is on.
+    /// The pipeline tracer every stage shares, when
+    /// [`JammBuilder::self_monitor`](crate::JammBuilder::self_monitor) is
+    /// on; its bounded queue buffers lifeline events until drained.
     pub tracer: Option<Arc<PipelineTracer>>,
-    /// Bounded subscription buffering lifeline events until drained.
-    pub(crate) self_sub: Option<Subscription>,
     /// Lifeline events drained so far, in arrival order — shared with the
     /// RMI `admin.diagnose` closure.
     pub(crate) self_log: Arc<jamm_core::sync::Mutex<Vec<SharedEvent>>>,
@@ -172,14 +169,13 @@ impl JammSystem {
         }
     }
 
-    /// Drain lifeline trace events from the self-monitoring gateway into
-    /// the retained log ([`JammSystem::self_events`]).  Returns how many
+    /// Drain lifeline trace events from the tracer's queue into the
+    /// retained log ([`JammSystem::self_events`]).  Returns how many
     /// arrived.  A no-op without
     /// [`JammBuilder::self_monitor`](crate::JammBuilder::self_monitor).
     pub fn drain_self_events(&mut self) -> usize {
-        use jamm_core::EventSource;
-        match &mut self.self_sub {
-            Some(sub) => sub.drain_into(&mut self.self_log.lock()),
+        match &self.tracer {
+            Some(tracer) => tracer.drain_into(&mut self.self_log.lock()),
             None => 0,
         }
     }

@@ -50,9 +50,7 @@ use jamm_core::query::Predicate;
 use jamm_core::sync::Mutex;
 use jamm_core::{Backoff, CircuitBreaker};
 use jamm_directory::{DirectoryServer, Dn, Entry, Filter, Scope};
-use jamm_gateway::{
-    EventGateway, GatewayConfig, PipelineTracer, QosConfig, Subscription, TraceClock,
-};
+use jamm_gateway::{EventGateway, GatewayConfig, PipelineTracer, QosConfig, TraceClock};
 use jamm_manager::manager::PortActivitySource;
 use jamm_manager::{ManagerConfig, RunPolicy, SensorConfigEntry, SensorManager, SensorTemplate};
 use jamm_netsim::dpss::{DpssCluster, DpssServer, DEFAULT_BLOCK_BYTES};
@@ -375,7 +373,7 @@ pub struct ScenarioEngine {
     pub(crate) net: Network,
     pub(crate) clock_cell: Arc<AtomicU64>,
     pub(crate) directory: Arc<DirectoryServer>,
-    self_sub: Subscription,
+    tracer: Arc<PipelineTracer>,
     pub(crate) gateways: Vec<GatewayRt>,
     pub(crate) subscribers: Vec<SubscriberRt>,
     pub(crate) readers: Vec<ReaderRt>,
@@ -489,16 +487,7 @@ impl ScenarioEngine {
 
         // The monitoring plane, stamped from the shared simulated clock.
         let clock_cell = Arc::new(AtomicU64::new(topo.net.clock().timestamp().as_micros()));
-        let sink = Arc::new(EventGateway::new(GatewayConfig::open("_jamm")));
-        let self_sub = sink
-            .subscribe()
-            .stream()
-            .as_consumer("_monitor")
-            .capacity(1 << 16)
-            .open()
-            .map_err(|e| EngineError::Compile(format!("self-gateway subscription: {e}")))?;
         let tracer = PipelineTracer::with_clock(
-            Arc::clone(&sink),
             "sim-monitor",
             spec.sample_every,
             TraceClock::shared(Arc::clone(&clock_cell)),
@@ -759,7 +748,7 @@ impl ScenarioEngine {
             net: topo.net,
             clock_cell,
             directory,
-            self_sub,
+            tracer,
             gateways,
             subscribers,
             readers,
@@ -924,9 +913,8 @@ impl ScenarioEngine {
             let Some(gw) = self.gateway_for(&r.host, &r.via).map(|g| Arc::clone(&g.gw)) else {
                 continue;
             };
-            // One deterministic snapshot cut per period (bounded
-            // staleness), then the whole pool reads it concurrently.
-            gw.views().flush();
+            // The first read of the period cuts the snapshot; the rest of
+            // the pool shares it.
             let r = &mut self.readers[i];
             for _ in 0..r.count {
                 r.reads += 1;
@@ -1033,7 +1021,7 @@ impl ScenarioEngine {
         self.poll_readers();
         self.poll_archivers();
         self.poll_recoveries();
-        self.self_events.extend(self.self_sub.drain());
+        self.tracer.drain_into(&mut self.self_events);
         self.sample_second();
     }
 
@@ -1123,8 +1111,7 @@ impl ScenarioEngine {
     fn finish(mut self) -> ScenarioReport {
         // Final drain so nothing in flight is lost to the report.
         self.drain_subscribers();
-        let tail = self.self_sub.drain();
-        self.self_events.extend(tail);
+        self.tracer.drain_into(&mut self.self_events);
         let consumers = self
             .subscribers
             .iter()
@@ -1193,7 +1180,7 @@ impl ScenarioEngine {
             archived,
             readers,
             qos,
-            self_dropped: self.self_sub.dropped(),
+            self_dropped: self.tracer.dropped(),
             summaries_published: self.summaries_published,
             revivals: self.revival_log,
             self_events: self.self_events,

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use jamm_core::channel::Sender;
 use jamm_core::flow::EventSink;
 use jamm_ulm::codec::{codec_for, EventCodec};
-use jamm_ulm::{keys, Event, Level, Timestamp, Value};
+use jamm_ulm::{keys, Event, Level, SharedEvent, Timestamp, Value};
 
 /// Where a [`NetLogger`] sends its events.
 pub enum Sink {
@@ -43,7 +43,8 @@ pub enum Sink {
     /// for "log to a remote host on port 14830").
     Net(Sender<Event>),
     /// Push events into any local pipeline sink: a gateway or an archive.
-    Pipeline(Arc<dyn EventSink<Event>>),
+    /// Each event is moved into its shared allocation, never copied.
+    Pipeline(Arc<dyn EventSink<SharedEvent>>),
 }
 
 impl std::fmt::Debug for Sink {
@@ -101,7 +102,7 @@ enum OpenSink {
         codec: EventCodec,
     },
     Net(Sender<Event>),
-    Pipeline(Arc<dyn EventSink<Event>>),
+    Pipeline(Arc<dyn EventSink<SharedEvent>>),
 }
 
 /// The NetLogger instrumentation handle.
@@ -231,7 +232,7 @@ impl NetLogger {
                 Ok(())
             }
             Some(OpenSink::Pipeline(sink)) => {
-                sink.accept(&event)
+                sink.accept(&SharedEvent::new(event))
                     .map_err(|e| LogError::SinkRefused(e.to_string()))?;
                 self.written += 1;
                 Ok(())
@@ -434,24 +435,28 @@ mod tests {
 
     #[test]
     fn pipeline_sink_receives_events() {
-        struct Probe(Mutex<Vec<Event>>);
-        impl EventSink<Event> for Probe {
-            fn accept(&self, event: &Event) -> Result<usize, SinkError> {
-                self.0.lock().push(event.clone());
+        struct Probe(Mutex<Vec<SharedEvent>>);
+        impl EventSink<SharedEvent> for Probe {
+            fn accept(&self, event: &SharedEvent) -> Result<usize, SinkError> {
+                self.0.lock().push(SharedEvent::clone(event));
                 Ok(1)
             }
         }
         let probe = Arc::new(Probe(Mutex::new(Vec::new())));
         let mut log = NetLogger::with_host("mplay", "mems.cairn.net");
         log.open(Sink::Pipeline(
-            Arc::clone(&probe) as Arc<dyn EventSink<Event>>
+            Arc::clone(&probe) as Arc<dyn EventSink<SharedEvent>>
         ))
         .unwrap();
         log.write("MPLAY_START_READ_FRAME", &[("FRAME.ID", Value::UInt(1))])
             .unwrap();
         log.write("MPLAY_END_READ_FRAME", &[("FRAME.ID", Value::UInt(1))])
             .unwrap();
-        assert_eq!(probe.0.lock().len(), 2);
+        let got = probe.0.lock();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[1].event_type, "MPLAY_END_READ_FRAME");
+        // The sink holds the only handle: the event was moved, not copied.
+        assert_eq!(Arc::strong_count(&got[0]), 1);
         assert_eq!(log.events_written(), 2);
     }
 }

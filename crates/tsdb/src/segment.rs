@@ -42,6 +42,11 @@ pub const SEGMENT_MAGIC: &[u8; 4] = b"JSG3";
 /// File extension of segment files inside a store directory.
 pub const SEGMENT_EXT: &str = "jseg";
 
+/// The [`TsdbError::Corrupt`] reason of a segment written by a generation
+/// this build does not read: the one validation failure that is not
+/// damage, so `Tsdb::open` refuses the store instead of quarantining it.
+pub const UNSUPPORTED_VERSION: &str = "unsupported segment version";
+
 const TAG_UINT: u8 = 0;
 const TAG_INT: u8 = 1;
 const TAG_FLOAT: u8 = 2;
@@ -502,7 +507,7 @@ impl Segment {
                 // refuse with a version error, not a corruption error, so
                 // operators see "use a build that reads it" instead of
                 // "restore from backup".
-                "unsupported segment version"
+                UNSUPPORTED_VERSION
             } else {
                 "bad segment magic"
             }));

@@ -20,9 +20,20 @@ use jamm_ulm::{Event, SharedEvent, Timestamp};
 
 use crate::memtable::MemTable;
 use crate::query::ScanIter;
-use crate::segment::{Segment, SegmentCatalog, SEGMENT_EXT};
+use crate::segment::{Segment, SegmentCatalog, SEGMENT_EXT, UNSUPPORTED_VERSION};
 use crate::wal::Wal;
-use crate::Result;
+use crate::{Result, TsdbError};
+
+/// Extension a segment file that fails validation at open is renamed to
+/// (`seg-00000001.jseg.quarantined`); open never reads it again.
+pub const QUARANTINE_EXT: &str = "quarantined";
+
+/// The id in a segment file's name, quarantined or not (0 if none).
+fn file_id(path: &Path) -> u64 {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    let digits = name.trim_start_matches("seg-").split('.').next();
+    digits.and_then(|id| id.parse().ok()).unwrap_or(0)
+}
 
 /// Tuning knobs for a [`Tsdb`].
 #[derive(Debug, Clone)]
@@ -61,6 +72,7 @@ pub struct TsdbStats {
     expired_events: AtomicU64,
     wal_recovered_events: AtomicU64,
     wal_torn_bytes: AtomicU64,
+    segments_quarantined: AtomicU64,
     append_errors: AtomicU64,
     seal_errors: AtomicU64,
     append_us: jamm_core::obs::Histogram,
@@ -130,6 +142,11 @@ impl TsdbStats {
     /// Torn-tail bytes discarded from the WAL at open.
     pub fn wal_torn_bytes(&self) -> u64 {
         self.wal_torn_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Segment files set aside at open because they failed validation.
+    pub fn segments_quarantined(&self) -> u64 {
+        self.segments_quarantined.load(Ordering::Relaxed)
     }
 
     /// Appends refused because the WAL write failed (nothing was stored).
@@ -227,6 +244,9 @@ impl Tsdb {
     /// Open (creating if needed) a persistent store in `dir`: load every
     /// segment file, replay the WAL into the memtable, and continue
     /// sequence numbering where the previous process stopped.
+    /// A damaged segment file is quarantined ([`QUARANTINE_EXT`], counted
+    /// in [`TsdbStats::segments_quarantined`], its id never reused) and
+    /// the rest served; a retired segment generation refuses the open.
     pub fn open(dir: impl AsRef<Path>) -> Result<Tsdb> {
         Tsdb::open_with(dir, TsdbOptions::default())
     }
@@ -236,10 +256,22 @@ impl Tsdb {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(crate::TsdbError::from)?;
         let mut segments = Vec::new();
+        // Files quarantined by this open; highest id of any, ever.
+        let (mut quarantined, mut set_aside_id) = (0, 0);
         for entry in std::fs::read_dir(&dir).map_err(crate::TsdbError::from)? {
             let path = entry.map_err(crate::TsdbError::from)?.path();
             match path.extension().and_then(|e| e.to_str()) {
-                Some(SEGMENT_EXT) => segments.push(Arc::new(Segment::read_from_file(&path)?)),
+                Some(SEGMENT_EXT) => match Segment::read_from_file(&path) {
+                    Ok(seg) => segments.push(Arc::new(seg)),
+                    Err(TsdbError::Corrupt(why)) if why != UNSUPPORTED_VERSION => {
+                        let aside = path.with_extension(format!("{SEGMENT_EXT}.{QUARANTINE_EXT}"));
+                        std::fs::rename(&path, aside).map_err(TsdbError::from)?;
+                        quarantined += 1;
+                        set_aside_id = set_aside_id.max(file_id(&path));
+                    }
+                    Err(e) => return Err(e),
+                },
+                Some(QUARANTINE_EXT) => set_aside_id = set_aside_id.max(file_id(&path)),
                 // A crash mid-write leaves `.tmp` files behind (segment
                 // writes and WAL rewrites both go through write-then-
                 // rename); they are dead weight, clean them up.
@@ -250,7 +282,7 @@ impl Tsdb {
             }
         }
         segments.sort_by_key(|s| s.id());
-        let next_segment_id = segments.iter().map(|s| s.id()).max().unwrap_or(0) + 1;
+        let next_segment_id = segments.iter().map(|s| s.id()).fold(set_aside_id, u64::max) + 1;
         let seg_max_seq = segments.iter().map(|s| s.max_seq()).max().unwrap_or(0);
         let mut next_seq = seg_max_seq + 1;
 
@@ -281,6 +313,9 @@ impl Tsdb {
         let (recovered, torn) = Wal::replay(&dir)?;
         let stats = TsdbStats::default();
         stats.wal_torn_bytes.store(torn, Ordering::Relaxed);
+        stats
+            .segments_quarantined
+            .store(quarantined, Ordering::Relaxed);
         // Not the last record's: a retention rewrite leaves the WAL in
         // time order.
         let wal_max_seq = recovered.iter().map(|(seq, _)| *seq).max();
@@ -1077,6 +1112,51 @@ mod tests {
                 crate::TsdbError::Corrupt("unsupported segment version")
             );
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "left as it was");
+        }
+    }
+
+    #[test]
+    fn a_corrupt_segment_is_quarantined_and_the_rest_of_the_store_opens() {
+        // Flip one byte in the older segment, then in the newer one (whose
+        // id a careless reopen would hand out again).
+        for victim in [1u64, 2] {
+            let dir = TempDir::new("store-quarantine");
+            let db = Tsdb::open_with(dir.path(), small_opts(100)).unwrap();
+            for t in 0..13 {
+                db.append(ev("h", "X", t)).unwrap();
+                if t == 4 || t == 9 {
+                    db.seal().unwrap().expect("sealed");
+                }
+            }
+            drop(db);
+            let path = dir.path().join(Segment::file_name(victim));
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF;
+            std::fs::write(&path, &bytes).unwrap();
+
+            let db = Tsdb::open_with(dir.path(), small_opts(100)).unwrap();
+            assert_eq!(db.stats().segments_quarantined(), 1, "victim {victim}");
+            // The intact segment and the WAL tail (10, 11, 12) are served.
+            let lost = if victim == 1 { 0..5 } else { 5..10 };
+            let want: Vec<u64> = (0..13).filter(|t| !lost.contains(t)).collect();
+            let got: Vec<u64> = db.scan(&all()).map(|e| e.timestamp.as_secs()).collect();
+            assert_eq!(got, want);
+            // The file is kept, under a name open never loads.
+            let aside = dir
+                .path()
+                .join(format!("{}.{QUARANTINE_EXT}", Segment::file_name(victim)));
+            assert_eq!(std::fs::read(&aside).unwrap(), bytes);
+            assert!(!path.exists());
+            assert_eq!(db.seal().unwrap().expect("sealed").id, 3);
+            drop(db);
+
+            let db = Tsdb::open_with(dir.path(), small_opts(100)).unwrap();
+            assert_eq!(db.stats().segments_quarantined(), 0, "counted once");
+            assert_eq!(db.len(), 8);
+            db.append(ev("h", "X", 20)).unwrap();
+            assert_eq!(db.seal().unwrap().expect("sealed").id, 4);
+            assert!(aside.exists());
         }
     }
 

@@ -58,12 +58,12 @@ fn main() {
         jamm.collectors[slow].poll();
     }
 
-    // The self-lifelines went through an internal `_jamm` gateway like any
-    // other monitoring data; drain and diagnose them.
+    // The self-lifelines waited in the tracer's queue; drain and diagnose
+    // them.
     jamm.drain_self_events();
     let lifelines = jamm.self_events();
     println!(
-        "drained {} trace points from the _jamm gateway\n",
+        "drained {} trace points from the tracer's queue\n",
         lifelines.len()
     );
 

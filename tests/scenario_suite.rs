@@ -9,7 +9,9 @@
 //!
 //! Everything here is driven by the simulated clock and a seed from the
 //! spec file; the determinism test at the bottom asserts that the entire
-//! rendered report is byte-identical across two runs.
+//! rendered report is byte-identical across two runs and to the report
+//! pinned next to its spec (`scenarios/<name>.report`, rewritten by
+//! `scripts/scenario-reports.sh`).
 
 use ::jamm::testbed::{self, ScenarioEngine, ScenarioReport, ScenarioSpec};
 use jamm_ulm::keys::jamm;
@@ -242,6 +244,13 @@ fn same_spec_and_seed_render_byte_identical_reports() {
         let a = run(name).render_text();
         let b = run(name).render_text();
         assert_eq!(a, b, "{name}: scenario runs diverged under a fixed seed");
+        let pinned = load(&name.replace(".scn", ".report"));
+        assert!(
+            a == pinned,
+            "{name}: the report differs from the pinned one; if the change is \
+             meant, run scripts/scenario-reports.sh and explain the diff\n\
+             --- pinned\n{pinned}--- now\n{a}"
+        );
     }
     let deployments = [
         testbed::matisse(false, 2).expect("renders"),

@@ -172,8 +172,7 @@ fn metric_record_path_does_not_allocate() {
     let counter = registry.counter("ops");
     let gauge = registry.gauge("level");
     let hist = registry.histogram("us");
-    let sink = Arc::new(EventGateway::new(GatewayConfig::open("_jamm")));
-    let tracer = PipelineTracer::new(sink, "test-host", 64);
+    let tracer = PipelineTracer::new("test-host", 64);
     let unwatched: SharedEvent = Arc::new(sample(7));
     let record = |rounds: u64| {
         for i in 0..rounds {
@@ -187,4 +186,26 @@ fn metric_record_path_does_not_allocate() {
     let allocs = allocations_in(|| record(100_000));
     assert_eq!(counter.get(), 101_000);
     assert_eq!(allocs, 0, "steady-state metric recording must not allocate");
+}
+
+/// A dashboard re-reading a view nothing has changed since its last read
+/// shares the cut snapshot: one read lock and one `Arc` clone, no
+/// allocation.
+#[test]
+fn rereading_an_unchanged_view_does_not_allocate() {
+    let gw = EventGateway::new(GatewayConfig::open("gw"));
+    let view = gw
+        .register_view("busiest", "(&(type=CPU_TOTAL)(groupby=host)(topk=2))")
+        .unwrap();
+    for i in 0..300 {
+        gw.publish_shared(Arc::new(sample(i)));
+    }
+    let first = view.snapshot(); // the cut
+    assert_eq!(first.updates, 100);
+    let allocs = allocations_in(|| {
+        for _ in 0..10_000 {
+            assert!(Arc::ptr_eq(&view.snapshot(), &first));
+        }
+    });
+    assert_eq!(allocs, 0, "reading an unchanged view must not allocate");
 }
