@@ -16,12 +16,27 @@ struct State<T> {
     capacity: Option<usize>,
     senders: usize,
     receivers: usize,
+    /// Receivers asleep (or about to sleep) on `not_empty`.
+    recv_waiting: usize,
+    /// Senders asleep (or about to sleep) on `not_full`.
+    send_waiting: usize,
 }
 
+/// The wake rule: a thread counts itself in `recv_waiting`/`send_waiting`
+/// under the mutex before it waits and uncounts itself after it wakes, and
+/// a push or pop notifies only when the count it read under that same
+/// mutex is nonzero.  A waiter that registered has released the mutex
+/// inside `wait` by the time the notifier can read its count, so no
+/// wake-up is lost; a notify with no sleeper (a `futex` syscall on Linux)
+/// is simply not made.  Dropping the last sender or receiver always
+/// notifies everyone.
 struct Chan<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
+    /// Notifies made, so tests can tell a wake-up from a skipped one.
+    #[cfg(test)]
+    notifies: std::sync::atomic::AtomicUsize,
 }
 
 /// Create a channel that holds at most `capacity` in-flight items.
@@ -45,9 +60,13 @@ fn new_channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
             capacity,
             senders: 1,
             receivers: 1,
+            recv_waiting: 0,
+            send_waiting: 0,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
+        #[cfg(test)]
+        notifies: Default::default(),
     });
     (
         Sender {
@@ -119,7 +138,7 @@ impl<T> Drop for Sender<T> {
         s.senders -= 1;
         if s.senders == 0 {
             drop(s);
-            self.chan.not_empty.notify_all();
+            self.chan.notify(&self.chan.not_empty, true);
         }
     }
 }
@@ -129,6 +148,39 @@ impl<T> Chan<T> {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Wake one (or every) thread waiting on `cv`.  Called after the lock
+    /// is released, and only when a sleeper was counted under it (or on
+    /// the last drop of one side, which must wake everyone).
+    fn notify(&self, cv: &Condvar, all: bool) {
+        #[cfg(test)]
+        self.notifies
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if all {
+            cv.notify_all();
+        } else {
+            cv.notify_one();
+        }
+    }
+
+    /// Wake receivers after a push, if any sleeps.  Takes the guard so
+    /// the count is read under the lock and the notify made after it.
+    fn pushed(&self, s: std::sync::MutexGuard<'_, State<T>>, all: bool) {
+        let sleeping = s.recv_waiting > 0;
+        drop(s);
+        if sleeping {
+            self.notify(&self.not_empty, all);
+        }
+    }
+
+    /// Wake senders after a pop freed room, if any sleeps.
+    fn popped(&self, s: std::sync::MutexGuard<'_, State<T>>, all: bool) {
+        let sleeping = s.send_waiting > 0;
+        drop(s);
+        if sleeping {
+            self.notify(&self.not_full, all);
+        }
     }
 }
 
@@ -142,18 +194,19 @@ impl<T> Sender<T> {
             }
             match s.capacity {
                 Some(cap) if s.queue.len() >= cap => {
+                    s.send_waiting += 1;
                     s = self
                         .chan
                         .not_full
                         .wait(s)
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    s.send_waiting -= 1;
                 }
                 _ => break,
             }
         }
         s.queue.push_back(item);
-        drop(s);
-        self.chan.not_empty.notify_one();
+        self.chan.pushed(s, false);
         Ok(())
     }
 
@@ -169,8 +222,7 @@ impl<T> Sender<T> {
             }
         }
         s.queue.push_back(item);
-        drop(s);
-        self.chan.not_empty.notify_one();
+        self.chan.pushed(s, false);
         Ok(())
     }
 
@@ -190,8 +242,7 @@ impl<T> Sender<T> {
             }
         }
         s.queue.push_back(item);
-        drop(s);
-        self.chan.not_empty.notify_one();
+        self.chan.pushed(s, false);
         Ok(evicted)
     }
 
@@ -219,8 +270,7 @@ impl<T> Sender<T> {
                 evicted += 1;
             }
         }
-        drop(s);
-        self.chan.not_empty.notify_all();
+        self.chan.pushed(s, true);
         Ok(evicted)
     }
 
@@ -244,9 +294,8 @@ impl<T> Sender<T> {
         };
         let accepted = items.len().min(room);
         s.queue.extend(items.drain(..accepted));
-        drop(s);
         if accepted > 0 {
-            self.chan.not_empty.notify_all();
+            self.chan.pushed(s, true);
         }
         Ok(accepted)
     }
@@ -294,7 +343,7 @@ impl<T> Drop for Receiver<T> {
         s.receivers -= 1;
         if s.receivers == 0 {
             drop(s);
-            self.chan.not_full.notify_all();
+            self.chan.notify(&self.chan.not_full, true);
         }
     }
 }
@@ -305,8 +354,7 @@ impl<T> Receiver<T> {
         let mut s = self.chan.lock();
         match s.queue.pop_front() {
             Some(item) => {
-                drop(s);
-                self.chan.not_full.notify_one();
+                self.chan.popped(s, false);
                 Ok(item)
             }
             None if s.senders == 0 => Err(TryRecvError::Disconnected),
@@ -320,18 +368,19 @@ impl<T> Receiver<T> {
         let mut s = self.chan.lock();
         loop {
             if let Some(item) = s.queue.pop_front() {
-                drop(s);
-                self.chan.not_full.notify_one();
+                self.chan.popped(s, false);
                 return Ok(item);
             }
             if s.senders == 0 {
                 return Err(RecvError);
             }
+            s.recv_waiting += 1;
             s = self
                 .chan
                 .not_empty
                 .wait(s)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
+            s.recv_waiting -= 1;
         }
     }
 
@@ -341,8 +390,7 @@ impl<T> Receiver<T> {
         let mut s = self.chan.lock();
         loop {
             if let Some(item) = s.queue.pop_front() {
-                drop(s);
-                self.chan.not_full.notify_one();
+                self.chan.popped(s, false);
                 return Ok(item);
             }
             if s.senders == 0 {
@@ -352,12 +400,14 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
+            s.recv_waiting += 1;
             let (guard, _) = self
                 .chan
                 .not_empty
                 .wait_timeout(s, deadline - now)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             s = guard;
+            s.recv_waiting -= 1;
         }
     }
 
@@ -369,9 +419,8 @@ impl<T> Receiver<T> {
         let mut s = self.chan.lock();
         let n = s.queue.len();
         out.extend(s.queue.drain(..));
-        drop(s);
         if n > 0 {
-            self.chan.not_full.notify_all();
+            self.chan.popped(s, true);
         }
         n
     }
@@ -544,6 +593,147 @@ mod tests {
         );
         tx.send(9).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Ok(9));
+    }
+
+    fn notifies<T>(rx: &Receiver<T>) -> usize {
+        rx.chan.notifies.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Spin until `cond` holds of the channel state.  A count read under
+    /// the lock means the waiter has released it inside `wait`, so the
+    /// notify the test then provokes cannot be missed.
+    fn until<T>(rx: &Receiver<T>, cond: impl Fn(&State<T>) -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond(&rx.chan.lock()) {
+            assert!(std::time::Instant::now() < deadline, "waiter never slept");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn no_sleeper_means_no_notify_on_any_path() {
+        let (tx, rx) = bounded::<u32>(4);
+        tx.send(1).unwrap();
+        tx.try_send(2).unwrap();
+        tx.send_overwriting(3).unwrap();
+        tx.send_overwriting(4).unwrap();
+        tx.send_overwriting(5).unwrap();
+        tx.send_batch_overwriting(&mut vec![6, 7]).unwrap();
+        assert_eq!(tx.try_send_batch(&mut vec![8]).unwrap(), 0);
+        assert_eq!(rx.try_recv(), Ok(4));
+        assert_eq!(rx.recv(), Ok(5));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(6));
+        assert_eq!(tx.try_send_batch(&mut vec![8, 9]).unwrap(), 2);
+        let mut out = Vec::new();
+        assert_eq!(rx.drain_into(&mut out), 3);
+        assert_eq!(out, vec![7, 8, 9]);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(1)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(notifies(&rx), 0);
+        assert_eq!(rx.chan.lock().recv_waiting, 0, "a timed-out wait uncounts");
+    }
+
+    #[test]
+    fn a_push_to_a_sleeping_receiver_notifies_once() {
+        for timed in [false, true] {
+            let (tx, rx) = bounded::<u32>(4);
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| {
+                    if timed {
+                        rx.recv_timeout(Duration::from_secs(30)).unwrap()
+                    } else {
+                        rx.recv().unwrap()
+                    }
+                });
+                until(&rx, |st| st.recv_waiting == 1);
+                tx.send(7).unwrap();
+                assert_eq!(waiter.join().unwrap(), 7);
+            });
+            assert_eq!(notifies(&rx), 1, "timed: {timed}");
+            assert_eq!(rx.chan.lock().recv_waiting, 0);
+        }
+    }
+
+    #[test]
+    fn a_pop_that_frees_a_sleeping_sender_notifies_once() {
+        for pop in 0..4 {
+            let (tx, rx) = bounded::<u32>(1);
+            tx.send(0).unwrap();
+            std::thread::scope(|s| {
+                let sender = s.spawn(|| tx.send(1).unwrap());
+                until(&rx, |st| st.send_waiting == 1);
+                match pop {
+                    0 => assert_eq!(rx.try_recv(), Ok(0)),
+                    1 => assert_eq!(rx.recv(), Ok(0)),
+                    2 => assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(0)),
+                    _ => assert_eq!(rx.drain_into(&mut Vec::new()), 1),
+                }
+                sender.join().unwrap();
+            });
+            assert_eq!(notifies(&rx), 1, "pop path {pop}");
+            assert_eq!(rx.try_recv(), Ok(1));
+        }
+    }
+
+    #[test]
+    fn blocking_senders_and_mixed_receivers_lose_no_wake_up() {
+        const SENDERS: u32 = 4;
+        const PER_SENDER: u32 = 10_000;
+        let (tx, rx) = bounded::<u32>(1);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        // A lost wake-up hangs a blocked `send` or `recv` for good; the
+        // watchdog turns that hang into a failure.
+        let _worker = std::thread::spawn(move || {
+            let senders: Vec<_> = (0..SENDERS)
+                .map(|t| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..PER_SENDER {
+                            tx.send(t * PER_SENDER + i).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            let receivers: Vec<_> = (0..2)
+                .map(|_| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || {
+                        let mut got = Vec::new();
+                        loop {
+                            let item = if got.len() % 2 == 0 {
+                                rx.recv().map_err(|_| ())
+                            } else {
+                                match rx.recv_timeout(Duration::from_secs(30)) {
+                                    Err(RecvTimeoutError::Timeout) => continue,
+                                    other => other.map_err(|_| ()),
+                                }
+                            };
+                            match item {
+                                Ok(v) => got.push(v),
+                                Err(()) => return got,
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for h in senders {
+                h.join().unwrap();
+            }
+            let mut all: Vec<u32> = receivers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect();
+            all.sort_unstable();
+            done_tx.send(all).unwrap();
+        });
+        let all = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a blocked sender or receiver was never woken");
+        assert_eq!(all, (0..SENDERS * PER_SENDER).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -220,6 +220,7 @@ pub(crate) fn register_collectors(
                 tracer.sampled_count(),
             ));
             out.push(Sample::counter("jamm_trace_points", tracer.point_count()));
+            out.push(Sample::counter("jamm_trace_dropped", tracer.dropped()));
         }));
     }
 }

@@ -798,6 +798,56 @@ mod tests {
     }
 
     #[test]
+    fn a_view_on_one_gateway_does_not_hide_the_others() {
+        let mut jamm = JammBuilder::new()
+            .gateway("gw1")
+            .gateway("gw2")
+            .archiver("archiver", "archive=main,o=grid")
+            .build()
+            .unwrap();
+        jamm.connect_archiver(vec![]);
+        let text = "(type=CPU_TOTAL)";
+        jamm.gateways[0].register_view("v", text).unwrap();
+        jamm.publish("gw1", &ev("h1", Level::Usage, 1_000));
+        jamm.publish("gw2", &ev("h2", Level::Usage, 1_001));
+        jamm.publish("gw2", &ev("h3", Level::Usage, 1_002));
+        jamm.poll();
+        let now = Timestamp::from_secs(2_000);
+        let answer = jamm.query("ops", text, now).unwrap();
+        assert!(
+            matches!(answer.history_source, HistorySource::ArchiveScan { .. }),
+            "{:?}",
+            answer.history_source
+        );
+        assert_eq!(answer.history.len(), 3, "gw2's events count too");
+        // Once every gateway holds one, the views answer.
+        jamm.gateways[1].register_view("v", text).unwrap();
+        match jamm.query("ops", text, now).unwrap().history_source {
+            HistorySource::MaterializedView { views, .. } => {
+                assert_eq!(views, ["gw1/v", "gw2/v"]);
+            }
+            other => panic!("expected view provenance, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn trace_points_evicted_from_a_full_queue_are_exported() {
+        let mut jamm = JammBuilder::new()
+            .gateway("gw1")
+            .self_monitor(1)
+            .build()
+            .unwrap();
+        let tracer = jamm.tracer.clone().unwrap();
+        let capacity = jamm_gateway::trace::SELF_QUEUE_CAPACITY;
+        for id in 0..capacity as u64 + 5 {
+            tracer.stage_id(id, jamm_ulm::keys::jamm::EDGE_ENCODE, "gw1");
+        }
+        assert_eq!(counter(&jamm.metrics(), "jamm_trace_dropped"), 5);
+        assert!(jamm.render_metrics().contains("\njamm_trace_dropped 5\n"));
+        assert_eq!(jamm.drain_self_events(), capacity);
+    }
+
+    #[test]
     fn self_monitoring_traces_lifelines_and_unifies_metrics() {
         let mut jamm = JammBuilder::new()
             .gateway("gw1")

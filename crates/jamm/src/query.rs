@@ -20,9 +20,10 @@ impl JammSystem {
     ///   whose host and event type the plan's pushdown facts admit (a
     ///   `(type=CPU_TOTAL)` query gets the `CPU_TOTAL_AVG_1MIN` summary of
     ///   the `CPU_TOTAL` series, and nothing of a series with another type);
-    /// * **history** — a materialized view when one matches the query
-    ///   exactly (snapshot read, no scan), else a plan-driven archive
-    ///   scan with full segment pruning and limit pushdown.  The answer's
+    /// * **history** — materialized views when every gateway holds one
+    ///   matching the query exactly (snapshot reads, no scan), else a
+    ///   plan-driven archive scan with full segment pruning and limit
+    ///   pushdown.  The answer's
     ///   [`QueryAnswer::history_source`] says which tier served it, and the
     ///   `jamm_query_views_served` / `jamm_query_archive_scans` counters
     ///   of [`JammSystem::metrics`] count both.
@@ -41,17 +42,25 @@ impl JammSystem {
         let denied = |e: jamm_gateway::GatewayError| QueryError::Denied(e.to_string());
         let mut live = Vec::new();
         let mut summaries = Vec::new();
+        let mut views = Vec::new();
+        for gw in &self.gateways {
+            live.extend(gw.query_matching(consumer, &plan).map_err(denied)?);
+            summaries.extend(gw.summaries(consumer, &plan, now).map_err(denied)?);
+            if let Some(view) = gw.views().by_query_text(&canonical) {
+                views.push((gw, view));
+            }
+        }
         let mut view_names = Vec::new();
         let mut view_updates = 0u64;
         let mut view_history: Vec<Event> = Vec::new();
         let mut view_groups: Option<Aggregator> = None;
-        for gw in &self.gateways {
-            live.extend(gw.query_matching(consumer, &plan).map_err(denied)?);
-            summaries.extend(gw.summaries(consumer, &plan, now).map_err(denied)?);
-            // A continuous query materializing exactly this predicate
-            // (canonical text match) answers history from its snapshot —
-            // one Arc clone, no archive scan, no per-reader work.
-            if let Some(view) = gw.views().by_query_text(&canonical) {
+        // Continuous queries materializing exactly this predicate
+        // (canonical text match) answer history from their snapshots —
+        // one Arc clone each, no archive scan, no per-reader work — but
+        // only when every gateway has one: a gateway without a view would
+        // contribute nothing, so then the archive answers.
+        if views.len() == self.gateways.len() {
+            for (gw, view) in views {
                 let snap = view.snapshot();
                 view_names.push(format!("{}/{}", gw.name(), view.name()));
                 view_updates += snap.updates;

@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::UdpSocket;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -273,9 +274,15 @@ impl Poller {
 /// the receiving socket for read interest and drains it on wakeup.  Pure
 /// std, works under both backends, and `Clone` so any number of threads can
 /// hold one.
+///
+/// At most one datagram is outstanding: the clones share an `armed` flag,
+/// and only the wake that sets it sends.  The loop owning the receiving
+/// socket takes a wake-up with `Waker::drain` (drain, then rearm) and
+/// only then looks for the work it announced.
 #[derive(Debug, Clone)]
 pub struct Waker {
     tx: Arc<UdpSocket>,
+    armed: Arc<AtomicBool>,
 }
 
 impl Waker {
@@ -289,28 +296,74 @@ impl Waker {
         rx.connect(tx.local_addr()?)?;
         rx.set_nonblocking(true)?;
         tx.set_nonblocking(true)?;
-        Ok((Waker { tx: Arc::new(tx) }, rx))
+        Ok((
+            Waker {
+                tx: Arc::new(tx),
+                armed: Arc::new(AtomicBool::new(false)),
+            },
+            rx,
+        ))
     }
 
-    /// Wake the loop.  Best-effort and never blocks; a full socket buffer
-    /// means wakeups are already pending, which is just as good.
+    /// Wake the loop.  Best-effort and never blocks; sends nothing while
+    /// an earlier wake's datagram is still outstanding.  A send that fails
+    /// clears the flag again, so the next wake retries instead of every
+    /// later one trusting a datagram that never left.
     pub fn wake(&self) {
-        let _ = self.tx.send(&[1u8]);
+        if !self.armed.swap(true, Ordering::SeqCst) && self.tx.send(&[1u8]).is_err() {
+            self.armed.store(false, Ordering::SeqCst);
+        }
+    }
+
+    /// The loop's side of a wake-up: drain every pending datagram, then
+    /// let the next [`Waker::wake`] send again.  Call it before looking
+    /// for the work the wake announced: SeqCst on both sides means a
+    /// waker that found the flag set queued its work before the store
+    /// here, so the loop sees it.  The order matters: rearming first
+    /// would let a wake landing mid-drain have its datagram swallowed
+    /// and leave the flag set, silencing every later wake.
+    pub(crate) fn drain(&self, rx: &UdpSocket) {
+        drain_wakeups(rx);
+        self.armed.store(false, Ordering::SeqCst);
     }
 }
 
 /// Drain every pending wakeup datagram from the receiving socket.
 pub fn drain_wakeups(rx: &UdpSocket) {
     let mut buf = [0u8; 16];
-    while rx.recv(&mut buf).is_ok() {}
+    while rx.recv(&mut buf).is_ok() {
+        #[cfg(test)]
+        tests::wake_mid_drain();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::time::Instant;
+
+    thread_local! {
+        /// A waker that `drain_wakeups` fires once after reading a
+        /// datagram: another thread's wake landing mid-drain.
+        static MID_DRAIN: RefCell<Option<Waker>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn wake_mid_drain() {
+        if let Some(waker) = MID_DRAIN.with(|m| m.borrow_mut().take()) {
+            waker.wake();
+        }
+    }
+
+    /// Datagrams waiting on the loop's socket.  Loopback UDP queues a
+    /// datagram on the receiver before `send` returns, so a count right
+    /// after a wake sees it.
+    fn pending(rx: &UdpSocket) -> usize {
+        let mut buf = [0u8; 16];
+        std::iter::from_fn(|| rx.recv(&mut buf).ok()).count()
+    }
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -384,6 +437,36 @@ mod tests {
             drain_wakeups(&rx);
             t.join().unwrap();
         }
+    }
+
+    #[test]
+    fn waker_keeps_one_datagram_outstanding() {
+        let (waker, rx) = Waker::pair().unwrap();
+        let other = waker.clone();
+        waker.wake();
+        other.wake();
+        waker.wake();
+        assert_eq!(pending(&rx), 1, "three wakes, one datagram");
+        waker.wake();
+        assert_eq!(pending(&rx), 0, "drained but not rearmed: still silent");
+        other.drain(&rx);
+        waker.wake();
+        waker.wake();
+        assert_eq!(pending(&rx), 1, "a rearm lets exactly one more through");
+    }
+
+    #[test]
+    fn a_wake_landing_mid_drain_is_not_swallowed() {
+        let (waker, rx) = Waker::pair().unwrap();
+        waker.wake();
+        MID_DRAIN.with(|m| *m.borrow_mut() = Some(waker.clone()));
+        waker.drain(&rx);
+        assert!(MID_DRAIN.with(|m| m.borrow().is_none()), "the hook fired");
+        // Had the drain rearmed first, the mid-drain wake would have sent
+        // a datagram the drain then ate, leaving the flag set: this wake
+        // would send nothing and the loop would sleep out its timeout.
+        waker.wake();
+        assert_eq!(pending(&rx), 1, "the next wake reaches the loop");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! every subscriber — encode once, write N.
 
 use crate::conn::{Conn, PushOutcome, SocketCounters, SocketStats};
-use crate::poller::{drain_wakeups, Backend, Interest, Poller, Readiness, Source, Waker};
+use crate::poller::{Backend, Interest, Poller, Readiness, Source, Waker};
 use jamm_core::channel::{unbounded, Receiver, Sender};
 use jamm_core::sync::Mutex;
 use jamm_core::OverflowPolicy;
@@ -265,7 +265,7 @@ impl Reactor {
             ..Shared::default()
         });
         let name = config.thread_name.clone();
-        let lp = EventLoop::new(config, rx, wake_rx, Arc::clone(&shared));
+        let lp = EventLoop::new(config, rx, wake_rx, waker.clone(), Arc::clone(&shared));
         let thread = std::thread::Builder::new()
             .name(name)
             .spawn(move || lp.run())?;
@@ -430,6 +430,7 @@ struct EventLoop {
     poller: Poller,
     cmds: Receiver<Cmd>,
     wake_rx: UdpSocket,
+    waker: Waker,
     shared: Arc<Shared>,
     listeners: HashMap<u64, (TcpListener, Box<dyn Acceptor>)>,
     conns: HashMap<u64, LoopConn>,
@@ -443,6 +444,7 @@ impl EventLoop {
         cfg: ReactorConfig,
         cmds: Receiver<Cmd>,
         wake_rx: UdpSocket,
+        waker: Waker,
         shared: Arc<Shared>,
     ) -> EventLoop {
         let mut poller = Poller::new(cfg.backend);
@@ -452,6 +454,7 @@ impl EventLoop {
             poller,
             cmds,
             wake_rx,
+            waker,
             shared,
             listeners: HashMap::new(),
             conns: HashMap::new(),
@@ -498,7 +501,9 @@ impl EventLoop {
             let events = std::mem::take(&mut readiness);
             for &r in &events {
                 if r.token == WAKE_TOKEN {
-                    drain_wakeups(&self.wake_rx);
+                    // Before `drain_cmds` below: a submit that found the
+                    // waker armed relies on that order.
+                    self.waker.drain(&self.wake_rx);
                 } else if self.listeners.contains_key(&r.token) {
                     self.accept_ready(r.token);
                 } else {
@@ -885,7 +890,8 @@ mod tests {
                 echo_acceptor(closed),
             )
             .unwrap();
-        // Every submit wakes the loop, so a few broadcasts force ticks.
+        // A submit to an idle loop wakes it, so a few broadcasts force
+        // ticks.
         let deadline = Instant::now() + Duration::from_secs(5);
         while reactor.loop_stats().ticks < 3 {
             assert!(Instant::now() < deadline, "loop never ticked");
@@ -963,6 +969,73 @@ mod tests {
             assert_eq!(&got, b"broadcast-frame");
         }
         reactor.shutdown();
+    }
+
+    #[test]
+    fn broadcasts_from_another_thread_never_wait_out_the_idle_poll() {
+        const FRAMES: usize = 2_000;
+        let reactor = start_with(Backend::native(), |_| {});
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        struct Quiet;
+        impl ConnHandler for Quiet {
+            fn on_data(&mut self, _io: &mut ConnIo<'_>, buf: &[u8]) -> usize {
+                buf.len()
+            }
+        }
+        let lid = reactor
+            .listen(
+                listener,
+                Box::new(|_id: ConnId, _peer: &str| Box::new(Quiet) as Box<dyn ConnHandler>),
+            )
+            .unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while reactor.connections() < 1 {
+            assert!(Instant::now() < deadline, "subscriber never registered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A wake the loop swallows leaves the waker armed with nothing to
+        // read, so every later command waits for the poll to time out:
+        // a frame or the shutdown then takes close to IDLE_POLL.  Bursts
+        // keep the sender submitting while the loop takes a wake-up, and
+        // the gaps let the loop fall idle so a lost wake shows.
+        let (sent, arrived) = std::thread::scope(|s| {
+            let sender = s.spawn(|| {
+                (0..FRAMES as u64)
+                    .map(|i| {
+                        let at = Instant::now();
+                        reactor.broadcast(lid, Arc::new(i.to_le_bytes().to_vec()));
+                        if i % 100 == 99 {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        at
+                    })
+                    .collect::<Vec<Instant>>()
+            });
+            let mut arrived = Vec::with_capacity(FRAMES);
+            let mut frame = [0u8; 8];
+            for i in 0..FRAMES as u64 {
+                client.read_exact(&mut frame).unwrap();
+                arrived.push(Instant::now());
+                assert_eq!(u64::from_le_bytes(frame), i);
+            }
+            (sender.join().unwrap(), arrived)
+        });
+        let worst = sent
+            .iter()
+            .zip(&arrived)
+            .map(|(s, a)| a.saturating_duration_since(*s))
+            .max()
+            .unwrap();
+        assert!(worst < IDLE_POLL / 2, "a broadcast waited {worst:?}");
+        let start = Instant::now();
+        reactor.shutdown();
+        let shutdown = start.elapsed();
+        assert!(shutdown < IDLE_POLL / 2, "the shutdown waited {shutdown:?}");
     }
 
     #[test]

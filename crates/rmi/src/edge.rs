@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use jamm_core::channel::{bounded, Receiver, TrySendError};
+use jamm_core::channel::{bounded, Receiver};
 use jamm_core::sync::Mutex;
 use jamm_core::{Backoff, BreakerState, BreakerStats, CircuitBreaker, OverflowPolicy};
 use jamm_gateway::EventGateway;
@@ -219,11 +219,11 @@ impl EventEdge {
                 .name("jamm-edge-pump".to_string())
                 .spawn(move || {
                     let mut batch = Vec::with_capacity(batch_max);
-                    // Capacity hint carried between batches: the encode
-                    // buffer is allocated once per batch at roughly the
-                    // right size, then handed to the reactor as the one
-                    // shared copy of the bytes.
-                    let mut size_hint = 4096usize;
+                    // The largest encoded event seen so far: the encode
+                    // buffer is allocated once per batch at that size
+                    // times the batch in hand, then handed to the reactor
+                    // as the one shared copy of the bytes.
+                    let mut event_bytes = 0usize;
                     while !stop.load(Ordering::Relaxed) {
                         batch.clear();
                         match subscription.events.recv_timeout(poll_interval) {
@@ -240,20 +240,21 @@ impl EventEdge {
                             Some(t) => batch.iter().filter_map(|e| t.trace_id(e)).collect(),
                             None => Vec::new(),
                         };
-                        let mut buf = Vec::with_capacity(size_hint);
+                        let mut buf = Vec::with_capacity(batch.len() * event_bytes);
                         for ev in &batch {
+                            let start = buf.len();
                             // &SharedEvent derefs to &Event: no deep clone.
                             codec.encode_to(&mut buf, ev);
                             if newline_framed {
                                 buf.push(b'\n');
                             }
+                            event_bytes = event_bytes.max(buf.len() - start);
                         }
                         if let Some(t) = &tracer {
                             for id in &traced {
                                 t.stage_id(*id, jamm_ulm::keys::jamm::EDGE_ENCODE, &gw_name);
                             }
                         }
-                        size_hint = size_hint.max(buf.len());
                         counters.batches.fetch_add(1, Ordering::Relaxed);
                         counters
                             .events
@@ -497,6 +498,7 @@ impl EdgeClient {
                 .name("jamm-edge-client".to_string())
                 .spawn(move || {
                     let mut buf: Vec<u8> = Vec::new();
+                    let mut batch: Vec<Event> = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
                         if !shared.breaker.lock().allow(shared.now_us()) {
                             // Bounded nap, not a spin: stop stays
@@ -534,6 +536,7 @@ impl EdgeClient {
                                         &shared,
                                         overflow,
                                         &tx,
+                                        &mut batch,
                                     ) {
                                         break true;
                                     }
@@ -599,11 +602,13 @@ impl Drop for EdgeClient {
     }
 }
 
-/// Decode every complete frame in `buf`, queue the events, and keep the
+/// Decode every complete frame in `buf`, queue the events as one batch
+/// (collected in `batch`, which keeps its allocation), and keep the
 /// trailing partial frame for the next read.  Returns `false` when the
 /// stream is unrecoverable (an oversized length prefix — resynchronising
 /// a corrupt length-prefixed stream is not possible, so the connection is
-/// dropped and the breaker paces the redial).
+/// dropped and the breaker paces the redial); the events decoded before
+/// it are still queued.
 fn drain_frames(
     buf: &mut Vec<u8>,
     newline_framed: bool,
@@ -611,6 +616,7 @@ fn drain_frames(
     shared: &ClientShared,
     overflow: OverflowPolicy,
     tx: &jamm_core::channel::Sender<Event>,
+    batch: &mut Vec<Event>,
 ) -> bool {
     let mut consumed = 0usize;
     if newline_framed {
@@ -625,7 +631,7 @@ fn drain_frames(
                 continue;
             }
             match codec.decode(trimmed) {
-                Ok(ev) => deliver(ev, overflow, tx, shared),
+                Ok(ev) => batch.push(ev),
                 Err(_) => {
                     shared.decode_errors.fetch_add(1, Ordering::Relaxed);
                 }
@@ -638,11 +644,12 @@ fn drain_frames(
             Err(()) => {
                 shared.decode_errors.fetch_add(1, Ordering::Relaxed);
                 buf.clear();
+                deliver(batch, overflow, tx, shared);
                 return false;
             }
         } {
             match codec.decode(&buf[consumed..consumed + total]) {
-                Ok(ev) => deliver(ev, overflow, tx, shared),
+                Ok(ev) => batch.push(ev),
                 Err(_) => {
                     shared.decode_errors.fetch_add(1, Ordering::Relaxed);
                 }
@@ -653,37 +660,37 @@ fn drain_frames(
     if consumed > 0 {
         buf.drain(..consumed);
     }
+    deliver(batch, overflow, tx, shared);
     true
 }
 
-/// Queue one decoded event per the configured overflow policy.
+/// Queue one read's decoded events under one lock per the configured
+/// overflow policy: `received` counts the events queued, `dropped` the
+/// events evicted (drop-oldest) or refused (drop-newest).  Leaves `batch`
+/// empty.
 fn deliver(
-    ev: Event,
+    batch: &mut Vec<Event>,
     overflow: OverflowPolicy,
     tx: &jamm_core::channel::Sender<Event>,
     shared: &ClientShared,
 ) {
-    let queued = match overflow {
-        OverflowPolicy::DropOldest => match tx.send_overwriting(ev) {
-            Ok(evicted) => {
-                if evicted {
-                    shared.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                true
-            }
-            Err(_) => false,
+    let n = batch.len() as u64;
+    let (queued, dropped) = match overflow {
+        OverflowPolicy::DropOldest => match tx.send_batch_overwriting(batch) {
+            Ok(evicted) => (n, evicted as u64),
+            Err(_) => (0, 0),
         },
-        OverflowPolicy::DropNewest => match tx.try_send(ev) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) => {
-                shared.dropped.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Err(TrySendError::Disconnected(_)) => false,
+        OverflowPolicy::DropNewest => match tx.try_send_batch(batch) {
+            Ok(accepted) => (accepted as u64, n - accepted as u64),
+            Err(_) => (0, 0),
         },
     };
-    if queued {
-        shared.received.fetch_add(1, Ordering::Relaxed);
+    batch.clear();
+    if queued > 0 {
+        shared.received.fetch_add(queued, Ordering::Relaxed);
+    }
+    if dropped > 0 {
+        shared.dropped.fetch_add(dropped, Ordering::Relaxed);
     }
 }
 
@@ -829,7 +836,8 @@ mod tests {
     }
 
     /// A peer announcing a frame one byte over `MAX_FRAME` costs the client
-    /// a decode error and the connection, never a panic or the buffer.
+    /// a decode error and the connection, never a panic or the buffer; the
+    /// events framed before it are still delivered.
     #[test]
     fn an_oversized_frame_header_is_a_decode_error() {
         use std::io::Write;
@@ -844,13 +852,54 @@ mod tests {
         )
         .unwrap();
         let (mut peer, _) = listener.accept().unwrap();
+        let codec = codec_for(BINARY).unwrap();
+        let mut bytes = codec.encode(&sample(1));
+        bytes.extend(codec.encode(&sample(2)));
         let max = crate::tcp::MAX_FRAME as u32;
-        peer.write_all(&(max + 1).to_le_bytes()).unwrap();
+        bytes.extend((max + 1).to_le_bytes());
+        peer.write_all(&bytes).unwrap();
         wait_for(|| client.stats().disconnects == 1, "the client to hang up");
         let stats = client.stats();
         assert_eq!(stats.decode_errors, 1);
-        assert_eq!(stats.received, 0);
+        assert_eq!(stats.received, 2);
+        let got: Vec<Event> = client.events().try_iter().collect();
+        assert_eq!(got, [(*sample(1)).clone(), (*sample(2)).clone()]);
         client.stop();
+    }
+
+    #[test]
+    fn a_read_is_queued_whole_and_counted_per_event() {
+        let shared = ClientShared {
+            connects: AtomicU64::new(0),
+            disconnects: AtomicU64::new(0),
+            received: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            decode_errors: AtomicU64::new(0),
+            breaker: Mutex::new(CircuitBreaker::new(1, Backoff::new(1, 1, 0))),
+            origin: Instant::now(),
+        };
+        let events: Vec<Event> = (0..6).map(|i| (*sample(i)).clone()).collect();
+        for (overflow, kept) in [
+            (OverflowPolicy::DropOldest, &events[2..]),
+            (OverflowPolicy::DropNewest, &events[..4]),
+        ] {
+            shared.received.store(0, Ordering::Relaxed);
+            shared.dropped.store(0, Ordering::Relaxed);
+            let (tx, rx) = bounded(4);
+            let mut batch = events.clone();
+            deliver(&mut batch, overflow, &tx, &shared);
+            assert!(batch.is_empty(), "{overflow:?}");
+            assert_eq!(rx.try_iter().collect::<Vec<Event>>(), kept, "{overflow:?}");
+            // DropOldest queued all six and evicted two; DropNewest
+            // queued four and refused two.
+            let queued = if overflow == OverflowPolicy::DropOldest {
+                6
+            } else {
+                4
+            };
+            assert_eq!(shared.received.load(Ordering::Relaxed), queued);
+            assert_eq!(shared.dropped.load(Ordering::Relaxed), 2);
+        }
     }
 
     #[test]
