@@ -902,6 +902,48 @@ mod tests {
         }
     }
 
+    /// 64-bit FNV-1a over the received stream.
+    fn fnv64(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// The bytes a default edge puts on the wire for a seeded batch are
+    /// pinned: binary frames are self-delimiting, so the stream does not
+    /// depend on where the pump split it into broadcast batches, and any
+    /// change to framing or encoding shows here.
+    #[test]
+    fn wire_bytes_of_a_seeded_batch_are_pinned() {
+        let reactor = Arc::new(Reactor::start(ReactorConfig::default()).unwrap());
+        let gateway = Arc::new(EventGateway::new(GatewayConfig::open("edge-pin")));
+        let mut edge = EventEdge::open(
+            Arc::clone(&reactor),
+            Arc::clone(&gateway),
+            EdgeConfig::default(),
+        )
+        .unwrap();
+        let mut sub = TcpStream::connect(edge.addr()).unwrap();
+        wait_for(|| edge.subscribers() == 1, "subscriber");
+
+        let events: Vec<SharedEvent> = (0..300).map(sample).collect();
+        gateway.publish_shared_batch(&events);
+        wait_for(|| edge.stats().events == 300, "broadcast");
+        edge.stop();
+
+        sub.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut bytes = Vec::new();
+        sub.read_to_end(&mut bytes).unwrap();
+        assert_eq!(
+            (bytes.len(), fnv64(&bytes)),
+            (23_100, 0x8ca3_eeeb_53b4_7075)
+        );
+        reactor.shutdown();
+    }
+
     #[test]
     fn edge_and_rmi_share_one_reactor() {
         let reactor = Arc::new(Reactor::start(ReactorConfig::default()).unwrap());
