@@ -31,6 +31,7 @@ use jamm_core::obs::{MetricsRegistry, MetricsSnapshot, Sample, SampleValue};
 use jamm_gateway::{EventGateway, PipelineTracer, Tier};
 use jamm_reactor::{ListenerId, LoopStats, Reactor, SocketRow};
 use jamm_rmi::edge::{EdgeStats, EdgeStatsHandle, EventEdge};
+use jamm_ulm::keys::jamm::EDGE_CONSUMER;
 
 use crate::system::JammSystem;
 
@@ -310,7 +311,7 @@ fn row_samples(row: &GatewayAdminStats, out: &mut Vec<Sample>) {
     // `admin.metrics` answers "is the network edge the laggard?" without
     // scraping per-socket rows.
     if row.qos.is_some() {
-        let tier = row.tiers.iter().find(|r| r.consumer == "edge");
+        let tier = row.tiers.iter().find(|r| r.consumer == EDGE_CONSUMER);
         let tier = tier.map_or(Tier::Fast, |r| r.tier);
         out.push(
             gw(Sample::counter(

@@ -830,6 +830,50 @@ mod tests {
         }
     }
 
+    /// A view-served answer keeps the query's `(limit=N)` the way the
+    /// archive scan does: the earliest N matching events, across every
+    /// gateway's ring.
+    #[test]
+    fn a_view_served_query_keeps_its_limit() {
+        for gateways in [&["gw1"][..], &["gw1", "gw2"]] {
+            let mut builder = JammBuilder::new();
+            for gw in gateways {
+                builder = builder.gateway(*gw);
+            }
+            let mut jamm = builder
+                .archiver("archiver", "archive=main,o=grid")
+                .build()
+                .unwrap();
+            jamm.connect_archiver(vec![]);
+            let text = "(&(type=CPU_TOTAL)(limit=5))";
+            jamm.register_continuous_query("first-five", text).unwrap();
+            for t in 0..20u64 {
+                // The gateways take turns, so neither ring alone holds
+                // the earliest five.
+                let gw = gateways[t as usize % gateways.len()];
+                jamm.publish(gw, &ev("h1", Level::Usage, 1_000 + t));
+            }
+            jamm.poll();
+            let now = Timestamp::from_secs(2_000);
+            let view = jamm.query("ops", text, now).unwrap();
+            assert!(matches!(
+                view.history_source,
+                HistorySource::MaterializedView { .. }
+            ));
+            // The same conjunction in another order: no view matches it.
+            let scan = jamm
+                .query("ops", "(&(limit=5)(type=CPU_TOTAL))", now)
+                .unwrap();
+            assert!(matches!(
+                scan.history_source,
+                HistorySource::ArchiveScan { .. }
+            ));
+            assert_eq!(view.history.len(), 5, "{gateways:?}");
+            assert_eq!(view.history, scan.history, "{gateways:?}");
+            assert_eq!(view.history[0].timestamp, Timestamp::from_secs(1_000));
+        }
+    }
+
     #[test]
     fn trace_points_evicted_from_a_full_queue_are_exported() {
         let mut jamm = JammBuilder::new()

@@ -52,7 +52,7 @@ impl JammSystem {
         }
         let mut view_names = Vec::new();
         let mut view_updates = 0u64;
-        let mut view_history: Vec<Event> = Vec::new();
+        let mut view_history: Vec<SharedEvent> = Vec::new();
         let mut view_groups: Option<Aggregator> = None;
         // Continuous queries materializing exactly this predicate
         // (canonical text match) answer history from their snapshots —
@@ -64,7 +64,7 @@ impl JammSystem {
                 let snap = view.snapshot();
                 view_names.push(format!("{}/{}", gw.name(), view.name()));
                 view_updates += snap.updates;
-                view_history.extend(snap.events.iter().map(|e| (**e).clone()));
+                view_history.extend(snap.events.iter().cloned());
                 // Each gateway's groups are merged before the one top-k
                 // cut, so a group seen at two gateways is one row.
                 if let Some(groups) = &snap.aggregator {
@@ -108,9 +108,15 @@ impl JammSystem {
                 aggregates = merged.rows();
             }
             // Each ring is in its gateway's publish order; the stable
-            // sort interleaves the gateways in time.
+            // sort interleaves the gateways in time.  A `(limit=N)` keeps
+            // the earliest N, as the archive scan does, and only those
+            // are copied out.
             view_history.sort_by_key(|e| e.timestamp);
-            (view_history, source)
+            if let Some(limit) = plan.limit() {
+                view_history.truncate(limit);
+            }
+            let history = view_history.iter().map(|e| (**e).clone()).collect();
+            (history, source)
         };
         Ok(QueryAnswer {
             live,
@@ -143,8 +149,8 @@ pub struct QueryAnswer {
     pub live: Vec<SharedEvent>,
     /// Windowed summary events whose series the query selects.
     pub summaries: Vec<Event>,
-    /// Matching archived history, in time order (limit applied by the
-    /// storage engine's scan).
+    /// Matching archived history, in time order; a `(limit=N)` keeps the
+    /// earliest N, whether views or the archive scan served it.
     pub history: Vec<Event>,
     /// Aggregate rows when the query carries group-by / top-k
     /// directives, ranked and cut to top-k once over the whole

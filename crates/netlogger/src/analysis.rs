@@ -263,19 +263,35 @@ impl Diagnosis {
     }
 }
 
+/// Which `TARGET` a predecessor stage point must carry.
+#[derive(Clone, Copy)]
+enum PredTarget {
+    /// Any target.
+    Any,
+    /// The target of the point measured: drain and archive are
+    /// per-consumer continuations of that consumer's own delivery point.
+    Same,
+    /// This one target: the edge encodes what the edge's own
+    /// subscription drained, not what another consumer drained.
+    Is(&'static str),
+}
+
 /// Which earlier stage each pipeline stage is measured against, in
-/// preference order; `true` means the predecessor must carry the same
-/// `TARGET` (drain and archive are per-consumer continuations of that
-/// consumer's own delivery point).
-fn hop_predecessors(stage: &str) -> &'static [(&'static str, bool)] {
+/// preference order.
+fn hop_predecessors(stage: &str) -> &'static [(&'static str, PredTarget)] {
     use jamm_ulm::keys::jamm;
+    use PredTarget::{Any, Is, Same};
     match stage {
-        s if s == jamm::GW_ROUTED => &[(jamm::GW_PUBLISH, false)],
-        s if s == jamm::SUB_DELIVER => &[(jamm::GW_ROUTED, false), (jamm::GW_PUBLISH, false)],
-        s if s == jamm::SUB_DRAIN => &[(jamm::SUB_DELIVER, true), (jamm::GW_ROUTED, false)],
-        s if s == jamm::ARCHIVE_APPEND => &[(jamm::SUB_DELIVER, true), (jamm::GW_ROUTED, false)],
-        s if s == jamm::EDGE_ENCODE => &[(jamm::GW_ROUTED, false), (jamm::GW_PUBLISH, false)],
-        s if s == jamm::EDGE_BROADCAST => &[(jamm::EDGE_ENCODE, false)],
+        s if s == jamm::GW_ROUTED => &[(jamm::GW_PUBLISH, Any)],
+        s if s == jamm::SUB_DELIVER => &[(jamm::GW_ROUTED, Any), (jamm::GW_PUBLISH, Any)],
+        s if s == jamm::SUB_DRAIN => &[(jamm::SUB_DELIVER, Same), (jamm::GW_ROUTED, Any)],
+        s if s == jamm::ARCHIVE_APPEND => &[(jamm::SUB_DELIVER, Same), (jamm::GW_ROUTED, Any)],
+        s if s == jamm::EDGE_ENCODE => &[
+            (jamm::SUB_DRAIN, Is(jamm::EDGE_CONSUMER)),
+            (jamm::GW_ROUTED, Any),
+            (jamm::GW_PUBLISH, Any),
+        ],
+        s if s == jamm::EDGE_BROADCAST => &[(jamm::EDGE_ENCODE, Any)],
         _ => &[],
     }
 }
@@ -294,10 +310,10 @@ fn target_of(event: &Event) -> &str {
 /// Events are grouped by correlation id (`NL.OID`); within each lifeline,
 /// each stage point is paired with its most recent predecessor stage (see
 /// the module source for the stage graph: publish → route → deliver →
-/// {drain, archive-append}, route → encode → broadcast).  Hops are
-/// aggregated per `(from, to, target)` so a single slow consumer stands
-/// out from its healthy siblings; the hop with the largest mean latency is
-/// the diagnosis.
+/// {drain, archive-append}, and the edge's own drain → encode →
+/// broadcast).  Hops are aggregated per `(from, to, target)` so a single
+/// slow consumer stands out from its healthy siblings; the hop with the
+/// largest mean latency is the diagnosis.
 ///
 /// Accepts any iterator of events so both owned logs (`&[Event]`) and
 /// shared ones (`self_events().iter().map(|e| e.as_ref())`) work; non-JAMM
@@ -324,15 +340,18 @@ where
     for (_, points) in &mut traces {
         points.sort_by_key(|e| e.timestamp);
         for (i, point) in points.iter().enumerate() {
-            let pred =
-                hop_predecessors(&point.event_type)
-                    .iter()
-                    .find_map(|&(stage, same_target)| {
-                        points[..i].iter().rev().find(|p| {
-                            p.event_type == stage
-                                && (!same_target || target_of(p) == target_of(point))
-                        })
-                    });
+            let pred = hop_predecessors(&point.event_type)
+                .iter()
+                .find_map(|&(stage, target)| {
+                    points[..i].iter().rev().find(|p| {
+                        p.event_type == stage
+                            && match target {
+                                PredTarget::Any => true,
+                                PredTarget::Same => target_of(p) == target_of(point),
+                                PredTarget::Is(t) => target_of(p) == t,
+                            }
+                    })
+                });
             let Some(pred) = pred else { continue };
             let us = (point.timestamp - pred.timestamp).max(0) as u64;
             let target = target_of(point);
@@ -601,6 +620,52 @@ mod tests {
         assert_eq!(archive.mean_us, 4_000.0);
         let encode = d.hops.iter().find(|h| h.to == j::EDGE_ENCODE).unwrap();
         assert_eq!(encode.from, j::GW_ROUTED);
+    }
+
+    /// The edge's queue wait is its own hop: deliver → drain on target
+    /// `edge`, and encode measured from the edge's drain — never from
+    /// another consumer's drain of the same event.
+    #[test]
+    fn diagnose_separates_the_edge_queue_wait_from_its_encode() {
+        use keys::jamm as j;
+        let edge = j::EDGE_CONSUMER;
+        let mut log = Vec::new();
+        for (i, base) in [0u64, 1_000_000].iter().enumerate() {
+            let oid = format!("jamm-{i}");
+            log.push(trace_point(&oid, j::GW_PUBLISH, *base, "gw"));
+            log.push(trace_point(&oid, j::SUB_DELIVER, base + 10, "nlv"));
+            log.push(trace_point(&oid, j::SUB_DELIVER, base + 12, edge));
+            log.push(trace_point(&oid, j::GW_ROUTED, base + 20, "gw"));
+            // A local collector drains first; the edge's pump gets to the
+            // event only after a long wait in its queue.
+            log.push(trace_point(&oid, j::SUB_DRAIN, base + 50, "nlv"));
+            log.push(trace_point(&oid, j::SUB_DRAIN, base + 5_012, edge));
+            log.push(trace_point(&oid, j::EDGE_ENCODE, base + 5_052, "gw"));
+            log.push(trace_point(&oid, j::EDGE_BROADCAST, base + 5_062, "gw"));
+        }
+        // A lifeline whose edge drain point was lost: encode falls back to
+        // the routed point, not to the collector's drain.
+        log.push(trace_point("jamm-2", j::GW_PUBLISH, 2_000_000, "gw"));
+        log.push(trace_point("jamm-2", j::SUB_DELIVER, 2_000_010, "nlv"));
+        log.push(trace_point("jamm-2", j::GW_ROUTED, 2_000_020, "gw"));
+        log.push(trace_point("jamm-2", j::SUB_DRAIN, 2_000_050, "nlv"));
+        log.push(trace_point("jamm-2", j::EDGE_ENCODE, 2_000_320, "gw"));
+
+        let d = diagnose(&log);
+        assert_eq!(d.traces, 3);
+        let b = d.bottleneck().unwrap();
+        assert_eq!(
+            (b.from.as_str(), b.to.as_str(), b.target.as_str()),
+            (j::SUB_DELIVER, j::SUB_DRAIN, edge)
+        );
+        assert_eq!(b.mean_us, 5_000.0);
+        let encodes: Vec<(&str, usize, f64)> = d
+            .hops
+            .iter()
+            .filter(|h| h.to == j::EDGE_ENCODE)
+            .map(|h| (h.from.as_str(), h.count, h.mean_us))
+            .collect();
+        assert_eq!(encodes, [(j::GW_ROUTED, 1, 300.0), (j::SUB_DRAIN, 2, 40.0)]);
     }
 
     #[test]

@@ -31,50 +31,41 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use jamm_core::channel::{bounded, Receiver};
+use jamm_core::channel::{bounded, Receiver, Sender};
 use jamm_core::sync::Mutex;
 use jamm_core::{Backoff, BreakerState, BreakerStats, CircuitBreaker, OverflowPolicy};
 use jamm_gateway::EventGateway;
 use jamm_reactor::{ConnHandler, ConnId, ConnIo, ListenerId, Reactor, SocketRow};
-use jamm_ulm::codec::{codec_for, EventCodec, BINARY};
-use jamm_ulm::Event;
+use jamm_ulm::keys::jamm::{EDGE_BROADCAST, EDGE_CONSUMER, EDGE_ENCODE, SUB_DRAIN};
+use jamm_ulm::{binary, Event};
 
 use crate::tcp::frame_len;
 
+/// Most events encoded into one broadcast frame.
+const BATCH_MAX: usize = 512;
+/// Decoded-event queue capacity of an [`EdgeClient`].
+const CLIENT_CAPACITY: usize = 8192;
+/// How long one [`EdgeClient`] connection attempt may take.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Configuration for [`EventEdge::open`].
+///
+/// The edge subscribes to every event of its gateway as
+/// [`EDGE_CONSUMER`], dropping the oldest queued event when the
+/// subscription queue is full, and broadcasts binary ULM frames.
 #[derive(Debug, Clone)]
 pub struct EdgeConfig {
     /// Address to bind the subscriber listener on.
     pub bind: String,
-    /// Wire format for broadcast frames (a `jamm_ulm::codec` content type;
-    /// text and JSON frames are newline-delimited like `EncodedFile` logs).
-    pub content_type: String,
-    /// Most events encoded into one broadcast frame.
-    pub batch_max: usize,
-    /// How long the pump waits for a first event before re-checking stop.
-    pub poll_interval: Duration,
     /// Gateway subscription queue capacity (events).
     pub capacity: usize,
-    /// Overflow policy for the gateway subscription queue.
-    pub overflow: OverflowPolicy,
-    /// Consumer principal the subscription is authorized and accounted as.
-    pub consumer: String,
-    /// Optional query-plane filter for the subscription (same grammar as
-    /// `SubscriptionBuilder::matching`).
-    pub query: Option<String>,
 }
 
 impl Default for EdgeConfig {
     fn default() -> Self {
         EdgeConfig {
             bind: "127.0.0.1:0".to_string(),
-            content_type: BINARY.to_string(),
-            batch_max: 512,
-            poll_interval: Duration::from_millis(20),
             capacity: 8192,
-            overflow: OverflowPolicy::DropOldest,
-            consumer: "edge".to_string(),
-            query: None,
         }
     }
 }
@@ -84,10 +75,8 @@ impl Default for EdgeConfig {
 pub enum EdgeError {
     /// Socket setup failed.
     Io(io::Error),
-    /// The gateway refused the subscription (policy or bad query).
+    /// The gateway refused the subscription (access policy).
     Gateway(String),
-    /// The configured content type has no codec.
-    UnknownContentType(String),
 }
 
 impl std::fmt::Display for EdgeError {
@@ -95,7 +84,6 @@ impl std::fmt::Display for EdgeError {
         match self {
             EdgeError::Io(e) => write!(f, "edge I/O error: {e}"),
             EdgeError::Gateway(e) => write!(f, "edge subscription refused: {e}"),
-            EdgeError::UnknownContentType(ct) => write!(f, "no codec for content type {ct:?}"),
         }
     }
 }
@@ -155,13 +143,16 @@ impl ConnHandler for EdgeSubscriber {
 }
 
 /// The reactor-backed subscriber transport of one gateway.
+///
+/// The pump thread lives as long as its gateway subscription: it ends
+/// once [`EventEdge::stop`] has unsubscribed and it has broadcast every
+/// event that was still queued.
 pub struct EventEdge {
     addr: SocketAddr,
     reactor: Arc<Reactor>,
     listener: ListenerId,
     gateway: Arc<EventGateway>,
     subscription_id: u64,
-    stop: Arc<AtomicBool>,
     counters: Arc<EdgeCounters>,
     pump: Option<JoinHandle<()>>,
 }
@@ -180,20 +171,12 @@ impl EventEdge {
         gateway: Arc<EventGateway>,
         config: EdgeConfig,
     ) -> Result<EventEdge, EdgeError> {
-        let codec = codec_for(&config.content_type)
-            .ok_or_else(|| EdgeError::UnknownContentType(config.content_type.clone()))?;
-        let newline_framed = config.content_type != BINARY;
-
-        let mut builder = gateway
+        let subscription = gateway
             .subscribe()
             .stream()
             .capacity(config.capacity)
-            .on_overflow(config.overflow)
-            .as_consumer(&config.consumer);
-        if let Some(q) = &config.query {
-            builder = builder.matching(q);
-        }
-        let subscription = builder
+            .on_overflow(OverflowPolicy::DropOldest)
+            .as_consumer(EDGE_CONSUMER)
             .open()
             .map_err(|e| EdgeError::Gateway(e.to_string()))?;
         let subscription_id = subscription.id;
@@ -205,32 +188,28 @@ impl EventEdge {
             Box::new(|_id: ConnId, _peer: &str| Box::new(EdgeSubscriber) as Box<dyn ConnHandler>),
         )?;
 
-        let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(EdgeCounters::default());
         let pump = {
             let reactor = Arc::clone(&reactor);
-            let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
-            let batch_max = config.batch_max.max(1);
-            let poll_interval = config.poll_interval;
             let tracer = gateway.tracer().cloned();
             let gw_name = gateway.name().to_string();
             std::thread::Builder::new()
                 .name("jamm-edge-pump".to_string())
                 .spawn(move || {
-                    let mut batch = Vec::with_capacity(batch_max);
+                    let mut batch = Vec::with_capacity(BATCH_MAX);
                     // The largest encoded event seen so far: the encode
                     // buffer is allocated once per batch at that size
                     // times the batch in hand, then handed to the reactor
                     // as the one shared copy of the bytes.
                     let mut event_bytes = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
+                    // `recv` fails only once the queue is empty and the
+                    // gateway has dropped its sender (`stop` unsubscribed),
+                    // so everything queued before that is broadcast.
+                    while let Ok(ev) = subscription.events.recv() {
                         batch.clear();
-                        match subscription.events.recv_timeout(poll_interval) {
-                            Ok(ev) => batch.push(ev),
-                            Err(_) => continue,
-                        }
-                        while batch.len() < batch_max {
+                        batch.push(ev);
+                        while batch.len() < BATCH_MAX {
                             match subscription.events.try_recv() {
                                 Ok(ev) => batch.push(ev),
                                 Err(_) => break,
@@ -240,19 +219,23 @@ impl EventEdge {
                             Some(t) => batch.iter().filter_map(|e| t.trace_id(e)).collect(),
                             None => Vec::new(),
                         };
+                        if let Some(t) = &tracer {
+                            // Taken off the queue: the queue wait ends
+                            // here and the encode hop starts.
+                            for id in &traced {
+                                t.stage_id(*id, SUB_DRAIN, EDGE_CONSUMER);
+                            }
+                        }
                         let mut buf = Vec::with_capacity(batch.len() * event_bytes);
                         for ev in &batch {
                             let start = buf.len();
                             // &SharedEvent derefs to &Event: no deep clone.
-                            codec.encode_to(&mut buf, ev);
-                            if newline_framed {
-                                buf.push(b'\n');
-                            }
+                            binary::encode_into(&mut buf, ev);
                             event_bytes = event_bytes.max(buf.len() - start);
                         }
                         if let Some(t) = &tracer {
                             for id in &traced {
-                                t.stage_id(*id, jamm_ulm::keys::jamm::EDGE_ENCODE, &gw_name);
+                                t.stage_id(*id, EDGE_ENCODE, &gw_name);
                             }
                         }
                         counters.batches.fetch_add(1, Ordering::Relaxed);
@@ -269,7 +252,7 @@ impl EventEdge {
                             // outbox; socket writes happen on the loop
                             // thread after this point.
                             for id in &traced {
-                                t.stage_id(*id, jamm_ulm::keys::jamm::EDGE_BROADCAST, &gw_name);
+                                t.stage_id(*id, EDGE_BROADCAST, &gw_name);
                             }
                         }
                     }
@@ -290,7 +273,6 @@ impl EventEdge {
             listener,
             gateway,
             subscription_id,
-            stop,
             counters,
             pump: Some(pump),
         })
@@ -342,13 +324,13 @@ impl EventEdge {
         }
     }
 
-    /// Stop the pump, unsubscribe from the gateway, and close every
-    /// subscriber connection (flushing queued frames first).
+    /// Unsubscribe from the gateway, wait for the pump to broadcast every
+    /// event that was still queued, and close every subscriber connection
+    /// once its queued frames are flushed.
     pub fn stop(&mut self) {
         if let Some(pump) = self.pump.take() {
-            self.stop.store(true, Ordering::Relaxed);
-            let _ = pump.join();
             let _ = self.gateway.unsubscribe(self.subscription_id);
+            let _ = pump.join();
             self.reactor.unlisten(self.listener, true);
         }
     }
@@ -360,18 +342,12 @@ impl Drop for EventEdge {
     }
 }
 
-/// Configuration for [`EdgeClient::connect`].
+/// Configuration for [`EdgeClient::connect`]: the reconnect schedule.
+///
+/// The decoded-event queue holds 8,192 events and drops the oldest when
+/// full; one connection attempt may take 5 s.
 #[derive(Debug, Clone)]
 pub struct EdgeClientConfig {
-    /// Wire format the edge broadcasts (must match the edge's
-    /// `content_type`).
-    pub content_type: String,
-    /// Decoded-event queue capacity.
-    pub capacity: usize,
-    /// What to do when the decoded-event queue is full.
-    pub overflow: OverflowPolicy,
-    /// How long one connection attempt may take.
-    pub connect_timeout: Duration,
     /// First reconnect delay after a disconnect.
     pub retry_base: Duration,
     /// Reconnect-delay ceiling for an edge that stays down.
@@ -383,10 +359,6 @@ pub struct EdgeClientConfig {
 impl Default for EdgeClientConfig {
     fn default() -> Self {
         EdgeClientConfig {
-            content_type: BINARY.to_string(),
-            capacity: 8192,
-            overflow: OverflowPolicy::DropOldest,
-            connect_timeout: Duration::from_secs(5),
             retry_base: Duration::from_millis(250),
             retry_max: Duration::from_secs(30),
             poll_interval: Duration::from_millis(20),
@@ -403,7 +375,7 @@ pub struct EdgeClientStats {
     pub disconnects: u64,
     /// Events decoded and queued.
     pub received: u64,
-    /// Events dropped because the decoded-event queue was full.
+    /// Events evicted because the decoded-event queue was full.
     pub dropped: u64,
     /// Frames that failed to decode.
     pub decode_errors: u64,
@@ -467,10 +439,7 @@ impl EdgeClient {
     /// crashed — the client keeps probing on the backoff schedule until
     /// it appears.
     pub fn connect(addr: SocketAddr, config: EdgeClientConfig) -> Result<EdgeClient, EdgeError> {
-        let codec = codec_for(&config.content_type)
-            .ok_or_else(|| EdgeError::UnknownContentType(config.content_type.clone()))?;
-        let newline_framed = config.content_type != BINARY;
-        let (tx, rx) = bounded(config.capacity.max(1));
+        let (tx, rx) = bounded(CLIENT_CAPACITY);
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(ClientShared {
             connects: AtomicU64::new(0),
@@ -491,8 +460,6 @@ impl EdgeClient {
         let reader = {
             let stop = Arc::clone(&stop);
             let shared = Arc::clone(&shared);
-            let overflow = config.overflow;
-            let connect_timeout = config.connect_timeout;
             let poll = config.poll_interval.max(Duration::from_millis(1));
             std::thread::Builder::new()
                 .name("jamm-edge-client".to_string())
@@ -506,7 +473,7 @@ impl EdgeClient {
                             std::thread::sleep(poll);
                             continue;
                         }
-                        let stream = match TcpStream::connect_timeout(&addr, connect_timeout) {
+                        let stream = match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
                             Ok(s) => s,
                             Err(_) => {
                                 shared.breaker.lock().record_failure(shared.now_us());
@@ -529,15 +496,7 @@ impl EdgeClient {
                                 Ok(0) => break true,
                                 Ok(n) => {
                                     buf.extend_from_slice(&chunk[..n]);
-                                    if !drain_frames(
-                                        &mut buf,
-                                        newline_framed,
-                                        &codec,
-                                        &shared,
-                                        overflow,
-                                        &tx,
-                                        &mut batch,
-                                    ) {
+                                    if !drain_frames(&mut buf, &shared, &tx, &mut batch) {
                                         break true;
                                     }
                                 }
@@ -611,79 +570,44 @@ impl Drop for EdgeClient {
 /// it are still queued.
 fn drain_frames(
     buf: &mut Vec<u8>,
-    newline_framed: bool,
-    codec: &EventCodec,
     shared: &ClientShared,
-    overflow: OverflowPolicy,
-    tx: &jamm_core::channel::Sender<Event>,
+    tx: &Sender<Event>,
     batch: &mut Vec<Event>,
 ) -> bool {
     let mut consumed = 0usize;
-    if newline_framed {
-        while let Some(nl) = buf[consumed..].iter().position(|&b| b == b'\n') {
-            let line = &buf[consumed..consumed + nl];
-            consumed += nl + 1;
-            let trimmed: &[u8] = match std::str::from_utf8(line) {
-                Ok(s) => s.trim().as_bytes(),
-                Err(_) => line,
-            };
-            if trimmed.is_empty() || trimmed.first() == Some(&b'#') {
-                continue;
-            }
-            match codec.decode(trimmed) {
-                Ok(ev) => batch.push(ev),
-                Err(_) => {
-                    shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+    while let Some(total) = match frame_len(&buf[consumed..]) {
+        Ok(total) => total,
+        Err(()) => {
+            shared.decode_errors.fetch_add(1, Ordering::Relaxed);
+            buf.clear();
+            deliver(batch, tx, shared);
+            return false;
         }
-    } else {
-        // The binary codec decodes a whole frame, length prefix included.
-        while let Some(total) = match frame_len(&buf[consumed..]) {
-            Ok(total) => total,
-            Err(()) => {
+    } {
+        // A binary frame decodes whole, length prefix included.
+        match binary::decode(&buf[consumed..consumed + total]) {
+            Ok((ev, _)) => batch.push(ev),
+            Err(_) => {
                 shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                deliver(batch, overflow, tx, shared);
-                return false;
             }
-        } {
-            match codec.decode(&buf[consumed..consumed + total]) {
-                Ok(ev) => batch.push(ev),
-                Err(_) => {
-                    shared.decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            consumed += total;
         }
+        consumed += total;
     }
     if consumed > 0 {
         buf.drain(..consumed);
     }
-    deliver(batch, overflow, tx, shared);
+    deliver(batch, tx, shared);
     true
 }
 
-/// Queue one read's decoded events under one lock per the configured
-/// overflow policy: `received` counts the events queued, `dropped` the
-/// events evicted (drop-oldest) or refused (drop-newest).  Leaves `batch`
-/// empty.
-fn deliver(
-    batch: &mut Vec<Event>,
-    overflow: OverflowPolicy,
-    tx: &jamm_core::channel::Sender<Event>,
-    shared: &ClientShared,
-) {
+/// Queue one read's decoded events under one lock, evicting the oldest
+/// queued events when full: `received` counts the events queued,
+/// `dropped` the events evicted.  Leaves `batch` empty.
+fn deliver(batch: &mut Vec<Event>, tx: &Sender<Event>, shared: &ClientShared) {
     let n = batch.len() as u64;
-    let (queued, dropped) = match overflow {
-        OverflowPolicy::DropOldest => match tx.send_batch_overwriting(batch) {
-            Ok(evicted) => (n, evicted as u64),
-            Err(_) => (0, 0),
-        },
-        OverflowPolicy::DropNewest => match tx.try_send_batch(batch) {
-            Ok(accepted) => (accepted as u64, n - accepted as u64),
-            Err(_) => (0, 0),
-        },
+    let (queued, dropped) = match tx.send_batch_overwriting(batch) {
+        Ok(evicted) => (n, evicted as u64),
+        Err(_) => (0, 0),
     };
     batch.clear();
     if queued > 0 {
@@ -742,13 +666,12 @@ mod tests {
         let events: Vec<SharedEvent> = (0..10).map(sample).collect();
         gateway.publish_shared_batch(&events);
 
-        let codec = codec_for(BINARY).unwrap();
-        let expected: usize = events.iter().map(|e| codec.encode(e).len()).sum();
+        let expected: usize = events.iter().map(|e| binary::encode(e).len()).sum();
         for s in &mut subs {
             s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             let mut got = vec![0u8; expected];
             s.read_exact(&mut got).unwrap();
-            let decoded = codec.decode_batch(&got).unwrap();
+            let decoded = binary::decode_all(&got).unwrap();
             assert_eq!(decoded.len(), 10);
             assert_eq!(decoded[0], *events[0]);
         }
@@ -784,7 +707,6 @@ mod tests {
                 retry_base: Duration::from_millis(10),
                 retry_max: Duration::from_millis(50),
                 poll_interval: Duration::from_millis(2),
-                ..EdgeClientConfig::default()
             },
         )
         .unwrap();
@@ -852,9 +774,8 @@ mod tests {
         )
         .unwrap();
         let (mut peer, _) = listener.accept().unwrap();
-        let codec = codec_for(BINARY).unwrap();
-        let mut bytes = codec.encode(&sample(1));
-        bytes.extend(codec.encode(&sample(2)));
+        let mut bytes = binary::encode(&sample(1));
+        bytes.extend(binary::encode(&sample(2)));
         let max = crate::tcp::MAX_FRAME as u32;
         bytes.extend((max + 1).to_le_bytes());
         peer.write_all(&bytes).unwrap();
@@ -879,27 +800,14 @@ mod tests {
             origin: Instant::now(),
         };
         let events: Vec<Event> = (0..6).map(|i| (*sample(i)).clone()).collect();
-        for (overflow, kept) in [
-            (OverflowPolicy::DropOldest, &events[2..]),
-            (OverflowPolicy::DropNewest, &events[..4]),
-        ] {
-            shared.received.store(0, Ordering::Relaxed);
-            shared.dropped.store(0, Ordering::Relaxed);
-            let (tx, rx) = bounded(4);
-            let mut batch = events.clone();
-            deliver(&mut batch, overflow, &tx, &shared);
-            assert!(batch.is_empty(), "{overflow:?}");
-            assert_eq!(rx.try_iter().collect::<Vec<Event>>(), kept, "{overflow:?}");
-            // DropOldest queued all six and evicted two; DropNewest
-            // queued four and refused two.
-            let queued = if overflow == OverflowPolicy::DropOldest {
-                6
-            } else {
-                4
-            };
-            assert_eq!(shared.received.load(Ordering::Relaxed), queued);
-            assert_eq!(shared.dropped.load(Ordering::Relaxed), 2);
-        }
+        let (tx, rx) = bounded(4);
+        let mut batch = events.clone();
+        deliver(&mut batch, &tx, &shared);
+        assert!(batch.is_empty());
+        // All six were queued; the two oldest were evicted.
+        assert_eq!(rx.try_iter().collect::<Vec<Event>>(), &events[2..]);
+        assert_eq!(shared.received.load(Ordering::Relaxed), 6);
+        assert_eq!(shared.dropped.load(Ordering::Relaxed), 2);
     }
 
     /// 64-bit FNV-1a over the received stream.
@@ -941,6 +849,34 @@ mod tests {
             (bytes.len(), fnv64(&bytes)),
             (23_100, 0x8ca3_eeeb_53b4_7075)
         );
+        reactor.shutdown();
+    }
+
+    /// `stop()` right after a large publish still broadcasts every queued
+    /// event before it closes the subscriber sockets.
+    #[test]
+    fn stop_delivers_what_was_queued() {
+        let reactor = Arc::new(Reactor::start(ReactorConfig::default()).unwrap());
+        let gateway = Arc::new(EventGateway::new(GatewayConfig::open("edge-stop")));
+        let mut edge = EventEdge::open(
+            Arc::clone(&reactor),
+            Arc::clone(&gateway),
+            EdgeConfig::default(),
+        )
+        .unwrap();
+        let mut sub = TcpStream::connect(edge.addr()).unwrap();
+        wait_for(|| edge.subscribers() == 1, "subscriber");
+
+        let events: Vec<SharedEvent> = (0..5_000).map(sample).collect();
+        gateway.publish_shared_batch(&events);
+        edge.stop();
+
+        sub.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut bytes = Vec::new();
+        sub.read_to_end(&mut bytes).unwrap();
+        let decoded = binary::decode_all(&bytes).unwrap();
+        assert_eq!(decoded.len(), events.len());
+        assert!(decoded.iter().zip(&events).all(|(d, e)| d == &**e));
         reactor.shutdown();
     }
 

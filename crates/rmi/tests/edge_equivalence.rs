@@ -1,7 +1,7 @@
 //! Property: broadcast-over-reactor is byte-identical to the
 //! thread-per-connection baseline it replaced.
 //!
-//! For random event batches and every ULM wire format, the stream an
+//! For random event batches, the binary ULM stream an
 //! [`EventEdge`] subscriber receives (events batched, encoded once,
 //! written N times from one loop thread) must equal, byte for byte, what
 //! the old model produces: one blocking thread per connection, encoding
@@ -13,8 +13,7 @@ use jamm_core::check::{forall, Gen};
 use jamm_gateway::{EventGateway, GatewayConfig};
 use jamm_reactor::{Reactor, ReactorConfig};
 use jamm_rmi::edge::{EdgeConfig, EventEdge};
-use jamm_ulm::codec::{codec_for, ALL, BINARY};
-use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
+use jamm_ulm::{binary, Event, Level, SharedEvent, Timestamp};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -50,7 +49,7 @@ fn arb_event(g: &mut Gen, i: u64) -> Event {
 
 /// The old network edge: a blocking writer thread per connection, each
 /// encoding the whole stream for its own socket.
-fn thread_per_connection_stream(events: &[Event], content_type: &'static str) -> Vec<Vec<u8>> {
+fn thread_per_connection_stream(events: &[Event]) -> Vec<Vec<u8>> {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let events: Arc<Vec<Event>> = Arc::new(events.to_vec());
@@ -60,12 +59,8 @@ fn thread_per_connection_stream(events: &[Event], content_type: &'static str) ->
             let (mut conn, _) = listener.accept().unwrap();
             let events = Arc::clone(&events);
             handles.push(std::thread::spawn(move || {
-                let codec = codec_for(content_type).unwrap();
                 for ev in events.iter() {
-                    conn.write_all(&codec.encode(ev)).unwrap();
-                    if content_type != BINARY {
-                        conn.write_all(b"\n").unwrap();
-                    }
+                    conn.write_all(&binary::encode(ev)).unwrap();
                 }
             }));
         }
@@ -89,16 +84,13 @@ fn thread_per_connection_stream(events: &[Event], content_type: &'static str) ->
 
 /// The new edge: events published once at the gateway, batched and
 /// encoded once on the pump, broadcast to every reactor connection.
-fn reactor_edge_stream(events: &[Event], content_type: &'static str) -> Vec<Vec<u8>> {
+fn reactor_edge_stream(events: &[Event]) -> Vec<Vec<u8>> {
     let reactor = Arc::new(Reactor::start(ReactorConfig::default()).unwrap());
     let gateway = Arc::new(EventGateway::new(GatewayConfig::open("prop")));
     let mut edge = EventEdge::open(
         Arc::clone(&reactor),
         Arc::clone(&gateway),
-        EdgeConfig {
-            content_type: content_type.to_string(),
-            ..EdgeConfig::default()
-        },
+        EdgeConfig::default(),
     )
     .unwrap();
 
@@ -114,9 +106,7 @@ fn reactor_edge_stream(events: &[Event], content_type: &'static str) -> Vec<Vec<
     let shared: Vec<SharedEvent> = events.iter().cloned().map(Arc::new).collect();
     gateway.publish_shared_batch(&shared);
 
-    let codec = codec_for(content_type).unwrap();
-    let newline = usize::from(content_type != BINARY);
-    let expected: usize = events.iter().map(|e| codec.encode(e).len() + newline).sum();
+    let expected: usize = events.iter().map(|e| binary::encode(e).len()).sum();
     let mut received = Vec::new();
     for c in &mut conns {
         c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -134,13 +124,12 @@ fn reactor_broadcast_matches_thread_per_connection_baseline() {
     forall("edge stream equivalence", 8, |g| {
         let n = g.usize_in(1, 32);
         let events: Vec<Event> = (0..n as u64).map(|i| arb_event(g, i)).collect();
-        let content_type: &'static str = g.choice(&ALL);
 
-        let baseline = thread_per_connection_stream(&events, content_type);
-        let edge = reactor_edge_stream(&events, content_type);
+        let baseline = thread_per_connection_stream(&events);
+        let edge = reactor_edge_stream(&events);
 
         for (i, (b, e)) in baseline.iter().zip(&edge).enumerate() {
-            assert_eq!(b, e, "subscriber {i} diverged ({content_type}, {n} events)");
+            assert_eq!(b, e, "subscriber {i} diverged ({n} events)");
         }
         // And every subscriber of either transport saw the same bytes.
         assert!(baseline.windows(2).all(|w| w[0] == w[1]));

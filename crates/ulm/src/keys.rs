@@ -125,6 +125,11 @@ pub mod jamm {
     /// The archiver stored the sampled event (`TARGET` = archiver).
     pub const ARCHIVE_APPEND: &str = "JAMM_ARCHIVE_APPEND";
 
+    /// The consumer principal of the network edge's gateway subscription:
+    /// the `TARGET` of its `SUB_DELIVER` and `SUB_DRAIN` points and the
+    /// consumer of its row in the gateway's tier table.
+    pub const EDGE_CONSUMER: &str = "edge";
+
     /// Canonical pipeline order of the self-lifeline stages, for nlv
     /// charts and stage-pair analysis.
     pub const STAGES: [&str; 7] = [
