@@ -58,52 +58,48 @@ fn interner() -> &'static RwLock<Interner> {
     })
 }
 
+#[cfg(test)]
 thread_local! {
-    /// The string this thread interned last.  Pipeline hops ask for the same
-    /// identifier back to back (the gateway keys its per-series table by an
-    /// event's type, then the router picks that type's shard), and a string
-    /// compare is several times cheaper than the table's lock and hash.
-    static LAST: std::cell::Cell<Option<(&'static str, Sym)>> = const { std::cell::Cell::new(None) };
+    /// [`Sym::lookup`] calls made on this thread, for tests that pin a path
+    /// to making none.
+    static LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// [`Sym::lookup`] calls made on the calling thread so far.
+#[cfg(test)]
+pub(crate) fn lookups_on_this_thread() -> u64 {
+    LOOKUPS.get()
 }
 
 impl Sym {
-    /// Intern a string, returning its stable handle.  Asking for the string
-    /// this thread interned last is one string compare; otherwise the
-    /// common case (the string is already interned) is one read-lock
-    /// acquisition and one hash lookup, and the first sighting of a string
-    /// takes the write lock and leaks one copy.
+    /// Intern a string, returning its stable handle.  The common case (the
+    /// string is already interned) is one read-lock acquisition and one
+    /// hash lookup, and the first sighting of a string takes the write
+    /// lock and leaks one copy.  A pipeline interns each identity once
+    /// and passes the `Sym` on, rather than asking again.
     pub fn intern(s: &str) -> Sym {
-        if let Some((last, sym)) = LAST.get() {
-            if last == s {
-                return sym;
-            }
-        }
-        let (interned, sym) = Self::intern_in_table(s);
-        LAST.set(Some((interned, sym)));
-        sym
-    }
-
-    fn intern_in_table(s: &str) -> (&'static str, Sym) {
         let lock = interner();
-        if let Some((&interned, &id)) = lock.read().map.get_key_value(s) {
-            return (interned, Sym(id));
+        if let Some(&id) = lock.read().map.get(s) {
+            return Sym(id);
         }
         let mut w = lock.write();
         // Double-check: another thread may have interned it between the
         // read unlock and the write lock.
-        if let Some((&interned, &id)) = w.map.get_key_value(s) {
-            return (interned, Sym(id));
+        if let Some(&id) = w.map.get(s) {
+            return Sym(id);
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
         let id = w.strings.len() as u32;
         w.strings.push(leaked);
         w.map.insert(leaked, id);
-        (leaked, Sym(id))
+        Sym(id)
     }
 
     /// Look a string up without interning it (useful on query paths that
     /// should not grow the table for never-seen identifiers).
     pub fn lookup(s: &str) -> Option<Sym> {
+        #[cfg(test)]
+        LOOKUPS.set(LOOKUPS.get() + 1);
         interner().read().map.get(s).map(|&id| Sym(id))
     }
 
@@ -155,6 +151,19 @@ mod tests {
         assert_eq!(Sym::lookup("jamm.core.intern.test.never-interned"), None);
         let s = Sym::intern("jamm.core.intern.test.present");
         assert_eq!(Sym::lookup("jamm.core.intern.test.present"), Some(s));
+    }
+
+    #[test]
+    fn the_lookup_counter_counts_this_threads_lookups_only() {
+        let before = lookups_on_this_thread();
+        Sym::intern("jamm.core.intern.test.counted");
+        assert_eq!(lookups_on_this_thread(), before, "intern is not a lookup");
+        Sym::lookup("jamm.core.intern.test.counted");
+        Sym::lookup("jamm.core.intern.test.never-counted");
+        std::thread::spawn(|| Sym::lookup("jamm.core.intern.test.counted"))
+            .join()
+            .unwrap();
+        assert_eq!(lookups_on_this_thread(), before + 2);
     }
 
     #[test]

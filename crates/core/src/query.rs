@@ -1232,15 +1232,35 @@ impl Plan {
     /// a numeric reading — whether or not the record ultimately matches —
     /// so "on change" and "crosses" behave correctly even when another
     /// conjunct rejects a particular record.
+    ///
+    /// Resolves the record's host and type with one [`Sym::lookup`] each
+    /// and evaluates [`Plan::eval_interned`]; a caller that already holds
+    /// the interned pair (the gateway interns every published event's
+    /// identity once) calls that directly and makes no lookup at all.
+    /// `lookup` (never `intern`) keeps never-seen payload identifiers out
+    /// of the leaking intern table — a leaf's own strings were interned
+    /// at compile time, so "not interned" already means "matches no leaf".
     pub fn eval<R: Record + ?Sized>(&self, rec: &R) -> bool {
+        self.eval_interned(
+            rec,
+            rec.host().and_then(Sym::lookup),
+            rec.event_type().and_then(Sym::lookup),
+        )
+    }
+
+    /// [`Plan::eval`] with the record's identity already resolved: `host_sym`
+    /// and `ty_sym` must be what [`Sym::lookup`] returns for the record's
+    /// host and event type (`None` for a string never interned or a record
+    /// without one).  Given those, the answer and the per-series memory
+    /// update are exactly `eval`'s; the type and host leaves compare `u32`s
+    /// and no string is hashed.
+    pub fn eval_interned<R: Record + ?Sized>(
+        &self,
+        rec: &R,
+        host_sym: Option<Sym>,
+        ty_sym: Option<Sym>,
+    ) -> bool {
         let value = rec.value();
-        // Resolve the record's interned identity once; a leaf then
-        // compares u32s.  `lookup` (never `intern`) keeps never-seen
-        // payload identifiers out of the leaking intern table — a leaf's
-        // own strings were interned at compile time, so "not interned"
-        // already means "matches no leaf".
-        let host_sym = rec.host().and_then(Sym::lookup);
-        let ty_sym = rec.event_type().and_then(Sym::lookup);
         let (prev, key) = match &self.state {
             Some(state) => match (rec.host(), rec.event_type()) {
                 (Some(h), Some(t)) => {
@@ -2715,5 +2735,164 @@ mod tests {
                 .windows(2)
                 .all(|w| w[0].score() >= w[1].score()));
         }
+    }
+
+    /// A record whose host and type may be missing, for the keyed-eval
+    /// property (the `Rec` above always carries both).
+    struct MaybeRec {
+        host: Option<String>,
+        ty: Option<String>,
+        level: u8,
+        time: u64,
+        value: Option<f64>,
+    }
+
+    impl Record for MaybeRec {
+        fn host(&self) -> Option<&str> {
+            self.host.as_deref()
+        }
+        fn event_type(&self) -> Option<&str> {
+            self.ty.as_deref()
+        }
+        fn level_rank(&self) -> Option<u8> {
+            Some(self.level)
+        }
+        fn time_micros(&self) -> Option<u64> {
+            Some(self.time)
+        }
+        fn value(&self) -> Option<f64> {
+            self.value
+        }
+        fn attr_any(&self, attr: &str, f: &mut dyn FnMut(&str) -> bool) -> bool {
+            match attr {
+                "host" => self.host.as_deref().is_some_and(f),
+                "eventtype" | "type" => self.ty.as_deref().is_some_and(f),
+                "level" => f(level_name(self.level)),
+                _ => false,
+            }
+        }
+        fn attr_present(&self, attr: &str) -> bool {
+            match attr {
+                "host" => self.host.is_some(),
+                "eventtype" | "type" => self.ty.is_some(),
+                _ => attr == "level",
+            }
+        }
+    }
+
+    /// A random predicate tree of at most `depth` levels over hosts
+    /// `h1`–`h3`, types `A`–`C` and every leaf kind, stateful ones included.
+    fn arb_predicate(g: &mut crate::check::Gen, depth: usize) -> Predicate {
+        let pick = |g: &mut crate::check::Gen, names: &[&str]| -> Vec<String> {
+            let n = g.usize_in(0, names.len());
+            (0..n).map(|_| g.choice(names).to_string()).collect()
+        };
+        let leaves = 13;
+        let kind = if depth == 0 {
+            g.usize_in(0, leaves - 1)
+        } else {
+            g.usize_in(0, leaves + 2)
+        };
+        match kind {
+            0 => Predicate::True,
+            1 => Predicate::EventTypes(pick(g, &["A", "B", "C"])),
+            2 => Predicate::Hosts(pick(g, &["h1", "h2", "h3"])),
+            3 => Predicate::MinLevel(g.usize_in(0, 7) as u8),
+            4 => Predicate::TimeRange {
+                from_micros: g.bool(0.5).then(|| g.u64(2_000)),
+                to_micros: g.bool(0.5).then(|| g.u64(2_000)),
+            },
+            5 => {
+                let cmps = [
+                    ValueCmp::Gt,
+                    ValueCmp::Lt,
+                    ValueCmp::Ge,
+                    ValueCmp::Le,
+                    ValueCmp::Eq,
+                    ValueCmp::Ne,
+                ];
+                Predicate::Value(g.choice(&cmps), g.usize_in(0, 4) as f64)
+            }
+            6 => Predicate::OnChange,
+            7 => Predicate::Crosses(g.usize_in(0, 4) as f64),
+            8 => Predicate::RelativeChange(g.f64_in(0.0, 1.0)),
+            9 => Predicate::Equals(
+                g.choice(&["host", "type"]).into(),
+                g.choice(&["h1", "a"]).into(),
+            ),
+            10 => Predicate::Present(g.choice(&["host", "type", "level", "name"]).into()),
+            11 => Predicate::Substring("host".into(), vec![String::new(), "2".into()]),
+            12 => Predicate::Limit(g.usize_in(1, 9)),
+            13 => Predicate::Not(Box::new(arb_predicate(g, depth - 1))),
+            k => {
+                let n = g.usize_in(0, 3);
+                let cs = (0..n).map(|_| arb_predicate(g, depth - 1)).collect();
+                if k == 14 {
+                    Predicate::And(cs)
+                } else {
+                    Predicate::Or(cs)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_interned_with_looked_up_syms_equals_eval() {
+        crate::check::forall("eval_interned vs eval", 256, |g| {
+            // Identities no other test interns: each case's own, so they are
+            // still unknown to the table when the case first sees them (a
+            // stateful plan interns them for its series memory).
+            let case = g.any_u64();
+            let never = [
+                format!("jamm.core.query.test.never-host-{case}"),
+                format!("jamm.core.query.test.never-type-{case}"),
+            ];
+            let mut hosts: Vec<Option<String>> = ["h1", "h2", "h3"].map(|h| Some(h.into())).into();
+            hosts.extend([Some(never[0].clone()), None]);
+            let mut types: Vec<Option<String>> = ["A", "B", "C"].map(|t| Some(t.into())).into();
+            types.extend([Some(never[1].clone()), None]);
+            let predicate = arb_predicate(g, 3);
+            // Two copies of one plan, each with its own series memory.
+            let (by_text, by_sym) = (predicate.compile(), predicate.compile());
+            for i in 0..g.usize_in(1, 40) {
+                let rec = MaybeRec {
+                    host: g.choice(&hosts),
+                    ty: g.choice(&types),
+                    level: g.usize_in(0, 7) as u8,
+                    time: g.u64(2_000),
+                    value: g.bool(0.8).then(|| g.usize_in(0, 4) as f64),
+                };
+                let host_sym = rec.host.as_deref().and_then(Sym::lookup);
+                let ty_sym = rec.ty.as_deref().and_then(Sym::lookup);
+                assert_eq!(
+                    by_sym.eval_interned(&rec, host_sym, ty_sym),
+                    by_text.eval(&rec),
+                    "{predicate:?} record {i}: {:?} {:?} {:?}",
+                    rec.host,
+                    rec.ty,
+                    rec.value,
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn eval_interned_makes_no_lookup() {
+        let lookups = crate::intern::lookups_on_this_thread;
+        let plan = Predicate::parse("(&(|(type=A)(type=B))(host=h1)(onchange)(val>1))")
+            .unwrap()
+            .compile();
+        let (host, ty) = (Sym::intern("h1"), Sym::intern("A"));
+        let before = lookups();
+        for v in [1.0, 2.0, 2.0, 3.0] {
+            plan.eval_interned(&rec("h1", "A", Some(v)), Some(host), Some(ty));
+        }
+        // A stateful plan keys its memory on first sighting of an identity
+        // it was not given: that is an intern, never a lookup.
+        let unknown = rec("jamm.core.query.test.unlooked-host", "A", Some(1.0));
+        plan.eval_interned(&unknown, None, Some(ty));
+        assert_eq!(lookups() - before, 0, "the keyed form looks nothing up");
+        plan.eval(&rec("h1", "A", Some(4.0)));
+        assert_eq!(lookups() - before, 2, "eval looks up the host and the type");
     }
 }

@@ -48,8 +48,18 @@ use jamm_core::query::{Plan, Predicate};
 
 use crate::qos::{QosConfig, QosRuntime, QosSnapshot, Tier, TierRow};
 use crate::routing::Router;
-use crate::summary::{SeriesTable, SummaryWindow};
+use crate::summary::{SeriesKey, SeriesTable, SummaryWindow};
 use crate::{GatewayError, Result};
+
+/// Largest key buffer a publishing thread keeps between batches (256 KiB).
+const KEPT_KEYS: usize = 32 * 1024;
+
+thread_local! {
+    /// The series keys of the batch this thread is publishing, kept between
+    /// publishes: resolving a batch's identities allocates only when the
+    /// batch is larger than any this thread published before.
+    static BATCH_KEYS: std::cell::Cell<Vec<SeriesKey>> = const { std::cell::Cell::new(Vec::new()) };
+}
 
 /// Default bound on a subscription's in-flight event queue.
 pub const DEFAULT_SUBSCRIPTION_CAPACITY: usize = 4_096;
@@ -415,15 +425,16 @@ impl EventGateway {
         self.router.live_count()
     }
 
-    /// Record an event in the per-series table and the views.  The series
-    /// identity is interned once: one keyed update under one lock feeds
-    /// the query cache and the summary readings.
-    fn observe(&self, event: &SharedEvent) {
+    /// Record an event in the per-series table and the views, and return
+    /// its series key.  The identity is interned here, once per publish:
+    /// one keyed update under one lock feeds the query cache and the
+    /// summary readings, and the views and the router reuse the key.
+    fn observe(&self, event: &SharedEvent) -> SeriesKey {
         self.stats.events_in.fetch_add(1, Ordering::Relaxed);
-        let host = Sym::intern(&event.host);
-        let ty = Sym::intern(&event.event_type);
-        self.series.observe((host, ty), event);
-        self.views.observe(host, ty, event);
+        let key = (Sym::intern(&event.host), Sym::intern(&event.event_type));
+        self.series.observe(key, event);
+        self.views.observe(key.0, key.1, event);
+        key
     }
 
     /// Publish one event into the gateway (called by the sensor manager).
@@ -450,6 +461,8 @@ impl EventGateway {
     /// publish form runs (a single event is a batch of one).  Each event
     /// is observed (query cache, summaries, views) and trace-sampled in
     /// order, then the batch is routed — all on the caller's thread.
+    /// Observing interns each event's host and type once; the router and
+    /// every subscription's plan reuse that key.
     /// Events are shared by refcount throughout — nothing on this path
     /// copies one.
     ///
@@ -475,15 +488,22 @@ impl EventGateway {
         }
         self.maybe_retier(events.len() as u64);
         let tracer = self.config.tracer.as_ref();
+        // Taken, not borrowed, so a publish nested in this one would find
+        // the slot empty and use a buffer of its own.
+        let mut series_keys = BATCH_KEYS.take();
+        series_keys.clear();
         for event in events {
-            self.observe(event);
+            series_keys.push(self.observe(event));
             if let Some(tracer) = tracer {
                 tracer.on_publish(event, &self.config.name);
             }
         }
         let start = std::time::Instant::now();
-        let out = self.router.route(events);
+        let out = self.router.route(events, &series_keys);
         self.stats.route_us.record_micros(start.elapsed());
+        if series_keys.capacity() <= KEPT_KEYS {
+            BATCH_KEYS.set(series_keys);
+        }
         if let Some(tracer) = tracer {
             for event in events {
                 tracer.stage(event, keys::jamm::GW_ROUTED, &self.config.name);

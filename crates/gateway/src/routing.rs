@@ -43,6 +43,7 @@ use jamm_ulm::SharedEvent;
 
 use crate::gateway::{DeliveryReport, Subscription};
 use crate::qos::{self, QosRuntime, Tier, TierRow, TierState};
+use crate::summary::SeriesKey;
 
 /// Where a subscription is registered in the routing table.
 #[derive(Debug, Clone)]
@@ -158,16 +159,27 @@ impl RouteEntry {
         false
     }
 
+    /// Whether the plan passes `event`, whose interned identity is `key`.
+    fn accepts(&self, event: &SharedEvent, (host, ty): SeriesKey) -> bool {
+        self.plan.eval_interned(&**event, Some(host), Some(ty))
+    }
+
     /// Evaluate the plan and push one event.  Takes the event by value:
     /// queuing it is a move of the `Arc`, never a copy of the event — the
     /// caller bumps the refcount for all but its last delivery, so a
     /// single-subscriber fan-out moves the published `Arc` straight into
     /// the queue.
-    fn deliver(&self, event: SharedEvent, size: u64, qos: Option<&QosRuntime>) -> Delivery {
+    fn deliver(
+        &self,
+        event: SharedEvent,
+        key: SeriesKey,
+        size: u64,
+        qos: Option<&QosRuntime>,
+    ) -> Delivery {
         if self.closed.load(Ordering::Relaxed) {
             return Delivery::Closed;
         }
-        if !self.plan.eval(&*event) {
+        if !self.accepts(&event, key) {
             return Delivery::Filtered;
         }
         if let Some(q) = qos {
@@ -446,20 +458,24 @@ impl Router {
     /// A batch of one has no queue operation to amortise, so it skips the
     /// buffers and pushes straight into each queue; the arm is chosen by the
     /// batch length, here only, and both make the same deliveries in order.
-    pub(crate) fn route(&self, events: &[SharedEvent]) -> RouteOutcome {
+    ///
+    /// `keys[i]` is `events[i]`'s interned (host, type), resolved once by
+    /// the gateway: the type bucket is found by it and every candidate's
+    /// plan is given it, so routing hashes no string.
+    pub(crate) fn route(&self, events: &[SharedEvent], keys: &[SeriesKey]) -> RouteOutcome {
+        debug_assert_eq!(events.len(), keys.len());
         let qos = self.qos.as_deref();
         let table = self.table.read().clone();
         let mut out = RouteOutcome::default();
         let mut saw_closed = false;
-        if let [event] = events {
+        if let ([event], &[key]) = (events, keys) {
             let size = event.approx_size() as u64;
-            let ty = Sym::intern(&event.event_type);
             // One watched-ring scan per event, not one per candidate.
             let tracer = self.tracer.as_deref();
             let traced = tracer.and_then(|t| Some((t, t.trace_id(event)?)));
-            let typed = table.by_type.get(&ty);
+            let typed = table.by_type.get(&key.1);
             for entry in typed.into_iter().flatten().chain(table.wildcard.iter()) {
-                match entry.deliver(SharedEvent::clone(event), size, qos) {
+                match entry.deliver(SharedEvent::clone(event), key, size, qos) {
                     Delivery::Sent { evicted } => {
                         if let Some((tracer, id)) = traced {
                             tracer.stage_id(id, SUB_DELIVER, &entry.consumer);
@@ -482,15 +498,15 @@ impl Router {
         // subscription id.
         let mut pending: Vec<Pending> = Vec::new();
         let mut slot_of: HashMap<u64, usize> = HashMap::new();
-        for event in events {
+        for (event, &key) in events.iter().zip(keys) {
             let size = event.approx_size() as u64;
-            let typed = table.by_type.get(&Sym::intern(&event.event_type));
+            let typed = table.by_type.get(&key.1);
             for entry in typed.into_iter().flatten().chain(table.wildcard.iter()) {
                 if entry.closed.load(Ordering::Relaxed) {
                     saw_closed = true;
                     continue;
                 }
-                if !entry.plan.eval(&**event) {
+                if !entry.accepts(event, key) {
                     continue;
                 }
                 let slot = *slot_of.entry(entry.id).or_insert_with(|| {
@@ -621,7 +637,8 @@ mod tests {
             .timestamp(Timestamp::from_secs(1))
             .value(1.0)
             .build();
-        router.route(&[SharedEvent::new(event)]);
+        let key = (Sym::intern(&event.host), Sym::intern(&event.event_type));
+        router.route(&[SharedEvent::new(event)], &[key]);
         assert_eq!(placement(&router), (vec![], vec![3]));
         assert_eq!(
             router.live_count(),

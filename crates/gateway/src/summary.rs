@@ -69,11 +69,21 @@ struct Summary {
 /// A window covers `[now - length, now]`, both edges inclusive: a reading
 /// exactly one window-length old still counts, a reading exactly at `now`
 /// counts, and a reading after `now` (clock skew) is ignored.
+///
+/// The readings sit in blocks of [`BLOCK`], oldest block first, none empty.
+/// A series grows by one block at a time, so growing never copies its
+/// readings into a buffer twice the size and leaves the old one resident:
+/// the table's resident memory follows the readings it holds.
 #[derive(Debug, Default)]
-struct Readings(VecDeque<(Timestamp, f64)>);
+struct Readings(VecDeque<VecDeque<(Timestamp, f64)>>);
 
-/// An interned (host, event type) series identity.
-type SeriesKey = (Sym, Sym);
+/// Readings appended per block (4 KiB).  A late arrival is inserted where
+/// it belongs, even into a full block.
+const BLOCK: usize = 256;
+
+/// An interned (host, event type) series identity: what the gateway
+/// resolves once per published event and every later step reuses.
+pub(crate) type SeriesKey = (Sym, Sym);
 
 /// One series' summary events (in window order) under its resolved key.
 /// Keys are resolved to strings on this cold path so the series ordering
@@ -88,22 +98,45 @@ impl Readings {
     /// plain append.
     fn record(&mut self, event: &Event) {
         let Some(value) = event.value() else { return };
-        let series = &mut self.0;
-        if series.back().is_some_and(|(t, _)| *t > event.timestamp) {
-            let pos = series.partition_point(|(t, _)| *t <= event.timestamp);
-            series.insert(pos, (event.timestamp, value));
+        let (t, blocks) = (event.timestamp, &mut self.0);
+        let newest = blocks.back().and_then(VecDeque::back).map(|(n, _)| *n);
+        if newest.is_some_and(|n| n > t) {
+            // After every reading at or before `t`: in the last block that
+            // starts at or before it, or at the very front.
+            let starts_before = blocks.partition_point(|b| b.front().is_some_and(|(s, _)| *s <= t));
+            let block = &mut blocks[starts_before.saturating_sub(1)];
+            let pos = block.partition_point(|(r, _)| *r <= t);
+            block.insert(pos, (t, value));
         } else {
-            series.push_back((event.timestamp, value));
+            match blocks.back_mut() {
+                Some(last) if last.len() < BLOCK => last.push_back((t, value)),
+                _ => {
+                    let mut block = VecDeque::with_capacity(BLOCK);
+                    block.push_back((t, value));
+                    blocks.push_back(block);
+                }
+            }
         }
         // Prune anything older than the longest window to bound memory —
         // relative to the *newest* reading, so a late arrival never
         // truncates fresher data.
-        let horizon = SummaryWindow::OneHour.micros();
-        let newest = series.back().map(|(t, _)| *t).unwrap_or(event.timestamp);
-        let cutoff = newest.sub_micros(horizon);
-        while series.front().is_some_and(|(t, _)| *t < cutoff) {
-            series.pop_front();
+        let cutoff = newest
+            .map_or(t, |n| n.max(t))
+            .sub_micros(SummaryWindow::OneHour.micros());
+        while let Some(oldest) = blocks.front_mut() {
+            while oldest.front().is_some_and(|(r, _)| *r < cutoff) {
+                oldest.pop_front();
+            }
+            if !oldest.is_empty() {
+                break;
+            }
+            blocks.pop_front();
         }
+    }
+
+    /// Every reading, newest first.
+    fn newest_first(&self) -> impl Iterator<Item = &(Timestamp, f64)> {
+        self.0.iter().rev().flat_map(|b| b.iter().rev())
     }
 
     /// One window's statistics over `[now - length, now]`, both edges
@@ -114,7 +147,7 @@ impl Readings {
         let mut sum = 0.0;
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
-        for (t, v) in self.0.iter().rev() {
+        for (t, v) in self.newest_first() {
             if *t < cutoff {
                 break;
             }
@@ -209,14 +242,15 @@ impl SeriesTable {
     }
 
     /// Every series' latest event that `plan` accepts, in (host, event
-    /// type) order.
+    /// type) order.  The plan is given each series' key, not asked to look
+    /// the latest event's host and type up again.
     pub(crate) fn latest_matching(&self, plan: &Plan) -> Vec<SharedEvent> {
         let mut out: Vec<SharedEvent> = self
             .series
             .read()
-            .values()
-            .filter(|s| plan.eval(&*s.latest))
-            .map(|s| SharedEvent::clone(&s.latest))
+            .iter()
+            .filter(|(&(host, ty), s)| plan.eval_interned(&*s.latest, Some(host), Some(ty)))
+            .map(|(_, s)| SharedEvent::clone(&s.latest))
             .collect();
         out.sort_by(|a, b| (&a.host, &a.event_type).cmp(&(&b.host, &b.event_type)));
         out
@@ -318,7 +352,8 @@ mod tests {
     fn old_readings_are_pruned() {
         let r = series(&(0..200u64).map(|i| (i * 60, 1.0)).collect::<Vec<_>>());
         // Only about an hour's worth (60 one-minute-spaced readings) remains.
-        assert!(r.0.len() <= 62, "len = {}", r.0.len());
+        let len = r.newest_first().count();
+        assert!(len <= 62, "len = {len}");
     }
 
     #[test]
@@ -381,6 +416,35 @@ mod tests {
             .summarize(SummaryWindow::OneMinute, Timestamp::from_secs(10_000))
             .unwrap();
         assert_eq!(s.count, 1, "fresh reading survives the late arrival");
+    }
+
+    /// Readings spread over many blocks, with arrivals up to ten minutes
+    /// late and a few over an hour late, hold exactly what one sorted list
+    /// pruned the same way holds (the layout before blocks).
+    #[test]
+    fn late_arrivals_across_blocks_match_one_sorted_list() {
+        jamm_core::check::forall("blocked readings vs one sorted list", 32, |g| {
+            let mut r = Readings::default();
+            let mut oracle: Vec<(Timestamp, f64)> = Vec::new();
+            let mut newest = 0u64;
+            for i in 0..g.usize_in(1, 4 * BLOCK) as u64 {
+                let late = if g.bool(0.02) { 4_000 } else { g.u64(600) };
+                let t_secs = (10_000 + i * 2).saturating_sub(late);
+                let event = reading("h", "CPU_TOTAL", t_secs, g.u64(100) as f64);
+                r.record(&event);
+                let t = event.timestamp;
+                let pos = oracle.partition_point(|(o, _)| *o <= t);
+                oracle.insert(pos, (t, event.value().unwrap()));
+                newest = newest.max(t_secs);
+                let cutoff =
+                    Timestamp::from_secs(newest).sub_micros(SummaryWindow::OneHour.micros());
+                oracle.retain(|(o, _)| *o >= cutoff);
+            }
+            assert!(r.0.iter().all(|b| !b.is_empty()), "no empty block");
+            let held: Vec<_> = r.newest_first().copied().collect();
+            let expected: Vec<_> = oracle.iter().rev().copied().collect();
+            assert_eq!(held, expected);
+        });
     }
 
     #[test]

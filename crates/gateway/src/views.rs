@@ -120,9 +120,10 @@ impl ContinuousQuery {
     }
 
     /// Fold one published event in (publish path).  The host/type syms
-    /// are already interned by the gateway's observe step.
+    /// are already interned by the gateway's observe step, so the plan
+    /// looks nothing up.
     fn observe(&self, host: Sym, ty: Sym, event: &SharedEvent) {
-        if !self.plan.eval(&**event) {
+        if !self.plan.eval_interned(&**event, Some(host), Some(ty)) {
             return;
         }
         let mut st = self.state.lock();
@@ -208,7 +209,8 @@ impl ViewEngine {
         Ok(view)
     }
 
-    /// Fold one published event into every view (publish path).
+    /// Fold one published event into every view (publish path).  `host`
+    /// and `ty` are the event's host and type, interned.
     pub fn observe(&self, host: Sym, ty: Sym, event: &SharedEvent) {
         if self.active.load(Ordering::Relaxed) == 0 {
             return;

@@ -8,8 +8,9 @@
 //! * [`poller::Poller`] — readiness via a thin `poll(2)` shim (the crate's
 //!   only `unsafe`, confined to `sys.rs`), with a pure-std sweep fallback
 //!   so the crate builds and tests anywhere;
-//! * [`poller::Waker`] — cross-thread wakeup over a loopback UDP socket
-//!   pair, the std-only stand-in for a self-pipe;
+//! * a crate-private waker — cross-thread wakeup over a loopback UDP
+//!   socket pair, the std-only stand-in for a self-pipe, which only the
+//!   loop that drains it can use;
 //! * [`conn::Conn`] / [`conn::Outbox`] — per-connection state with a
 //!   frame-aligned outbound queue mapped onto the pipeline's own
 //!   [`OverflowPolicy`](jamm_core::flow::OverflowPolicy) (`DropOldest` /
@@ -33,7 +34,7 @@ pub mod reactor;
 mod sys;
 
 pub use conn::{Conn, Flush, Outbox, PushOutcome, SocketCounters, SocketStats};
-pub use poller::{Backend, Interest, Poller, Readiness, Source, Waker};
+pub use poller::{Backend, Interest, Poller, Readiness, Source};
 pub use reactor::{
     Acceptor, CloseReason, ConnHandler, ConnId, ConnIo, ListenerId, LoopStats, Reactor,
     ReactorConfig, SocketRow,

@@ -1,5 +1,5 @@
-//! Safe readiness polling over the platform shim, plus the cross-thread
-//! [`Waker`].
+//! Safe readiness polling over the platform shim, plus the crate's
+//! cross-thread `Waker`.
 //!
 //! The [`Poller`] keeps a registry of `(token, socket, interest)` entries
 //! and answers one question per call: *which of these sockets can make
@@ -129,7 +129,7 @@ impl Source {
 /// Readiness poller: a registry of sockets plus one blocking `poll` call.
 ///
 /// Not thread-safe by design — it is owned by the event-loop thread; other
-/// threads reach the loop through a [`Waker`] and a command queue.
+/// threads reach the loop through a waker and a command queue.
 #[derive(Debug)]
 pub struct Poller {
     backend: Backend,
@@ -277,10 +277,12 @@ impl Poller {
 ///
 /// At most one datagram is outstanding: the clones share an `armed` flag,
 /// and only the wake that sets it sends.  The loop owning the receiving
-/// socket takes a wake-up with `Waker::drain` (drain, then rearm) and
-/// only then looks for the work it announced.
+/// socket takes a wake-up with [`Waker::drain`] (drain, then rearm) and
+/// only then looks for the work it announced.  That is why the type is
+/// crate-private: a waker whose socket no loop of this crate drains
+/// would send once and then stay silent.
 #[derive(Debug, Clone)]
-pub struct Waker {
+pub(crate) struct Waker {
     tx: Arc<UdpSocket>,
     armed: Arc<AtomicBool>,
 }
@@ -288,7 +290,7 @@ pub struct Waker {
 impl Waker {
     /// Build the pair.  Returns the waker and the receiving socket the loop
     /// must register (already nonblocking).
-    pub fn pair() -> io::Result<(Waker, UdpSocket)> {
+    pub(crate) fn pair() -> io::Result<(Waker, UdpSocket)> {
         let rx = UdpSocket::bind("127.0.0.1:0")?;
         let tx = UdpSocket::bind("127.0.0.1:0")?;
         tx.connect(rx.local_addr()?)?;
@@ -309,7 +311,7 @@ impl Waker {
     /// an earlier wake's datagram is still outstanding.  A send that fails
     /// clears the flag again, so the next wake retries instead of every
     /// later one trusting a datagram that never left.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         if !self.armed.swap(true, Ordering::SeqCst) && self.tx.send(&[1u8]).is_err() {
             self.armed.store(false, Ordering::SeqCst);
         }
@@ -329,7 +331,7 @@ impl Waker {
 }
 
 /// Drain every pending wakeup datagram from the receiving socket.
-pub fn drain_wakeups(rx: &UdpSocket) {
+pub(crate) fn drain_wakeups(rx: &UdpSocket) {
     let mut buf = [0u8; 16];
     while rx.recv(&mut buf).is_ok() {
         #[cfg(test)]

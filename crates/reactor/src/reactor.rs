@@ -2,7 +2,7 @@
 //!
 //! A [`Reactor`] owns a [`Poller`] and a set of connections, all
 //! serviced by a single loop thread.  Other threads talk
-//! to the loop through a command queue paired with a [`Waker`], so every
+//! to the loop through a command queue paired with a waker, so every
 //! handle method is nonblocking:
 //!
 //! ```text

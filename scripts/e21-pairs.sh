@@ -36,11 +36,20 @@ if [ ! -d "$parent" ]; then
     mkdir -p "$parent"
     git archive "$rev" | tar -x -C "$parent"
 fi
-for side in parent change; do
-    [ $side = parent ] && src=$parent || src=.
-    (cd "$src" && CARGO_TARGET_DIR="$root/target-$side" \
+# build <side> <dir>: build e21 from the checkout in <dir>.
+build() {
+    (cd "$2" && CARGO_TARGET_DIR="$root/target-$1" \
         cargo build --release --quiet --offline --manifest-path $manifest)
-done
+}
+build parent "$parent"
+# Building e21 rewrites its Cargo.lock, which is out of date: the file
+# checked out here is put back as soon as the build ends, failed or not.
+lock=${manifest%/*}/Cargo.lock
+cp "$lock" "$root/change-Cargo.lock"
+status=0
+build change . || status=$?
+cp "$root/change-Cargo.lock" "$lock"
+[ "$status" -eq 0 ] || exit "$status"
 
 # run <side>: one benchmark run from that side's checkout; prints the
 # result line's `failed`, `correct` and the metric values.

@@ -209,3 +209,41 @@ fn rereading_an_unchanged_view_does_not_allocate() {
     });
     assert_eq!(allocs, 0, "reading an unchanged view must not allocate");
 }
+
+/// Publishing events whose series the gateway has already seen, to
+/// subscriptions whose plans run on every event and pass none, allocates
+/// nothing: each event's identity is resolved once into a key buffer the
+/// publishing thread keeps, and the router and every plan are handed the
+/// key.  Readings an hour and a bit apart keep each series' summary
+/// readings at one or two, so the table does not grow either.
+#[test]
+fn publishing_batches_of_seen_series_does_not_allocate() {
+    let gw = EventGateway::new(GatewayConfig::open("gw"));
+    let open = |query: &str| gw.subscribe().matching(query).open().unwrap();
+    let _subs = [
+        open("(&(type=CPU_TOTAL)(val>1000))"),
+        open("(host=nowhere.example)"),
+        open("(&(onchange)(val<0))"),
+    ];
+    let events: Vec<SharedEvent> = (0..600u64)
+        .map(|i| {
+            let mut e = sample(i);
+            e.timestamp = Timestamp::from_micros(i * 3_700_000_000);
+            Arc::new(e)
+        })
+        .collect();
+    let (warm, measured) = events.split_at(300);
+    for batch in warm.chunks(5) {
+        assert_eq!(gw.publish_shared_batch(batch), 0);
+    }
+    let allocs = allocations_in(|| {
+        for (i, batch) in measured.chunks(5).enumerate() {
+            if i % 2 == 0 {
+                gw.publish_shared_batch(batch);
+            } else {
+                gw.publish_shared(SharedEvent::clone(&batch[0]));
+            }
+        }
+    });
+    assert_eq!(allocs, 0, "a publish nobody takes must not allocate");
+}
