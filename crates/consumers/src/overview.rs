@@ -166,7 +166,7 @@ mod tests {
                 keys::process::DIED
             })
             .timestamp(Timestamp::from_secs(t))
-            .field(keys::TARGET, process)
+            .field(keys::TARGET, process.to_string())
             .build()
     }
 

@@ -147,7 +147,7 @@ mod tests {
             .level(Level::Error)
             .event_type(keys::process::DIED)
             .timestamp(Timestamp::from_secs(10))
-            .field(keys::TARGET, process)
+            .field(keys::TARGET, process.to_string())
             .build()
     }
 

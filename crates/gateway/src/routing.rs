@@ -495,9 +495,11 @@ impl Router {
             return out;
         }
         // Per touched subscription: one buffer, found again by
-        // subscription id.
-        let mut pending: Vec<Pending> = Vec::new();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        // subscription id.  Taken, not borrowed, so a publish nested in
+        // this one would find the slot empty and use buffers of its own.
+        let mut scratch = ROUTE_SCRATCH.take().unwrap_or_default();
+        let RouteScratch { pending, slot_of } = &mut scratch;
+        let mut used = 0;
         for (event, &key) in events.iter().zip(keys) {
             let size = event.approx_size() as u64;
             let typed = table.by_type.get(&key.1);
@@ -510,13 +512,12 @@ impl Router {
                     continue;
                 }
                 let slot = *slot_of.entry(entry.id).or_insert_with(|| {
-                    let (entry, events) = (Arc::clone(entry), Vec::new());
-                    pending.push(Pending {
-                        entry,
-                        events,
-                        bytes: 0,
-                    });
-                    pending.len() - 1
+                    if used == pending.len() {
+                        pending.push(Pending::default());
+                    }
+                    pending[used].entry = Some(Arc::clone(entry));
+                    used += 1;
+                    used - 1
                 });
                 let buf = &mut pending[slot];
                 if qos.is_some_and(|q| entry.qos_gate(event, q, buf.events.len())) {
@@ -527,8 +528,11 @@ impl Router {
                 buf.bytes += size;
             }
         }
-        for buf in pending {
-            let (entry, mut events, mut bytes) = (buf.entry, buf.events, buf.bytes);
+        for buf in &mut pending[..used] {
+            let Some(entry) = buf.entry.take() else {
+                continue;
+            };
+            let (events, mut bytes) = (&mut buf.events, std::mem::take(&mut buf.bytes));
             // (position, tracer, correlation id) of watched events, resolved
             // before the send moves the `Arc`s away.
             let watched = |(pos, event)| {
@@ -542,11 +546,11 @@ impl Router {
             let buffered = events.len();
             let sent = match entry.overflow {
                 OverflowPolicy::DropOldest => {
-                    let evicted = entry.tx.send_batch_overwriting(&mut events);
+                    let evicted = entry.tx.send_batch_overwriting(events);
                     evicted.map(|evicted| (buffered, evicted))
                 }
                 OverflowPolicy::DropNewest => {
-                    let accepted = entry.tx.try_send_batch(&mut events);
+                    let accepted = entry.tx.try_send_batch(events);
                     accepted.map(|accepted| (accepted, 0))
                 }
             };
@@ -572,6 +576,12 @@ impl Router {
                     saw_closed = true;
                 }
             }
+            events.clear();
+        }
+        slot_of.clear();
+        let handles: usize = pending.iter().map(|p| p.events.capacity()).sum();
+        if pending.len() <= KEPT_PENDING && handles <= KEPT_HANDLES {
+            ROUTE_SCRATCH.set(Some(scratch));
         }
         if saw_closed {
             self.gc();
@@ -580,9 +590,34 @@ impl Router {
     }
 }
 
+/// Most event handles a publishing thread keeps room for between batches,
+/// summed over its buffers (128 KiB); a batch that leaves more behind
+/// frees them all.
+const KEPT_HANDLES: usize = 16 * 1024;
+/// Most per-subscription buffers a publishing thread keeps.
+const KEPT_PENDING: usize = 256;
+
+thread_local! {
+    /// The batch arm's buffers, kept by the publishing thread between
+    /// publishes: routing a batch allocates only when it touches more
+    /// subscriptions, or buffers more events for one, than any batch this
+    /// thread routed before.
+    static ROUTE_SCRATCH: std::cell::Cell<Option<RouteScratch>> = const { std::cell::Cell::new(None) };
+}
+
+/// The batch arm's reusable buffers: the first `used` of `pending` serve
+/// one `route` call, `slot_of` maps a subscription id to its buffer.
+#[derive(Default)]
+struct RouteScratch {
+    pending: Vec<Pending>,
+    slot_of: HashMap<u64, usize>,
+}
+
 /// What one `route` call has buffered for one subscription.
+#[derive(Default)]
 struct Pending {
-    entry: Arc<RouteEntry>,
+    /// The subscription, held only while a call fills the buffer.
+    entry: Option<Arc<RouteEntry>>,
     /// Accepted events in publish order, flushed with one queue operation.
     events: Vec<SharedEvent>,
     /// Running payload size of `events`.
@@ -645,5 +680,33 @@ mod tests {
             2,
             "the wildcard and the empty-type entry"
         );
+    }
+
+    /// The batch arm's buffers outlive a publish only while they hold room
+    /// for at most `KEPT_HANDLES` events in all.
+    #[test]
+    fn a_publishing_thread_keeps_only_bounded_buffers() {
+        let router = Router::new(None, None);
+        let plan = Predicate::everything().compile();
+        let _rx = router.insert(1, "c".into(), plan, 16, OverflowPolicy::DropOldest);
+        let event = Event::builder("vmstat", "h")
+            .event_type("CPU_TOTAL")
+            .timestamp(Timestamp::from_secs(1))
+            .value(1.0)
+            .build();
+        let key = (Sym::intern(&event.host), Sym::intern(&event.event_type));
+        let (event, kept) = (SharedEvent::new(event), || {
+            let scratch = ROUTE_SCRATCH.take();
+            let kept = scratch.is_some();
+            ROUTE_SCRATCH.set(scratch);
+            kept
+        });
+        let route = |n| router.route(&vec![event.clone(); n], &vec![key; n]);
+        assert_eq!(route(3).delivered, 3);
+        assert!(kept(), "a small batch's buffers are kept");
+        assert_eq!(route(KEPT_HANDLES + 1).delivered, KEPT_HANDLES as u64 + 1);
+        assert!(!kept(), "a burst's buffers are freed");
+        route(3);
+        assert!(kept());
     }
 }

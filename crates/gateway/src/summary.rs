@@ -70,16 +70,99 @@ struct Summary {
 /// exactly one window-length old still counts, a reading exactly at `now`
 /// counts, and a reading after `now` (clock skew) is ignored.
 ///
-/// The readings sit in blocks of [`BLOCK`], oldest block first, none empty.
-/// A series grows by one block at a time, so growing never copies its
+/// The readings sit in [`Block`]s, oldest block first, none empty.  A
+/// series grows by one block at a time, so growing never copies its
 /// readings into a buffer twice the size and leaves the old one resident:
-/// the table's resident memory follows the readings it holds.
+/// the table's resident memory follows the readings it holds, at 12 B a
+/// reading.
 #[derive(Debug, Default)]
-struct Readings(VecDeque<VecDeque<(Timestamp, f64)>>);
+struct Readings(VecDeque<Block>);
 
-/// Readings appended per block (4 KiB).  A late arrival is inserted where
+/// Readings appended per block (3 KiB).  A late arrival is inserted where
 /// it belongs, even into a full block.
 const BLOCK: usize = 256;
+
+/// Up to [`BLOCK`] readings in timestamp order: a base stamp, then each
+/// reading's offset from it (µs, `u32`) and its value, in two arrays, so
+/// a reading costs 12 B where a `(Timestamp, f64)` pair costs 16.  A
+/// reading more than `u32::MAX` µs (71.6 min) past the base starts a new
+/// block.
+#[derive(Debug)]
+struct Block {
+    base: u64,
+    offsets: VecDeque<u32>,
+    values: VecDeque<f64>,
+}
+
+impl Block {
+    fn new(t: u64, value: f64) -> Block {
+        let mut block = Block {
+            base: t,
+            offsets: VecDeque::with_capacity(BLOCK),
+            values: VecDeque::with_capacity(BLOCK),
+        };
+        block.push(t, value);
+        block
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// Append a reading at or after every reading held (an empty block is
+    /// rebased at it); `false` when the block is full or `t` is too far
+    /// past its base.
+    fn push(&mut self, t: u64, value: f64) -> bool {
+        if self.offsets.is_empty() {
+            self.base = t;
+        }
+        match self.offset(t) {
+            Some(offset) if self.len() < BLOCK => {
+                self.insert(self.len(), offset, value);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// `t`'s offset from the base, if it is at or after the base and fits.
+    fn offset(&self, t: u64) -> Option<u32> {
+        u32::try_from(t.checked_sub(self.base)?).ok()
+    }
+
+    fn stamp(&self, offset: u32) -> u64 {
+        self.base + u64::from(offset)
+    }
+
+    fn first(&self) -> Option<u64> {
+        self.offsets.front().map(|o| self.stamp(*o))
+    }
+
+    fn last(&self) -> Option<u64> {
+        self.offsets.back().map(|o| self.stamp(*o))
+    }
+
+    fn insert(&mut self, pos: usize, offset: u32, value: f64) {
+        self.offsets.insert(pos, offset);
+        self.values.insert(pos, value);
+    }
+
+    fn pop_front(&mut self) {
+        self.offsets.pop_front();
+        self.values.pop_front();
+    }
+
+    /// How many readings are at or before `t`.
+    fn count_at_or_before(&self, t: u64) -> usize {
+        self.offsets.partition_point(|o| self.stamp(*o) <= t)
+    }
+
+    /// Every reading, newest first.
+    fn newest_first(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        let stamps = self.offsets.iter().rev().map(|o| self.stamp(*o));
+        stamps.zip(self.values.iter().rev().copied())
+    }
+}
 
 /// An interned (host, event type) series identity: what the gateway
 /// resolves once per published event and every later step reuses.
@@ -98,45 +181,77 @@ impl Readings {
     /// plain append.
     fn record(&mut self, event: &Event) {
         let Some(value) = event.value() else { return };
-        let (t, blocks) = (event.timestamp, &mut self.0);
-        let newest = blocks.back().and_then(VecDeque::back).map(|(n, _)| *n);
-        if newest.is_some_and(|n| n > t) {
-            // After every reading at or before `t`: in the last block that
-            // starts at or before it, or at the very front.
-            let starts_before = blocks.partition_point(|b| b.front().is_some_and(|(s, _)| *s <= t));
-            let block = &mut blocks[starts_before.saturating_sub(1)];
-            let pos = block.partition_point(|(r, _)| *r <= t);
-            block.insert(pos, (t, value));
-        } else {
-            match blocks.back_mut() {
-                Some(last) if last.len() < BLOCK => last.push_back((t, value)),
-                _ => {
-                    let mut block = VecDeque::with_capacity(BLOCK);
-                    block.push_back((t, value));
-                    blocks.push_back(block);
-                }
-            }
-        }
+        let t = event.timestamp.as_micros();
+        let newest = self.0.back().and_then(Block::last);
         // Prune anything older than the longest window to bound memory —
         // relative to the *newest* reading, so a late arrival never
-        // truncates fresher data.
-        let cutoff = newest
-            .map_or(t, |n| n.max(t))
-            .sub_micros(SummaryWindow::OneHour.micros());
-        while let Some(oldest) = blocks.front_mut() {
-            while oldest.front().is_some_and(|(r, _)| *r < cutoff) {
-                oldest.pop_front();
-            }
-            if !oldest.is_empty() {
-                break;
-            }
-            blocks.pop_front();
+        // truncates fresher data.  Pruning first lets a series whose last
+        // reading aged out reuse its block instead of allocating one.
+        let cutoff = Timestamp::from_micros(newest.map_or(t, |n| n.max(t)))
+            .sub_micros(SummaryWindow::OneHour.micros())
+            .as_micros();
+        self.prune(cutoff);
+        if t < cutoff {
+            return; // more than an hour older than the newest: aged out
+        }
+        if newest.is_some_and(|n| n > t) {
+            self.insert_late(t, value);
+        } else if !self.0.back_mut().is_some_and(|last| last.push(t, value)) {
+            self.0.push_back(Block::new(t, value));
         }
     }
 
+    /// Drop readings before `cutoff`, and the blocks they empty except the
+    /// newest, which the next reading refills.
+    fn prune(&mut self, cutoff: u64) {
+        while let Some(oldest) = self.0.front_mut() {
+            while oldest.first().is_some_and(|r| r < cutoff) {
+                oldest.pop_front();
+            }
+            if oldest.len() > 0 || self.0.len() == 1 {
+                break;
+            }
+            self.0.pop_front();
+        }
+    }
+
+    /// Insert a reading older than the newest one: after every reading at
+    /// or before `t`, in the last block that starts at or before it, or at
+    /// the very front.
+    fn insert_late(&mut self, t: u64, value: f64) {
+        let blocks = &mut self.0;
+        let starts_before = blocks.partition_point(|b| b.first().is_some_and(|s| s <= t));
+        let Some(at) = starts_before.checked_sub(1) else {
+            // Before every reading held: into the first block if its base
+            // allows, else a block of its own in front.
+            match blocks.front_mut().and_then(|b| Some((b.offset(t)?, b))) {
+                Some((offset, front)) => front.insert(0, offset, value),
+                None => blocks.push_front(Block::new(t, value)),
+            }
+            return;
+        };
+        let block = &mut blocks[at];
+        let pos = block.count_at_or_before(t);
+        if let Some(offset) = block.offset(t) {
+            block.insert(pos, offset, value);
+            return;
+        }
+        // Too far past the block's base: `t` and the block's readings after
+        // it start a new block based at `t`.  Those readings are later than
+        // `t`, so their offsets from it are smaller than from the old base.
+        let (offsets, values) = (block.offsets.split_off(pos), block.values.split_off(pos));
+        let mut tail = Block::new(t, value);
+        for (offset, v) in offsets.into_iter().zip(values) {
+            let later = block.stamp(offset) - t;
+            tail.insert(tail.len(), later as u32, v);
+        }
+        blocks.insert(at + 1, tail);
+    }
+
     /// Every reading, newest first.
-    fn newest_first(&self) -> impl Iterator<Item = &(Timestamp, f64)> {
-        self.0.iter().rev().flat_map(|b| b.iter().rev())
+    fn newest_first(&self) -> impl Iterator<Item = (Timestamp, f64)> + '_ {
+        let readings = self.0.iter().rev().flat_map(Block::newest_first);
+        readings.map(|(t, v)| (Timestamp::from_micros(t), v))
     }
 
     /// One window's statistics over `[now - length, now]`, both edges
@@ -148,16 +263,16 @@ impl Readings {
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         for (t, v) in self.newest_first() {
-            if *t < cutoff {
+            if t < cutoff {
                 break;
             }
-            if *t > now {
+            if t > now {
                 continue;
             }
             count += 1;
             sum += v;
-            min = min.min(*v);
-            max = max.max(*v);
+            min = min.min(v);
+            max = max.max(v);
         }
         (count > 0).then(|| Summary {
             window,
@@ -182,7 +297,7 @@ impl Readings {
             .iter()
             .filter_map(|w| self.summarize(*w, now))
             .map(|s| {
-                Event::builder(gateway_name, host)
+                Event::builder(gateway_name.to_owned(), host)
                     .level(Level::Usage)
                     .event_type(format!("{ty}_{}", s.window.suffix()))
                     .timestamp(now)
@@ -420,16 +535,28 @@ mod tests {
 
     /// Readings spread over many blocks, with arrivals up to ten minutes
     /// late and a few over an hour late, hold exactly what one sorted list
-    /// pruned the same way holds (the layout before blocks).
+    /// pruned the same way holds (the layout before blocks).  Half the
+    /// cases keep a steady 2 s clock, so up to four full blocks stay in
+    /// the hour and late arrivals land in full blocks.  The other half
+    /// add, now and then, a gap of 50 minutes or of more than 71.6 minutes
+    /// (a `u32` of µs) between consecutive readings: two 50-minute gaps
+    /// put a reading past its block's base by more than a `u32` while the
+    /// block still holds readings of the last hour.
     #[test]
     fn late_arrivals_across_blocks_match_one_sorted_list() {
         jamm_core::check::forall("blocked readings vs one sorted list", 32, |g| {
             let mut r = Readings::default();
             let mut oracle: Vec<(Timestamp, f64)> = Vec::new();
-            let mut newest = 0u64;
-            for i in 0..g.usize_in(1, 4 * BLOCK) as u64 {
+            let (mut newest, mut clock) = (0u64, 10_000u64);
+            let gappy = g.bool(0.5);
+            for _ in 0..g.usize_in(1, 4 * BLOCK) {
+                clock += match (gappy, g.u64(100)) {
+                    (true, 0) => 4_300,
+                    (true, 1 | 2) => 3_000,
+                    _ => 2,
+                };
                 let late = if g.bool(0.02) { 4_000 } else { g.u64(600) };
-                let t_secs = (10_000 + i * 2).saturating_sub(late);
+                let t_secs = clock.saturating_sub(late);
                 let event = reading("h", "CPU_TOTAL", t_secs, g.u64(100) as f64);
                 r.record(&event);
                 let t = event.timestamp;
@@ -440,11 +567,47 @@ mod tests {
                     Timestamp::from_secs(newest).sub_micros(SummaryWindow::OneHour.micros());
                 oracle.retain(|(o, _)| *o >= cutoff);
             }
-            assert!(r.0.iter().all(|b| !b.is_empty()), "no empty block");
-            let held: Vec<_> = r.newest_first().copied().collect();
+            assert!(r.0.iter().all(|b| b.len() > 0), "no empty block");
+            let held: Vec<_> = r.newest_first().collect();
             let expected: Vec<_> = oracle.iter().rev().copied().collect();
             assert_eq!(held, expected);
         });
+    }
+
+    /// A reading more than a `u32` of µs past its block's base starts a new
+    /// block, whether it arrives in order or late, and every reading keeps
+    /// its stamp.
+    #[test]
+    fn readings_more_than_71_minutes_apart_start_new_blocks() {
+        let mut r = series(&[(0, 1.0), (1_000, 2.0), (3_000, 3.0)]);
+        assert_eq!(r.0.len(), 1);
+        // In order, 4,300 s after the block's base: a new block.  The
+        // reading at 0 s ages out of the hour.
+        r.record(&reading("h", "CPU_TOTAL", 4_300, 4.0));
+        assert_eq!(r.0.len(), 2);
+        // Late, after everything in the first block but 4,296 s past its
+        // base: the first block is split rather than overflowed.
+        r.record(&reading("h", "CPU_TOTAL", 4_296, 5.0));
+        assert_eq!(r.0.len(), 3);
+        // Late and before everything held, below the first block's base.
+        let mut early = series(&[(10_000, 1.0)]);
+        early.record(&reading("h", "CPU_TOTAL", 9_000, 2.0));
+        assert_eq!(early.0.len(), 2);
+        let held: Vec<_> = r.newest_first().collect();
+        let secs = |s: u64| Timestamp::from_secs(s);
+        assert_eq!(
+            held,
+            [
+                (secs(4_300), 4.0),
+                (secs(4_296), 5.0),
+                (secs(3_000), 3.0),
+                (secs(1_000), 2.0)
+            ]
+        );
+        let held: Vec<_> = early.newest_first().collect();
+        assert_eq!(held, [(secs(10_000), 1.0), (secs(9_000), 2.0)]);
+        let now = secs(4_300);
+        assert_eq!(r.summarize(SummaryWindow::OneHour, now).unwrap().count, 4);
     }
 
     #[test]

@@ -400,7 +400,7 @@ impl FlatSummaries {
                 let min = inside.iter().copied().fold(f64::INFINITY, f64::min);
                 let max = inside.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 out.push(
-                    Event::builder(gateway, host.as_str())
+                    Event::builder(gateway.to_owned(), host.as_str())
                         .level(Level::Usage)
                         .event_type(format!("{ty}_{}", w.suffix()))
                         .timestamp(now)

@@ -150,7 +150,8 @@ fn gateway_admin_stats(src: &Sources) -> Vec<GatewayAdminStats> {
 
 /// Register the deployment's metric collectors: one turning the admin rows
 /// into gateway, subscription, QoS, edge and reactor samples, one for the
-/// archive's storage counters and one for the self-lifeline tracer.
+/// archive's storage counters, one for the process-wide name vocabulary
+/// and one for the self-lifeline tracer.
 pub(crate) fn register_collectors(
     metrics: &MetricsRegistry,
     gateways: &[Arc<EventGateway>],
@@ -208,6 +209,10 @@ pub(crate) fn register_collectors(
         ] {
             out.push(histogram(name, h.snapshot()));
         }
+    }));
+    metrics.register_collector(Box::new(|out: &mut Vec<Sample>| {
+        let refused = jamm_ulm::vocab::refused();
+        out.push(Sample::counter("jamm_ulm_names_refused", refused));
     }));
     if let Some(tracer) = tracer {
         let tracer = Arc::clone(tracer);

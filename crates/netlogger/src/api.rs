@@ -199,7 +199,7 @@ impl NetLogger {
             builder = builder.timestamp(ts);
         }
         for (k, v) in fields {
-            builder = builder.field(*k, v.clone());
+            builder = builder.field(jamm_ulm::vocab::resolve(k), v.clone());
         }
         self.write_event(builder.build())
     }
@@ -248,7 +248,7 @@ impl NetLogger {
         object_id: &str,
         fields: &[(&str, Value)],
     ) -> Result<(), LogError> {
-        let mut all: Vec<(&str, Value)> = vec![(keys::OBJECT_ID, Value::Str(object_id.into()))];
+        let mut all: Vec<(&str, Value)> = vec![(keys::OBJECT_ID, object_id.to_string().into())];
         all.extend(fields.iter().cloned());
         self.write(event_name, &all)
     }

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use jamm_core::query::{BatchScratch, ColumnBatch, Columns, Facts, Plan, Selection};
-use jamm_ulm::{binary, Event, Timestamp, Value};
+use jamm_ulm::{binary, vocab, Event, Name, Timestamp, Value};
 
 use crate::codec::{
     fnv64, get_bytes, get_ivarint, get_str, get_uvarint, put_ivarint, put_str, put_uvarint,
@@ -707,8 +707,13 @@ impl TsDecoder {
     }
 }
 
-/// Read one `tag + payload` field value at `*pos`.
-fn read_value(seg: &Segment, data: &[u8], pos: &mut usize) -> Result<Value> {
+/// Read one `tag + payload` field value at `*pos`; a string value is the
+/// name `str_at` gives its dictionary slot.
+fn read_value(
+    data: &[u8],
+    pos: &mut usize,
+    str_at: impl FnOnce(u64) -> Result<Name>,
+) -> Result<Value> {
     let tag = *data.get(*pos).ok_or(TsdbError::Corrupt("truncated tag"))?;
     *pos += 1;
     Ok(match tag {
@@ -720,7 +725,7 @@ fn read_value(seg: &Segment, data: &[u8], pos: &mut usize) -> Result<Value> {
             *pos += 1;
             Value::Bool(b != 0)
         }
-        TAG_STR => Value::Str(dict_at(seg, get_uvarint(data, pos)?)?),
+        TAG_STR => Value::Str(str_at(get_uvarint(data, pos)?)?),
         _ => return Err(TsdbError::Corrupt("unknown value tag")),
     })
 }
@@ -750,12 +755,33 @@ fn skip_value(data: &[u8], pos: &mut usize) -> Result<()> {
 }
 
 /// The dictionary string in slot `ix`.
-fn dict_at(seg: &Segment, ix: u64) -> Result<String> {
+fn dict_at(seg: &Segment, ix: u64) -> Result<&str> {
     usize::try_from(ix)
         .ok()
         .and_then(|ix| seg.dict.get(ix))
-        .cloned()
+        .map(String::as_str)
         .ok_or(TsdbError::Corrupt("dictionary index out of range"))
+}
+
+/// The name of dictionary slot `ix`, resolved through the vocabulary (by
+/// `resolve`: [`vocab::resolve`] for a program or key,
+/// [`vocab::resolve_value`] for a string value) the first time this scan
+/// uses the slot and remembered in `names` after.
+fn name_at(
+    names: &mut [Option<Name>],
+    seg: &Segment,
+    ix: u64,
+    resolve: fn(&str) -> Name,
+) -> Result<Name> {
+    let slot = usize::try_from(ix)
+        .ok()
+        .and_then(|ix| names.get_mut(ix))
+        .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
+    if let Some(name) = slot {
+        return Ok(name.clone());
+    }
+    let name = resolve(dict_at(seg, ix)?);
+    Ok(slot.insert(name).clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -830,6 +856,11 @@ struct FieldPos {
     keys: usize,
     /// One entry per dictionary slot, indexed by the key list's indices.
     key_slots: Vec<KeySlot>,
+    /// Per dictionary slot, its name once a built row has used it as a
+    /// program, key or string value: each slot is resolved through the
+    /// vocabulary once per scan, and a borrowed name is copied as a
+    /// pointer after that.
+    names: Vec<Option<Name>>,
 }
 
 /// A dictionary slot seen as a field key.
@@ -888,6 +919,7 @@ impl FieldPos {
         Ok(FieldPos {
             nf: 0,
             keys: 0,
+            names: vec![None; key_slots.len()],
             key_slots,
         })
     }
@@ -930,15 +962,19 @@ impl FieldPos {
                         if batch.present[i / 64] & (1u64 << (i % 64)) == 0 {
                             return Err(TsdbError::Corrupt("float VAL bit without typed value"));
                         }
-                        fields.push((dict_at(seg, key_ix)?, Value::Float(batch.vals[i])));
+                        let key = name_at(&mut self.names, seg, key_ix, vocab::resolve)?;
+                        fields.push((key, Value::Float(batch.vals[i])));
                     }
                     continue;
                 }
             }
             let at = slot.next_value()?;
             if keep {
-                let value = read_value(seg, &cols.sparse, at)?;
-                fields.push((dict_at(seg, key_ix)?, value));
+                let names = &mut self.names;
+                let value = read_value(&cols.sparse, at, |ix| {
+                    name_at(names, seg, ix, vocab::resolve_value)
+                })?;
+                fields.push((name_at(names, seg, key_ix, vocab::resolve)?, value));
             } else {
                 skip_value(&cols.sparse, at)?;
             }
@@ -949,11 +985,11 @@ impl FieldPos {
         let level_code = cols.levels[r]; // in range: the group's levels were decoded
         let event = Event {
             timestamp: Timestamp::from_micros(batch.ts[i]),
-            host: dict_at(seg, batch.hosts[i].into())?,
-            program: dict_at(seg, batch.progs[i].into())?,
+            host: dict_at(seg, batch.hosts[i].into())?.to_owned(),
+            program: name_at(&mut self.names, seg, batch.progs[i].into(), vocab::resolve)?,
             level: binary::level_from_code(level_code)
                 .map_err(|_| TsdbError::Corrupt("bad level code"))?,
-            event_type: dict_at(seg, batch.types[i].into())?,
+            event_type: dict_at(seg, batch.types[i].into())?.to_owned(),
             fields,
         };
         Ok(Some((batch.seqs[i], event)))
@@ -1642,7 +1678,7 @@ mod tests {
         // string VAL, NaN-free mixed payloads — the shapes the sparse
         // key columns and the typed-VAL reconstruction must preserve
         // exactly, in order.
-        let mk = |t: u64, fields: Vec<(&str, Value)>| {
+        let mk = |t: u64, fields: Vec<(&'static str, Value)>| {
             let mut b = Event::builder("prog", "h")
                 .event_type("T")
                 .timestamp(Timestamp::from_micros(t));
@@ -1718,8 +1754,8 @@ mod tests {
                         1 => Value::Int(g.any_i64()),
                         2 => Value::Float(g.f64_in(-1e9, 1e9)),
                         3 => Value::Bool(g.bool(0.5)),
-                        4 => Value::Str(g.choice(&POOL).to_string()),
-                        _ => Value::Str(g.printable_string(6)),
+                        4 => Value::Str(g.choice(&POOL).into()),
+                        _ => Value::Str(g.printable_string(6).into()),
                     };
                     b = b.field(g.choice(&POOL), value);
                 }

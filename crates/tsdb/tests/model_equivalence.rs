@@ -125,7 +125,7 @@ fn random_event(g: &mut Gen) -> Event {
         .timestamp(t)
         .value(g.f64_in(0.0, 100.0));
     if g.bool(0.3) {
-        b = b.field("NOTE", Value::Str(g.printable_string(12)));
+        b = b.field("NOTE", Value::Str(g.printable_string(12).into()));
     }
     if g.bool(0.3) {
         b = b.field("DELTA", g.any_i64() % 1_000);
@@ -273,7 +273,7 @@ fn overlapping_segments_merge_in_timestamp_then_sequence_order() {
                     .timestamp(Timestamp::from_secs(g.u64(12)))
                     .value(g.u64(3) as f64);
                 if g.bool(0.3) {
-                    b = b.field("NOTE", Value::Str(g.printable_string(4)));
+                    b = b.field("NOTE", Value::Str(g.printable_string(4).into()));
                 }
                 let e = b.build();
                 appended.push(e.clone());

@@ -23,6 +23,7 @@
 use crate::event::{Event, Level};
 use crate::timestamp::Timestamp;
 use crate::value::Value;
+use crate::vocab;
 use crate::{Result, UlmError};
 
 /// Current binary format version.
@@ -91,7 +92,10 @@ pub fn encode_into(frame: &mut Vec<u8>, event: &Event) {
 /// Decode one binary frame (including the leading length word).
 ///
 /// Returns the event and the total number of bytes consumed, so callers can
-/// decode back-to-back frames out of a single buffer.
+/// decode back-to-back frames out of a single buffer.  The program, field
+/// keys and string values are resolved through the [`crate::vocab`], so a
+/// frame whose names were seen before allocates only its host, its event
+/// type and its field list.
 pub fn decode(buf: &[u8]) -> Result<(Event, usize)> {
     let Some((prefix, cursor)) = buf.split_first_chunk::<4>() else {
         return Err(UlmError::BadBinary("truncated length prefix"));
@@ -107,20 +111,20 @@ pub fn decode(buf: &[u8]) -> Result<(Event, usize)> {
     }
     let ts = Timestamp::from_micros(get_u64(&mut body)?);
     let level = level_from_u8(get_u8(&mut body)?)?;
-    let host = get_str(&mut body)?;
-    let program = get_str(&mut body)?;
-    let event_type = get_str(&mut body)?;
+    let host = get_str(&mut body)?.to_owned();
+    let program = vocab::resolve(get_str(&mut body)?);
+    let event_type = get_str(&mut body)?.to_owned();
     let n_fields = get_u16(&mut body)? as usize;
     let mut fields = Vec::with_capacity(n_fields);
     for _ in 0..n_fields {
-        let key = get_str(&mut body)?;
+        let key = vocab::resolve(get_str(&mut body)?);
         let tag = get_u8(&mut body)?;
         let value = match tag {
             TAG_UINT => Value::UInt(get_u64(&mut body)?),
             TAG_INT => Value::Int(get_u64(&mut body)? as i64),
             TAG_FLOAT => Value::Float(f64::from_bits(get_u64(&mut body)?)),
             TAG_BOOL => Value::Bool(get_u8(&mut body)? != 0),
-            TAG_STR => Value::Str(get_str(&mut body)?),
+            TAG_STR => Value::Str(vocab::resolve_value(get_str(&mut body)?)),
             _ => return Err(UlmError::BadBinary("unknown value tag")),
         };
         fields.push((key, value));
@@ -178,15 +182,14 @@ fn get_u64(buf: &mut &[u8]) -> Result<u64> {
     Ok(u64::from_le_bytes(*head))
 }
 
-fn get_str(buf: &mut &[u8]) -> Result<String> {
+fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
     let len = get_u16(buf)? as usize;
     if buf.len() < len {
         return Err(UlmError::BadBinary("truncated string"));
     }
-    let s = std::str::from_utf8(&buf[..len])
-        .map_err(|_| UlmError::BadBinary("invalid utf-8 string"))?
-        .to_string();
-    *buf = &buf[len..];
+    let (bytes, rest) = buf.split_at(len);
+    let s = std::str::from_utf8(bytes).map_err(|_| UlmError::BadBinary("invalid utf-8 string"))?;
+    *buf = rest;
     Ok(s)
 }
 

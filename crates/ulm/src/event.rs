@@ -6,6 +6,7 @@ use std::sync::Arc;
 use crate::keys;
 use crate::timestamp::Timestamp;
 use crate::value::Value;
+use crate::vocab::Name;
 
 /// A reference-counted, immutable event — the unit the pipeline's hot hops
 /// pass around.  Publishing an event allocates (at most) once; fanning it
@@ -16,8 +17,8 @@ pub type SharedEvent = Arc<Event>;
 /// Deep copies of [`Event`] made since process start (see
 /// [`deep_clone_count`]).
 static DEEP_CLONES: AtomicU64 = AtomicU64::new(0);
-/// Heap bytes copied by those deep clones (string payloads; the fixed-size
-/// struct body is excluded).
+/// Heap bytes copied by those deep clones (owned string payloads; the
+/// fixed-size struct body and borrowed names are excluded).
 static DEEP_CLONE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// How many times an [`Event`] has been deep-cloned (its `Clone` impl run)
@@ -30,7 +31,8 @@ pub fn deep_clone_count() -> u64 {
 }
 
 /// Heap bytes copied by [`Event`] deep clones since process start (the
-/// string payloads each clone duplicated).  Together with
+/// owned string payloads each clone duplicated; a borrowed [`Name`] is
+/// copied as a pointer).  Together with
 /// [`deep_clone_count`] this is the bench's bytes-copied-per-event meter.
 pub fn deep_clone_bytes() -> u64 {
     DEEP_CLONE_BYTES.load(Ordering::Relaxed)
@@ -143,6 +145,11 @@ impl std::fmt::Display for Level {
 /// program, level) plus the NetLogger event-type name, and an ordered list of
 /// user-defined fields.  Field order is preserved because the ULM text format
 /// is ordered and analysis tools (and humans) expect stable output.
+///
+/// The program, the field keys and string values are [`Name`]s: borrowed
+/// from a literal or the [`crate::vocab`] when they can be, so an event a
+/// sensor builds or a decoder reads does not allocate them.  `host` and
+/// `event_type` stay owned.
 #[derive(Debug, PartialEq)]
 pub struct Event {
     /// Event timestamp (`DATE`), microsecond precision.
@@ -150,16 +157,17 @@ pub struct Event {
     /// Host that generated the event (`HOST`).
     pub host: String,
     /// Program / sensor that generated the event (`PROG`).
-    pub program: String,
+    pub program: Name,
     /// Severity level (`LVL`).
     pub level: Level,
     /// NetLogger event type (`NL.EVNT`), e.g. `VMSTAT_SYS_TIME`.
     pub event_type: String,
     /// Ordered user-defined fields.
-    pub fields: Vec<(String, Value)>,
+    pub fields: Vec<(Name, Value)>,
 }
 
-/// Cloning an event copies every string it carries.  The pipeline is built
+/// Cloning an event copies every owned string it carries (a borrowed
+/// [`Name`] is a pointer copy).  The pipeline is built
 /// so this never happens per subscriber (fan-out shares one
 /// [`SharedEvent`]); the global [`deep_clone_count`] / [`deep_clone_bytes`]
 /// meters exist so benches and tests can *prove* that, instead of trusting
@@ -181,7 +189,7 @@ impl Clone for Event {
 
 impl Event {
     /// Start building an event for `program` running on `host`.
-    pub fn builder(program: impl Into<String>, host: impl Into<String>) -> EventBuilder {
+    pub fn builder(program: impl Into<Name>, host: impl Into<String>) -> EventBuilder {
         EventBuilder {
             event: Event {
                 timestamp: Timestamp::EPOCH,
@@ -216,7 +224,7 @@ impl Event {
     }
 
     /// Add or replace a user field, preserving position on replace.
-    pub fn set_field(&mut self, name: impl Into<String>, value: impl Into<Value>) {
+    pub fn set_field(&mut self, name: impl Into<Name>, value: impl Into<Value>) {
         let name = name.into();
         let value = value.into();
         if let Some(slot) = self.fields.iter_mut().find(|(k, _)| *k == name) {
@@ -247,13 +255,18 @@ impl Event {
         n
     }
 
-    /// Heap bytes held by the event's strings (what a deep clone copies).
+    /// Heap bytes held by the event's owned strings: what a deep clone
+    /// copies.  A borrowed [`Name`] is cloned as a pointer and counts 0.
     fn heap_bytes(&self) -> usize {
-        let mut n = self.host.len() + self.program.len() + self.event_type.len();
+        let owned = |n: &Name| match n {
+            Name::Owned(s) => s.len(),
+            Name::Borrowed(_) => 0,
+        };
+        let mut n = self.host.len() + owned(&self.program) + self.event_type.len();
         for (k, v) in &self.fields {
-            n += k.len();
+            n += owned(k);
             if let Value::Str(s) = v {
-                n += s.len();
+                n += owned(s);
             }
         }
         n
@@ -342,7 +355,7 @@ impl EventBuilder {
     }
 
     /// Append a user-defined field.
-    pub fn field(mut self, name: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub fn field(mut self, name: impl Into<Name>, value: impl Into<Value>) -> Self {
         self.event.fields.push((name.into(), value.into()));
         self
     }
@@ -354,7 +367,7 @@ impl EventBuilder {
 
     /// Append the conventional `NL.OID` object-correlation field.
     pub fn object_id(self, oid: impl Into<String>) -> Self {
-        self.field(keys::OBJECT_ID, Value::Str(oid.into()))
+        self.field(keys::OBJECT_ID, Value::Str(Name::Owned(oid.into())))
     }
 
     /// Finish building.  Stamps the event with the current wall-clock time if
@@ -403,7 +416,7 @@ mod tests {
         let mut ev = sample();
         ev.set_field("SEND.SZ", 1u64);
         ev.set_field("NEW", "x");
-        assert_eq!(ev.fields[0], ("SEND.SZ".to_string(), Value::UInt(1)));
+        assert_eq!(ev.fields[0], ("SEND.SZ".into(), Value::UInt(1)));
         assert_eq!(ev.field("NEW"), Some(&Value::Str("x".into())));
     }
 
@@ -494,5 +507,32 @@ mod tests {
         let mut big = small.clone();
         big.set_field("A_LONG_FIELD_NAME", "a_long_field_value");
         assert!(big.approx_size() > small.approx_size());
+    }
+
+    #[test]
+    fn deep_clone_bytes_count_owned_names_only() {
+        fn copied(ev: &Event) -> u64 {
+            let before = deep_clone_bytes();
+            drop(ev.clone());
+            deep_clone_bytes() - before
+        }
+        // Other tests clone concurrently, so each reading is a lower
+        // bound; the borrowed event's exact figure is its host and type.
+        let borrowed = Event::builder("vmstat", "h1")
+            .timestamp(Timestamp::from_secs(1))
+            .event_type("CPU")
+            .field(keys::SENSOR, "cpu")
+            .value(1.0)
+            .build();
+        assert_eq!(borrowed.heap_bytes(), 2 + 3, "host and type only");
+        let owned = Event::builder(String::from("vmstat"), "h1")
+            .timestamp(Timestamp::from_secs(1))
+            .event_type("CPU")
+            .field(String::from("SENSOR"), String::from("cpu"))
+            .value(1.0)
+            .build();
+        assert_eq!(owned.heap_bytes(), 2 + 3 + 6 + 6 + 3);
+        assert!(copied(&owned) >= 20);
+        assert_eq!(borrowed, owned, "ownership does not change equality");
     }
 }

@@ -11,13 +11,13 @@ use jamm_core::json::{Json, Map, Number};
 use crate::event::{Event, Level};
 use crate::timestamp::Timestamp;
 use crate::value::Value;
-use crate::{Result, UlmError};
+use crate::{vocab, Result, UlmError};
 
 /// Convert an event to its JSON object representation.
 pub fn to_json(event: &Event) -> Json {
     let mut fields = Map::new();
     for (k, v) in &event.fields {
-        fields.insert(k.clone(), value_to_json(v));
+        fields.insert(k.to_string(), value_to_json(v));
     }
     let mut obj = Map::new();
     obj.insert("date".into(), Json::from(event.timestamp.to_ulm_date()));
@@ -26,7 +26,7 @@ pub fn to_json(event: &Event) -> Json {
         Json::from(event.timestamp.as_micros()),
     );
     obj.insert("host".into(), Json::from(&event.host));
-    obj.insert("prog".into(), Json::from(&event.program));
+    obj.insert("prog".into(), Json::from(&*event.program));
     obj.insert("lvl".into(), Json::from(event.level.as_str()));
     obj.insert("event".into(), Json::from(&event.event_type));
     obj.insert("fields".into(), Json::Object(fields));
@@ -45,7 +45,8 @@ pub fn decode(text: &str) -> Result<Event> {
     from_json(&v)
 }
 
-/// Convert a JSON object back into an event.
+/// Convert a JSON object back into an event.  The program, field keys and
+/// string values are resolved through the [`crate::vocab`].
 pub fn from_json(v: &Json) -> Result<Event> {
     let obj = v
         .as_object()
@@ -64,11 +65,11 @@ pub fn from_json(v: &Json) -> Result<Event> {
         .and_then(Json::as_str)
         .ok_or(UlmError::MissingField("HOST"))?
         .to_string();
-    let program = obj
-        .get("prog")
-        .and_then(Json::as_str)
-        .ok_or(UlmError::MissingField("PROG"))?
-        .to_string();
+    let program = vocab::resolve(
+        obj.get("prog")
+            .and_then(Json::as_str)
+            .ok_or(UlmError::MissingField("PROG"))?,
+    );
     let level = Level::parse(
         obj.get("lvl")
             .and_then(Json::as_str)
@@ -82,7 +83,7 @@ pub fn from_json(v: &Json) -> Result<Event> {
     let mut fields = Vec::new();
     if let Some(Json::Object(map)) = obj.get("fields") {
         for (k, v) in map {
-            fields.push((k.clone(), json_to_value(v)));
+            fields.push((vocab::resolve(k), json_to_value(v)));
         }
     }
     Ok(Event {
@@ -101,7 +102,7 @@ fn value_to_json(v: &Value) -> Json {
         Value::Int(i) => Json::from(*i),
         Value::Float(f) => Json::from(*f),
         Value::Bool(b) => Json::from(*b),
-        Value::Str(s) => Json::from(s),
+        Value::Str(s) => Json::from(&**s),
     }
 }
 
@@ -111,8 +112,8 @@ fn json_to_value(v: &Json) -> Value {
         Json::Number(Number::I(i)) => Value::Int(*i),
         Json::Number(Number::F(f)) => Value::Float(*f),
         Json::Bool(b) => Value::Bool(*b),
-        Json::String(s) => Value::Str(s.clone()),
-        other => Value::Str(other.to_string()),
+        Json::String(s) => Value::Str(vocab::resolve_value(s)),
+        other => Value::Str(other.to_string().into()),
     }
 }
 

@@ -146,6 +146,52 @@ pub mod jamm {
 /// All four required ULM field names, in canonical output order.
 pub const REQUIRED: [&str; 4] = [DATE, HOST, PROG, LVL];
 
+/// Every name this module defines: what [`crate::vocab`] is seeded with.
+pub const ALL: [&str; 42] = [
+    DATE,
+    HOST,
+    PROG,
+    LVL,
+    NL_EVNT,
+    OBJECT_ID,
+    VALUE,
+    SENSOR,
+    TARGET,
+    UNITS,
+    cpu::TOTAL,
+    cpu::USER,
+    cpu::SYS,
+    cpu::INTERRUPTS,
+    mem::FREE,
+    mem::USED,
+    tcp::RETRANSMITS,
+    tcp::WINDOW_SIZE,
+    tcp::RETRANS_COUNTER,
+    net::IF_IN_OCTETS,
+    net::IF_OUT_OCTETS,
+    net::IF_ERRORS,
+    net::IF_DROPS,
+    process::STARTED,
+    process::EXITED,
+    process::DIED,
+    process::THRESHOLD,
+    matisse::START_READ_FRAME,
+    matisse::END_READ_FRAME,
+    matisse::START_PUT_IMAGE,
+    matisse::END_PUT_IMAGE,
+    matisse::DPSS_SERV_IN,
+    matisse::DPSS_START_WRITE,
+    matisse::DPSS_END_WRITE,
+    jamm::GW_PUBLISH,
+    jamm::GW_ROUTED,
+    jamm::SUB_DELIVER,
+    jamm::SUB_DRAIN,
+    jamm::EDGE_ENCODE,
+    jamm::EDGE_BROADCAST,
+    jamm::ARCHIVE_APPEND,
+    jamm::EDGE_CONSUMER,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +199,17 @@ mod tests {
     #[test]
     fn required_fields_are_the_ulm_draft_set() {
         assert_eq!(REQUIRED, ["DATE", "HOST", "PROG", "LVL"]);
+    }
+
+    #[test]
+    fn all_lists_every_name_this_module_defines() {
+        let defined = include_str!("keys.rs")
+            .lines()
+            .filter(|l| l.trim_start().starts_with("pub const ") && l.contains(": &str ="))
+            .count();
+        assert_eq!(ALL.len(), defined);
+        let distinct: std::collections::HashSet<_> = ALL.iter().collect();
+        assert_eq!(distinct.len(), ALL.len());
     }
 
     #[test]

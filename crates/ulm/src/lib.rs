@@ -20,7 +20,10 @@
 //!   from the Grid Forum performance working group);
 //! * [`codec`] — all three formats behind the shared
 //!   [`jamm_core::codec::Codec`] trait ([`TextCodec`], [`BinaryCodec`],
-//!   [`JsonCodec`]), with content-type negotiation for transports.
+//!   [`JsonCodec`]), with content-type negotiation for transports;
+//! * [`vocab`] — the bounded process-wide vocabulary every decoder
+//!   resolves program names, field keys and string values through, so
+//!   an event's [`Name`]s borrow instead of allocating.
 //!
 //! ```
 //! use jamm_ulm::{Event, Level, Timestamp, Value};
@@ -50,11 +53,13 @@ pub mod keys;
 pub mod text;
 pub mod timestamp;
 pub mod value;
+pub mod vocab;
 
 pub use codec::{BinaryCodec, JsonCodec, TextCodec};
 pub use event::{deep_clone_bytes, deep_clone_count, Event, EventBuilder, Level, SharedEvent};
 pub use timestamp::Timestamp;
 pub use value::Value;
+pub use vocab::Name;
 
 /// Errors produced while encoding or decoding ULM events.
 #[derive(Debug, Clone, PartialEq, Eq)]

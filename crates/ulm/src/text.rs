@@ -12,12 +12,14 @@
 //! The codec also provides buffered reader/writer adapters for log files and
 //! sockets.
 
+use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
 
 use crate::event::{Event, Level};
 use crate::keys;
 use crate::timestamp::Timestamp;
 use crate::value::Value;
+use crate::vocab::{self, Name};
 use crate::{Result, UlmError};
 
 /// Encode a single event as one ULM text line (no trailing newline).
@@ -88,24 +90,24 @@ fn needs_quoting(value: &str) -> bool {
     value.is_empty() || value.chars().any(|c| c.is_whitespace() || c == '"')
 }
 
-/// Decode one ULM text line into an [`Event`].
+/// Decode one ULM text line into an [`Event`].  The program, field keys
+/// and string values are resolved through the [`crate::vocab`].
 pub fn decode(line: &str) -> Result<Event> {
     let mut date: Option<Timestamp> = None;
     let mut host: Option<String> = None;
-    let mut prog: Option<String> = None;
+    let mut prog: Option<Name> = None;
     let mut level: Option<Level> = None;
     let mut event_type = String::new();
-    let mut fields: Vec<(String, Value)> = Vec::new();
+    let mut fields: Vec<(Name, Value)> = Vec::new();
 
     for (key, raw) in TokenIter::new(line) {
-        let (key, raw) = (key?, raw);
-        match key.as_str() {
+        match key? {
             keys::DATE => date = Some(Timestamp::parse_ulm_date(&raw)?),
-            keys::HOST => host = Some(raw),
-            keys::PROG => prog = Some(raw),
+            keys::HOST => host = Some(raw.into_owned()),
+            keys::PROG => prog = Some(vocab::resolve(&raw)),
             keys::LVL => level = Some(Level::parse(&raw)?),
-            keys::NL_EVNT => event_type = raw,
-            _ => fields.push((key, Value::infer(&raw))),
+            keys::NL_EVNT => event_type = raw.into_owned(),
+            key => fields.push((vocab::resolve(key), Value::infer(&raw))),
         }
     }
 
@@ -119,7 +121,9 @@ pub fn decode(line: &str) -> Result<Event> {
     })
 }
 
-/// Iterator over `KEY=value` tokens, handling quoted values.
+/// Iterator over `KEY=value` tokens, handling quoted values.  Keys and
+/// unquoted values borrow from the line; a quoted value is unescaped into
+/// a `String`.
 struct TokenIter<'a> {
     rest: &'a str,
 }
@@ -131,7 +135,7 @@ impl<'a> TokenIter<'a> {
 }
 
 impl<'a> Iterator for TokenIter<'a> {
-    type Item = (Result<String>, String);
+    type Item = (Result<&'a str>, Cow<'a, str>);
 
     fn next(&mut self) -> Option<Self::Item> {
         self.rest = self.rest.trim_start();
@@ -143,10 +147,10 @@ impl<'a> Iterator for TokenIter<'a> {
             None => {
                 let tok = self.rest.to_string();
                 self.rest = "";
-                return Some((Err(UlmError::MalformedField(tok)), String::new()));
+                return Some((Err(UlmError::MalformedField(tok)), Cow::Borrowed("")));
             }
         };
-        let key = self.rest[..eq].to_string();
+        let key = &self.rest[..eq];
         if key.is_empty() || key.contains(char::is_whitespace) {
             let tok = self
                 .rest
@@ -156,7 +160,7 @@ impl<'a> Iterator for TokenIter<'a> {
                 .to_string();
             // Skip past this token so iteration terminates.
             self.rest = &self.rest[tok.len().min(self.rest.len())..];
-            return Some((Err(UlmError::MalformedField(tok)), String::new()));
+            return Some((Err(UlmError::MalformedField(tok)), Cow::Borrowed("")));
         }
         let after = &self.rest[eq + 1..];
         if let Some(stripped) = after.strip_prefix('"') {
@@ -181,18 +185,18 @@ impl<'a> Iterator for TokenIter<'a> {
             match end {
                 Some(i) => {
                     self.rest = &stripped[i + 1..];
-                    Some((Ok(key), value))
+                    Some((Ok(key), Cow::Owned(value)))
                 }
                 None => {
                     self.rest = "";
-                    Some((Err(UlmError::UnterminatedQuote), String::new()))
+                    Some((Err(UlmError::UnterminatedQuote), Cow::Borrowed("")))
                 }
             }
         } else {
             let end = after.find(char::is_whitespace).unwrap_or(after.len());
-            let value = after[..end].to_string();
+            let value = &after[..end];
             self.rest = &after[end..];
-            Some((Ok(key), value))
+            Some((Ok(key), Cow::Borrowed(value)))
         }
     }
 }

@@ -6,6 +6,8 @@
 //! filter without reparsing, while the text codec falls back to strings for
 //! anything non-numeric.
 
+use crate::vocab::{self, Name};
+
 /// A single ULM field value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -17,8 +19,9 @@ pub enum Value {
     Float(f64),
     /// Boolean flag (up/down, ok/failed).
     Bool(bool),
-    /// Free-form text.
-    Str(String),
+    /// Free-form text: borrowed from a literal or the [`crate::vocab`]
+    /// when it can be, owned otherwise.
+    Str(Name),
 }
 
 impl Value {
@@ -97,7 +100,8 @@ impl Value {
     /// Parse a raw ULM token back into the most specific value type.
     ///
     /// The precedence is unsigned integer, signed integer, float, boolean,
-    /// then string, so `decode(encode(v))` preserves numeric readings.
+    /// then string, so `decode(encode(v))` preserves numeric readings.  A
+    /// string is resolved through the [`crate::vocab`].
     pub fn infer(raw: &str) -> Value {
         if let Ok(u) = raw.parse::<u64>() {
             return Value::UInt(u);
@@ -117,7 +121,7 @@ impl Value {
         match raw {
             "true" => Value::Bool(true),
             "false" => Value::Bool(false),
-            _ => Value::Str(raw.to_string()),
+            _ => Value::Str(vocab::resolve_value(raw)),
         }
     }
 }
@@ -185,13 +189,20 @@ impl From<bool> for Value {
         Value::Bool(v)
     }
 }
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+/// A literal is borrowed, never copied.  A `&str` that is not `'static`
+/// has to become a `String` first, which keeps its allocation visible.
+impl From<&'static str> for Value {
+    fn from(v: &'static str) -> Self {
+        Value::Str(Name::Borrowed(v))
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
+        Value::Str(Name::Owned(v))
+    }
+}
+impl From<Name> for Value {
+    fn from(v: Name) -> Self {
         Value::Str(v)
     }
 }
@@ -247,7 +258,7 @@ mod tests {
             Value::Bool(true),
             Value::Bool(false),
             Value::Str("dpss1.lbl.gov".into()),
-            Value::Str(String::new()),
+            Value::Str("".into()),
         ] {
             assert_eq!(v.ulm_len(), v.to_ulm_string().len(), "{v:?}");
         }

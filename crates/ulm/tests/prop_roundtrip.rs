@@ -5,7 +5,7 @@
 
 use jamm_core::check::{forall, Gen};
 use jamm_ulm::codec::{codec_for, EventCodec, ALL};
-use jamm_ulm::{binary, text, Event, Level, Timestamp, Value};
+use jamm_ulm::{binary, json, text, Event, Level, Name, Timestamp, Value};
 
 const LEVELS: [Level; 9] = [
     Level::Emergency,
@@ -56,7 +56,7 @@ fn arb_value(g: &mut Gen) -> Value {
             // path), but never accidentally numeric/boolean.
             let len = g.usize_in(0, 40);
             let body = g.string_from("abcXYZ_ /:\\\"-", len);
-            Value::Str(format!("s{body}"))
+            Value::Str(format!("s{body}").into())
         }
     }
 }
@@ -77,6 +77,57 @@ fn arb_event(g: &mut Gen) -> Event {
         }
     }
     builder.build()
+}
+
+/// A name from a sensor-like literal vocabulary (borrowed) or a fresh
+/// owned string, half and half.
+fn mixed_name(g: &mut Gen, literals: &[&'static str], owned: impl Fn(&mut Gen) -> String) -> Name {
+    if g.bool(0.5) {
+        Name::Borrowed(g.choice(literals))
+    } else {
+        Name::Owned(owned(g))
+    }
+}
+
+/// An event whose program, keys and string values are borrowed literals
+/// and owned strings mixed, as a sensor (literals) and a decoder past the
+/// vocabulary's bound (owned) make them.
+fn arb_mixed_event(g: &mut Gen) -> Event {
+    const PROGRAMS: [&str; 3] = ["vmstat", "netstat", "mplay"];
+    const KEYS: [&str; 4] = ["SENSOR", "UNITS", "TARGET", "NL.OID"];
+    const WORDS: [&str; 4] = ["cpu", "percent", "two words", "qu\"ote"];
+    let program = mixed_name(g, &PROGRAMS, arb_ident);
+    let mut builder = Event::builder(program, arb_ident(g))
+        .level(g.choice(&LEVELS))
+        .event_type(arb_ident(g))
+        .timestamp(Timestamp::from_micros(g.u64(250_000_000_000_000_000)));
+    let mut seen = std::collections::HashSet::new();
+    for _ in 0..g.usize_in(0, 6) {
+        let key = mixed_name(g, &KEYS, arb_key);
+        let value = if g.bool(0.5) {
+            Value::Str(mixed_name(g, &WORDS, |g| {
+                let len = g.usize_in(0, 20);
+                format!("s{}", g.string_from("abc XYZ_\"", len))
+            }))
+        } else {
+            arb_value(g)
+        };
+        if seen.insert(key.clone()) {
+            builder = builder.field(key, value);
+        }
+    }
+    builder.build()
+}
+
+#[test]
+fn borrowed_and_owned_names_round_trip_through_every_format() {
+    forall("mixed names round-trip", 256, |g| {
+        let ev = arb_mixed_event(g);
+        let (bin, _) = binary::decode(&binary::encode(&ev)).expect("binary decodes");
+        assert_eq!(bin, ev, "binary");
+        assert_eq!(text::decode(&text::encode(&ev)).expect("text decodes"), ev);
+        assert_eq!(json::decode(&json::encode(&ev)).expect("json decodes"), ev);
+    });
 }
 
 fn codecs() -> Vec<EventCodec> {
@@ -117,8 +168,8 @@ fn quoted_values_and_microsecond_timestamps_survive_text() {
         let ev = Event::builder("prog", "host")
             .event_type("MSG")
             .timestamp(Timestamp::from_micros(g.u64(250_000_000_000_000_000)))
-            .field("TEXT", Value::Str(g.printable_string(60)))
-            .field("EMPTY", Value::Str(String::new()))
+            .field("TEXT", Value::Str(g.printable_string(60).into()))
+            .field("EMPTY", Value::Str("".into()))
             .build();
         let back = text::decode(&text::encode(&ev)).expect("decodes");
         assert_eq!(back.timestamp, ev.timestamp, "microseconds preserved");
@@ -128,7 +179,7 @@ fn quoted_values_and_microsecond_timestamps_survive_text() {
                 .map(str::to_owned),
             ev.field("TEXT").and_then(Value::as_str).map(str::to_owned)
         );
-        assert_eq!(back.field("EMPTY"), Some(&Value::Str(String::new())));
+        assert_eq!(back.field("EMPTY"), Some(&Value::Str("".into())));
     });
 }
 

@@ -30,7 +30,7 @@ fn arb_value(g: &mut Gen) -> Value {
         // Strings exercise the quoting path: spaces, quotes, backslashes.
         4 => Value::Str(
             g.choice(&["plain", "two words", "qu\"oted", "back\\slash", ""])
-                .to_string(),
+                .into(),
         ),
         _ => Value::Float(g.u64(100) as f64),
     }

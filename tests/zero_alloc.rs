@@ -11,8 +11,15 @@ use std::sync::Arc;
 
 use jamm::jamm_core::obs::MetricsRegistry;
 use jamm::jamm_core::query::{BatchScratch, ColumnBatch, Predicate, Selection};
+use jamm::jamm_core::{EventSink, SinkError};
+use jamm::jamm_directory::dn::Dn;
 use jamm::jamm_gateway::{EventGateway, GatewayConfig, PipelineTracer};
-use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
+use jamm::jamm_manager::config::{ManagerConfig, RunPolicy, SensorConfigEntry, SensorTemplate};
+use jamm::jamm_manager::manager::{NoPortActivity, SensorManager};
+use jamm::jamm_sensors::host::CpuSensor;
+use jamm::jamm_sensors::{HostView, IfView, SampleContext, Sensor, StatsSource};
+use jamm::jamm_tsdb::segment::Segment;
+use jamm_ulm::{binary, keys, Event, Level, SharedEvent, Timestamp};
 
 struct CountingAlloc;
 
@@ -210,12 +217,14 @@ fn rereading_an_unchanged_view_does_not_allocate() {
     assert_eq!(allocs, 0, "reading an unchanged view must not allocate");
 }
 
-/// Publishing events whose series the gateway has already seen, to
-/// subscriptions whose plans run on every event and pass none, allocates
+/// Publishing events whose series the gateway has already seen allocates
 /// nothing: each event's identity is resolved once into a key buffer the
-/// publishing thread keeps, and the router and every plan are handed the
-/// key.  Readings an hour and a bit apart keep each series' summary
-/// readings at one or two, so the table does not grow either.
+/// publishing thread keeps, the router and every plan are handed the key,
+/// and the batch arm's per-subscription buffers are kept by the publishing
+/// thread too.  Three subscriptions' plans run on every event and pass
+/// none; two take part of every batch and are drained as they go.
+/// Readings an hour and a bit apart keep each series' summary readings at
+/// one or two, so the table does not grow either.
 #[test]
 fn publishing_batches_of_seen_series_does_not_allocate() {
     let gw = EventGateway::new(GatewayConfig::open("gw"));
@@ -225,6 +234,13 @@ fn publishing_batches_of_seen_series_does_not_allocate() {
         open("(host=nowhere.example)"),
         open("(&(onchange)(val<0))"),
     ];
+    let taking = [open("(type=CPU_TOTAL)"), open("(host=dpss1.lbl.gov)")];
+    let drain = || {
+        taking
+            .iter()
+            .map(|s| s.events.try_iter().count())
+            .sum::<usize>()
+    };
     let events: Vec<SharedEvent> = (0..600u64)
         .map(|i| {
             let mut e = sample(i);
@@ -234,16 +250,145 @@ fn publishing_batches_of_seen_series_does_not_allocate() {
         .collect();
     let (warm, measured) = events.split_at(300);
     for batch in warm.chunks(5) {
-        assert_eq!(gw.publish_shared_batch(batch), 0);
+        let delivered = gw.publish_shared_batch(batch);
+        assert_eq!(delivered, drain());
+        assert!(delivered >= 2, "the batch arm delivers");
     }
+    let mut delivered = (0, 0);
     let allocs = allocations_in(|| {
         for (i, batch) in measured.chunks(5).enumerate() {
-            if i % 2 == 0 {
-                gw.publish_shared_batch(batch);
+            delivered.0 += if i % 2 == 0 {
+                gw.publish_shared_batch(batch)
             } else {
-                gw.publish_shared(SharedEvent::clone(&batch[0]));
-            }
+                gw.publish_shared(SharedEvent::clone(&batch[0]))
+            };
+            delivered.1 += drain();
         }
     });
-    assert_eq!(allocs, 0, "a publish nobody takes must not allocate");
+    assert!(
+        delivered.0 > 100 && delivered.0 == delivered.1,
+        "{delivered:?}"
+    );
+    assert_eq!(allocs, 0, "a publish of seen series must not allocate");
+}
+
+/// The CPU sensor's event as the edge puts it on the wire.
+fn cpu_event(i: u64) -> Event {
+    Event::builder("vmstat", HOSTS[(i % 4) as usize])
+        .event_type(keys::cpu::TOTAL)
+        .timestamp(Timestamp::from_micros(1_000_000_000 + i * 1_000))
+        .field(keys::SENSOR, "cpu")
+        .field(keys::UNITS, "percent")
+        .value((i % 100) as f64)
+        .build()
+}
+
+/// A binary frame whose program, keys and string values the vocabulary has
+/// seen decodes with three allocations: the host, the event type and the
+/// field list.
+#[test]
+fn decoding_a_frame_of_seen_names_allocates_three_times() {
+    let frame = binary::encode(&cpu_event(1));
+    let (first, _) = binary::decode(&frame).unwrap();
+    assert_eq!(first, cpu_event(1));
+    let mut decoded = Vec::with_capacity(1);
+    let allocs = allocations_in(|| decoded.push(binary::decode(&frame).unwrap()));
+    assert_eq!(decoded[0].0, cpu_event(1));
+    assert_eq!(allocs, 3, "host, event type, field list");
+}
+
+struct Busy;
+
+impl StatsSource for Busy {
+    fn host_stats(&self, _host: &str) -> Option<HostView> {
+        Some(HostView {
+            cpu_user_pct: 12.5,
+            cpu_sys_pct: 40.0,
+            ..HostView::default()
+        })
+    }
+    fn device_interfaces(&self, _device: &str) -> Vec<IfView> {
+        Vec::new()
+    }
+    fn process_alive(&self, _host: &str, _process: &str) -> Option<bool> {
+        None
+    }
+}
+
+/// Takes every batch and keeps nothing.
+struct Discard;
+
+impl EventSink<SharedEvent> for Discard {
+    fn accept(&self, _event: &SharedEvent) -> Result<usize, SinkError> {
+        Ok(1)
+    }
+}
+
+/// A CPU sensor event allocates three times (host, event type, field
+/// list): its program, keys and string values are literals.  The sensor
+/// manager's `SharedEvent` is the fourth, and each sample adds one `Vec`
+/// (the manager collects its handles into the sensor's, in place).
+#[test]
+fn a_cpu_sensor_event_allocates_three_times_and_its_arc_is_the_fourth() {
+    let mut sensor = CpuSensor::new("dpss1.lbl.gov", 1.0);
+    let ctx = SampleContext {
+        timestamp: Timestamp::from_secs(1_000),
+        source: &Busy,
+    };
+    let mut events = Vec::new();
+    let allocs = allocations_in(|| events = sensor.sample(&ctx));
+    assert_eq!(events.len(), 3);
+    assert_eq!(allocs, 3 * 3 + 1, "three per event and the sample's Vec");
+
+    let config = ManagerConfig::empty("dpss1.lbl.gov", "gw").with_sensor(SensorConfigEntry {
+        template: SensorTemplate::Cpu,
+        frequency_secs: 0.0,
+        policy: RunPolicy::Always,
+    });
+    let mut manager = SensorManager::new(&config, Dn::parse("o=grid").unwrap());
+    let mut tick = |s: u64| {
+        manager.tick(
+            Timestamp::from_secs(s),
+            &Busy,
+            &NoPortActivity,
+            &Discard,
+            None,
+        )
+    };
+    assert_eq!(tick(1), 3, "the first tick starts the sensor");
+    let mut published = 0;
+    let allocs = allocations_in(|| {
+        for s in 2..12 {
+            published += tick(s);
+        }
+    });
+    assert_eq!(published, 30);
+    assert_eq!(
+        allocs,
+        10 * (3 * 4 + 1),
+        "four per event, one Vec per sample"
+    );
+}
+
+/// A JSG3 scan row from a segment whose names the vocabulary has seen
+/// allocates three times: the host, the event type and the field list.
+/// Each dictionary slot is resolved once per cursor, the first time a row
+/// uses it.
+#[test]
+fn a_jsg3_scan_row_of_seen_names_allocates_three_times() {
+    let rows: Vec<(u64, Event)> = (0..500).map(|i| (i, cpu_event(i))).collect();
+    let segment = Arc::new(Segment::build(1, &rows));
+    let mut cursor = segment.cursor();
+    let (_, first) = cursor.next_event().unwrap().unwrap();
+    assert_eq!(first, rows[0].1);
+    let mut scanned = Vec::with_capacity(rows.len());
+    let mut per_row = Vec::with_capacity(rows.len());
+    for _ in 1..rows.len() {
+        per_row.push(allocations_in(|| {
+            scanned.push(cursor.next_event().unwrap().unwrap());
+        }));
+    }
+    assert!(cursor.next_event().is_none());
+    assert_eq!(scanned, rows[1..]);
+    assert!(per_row.iter().all(|n| *n == 3), "{per_row:?}");
 }
