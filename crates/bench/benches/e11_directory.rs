@@ -5,10 +5,9 @@
 //! "LDAP also supports the notion of replicated servers, providing fault
 //! tolerance.  Replication is critical to JAMM."
 //!
-//! The report shows lookup vs update throughput (read-optimised store),
-//! replication keeping reads available through a master failure, and
-//! referral chasing across sites.  Criterion measures the individual
-//! operations.
+//! The report shows lookup vs update throughput (read-optimised store) and
+//! replication keeping reads available through a master failure.
+//! Criterion measures the individual operations.
 
 use std::sync::Arc;
 

@@ -1,12 +1,10 @@
 //! A process-wide string interner for hot identifier strings.
 //!
 //! The event pipeline handles the same few identifier strings — event
-//! types, host names, program names, field keys — millions of times: every
-//! publish used to hash `event_type` for shard selection, hash it again
-//! for the routing-table lookup, and clone `host`/`event_type` into the
-//! summary-engine and query-cache keys.  [`Sym`] replaces those repeated
-//! string hashes and clones with one interning lookup per string, after
-//! which every comparison, hash and map key is a `u32`.
+//! types, host names, program names, field keys — millions of times.
+//! [`Sym`] replaces repeated string hashes and clones with one interning
+//! lookup per string, after which every comparison, hash and map key is a
+//! `u32`.
 //!
 //! Interned strings are leaked: the set of distinct identifiers a
 //! monitoring deployment produces is small and stable (sensor names, event
@@ -110,12 +108,6 @@ impl Sym {
     pub fn as_str(self) -> &'static str {
         interner().read().strings[self.0 as usize]
     }
-
-    /// The handle's dense index (0-based, in interning order).  Stable for
-    /// the life of the process; used for cheap shard selection.
-    pub fn index(self) -> u32 {
-        self.0
-    }
 }
 
 impl std::fmt::Display for Sym {
@@ -139,7 +131,6 @@ mod tests {
         let a = Sym::intern("jamm.core.intern.test.CPU_TOTAL");
         let b = Sym::intern("jamm.core.intern.test.CPU_TOTAL");
         assert_eq!(a, b);
-        assert_eq!(a.index(), b.index());
         assert_eq!(a.as_str(), "jamm.core.intern.test.CPU_TOTAL");
         let c = Sym::intern("jamm.core.intern.test.MEM_FREE");
         assert_ne!(a, c);
@@ -219,7 +210,7 @@ mod tests {
             }
         }
         // 16 shared + 8 threads x 10 distinct own strings.
-        let distinct: std::collections::HashSet<u32> = seen.values().map(|s| s.index()).collect();
+        let distinct: std::collections::HashSet<Sym> = seen.values().copied().collect();
         assert_eq!(
             distinct.len(),
             seen.len(),

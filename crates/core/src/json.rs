@@ -1,17 +1,18 @@
 //! A small JSON value type, parser, serializer and [`json!`] macro.
 //!
-//! JSON is the structured-interchange format of the RMI substrate and the
-//! configuration files.  This module provides the subset of a full JSON
-//! library the workspace needs: a [`Json`] value with integer/float
-//! distinction, indexing (`value["key"]`, `value[0]`), literal comparisons,
-//! compact and pretty serialization, and a strict parser.
+//! JSON is the structured-interchange format of the bench reports and
+//! baselines, the ULM JSON codec and the archive's JSON export.  This
+//! module provides the subset of a full JSON library the workspace needs:
+//! a [`Json`] value with integer/float distinction, indexing
+//! (`value["key"]`, `value[0]`), literal comparisons, compact and pretty
+//! serialization, and a strict parser.
 
 use std::fmt;
 
 /// A JSON object: string keys to values, preserving insertion order so
 /// encode/decode round-trips keep field order (parsers and humans both
 /// care).  Lookup is a linear scan — the objects this system exchanges are
-/// small (an RMI argument list, an event's field map).
+/// small (a bench row, an event's field map).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Map {
     entries: Vec<(String, Json)>,
@@ -39,12 +40,6 @@ impl Map {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Remove a key, returning its value.
-    pub fn remove(&mut self, key: &str) -> Option<Json> {
-        let idx = self.entries.iter().position(|(k, _)| k == key)?;
-        Some(self.entries.remove(idx).1)
-    }
-
     /// True if the key is present.
     pub fn contains_key(&self, key: &str) -> bool {
         self.get(key).is_some()
@@ -68,11 +63,6 @@ impl Map {
     /// Iterate keys in insertion order.
     pub fn keys(&self) -> impl Iterator<Item = &String> {
         self.entries.iter().map(|(k, _)| k)
-    }
-
-    /// Iterate values in insertion order.
-    pub fn values(&self) -> impl Iterator<Item = &Json> {
-        self.entries.iter().map(|(_, v)| v)
     }
 }
 
@@ -190,27 +180,11 @@ impl Json {
         Ok(v)
     }
 
-    /// Parse from raw bytes (must be UTF-8).
-    pub fn parse_slice(bytes: &[u8]) -> Result<Json, ParseError> {
-        let text = std::str::from_utf8(bytes).map_err(|e| ParseError {
-            at: e.valid_up_to(),
-            message: "invalid UTF-8".into(),
-        })?;
-        Json::parse(text)
-    }
-
     /// Serialize with two-space indentation.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
         out
-    }
-
-    /// Serialize compactly to bytes.
-    pub fn to_vec(&self) -> Vec<u8> {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out.into_bytes()
     }
 
     /// The value as a borrowed string, if it is one.

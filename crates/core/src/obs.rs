@@ -468,13 +468,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The process-wide registry (for components not wired into a
-    /// per-system registry).
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: std::sync::OnceLock<MetricsRegistry> = std::sync::OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
-    }
-
     /// Get or create the named counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut inner = self.inner.lock();

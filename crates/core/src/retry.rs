@@ -1,9 +1,8 @@
 //! Jittered exponential backoff and a circuit breaker.
 //!
-//! The network clients (the RMI `ReactorClient` and the edge subscriber
-//! client) used to die permanently on their first transport failure: a
-//! timed-out invoke poisoned the connection forever.  This module is the
-//! shared self-healing discipline that replaces that dead-end:
+//! The edge subscriber client (`jamm_rmi::edge::EdgeClient`) must not die
+//! on its first transport failure.  This module is its self-healing
+//! discipline:
 //!
 //! * [`Backoff`] — exponential delay with deterministic, seeded jitter
 //!   (from [`crate::rng::Rng`], so simulated-clock tests stay
@@ -51,9 +50,8 @@ impl Backoff {
 
     /// The next delay, in microseconds, advancing the attempt counter.
     pub fn next_delay_us(&mut self) -> u64 {
-        let exp = self.attempt.min(32);
+        let raw = self.current_base_us();
         self.attempt = self.attempt.saturating_add(1);
-        let raw = self.base_us.saturating_mul(1u64 << exp).min(self.max_us);
         let jitter = if raw >= 2 {
             self.rng.gen_range(0..raw / 2)
         } else {
@@ -62,17 +60,11 @@ impl Backoff {
         raw.saturating_add(jitter)
     }
 
-    /// The delay the *next* call to [`Backoff::next_delay_us`] will base
-    /// itself on, without jitter — the upper envelope a test can assert
-    /// a reconnect happened within.
-    pub fn current_base_us(&self) -> u64 {
+    /// The delay the next call to [`Backoff::next_delay_us`] bases itself
+    /// on, before jitter.
+    fn current_base_us(&self) -> u64 {
         let exp = self.attempt.min(32);
         self.base_us.saturating_mul(1u64 << exp).min(self.max_us)
-    }
-
-    /// Consecutive attempts since the last reset.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
     }
 
     /// Back to the first-attempt delay (called on success).
@@ -184,11 +176,6 @@ impl CircuitBreaker {
         self.state
     }
 
-    /// When the next probe becomes allowed (meaningful while open).
-    pub fn retry_at_us(&self) -> u64 {
-        self.retry_at_us
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> BreakerStats {
         self.stats
@@ -227,21 +214,21 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed, "below threshold");
         b.record_failure(0);
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow(b.retry_at_us() - 1), "refused before the deadline");
+        assert!(!b.allow(b.retry_at_us - 1), "refused before the deadline");
     }
 
     #[test]
     fn half_open_probe_revives_or_reopens_longer() {
         let mut b = breaker(1);
         b.record_failure(0);
-        let first_deadline = b.retry_at_us();
+        let first_deadline = b.retry_at_us;
         assert!(b.allow(first_deadline), "deadline passed: probe allowed");
         assert_eq!(b.state(), BreakerState::HalfOpen);
         // A failed probe re-opens with a longer (doubled base) delay.
         b.record_failure(first_deadline);
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(b.retry_at_us() > first_deadline);
-        let second_deadline = b.retry_at_us();
+        assert!(b.retry_at_us > first_deadline);
+        let second_deadline = b.retry_at_us;
         assert!(b.allow(second_deadline));
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);
@@ -269,7 +256,7 @@ mod tests {
     fn open_breaker_is_pure_comparison_no_state_churn() {
         let mut b = breaker(1);
         b.record_failure(0);
-        let deadline = b.retry_at_us();
+        let deadline = b.retry_at_us;
         for now in 0..deadline {
             assert!(!b.allow(now));
         }

@@ -5,12 +5,10 @@
 //! * `gateway_admin_stats` — the facade's only reader of gateway,
 //!   subscription, QoS, tier, edge and reactor counters.  Its
 //!   [`GatewayAdminStats`] rows are what [`JammSystem::admin_stats`]
-//!   returns, what one metrics collector turns into the gateway, edge and
-//!   reactor samples of [`JammSystem::metrics`], and what the RMI
-//!   `admin.qos` verb renders — three views of one reading, so they cannot
-//!   disagree.
-//! * The exposition and the RMI `admin` service
-//!   ([`JammSystem::register_admin_rmi`]).
+//!   returns and what one metrics collector turns into the gateway, edge
+//!   and reactor samples of [`JammSystem::metrics`] — two views of one
+//!   reading, so they cannot disagree.
+//! * The metrics exposition ([`JammSystem::render_metrics`]).
 //! * [`AdminEffort`] — the administrative-effort accounting of experiment
 //!   E9.  The paper closes its results section with an effort argument:
 //!   "One would need to have an account on every system, with superuser
@@ -26,7 +24,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use jamm_archive::EventArchive;
-use jamm_core::json::Json;
 use jamm_core::obs::{MetricsRegistry, MetricsSnapshot, Sample, SampleValue};
 use jamm_gateway::{EventGateway, PipelineTracer, Tier};
 use jamm_reactor::{ListenerId, LoopStats, Reactor, SocketRow};
@@ -79,7 +76,7 @@ pub struct GatewayAdminStats {
 }
 
 /// Cheap handles to every counter the admin rows read: the metrics
-/// collector and the RMI `admin` service each own a copy, and
+/// collector owns a copy, and
 /// [`JammSystem::admin_stats`] takes a fresh one so a shut-down edge
 /// drops out of its rows.
 struct Sources {
@@ -137,7 +134,7 @@ fn gateway_admin_stats(src: &Sources) -> Vec<GatewayAdminStats> {
                 edge: edge.map(|(_, handle, _)| handle.stats()),
                 sockets: edge
                     .map(|&(_, _, listener)| {
-                        let mine = sockets.iter().filter(|r| r.listener == Some(listener));
+                        let mine = sockets.iter().filter(|r| r.listener == listener);
                         mine.cloned().collect()
                     })
                     .unwrap_or_default(),
@@ -328,52 +325,6 @@ fn row_samples(row: &GatewayAdminStats, out: &mut Vec<Sample>) {
     }
 }
 
-/// One gateway's `admin.qos` document: shed level, pressure, per-tier shed
-/// and budget-drop counters and the per-subscription tier table — or
-/// `"qos": false` without a QoS plane.
-fn qos_json(row: &GatewayAdminStats) -> Json {
-    let mut obj = vec![("gateway".to_string(), Json::from(row.name.clone()))];
-    let Some(qos) = &row.qos else {
-        obj.push(("qos".to_string(), Json::from(false)));
-        return Json::Object(obj.into_iter().collect());
-    };
-    obj.push(("level".to_string(), Json::from(qos.level.as_str())));
-    obj.push(("pressure".to_string(), Json::from(qos.pressure)));
-    obj.push(("retiers".to_string(), Json::from(qos.retiers)));
-    for tier in Tier::ALL {
-        let shed = qos.shed[tier as usize];
-        obj.push((format!("shed_{tier}"), Json::from(shed)));
-        let drops = qos.budget_drops[tier as usize];
-        obj.push((format!("budget_drops_{tier}"), Json::from(drops)));
-    }
-    let tiers = row.tiers.iter().map(|r| {
-        let fields = [
-            ("id", Json::from(r.id)),
-            ("consumer", Json::from(r.consumer.clone())),
-            ("tier", Json::from(r.tier.as_str())),
-            ("score", Json::from(r.score)),
-            ("queue_len", Json::from(r.queue_len as u64)),
-            ("capacity", Json::from(r.capacity as u64)),
-        ];
-        Json::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    });
-    obj.push(("subscriptions".to_string(), Json::Array(tiers.collect())));
-    Json::Object(obj.into_iter().collect())
-}
-
-/// A registry counter's value in a snapshot (0 when absent).
-pub(crate) fn counter(snapshot: &MetricsSnapshot, name: &str) -> u64 {
-    match snapshot.get(name).map(|s| &s.value) {
-        Some(SampleValue::Counter(v)) => *v,
-        _ => 0,
-    }
-}
-
 impl JammSystem {
     /// Administrative statistics: one row per gateway with its cumulative
     /// totals, routing latency, per-subscription delivery totals, QoS
@@ -396,53 +347,6 @@ impl JammSystem {
     /// The deployment's metrics in Prometheus-style text exposition format.
     pub fn render_metrics(&self) -> String {
         self.metrics().render_text()
-    }
-
-    /// Expose the deployment's observability plane on an RMI bus as the
-    /// `admin` service: method `metrics` returns the text exposition,
-    /// method `diagnose` runs [`jamm_netlogger::analysis::diagnose`] over
-    /// the lifelines drained so far and returns its report rendered as
-    /// text, followed by the query-tier counters and each view's update
-    /// and read counts, and method `qos` returns each gateway's
-    /// delivery-QoS state — shed level, pressure, per-tier shed counters
-    /// and the per-subscription tier table — as a JSON document.  Call
-    /// [`JammSystem::drain_self_events`] before invoking `diagnose`
-    /// remotely.
-    pub fn register_admin_rmi(&self, bus: &jamm_rmi::MessageBus) {
-        let metrics = Arc::clone(&self.metrics);
-        let self_log = Arc::clone(&self.self_log);
-        let sources = Sources::new(&self.gateways, &self.edges, self.reactor.as_ref());
-        bus.register_fn("admin", move |method, _args| match method {
-            "metrics" => Ok(Json::String(metrics.snapshot().render_text())),
-            "diagnose" => {
-                let log = self_log.lock();
-                let report = jamm_netlogger::analysis::diagnose(log.iter().map(|e| e.as_ref()));
-                let mut text = report.render_text();
-                let snapshot = metrics.snapshot();
-                text.push_str(&format!(
-                    "\nquery tiers: views_served={} archive_scans={}\n",
-                    counter(&snapshot, "jamm_query_views_served"),
-                    counter(&snapshot, "jamm_query_archive_scans"),
-                ));
-                for gw in &sources.gateways {
-                    for view in gw.views().all() {
-                        text.push_str(&format!(
-                            "view {}/{}: updates={} reads={}\n",
-                            gw.name(),
-                            view.name(),
-                            view.updates(),
-                            view.reads(),
-                        ));
-                    }
-                }
-                Ok(Json::String(text))
-            }
-            "qos" => {
-                let rows = gateway_admin_stats(&sources);
-                Ok(Json::Array(rows.iter().map(qos_json).collect()))
-            }
-            other => Err(jamm_rmi::RmiError::NoSuchMethod(other.to_string())),
-        });
     }
 }
 

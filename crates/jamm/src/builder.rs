@@ -272,7 +272,7 @@ impl JammBuilder {
             edges,
             reactor,
             tracer,
-            self_log: Arc::new(jamm_core::sync::Mutex::new(Vec::new())),
+            self_log: Vec::new(),
             views_served: metrics.counter("jamm_query_views_served"),
             archive_scans: metrics.counter("jamm_query_archive_scans"),
             metrics,
@@ -283,11 +283,18 @@ impl JammBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admin::counter;
     use crate::{HistorySource, QueryError};
     use jamm_core::query::Predicate;
     use jamm_gateway::{QosConfig, Tier};
     use jamm_ulm::{Event, Level, Timestamp};
+
+    /// A registry counter's value in a snapshot (0 when absent).
+    fn counter(snapshot: &jamm_core::obs::MetricsSnapshot, name: &str) -> u64 {
+        match snapshot.get(name).map(|s| &s.value) {
+            Some(jamm_core::obs::SampleValue::Counter(v)) => *v,
+            _ => 0,
+        }
+    }
 
     fn ev(host: &str, level: Level, t: u64) -> Event {
         Event::builder("sensor", host)
@@ -949,67 +956,10 @@ mod tests {
         assert!(text.contains("jamm_gateway_events_in"));
         assert!(text.contains("jamm_trace_sampled"));
         assert!(text.contains("jamm_tsdb_appended"));
-
-        // The RMI admin method serves the same exposition remotely.
-        let bus = jamm_rmi::MessageBus::new();
-        jamm.register_admin_rmi(&bus);
-        let served = bus
-            .invoke(&jamm_rmi::MethodCall::new(
-                "admin",
-                "metrics",
-                jamm_core::json::Json::Null,
-            ))
-            .unwrap();
-        assert!(served.as_str().unwrap().contains("jamm_gateway_events_in"));
-        // ... and the diagnosis over the drained lifelines.
-        let report = bus
-            .invoke(&jamm_rmi::MethodCall::new(
-                "admin",
-                "diagnose",
-                jamm_core::json::Json::Null,
-            ))
-            .unwrap();
-        let report = report.as_str().unwrap();
-        assert!(report.contains("bottleneck:"), "{report}");
-        assert!(!report.contains("bottleneck: none"), "{report}");
-        assert!(matches!(
-            bus.invoke(&jamm_rmi::MethodCall::new(
-                "admin",
-                "nope",
-                jamm_core::json::Json::Null
-            )),
-            Err(jamm_rmi::RmiError::NoSuchMethod(_))
-        ));
-
-        // The same bus served over TCP: a remote agent sees the same
-        // exposition and the same method error as an in-process caller.
-        let mut server = jamm_rmi::tcp::RmiServer::start(bus).unwrap();
-        let reactor = Arc::new(Reactor::start(ReactorConfig::default()).unwrap());
-        let mut client =
-            jamm_rmi::tcp::ReactorClient::connect(Arc::clone(&reactor), server.addr()).unwrap();
-        let remote = client
-            .invoke(&jamm_rmi::MethodCall::new(
-                "admin",
-                "metrics",
-                jamm_core::json::Json::Null,
-            ))
-            .unwrap();
-        assert!(remote.as_str().unwrap().contains("jamm_gateway_events_in"));
-        assert!(matches!(
-            client.invoke(&jamm_rmi::MethodCall::new(
-                "admin",
-                "nope",
-                jamm_core::json::Json::Null
-            )),
-            Err(jamm_rmi::RmiError::NoSuchMethod(_))
-        ));
-        drop(client);
-        server.shutdown();
-        reactor.shutdown();
     }
 
     #[test]
-    fn gateway_qos_surfaces_in_admin_stats_metrics_and_rmi() {
+    fn gateway_qos_surfaces_in_admin_stats_and_metrics() {
         use jamm_gateway::ShedLevel;
 
         let jamm = JammBuilder::new()
@@ -1064,7 +1014,7 @@ mod tests {
         assert!(text.contains("jamm_gateway_shed_total"));
         assert!(text.contains("jamm_gateway_overload_level"));
 
-        // Declared overload sheds raw events; the RMI surface reports it.
+        // Declared overload sheds raw events; admin_stats reports it.
         jamm.gateways[0].set_external_pressure(1.0);
         jamm.gateways[0].retier_now();
         assert_eq!(
@@ -1072,27 +1022,14 @@ mod tests {
             ShedLevel::All
         );
         jamm.publish("gw1", &ev("h1", Level::Usage, 1_000));
-        let bus = jamm_rmi::MessageBus::new();
-        jamm.register_admin_rmi(&bus);
-        let qos = bus
-            .invoke(&jamm_rmi::MethodCall::new(
-                "admin",
-                "qos",
-                jamm_core::json::Json::Null,
-            ))
-            .unwrap();
-        assert_eq!(qos[0]["gateway"].as_str(), Some("gw1"));
-        assert_eq!(qos[0]["level"].as_str(), Some("all"));
-        let shed: f64 = ["shed_fast", "shed_lagging", "shed_probation"]
-            .iter()
-            .filter_map(|k| qos[0][*k].as_f64())
-            .sum();
-        assert!(shed >= 1.0, "overload publish was not counted as shed");
-        assert!(qos[0]["subscriptions"]
-            .as_array()
-            .unwrap()
-            .iter()
-            .any(|row| row["tier"].as_str() == Some("probation")));
+        let admin = jamm.admin_stats();
+        let qos = admin[0].qos.as_ref().unwrap();
+        assert_eq!(qos.level, ShedLevel::All);
+        assert!(
+            qos.shed.iter().sum::<u64>() >= 1,
+            "overload publish was not counted as shed"
+        );
+        assert!(admin[0].tiers.iter().any(|r| r.tier == Tier::Probation));
     }
 
     #[test]

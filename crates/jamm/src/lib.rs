@@ -18,7 +18,7 @@
 //! | Archive storage engine (WAL, segments, pruned scans) | [`jamm_tsdb`] |
 //! | ULM events and the text/binary/JSON codecs | [`jamm_ulm`] |
 //! | NetLogger toolkit (API, merge, clocks, nlv) | [`jamm_netlogger`] |
-//! | RMI call path (admin service) and network edge | [`jamm_rmi`] |
+//! | Network edge (the gateway stream over TCP) | [`jamm_rmi`] |
 //! | Certificates, grid-mapfile, policy | [`jamm_auth`] |
 //! | Simulated Grid testbed | [`jamm_netsim`] |
 //! | Declarative scenarios run by real JAMM components, the MATISSE and farm deployments | [`testbed`] |
@@ -34,7 +34,7 @@
 //!
 //! * [`JammBuilder`] — declare a deployment (directory, gateways,
 //!   consumers) and get a wired [`JammSystem`]: its query endpoint
-//!   ([`JammSystem::query`]) and its admin rows, metrics and RMI verbs
+//!   ([`JammSystem::query`]) and its admin rows and metrics
 //!   ([`admin`]), each number read once from the component that owns it.
 //!   With [`JammBuilder::self_monitor`] on, the pipeline's own sampled
 //!   lifelines wait in the tracer's bounded queue until

@@ -45,9 +45,8 @@ pub struct JammSystem {
     /// [`JammBuilder::self_monitor`](crate::JammBuilder::self_monitor) is
     /// on; its bounded queue buffers lifeline events until drained.
     pub tracer: Option<Arc<PipelineTracer>>,
-    /// Lifeline events drained so far, in arrival order — shared with the
-    /// RMI `admin.diagnose` closure.
-    pub(crate) self_log: Arc<jamm_core::sync::Mutex<Vec<SharedEvent>>>,
+    /// Lifeline events drained so far, in arrival order.
+    pub(crate) self_log: Vec<SharedEvent>,
     /// The metrics registry every component reports through.
     pub(crate) metrics: Arc<MetricsRegistry>,
     /// `jamm_query_views_served`: query history answered from views.
@@ -175,7 +174,7 @@ impl JammSystem {
     /// [`JammBuilder::self_monitor`](crate::JammBuilder::self_monitor).
     pub fn drain_self_events(&mut self) -> usize {
         match &self.tracer {
-            Some(tracer) => tracer.drain_into(&mut self.self_log.lock()),
+            Some(tracer) => tracer.drain_into(&mut self.self_log),
             None => 0,
         }
     }
@@ -183,7 +182,7 @@ impl JammSystem {
     /// Snapshot of the self-lifeline trace events drained so far, in
     /// arrival order — the input to `jamm_netlogger::analysis::diagnose`.
     pub fn self_events(&self) -> Vec<SharedEvent> {
-        self.self_log.lock().clone()
+        self.self_log.clone()
     }
 
     /// The TCP address remote subscribers connect to for a gateway's

@@ -7,6 +7,7 @@
 //! there is no wall clock anywhere, so a seeded scenario replays
 //! byte-identically.
 
+use jamm_archive::ReplaySource;
 use jamm_core::query::Predicate;
 use jamm_directory::Dn;
 use jamm_netsim::link::LinkId;
@@ -264,19 +265,17 @@ impl ScenarioEngine {
 
     /// Replay everything an archiver has stored back through a gateway —
     /// the paper's "retrieve archived events for post-mortem analysis"
-    /// path, which under a partition overflows bounded subscriptions.
+    /// path ([`ReplaySource`]), which under a partition overflows bounded
+    /// subscriptions.
     fn replay_archive(&mut self, archiver: &str, via: &str) -> usize {
         let Some(a) = self.archivers.iter().find(|a| a.name == archiver) else {
             return 0;
         };
-        let events: Vec<_> = a.agent.archive().scan(&Predicate::True.compile()).collect();
         let Some(g) = self.gateways.iter().find(|g| g.name == via) else {
             return 0;
         };
-        let n = events.len();
-        for e in &events {
-            g.gw.publish(e);
-        }
+        let n =
+            ReplaySource::new(a.agent.archive(), &Predicate::True.compile()).pump(g.gw.as_ref());
         self.published += n as u64;
         n
     }

@@ -6,9 +6,9 @@
 //! the port monitor sees traffic on an application's port.  "Every few
 //! minutes the sensor managers check for updates to the configuration file,
 //! and activate new sensors if necessary" — hence the version counter and
-//! the [`ConfigProvider`] abstraction standing in for the HTTP-served file.
-
-use jamm_core::json::{Json, Map};
+//! the [`ConfigProvider`] abstraction standing in for the HTTP-served file:
+//! a provider hands the manager a [`ManagerConfig`] value, so there is no
+//! text format to parse.
 
 /// What kind of sensor to instantiate.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,119 +140,6 @@ impl ManagerConfig {
         self.sensors.push(entry);
         self
     }
-
-    /// Serialise to the JSON configuration-file format.
-    pub fn to_json(&self) -> String {
-        let mut obj = Map::new();
-        obj.insert("host".into(), Json::from(&self.host));
-        obj.insert("gateway".into(), Json::from(&self.gateway));
-        obj.insert("version".into(), Json::from(self.version));
-        obj.insert(
-            "sensors".into(),
-            Json::Array(self.sensors.iter().map(sensor_to_json).collect()),
-        );
-        Json::Object(obj).to_pretty()
-    }
-
-    /// Parse the JSON configuration-file format.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| format!("invalid sensor configuration: {e}"))?;
-        let host = doc["host"]
-            .as_str()
-            .ok_or("sensor configuration missing host")?
-            .to_string();
-        let gateway = doc["gateway"]
-            .as_str()
-            .ok_or("sensor configuration missing gateway")?
-            .to_string();
-        let version = doc["version"].as_u64().ok_or("missing version")?;
-        let mut sensors = Vec::new();
-        if let Some(list) = doc["sensors"].as_array() {
-            for item in list {
-                sensors.push(sensor_from_json(item)?);
-            }
-        }
-        Ok(ManagerConfig {
-            host,
-            gateway,
-            version,
-            sensors,
-        })
-    }
-}
-
-fn sensor_to_json(entry: &SensorConfigEntry) -> Json {
-    let mut obj = Map::new();
-    let (template, extra) = match &entry.template {
-        SensorTemplate::Cpu => ("cpu", None),
-        SensorTemplate::Memory => ("memory", None),
-        SensorTemplate::Tcp => ("tcp", None),
-        SensorTemplate::NetstatCounter => ("netstat", None),
-        SensorTemplate::Snmp { device } => ("snmp", Some(("device", device.clone()))),
-        SensorTemplate::Process { process } => ("process", Some(("process", process.clone()))),
-    };
-    obj.insert("template".into(), Json::from(template));
-    if let Some((key, value)) = extra {
-        obj.insert(key.into(), Json::from(value));
-    }
-    obj.insert("frequency_secs".into(), Json::from(entry.frequency_secs));
-    match &entry.policy {
-        RunPolicy::Always => {
-            obj.insert("policy".into(), Json::from("always"));
-        }
-        RunPolicy::OnRequest => {
-            obj.insert("policy".into(), Json::from("on_request"));
-        }
-        RunPolicy::PortTriggered { port, idle_secs } => {
-            obj.insert("policy".into(), Json::from("port_triggered"));
-            obj.insert("port".into(), Json::from(*port as u64));
-            obj.insert("idle_secs".into(), Json::from(*idle_secs));
-        }
-    }
-    Json::Object(obj)
-}
-
-fn sensor_from_json(v: &Json) -> Result<SensorConfigEntry, String> {
-    let template = match v["template"].as_str().ok_or("sensor missing template")? {
-        "cpu" => SensorTemplate::Cpu,
-        "memory" => SensorTemplate::Memory,
-        "tcp" => SensorTemplate::Tcp,
-        "netstat" => SensorTemplate::NetstatCounter,
-        "snmp" => SensorTemplate::Snmp {
-            device: v["device"]
-                .as_str()
-                .ok_or("snmp sensor missing device")?
-                .to_string(),
-        },
-        "process" => SensorTemplate::Process {
-            process: v["process"]
-                .as_str()
-                .ok_or("process sensor missing process")?
-                .to_string(),
-        },
-        other => return Err(format!("unknown sensor template {other:?}")),
-    };
-    let frequency_secs = v["frequency_secs"]
-        .as_f64()
-        .ok_or("sensor missing frequency_secs")?;
-    let policy = match v["policy"].as_str().ok_or("sensor missing policy")? {
-        "always" => RunPolicy::Always,
-        "on_request" => RunPolicy::OnRequest,
-        "port_triggered" => RunPolicy::PortTriggered {
-            port: v["port"]
-                .as_u64()
-                .ok_or("port_triggered policy missing port")? as u16,
-            idle_secs: v["idle_secs"]
-                .as_f64()
-                .ok_or("port_triggered policy missing idle_secs")?,
-        },
-        other => return Err(format!("unknown run policy {other:?}")),
-    };
-    Ok(SensorConfigEntry {
-        template,
-        frequency_secs,
-        policy,
-    })
 }
 
 /// Source of configuration updates (stands in for the HTTP-served file the
@@ -306,25 +193,6 @@ mod tests {
             .iter()
             .any(|s| matches!(&s.template, SensorTemplate::Process { process } if process == "dpss_master")));
         assert!(cfg.sensors.iter().all(|s| s.policy == RunPolicy::Always));
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let cfg =
-            ManagerConfig::standard_host("h", "gw", &["worker"]).with_sensor(SensorConfigEntry {
-                template: SensorTemplate::Snmp {
-                    device: "lbl-border-router".into(),
-                },
-                frequency_secs: 30.0,
-                policy: RunPolicy::PortTriggered {
-                    port: 7_000,
-                    idle_secs: 60.0,
-                },
-            });
-        let json = cfg.to_json();
-        let back = ManagerConfig::from_json(&json).unwrap();
-        assert_eq!(back, cfg);
-        assert!(ManagerConfig::from_json("not json").is_err());
     }
 
     #[test]

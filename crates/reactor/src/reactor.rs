@@ -7,7 +7,7 @@
 //!
 //! ```text
 //!            Reactor handle (any thread)
-//!   listen / adopt / send / broadcast / close / shutdown
+//!   listen / broadcast / unlisten / shutdown
 //!                    │  commands + wakeup
 //!                    ▼
 //!   ┌─────────────── event-loop thread ────────────────┐
@@ -155,9 +155,8 @@ pub struct SocketRow {
     pub conn: ConnId,
     /// Peer address.
     pub peer: String,
-    /// The listener that accepted it, or `None` for adopted (outbound)
-    /// connections.
-    pub listener: Option<ListenerId>,
+    /// The listener that accepted it.
+    pub listener: ListenerId,
     /// Counter snapshot.
     pub stats: SocketStats,
 }
@@ -168,22 +167,9 @@ enum Cmd {
         listener: TcpListener,
         acceptor: Box<dyn Acceptor>,
     },
-    Adopt {
-        id: ConnId,
-        stream: TcpStream,
-        handler: Box<dyn ConnHandler>,
-    },
-    Send {
-        conn: ConnId,
-        frame: Arc<Vec<u8>>,
-        strict: bool,
-    },
     Broadcast {
         listener: ListenerId,
         frame: Arc<Vec<u8>>,
-    },
-    Close {
-        conn: ConnId,
     },
     Unlisten {
         listener: ListenerId,
@@ -194,7 +180,7 @@ enum Cmd {
 
 struct RegEntry {
     peer: String,
-    listener: Option<ListenerId>,
+    listener: ListenerId,
     counters: Arc<SocketCounters>,
 }
 
@@ -300,57 +286,15 @@ impl Reactor {
         Ok(id)
     }
 
-    /// Hand an already-connected stream to the loop (the outbound/client
-    /// side of the edge).
-    pub fn adopt(&self, stream: TcpStream, handler: Box<dyn ConnHandler>) -> io::Result<ConnId> {
-        stream.set_nonblocking(true)?;
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        self.submit(Cmd::Adopt {
-            id,
-            stream,
-            handler,
-        });
-        Ok(id)
-    }
-
-    /// Queue one encoded frame on one connection.  A full outbox applies
-    /// the configured overflow policy (frames may be dropped, counted in
-    /// the connection's [`SocketStats`]).
-    pub fn send(&self, conn: ConnId, frame: Arc<Vec<u8>>) {
-        self.submit(Cmd::Send {
-            conn,
-            frame,
-            strict: false,
-        });
-    }
-
-    /// Like [`Reactor::send`], but a frame the outbox cannot take without
-    /// dropping anything closes the connection (flush what is queued,
-    /// then drop) instead of applying the overflow policy.  For
-    /// request/response protocols where a lost frame desyncs the peer,
-    /// closing is the only safe overflow behavior.
-    pub fn send_strict(&self, conn: ConnId, frame: Arc<Vec<u8>>) {
-        self.submit(Cmd::Send {
-            conn,
-            frame,
-            strict: true,
-        });
-    }
-
     /// Queue the same encoded frame on every connection accepted by
     /// `listener` — encode once, write N.
     pub fn broadcast(&self, listener: ListenerId, frame: Arc<Vec<u8>>) {
         self.submit(Cmd::Broadcast { listener, frame });
     }
 
-    /// Request a graceful close of one connection.
-    pub fn close(&self, conn: ConnId) {
-        self.submit(Cmd::Close { conn });
-    }
-
     /// Stop accepting on one listener.  With `close_conns`, also gracefully
     /// close (flush, then drop) every connection it accepted — other
-    /// listeners and adopted connections are untouched, so several edges
+    /// listeners' connections are untouched, so several edges
     /// can share one reactor and tear down independently.
     pub fn unlisten(&self, listener: ListenerId, close_conns: bool) {
         self.submit(Cmd::Unlisten {
@@ -421,7 +365,7 @@ const WRITE_BUDGET: usize = 256 * 1024;
 struct LoopConn {
     conn: Conn,
     handler: Box<dyn ConnHandler>,
-    listener: Option<ListenerId>,
+    listener: ListenerId,
     interest: Interest,
 }
 
@@ -560,7 +504,7 @@ impl EventLoop {
             };
             match accepted {
                 Some((id, stream, peer, handler)) => {
-                    self.install_conn(id, stream, peer, handler, Some(token));
+                    self.install_conn(id, stream, peer, handler, token);
                 }
                 None => return,
             }
@@ -573,7 +517,7 @@ impl EventLoop {
         stream: TcpStream,
         peer: String,
         mut handler: Box<dyn ConnHandler>,
-        listener: Option<ListenerId>,
+        listener: ListenerId,
     ) {
         if let Err(e) = stream.set_nonblocking(true) {
             self.shared.refused.fetch_add(1, Ordering::Relaxed);
@@ -701,7 +645,7 @@ impl EventLoop {
         }
     }
 
-    fn deliver(&mut self, id: ConnId, frame: Arc<Vec<u8>>, strict: bool) {
+    fn deliver(&mut self, id: ConnId, frame: Arc<Vec<u8>>) {
         {
             let Some(lc) = self.conns.get_mut(&id) else {
                 return;
@@ -709,12 +653,7 @@ impl EventLoop {
             if lc.conn.is_closing() {
                 return;
             }
-            if lc.conn.enqueue(frame) != PushOutcome::Queued && strict {
-                // A strict sender's frame was rejected or displaced older
-                // queued frames; either way the peer's stream is desynced,
-                // so flush what remains and close.
-                lc.conn.begin_close();
-            }
+            lc.conn.enqueue(frame);
         }
         // Eager flush keeps broadcast latency low and frees the queue slot
         // before the next batch.
@@ -738,45 +677,18 @@ impl EventLoop {
                     // Connections may already be queued on the backlog.
                     self.accept_ready(id);
                 }
-                Cmd::Adopt {
-                    id,
-                    mut handler,
-                    stream,
-                } => {
-                    if self.draining.is_some() || self.conns.len() >= self.cfg.max_connections {
-                        self.shared.refused.fetch_add(1, Ordering::Relaxed);
-                        handler.on_close(id, &CloseReason::Error("connection refused".into()));
-                        continue;
-                    }
-                    let peer = stream
-                        .peer_addr()
-                        .map(|a| a.to_string())
-                        .unwrap_or_else(|_| "?".to_string());
-                    self.install_conn(id, stream, peer, handler, None);
-                }
-                Cmd::Send {
-                    conn,
-                    frame,
-                    strict,
-                } => self.deliver(conn, frame, strict),
                 Cmd::Broadcast { listener, frame } => {
                     self.scratch_ids.clear();
                     for (&id, lc) in &self.conns {
-                        if lc.listener == Some(listener) {
+                        if lc.listener == listener {
                             self.scratch_ids.push(id);
                         }
                     }
                     let ids = std::mem::take(&mut self.scratch_ids);
                     for &id in &ids {
-                        self.deliver(id, Arc::clone(&frame), false);
+                        self.deliver(id, Arc::clone(&frame));
                     }
                     self.scratch_ids = ids;
-                }
-                Cmd::Close { conn } => {
-                    if let Some(lc) = self.conns.get_mut(&conn) {
-                        lc.conn.begin_close();
-                    }
-                    self.flush_conn(conn);
                 }
                 Cmd::Unlisten {
                     listener,
@@ -788,7 +700,7 @@ impl EventLoop {
                     if close_conns {
                         self.scratch_ids.clear();
                         for (&id, lc) in &mut self.conns {
-                            if lc.listener == Some(listener) {
+                            if lc.listener == listener {
                                 lc.conn.begin_close();
                                 self.scratch_ids.push(id);
                             }
@@ -1148,7 +1060,7 @@ mod tests {
         let reactor = start_with(Backend::native(), |_| {});
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        reactor
+        let token = reactor
             .listen(listener, echo_acceptor(Arc::new(AtomicBool::new(false))))
             .unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
@@ -1164,7 +1076,7 @@ mod tests {
         loop {
             let rows = reactor.socket_stats();
             assert_eq!(rows.len(), 1);
-            assert!(rows[0].listener.is_some());
+            assert_eq!(rows[0].listener, token);
             if rows[0].stats.bytes_in == 10 && rows[0].stats.bytes_out == 10 {
                 break;
             }

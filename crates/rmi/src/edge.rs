@@ -39,14 +39,15 @@ use jamm_reactor::{ConnHandler, ConnId, ConnIo, ListenerId, Reactor, SocketRow};
 use jamm_ulm::keys::jamm::{EDGE_BROADCAST, EDGE_CONSUMER, EDGE_ENCODE, SUB_DRAIN};
 use jamm_ulm::{binary, Event};
 
-use crate::tcp::frame_len;
-
 /// Most events encoded into one broadcast frame.
 const BATCH_MAX: usize = 512;
 /// Decoded-event queue capacity of an [`EdgeClient`].
 const CLIENT_CAPACITY: usize = 8192;
 /// How long one [`EdgeClient`] connection attempt may take.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Frame bodies larger than this are a protocol error: the client drops
+/// the connection rather than buffer them.
+const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Configuration for [`EventEdge::open`].
 ///
@@ -298,7 +299,7 @@ impl EventEdge {
         self.reactor
             .socket_stats()
             .iter()
-            .filter(|r| r.listener == Some(self.listener))
+            .filter(|r| r.listener == self.listener)
             .count()
     }
 
@@ -308,7 +309,7 @@ impl EventEdge {
         self.reactor
             .socket_stats()
             .into_iter()
-            .filter(|r| r.listener == Some(self.listener))
+            .filter(|r| r.listener == self.listener)
             .collect()
     }
 
@@ -600,6 +601,20 @@ fn drain_frames(
     true
 }
 
+/// Total length (4-byte header included) of the `len || body` frame at the
+/// start of `buf`.  Returns `Ok(None)` while incomplete, `Err` when the
+/// header announces a body over [`MAX_FRAME`].
+fn frame_len(buf: &[u8]) -> Result<Option<usize>, ()> {
+    let [a, b, c, d, ..] = *buf else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes([a, b, c, d]) as usize;
+    if len > MAX_FRAME {
+        return Err(());
+    }
+    Ok((buf.len() >= 4 + len).then_some(4 + len))
+}
+
 /// Queue one read's decoded events under one lock, evicting the oldest
 /// queued events when full: `received` counts the events queued,
 /// `dropped` the events evicted.  Leaves `batch` empty.
@@ -776,7 +791,7 @@ mod tests {
         let (mut peer, _) = listener.accept().unwrap();
         let mut bytes = binary::encode(&sample(1));
         bytes.extend(binary::encode(&sample(2)));
-        let max = crate::tcp::MAX_FRAME as u32;
+        let max = MAX_FRAME as u32;
         bytes.extend((max + 1).to_le_bytes());
         peer.write_all(&bytes).unwrap();
         wait_for(|| client.stats().disconnects == 1, "the client to hang up");

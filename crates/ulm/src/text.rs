@@ -9,11 +9,10 @@
 //!
 //! Values containing whitespace or `"` are quoted with double quotes and
 //! backslash-escaped, which is the convention NetLogger's parsers accept.
-//! The codec also provides buffered reader/writer adapters for log files and
-//! sockets.
+//! Log files are written through the NetLogger API's sinks and read back
+//! with [`decode_all_lossy`].
 
 use std::borrow::Cow;
-use std::io::{self, BufRead, Write};
 
 use crate::event::{Event, Level};
 use crate::keys;
@@ -201,94 +200,6 @@ impl<'a> Iterator for TokenIter<'a> {
     }
 }
 
-/// Streaming writer that emits one ULM line per event.
-pub struct UlmWriter<W: Write> {
-    inner: W,
-    written: u64,
-    /// Reused line buffer: one allocation amortized over the stream.
-    line: String,
-}
-
-impl<W: Write> UlmWriter<W> {
-    /// Wrap a writer (file, socket, `Vec<u8>`...).
-    pub fn new(inner: W) -> Self {
-        UlmWriter {
-            inner,
-            written: 0,
-            line: String::new(),
-        }
-    }
-
-    /// Write one event followed by a newline.
-    pub fn write_event(&mut self, event: &Event) -> io::Result<()> {
-        self.line.clear();
-        encode_into(&mut self.line, event);
-        self.line.push('\n');
-        self.inner.write_all(self.line.as_bytes())?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Number of events written so far.
-    pub fn events_written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.inner.flush()?;
-        Ok(self.inner)
-    }
-
-    /// Flush the underlying writer.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Streaming reader that yields events from a ULM text stream.
-///
-/// Blank lines and lines starting with `#` are skipped; malformed lines are
-/// returned as errors so the consumer can decide whether to drop or abort.
-pub struct UlmReader<R: BufRead> {
-    inner: R,
-    line: String,
-}
-
-impl<R: BufRead> UlmReader<R> {
-    /// Wrap a buffered reader.
-    pub fn new(inner: R) -> Self {
-        UlmReader {
-            inner,
-            line: String::new(),
-        }
-    }
-
-    /// Read the next event, `Ok(None)` at end of stream.
-    pub fn read_event(&mut self) -> io::Result<Option<Result<Event>>> {
-        loop {
-            self.line.clear();
-            let n = self.inner.read_line(&mut self.line)?;
-            if n == 0 {
-                return Ok(None);
-            }
-            let trimmed = self.line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            return Ok(Some(decode(trimmed)));
-        }
-    }
-}
-
-impl<R: BufRead> Iterator for UlmReader<R> {
-    type Item = Result<Event>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.read_event().unwrap_or_default()
-    }
-}
-
 /// Parse every valid event in a multi-line ULM document, dropping malformed
 /// lines.  Convenience used by log-merging tools and tests.
 pub fn decode_all_lossy(doc: &str) -> Vec<Event> {
@@ -401,30 +312,6 @@ mod tests {
             decode("DATE=20000330112320 HOST=h PROG=p LVL=Bogus NL.EVNT=x"),
             Err(UlmError::BadLevel(_))
         ));
-    }
-
-    #[test]
-    fn reader_writer_round_trip_and_skips_comments() {
-        let mut buf = Vec::new();
-        {
-            let mut w = UlmWriter::new(&mut buf);
-            for i in 0..5u64 {
-                let ev = Event::builder("p", "h")
-                    .event_type("TICK")
-                    .timestamp(Timestamp::from_secs(i))
-                    .value(i)
-                    .build();
-                w.write_event(&ev).unwrap();
-            }
-            assert_eq!(w.events_written(), 5);
-            w.flush().unwrap();
-        }
-        let mut text = String::from_utf8(buf).unwrap();
-        text.insert_str(0, "# comment line\n\n");
-        let reader = UlmReader::new(text.as_bytes());
-        let events: Vec<_> = reader.map(|r| r.unwrap()).collect();
-        assert_eq!(events.len(), 5);
-        assert_eq!(events[3].value(), Some(3.0));
     }
 
     #[test]

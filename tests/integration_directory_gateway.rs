@@ -1,17 +1,13 @@
 //! Integration of the directory service with the rest of the system:
 //! replication and failover under load, referrals across sites, persistent
-//! search driving a consumer, and the RMI substrate carrying control calls.
+//! search driving a consumer.
 
 use std::sync::Arc;
 
-use jamm_core::json::json;
 use jamm_directory::notify::ChangeKind;
 use jamm_directory::referral::Federation;
 use jamm_directory::replication::ReplicatedDirectory;
 use jamm_directory::{DirectoryServer, Dn, Entry, Filter, Scope};
-use jamm_rmi::bus::MessageBus;
-use jamm_rmi::message::MethodCall;
-use jamm_rmi::tcp::{ReactorClient, RmiServer};
 
 fn sensor_entry(site: &str, host: &str, sensor: &str) -> Entry {
     Entry::new(Dn::parse(&format!("sensor={sensor},host={host},o={site},o=grid")).unwrap())
@@ -125,46 +121,4 @@ fn persistent_search_notifies_consumers_of_new_sensors() {
     assert_eq!(changes[0].kind, ChangeKind::Added);
     assert_eq!(changes[1].kind, ChangeKind::Modified);
     assert_eq!(changes[1].entry.get("status"), Some("stopped"));
-}
-
-#[test]
-fn control_plane_calls_travel_over_the_rmi_substrate() {
-    // A sensor-manager control service exposed over TCP, as the GUIs and
-    // gateways would call it.
-    let bus = MessageBus::new();
-    bus.register_fn(
-        "sensor-manager@dpss1.lbl.gov",
-        |method, args| match method {
-            "start_sensor" => Ok(json!({
-                "sensor": args["name"].clone(),
-                "status": "running"
-            })),
-            "list" => Ok(json!(["cpu", "memory", "tcp"])),
-            other => Err(jamm_rmi::message::RmiError::NoSuchMethod(other.into())),
-        },
-    );
-    let server = RmiServer::start(bus).expect("bind localhost");
-    let reactor = std::sync::Arc::new(
-        jamm_reactor::Reactor::start(jamm_reactor::ReactorConfig::default()).expect("reactor"),
-    );
-    let mut client =
-        ReactorClient::connect(std::sync::Arc::clone(&reactor), server.addr()).expect("connect");
-    let started = client
-        .invoke(&MethodCall::new(
-            "sensor-manager@dpss1.lbl.gov",
-            "start_sensor",
-            json!({"name": "netstat"}),
-        ))
-        .unwrap();
-    assert_eq!(started["status"], "running");
-    let list = client
-        .invoke(&MethodCall::new(
-            "sensor-manager@dpss1.lbl.gov",
-            "list",
-            json!(null),
-        ))
-        .unwrap();
-    assert_eq!(list.as_array().unwrap().len(), 3);
-    drop(client);
-    reactor.shutdown();
 }
