@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jamm::jamm_archive::EventArchive;
-use jamm::jamm_core::query::{BatchScratch, ColumnBatch, Predicate, Selection};
+use jamm::jamm_core::query::{Aggregator, BatchScratch, ColumnBatch, Predicate, Selection};
 use jamm::jamm_core::rng::Rng;
 use jamm::jamm_gateway::{EventGateway, GatewayConfig};
 use jamm::jamm_tsdb::{Tsdb, TsdbOptions};
@@ -294,7 +294,14 @@ fn main() {
                     let who = format!("dash{r}");
                     for _ in 0..reads_each {
                         let snap = gw.view_snapshot(&who, "dashboard").unwrap();
-                        std::hint::black_box(snap.events.len() + snap.aggregates.len());
+                        std::hint::black_box(
+                            snap.events.len()
+                                + snap
+                                    .aggregator
+                                    .as_ref()
+                                    .map(Aggregator::rows)
+                                    .map_or(0, |r| r.len()),
+                        );
                     }
                 });
             }

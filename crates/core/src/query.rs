@@ -18,9 +18,11 @@
 //!   compiled plan answers against live events and directory entries
 //!   alike.
 //!
-//! Identifier leaves (event types, hosts, attribute names) are interned
-//! ([`Sym`]) at compile time, so steady-state evaluation hashes `u32`s and
-//! allocates nothing per record.
+//! Identifier leaves (event types, hosts) are interned ([`Sym`]) at
+//! compile time, so steady-state evaluation hashes `u32`s and allocates
+//! nothing per record.  Attribute leaves keep their lower-cased name: the
+//! record compares strings, and a name from consumer query text never
+//! enters the process-wide interner.
 //!
 //! # Grammar
 //!
@@ -838,7 +840,7 @@ pub trait Record {
     fn attr_present(&self, attr: &str) -> bool;
 }
 
-/// The compiled evaluator node tree: identifier leaves are interned.
+/// The compiled evaluator node tree: type and host leaves are interned.
 #[derive(Debug, Clone)]
 enum Node {
     True,
@@ -853,9 +855,9 @@ enum Node {
     OnChange,
     Crosses(f64),
     RelativeChange(f64),
-    Equals(Sym, String),
-    Present(Sym),
-    Substring(Sym, Vec<String>),
+    Equals(String, String),
+    Present(String),
+    Substring(String, Vec<String>),
 }
 
 fn compile_node(p: &Predicate) -> Node {
@@ -896,9 +898,9 @@ fn compile_node(p: &Predicate) -> Node {
         Predicate::OnChange => Node::OnChange,
         Predicate::Crosses(t) => Node::Crosses(*t),
         Predicate::RelativeChange(r) => Node::RelativeChange(*r),
-        Predicate::Equals(a, v) => Node::Equals(Sym::intern(a), v.clone()),
-        Predicate::Present(a) => Node::Present(Sym::intern(a)),
-        Predicate::Substring(a, parts) => Node::Substring(Sym::intern(a), parts.clone()),
+        Predicate::Equals(a, v) => Node::Equals(a.clone(), v.clone()),
+        Predicate::Present(a) => Node::Present(a.clone()),
+        Predicate::Substring(a, parts) => Node::Substring(a.clone(), parts.clone()),
     }
 }
 
@@ -1333,9 +1335,9 @@ fn eval_node<R: Record + ?Sized>(n: &Node, rec: &R, ctx: &Ctx) -> bool {
             (Some(_), _) => true,
             (None, _) => false,
         },
-        Node::Equals(a, v) => rec.attr_any(a.as_str(), &mut |x| x.eq_ignore_ascii_case(v)),
-        Node::Present(a) => rec.attr_present(a.as_str()),
-        Node::Substring(a, parts) => rec.attr_any(a.as_str(), &mut |x| substring_match(x, parts)),
+        Node::Equals(a, v) => rec.attr_any(a, &mut |x| x.eq_ignore_ascii_case(v)),
+        Node::Present(a) => rec.attr_present(a),
+        Node::Substring(a, parts) => rec.attr_any(a, &mut |x| substring_match(x, parts)),
     }
 }
 
@@ -2894,5 +2896,20 @@ mod tests {
         assert_eq!(lookups() - before, 0, "the keyed form looks nothing up");
         plan.eval(&rec("h1", "A", Some(4.0)));
         assert_eq!(lookups() - before, 2, "eval looks up the host and the type");
+    }
+
+    #[test]
+    fn attribute_leaves_leave_the_interner_alone() {
+        let names = [
+            "jamm.core.query.test.never-interned-eq",
+            "jamm.core.query.test.never-interned-present",
+            "jamm.core.query.test.never-interned-sub",
+        ];
+        let text = format!("(&({}=x)({}=*)({}=a*b))", names[0], names[1], names[2]);
+        let plan = Predicate::parse(&text).unwrap().compile();
+        plan.eval(&rec("h1", "A", Some(1.0)));
+        for name in names {
+            assert_eq!(Sym::lookup(name), None, "{name} was interned");
+        }
     }
 }

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jamm_core::intern::Sym;
-use jamm_core::query::{AggRow, Aggregator, Plan, Predicate};
+use jamm_core::query::{Aggregator, Plan, Predicate};
 use jamm_core::sync::{Mutex, RwLock};
 use jamm_ulm::{SharedEvent, Timestamp};
 
@@ -41,12 +41,10 @@ pub struct ViewSnapshot {
     /// The most recent matching events, oldest first (bounded by
     /// [`VIEW_RING_CAPACITY`]).
     pub events: Vec<SharedEvent>,
-    /// Aggregate rows (group-by / top-k), when the view's query
-    /// carries aggregate directives.
-    pub aggregates: Vec<AggRow>,
-    /// Every group the rows above were ranked from, before the top-k cut:
-    /// what a reader needs to merge this view with the same view on
-    /// another gateway ([`Aggregator::merge`]).
+    /// Every group folded in, when the view's query carries aggregate
+    /// directives: [`Aggregator::rows`] ranks them and applies the top-k
+    /// cut, and [`Aggregator::merge`] combines this view with the same
+    /// view on another gateway.
     pub aggregator: Option<Aggregator>,
     /// Matching updates folded into the view since registration.
     pub updates: u64,
@@ -167,7 +165,6 @@ impl ContinuousQuery {
             Arc::new(ViewSnapshot {
                 as_of: st.as_of,
                 events: st.ring.iter().cloned().collect(),
-                aggregates: st.agg.as_ref().map(Aggregator::rows).unwrap_or_default(),
                 aggregator: st.agg.clone(),
                 updates: self.updates.load(Ordering::Relaxed),
             })
@@ -336,12 +333,13 @@ mod tests {
         feed(&engine, &ev("calm", "CPU_TOTAL", 1_300_000, 20.0));
         feed(&engine, &ev("busy", "MEM_FREE", 1_400_000, 99.0)); // filtered
         let snap = engine.by_name("busiest").unwrap().snapshot();
-        assert_eq!(snap.aggregates.len(), 2, "top-k cuts to 2 groups");
-        assert_eq!(snap.aggregates[0].host.unwrap().as_str(), "busy");
-        assert_eq!(snap.aggregates[0].count, 10);
-        assert_eq!(snap.aggregates[0].mean, Some(90.0));
-        assert_eq!(snap.aggregates[1].host.unwrap().as_str(), "calm");
-        assert_eq!(snap.aggregates[1].mean, Some(20.0));
+        let rows = snap.aggregator.as_ref().map(Aggregator::rows).unwrap();
+        assert_eq!(rows.len(), 2, "top-k cuts to 2 groups");
+        assert_eq!(rows[0].host.unwrap().as_str(), "busy");
+        assert_eq!(rows[0].count, 10);
+        assert_eq!(rows[0].mean, Some(90.0));
+        assert_eq!(rows[1].host.unwrap().as_str(), "calm");
+        assert_eq!(rows[1].mean, Some(20.0));
     }
 
     #[test]
@@ -351,8 +349,9 @@ mod tests {
         feed(&engine, &ev("h", "CPU_TOTAL", 1_000, 10.0));
         feed(&engine, &ev("h", "MEM_FREE", 2_000, 30.0));
         let snap = engine.by_name("per-host").unwrap().snapshot();
-        assert_eq!(snap.aggregates.len(), 1);
-        let row = &snap.aggregates[0];
+        let rows = snap.aggregator.as_ref().map(Aggregator::rows).unwrap();
+        assert_eq!(rows.len(), 1);
+        let row = &rows[0];
         assert_eq!((row.host.unwrap().as_str(), row.event_type), ("h", None));
         assert_eq!((row.count, row.mean), (2, Some(20.0)));
     }

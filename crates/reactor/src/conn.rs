@@ -1,19 +1,20 @@
-//! Connection state: inbound buffer, frame-aligned backpressured outbox,
-//! and the per-connection counters that make slow consumers observable.
+//! Connection state: frame-aligned backpressured outbox, the bounded
+//! inbound drain, and the per-connection counters that make slow
+//! consumers observable.
 //!
 //! The outbox is the backpressure point of the whole network edge.  Frames
 //! are queued as `Arc<Vec<u8>>` — a broadcast enqueues the *same* encoded
 //! bytes on every subscriber (encode once, write N; the only per-connection
-//! cost is a refcount bump).  When a consumer falls behind, the queue's
-//! byte budget is enforced with the pipeline's own
-//! [`OverflowPolicy`]:
+//! cost is a refcount bump).  When a consumer falls behind past the
+//! queue's 4 MiB byte budget, whole frames are evicted from the front of
+//! the queue (drop-oldest) — but never the head frame once part of it has
+//! been written, so the byte stream stays frame-aligned and the peer's
+//! decoder never desyncs.
 //!
-//! * `DropOldest` evicts whole frames from the front of the queue — but
-//!   never the head frame once part of it has been written, so the byte
-//!   stream stays frame-aligned and the peer's decoder never desyncs;
-//! * `DropNewest` rejects the incoming frame and keeps what is queued.
+//! Subscribers have nothing to say to the edge: whatever a peer sends is
+//! read in bounded passes, counted in [`SocketStats::bytes_in`] and
+//! dropped.
 
-use jamm_core::OverflowPolicy;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -23,7 +24,7 @@ use std::sync::Arc;
 /// Per-connection atomic counters, shared between the event loop (writer)
 /// and observers such as `admin_stats` (readers).
 #[derive(Debug, Default)]
-pub struct SocketCounters {
+pub(crate) struct SocketCounters {
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
     frames_out: AtomicU64,
@@ -35,13 +36,8 @@ pub struct SocketCounters {
 }
 
 impl SocketCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> SocketCounters {
-        SocketCounters::default()
-    }
-
     /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> SocketStats {
+    pub(crate) fn snapshot(&self) -> SocketStats {
         SocketStats {
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
@@ -78,10 +74,10 @@ impl SocketCounters {
     }
 }
 
-/// Plain-data snapshot of [`SocketCounters`].
+/// Plain-data snapshot of one connection's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SocketStats {
-    /// Bytes read from the peer.
+    /// Bytes read from the peer (and discarded).
     pub bytes_in: u64,
     /// Bytes written to the peer.
     pub bytes_out: u64,
@@ -91,7 +87,7 @@ pub struct SocketStats {
     pub queued_bytes: u64,
     /// Frames currently waiting in the outbox (gauge).
     pub queued_frames: u64,
-    /// Frames evicted or rejected by the overflow policy.
+    /// Frames evicted because the outbox was full.
     pub dropped_frames: u64,
     /// Bytes those dropped frames held.
     pub dropped_bytes: u64,
@@ -100,120 +96,82 @@ pub struct SocketStats {
     pub stalls: u64,
 }
 
-/// Result of queueing a frame on an [`Outbox`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// Queued; nothing was displaced.
-    Queued,
-    /// Queued after evicting this many older frames (`DropOldest`).
-    QueuedEvicting(u64),
-    /// Rejected because the queue is full (`DropNewest`).
-    Rejected,
-}
-
 /// Outcome of one [`Outbox::write_to`] flush.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Flush {
+struct Flush {
     /// Bytes written in this flush.
-    pub written: usize,
+    written: usize,
     /// Whole frames completed in this flush.
-    pub frames_completed: u64,
+    frames_completed: u64,
     /// The write stopped on `EWOULDBLOCK` (socket buffer full).
-    pub blocked: bool,
+    blocked: bool,
 }
 
-/// Frame-aligned outbound queue with a byte budget and an overflow policy.
+/// Frame-aligned outbound queue with a byte budget; a full queue drops
+/// its oldest frames.
 #[derive(Debug)]
-pub struct Outbox {
+struct Outbox {
     frames: VecDeque<Arc<Vec<u8>>>,
     /// Bytes of the head frame already written to the socket.
     head_offset: usize,
     /// Bytes still to be written across all queued frames.
     queued_bytes: usize,
     capacity: usize,
-    policy: OverflowPolicy,
 }
 
 /// Most slices handed to one `writev` call.
 const MAX_SLICES: usize = 32;
 
+/// Byte budget of each connection's outbox.
+const OUTBOX_CAPACITY: usize = 4 * 1024 * 1024;
+
 impl Outbox {
     /// An empty outbox holding at most `capacity` queued bytes.
-    pub fn new(capacity: usize, policy: OverflowPolicy) -> Outbox {
+    fn new(capacity: usize) -> Outbox {
         Outbox {
             frames: VecDeque::new(),
             head_offset: 0,
             queued_bytes: 0,
             capacity: capacity.max(1),
-            policy,
         }
     }
 
     /// True when nothing is waiting to be written.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
 
-    /// Bytes still to be written.
-    pub fn queued_bytes(&self) -> usize {
-        self.queued_bytes
-    }
-
-    /// Frames still queued (including a partially written head).
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Queue a frame, applying the overflow policy against the byte budget.
-    ///
-    /// Returns what happened plus, for evictions, how many bytes were
-    /// displaced (via [`PushOutcome::QueuedEvicting`] and the second tuple
-    /// element).
-    pub fn push(&mut self, frame: Arc<Vec<u8>>) -> (PushOutcome, u64) {
+    /// Queue a frame, evicting whole older frames while the byte budget
+    /// would be exceeded.  Returns the frames and bytes evicted.
+    fn push(&mut self, frame: Arc<Vec<u8>>) -> (u64, u64) {
         let len = frame.len();
         if len == 0 {
-            return (PushOutcome::Queued, 0);
+            return (0, 0);
         }
-        match self.policy {
-            OverflowPolicy::DropNewest => {
-                if self.queued_bytes + len > self.capacity {
-                    return (PushOutcome::Rejected, len as u64);
-                }
-                self.queued_bytes += len;
-                self.frames.push_back(frame);
-                (PushOutcome::Queued, 0)
-            }
-            OverflowPolicy::DropOldest => {
-                let mut evicted = 0u64;
-                let mut evicted_bytes = 0u64;
-                while self.queued_bytes + len > self.capacity {
-                    // Never evict the head frame once part of it has been
-                    // written: a truncated frame would desync the peer's
-                    // decoder.  Everything behind it is fair game.
-                    let from = usize::from(self.head_offset > 0);
-                    let Some(victim) = self.frames.remove(from) else {
-                        break;
-                    };
-                    self.queued_bytes -= victim.len();
-                    evicted += 1;
-                    evicted_bytes += victim.len() as u64;
-                }
-                self.queued_bytes += len;
-                self.frames.push_back(frame);
-                if evicted > 0 {
-                    (PushOutcome::QueuedEvicting(evicted), evicted_bytes)
-                } else {
-                    (PushOutcome::Queued, 0)
-                }
-            }
+        let mut evicted = 0u64;
+        let mut evicted_bytes = 0u64;
+        while self.queued_bytes + len > self.capacity {
+            // Never evict the head frame once part of it has been
+            // written: a truncated frame would desync the peer's
+            // decoder.  Everything behind it is fair game.
+            let from = usize::from(self.head_offset > 0);
+            let Some(victim) = self.frames.remove(from) else {
+                break;
+            };
+            self.queued_bytes -= victim.len();
+            evicted += 1;
+            evicted_bytes += victim.len() as u64;
         }
+        self.queued_bytes += len;
+        self.frames.push_back(frame);
+        (evicted, evicted_bytes)
     }
 
     /// Write up to `budget` queued bytes with vectored writes.
     ///
     /// Stops early on `EWOULDBLOCK` (reported via [`Flush::blocked`], not an
     /// error); `EINTR` is retried.
-    pub fn write_to<W: Write>(&mut self, w: &mut W, budget: usize) -> io::Result<Flush> {
+    fn write_to<W: Write>(&mut self, w: &mut W, budget: usize) -> io::Result<Flush> {
         let mut flush = Flush::default();
         let empty: &[u8] = &[];
         while !self.frames.is_empty() && flush.written < budget {
@@ -285,13 +243,32 @@ impl Outbox {
 /// peer cannot starve the rest of the loop.
 const READ_BUDGET: usize = 256 * 1024;
 
+/// Read and discard until `EWOULDBLOCK` or the per-event budget,
+/// counting the bytes in `bytes_in`.  False once the peer is gone: EOF, a
+/// reset or any other read error.
+fn drain(r: &mut impl Read, scratch: &mut [u8], counters: &SocketCounters) -> bool {
+    let mut total = 0usize;
+    loop {
+        match r.read(scratch) {
+            Ok(0) => return false,
+            Ok(n) => {
+                total += n;
+                counters.add_in(n as u64);
+                if total >= READ_BUDGET {
+                    return true;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return false,
+        }
+    }
+}
+
 /// One nonblocking connection owned by the event loop.
 #[derive(Debug)]
-pub struct Conn {
-    id: u64,
+pub(crate) struct Conn {
     stream: TcpStream,
-    peer: String,
-    inbuf: Vec<u8>,
     outbox: Outbox,
     counters: Arc<SocketCounters>,
     closing: bool,
@@ -299,47 +276,28 @@ pub struct Conn {
 
 impl Conn {
     /// Wrap an already-nonblocking stream.
-    pub fn new(
-        id: u64,
-        stream: TcpStream,
-        peer: String,
-        outbox_capacity: usize,
-        policy: OverflowPolicy,
-    ) -> Conn {
+    pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
-            id,
             stream,
-            peer,
-            inbuf: Vec::new(),
-            outbox: Outbox::new(outbox_capacity, policy),
-            counters: Arc::new(SocketCounters::new()),
+            outbox: Outbox::new(OUTBOX_CAPACITY),
+            counters: Arc::default(),
             closing: false,
         }
     }
 
-    /// The connection id (also its poller token).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The peer address, as a display string.
-    pub fn peer(&self) -> &str {
-        &self.peer
-    }
-
     /// The shared counters.
-    pub fn counters(&self) -> &Arc<SocketCounters> {
+    pub(crate) fn counters(&self) -> &Arc<SocketCounters> {
         &self.counters
     }
 
     /// True once a graceful close was requested; the loop flushes the
     /// outbox and then closes.
-    pub fn is_closing(&self) -> bool {
+    pub(crate) fn is_closing(&self) -> bool {
         self.closing
     }
 
     /// Request a graceful close (flush queued frames, then close).
-    pub fn begin_close(&mut self) {
+    pub(crate) fn begin_close(&mut self) {
         self.closing = true;
     }
 
@@ -347,58 +305,28 @@ impl Conn {
         crate::poller::Source::new(&self.stream)
     }
 
-    /// Read until `EWOULDBLOCK`, EOF or the per-event budget into the
-    /// internal buffer; returns `(bytes_read, eof)`.
-    pub(crate) fn fill_inbuf(&mut self, scratch: &mut [u8]) -> io::Result<(usize, bool)> {
-        let mut total = 0usize;
-        loop {
-            match self.stream.read(scratch) {
-                Ok(0) => return Ok((total, true)),
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&scratch[..n]);
-                    total += n;
-                    self.counters.add_in(n as u64);
-                    if total >= READ_BUDGET {
-                        return Ok((total, false));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok((total, false)),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => return Ok((total, true)),
-                Err(e) => return Err(e),
-            }
+    /// Read and discard what the peer sent (see [`drain`]).  False once
+    /// the peer is gone.
+    pub(crate) fn drain_inbound(&mut self, scratch: &mut [u8]) -> bool {
+        drain(&mut self.stream, scratch, &self.counters)
+    }
+
+    /// Queue one encoded frame, counting what the full outbox evicted.
+    pub(crate) fn enqueue(&mut self, frame: Arc<Vec<u8>>) {
+        let (frames, bytes) = self.outbox.push(frame);
+        if frames > 0 {
+            self.counters.add_dropped(frames, bytes);
         }
-    }
-
-    /// Take the buffered inbound bytes (handler dispatch uses this to avoid
-    /// aliasing the connection while the handler runs).
-    pub(crate) fn take_inbuf(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.inbuf)
-    }
-
-    /// Put unconsumed inbound bytes back.
-    pub(crate) fn restore_inbuf(&mut self, buf: Vec<u8>) {
-        debug_assert!(self.inbuf.is_empty());
-        self.inbuf = buf;
-    }
-
-    /// Queue one encoded frame, updating drop counters per the policy.
-    pub fn enqueue(&mut self, frame: Arc<Vec<u8>>) -> PushOutcome {
-        let (outcome, displaced) = self.outbox.push(frame);
-        match outcome {
-            PushOutcome::Queued => {}
-            PushOutcome::QueuedEvicting(n) => self.counters.add_dropped(n, displaced),
-            PushOutcome::Rejected => self.counters.add_dropped(1, displaced),
-        }
-        self.counters
-            .set_queued(self.outbox.queued_bytes() as u64, self.outbox.len() as u64);
-        outcome
+        self.counters.set_queued(
+            self.outbox.queued_bytes as u64,
+            self.outbox.frames.len() as u64,
+        );
     }
 
     /// Flush up to `budget` bytes of the outbox to the socket.
-    pub(crate) fn flush(&mut self, budget: usize) -> io::Result<Flush> {
+    pub(crate) fn flush(&mut self, budget: usize) -> io::Result<()> {
         if self.outbox.is_empty() {
-            return Ok(Flush::default());
+            return Ok(());
         }
         let flush = self.outbox.write_to(&mut self.stream, budget)?;
         if flush.written > 0 {
@@ -408,13 +336,15 @@ impl Conn {
         if flush.blocked && !self.outbox.is_empty() {
             self.counters.add_stall();
         }
-        self.counters
-            .set_queued(self.outbox.queued_bytes() as u64, self.outbox.len() as u64);
-        Ok(flush)
+        self.counters.set_queued(
+            self.outbox.queued_bytes as u64,
+            self.outbox.frames.len() as u64,
+        );
+        Ok(())
     }
 
     /// True when queued bytes are waiting on the socket.
-    pub fn wants_write(&self) -> bool {
+    pub(crate) fn wants_write(&self) -> bool {
         !self.outbox.is_empty()
     }
 }
@@ -450,28 +380,18 @@ mod tests {
     }
 
     #[test]
-    fn drop_newest_rejects_when_full() {
-        let mut ob = Outbox::new(10, OverflowPolicy::DropNewest);
-        assert_eq!(ob.push(frame(6, b'a')).0, PushOutcome::Queued);
-        assert_eq!(ob.push(frame(6, b'b')).0, PushOutcome::Rejected);
-        assert_eq!(ob.queued_bytes(), 6);
-    }
-
-    #[test]
     fn drop_oldest_evicts_whole_frames() {
-        let mut ob = Outbox::new(10, OverflowPolicy::DropOldest);
-        ob.push(frame(4, b'a'));
-        ob.push(frame(4, b'b'));
-        let (outcome, bytes) = ob.push(frame(8, b'c'));
-        assert_eq!(outcome, PushOutcome::QueuedEvicting(2));
-        assert_eq!(bytes, 8);
-        assert_eq!(ob.len(), 1);
-        assert_eq!(ob.queued_bytes(), 8);
+        let mut ob = Outbox::new(10);
+        assert_eq!(ob.push(frame(4, b'a')), (0, 0));
+        assert_eq!(ob.push(frame(4, b'b')), (0, 0));
+        assert_eq!(ob.push(frame(8, b'c')), (2, 8));
+        assert_eq!(ob.frames.len(), 1);
+        assert_eq!(ob.queued_bytes, 8);
     }
 
     #[test]
     fn partially_written_head_is_never_evicted() {
-        let mut ob = Outbox::new(10, OverflowPolicy::DropOldest);
+        let mut ob = Outbox::new(10);
         ob.push(frame(8, b'a'));
         let mut w = Throttle {
             accept: 3,
@@ -482,9 +402,8 @@ mod tests {
         assert!(f.blocked);
         // Overflow with the head partially written: the head survives, so
         // the stream stays frame-aligned.
-        let (outcome, _) = ob.push(frame(9, b'b'));
-        assert_eq!(outcome, PushOutcome::Queued);
-        assert_eq!(ob.len(), 2);
+        assert_eq!(ob.push(frame(9, b'b')), (0, 0));
+        assert_eq!(ob.frames.len(), 2);
         let mut w2 = Throttle {
             accept: usize::MAX,
             sink: Vec::new(),
@@ -498,7 +417,7 @@ mod tests {
 
     #[test]
     fn partial_writes_resume_mid_frame() {
-        let mut ob = Outbox::new(1024, OverflowPolicy::DropOldest);
+        let mut ob = Outbox::new(1024);
         ob.push(frame(100, b'x'));
         ob.push(frame(50, b'y'));
         let mut got = Vec::new();
@@ -517,7 +436,7 @@ mod tests {
 
     #[test]
     fn write_budget_caps_a_flush() {
-        let mut ob = Outbox::new(usize::MAX, OverflowPolicy::DropOldest);
+        let mut ob = Outbox::new(usize::MAX);
         for _ in 0..10 {
             ob.push(frame(100, b'z'));
         }
@@ -528,14 +447,27 @@ mod tests {
         let f = ob.write_to(&mut w, 250).unwrap();
         assert_eq!(f.written, 250);
         assert_eq!(f.frames_completed, 2);
-        assert_eq!(ob.queued_bytes(), 750);
+        assert_eq!(ob.queued_bytes, 750);
+    }
+
+    #[test]
+    fn a_drain_stops_at_the_read_budget_and_ends_at_eof() {
+        let counters = SocketCounters::default();
+        let mut firehose = io::repeat(b'x').take(2 * READ_BUDGET as u64 + 10);
+        let mut scratch = vec![0u8; 64 * 1024];
+        for pass in 1..=2u64 {
+            assert!(drain(&mut firehose, &mut scratch, &counters));
+            assert_eq!(counters.snapshot().bytes_in, pass * READ_BUDGET as u64);
+        }
+        assert!(!drain(&mut firehose, &mut scratch, &counters), "EOF");
+        assert_eq!(counters.snapshot().bytes_in, 2 * READ_BUDGET as u64 + 10);
     }
 
     #[test]
     fn broadcast_frames_share_one_allocation() {
         let shared = frame(64, b's');
-        let mut a = Outbox::new(1024, OverflowPolicy::DropOldest);
-        let mut b = Outbox::new(1024, OverflowPolicy::DropOldest);
+        let mut a = Outbox::new(1024);
+        let mut b = Outbox::new(1024);
         a.push(shared.clone());
         b.push(shared.clone());
         // One payload allocation, three handles: encode once, write N.

@@ -11,31 +11,30 @@
 //! * a crate-private waker — cross-thread wakeup over a loopback UDP
 //!   socket pair, the std-only stand-in for a self-pipe, which only the
 //!   loop that drains it can use;
-//! * [`conn::Conn`] / [`conn::Outbox`] — per-connection state with a
-//!   frame-aligned outbound queue mapped onto the pipeline's own
-//!   [`OverflowPolicy`](jamm_core::flow::OverflowPolicy) (`DropOldest` /
-//!   `DropNewest`) and per-connection counters (bytes, queued, dropped,
-//!   stalls) for observing slow consumers;
-//! * [`reactor::Reactor`] — the event loop itself: accept, read, dispatch
-//!   to [`reactor::ConnHandler`]s, flush outboxes under a write budget, and
-//!   broadcast `Arc`-shared frames (encode once, write N).
+//! * crate-private connection state — a frame-aligned outbound queue of
+//!   at most 4 MiB per connection that drops its oldest frames when full,
+//!   a bounded inbound drain (what a subscriber sends is read at most
+//!   256 KiB per wakeup, counted and dropped) and per-connection counters
+//!   ([`SocketStats`]: bytes, queued, dropped, stalls) for observing slow
+//!   consumers;
+//! * [`reactor::Reactor`] — the event loop itself: accept, drain inbound
+//!   bytes, flush outboxes under a write budget, and broadcast
+//!   `Arc`-shared frames (encode once, write N) to every connection of a
+//!   listener.
 //!
 //! In the same discipline as the rest of the workspace, the crate depends
-//! on nothing but `jamm-core` and std.
+//! on nothing but `jamm-core` and std (CI's "Layering" step checks it).
 
 #![deny(missing_docs)]
 // Bytes from the network reach every function here: production code
 // returns errors or handles the empty case, it does not unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod conn;
+mod conn;
 pub mod poller;
 pub mod reactor;
 mod sys;
 
-pub use conn::{Conn, Flush, Outbox, PushOutcome, SocketCounters, SocketStats};
+pub use conn::SocketStats;
 pub use poller::{Backend, Interest, Poller, Readiness, Source};
-pub use reactor::{
-    Acceptor, CloseReason, ConnHandler, ConnId, ConnIo, ListenerId, LoopStats, Reactor,
-    ReactorConfig, SocketRow,
-};
+pub use reactor::{ConnId, ListenerId, LoopStats, Reactor, ReactorConfig, SocketRow};

@@ -10,21 +10,20 @@
 //!   listen / broadcast / unlisten / shutdown
 //!                    │  commands + wakeup
 //!                    ▼
-//!   ┌─────────────── event-loop thread ────────────────┐
-//!   │ poll ─► accept ─► read ─► handler ─► outbox ─► … │
-//!   └──────────────────────────────────────────────────┘
+//!   ┌──────────────── event-loop thread ────────────────┐
+//!   │ poll ─► accept ─► drain inbound ─► flush outboxes │
+//!   └───────────────────────────────────────────────────┘
 //! ```
 //!
-//! Handlers run on the loop thread and must not block; they consume
-//! inbound bytes and queue outbound frames through [`ConnIo`].  Outbound
-//! frames are `Arc<Vec<u8>>`, so a broadcast enqueues one allocation on
-//! every subscriber — encode once, write N.
+//! The loop's only outbound traffic is a broadcast: the same
+//! `Arc<Vec<u8>>` frame queued on every connection of one listener —
+//! encode once, write N.  Subscribers have nothing to say; whatever they
+//! send is read in bounded passes, counted and dropped.
 
-use crate::conn::{Conn, PushOutcome, SocketCounters, SocketStats};
+use crate::conn::{Conn, SocketCounters, SocketStats};
 use crate::poller::{Backend, Interest, Poller, Readiness, Source, Waker};
 use jamm_core::channel::{unbounded, Receiver, Sender};
 use jamm_core::sync::Mutex;
-use jamm_core::OverflowPolicy;
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream, UdpSocket};
@@ -39,33 +38,16 @@ pub type ConnId = u64;
 /// Identifies a listening socket on a reactor.
 pub type ListenerId = u64;
 
-/// Why a connection was closed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CloseReason {
-    /// The peer closed or reset the stream.
-    PeerClosed,
-    /// A handler or handle asked for the close.
-    Requested,
-    /// The reactor shut down (after draining queued frames).
-    Drained,
-    /// An I/O error on the socket.
-    Error(String),
-}
-
-/// Tuning for [`Reactor::start`].  Connections have no idle timeout, and
-/// each flush writes at most a fixed 256 KiB to one socket.
+/// Tuning for [`Reactor::start`].  Connections have no idle timeout;
+/// each flush writes at most a fixed 256 KiB to one socket, each
+/// connection queues at most 4 MiB of frames (a full queue drops its
+/// oldest), and shutdown waits at most 2 s for queued frames to drain.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Readiness backend (defaults to the platform's best).
     pub backend: Backend,
     /// Most simultaneous connections; accepts beyond this are refused.
     pub max_connections: usize,
-    /// Byte budget of each connection's outbound queue.
-    pub outbox_capacity: usize,
-    /// What a full outbound queue does to new frames.
-    pub overflow: OverflowPolicy,
-    /// How long shutdown waits for queued frames to drain.
-    pub drain_timeout: Duration,
     /// Name of the loop thread.
     pub thread_name: String,
 }
@@ -75,76 +57,8 @@ impl Default for ReactorConfig {
         ReactorConfig {
             backend: Backend::native(),
             max_connections: 16_384,
-            outbox_capacity: 4 * 1024 * 1024,
-            overflow: OverflowPolicy::DropOldest,
-            drain_timeout: Duration::from_secs(2),
             thread_name: "jamm-reactor".to_string(),
         }
-    }
-}
-
-/// Callbacks for one connection, invoked on the loop thread.
-///
-/// Handlers must not block: they consume inbound bytes, queue outbound
-/// frames and return.
-pub trait ConnHandler: Send {
-    /// The connection is registered and writable state is fresh.
-    fn on_open(&mut self, _io: &mut ConnIo<'_>) {}
-
-    /// Buffered inbound bytes are available.  Return how many bytes of
-    /// `buf` were consumed; the rest is kept and re-presented (with more
-    /// data appended) on the next read.
-    fn on_data(&mut self, io: &mut ConnIo<'_>, buf: &[u8]) -> usize;
-
-    /// The connection is gone.  Always the last callback.
-    fn on_close(&mut self, _id: ConnId, _reason: &CloseReason) {}
-}
-
-/// Builds a [`ConnHandler`] for each connection a listener accepts.
-pub trait Acceptor: Send {
-    /// Called on the loop thread for every accepted connection.
-    fn accept(&mut self, id: ConnId, peer: &str) -> Box<dyn ConnHandler>;
-}
-
-impl<F> Acceptor for F
-where
-    F: FnMut(ConnId, &str) -> Box<dyn ConnHandler> + Send,
-{
-    fn accept(&mut self, id: ConnId, peer: &str) -> Box<dyn ConnHandler> {
-        self(id, peer)
-    }
-}
-
-/// Handler-side view of the connection being serviced.
-pub struct ConnIo<'a> {
-    conn: &'a mut Conn,
-}
-
-impl ConnIo<'_> {
-    /// The connection id.
-    pub fn id(&self) -> ConnId {
-        self.conn.id()
-    }
-
-    /// The peer address.
-    pub fn peer(&self) -> &str {
-        self.conn.peer()
-    }
-
-    /// Queue one encoded frame; the loop flushes it after the handler
-    /// returns.
-    pub fn send(&mut self, frame: Arc<Vec<u8>>) -> PushOutcome {
-        self.conn.enqueue(frame)
-    }
-
-    /// Request a graceful close: queued frames are flushed first.
-    pub fn close(&mut self) {
-        self.conn.begin_close();
-    }
-
-    /// The connection's shared counters.
-    pub fn counters(&self) -> &Arc<SocketCounters> {
-        self.conn.counters()
     }
 }
 
@@ -165,7 +79,6 @@ enum Cmd {
     Listen {
         id: ListenerId,
         listener: TcpListener,
-        acceptor: Box<dyn Acceptor>,
     },
     Broadcast {
         listener: ListenerId,
@@ -269,20 +182,12 @@ impl Reactor {
         }
     }
 
-    /// Register a listening socket; `acceptor` builds a handler for every
-    /// connection it accepts.
-    pub fn listen(
-        &self,
-        listener: TcpListener,
-        acceptor: Box<dyn Acceptor>,
-    ) -> io::Result<ListenerId> {
+    /// Register a listening socket; every connection it accepts receives
+    /// the listener's broadcasts.
+    pub fn listen(&self, listener: TcpListener) -> io::Result<ListenerId> {
         listener.set_nonblocking(true)?;
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        self.submit(Cmd::Listen {
-            id,
-            listener,
-            acceptor,
-        });
+        self.submit(Cmd::Listen { id, listener });
         Ok(id)
     }
 
@@ -358,13 +263,14 @@ impl Drop for Reactor {
 const WAKE_TOKEN: u64 = 0;
 const IDLE_POLL: Duration = Duration::from_millis(250);
 const DRAIN_POLL: Duration = Duration::from_millis(5);
+/// How long shutdown waits for queued frames to drain.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 /// Most outbound bytes written to one connection per flush, so one deep
 /// outbox cannot starve the other sockets of a loop iteration.
 const WRITE_BUDGET: usize = 256 * 1024;
 
 struct LoopConn {
     conn: Conn,
-    handler: Box<dyn ConnHandler>,
     listener: ListenerId,
     interest: Interest,
 }
@@ -376,7 +282,7 @@ struct EventLoop {
     wake_rx: UdpSocket,
     waker: Waker,
     shared: Arc<Shared>,
-    listeners: HashMap<u64, (TcpListener, Box<dyn Acceptor>)>,
+    listeners: HashMap<u64, TcpListener>,
     conns: HashMap<u64, LoopConn>,
     draining: Option<Instant>,
     scratch: Vec<u8>,
@@ -422,8 +328,8 @@ impl EventLoop {
                     }
                 }
                 let ids = std::mem::take(&mut self.scratch_ids);
-                for id in &ids {
-                    self.close_conn(*id, CloseReason::Drained);
+                for &id in &ids {
+                    self.close_conn(id);
                 }
                 self.scratch_ids = ids;
                 if self.conns.is_empty() {
@@ -475,63 +381,38 @@ impl EventLoop {
 
     fn accept_ready(&mut self, token: u64) {
         loop {
-            let accepted = {
-                let Some((listener, acceptor)) = self.listeners.get_mut(&token) else {
-                    return;
-                };
-                match listener.accept() {
-                    Ok((stream, addr)) => {
-                        if self.conns.len() >= self.cfg.max_connections {
-                            self.shared.refused.fetch_add(1, Ordering::Relaxed);
-                            drop(stream);
-                            continue;
-                        }
-                        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-                        let peer = addr.to_string();
-                        let handler = acceptor.accept(id, &peer);
-                        Some((id, stream, peer, handler))
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        // Transient accept failure (EMFILE, aborted
-                        // handshake): count it and let the next readiness
-                        // event retry.
-                        self.shared.refused.fetch_add(1, Ordering::Relaxed);
-                        None
-                    }
-                }
+            let Some(listener) = self.listeners.get(&token) else {
+                return;
             };
-            match accepted {
-                Some((id, stream, peer, handler)) => {
-                    self.install_conn(id, stream, peer, handler, token);
+            match listener.accept() {
+                Ok((stream, addr)) => {
+                    if self.conns.len() >= self.cfg.max_connections {
+                        self.shared.refused.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    self.install_conn(stream, addr.to_string(), token);
                 }
-                None => return,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    // Transient accept failure (EMFILE, aborted
+                    // handshake): count it and let the next readiness
+                    // event retry.
+                    self.shared.refused.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
             }
         }
     }
 
-    fn install_conn(
-        &mut self,
-        id: ConnId,
-        stream: TcpStream,
-        peer: String,
-        mut handler: Box<dyn ConnHandler>,
-        listener: ListenerId,
-    ) {
-        if let Err(e) = stream.set_nonblocking(true) {
+    fn install_conn(&mut self, stream: TcpStream, peer: String, listener: ListenerId) {
+        if stream.set_nonblocking(true).is_err() {
             self.shared.refused.fetch_add(1, Ordering::Relaxed);
-            handler.on_close(id, &CloseReason::Error(e.to_string()));
             return;
         }
         let _ = stream.set_nodelay(true);
-        let conn = Conn::new(
-            id,
-            stream,
-            peer.clone(),
-            self.cfg.outbox_capacity,
-            self.cfg.overflow,
-        );
+        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
+        let conn = Conn::new(stream);
         self.poller
             .register(id, conn.poller_source(), Interest::READ);
         self.shared.registry.lock().insert(
@@ -543,56 +424,31 @@ impl EventLoop {
             },
         );
         self.shared.conn_count.fetch_add(1, Ordering::Relaxed);
-        let mut lc = LoopConn {
-            conn,
-            handler,
-            listener,
-            interest: Interest::READ,
-        };
-        lc.handler.on_open(&mut ConnIo { conn: &mut lc.conn });
-        self.conns.insert(id, lc);
-        self.after_io(id);
+        self.conns.insert(
+            id,
+            LoopConn {
+                conn,
+                listener,
+                interest: Interest::READ,
+            },
+        );
     }
 
     fn conn_ready(&mut self, r: Readiness) {
-        let mut close: Option<CloseReason> = None;
-        {
-            let Some(lc) = self.conns.get_mut(&r.token) else {
-                return;
-            };
-            if r.readable && !lc.conn.is_closing() {
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let read = lc.conn.fill_inbuf(&mut scratch);
-                self.scratch = scratch;
-                match read {
-                    Ok((n, eof)) => {
-                        if n > 0 {
-                            let buf = lc.conn.take_inbuf();
-                            let consumed = lc
-                                .handler
-                                .on_data(&mut ConnIo { conn: &mut lc.conn }, &buf)
-                                .min(buf.len());
-                            let mut buf = buf;
-                            if consumed > 0 {
-                                buf.drain(..consumed);
-                            }
-                            lc.conn.restore_inbuf(buf);
-                        }
-                        if eof {
-                            close = Some(CloseReason::PeerClosed);
-                        }
-                    }
-                    Err(e) => close = Some(close_reason_for(&e)),
-                }
-            } else if r.hangup && !lc.conn.wants_write() {
-                // Error/hangup on a connection we are not reading from.
-                close = Some(CloseReason::PeerClosed);
-            }
-        }
-        if let Some(reason) = close {
-            self.close_conn(r.token, reason);
+        let Some(lc) = self.conns.get_mut(&r.token) else {
+            return;
+        };
+        let open = if r.readable && !lc.conn.is_closing() {
+            lc.conn.drain_inbound(&mut self.scratch)
         } else {
+            // A hangup on a connection we no longer read from closes it
+            // once nothing is queued for it.
+            !r.hangup || lc.conn.wants_write()
+        };
+        if open {
             self.flush_conn(r.token);
+        } else {
+            self.close_conn(r.token);
         }
     }
 
@@ -600,18 +456,11 @@ impl EventLoop {
     /// flushing failed or a graceful close finished, otherwise refresh its
     /// poller interest.
     fn flush_conn(&mut self, id: ConnId) {
-        let mut close: Option<CloseReason> = None;
-        if let Some(lc) = self.conns.get_mut(&id) {
-            if lc.conn.wants_write() {
-                if let Err(e) = lc.conn.flush(WRITE_BUDGET) {
-                    close = Some(close_reason_for(&e));
-                }
-            }
-        } else {
+        let Some(lc) = self.conns.get_mut(&id) else {
             return;
-        }
-        if let Some(reason) = close {
-            self.close_conn(id, reason);
+        };
+        if lc.conn.flush(WRITE_BUDGET).is_err() {
+            self.close_conn(id);
         } else {
             self.after_io(id);
         }
@@ -622,7 +471,7 @@ impl EventLoop {
             return;
         };
         if lc.conn.is_closing() && !lc.conn.wants_write() {
-            self.close_conn(id, CloseReason::Requested);
+            self.close_conn(id);
             return;
         }
         let want = Interest {
@@ -635,13 +484,12 @@ impl EventLoop {
         }
     }
 
-    fn close_conn(&mut self, id: ConnId, reason: CloseReason) {
-        if let Some(mut lc) = self.conns.remove(&id) {
-            lc.handler.on_close(id, &reason);
+    fn close_conn(&mut self, id: ConnId) {
+        if self.conns.remove(&id).is_some() {
             self.poller.deregister(id);
             self.shared.registry.lock().remove(&id);
             self.shared.conn_count.fetch_sub(1, Ordering::Relaxed);
-            // Dropping `lc.conn` closes the stream.
+            // Dropping the removed connection closes its stream.
         }
     }
 
@@ -663,17 +511,13 @@ impl EventLoop {
     fn drain_cmds(&mut self) {
         while let Ok(cmd) = self.cmds.try_recv() {
             match cmd {
-                Cmd::Listen {
-                    id,
-                    listener,
-                    acceptor,
-                } => {
+                Cmd::Listen { id, listener } => {
                     if self.draining.is_some() {
                         continue;
                     }
                     self.poller
                         .register(id, Source::new(&listener), Interest::READ);
-                    self.listeners.insert(id, (listener, acceptor));
+                    self.listeners.insert(id, listener);
                     // Connections may already be queued on the backlog.
                     self.accept_ready(id);
                 }
@@ -714,7 +558,7 @@ impl EventLoop {
                 }
                 Cmd::Shutdown => {
                     if self.draining.is_none() {
-                        self.draining = Some(Instant::now() + self.cfg.drain_timeout);
+                        self.draining = Some(Instant::now() + DRAIN_TIMEOUT);
                         // scratch_ids may hold connection ids left over
                         // from a Broadcast/Unlisten restore; deregistering
                         // those would strand their queued frames.
@@ -745,43 +589,12 @@ impl EventLoop {
     }
 }
 
-fn close_reason_for(e: &io::Error) -> CloseReason {
-    match e.kind() {
-        io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset => CloseReason::PeerClosed,
-        _ => CloseReason::Error(e.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
-    use std::net::TcpStream;
+    use std::net::{SocketAddr, TcpStream};
     use std::sync::atomic::AtomicBool;
-
-    /// Echoes every byte back and records close reasons.
-    struct Echo {
-        closed: Arc<AtomicBool>,
-    }
-
-    impl ConnHandler for Echo {
-        fn on_data(&mut self, io: &mut ConnIo<'_>, buf: &[u8]) -> usize {
-            io.send(Arc::new(buf.to_vec()));
-            buf.len()
-        }
-
-        fn on_close(&mut self, _id: ConnId, _reason: &CloseReason) {
-            self.closed.store(true, Ordering::SeqCst);
-        }
-    }
-
-    fn echo_acceptor(closed: Arc<AtomicBool>) -> Box<dyn Acceptor> {
-        Box::new(move |_id: ConnId, _peer: &str| {
-            Box::new(Echo {
-                closed: Arc::clone(&closed),
-            }) as Box<dyn ConnHandler>
-        })
-    }
 
     fn start_with(backend: Backend, tweak: impl FnOnce(&mut ReactorConfig)) -> Reactor {
         let mut cfg = ReactorConfig {
@@ -792,16 +605,51 @@ mod tests {
         Reactor::start(cfg).unwrap()
     }
 
+    /// Listen on a fresh loopback port: the listener's id and address.
+    fn listening(reactor: &Reactor) -> (ListenerId, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        (reactor.listen(listener).unwrap(), addr)
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Connect `n` subscribers (5 s read timeout) and wait until the loop
+    /// has registered them.
+    fn subscribe(reactor: &Reactor, addr: SocketAddr, n: usize) -> Vec<TcpStream> {
+        let clients: Vec<TcpStream> = (0..n)
+            .map(|_| {
+                let c = TcpStream::connect(addr).unwrap();
+                c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                c
+            })
+            .collect();
+        wait_until("subscribers never registered", || {
+            reactor.connections() >= n
+        });
+        clients
+    }
+
+    /// The socket row of the connection `client` opened.
+    fn row_of(reactor: &Reactor, client: &TcpStream) -> Option<SocketRow> {
+        let peer = client.local_addr().unwrap().to_string();
+        reactor.socket_stats().into_iter().find(|r| r.peer == peer)
+    }
+
+    fn bytes_in_of(reactor: &Reactor, client: &TcpStream) -> u64 {
+        row_of(reactor, client).map_or(0, |r| r.stats.bytes_in)
+    }
+
     #[test]
     fn loop_stats_count_ticks_and_split_wait_from_dispatch() {
-        let closed = Arc::new(AtomicBool::new(false));
         let reactor = start_with(Backend::native(), |_| {});
-        let listener = reactor
-            .listen(
-                TcpListener::bind("127.0.0.1:0").unwrap(),
-                echo_acceptor(closed),
-            )
-            .unwrap();
+        let (listener, _) = listening(&reactor);
         // A submit to an idle loop wakes it, so a few broadcasts force
         // ticks.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -828,22 +676,20 @@ mod tests {
     }
 
     #[test]
-    fn echo_round_trip_on_every_backend() {
+    fn broadcast_round_trip_on_every_backend() {
         for backend in backends() {
             let reactor = start_with(backend, |_| {});
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            reactor
-                .listen(listener, echo_acceptor(Arc::new(AtomicBool::new(false))))
-                .unwrap();
-            let mut client = TcpStream::connect(addr).unwrap();
+            let (lid, addr) = listening(&reactor);
+            let mut client = subscribe(&reactor, addr, 1).remove(0);
+            // Read readiness: what the subscriber sends is drained.
             client.write_all(b"ping pong").unwrap();
+            wait_until(&format!("{backend:?}: bytes in never counted"), || {
+                bytes_in_of(&reactor, &client) == 9
+            });
+            reactor.broadcast(lid, Arc::new(b"pong ping".to_vec()));
             let mut back = [0u8; 9];
-            client
-                .set_read_timeout(Some(Duration::from_secs(5)))
-                .unwrap();
             client.read_exact(&mut back).unwrap();
-            assert_eq!(&back, b"ping pong", "{backend:?}");
+            assert_eq!(&back, b"pong ping", "{backend:?}");
             reactor.shutdown();
         }
     }
@@ -851,31 +697,10 @@ mod tests {
     #[test]
     fn broadcast_reaches_every_subscriber() {
         let reactor = start_with(Backend::native(), |_| {});
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        struct Quiet;
-        impl ConnHandler for Quiet {
-            fn on_data(&mut self, _io: &mut ConnIo<'_>, buf: &[u8]) -> usize {
-                buf.len()
-            }
-        }
-        let lid = reactor
-            .listen(
-                listener,
-                Box::new(|_id: ConnId, _peer: &str| Box::new(Quiet) as Box<dyn ConnHandler>),
-            )
-            .unwrap();
-        let mut clients: Vec<TcpStream> =
-            (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while reactor.connections() < 8 {
-            assert!(Instant::now() < deadline, "subscribers never registered");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let frame = Arc::new(b"broadcast-frame".to_vec());
-        reactor.broadcast(lid, frame);
+        let (lid, addr) = listening(&reactor);
+        let mut clients = subscribe(&reactor, addr, 8);
+        reactor.broadcast(lid, Arc::new(b"broadcast-frame".to_vec()));
         for c in &mut clients {
-            c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             let mut got = [0u8; 15];
             c.read_exact(&mut got).unwrap();
             assert_eq!(&got, b"broadcast-frame");
@@ -887,29 +712,8 @@ mod tests {
     fn broadcasts_from_another_thread_never_wait_out_the_idle_poll() {
         const FRAMES: usize = 2_000;
         let reactor = start_with(Backend::native(), |_| {});
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        struct Quiet;
-        impl ConnHandler for Quiet {
-            fn on_data(&mut self, _io: &mut ConnIo<'_>, buf: &[u8]) -> usize {
-                buf.len()
-            }
-        }
-        let lid = reactor
-            .listen(
-                listener,
-                Box::new(|_id: ConnId, _peer: &str| Box::new(Quiet) as Box<dyn ConnHandler>),
-            )
-            .unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while reactor.connections() < 1 {
-            assert!(Instant::now() < deadline, "subscriber never registered");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let (lid, addr) = listening(&reactor);
+        let mut client = subscribe(&reactor, addr, 1).remove(0);
         // A wake the loop swallows leaves the waker armed with nothing to
         // read, so every later command waits for the poll to time out:
         // a frame or the shutdown then takes close to IDLE_POLL.  Bursts
@@ -952,28 +756,18 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_frames_and_closes_every_conn() {
-        let closed = Arc::new(AtomicBool::new(false));
         let reactor = start_with(Backend::native(), |_| {});
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let lid = reactor
-            .listen(listener, echo_acceptor(Arc::clone(&closed)))
-            .unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while reactor.connections() < 1 {
-            assert!(Instant::now() < deadline);
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let (lid, addr) = listening(&reactor);
+        let mut client = subscribe(&reactor, addr, 1).remove(0);
         let payload = Arc::new(vec![7u8; 128 * 1024]);
         reactor.broadcast(lid, Arc::clone(&payload));
         reactor.shutdown();
         assert_eq!(reactor.connections(), 0, "shutdown left live connections");
-        assert!(closed.load(Ordering::SeqCst), "on_close never ran");
-        // Every queued byte arrived before the close.
-        client
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
+        assert!(
+            reactor.socket_stats().is_empty(),
+            "shutdown left socket rows"
+        );
+        // Every queued byte arrived before the close (the EOF).
         let mut got = Vec::new();
         client.read_to_end(&mut got).unwrap();
         assert_eq!(got.len(), payload.len());
@@ -985,27 +779,16 @@ mod tests {
     /// that scratch before collecting listener ids — reusing the stale
     /// contents deregistered live connections, so their still-queued
     /// frames never got another writable event and were force-dropped at
-    /// the drain deadline.  Broadcast-then-shutdown with more queued
-    /// bytes than the kernel socket buffers take must still deliver
-    /// everything, quickly.
+    /// the drain deadline.  Broadcast-then-shutdown of a frame larger than
+    /// the kernel socket buffers take must still deliver all of it, well
+    /// within `DRAIN_TIMEOUT`.
     #[test]
     fn broadcast_then_shutdown_drains_stalled_connections() {
-        let reactor = start_with(Backend::native(), |cfg| {
-            cfg.outbox_capacity = 64 * 1024 * 1024;
-            cfg.drain_timeout = Duration::from_secs(10);
-        });
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let lid = reactor
-            .listen(listener, echo_acceptor(Arc::new(AtomicBool::new(false))))
-            .unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while reactor.connections() < 1 {
-            assert!(Instant::now() < deadline);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Far more than loopback socket buffering: the connection still
+        let reactor = start_with(Backend::native(), |_| {});
+        let (lid, addr) = listening(&reactor);
+        let client = subscribe(&reactor, addr, 1).remove(0);
+        // Far more than loopback socket buffering (and a single frame, so
+        // the 4 MiB outbox cannot drop it): the connection still
         // wants_write when Shutdown lands right after Broadcast.
         let payload = Arc::new(vec![9u8; 16 * 1024 * 1024]);
         let reader = std::thread::spawn(move || {
@@ -1021,7 +804,7 @@ mod tests {
         let start = Instant::now();
         reactor.shutdown();
         assert!(
-            start.elapsed() < Duration::from_secs(5),
+            start.elapsed() < DRAIN_TIMEOUT,
             "shutdown stalled to the drain deadline: {:?}",
             start.elapsed()
         );
@@ -1035,22 +818,9 @@ mod tests {
         let reactor = start_with(Backend::native(), |cfg| {
             cfg.max_connections = 2;
         });
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        reactor
-            .listen(listener, echo_acceptor(Arc::new(AtomicBool::new(false))))
-            .unwrap();
+        let (_, addr) = listening(&reactor);
         let _keep: Vec<TcpStream> = (0..4).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while reactor.refused() < 2 {
-            assert!(
-                Instant::now() < deadline,
-                "refused = {}, connections = {}",
-                reactor.refused(),
-                reactor.connections()
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        wait_until("fewer than 2 accepts refused", || reactor.refused() >= 2);
         assert_eq!(reactor.connections(), 2);
         reactor.shutdown();
     }
@@ -1058,31 +828,98 @@ mod tests {
     #[test]
     fn socket_stats_expose_per_connection_counters() {
         let reactor = start_with(Backend::native(), |_| {});
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let token = reactor
-            .listen(listener, echo_acceptor(Arc::new(AtomicBool::new(false))))
-            .unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
+        let (token, addr) = listening(&reactor);
+        let mut client = subscribe(&reactor, addr, 1).remove(0);
         client.write_all(b"0123456789").unwrap();
+        reactor.broadcast(token, Arc::new(b"abcdefghij".to_vec()));
         let mut back = [0u8; 10];
-        client
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
         client.read_exact(&mut back).unwrap();
-        // The loop thread updates counters just after the write syscall, so
+        // The loop thread updates counters just after each syscall, so
         // give the (eventually consistent) stats a moment to catch up.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
+        wait_until("counters never reached 10 in, 10 out", || {
             let rows = reactor.socket_stats();
             assert_eq!(rows.len(), 1);
             assert_eq!(rows[0].listener, token);
-            if rows[0].stats.bytes_in == 10 && rows[0].stats.bytes_out == 10 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "counters stuck at {rows:?}");
-            std::thread::sleep(Duration::from_millis(1));
+            rows[0].stats.bytes_in == 10 && rows[0].stats.bytes_out == 10
+        });
+        reactor.shutdown();
+    }
+
+    /// A subscriber that talks is drained, not dropped: across reads of
+    /// less and more than one read budget, every byte it sends is counted
+    /// and it keeps receiving broadcasts.
+    #[test]
+    fn a_subscriber_that_writes_stays_connected_and_keeps_receiving() {
+        let reactor = start_with(Backend::native(), |_| {});
+        let (lid, addr) = listening(&reactor);
+        let mut client = subscribe(&reactor, addr, 1).remove(0);
+        let mut sent = 0u64;
+        for (round, len) in [1_000usize, 300_000, 1_000_000].into_iter().enumerate() {
+            let round = round as u8;
+            client.write_all(&vec![round; len]).unwrap();
+            sent += len as u64;
+            wait_until("inbound bytes were not all counted", || {
+                bytes_in_of(&reactor, &client) == sent
+            });
+            reactor.broadcast(lid, Arc::new(vec![round; 16]));
+            let mut got = [0u8; 16];
+            client.read_exact(&mut got).unwrap();
+            assert_eq!(got, [round; 16]);
+            assert_eq!(reactor.connections(), 1);
         }
+        reactor.shutdown();
+    }
+
+    /// The inbound drain is bounded per wakeup: while one subscriber
+    /// writes as fast as it can, broadcasts still reach the others in
+    /// order, and the flooder stays connected with its bytes counted.
+    #[test]
+    fn a_flooding_subscriber_does_not_hold_up_a_broadcast_to_the_others() {
+        let reactor = start_with(Backend::native(), |_| {});
+        let (lid, addr) = listening(&reactor);
+        let mut clients = subscribe(&reactor, addr, 3);
+        let flooder = clients.remove(0);
+        // A loop that stopped reading would block the flooder for good;
+        // the timeout turns that into a failed write instead of a hang.
+        flooder
+            .set_write_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let stop = AtomicBool::new(false);
+        /// Ends the flood however the scope is left, a failed assertion
+        /// included, so the scope's join cannot wait forever.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        std::thread::scope(|s| {
+            let flood = s.spawn(|| {
+                let mut w = &flooder;
+                let chunk = vec![0xABu8; 64 * 1024];
+                while !stop.load(Ordering::Relaxed) {
+                    w.write_all(&chunk).unwrap();
+                }
+            });
+            let stopping = StopOnDrop(&stop);
+            // Broadcast only once the flood is under way: several read
+            // budgets' worth already drained from the flooder.
+            wait_until("the flood never reached the loop", || {
+                bytes_in_of(&reactor, &flooder) > 1 << 20
+            });
+            for i in 0..200u64 {
+                reactor.broadcast(lid, Arc::new(i.to_le_bytes().to_vec()));
+                for c in &mut clients {
+                    let mut frame = [0u8; 8];
+                    c.read_exact(&mut frame).unwrap();
+                    assert_eq!(u64::from_le_bytes(frame), i);
+                }
+            }
+            drop(stopping);
+            flood.join().unwrap();
+        });
+        assert_eq!(reactor.connections(), 3, "a subscriber was dropped");
+        assert!(bytes_in_of(&reactor, &flooder) > 1 << 20);
         reactor.shutdown();
     }
 }

@@ -17,11 +17,12 @@
 //!   (`jamm_ulm::deep_clone_count()` is flat across a broadcast, asserted
 //!   by the `e17_reactor_edge` bench).
 //!
-//! Backpressure is per connection: each subscriber socket has a bounded
-//! outbox mapped onto the pipeline's `DropOldest`/`DropNewest` policies,
-//! so one slow consumer stalls — and, if it stays slow, loses — only its
-//! own frames.  The per-socket counters surface through
-//! [`EventEdge::socket_stats`] and `JammSystem::admin_stats`.
+//! Backpressure is per connection: each subscriber socket has a 4 MiB
+//! outbox that drops its oldest frames when full, so one slow consumer
+//! stalls — and, if it stays slow, loses — only its own frames.
+//! Subscribers only read; whatever one sends is drained by the reactor in
+//! bounded reads, counted and dropped.  The per-socket counters surface
+//! through [`EventEdge::socket_stats`] and `JammSystem::admin_stats`.
 
 use std::io;
 use std::io::Read;
@@ -35,7 +36,7 @@ use jamm_core::channel::{bounded, Receiver, Sender};
 use jamm_core::sync::Mutex;
 use jamm_core::{Backoff, BreakerState, BreakerStats, CircuitBreaker, OverflowPolicy};
 use jamm_gateway::EventGateway;
-use jamm_reactor::{ConnHandler, ConnId, ConnIo, ListenerId, Reactor, SocketRow};
+use jamm_reactor::{ListenerId, Reactor, SocketRow};
 use jamm_ulm::keys::jamm::{EDGE_BROADCAST, EDGE_CONSUMER, EDGE_ENCODE, SUB_DRAIN};
 use jamm_ulm::{binary, Event};
 
@@ -134,15 +135,6 @@ pub struct EdgeStats {
     pub encoded_bytes: u64,
 }
 
-/// Subscriber connections never speak; whatever arrives is discarded.
-struct EdgeSubscriber;
-
-impl ConnHandler for EdgeSubscriber {
-    fn on_data(&mut self, _io: &mut ConnIo<'_>, buf: &[u8]) -> usize {
-        buf.len()
-    }
-}
-
 /// The reactor-backed subscriber transport of one gateway.
 ///
 /// The pump thread lives as long as its gateway subscription: it ends
@@ -184,10 +176,7 @@ impl EventEdge {
 
         let listener_sock = TcpListener::bind(&config.bind)?;
         let addr = listener_sock.local_addr()?;
-        let listener = reactor.listen(
-            listener_sock,
-            Box::new(|_id: ConnId, _peer: &str| Box::new(EdgeSubscriber) as Box<dyn ConnHandler>),
-        )?;
+        let listener = reactor.listen(listener_sock)?;
 
         let counters = Arc::new(EdgeCounters::default());
         let pump = {
