@@ -99,7 +99,7 @@ impl ArchiverAgent {
     /// the scratch buffer and is retried on the next poll rather than
     /// lost; while a retry batch is outstanding no further draining
     /// happens, so the held batch is bounded and the *subscriptions'*
-    /// bounded queues (with their overflow policy) absorb the backlog.
+    /// bounded queues absorb the backlog (dropping their oldest when full).
     /// Returns how many were stored.
     pub fn poll(&mut self) -> usize {
         if self.batch.is_empty() {

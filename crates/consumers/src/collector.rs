@@ -161,8 +161,8 @@ impl EventCollector {
 
     /// Adopt an externally opened subscription under the given gateway
     /// name.  Used when the caller needs builder options this collector's
-    /// subscribe helpers do not expose (a custom queue capacity or
-    /// overflow policy); the subscription must have been opened with this
+    /// subscribe helpers do not expose (a custom queue capacity); the
+    /// subscription must have been opened with this
     /// collector's consumer principal for delivery accounting to line up.
     pub fn adopt_subscription(&mut self, gateway_name: impl Into<String>, sub: Subscription) {
         self.subscriptions.push((gateway_name.into(), sub));

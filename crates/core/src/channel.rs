@@ -1,11 +1,10 @@
 //! Multi-producer / multi-consumer channels with optional capacity bounds.
 //!
-//! The event pipeline runs on these channels.  Unlike the unbounded queues
-//! the seed code used, a channel created with [`bounded`] refuses (or
-//! overwrites, see [`Sender::send_overwriting`]) work past its capacity, so
-//! a stalled consumer surfaces as an explicit drop count instead of
-//! unbounded memory growth.  [`unbounded`] remains available for
-//! application-side feeds that must never block the instrumented program.
+//! The event pipeline runs on these channels.  A send never waits: on a
+//! channel created with [`bounded`] that is at capacity, [`Sender::send`]
+//! evicts the oldest queued item and reports the eviction, so a stalled
+//! consumer surfaces as an explicit drop count instead of unbounded memory
+//! growth or a stalled producer.  Only receivers ever wait.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -18,37 +17,35 @@ struct State<T> {
     receivers: usize,
     /// Receivers asleep (or about to sleep) on `not_empty`.
     recv_waiting: usize,
-    /// Senders asleep (or about to sleep) on `not_full`.
-    send_waiting: usize,
 }
 
-/// The wake rule: a thread counts itself in `recv_waiting`/`send_waiting`
-/// under the mutex before it waits and uncounts itself after it wakes, and
-/// a push or pop notifies only when the count it read under that same
-/// mutex is nonzero.  A waiter that registered has released the mutex
-/// inside `wait` by the time the notifier can read its count, so no
-/// wake-up is lost; a notify with no sleeper (a `futex` syscall on Linux)
-/// is simply not made.  Dropping the last sender or receiver always
-/// notifies everyone.
+/// The wake rule: a receiver counts itself in `recv_waiting` under the
+/// mutex before it waits and uncounts itself after it wakes, and a push
+/// notifies only when the count it read under that same mutex is nonzero.
+/// A waiter that registered has released the mutex inside `wait` by the
+/// time the notifier can read its count, so no wake-up is lost; a notify
+/// with no sleeper (a `futex` syscall on Linux) is simply not made.
+/// Dropping the last sender always notifies every receiver.
 struct Chan<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
-    not_full: Condvar,
     /// Notifies made, so tests can tell a wake-up from a skipped one.
     #[cfg(test)]
     notifies: std::sync::atomic::AtomicUsize,
 }
 
-/// Create a channel that holds at most `capacity` in-flight items.
+/// Create a channel that holds at most `capacity` in-flight items; a send
+/// past that evicts the oldest.
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     new_channel(Some(capacity.max(1)))
 }
 
-/// Create a channel with no capacity bound.
+/// Create a channel with no capacity bound: a send neither waits nor
+/// evicts.
 ///
-/// Only producer-side feeds that must never observe backpressure (e.g.
-/// instrumented applications) should use this; the gateway subscription
-/// path is always bounded.
+/// For feeds whose every item must arrive and whose producer paces itself
+/// (commands, directory notifications, an application sensor's feed); the
+/// gateway subscription path is always bounded.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     new_channel(None)
 }
@@ -61,10 +58,8 @@ fn new_channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
             senders: 1,
             receivers: 1,
             recv_waiting: 0,
-            send_waiting: 0,
         }),
         not_empty: Condvar::new(),
-        not_full: Condvar::new(),
         #[cfg(test)]
         notifies: Default::default(),
     });
@@ -76,18 +71,9 @@ fn new_channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     )
 }
 
-/// Error returned by a blocking send on a channel with no receivers.
+/// Error returned by a send on a channel with no receivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
-
-/// Error returned by [`Sender::try_send`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The channel is at capacity.
-    Full(T),
-    /// All receivers are gone.
-    Disconnected(T),
-}
 
 /// Error returned by a blocking receive on an empty channel with no senders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +124,7 @@ impl<T> Drop for Sender<T> {
         s.senders -= 1;
         if s.senders == 0 {
             drop(s);
-            self.chan.notify(&self.chan.not_empty, true);
+            self.chan.notify(true);
         }
     }
 }
@@ -150,17 +136,17 @@ impl<T> Chan<T> {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Wake one (or every) thread waiting on `cv`.  Called after the lock
-    /// is released, and only when a sleeper was counted under it (or on
-    /// the last drop of one side, which must wake everyone).
-    fn notify(&self, cv: &Condvar, all: bool) {
+    /// Wake one (or every) waiting receiver.  Called after the lock is
+    /// released, and only when a sleeper was counted under it (or on the
+    /// last sender's drop, which must wake everyone).
+    fn notify(&self, all: bool) {
         #[cfg(test)]
         self.notifies
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         if all {
-            cv.notify_all();
+            self.not_empty.notify_all();
         } else {
-            cv.notify_one();
+            self.not_empty.notify_one();
         }
     }
 
@@ -170,66 +156,16 @@ impl<T> Chan<T> {
         let sleeping = s.recv_waiting > 0;
         drop(s);
         if sleeping {
-            self.notify(&self.not_empty, all);
-        }
-    }
-
-    /// Wake senders after a pop freed room, if any sleeps.
-    fn popped(&self, s: std::sync::MutexGuard<'_, State<T>>, all: bool) {
-        let sleeping = s.send_waiting > 0;
-        drop(s);
-        if sleeping {
-            self.notify(&self.not_full, all);
+            self.notify(all);
         }
     }
 }
 
 impl<T> Sender<T> {
-    /// Queue one item, blocking while the channel is at capacity.
-    pub fn send(&self, item: T) -> Result<(), SendError<T>> {
-        let mut s = self.chan.lock();
-        loop {
-            if s.receivers == 0 {
-                return Err(SendError(item));
-            }
-            match s.capacity {
-                Some(cap) if s.queue.len() >= cap => {
-                    s.send_waiting += 1;
-                    s = self
-                        .chan
-                        .not_full
-                        .wait(s)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    s.send_waiting -= 1;
-                }
-                _ => break,
-            }
-        }
-        s.queue.push_back(item);
-        self.chan.pushed(s, false);
-        Ok(())
-    }
-
-    /// Queue one item without blocking.
-    pub fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
-        let mut s = self.chan.lock();
-        if s.receivers == 0 {
-            return Err(TrySendError::Disconnected(item));
-        }
-        if let Some(cap) = s.capacity {
-            if s.queue.len() >= cap {
-                return Err(TrySendError::Full(item));
-            }
-        }
-        s.queue.push_back(item);
-        self.chan.pushed(s, false);
-        Ok(())
-    }
-
-    /// Queue one item, evicting the oldest queued item if the channel is at
-    /// capacity.  Returns `Ok(true)` when an eviction happened — the
-    /// caller's drop counter should record it.
-    pub fn send_overwriting(&self, item: T) -> Result<bool, SendError<T>> {
+    /// Queue one item without waiting, evicting the oldest queued item if
+    /// the channel is at capacity.  Returns `Ok(true)` when an eviction
+    /// happened — the caller's drop counter should record it.
+    pub fn send(&self, item: T) -> Result<bool, SendError<T>> {
         let mut s = self.chan.lock();
         if s.receivers == 0 {
             return Err(SendError(item));
@@ -248,13 +184,13 @@ impl<T> Sender<T> {
 
     /// Queue a whole batch under **one** lock acquisition, evicting the
     /// oldest queued items as needed to respect the capacity bound (the
-    /// batched form of [`Sender::send_overwriting`]).  The batch is drained
-    /// out of `items`, which keeps its allocation for the caller to reuse.
-    /// The final queue content is exactly what a sequence of per-item
-    /// overwriting sends would leave behind; the returned count is how
-    /// many items (queued or from the batch itself) were evicted.  Fails
-    /// with `items` untouched when every receiver is gone.
-    pub fn send_batch_overwriting(&self, items: &mut Vec<T>) -> Result<usize, SendError<()>> {
+    /// batched form of [`Sender::send`]).  The batch is drained out of
+    /// `items`, which keeps its allocation for the caller to reuse.  The
+    /// final queue content is exactly what a sequence of per-item sends
+    /// would leave behind; the returned count is how many items (queued
+    /// or from the batch itself) were evicted.  Fails with `items`
+    /// untouched when every receiver is gone.
+    pub fn send_batch(&self, items: &mut Vec<T>) -> Result<usize, SendError<()>> {
         if items.is_empty() {
             return Ok(0);
         }
@@ -272,32 +208,6 @@ impl<T> Sender<T> {
         }
         self.chan.pushed(s, true);
         Ok(evicted)
-    }
-
-    /// Queue as much of a batch as fits without blocking, under one lock
-    /// acquisition (the batched form of [`Sender::try_send`] for a
-    /// drop-newest hop).  Returns how many items were accepted: that
-    /// prefix is drained out of `items` and queued in order, the rejected
-    /// tail stays in `items` for the caller to account.  Fails with
-    /// `items` untouched when every receiver is gone.
-    pub fn try_send_batch(&self, items: &mut Vec<T>) -> Result<usize, SendError<()>> {
-        if items.is_empty() {
-            return Ok(0);
-        }
-        let mut s = self.chan.lock();
-        if s.receivers == 0 {
-            return Err(SendError(()));
-        }
-        let room = match s.capacity {
-            Some(cap) => cap.saturating_sub(s.queue.len()),
-            None => items.len(),
-        };
-        let accepted = items.len().min(room);
-        s.queue.extend(items.drain(..accepted));
-        if accepted > 0 {
-            self.chan.pushed(s, true);
-        }
-        Ok(accepted)
     }
 
     /// Number of items currently queued.
@@ -339,12 +249,7 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut s = self.chan.lock();
-        s.receivers -= 1;
-        if s.receivers == 0 {
-            drop(s);
-            self.chan.notify(&self.chan.not_full, true);
-        }
+        self.chan.lock().receivers -= 1;
     }
 }
 
@@ -353,10 +258,7 @@ impl<T> Receiver<T> {
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut s = self.chan.lock();
         match s.queue.pop_front() {
-            Some(item) => {
-                self.chan.popped(s, false);
-                Ok(item)
-            }
+            Some(item) => Ok(item),
             None if s.senders == 0 => Err(TryRecvError::Disconnected),
             None => Err(TryRecvError::Empty),
         }
@@ -368,7 +270,6 @@ impl<T> Receiver<T> {
         let mut s = self.chan.lock();
         loop {
             if let Some(item) = s.queue.pop_front() {
-                self.chan.popped(s, false);
                 return Ok(item);
             }
             if s.senders == 0 {
@@ -390,7 +291,6 @@ impl<T> Receiver<T> {
         let mut s = self.chan.lock();
         loop {
             if let Some(item) = s.queue.pop_front() {
-                self.chan.popped(s, false);
                 return Ok(item);
             }
             if s.senders == 0 {
@@ -412,16 +312,13 @@ impl<T> Receiver<T> {
     }
 
     /// Move everything currently queued onto the end of `out`, in FIFO
-    /// order, without blocking: one lock acquisition and one wake-up of
-    /// blocked senders for the whole drain, where [`Receiver::try_iter`]
-    /// pays both per item.  Returns how many items were moved.
+    /// order, without blocking: one lock acquisition for the whole drain,
+    /// where [`Receiver::try_iter`] pays one per item.  Returns how many
+    /// items were moved.
     pub fn drain_into(&self, out: &mut Vec<T>) -> usize {
         let mut s = self.chan.lock();
         let n = s.queue.len();
         out.extend(s.queue.drain(..));
-        if n > 0 {
-            self.chan.popped(s, true);
-        }
         n
     }
 
@@ -459,46 +356,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bounded_try_send_reports_full() {
-        let (tx, rx) = bounded::<u32>(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-        assert_eq!(rx.try_recv(), Ok(1));
-        tx.try_send(3).unwrap();
-        let rest: Vec<u32> = rx.try_iter().collect();
-        assert_eq!(rest, vec![2, 3]);
-    }
-
-    #[test]
     fn batch_sends_match_per_item_semantics() {
-        // Overwriting batch: final queue is the freshest `cap` items.
+        // The final queue is the freshest `cap` items.
         let (tx, rx) = bounded::<u32>(4);
-        tx.try_send(0).unwrap();
-        tx.try_send(1).unwrap();
+        tx.send(0).unwrap();
+        tx.send(1).unwrap();
         let mut batch: Vec<u32> = (2..8).collect();
-        assert_eq!(tx.send_batch_overwriting(&mut batch).unwrap(), 4);
+        assert_eq!(tx.send_batch(&mut batch).unwrap(), 4);
         assert!(batch.is_empty(), "the batch is drained, not consumed");
         let got: Vec<u32> = rx.try_iter().collect();
         assert_eq!(got, vec![4, 5, 6, 7]);
         // A batch larger than the capacity evicts its own head.
         batch.extend(0..6);
-        assert_eq!(tx.send_batch_overwriting(&mut batch).unwrap(), 2);
+        assert_eq!(tx.send_batch(&mut batch).unwrap(), 2);
         assert_eq!(rx.try_iter().collect::<Vec<u32>>(), vec![2, 3, 4, 5]);
-        // Drop-newest batch: prefix fits, the rejected tail stays behind.
-        tx.try_send(9).unwrap();
-        batch.extend(0..5);
-        assert_eq!(tx.try_send_batch(&mut batch).unwrap(), 3);
-        assert_eq!(batch, vec![3, 4]);
-        assert_eq!(rx.try_iter().collect::<Vec<u32>>(), vec![9, 0, 1, 2]);
         // Empty batches are no-ops; disconnection leaves the batch alone.
-        batch.clear();
-        assert_eq!(tx.send_batch_overwriting(&mut batch).unwrap(), 0);
-        assert_eq!(tx.try_send_batch(&mut batch).unwrap(), 0);
+        assert_eq!(tx.send_batch(&mut batch).unwrap(), 0);
         drop(rx);
         batch.extend([1, 2]);
-        assert_eq!(tx.send_batch_overwriting(&mut batch), Err(SendError(())));
-        assert_eq!(tx.try_send_batch(&mut batch), Err(SendError(())));
+        assert_eq!(tx.send_batch(&mut batch), Err(SendError(())));
         assert_eq!(batch, vec![1, 2]);
     }
 
@@ -509,26 +385,26 @@ mod tests {
         assert_eq!(rx.drain_into(&mut out), 0, "empty channel");
         assert_eq!(out, vec![99]);
         for i in 0..4 {
-            tx.try_send(i).unwrap();
+            tx.send(i).unwrap();
         }
         assert_eq!(rx.drain_into(&mut out), 4);
         assert_eq!(out, vec![99, 0, 1, 2, 3], "appended in send order");
         assert!(rx.is_empty());
-        // Interleaved with overwriting batch sends: each drain sees
-        // exactly what per-item receives would have seen.
+        // Interleaved with batch sends: each drain sees exactly what
+        // per-item receives would have seen.
         let mut batch: Vec<u32> = (10..16).collect();
-        assert_eq!(tx.send_batch_overwriting(&mut batch).unwrap(), 2);
+        assert_eq!(tx.send_batch(&mut batch).unwrap(), 2);
         out.clear();
         assert_eq!(rx.drain_into(&mut out), 4);
         assert_eq!(out, vec![12, 13, 14, 15]);
         batch.extend([20, 21]);
-        tx.send_batch_overwriting(&mut batch).unwrap();
-        tx.try_send(22).unwrap();
+        tx.send_batch(&mut batch).unwrap();
+        tx.send(22).unwrap();
         assert_eq!(rx.try_recv(), Ok(20));
         assert_eq!(rx.drain_into(&mut out), 2);
         assert_eq!(out, vec![12, 13, 14, 15, 21, 22]);
         // Queued items survive the last sender; then the drain is empty.
-        tx.try_send(30).unwrap();
+        tx.send(30).unwrap();
         drop(tx);
         assert_eq!(rx.drain_into(&mut out), 1);
         assert_eq!(rx.drain_into(&mut out), 0);
@@ -536,49 +412,28 @@ mod tests {
     }
 
     #[test]
-    fn drain_into_wakes_senders_blocked_on_a_full_channel() {
-        let (tx, rx) = bounded::<u32>(2);
-        tx.send(0).unwrap();
-        tx.send(1).unwrap();
-        // Two senders block on the full channel; one drain must release
-        // both (it freed two slots with a single wake-up).
-        let blocked: Vec<_> = (2..4)
-            .map(|i| {
-                let tx = tx.clone();
-                std::thread::spawn(move || tx.send(i).unwrap())
-            })
-            .collect();
-        // The pause only makes it likely both are parked by now; every
-        // assertion below holds whichever way the race goes.
-        std::thread::sleep(Duration::from_millis(20));
-        let mut out = Vec::new();
-        assert_eq!(rx.drain_into(&mut out), 2);
-        for h in blocked {
-            h.join().unwrap();
-        }
-        assert_eq!(out, vec![0, 1]);
-        rx.drain_into(&mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn send_overwriting_evicts_oldest() {
         let (tx, rx) = bounded::<u32>(2);
-        assert!(!tx.send_overwriting(1).unwrap());
-        assert!(!tx.send_overwriting(2).unwrap());
-        assert!(tx.send_overwriting(3).unwrap(), "evicted 1");
+        assert!(!tx.send(1).unwrap());
+        assert!(!tx.send(2).unwrap());
+        assert!(tx.send(3).unwrap(), "evicted 1");
         let got: Vec<u32> = rx.try_iter().collect();
         assert_eq!(got, vec![2, 3]);
+        // An unbounded channel never evicts.
+        let (tx, rx) = unbounded::<u32>();
+        for i in 0..10_000 {
+            assert!(!tx.send(i).unwrap());
+        }
+        assert_eq!(rx.len(), 10_000);
     }
 
     #[test]
     fn disconnect_semantics() {
         let (tx, rx) = unbounded::<u32>();
         drop(rx);
-        assert_eq!(tx.try_send(1), Err(TrySendError::Disconnected(1)));
+        assert_eq!(tx.send(1), Err(SendError(1)));
         let (tx, rx) = unbounded::<u32>();
-        tx.try_send(7).unwrap();
+        tx.send(7).unwrap();
         drop(tx);
         assert_eq!(rx.try_recv(), Ok(7), "queued items survive sender drop");
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
@@ -613,17 +468,14 @@ mod tests {
     #[test]
     fn no_sleeper_means_no_notify_on_any_path() {
         let (tx, rx) = bounded::<u32>(4);
-        tx.send(1).unwrap();
-        tx.try_send(2).unwrap();
-        tx.send_overwriting(3).unwrap();
-        tx.send_overwriting(4).unwrap();
-        tx.send_overwriting(5).unwrap();
-        tx.send_batch_overwriting(&mut vec![6, 7]).unwrap();
-        assert_eq!(tx.try_send_batch(&mut vec![8]).unwrap(), 0);
+        for i in 1..=5 {
+            tx.send(i).unwrap();
+        }
+        tx.send_batch(&mut vec![6, 7]).unwrap();
         assert_eq!(rx.try_recv(), Ok(4));
         assert_eq!(rx.recv(), Ok(5));
         assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(6));
-        assert_eq!(tx.try_send_batch(&mut vec![8, 9]).unwrap(), 2);
+        tx.send_batch(&mut vec![8, 9]).unwrap();
         let mut out = Vec::new();
         assert_eq!(rx.drain_into(&mut out), 3);
         assert_eq!(out, vec![7, 8, 9]);
@@ -632,6 +484,7 @@ mod tests {
             Err(RecvTimeoutError::Timeout)
         );
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        drop(rx.clone());
         assert_eq!(notifies(&rx), 0);
         assert_eq!(rx.chan.lock().recv_waiting, 0, "a timed-out wait uncounts");
     }
@@ -658,34 +511,13 @@ mod tests {
     }
 
     #[test]
-    fn a_pop_that_frees_a_sleeping_sender_notifies_once() {
-        for pop in 0..4 {
-            let (tx, rx) = bounded::<u32>(1);
-            tx.send(0).unwrap();
-            std::thread::scope(|s| {
-                let sender = s.spawn(|| tx.send(1).unwrap());
-                until(&rx, |st| st.send_waiting == 1);
-                match pop {
-                    0 => assert_eq!(rx.try_recv(), Ok(0)),
-                    1 => assert_eq!(rx.recv(), Ok(0)),
-                    2 => assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(0)),
-                    _ => assert_eq!(rx.drain_into(&mut Vec::new()), 1),
-                }
-                sender.join().unwrap();
-            });
-            assert_eq!(notifies(&rx), 1, "pop path {pop}");
-            assert_eq!(rx.try_recv(), Ok(1));
-        }
-    }
-
-    #[test]
     fn blocking_senders_and_mixed_receivers_lose_no_wake_up() {
         const SENDERS: u32 = 4;
         const PER_SENDER: u32 = 10_000;
-        let (tx, rx) = bounded::<u32>(1);
+        let (tx, rx) = unbounded::<u32>();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        // A lost wake-up hangs a blocked `send` or `recv` for good; the
-        // watchdog turns that hang into a failure.
+        // A lost wake-up hangs a sleeping `recv` for good; the watchdog
+        // turns that hang into a failure.
         let _worker = std::thread::spawn(move || {
             let senders: Vec<_> = (0..SENDERS)
                 .map(|t| {
@@ -732,13 +564,13 @@ mod tests {
         });
         let all = done_rx
             .recv_timeout(Duration::from_secs(60))
-            .expect("a blocked sender or receiver was never woken");
+            .expect("a sleeping receiver was never woken");
         assert_eq!(all, (0..SENDERS * PER_SENDER).collect::<Vec<u32>>());
     }
 
     #[test]
     fn works_across_threads() {
-        let (tx, rx) = bounded::<u64>(16);
+        let (tx, rx) = unbounded::<u64>();
         let senders: Vec<_> = (0..4)
             .map(|t| {
                 let tx = tx.clone();

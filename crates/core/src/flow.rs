@@ -4,24 +4,12 @@
 //! archivers, test probes); [`EventSource`] is anything events can be
 //! drained out of (subscriptions, collectors, application feeds).  Both are
 //! object safe so a sensor manager can publish through `&dyn EventSink<E>`
-//! without knowing which of them is on the other end.  [`DeliveryCounters`] is the shared accounting block
-//! every sink keeps, and [`OverflowPolicy`] names what a bounded hop does
-//! when a consumer falls behind.
+//! without knowing which of them is on the other end.  [`DeliveryCounters`]
+//! is the shared accounting block every sink keeps.  A bounded hop never
+//! makes its producer wait: when a consumer falls behind, its queue drops
+//! the oldest event and the drop is counted here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// What a bounded pipeline hop does when its queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Evict the oldest queued event to make room for the new one.  The
-    /// consumer sees the freshest data; the eviction is counted as a drop.
-    /// This is the default for monitoring streams, where stale readings
-    /// lose value fast.
-    #[default]
-    DropOldest,
-    /// Reject the new event and count the drop; queued events survive.
-    DropNewest,
-}
 
 /// Errors a sink can report for a rejected delivery.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -13,8 +13,9 @@
 //! * [`flow::EventSink`] / [`flow::EventSource`] — push and pull ends of
 //!   the pipeline, implemented by the gateway, the collector, the archiver
 //!   and the sensor manager's push path;
-//! * [`channel`] — the **bounded** MPMC channel the pipeline runs on, with
-//!   an explicit overflow policy instead of unbounded growth;
+//! * [`channel`] — the **bounded** MPMC channel the pipeline runs on: a
+//!   send never waits, and a full queue drops its oldest item and counts
+//!   it instead of growing;
 //! * [`flow::DeliveryCounters`] — per-sink delivered/dropped/byte counters;
 //! * [`intern::Sym`] — interned identifier strings, so the hot paths key
 //!   routing tables, summary series and dictionaries by `u32` instead of
@@ -55,7 +56,7 @@ pub mod sync;
 
 pub use channel::{bounded, unbounded, Receiver, Sender};
 pub use codec::Codec;
-pub use flow::{DeliveryCounters, EventSink, EventSource, OverflowPolicy, SinkError};
+pub use flow::{DeliveryCounters, EventSink, EventSource, SinkError};
 pub use intern::Sym;
 pub use query::{Facts, Plan, Predicate, Record};
 pub use retry::{Backoff, BreakerState, BreakerStats, CircuitBreaker};

@@ -3,14 +3,14 @@
 //! The gateway receives every event its host's sensors produce (pushed by
 //! the sensor manager through the [`EventSink`] trait) and fans it out to
 //! subscribed consumers according to their filters — streaming
-//! subscriptions get a **bounded** channel with an explicit overflow
-//! policy, query consumers ask for the most recent event on demand.  It
-//! also keeps the per-series table behind query mode and the summaries
-//! fed, enforces the site's access policy, and counts what it delivers
-//! (and drops) per subscription so the scalability experiments can
-//! compare "N consumers hitting the sensor host" with "N consumers
-//! hitting one gateway" (E7) and measure how much the filters reduce
-//! delivered volume (E10).
+//! subscriptions get a **bounded** channel that never makes the publisher
+//! wait (a full queue drops its oldest event and counts the drop), query
+//! consumers ask for the most recent event on demand.  It also keeps the
+//! per-series table behind query mode and the summaries fed, enforces the
+//! site's access policy, and counts what it delivers (and drops) per
+//! subscription so the scalability experiments can compare "N consumers
+//! hitting the sensor host" with "N consumers hitting one gateway" (E7)
+//! and measure how much the filters reduce delivered volume (E10).
 //!
 //! Every publish form is one body, [`EventGateway::publish_shared_batch`]
 //! (a single event is a batch of one), and it runs on the fan-out engine
@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jamm_core::channel::Receiver;
-use jamm_core::flow::{DeliveryCounters, EventSink, EventSource, OverflowPolicy, SinkError};
+use jamm_core::flow::{DeliveryCounters, EventSink, EventSource, SinkError};
 use jamm_core::intern::Sym;
 use jamm_ulm::{keys, Event, SharedEvent, Timestamp};
 
@@ -128,7 +128,7 @@ impl EventSource<SharedEvent> for Subscription {
 ///
 /// ```
 /// use jamm_core::query::ValueCmp;
-/// use jamm_gateway::{EventGateway, GatewayConfig, OverflowPolicy, Predicate};
+/// use jamm_gateway::{EventGateway, GatewayConfig, Predicate};
 ///
 /// let gw = EventGateway::new(GatewayConfig::open("gw1"));
 /// let sub = gw
@@ -138,7 +138,6 @@ impl EventSource<SharedEvent> for Subscription {
 ///     .filter(Predicate::val(ValueCmp::Gt, 50.0))
 ///     .as_consumer("ops")
 ///     .capacity(1_024)
-///     .on_overflow(OverflowPolicy::DropNewest)
 ///     .open()
 ///     .unwrap();
 /// assert_eq!(gw.subscriber_count(), 1);
@@ -152,7 +151,6 @@ pub struct SubscriptionBuilder<'gw> {
     predicates: Vec<Predicate>,
     queries: Vec<String>,
     capacity: usize,
-    overflow: OverflowPolicy,
 }
 
 impl<'gw> SubscriptionBuilder<'gw> {
@@ -189,16 +187,10 @@ impl<'gw> SubscriptionBuilder<'gw> {
     }
 
     /// Bound the in-flight queue (default
-    /// [`DEFAULT_SUBSCRIPTION_CAPACITY`]).
+    /// [`DEFAULT_SUBSCRIPTION_CAPACITY`]).  A full queue drops its oldest
+    /// event to take the new one, counted in [`Subscription::dropped`].
     pub fn capacity(mut self, events: usize) -> Self {
         self.capacity = events.max(1);
-        self
-    }
-
-    /// What to do when the queue is full (default
-    /// [`OverflowPolicy::DropOldest`]).
-    pub fn on_overflow(mut self, policy: OverflowPolicy) -> Self {
-        self.overflow = policy;
         self
     }
 
@@ -215,7 +207,7 @@ impl<'gw> SubscriptionBuilder<'gw> {
         }
         let plan = Predicate::And(predicates).compile();
         self.gateway
-            .open_subscription(self.consumer, plan, self.capacity, self.overflow)
+            .open_subscription(self.consumer, plan, self.capacity)
     }
 }
 
@@ -390,7 +382,6 @@ impl EventGateway {
             predicates: Vec::new(),
             queries: Vec::new(),
             capacity: DEFAULT_SUBSCRIPTION_CAPACITY,
-            overflow: OverflowPolicy::default(),
         }
     }
 
@@ -399,11 +390,10 @@ impl EventGateway {
         consumer: String,
         plan: Plan,
         capacity: usize,
-        overflow: OverflowPolicy,
     ) -> Result<Subscription> {
         self.check(&consumer, Action::SubscribeStream)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        Ok(self.router.insert(id, consumer, plan, capacity, overflow))
+        Ok(self.router.insert(id, consumer, plan, capacity))
     }
 
     /// Cancel a streaming subscription.
@@ -796,26 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_drop_newest_keeps_earliest_events() {
-        let gw = EventGateway::new(GatewayConfig::open("gw1"));
-        let sub = gw
-            .subscribe()
-            .as_consumer("slow")
-            .capacity(10)
-            .on_overflow(OverflowPolicy::DropNewest)
-            .open()
-            .unwrap();
-        for i in 0..25u64 {
-            gw.publish(&ev("h", "CPU_TOTAL", i as f64, i));
-        }
-        let got: Vec<SharedEvent> = sub.events.try_iter().collect();
-        let times: Vec<u64> = got.iter().map(|e| e.timestamp.as_secs()).collect();
-        assert_eq!(times, (0..10).collect::<Vec<_>>());
-        assert_eq!(sub.dropped(), 15);
-        assert_eq!(sub.delivered(), 10);
-    }
-
-    #[test]
     fn gateway_is_an_event_sink() {
         let gw = EventGateway::new(GatewayConfig::open("gw1"));
         let sub = gw.subscribe().as_consumer("c").open().unwrap();
@@ -844,7 +814,6 @@ mod tests {
                 gw.subscribe()
                     .as_consumer("tiny")
                     .capacity(3)
-                    .on_overflow(OverflowPolicy::DropNewest)
                     .open()
                     .unwrap(),
             ]

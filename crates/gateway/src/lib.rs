@@ -50,7 +50,6 @@ pub use gateway::{
     DeliveryReport, EventGateway, GatewayConfig, GatewayStats, Subscription, SubscriptionBuilder,
     DEFAULT_SUBSCRIPTION_CAPACITY,
 };
-pub use jamm_core::flow::OverflowPolicy;
 pub use jamm_core::query::{Plan, Predicate};
 pub use qos::{
     OverloadPolicy, QosConfig, QosRuntime, QosSnapshot, ShedLevel, Tier, TierPolicy, TierRow,

@@ -33,8 +33,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use jamm_core::channel::{bounded, Sender, TrySendError};
-use jamm_core::flow::{DeliveryCounters, OverflowPolicy};
+use jamm_core::channel::{bounded, Sender};
+use jamm_core::flow::DeliveryCounters;
 use jamm_core::intern::Sym;
 use jamm_core::query::Plan;
 use jamm_core::sync::{Mutex, RwLock};
@@ -70,7 +70,6 @@ pub(crate) struct RouteEntry {
     plan: Plan,
     routes: RouteKeys,
     tx: Sender<SharedEvent>,
-    overflow: OverflowPolicy,
     counters: Arc<DeliveryCounters>,
     /// Set once the consumer side is observed gone; the entry is skipped
     /// thereafter and physically removed by the next garbage collection.
@@ -87,7 +86,7 @@ pub(crate) struct RouteEntry {
 enum Delivery {
     /// Pushed into the queue; `true` when an older event was evicted.
     Sent { evicted: bool },
-    /// Rejected by the subscription's drop-newest bound.
+    /// Shed by the QoS gate before it reached the queue.
     Dropped,
     /// The plan did not pass the event.
     Filtered,
@@ -101,7 +100,6 @@ impl RouteEntry {
         consumer: String,
         plan: Plan,
         tx: Sender<SharedEvent>,
-        overflow: OverflowPolicy,
         counters: Arc<DeliveryCounters>,
     ) -> Self {
         // The compiled plan already interned the routed types; registering
@@ -116,7 +114,6 @@ impl RouteEntry {
             plan,
             routes,
             tx,
-            overflow,
             counters,
             closed: AtomicBool::new(false),
             tier: AtomicU8::new(Tier::Fast as u8),
@@ -187,34 +184,18 @@ impl RouteEntry {
                 return Delivery::Dropped;
             }
         }
-        match self.overflow {
-            OverflowPolicy::DropOldest => match self.tx.send_overwriting(event) {
-                Ok(evicted) => {
-                    if evicted {
-                        self.counters.record_dropped(1);
-                    }
-                    self.counters.record_delivered(size);
-                    Delivery::Sent { evicted }
-                }
-                Err(_) => {
-                    self.closed.store(true, Ordering::Relaxed);
-                    Delivery::Closed
-                }
-            },
-            OverflowPolicy::DropNewest => match self.tx.try_send(event) {
-                Ok(()) => {
-                    self.counters.record_delivered(size);
-                    Delivery::Sent { evicted: false }
-                }
-                Err(TrySendError::Full(_)) => {
+        match self.tx.send(event) {
+            Ok(evicted) => {
+                if evicted {
                     self.counters.record_dropped(1);
-                    Delivery::Dropped
                 }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.closed.store(true, Ordering::Relaxed);
-                    Delivery::Closed
-                }
-            },
+                self.counters.record_delivered(size);
+                Delivery::Sent { evicted }
+            }
+            Err(_) => {
+                self.closed.store(true, Ordering::Relaxed);
+                Delivery::Closed
+            }
         }
     }
 }
@@ -303,7 +284,6 @@ impl Router {
         consumer: String,
         plan: Plan,
         capacity: usize,
-        overflow: OverflowPolicy,
     ) -> Subscription {
         let (tx, rx) = bounded(capacity);
         let counters = Arc::new(DeliveryCounters::new());
@@ -312,7 +292,6 @@ impl Router {
             consumer,
             plan,
             tx,
-            overflow,
             Arc::clone(&counters),
         ));
         let mut entries = self.entries.lock();
@@ -532,42 +511,28 @@ impl Router {
             let Some(entry) = buf.entry.take() else {
                 continue;
             };
-            let (events, mut bytes) = (&mut buf.events, std::mem::take(&mut buf.bytes));
-            // (position, tracer, correlation id) of watched events, resolved
-            // before the send moves the `Arc`s away.
-            let watched = |(pos, event)| {
+            let (events, bytes) = (&mut buf.events, std::mem::take(&mut buf.bytes));
+            // (tracer, correlation id) of watched events, resolved before
+            // the send moves the `Arc`s away.
+            let watched = |event| {
                 let tracer = self.tracer.as_ref()?;
-                Some((pos, tracer, tracer.trace_id(event)?))
+                Some((tracer, tracer.trace_id(event)?))
             };
-            let traced: Vec<_> = events.iter().enumerate().filter_map(watched).collect();
-            // One queue operation, normalized to (accepted, evicted): a
-            // drop-oldest queue accepts everything and evicts, a drop-newest
-            // queue accepts a prefix and evicts nothing.
-            let buffered = events.len();
-            let sent = match entry.overflow {
-                OverflowPolicy::DropOldest => {
-                    let evicted = entry.tx.send_batch_overwriting(events);
-                    evicted.map(|evicted| (buffered, evicted))
-                }
-                OverflowPolicy::DropNewest => {
-                    let accepted = entry.tx.try_send_batch(events);
-                    accepted.map(|accepted| (accepted, 0))
-                }
-            };
-            match sent {
-                Ok((accepted, evicted)) => {
-                    for (_, tracer, id) in traced.iter().filter(|w| w.0 < accepted) {
+            let traced: Vec<_> = events.iter().filter_map(watched).collect();
+            // One queue operation: every buffered event is queued, and the
+            // queue evicts its oldest to stay within its bound.
+            let sent = events.len() as u64;
+            match entry.tx.send_batch(events) {
+                Ok(evicted) => {
+                    for (tracer, id) in &traced {
                         tracer.stage_id(*id, SUB_DELIVER, &entry.consumer);
                     }
-                    // Whatever is still buffered is a drop-newest queue's
-                    // rejected tail: its bytes were not delivered.
-                    bytes -= events.iter().map(|e| e.approx_size() as u64).sum::<u64>();
-                    let dropped = (buffered - accepted + evicted) as u64;
-                    entry.counters.record_delivered_n(accepted as u64, bytes);
+                    let dropped = evicted as u64;
+                    entry.counters.record_delivered_n(sent, bytes);
                     if dropped > 0 {
                         entry.counters.record_dropped(dropped);
                     }
-                    out.delivered += accepted as u64;
+                    out.delivered += sent;
                     out.bytes += bytes;
                     out.dropped += dropped;
                 }
@@ -651,7 +616,7 @@ mod tests {
         let router = Router::new(None, None);
         let open = |id, filter: Predicate| {
             let plan = filter.compile();
-            router.insert(id, "c".into(), plan, 16, OverflowPolicy::DropOldest)
+            router.insert(id, "c".into(), plan, 16)
         };
         let cpu = open(1, Predicate::types(["CPU_TOTAL"]));
         let _both = open(2, Predicate::types(["CPU_TOTAL", "MEM_FREE"]));
@@ -688,7 +653,7 @@ mod tests {
     fn a_publishing_thread_keeps_only_bounded_buffers() {
         let router = Router::new(None, None);
         let plan = Predicate::everything().compile();
-        let _rx = router.insert(1, "c".into(), plan, 16, OverflowPolicy::DropOldest);
+        let _rx = router.insert(1, "c".into(), plan, 16);
         let event = Event::builder("vmstat", "h")
             .event_type("CPU_TOTAL")
             .timestamp(Timestamp::from_secs(1))

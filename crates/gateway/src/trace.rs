@@ -251,7 +251,7 @@ impl PipelineTracer {
             .field(keys::TARGET, target.to_string())
             .build();
         // The tracer holds the receiver, so the send cannot fail.
-        if let Ok(true) = self.tx.send_overwriting(Arc::new(point)) {
+        if let Ok(true) = self.tx.send(Arc::new(point)) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }

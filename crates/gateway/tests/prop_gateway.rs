@@ -10,9 +10,7 @@ use std::sync::Arc;
 
 use jamm_core::query::{Plan, ValueCmp};
 use jamm_gateway::summary::SummaryWindow;
-use jamm_gateway::{
-    EventGateway, GatewayConfig, OverflowPolicy, Predicate, QosConfig, Subscription,
-};
+use jamm_gateway::{EventGateway, GatewayConfig, Predicate, QosConfig, Subscription};
 use jamm_ulm::{keys, Event, Level, SharedEvent, Timestamp};
 
 const TYPES: [&str; 3] = ["CPU_TOTAL", "VMSTAT_FREE_MEMORY", "NETSTAT_RETRANS"];
@@ -95,24 +93,18 @@ fn delivery_is_a_filtered_subset() {
     });
 }
 
-/// Under any queue bound and either overflow policy, queued + dropped ==
-/// delivered, and the queue never exceeds its bound.
+/// Under any queue bound, queued + dropped == delivered, and the queue
+/// never exceeds its bound.
 #[test]
 fn drop_accounting_is_exact_under_any_bound() {
     forall("drop accounting", 48, |g| {
         let events: Vec<Event> = (0..g.usize_in(1, 200)).map(|_| arb_event(g)).collect();
         let capacity = g.usize_in(1, 32);
-        let policy = if g.bool(0.5) {
-            OverflowPolicy::DropOldest
-        } else {
-            OverflowPolicy::DropNewest
-        };
         let gw = EventGateway::new(GatewayConfig::open("gw"));
         let sub = gw
             .subscribe()
             .as_consumer("slow")
             .capacity(capacity)
-            .on_overflow(policy)
             .open()
             .unwrap();
         for e in &events {
@@ -120,18 +112,9 @@ fn drop_accounting_is_exact_under_any_bound() {
         }
         let queued = sub.events.try_iter().count();
         assert!(queued <= capacity, "queue bound respected");
-        match policy {
-            // DropOldest admits every event, then evicts.
-            OverflowPolicy::DropOldest => {
-                assert_eq!(sub.delivered() as usize, events.len());
-                assert_eq!(queued + sub.dropped() as usize, events.len());
-            }
-            // DropNewest rejects at the door.
-            OverflowPolicy::DropNewest => {
-                assert_eq!(sub.delivered() as usize, queued);
-                assert_eq!(queued + sub.dropped() as usize, events.len());
-            }
-        }
+        // Every event is admitted; a full queue evicts its oldest.
+        assert_eq!(sub.delivered() as usize, events.len());
+        assert_eq!(queued + sub.dropped() as usize, events.len());
         let report = gw.delivery_report();
         assert_eq!(report[0].dropped, sub.dropped());
         assert_eq!(report[0].delivered, sub.delivered());
@@ -207,7 +190,6 @@ fn summary_mean_matches_direct_computation() {
 struct FlatSub {
     plan: Plan,
     capacity: usize,
-    overflow: OverflowPolicy,
     queue: VecDeque<SharedEvent>,
     delivered: u64,
     dropped: u64,
@@ -215,11 +197,10 @@ struct FlatSub {
 }
 
 impl FlatSub {
-    fn new(filter: &Predicate, capacity: usize, overflow: OverflowPolicy) -> Self {
+    fn new(filter: &Predicate, capacity: usize) -> Self {
         FlatSub {
             plan: filter.compile(),
             capacity,
-            overflow,
             queue: VecDeque::new(),
             delivered: 0,
             dropped: 0,
@@ -227,18 +208,15 @@ impl FlatSub {
         }
     }
 
-    /// Drop-oldest admits every passing event and evicts; drop-newest
-    /// rejects at the door.  Either way a full queue costs one drop.
+    /// Every passing event is admitted; a full queue evicts its oldest,
+    /// at the cost of one drop.
     fn offer(&mut self, event: &SharedEvent) {
         if !self.plan.eval(&**event) {
             return;
         }
         if self.queue.len() == self.capacity {
             self.dropped += 1;
-            match self.overflow {
-                OverflowPolicy::DropOldest => self.queue.pop_front(),
-                OverflowPolicy::DropNewest => return,
-            };
+            self.queue.pop_front();
         }
         self.queue.push_back(SharedEvent::clone(event));
         self.delivered += 1;
@@ -248,7 +226,7 @@ impl FlatSub {
 
 /// The router — with or without a QoS plane (re-tiering every
 /// 512 publishes), under any filter mix (typed and wildcard), any queue
-/// bound, either overflow policy, and any split of the stream across
+/// bound, and any split of the stream across
 /// `publish`, `publish_shared` and `publish_batch` — delivers exactly the
 /// same event sequences, with the same per-subscription counters, as the
 /// original flat-list fan-out, and the gateway totals are the sums of
@@ -265,7 +243,7 @@ fn routing_is_equivalent_to_the_flat_list() {
             .map(|_| arb_event(g))
             .collect();
         let n_subs = g.usize_in(1, 6);
-        let specs: Vec<(Predicate, usize, OverflowPolicy)> = (0..n_subs)
+        let specs: Vec<(Predicate, usize)> = (0..n_subs)
             .map(|_| {
                 let mut filters = arb_filters(g);
                 // Bias toward typed subscriptions so the by-type buckets
@@ -278,19 +256,12 @@ fn routing_is_equivalent_to_the_flat_list() {
                     filters.push(Predicate::EventTypes(tys));
                 }
                 let capacity = g.usize_in(1, 64) + headroom * events.len();
-                let policy = if g.bool(0.5) {
-                    OverflowPolicy::DropOldest
-                } else {
-                    OverflowPolicy::DropNewest
-                };
-                (Predicate::And(filters), capacity, policy)
+                (Predicate::And(filters), capacity)
             })
             .collect();
 
-        let mut flat_subs: Vec<FlatSub> = specs
-            .iter()
-            .map(|(f, cap, pol)| FlatSub::new(f, *cap, *pol))
-            .collect();
+        let mut flat_subs: Vec<FlatSub> =
+            specs.iter().map(|(f, cap)| FlatSub::new(f, *cap)).collect();
         let config = GatewayConfig::open("gw");
         let gw = EventGateway::new(if qos {
             config.with_qos(QosConfig::default())
@@ -299,11 +270,10 @@ fn routing_is_equivalent_to_the_flat_list() {
         });
         let gw_subs: Vec<_> = specs
             .iter()
-            .map(|(f, cap, pol)| {
+            .map(|(f, cap)| {
                 gw.subscribe()
                     .filter(f.clone())
                     .capacity(*cap)
-                    .on_overflow(*pol)
                     .as_consumer("c")
                     .open()
                     .unwrap()

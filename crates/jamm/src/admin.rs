@@ -210,6 +210,10 @@ pub(crate) fn register_collectors(
     metrics.register_collector(Box::new(|out: &mut Vec<Sample>| {
         let refused = jamm_ulm::vocab::refused();
         out.push(Sample::counter("jamm_ulm_names_refused", refused));
+        let held = jamm_ulm::vocab::held() as f64;
+        out.push(Sample::gauge("jamm_ulm_names_held", held));
+        let interned = jamm_core::intern::interned_count() as f64;
+        out.push(Sample::gauge("jamm_interned_names", interned));
     }));
     if let Some(tracer) = tracer {
         let tracer = Arc::clone(tracer);

@@ -882,6 +882,18 @@ mod tests {
     }
 
     #[test]
+    fn publishing_from_a_never_seen_host_raises_the_interned_names_gauge() {
+        let jamm = JammBuilder::new().gateway("gw1").build().unwrap();
+        let interned = || match jamm.metrics().get("jamm_interned_names").map(|s| &s.value) {
+            Some(jamm_core::obs::SampleValue::Gauge(v)) => *v,
+            other => panic!("jamm_interned_names is not a gauge: {other:?}"),
+        };
+        let before = interned();
+        jamm.publish("gw1", &ev("interned-names-gauge-probe", Level::Usage, 1));
+        assert!(interned() >= before + 1.0);
+    }
+
+    #[test]
     fn trace_points_evicted_from_a_full_queue_are_exported() {
         let mut jamm = JammBuilder::new()
             .gateway("gw1")

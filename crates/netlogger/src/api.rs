@@ -40,7 +40,9 @@ pub enum Sink {
         content_type: &'static str,
     },
     /// Send events to a collector over a channel (the in-process stand-in
-    /// for "log to a remote host on port 14830").
+    /// for "log to a remote host on port 14830").  A write never blocks the
+    /// instrumented program: over a full bounded channel it drops the
+    /// oldest queued event.
     Net(Sender<Event>),
     /// Push events into any local pipeline sink: a gateway or an archive.
     /// Each event is moved into its shared allocation, never copied.
@@ -277,7 +279,7 @@ impl NetLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jamm_core::channel::unbounded;
+    use jamm_core::channel::{bounded, unbounded};
     use jamm_core::flow::SinkError;
     use jamm_core::sync::Mutex;
     use jamm_ulm::text;
@@ -357,6 +359,32 @@ mod tests {
         // Dropping the receiver turns further writes into CollectorGone.
         drop(rx);
         assert!(matches!(log.write("X", &[]), Err(LogError::CollectorGone)));
+    }
+
+    #[test]
+    fn net_sink_over_a_full_bounded_channel_keeps_the_newest_and_never_blocks() {
+        let (tx, rx) = bounded(4);
+        let (done_tx, done_rx) = unbounded();
+        // Nobody reads while the writes run: a write that blocked on the
+        // full channel would hang, and the watchdog turns that into a
+        // failure.
+        std::thread::spawn(move || {
+            let mut log = NetLogger::with_host("mplay", "mems.cairn.net");
+            log.open(Sink::Net(tx)).unwrap();
+            let writes: Vec<bool> = (0..10u64)
+                .map(|i| log.write("FRAME", &[("FRAME.ID", Value::UInt(i))]).is_ok())
+                .collect();
+            done_tx.send(writes).unwrap();
+        });
+        let writes = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a write blocked on the full channel");
+        assert_eq!(writes, vec![true; 10]);
+        let kept: Vec<Value> = rx
+            .try_iter()
+            .filter_map(|e| e.field("FRAME.ID").cloned())
+            .collect();
+        assert_eq!(kept, (6..10u64).map(Value::UInt).collect::<Vec<_>>());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use jamm_core::channel::{bounded, Receiver, Sender};
 use jamm_core::sync::Mutex;
-use jamm_core::{Backoff, BreakerState, BreakerStats, CircuitBreaker, OverflowPolicy};
+use jamm_core::{Backoff, BreakerState, BreakerStats, CircuitBreaker};
 use jamm_gateway::EventGateway;
 use jamm_reactor::{ListenerId, Reactor, SocketRow};
 use jamm_ulm::keys::jamm::{EDGE_BROADCAST, EDGE_CONSUMER, EDGE_ENCODE, SUB_DRAIN};
@@ -168,7 +168,6 @@ impl EventEdge {
             .subscribe()
             .stream()
             .capacity(config.capacity)
-            .on_overflow(OverflowPolicy::DropOldest)
             .as_consumer(EDGE_CONSUMER)
             .open()
             .map_err(|e| EdgeError::Gateway(e.to_string()))?;
@@ -609,7 +608,7 @@ fn frame_len(buf: &[u8]) -> Result<Option<usize>, ()> {
 /// `dropped` the events evicted.  Leaves `batch` empty.
 fn deliver(batch: &mut Vec<Event>, tx: &Sender<Event>, shared: &ClientShared) {
     let n = batch.len() as u64;
-    let (queued, dropped) = match tx.send_batch_overwriting(batch) {
+    let (queued, dropped) = match tx.send_batch(batch) {
         Ok(evicted) => (n, evicted as u64),
         Err(_) => (0, 0),
     };

@@ -15,6 +15,10 @@
 # then traced (`--trace 1`, which is what reports them) and "won" follows
 # the metric's `better` direction in BENCHMARK.json.
 #
+# A run that reports `correct false` says why in `WRONG:` lines: each is
+# echoed to stderr and appended, tagged with its pair and side, to
+# target/e21-pairs/<workload>-<ts>-wrong.txt beside the pair log.
+#
 # Run from the repository root on a committed or uncommitted working tree
 # (the change side is whatever is checked out here).  The parent tree is
 # extracted with `git archive`, so nothing is registered in .git and
@@ -52,13 +56,16 @@ cp "$root/change-Cargo.lock" "$lock"
 [ "$status" -eq 0 ] || exit "$status"
 
 # run <side>: one benchmark run from that side's checkout; prints the
-# result line's `failed`, `correct` and the metric values.
+# result line's `failed`, `correct` and the metric values, and keeps the
+# run's `WRONG:` lines (pair $i).
 run() {
     [ "$1" = parent ] && src=$parent || src=.
+    out=$root/run-$1.out
     (cd "$src" && CARGO_TARGET_DIR="$root/target-$1" \
         "$root/target-$1/release/e21_end_to_end" \
-        --workload "$workload" --seed "$seed" --seconds 20 --trace "$trace") |
-        tail -n 1 | awk -v metrics="$metrics" '{
+        --workload "$workload" --seed "$seed" --seconds 20 --trace "$trace") > "$out" || true
+    grep '^WRONG:' "$out" | sed "s/^/pair $i $1: /" | tee -a "$wrong" >&2
+    tail -n 1 "$out" | awk -v metrics="$metrics" '{
             line = $0
             out = field(line, "\"failed\":") " " field(line, "\"correct\":")
             n = split(metrics, m, " ")
@@ -75,8 +82,11 @@ run() {
         }'
 }
 
-log=$root/$workload-$(date +%s).txt
+ts=$(date +%s)
+log=$root/$workload-$ts.txt
+wrong=$root/$workload-$ts-wrong.txt
 : > "$log"
+: > "$wrong"
 echo "e21 $workload, seed $seed, 20 s, parent $(git rev-parse --short "$rev") vs working tree; values are parent/change"
 echo "| pair | first | $(echo "$metrics" | sed 's/ / | /g') | failed | correct |"
 echo "|---|---|$(echo "$metrics" | sed 's/[^ ]*/---|/g; s/ //g')---|---|"
