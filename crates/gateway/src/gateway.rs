@@ -415,6 +415,16 @@ impl EventGateway {
         self.router.live_count()
     }
 
+    /// Number of (host, event type) series in the per-series table.
+    pub fn series_count(&self) -> usize {
+        self.series.len()
+    }
+
+    /// Summary slices held over every series: at most 3 × 61 a series.
+    pub fn summary_slices(&self) -> usize {
+        self.series.slices()
+    }
+
     /// Record an event in the per-series table and the views, and return
     /// its series key.  The identity is interned here, once per publish:
     /// one keyed update under one lock feeds the query cache and the

@@ -5,6 +5,30 @@
 //! make this information available to consumers." (§2.2)  The same machinery
 //! backs the summary-data service sketched in §7.0 that the network-aware
 //! client uses to pick its TCP buffer size.
+//!
+//! A series keeps partial sums, not readings.  Each window of length N is
+//! cut into slices of N/60 (1 s, 10 s and 60 s), aligned to multiples of
+//! that width, and a reading is folded into the slice its stamp falls in:
+//! a count, a sum in arrival order, a min and a max.  A window holds at
+//! most the 61 slices that can overlap `[newest − N, newest]`, newest
+//! being its latest slice, so a series holds at most 3 × 61 slices of
+//! 32 B, about 5.9 KB, whatever its publish rate.  A late reading is
+//! folded into its own slice (opened in place if the window has none for
+//! it), or left out of a window that has already moved more than 60
+//! slices past it.
+//!
+//! An answer for `now` folds, oldest first, the slices that overlap
+//! `[now − N, now]`, so its precision is a slice's:
+//!
+//! - an N-minute average may include up to one slice (N/60) of extra
+//!   history at the trailing edge;
+//! - it counts readings later than `now` that fall inside `now`'s own
+//!   slice;
+//! - when `now` is on a slice boundary and no reading is later than `now`,
+//!   it covers exactly `[now − N, now]`.
+//!
+//! A `now` more than 60 slices behind a window's newest slice finds the
+//! slices it would need already dropped.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -51,7 +75,17 @@ impl SummaryWindow {
             SummaryWindow::OneHour,
         ]
     }
+
+    /// One slice's width in microseconds: the window's length over
+    /// [`SLICES`].
+    fn slice_micros(self) -> u64 {
+        self.micros() / SLICES
+    }
 }
+
+/// Slices per window length.  A window holds at most `SLICES + 1` of them:
+/// the ones that can overlap one window length back from its newest.
+const SLICES: u64 = 60;
 
 /// Summary statistics for one (host, event type) over one window.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,103 +98,118 @@ struct Summary {
     max: f64,
 }
 
-/// One series' readings in timestamp order, bounded by the longest window.
-///
-/// A window covers `[now - length, now]`, both edges inclusive: a reading
-/// exactly one window-length old still counts, a reading exactly at `now`
-/// counts, and a reading after `now` (clock skew) is ignored.
-///
-/// The readings sit in [`Block`]s, oldest block first, none empty.  A
-/// series grows by one block at a time, so growing never copies its
-/// readings into a buffer twice the size and leaves the old one resident:
-/// the table's resident memory follows the readings it holds, at 12 B a
-/// reading.
-#[derive(Debug, Default)]
-struct Readings(VecDeque<Block>);
-
-/// Readings appended per block (3 KiB).  A late arrival is inserted where
-/// it belongs, even into a full block.
-const BLOCK: usize = 256;
-
-/// Up to [`BLOCK`] readings in timestamp order: a base stamp, then each
-/// reading's offset from it (µs, `u32`) and its value, in two arrays, so
-/// a reading costs 12 B where a `(Timestamp, f64)` pair costs 16.  A
-/// reading more than `u32::MAX` µs (71.6 min) past the base starts a new
-/// block.
-#[derive(Debug)]
-struct Block {
-    base: u64,
-    offsets: VecDeque<u32>,
-    values: VecDeque<f64>,
+/// The partial sums of one slice's readings, 32 B.  `index` is the slice's
+/// number (stamp ÷ width) cut to 32 bits: the [`Slices`] holding it keeps
+/// its newest slice's full number, and holds no slice more than [`SLICES`]
+/// behind that, so the cut loses nothing.
+#[derive(Debug, Clone, Copy)]
+struct Slice {
+    index: u32,
+    count: u32,
+    sum: f64,
+    min: f64,
+    max: f64,
 }
 
-impl Block {
-    fn new(t: u64, value: f64) -> Block {
-        let mut block = Block {
-            base: t,
-            offsets: VecDeque::with_capacity(BLOCK),
-            values: VecDeque::with_capacity(BLOCK),
-        };
-        block.push(t, value);
-        block
-    }
-
-    fn len(&self) -> usize {
-        self.offsets.len()
-    }
-
-    /// Append a reading at or after every reading held (an empty block is
-    /// rebased at it); `false` when the block is full or `t` is too far
-    /// past its base.
-    fn push(&mut self, t: u64, value: f64) -> bool {
-        if self.offsets.is_empty() {
-            self.base = t;
+impl Slice {
+    fn new(index: u64, value: f64) -> Slice {
+        Slice {
+            index: index as u32,
+            count: 1,
+            sum: value,
+            min: value,
+            max: value,
         }
-        match self.offset(t) {
-            Some(offset) if self.len() < BLOCK => {
-                self.insert(self.len(), offset, value);
-                true
+    }
+
+    fn add(&mut self, value: f64) {
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+}
+
+/// One window's slices, oldest first, none empty.  They grow as they are
+/// first used and are pruned from the front, so a series heard from for a
+/// few seconds holds a few slices, not the window's 61.
+#[derive(Debug, Default)]
+struct Slices {
+    /// The full number of the newest slice held.
+    newest: u64,
+    held: VecDeque<Slice>,
+}
+
+impl Slices {
+    /// How many slices `slice` lies behind the newest.
+    fn age(&self, slice: &Slice) -> u64 {
+        u64::from((self.newest as u32).wrapping_sub(slice.index))
+    }
+
+    /// Fold a reading into slice `index`: the newest slice in the common
+    /// in-order case, a new newest one (pruning those it moves out of
+    /// reach), an older one the window still holds or opens in place, or
+    /// none when the window has moved past it.
+    fn record(&mut self, index: u64, value: f64) {
+        if index == self.newest {
+            if let Some(newest) = self.held.back_mut() {
+                return newest.add(value);
             }
-            _ => false,
+        }
+        if self.held.is_empty() || index > self.newest {
+            // Past every slice held: clear them here, since a jump of 2^32
+            // slices would wrap `age`.
+            if index - self.newest > SLICES {
+                self.held.clear();
+            }
+            self.newest = index;
+            while self.held.front().is_some_and(|s| self.age(s) > SLICES) {
+                self.held.pop_front();
+            }
+            self.held.push_back(Slice::new(index, value));
+            return;
+        }
+        let age = self.newest - index;
+        if age > SLICES {
+            return;
+        }
+        let at = self.held.partition_point(|s| self.age(s) > age);
+        match self.held.get_mut(at) {
+            Some(slice) if slice.index == index as u32 => slice.add(value),
+            _ => self.held.insert(at, Slice::new(index, value)),
         }
     }
 
-    /// `t`'s offset from the base, if it is at or after the base and fits.
-    fn offset(&self, t: u64) -> Option<u32> {
-        u32::try_from(t.checked_sub(self.base)?).ok()
-    }
-
-    fn stamp(&self, offset: u32) -> u64 {
-        self.base + u64::from(offset)
-    }
-
-    fn first(&self) -> Option<u64> {
-        self.offsets.front().map(|o| self.stamp(*o))
-    }
-
-    fn last(&self) -> Option<u64> {
-        self.offsets.back().map(|o| self.stamp(*o))
-    }
-
-    fn insert(&mut self, pos: usize, offset: u32, value: f64) {
-        self.offsets.insert(pos, offset);
-        self.values.insert(pos, value);
-    }
-
-    fn pop_front(&mut self) {
-        self.offsets.pop_front();
-        self.values.pop_front();
-    }
-
-    /// How many readings are at or before `t`.
-    fn count_at_or_before(&self, t: u64) -> usize {
-        self.offsets.partition_point(|o| self.stamp(*o) <= t)
-    }
-
-    /// Every reading, newest first.
-    fn newest_first(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let stamps = self.offsets.iter().rev().map(|o| self.stamp(*o));
-        stamps.zip(self.values.iter().rev().copied())
+    /// `window`'s statistics over the slices that overlap `[now - length,
+    /// now]`, folded oldest first; `None` when they hold no readings.
+    fn summarize(&self, window: SummaryWindow, now: Timestamp) -> Option<Summary> {
+        let width = window.slice_micros();
+        let first = now.sub_micros(window.micros()).as_micros() / width;
+        let last = now.as_micros() / width;
+        let mut count = 0usize;
+        let mut sum = 0.0;
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        for slice in &self.held {
+            let index = self.newest - self.age(slice);
+            if index < first {
+                continue;
+            }
+            if index > last {
+                break;
+            }
+            count += slice.count as usize;
+            sum += slice.sum;
+            min = min.min(slice.min);
+            max = max.max(slice.max);
+        }
+        (count > 0).then(|| Summary {
+            window,
+            count,
+            mean: sum / count as f64,
+            min,
+            max,
+        })
     }
 }
 
@@ -173,114 +222,34 @@ pub(crate) type SeriesKey = (Sym, Sym);
 /// matches the seed-era string-keyed output exactly.
 type SummaryRow = ((&'static str, &'static str), Vec<Event>);
 
-impl Readings {
+/// One series' slices for each of the three windows, in `SummaryWindow`
+/// declaration order.
+#[derive(Debug, Default)]
+struct Windows([Slices; 3]);
+
+impl Windows {
     /// Record an event's numeric reading (events without a `VAL` are
-    /// ignored).  Readings are kept in timestamp order even when events
-    /// arrive out of order (sensors on different hosts feed one gateway,
-    /// so modest reordering is normal); the common in-order case is a
-    /// plain append.
+    /// ignored).
     fn record(&mut self, event: &Event) {
-        let Some(value) = event.value() else { return };
-        let t = event.timestamp.as_micros();
-        let newest = self.0.back().and_then(Block::last);
-        // Prune anything older than the longest window to bound memory —
-        // relative to the *newest* reading, so a late arrival never
-        // truncates fresher data.  Pruning first lets a series whose last
-        // reading aged out reuse its block instead of allocating one.
-        let cutoff = Timestamp::from_micros(newest.map_or(t, |n| n.max(t)))
-            .sub_micros(SummaryWindow::OneHour.micros())
-            .as_micros();
-        self.prune(cutoff);
-        if t < cutoff {
-            return; // more than an hour older than the newest: aged out
-        }
-        if newest.is_some_and(|n| n > t) {
-            self.insert_late(t, value);
-        } else if !self.0.back_mut().is_some_and(|last| last.push(t, value)) {
-            self.0.push_back(Block::new(t, value));
+        if let Some(value) = event.value() {
+            self.fold(event.timestamp.as_micros(), value);
         }
     }
 
-    /// Drop readings before `cutoff`, and the blocks they empty except the
-    /// newest, which the next reading refills.
-    fn prune(&mut self, cutoff: u64) {
-        while let Some(oldest) = self.0.front_mut() {
-            while oldest.first().is_some_and(|r| r < cutoff) {
-                oldest.pop_front();
-            }
-            if oldest.len() > 0 || self.0.len() == 1 {
-                break;
-            }
-            self.0.pop_front();
+    /// Fold a reading stamped `t` µs into its slice of every window.
+    fn fold(&mut self, t: u64, value: f64) {
+        for (slices, window) in self.0.iter_mut().zip(SummaryWindow::all()) {
+            slices.record(t / window.slice_micros(), value);
         }
     }
 
-    /// Insert a reading older than the newest one: after every reading at
-    /// or before `t`, in the last block that starts at or before it, or at
-    /// the very front.
-    fn insert_late(&mut self, t: u64, value: f64) {
-        let blocks = &mut self.0;
-        let starts_before = blocks.partition_point(|b| b.first().is_some_and(|s| s <= t));
-        let Some(at) = starts_before.checked_sub(1) else {
-            // Before every reading held: into the first block if its base
-            // allows, else a block of its own in front.
-            match blocks.front_mut().and_then(|b| Some((b.offset(t)?, b))) {
-                Some((offset, front)) => front.insert(0, offset, value),
-                None => blocks.push_front(Block::new(t, value)),
-            }
-            return;
-        };
-        let block = &mut blocks[at];
-        let pos = block.count_at_or_before(t);
-        if let Some(offset) = block.offset(t) {
-            block.insert(pos, offset, value);
-            return;
-        }
-        // Too far past the block's base: `t` and the block's readings after
-        // it start a new block based at `t`.  Those readings are later than
-        // `t`, so their offsets from it are smaller than from the old base.
-        let (offsets, values) = (block.offsets.split_off(pos), block.values.split_off(pos));
-        let mut tail = Block::new(t, value);
-        for (offset, v) in offsets.into_iter().zip(values) {
-            let later = block.stamp(offset) - t;
-            tail.insert(tail.len(), later as u32, v);
-        }
-        blocks.insert(at + 1, tail);
+    /// Slices held over the three windows.
+    fn slices(&self) -> usize {
+        self.0.iter().map(|s| s.held.len()).sum()
     }
 
-    /// Every reading, newest first.
-    fn newest_first(&self) -> impl Iterator<Item = (Timestamp, f64)> + '_ {
-        let readings = self.0.iter().rev().flat_map(Block::newest_first);
-        readings.map(|(t, v)| (Timestamp::from_micros(t), v))
-    }
-
-    /// One window's statistics over `[now - length, now]`, both edges
-    /// inclusive; `None` when the window holds no readings.
     fn summarize(&self, window: SummaryWindow, now: Timestamp) -> Option<Summary> {
-        let cutoff = now.sub_micros(window.micros());
-        let mut count = 0usize;
-        let mut sum = 0.0;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for (t, v) in self.newest_first() {
-            if t < cutoff {
-                break;
-            }
-            if t > now {
-                continue;
-            }
-            count += 1;
-            sum += v;
-            min = min.min(v);
-            max = max.max(v);
-        }
-        (count > 0).then(|| Summary {
-            window,
-            count,
-            mean: sum / count as f64,
-            min,
-            max,
-        })
+        self.0[window as usize].summarize(window, now)
     }
 
     /// The synthetic ULM events carrying this series' summaries for the
@@ -325,12 +294,12 @@ struct Series {
     /// The most recently published event — query mode's answer, shared
     /// by refcount.
     latest: SharedEvent,
-    /// The series' numeric readings — what the §2.2 summaries average.
-    readings: Readings,
+    /// The series' slices — what the §2.2 summaries average.
+    windows: Windows,
 }
 
 /// The gateway's per-series table: the query cache and the summary
-/// readings under one key, in one map.  A publish is one keyed update
+/// slices under one key, in one map.  A publish is one keyed update
 /// under the map's write lock.
 #[derive(Default)]
 pub(crate) struct SeriesTable {
@@ -338,16 +307,27 @@ pub(crate) struct SeriesTable {
 }
 
 impl SeriesTable {
-    /// Make `event` its series' latest and record its reading: one hash
+    /// Make `event` its series' latest and fold in its reading: one hash
     /// probe under the write lock, integer keys only.
     pub(crate) fn observe(&self, key: SeriesKey, event: &SharedEvent) {
         let mut table = self.series.write();
         let series = table.entry(key).or_insert_with(|| Series {
             latest: SharedEvent::clone(event),
-            readings: Readings::default(),
+            windows: Windows::default(),
         });
         series.latest = SharedEvent::clone(event);
-        series.readings.record(event);
+        series.windows.record(event);
+    }
+
+    /// How many series the table holds.
+    pub(crate) fn len(&self) -> usize {
+        self.series.read().len()
+    }
+
+    /// Summary slices held over every series.
+    pub(crate) fn slices(&self) -> usize {
+        let table = self.series.read();
+        table.values().map(|s| s.windows.slices()).sum()
     }
 
     /// The most recently observed event of one series.
@@ -387,7 +367,7 @@ impl SeriesTable {
             facts.hosts.as_ref().is_none_or(|h| h.contains(host))
                 && facts.types.as_ref().is_none_or(|t| t.contains(ty))
         };
-        let row = |(key, s): (_, &Series)| s.readings.summary_row(key, windows, now, gateway_name);
+        let row = |(key, s): (_, &Series)| s.windows.summary_row(key, windows, now, gateway_name);
         let rows = self
             .series
             .read()
@@ -412,13 +392,13 @@ mod tests {
             .build()
     }
 
-    /// One series' readings fed `(t_secs, value)` pairs in the given order.
-    fn series(readings: &[(u64, f64)]) -> Readings {
-        let mut r = Readings::default();
+    /// One series' windows fed `(t_secs, value)` pairs in the given order.
+    fn series(readings: &[(u64, f64)]) -> Windows {
+        let mut w = Windows::default();
         for &(t, v) in readings {
-            r.record(&reading("h", "CPU_TOTAL", t, v));
+            w.record(&reading("h", "CPU_TOTAL", t, v));
         }
-        r
+        w
     }
 
     #[test]
@@ -447,68 +427,65 @@ mod tests {
         let r = series(&[(100, 10.0)]);
         let much_later = Timestamp::from_secs(100 + 7_200);
         assert!(r.summarize(SummaryWindow::OneMinute, much_later).is_none());
-        let never = Readings::default();
+        let never = Windows::default();
         let at = Timestamp::from_secs(100);
         assert!(never.summarize(SummaryWindow::OneMinute, at).is_none());
     }
 
     #[test]
     fn non_numeric_events_are_ignored() {
-        let mut r = Readings::default();
+        let mut r = Windows::default();
         let ev = Event::builder("p", "h")
             .event_type("PROC_DIED")
             .timestamp(Timestamp::from_secs(1))
             .build();
         r.record(&ev);
-        assert!(r.0.is_empty());
+        assert_eq!(r.slices(), 0);
     }
 
+    /// A window is the slices that overlap `[now - length, now]`.  On a
+    /// slice boundary that is exactly the interval, both edges inclusive;
+    /// off one, up to a slice of older history joins at the trailing edge;
+    /// and readings after `now` count only inside `now`'s own slice.
     #[test]
-    fn old_readings_are_pruned() {
-        let r = series(&(0..200u64).map(|i| (i * 60, 1.0)).collect::<Vec<_>>());
-        // Only about an hour's worth (60 one-minute-spaced readings) remains.
-        let len = r.newest_first().count();
-        assert!(len <= 62, "len = {len}");
-    }
-
-    #[test]
-    fn window_edges_are_inclusive() {
-        // A window covers [now - length, now]: a reading exactly one
-        // window-length old still counts, a reading exactly at `now` counts.
-        let r = series(&[
-            (1_000, 10.0), // == now - 60
-            (1_001, 20.0), // just inside
-            (1_060, 30.0), // == now
-        ]);
-        let now = Timestamp::from_secs(1_060);
-        let s = r.summarize(SummaryWindow::OneMinute, now).unwrap();
-        assert_eq!(s.count, 3, "both edges inclusive");
-        assert_eq!((s.min, s.max), (10.0, 30.0));
-        // One microsecond past the trailing edge the reading ages out, for
-        // each of the paper's three windows.
-        for (w, secs) in [
-            (SummaryWindow::OneMinute, 60u64),
-            (SummaryWindow::TenMinutes, 600),
-            (SummaryWindow::OneHour, 3_600),
-        ] {
-            let one = series(&[(10_000, 1.0)]);
-            let on_edge = Timestamp::from_secs(10_000 + secs);
+    fn window_edges_fall_on_slice_edges() {
+        let us = Timestamp::from_micros;
+        // On a boundary of every window's slices.
+        let now = 36_000_000_000u64;
+        for w in SummaryWindow::all() {
+            let (len, width) = (w.micros(), w.slice_micros());
+            let mut r = Windows::default();
+            r.fold(now - len - 1, 1.0); // one µs before the trailing edge
+            r.fold(now - len, 2.0); // on the trailing edge
+            r.fold(now, 3.0); // at `now`
+            let s = r.summarize(w, us(now)).unwrap();
             assert_eq!(
-                one.summarize(w, on_edge).unwrap().count,
-                1,
-                "reading exactly on the {secs}s trailing edge still counts"
+                (s.count, s.min, s.max),
+                (2, 2.0, 3.0),
+                "{w:?} on a boundary"
             );
-            let past_edge = Timestamp::from_micros((10_000 + secs) * 1_000_000 + 1);
-            assert!(
-                one.summarize(w, past_edge).is_none(),
-                "one microsecond past the {secs}s edge it has aged out"
-            );
+            // Off a boundary the trailing slice is whole: a reading up to a
+            // slice older than `now - length` joins it.
+            let off = now - width / 2;
+            let mut r = Windows::default();
+            r.fold(now - len - width, 1.0);
+            r.fold(now - width, 2.0);
+            let s = r.summarize(w, us(off)).unwrap();
+            assert_eq!((s.count, s.min), (2, 1.0), "{w:?} off a boundary");
+            // A reading later than `now` counts inside `now`'s slice, and
+            // not in the next one.
+            let mut r = Windows::default();
+            r.fold(now - width, 2.0);
+            r.fold(off + 1, 3.0);
+            r.fold(now, 4.0);
+            let s = r.summarize(w, us(off)).unwrap();
+            assert_eq!((s.count, s.max), (2, 3.0), "{w:?} after `now`");
         }
-        // Readings *after* `now` (clock skew between hosts) are ignored.
-        let early = Timestamp::from_secs(1_001);
-        let s = r.summarize(SummaryWindow::OneMinute, early).unwrap();
-        assert_eq!(s.count, 2, "the t=1060 reading is in the future of `now`");
-        assert_eq!((s.min, s.max), (10.0, 20.0));
+        // A slice past the trailing edge, a reading has aged out.
+        let r = series(&[(1_000, 10.0)]);
+        let at = |secs| r.summarize(SummaryWindow::OneMinute, Timestamp::from_secs(secs));
+        assert_eq!(at(1_060).unwrap().count, 1);
+        assert!(at(1_061).is_none());
     }
 
     #[test]
@@ -525,7 +502,7 @@ mod tests {
             );
         }
         // A late arrival never truncates fresher data: pruning is relative
-        // to the newest reading, not the last-recorded one.
+        // to the newest slice, not the last-recorded one.
         let r = series(&[(10_000, 1.0), (5_000, 2.0)]); // 83 min late
         let s = r
             .summarize(SummaryWindow::OneMinute, Timestamp::from_secs(10_000))
@@ -533,81 +510,50 @@ mod tests {
         assert_eq!(s.count, 1, "fresh reading survives the late arrival");
     }
 
-    /// Readings spread over many blocks, with arrivals up to ten minutes
-    /// late and a few over an hour late, hold exactly what one sorted list
-    /// pruned the same way holds (the layout before blocks).  Half the
-    /// cases keep a steady 2 s clock, so up to four full blocks stay in
-    /// the hour and late arrivals land in full blocks.  The other half
-    /// add, now and then, a gap of 50 minutes or of more than 71.6 minutes
-    /// (a `u32` of µs) between consecutive readings: two 50-minute gaps
-    /// put a reading past its block's base by more than a `u32` while the
-    /// block still holds readings of the last hour.
+    /// A late reading joins the slice it falls in, opens one in place, or
+    /// is left out of a window that has moved more than 60 slices past it
+    /// while the longer windows still take it.
     #[test]
-    fn late_arrivals_across_blocks_match_one_sorted_list() {
-        jamm_core::check::forall("blocked readings vs one sorted list", 32, |g| {
-            let mut r = Readings::default();
-            let mut oracle: Vec<(Timestamp, f64)> = Vec::new();
-            let (mut newest, mut clock) = (0u64, 10_000u64);
-            let gappy = g.bool(0.5);
-            for _ in 0..g.usize_in(1, 4 * BLOCK) {
-                clock += match (gappy, g.u64(100)) {
-                    (true, 0) => 4_300,
-                    (true, 1 | 2) => 3_000,
-                    _ => 2,
-                };
-                let late = if g.bool(0.02) { 4_000 } else { g.u64(600) };
-                let t_secs = clock.saturating_sub(late);
-                let event = reading("h", "CPU_TOTAL", t_secs, g.u64(100) as f64);
-                r.record(&event);
-                let t = event.timestamp;
-                let pos = oracle.partition_point(|(o, _)| *o <= t);
-                oracle.insert(pos, (t, event.value().unwrap()));
-                newest = newest.max(t_secs);
-                let cutoff =
-                    Timestamp::from_secs(newest).sub_micros(SummaryWindow::OneHour.micros());
-                oracle.retain(|(o, _)| *o >= cutoff);
-            }
-            assert!(r.0.iter().all(|b| b.len() > 0), "no empty block");
-            let held: Vec<_> = r.newest_first().collect();
-            let expected: Vec<_> = oracle.iter().rev().copied().collect();
-            assert_eq!(held, expected);
-        });
+    fn late_readings_join_their_slice_or_are_left_out() {
+        let mut r = series(&[(1_000, 1.0), (1_030, 3.0)]);
+        let one_minute = |r: &Windows| r.0[0].held.iter().map(|s| s.count).collect::<Vec<_>>();
+        r.record(&reading("h", "CPU_TOTAL", 1_000, 2.0)); // an existing slice
+        r.record(&reading("h", "CPU_TOTAL", 1_010, 4.0)); // a slice in between
+        assert_eq!(one_minute(&r), [2, 1, 1]);
+        r.record(&reading("h", "CPU_TOTAL", 1_090, 5.0)); // prunes 1000 and 1010
+        r.record(&reading("h", "CPU_TOTAL", 1_020, 6.0)); // 70 slices late
+        assert_eq!(one_minute(&r), [1, 1]);
+        let now = Timestamp::from_secs(1_090);
+        let ten = r.summarize(SummaryWindow::TenMinutes, now).unwrap();
+        assert_eq!((ten.count, ten.min, ten.max), (6, 1.0, 6.0));
+        // 2^32 one-second slices later, the slice numbers cut to 32 bits
+        // repeat, and only the new reading is held.
+        let far = Timestamp::from_secs(1_090 + (1 << 32));
+        r.fold(far.as_micros(), 7.0);
+        assert_eq!(one_minute(&r), [1]);
+        let one = r.summarize(SummaryWindow::OneMinute, far).unwrap();
+        assert_eq!((one.count, one.mean), (1, 7.0));
     }
 
-    /// A reading more than a `u32` of µs past its block's base starts a new
-    /// block, whether it arrives in order or late, and every reading keeps
-    /// its stamp.
+    /// A series fed 1,000 readings a second for two simulated hours, a
+    /// reading up to two hours late once a second, never holds more than
+    /// 3 × 61 slices, and holds exactly that once the hour is full.
     #[test]
-    fn readings_more_than_71_minutes_apart_start_new_blocks() {
-        let mut r = series(&[(0, 1.0), (1_000, 2.0), (3_000, 3.0)]);
-        assert_eq!(r.0.len(), 1);
-        // In order, 4,300 s after the block's base: a new block.  The
-        // reading at 0 s ages out of the hour.
-        r.record(&reading("h", "CPU_TOTAL", 4_300, 4.0));
-        assert_eq!(r.0.len(), 2);
-        // Late, after everything in the first block but 4,296 s past its
-        // base: the first block is split rather than overflowed.
-        r.record(&reading("h", "CPU_TOTAL", 4_296, 5.0));
-        assert_eq!(r.0.len(), 3);
-        // Late and before everything held, below the first block's base.
-        let mut early = series(&[(10_000, 1.0)]);
-        early.record(&reading("h", "CPU_TOTAL", 9_000, 2.0));
-        assert_eq!(early.0.len(), 2);
-        let held: Vec<_> = r.newest_first().collect();
-        let secs = |s: u64| Timestamp::from_secs(s);
-        assert_eq!(
-            held,
-            [
-                (secs(4_300), 4.0),
-                (secs(4_296), 5.0),
-                (secs(3_000), 3.0),
-                (secs(1_000), 2.0)
-            ]
-        );
-        let held: Vec<_> = early.newest_first().collect();
-        assert_eq!(held, [(secs(10_000), 1.0), (secs(9_000), 2.0)]);
-        let now = secs(4_300);
-        assert_eq!(r.summarize(SummaryWindow::OneHour, now).unwrap().count, 4);
+    fn a_dense_series_never_holds_more_than_three_times_61_slices() {
+        let mut g = jamm_core::check::Gen::from_seed(7);
+        let mut r = Windows::default();
+        let mut most = 0;
+        let start = 1_000_000_000_000u64;
+        for ms in 0..2 * 3_600 * 1_000u64 {
+            let t = start + ms * 1_000;
+            r.fold(t, (ms % 100) as f64);
+            if ms % 1_000 == 999 {
+                r.fold(t.saturating_sub(g.u64(7_200_000_000)), 1.0);
+            }
+            most = most.max(r.slices());
+        }
+        assert_eq!(most, 3 * 61);
+        assert_eq!(r.slices(), 3 * 61);
     }
 
     #[test]
@@ -660,5 +606,7 @@ mod tests {
             .unwrap();
         assert_eq!(cpu1.value(), Some(50.0));
         assert_eq!(cpu1.field_f64("COUNT"), Some(10.0));
+        // Ten one-second slices each; one ten-second and one minute slice.
+        assert_eq!((table.len(), table.slices()), (2, 2 * (10 + 1 + 1)));
     }
 }

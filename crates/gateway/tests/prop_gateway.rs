@@ -183,6 +183,66 @@ fn summary_mean_matches_direct_computation() {
     });
 }
 
+/// At slice boundaries the slice rule is the microsecond rule: for `now` a
+/// multiple of 60 s and every reading at or before `now`, each window's
+/// count, min and max are exactly those of the readings in `[now - N,
+/// now]`, both edges inclusive, and its mean agrees up to rounding.
+#[test]
+fn summaries_on_slice_boundaries_cover_exactly_the_window() {
+    const MINUTE: u64 = 60_000_000;
+    forall("slice rule == µs rule at boundaries", 48, |g| {
+        let now = MINUTE * (200 + g.u64(1_000));
+        // How far before `now` a reading lies: often on or next to an edge.
+        let mut edges = vec![0, 1];
+        for w in SummaryWindow::all() {
+            edges.extend([w.micros() - 1, w.micros(), w.micros() + 1]);
+        }
+        let readings: Vec<(u64, f64)> = (0..g.usize_in(1, 200))
+            .map(|_| {
+                let back = if g.bool(0.3) {
+                    g.choice(&edges)
+                } else {
+                    g.u64(120 * MINUTE)
+                };
+                (now - back, g.f64_in(0.0, 100.0))
+            })
+            .collect();
+        let gw = EventGateway::new(GatewayConfig::open("gw"));
+        for &(t, v) in &readings {
+            let e = Event::builder("s", "h")
+                .level(Level::Usage)
+                .event_type("CPU_TOTAL")
+                .timestamp(Timestamp::from_micros(t))
+                .value(v)
+                .build();
+            gw.publish(&e);
+        }
+        let all = Predicate::everything().compile();
+        let summaries = gw
+            .summaries("c", &all, Timestamp::from_micros(now))
+            .unwrap();
+        for w in SummaryWindow::all() {
+            let inside: Vec<f64> = readings
+                .iter()
+                .filter(|(t, _)| now - w.micros() <= *t)
+                .map(|(_, v)| *v)
+                .collect();
+            let ty = format!("CPU_TOTAL_{}", w.suffix());
+            let Some(s) = summaries.iter().find(|e| e.event_type == ty) else {
+                assert!(inside.is_empty(), "{ty} missing");
+                continue;
+            };
+            let min = inside.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = inside.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!(s.field_f64("COUNT"), Some(inside.len() as f64), "{ty}");
+            assert_eq!(s.field_f64("MIN"), Some(min), "{ty}");
+            assert_eq!(s.field_f64("MAX"), Some(max), "{ty}");
+            let mean = inside.iter().sum::<f64>() / inside.len() as f64;
+            assert!((s.value().unwrap() - mean).abs() < 1e-9, "{ty}");
+        }
+    });
+}
+
 /// One subscription of the flat-list oracle: the original algorithm —
 /// every subscription offered every event, in publish order — written
 /// against the public API only (a compiled [`Plan`] and a bounded deque),
@@ -331,8 +391,8 @@ fn routing_is_equivalent_to_the_flat_list() {
 }
 
 /// The flat summary oracle: every numeric reading per (host, event type)
-/// series in arrival order, summarized by direct computation.  It shares
-/// no code with the gateway's per-series table.
+/// series in arrival order, summarized from the raw readings by the slice
+/// rule.  It shares no code with the gateway's per-series table.
 #[derive(Default)]
 struct FlatSummaries {
     series: BTreeMap<(String, String), Vec<(Timestamp, f64)>>,
@@ -346,27 +406,36 @@ impl FlatSummaries {
         }
     }
 
-    /// One event per series and non-empty window over `[now - length,
-    /// now]` (both edges inclusive), in (host, type) order.  Readings are
-    /// summed newest first in timestamp order, arrival order breaking
-    /// ties, so the floating-point mean is reproduced bit for bit.
+    /// One event per series and non-empty window, in (host, type) order.
+    /// A window of length N is cut into slices of N/60: readings are
+    /// grouped by `t / width` and each group summed in arrival order; the
+    /// groups that overlap `[now - N, now]` are added oldest first, so the
+    /// floating-point mean is reproduced bit for bit.  A window keeps only
+    /// the 61 groups back from its newest reading's, so a group more than
+    /// 60 behind that is left out.
     fn events(&self, now: Timestamp, gateway: &str) -> Vec<Event> {
         let mut out = Vec::new();
         for ((host, ty), readings) in &self.series {
-            let mut sorted = readings.clone();
-            sorted.sort_by_key(|(t, _)| *t);
             for w in SummaryWindow::all() {
-                let cutoff = now.sub_micros(w.micros());
-                let inside: Vec<f64> = sorted
-                    .iter()
-                    .rev()
-                    .filter(|(t, _)| *t >= cutoff && *t <= now)
-                    .map(|(_, v)| *v)
-                    .collect();
-                if inside.is_empty() {
+                let width = w.micros() / 60;
+                let slice = |t: Timestamp| t.as_micros() / width;
+                let newest = readings.iter().map(|(t, _)| slice(*t)).max();
+                let kept = newest.unwrap_or(0).saturating_sub(60);
+                let first = slice(now.sub_micros(w.micros())).max(kept);
+                let mut groups: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+                for (t, v) in readings {
+                    if (first..=slice(now)).contains(&slice(*t)) {
+                        groups.entry(slice(*t)).or_default().push(*v);
+                    }
+                }
+                if groups.is_empty() {
                     continue;
                 }
-                let sum = inside.iter().fold(0.0, |acc, v| acc + v);
+                let sums = groups
+                    .values()
+                    .map(|g| g.iter().fold(0.0, |acc, v| acc + v));
+                let sum = sums.fold(0.0, |acc, s| acc + s);
+                let inside: Vec<f64> = groups.into_values().flatten().collect();
                 let min = inside.iter().copied().fold(f64::INFINITY, f64::min);
                 let max = inside.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 out.push(
@@ -395,10 +464,15 @@ impl FlatSummaries {
 #[test]
 fn gateway_series_table_matches_the_flat_engine() {
     forall("series table == flat", 48, |g| {
-        let events: Vec<Event> = (0..g.usize_in(1, 120)).map(|_| arb_event(g)).collect();
-        // After every reading, and within an hour of all of them, so the
-        // table's horizon pruning cannot remove a reading any window needs.
-        let now = Timestamp::from_secs(10_000 + 121);
+        let mut events: Vec<Event> = (0..g.usize_in(1, 120)).map(|_| arb_event(g)).collect();
+        for e in &mut events {
+            e.timestamp = Timestamp::from_micros(e.timestamp.as_micros() + g.u64(1_000_000));
+        }
+        // Anywhere from inside the readings' two minutes to well after
+        // them, so some readings may be later than `now`, in its slice or
+        // past it, and the 1-second window may have dropped slices `now`
+        // would need.
+        let now = Timestamp::from_micros(10_060_000_000 + g.u64(140_000_000));
         let (host, ty) = (g.choice(&HOSTS), g.choice(&TYPES));
         let filtered = Predicate::And(vec![Predicate::hosts([host]), Predicate::types([ty])]);
         let gw = EventGateway::new(GatewayConfig::open("gw"));

@@ -47,6 +47,10 @@ pub struct GatewayAdminStats {
     pub bytes_out: u64,
     /// Query-mode requests served.
     pub queries: u64,
+    /// (host, event type) series in the per-series table.
+    pub series: usize,
+    /// Summary slices held over every series (at most 3 × 61 a series).
+    pub summary_slices: usize,
     /// Routing (fan-out) latency distribution per publish, microseconds.
     pub route_us: jamm_core::obs::HistogramSnapshot,
     /// Per-subscription delivery totals.
@@ -127,6 +131,8 @@ fn gateway_admin_stats(src: &Sources) -> Vec<GatewayAdminStats> {
                 events_dropped: stats.events_dropped.load(Ordering::Relaxed),
                 bytes_out: stats.bytes_out.load(Ordering::Relaxed),
                 queries: stats.queries.load(Ordering::Relaxed),
+                series: gw.series_count(),
+                summary_slices: gw.summary_slices(),
                 route_us: stats.route_us.snapshot(),
                 subscriptions: gw.delivery_report(),
                 tiers: qos.as_ref().map(|_| gw.tier_report()).unwrap_or_default(),
@@ -254,6 +260,12 @@ fn row_samples(row: &GatewayAdminStats, out: &mut Vec<Sample>) {
         out.push(gw(Sample::counter(name, v)));
     }
     out.push(gw(histogram("jamm_gateway_route_us", row.route_us.clone())));
+    for (name, v) in [
+        ("jamm_gateway_series", row.series),
+        ("jamm_gateway_summary_slices", row.summary_slices),
+    ] {
+        out.push(gw(Sample::gauge(name, v as f64)));
+    }
     for sub in &row.subscriptions {
         let labelled = |s: Sample| {
             gw(s)

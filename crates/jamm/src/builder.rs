@@ -893,6 +893,24 @@ mod tests {
         assert!(interned() >= before + 1.0);
     }
 
+    /// Two readings a second to one series for over an hour fill its three
+    /// windows to their 61 slices each, and no further.
+    #[test]
+    fn dense_publishing_to_one_series_holds_at_most_183_summary_slices() {
+        let jamm = JammBuilder::new().gateway("gw1").build().unwrap();
+        let gauge = |name: &str| match jamm.metrics().get(name).map(|s| &s.value) {
+            Some(jamm_core::obs::SampleValue::Gauge(v)) => *v,
+            other => panic!("{name} is not a gauge: {other:?}"),
+        };
+        for ms in (0..4_000_000u64).step_by(500) {
+            let mut event = ev("h1", Level::Usage, 0);
+            event.timestamp = Timestamp::from_micros(1_000_000_000 + ms * 1_000);
+            jamm.publish("gw1", &event);
+        }
+        assert_eq!(gauge("jamm_gateway_series"), 1.0);
+        assert_eq!(gauge("jamm_gateway_summary_slices"), 183.0);
+    }
+
     #[test]
     fn trace_points_evicted_from_a_full_queue_are_exported() {
         let mut jamm = JammBuilder::new()

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """User-space CPU profile of a running process, per thread and per symbol.
 
-    scripts/cpu-profile.py <pid> [seconds] [--hz N] [--top N]
+    scripts/cpu-profile.py <pid> [seconds] [--hz N] [--top N] [--thread-top N]
 
 Opens one software cpu-clock sampling event (PERF_TYPE_SOFTWARE /
 PERF_COUNT_SW_CPU_CLOCK, exclude_kernel set) on every thread of <pid>,
 rescanning /proc/<pid>/task for threads started later, and reads each
 event's mmap ring buffer for <seconds> (default 10).  Then it prints each
 thread's share of the user-space samples, each symbol's self share over
-all threads, and each thread's top symbols.
+all threads (the top 25, or --top N), and each thread's top symbols (5,
+or --thread-top N).
 
 Symbols come from `nm` for the executable and `nm -D` for shared
 libraries (libc's malloc/free show as themselves).  An address inside a
@@ -206,13 +207,13 @@ def thread_name(pid, tid):
 
 def main():
     args = sys.argv[1:]
-    hz, top = 997, 25
-    for flag in ("--hz", "--top"):
+    counts = {"--hz": 997, "--top": 25, "--thread-top": 5}
+    for flag in counts:
         if flag in args:
             i = args.index(flag)
-            value = int(args[i + 1])
+            counts[flag] = int(args[i + 1])
             del args[i:i + 2]
-            hz, top = (value, top) if flag == "--hz" else (hz, value)
+    hz, top, thread_top = counts["--hz"], counts["--top"], counts["--thread-top"]
     if not args:
         sys.exit(__doc__)
     pid = int(args[0])
@@ -269,7 +270,7 @@ def main():
         print(f"  {100 * n / total:6.2f}%  {sym}")
     for tid, n in by_thread.most_common():
         print(f"\n{names.get(tid, '?')} ({tid}), {n} samples:")
-        for sym, m in per_thread[tid].most_common(5):
+        for sym, m in per_thread[tid].most_common(thread_top):
             print(f"  {100 * m / n:6.2f}%  {sym}")
 
 

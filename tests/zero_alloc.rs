@@ -222,9 +222,10 @@ fn rereading_an_unchanged_view_does_not_allocate() {
 /// publishing thread keeps, the router and every plan are handed the key,
 /// and the batch arm's per-subscription buffers are kept by the publishing
 /// thread too.  Three subscriptions' plans run on every event and pass
-/// none; two take part of every batch and are drained as they go.
-/// Readings an hour and a bit apart keep each series' summary readings at
-/// one or two, so the table does not grow either.
+/// none; two take part of every batch and are drained as they go.  The
+/// warm-up's stamps span over an hour, so every window of every series has
+/// grown its slices to the most it keeps; the measured stamps are then 1 ms
+/// apart, about 300 readings a series, folded into those slices.
 #[test]
 fn publishing_batches_of_seen_series_does_not_allocate() {
     let gw = EventGateway::new(GatewayConfig::open("gw"));
@@ -241,14 +242,20 @@ fn publishing_batches_of_seen_series_does_not_allocate() {
             .map(|s| s.events.try_iter().count())
             .sum::<usize>()
     };
-    let events: Vec<SharedEvent> = (0..600u64)
+    const WARM: u64 = 12 * 3_700;
+    let events: Vec<SharedEvent> = (0..WARM + 6_000)
         .map(|i| {
             let mut e = sample(i);
-            e.timestamp = Timestamp::from_micros(i * 3_700_000_000);
+            let ms = if i < WARM {
+                i * 100
+            } else {
+                WARM * 100 + i - WARM
+            };
+            e.timestamp = Timestamp::from_micros(1_000_000_000 + ms * 1_000);
             Arc::new(e)
         })
         .collect();
-    let (warm, measured) = events.split_at(300);
+    let (warm, measured) = events.split_at(WARM as usize);
     for batch in warm.chunks(5) {
         let delivered = gw.publish_shared_batch(batch);
         assert_eq!(delivered, drain());
