@@ -27,7 +27,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use jamm::jamm_archive::EventArchive;
 use jamm::jamm_core::query::{Aggregator, BatchScratch, ColumnBatch, Predicate, Selection};
 use jamm::jamm_core::rng::Rng;
 use jamm::jamm_gateway::{EventGateway, GatewayConfig};
@@ -267,12 +266,12 @@ fn main() {
     std::hint::black_box((row_hits, batch_hits));
 
     // --- 3. 32 readers: view snapshots vs archive rescans ---
-    let archive = Arc::new(EventArchive::in_memory_with(TsdbOptions {
+    let archive = Arc::new(Tsdb::in_memory_with(TsdbOptions {
         memtable_max_events: (n / 32) as usize,
         ..TsdbOptions::default()
     }));
     for chunk in shared.chunks(1_000) {
-        archive.store(chunk).unwrap();
+        archive.append_shared_batch(chunk).unwrap();
     }
     archive.seal().unwrap();
 

@@ -7,11 +7,10 @@
 
 use std::sync::Arc;
 
-use jamm_archive::EventArchive;
-use jamm_core::flow::{EventSink, EventSource, SinkError};
+use jamm_core::flow::EventSource;
 use jamm_directory::{DirectoryError, DirectoryServer, Dn, Entry};
 use jamm_gateway::{PipelineTracer, Predicate, Subscription};
-use jamm_tsdb::{SegmentCatalog, TsdbError};
+use jamm_tsdb::Tsdb;
 use jamm_ulm::{SharedEvent, Timestamp};
 
 use crate::{GatewayRegistry, SubscribeError};
@@ -19,7 +18,7 @@ use crate::{GatewayRegistry, SubscribeError};
 /// Subscribes to gateways and stores everything that matches its filters.
 pub struct ArchiverAgent {
     consumer: String,
-    archive: Arc<EventArchive>,
+    archive: Arc<Tsdb>,
     subscriptions: Vec<Subscription>,
     /// DN under which the archive's catalog entry is published.
     catalog_dn: Dn,
@@ -40,7 +39,7 @@ pub struct ArchiverAgent {
 impl ArchiverAgent {
     /// Create an archiver writing into `archive`, publishing its catalog at
     /// `catalog_dn`.
-    pub fn new(consumer: impl Into<String>, archive: Arc<EventArchive>, catalog_dn: Dn) -> Self {
+    pub fn new(consumer: impl Into<String>, archive: Arc<Tsdb>, catalog_dn: Dn) -> Self {
         ArchiverAgent {
             consumer: consumer.into(),
             archive,
@@ -59,7 +58,7 @@ impl ArchiverAgent {
     }
 
     /// The archive being written.
-    pub fn archive(&self) -> &Arc<EventArchive> {
+    pub fn archive(&self) -> &Arc<Tsdb> {
         &self.archive
     }
 
@@ -110,7 +109,7 @@ impl ArchiverAgent {
         if self.batch.is_empty() {
             return 0;
         }
-        match self.archive.store(&self.batch) {
+        match self.archive.append_shared_batch(&self.batch) {
             Ok(n) => {
                 if let Some(tracer) = &self.tracer {
                     // Trace points only after the store succeeded: an
@@ -134,13 +133,6 @@ impl ArchiverAgent {
         self.batch.len()
     }
 
-    /// Flush the archive's hot tier: seal the memtable into an immutable
-    /// segment.  Returns the new segment's catalog if anything was sealed;
-    /// on `Err` the events stay in the hot tier and a later flush retries.
-    pub fn flush(&self) -> Result<Option<SegmentCatalog>, TsdbError> {
-        self.archive.seal()
-    }
-
     /// Publish (or refresh) the archive's catalog entry in the directory,
     /// plus one child entry per sealed segment ("It also creates an
     /// archive directory service entry indicating the contents of the
@@ -158,7 +150,7 @@ impl ArchiverAgent {
         if let Err(DirectoryError::NoSuchEntry(_)) = directory.lookup(&self.catalog_dn) {
             self.published_segments.clear();
         }
-        let catalog = self.archive.tsdb().catalog();
+        let catalog = self.archive.catalog();
         let mut entry = Entry::new(self.catalog_dn.clone())
             .with("objectclass", "eventarchive")
             .with("eventcount", catalog.event_count.to_string())
@@ -195,7 +187,7 @@ impl ArchiverAgent {
     ) -> usize {
         let mut live = std::collections::BTreeSet::new();
         let mut fresh = Vec::new();
-        self.archive.tsdb().for_each_segment_catalog(|c| {
+        self.archive.for_each_segment_catalog(|c| {
             live.insert(c.id);
             if self.published_segments.contains(&c.id) {
                 return;
@@ -236,17 +228,6 @@ impl ArchiverAgent {
     }
 }
 
-/// The archiver is itself a sink: events pushed straight at it (e.g. by a
-/// sensor manager or a `NetLogger` pipeline sink at a site with no local
-/// gateway) are stored by refcount exactly as subscribed events are — and
-/// an event the storage engine refuses is reported as rejected, never
-/// counted as stored.
-impl EventSink<SharedEvent> for ArchiverAgent {
-    fn accept(&self, event: &SharedEvent) -> Result<usize, SinkError> {
-        self.archive.accept(event)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,7 +252,7 @@ mod tests {
         let gw = Arc::new(EventGateway::new(GatewayConfig::open("gw1")));
         let mut reg = GatewayRegistry::new();
         reg.register("gw1", Arc::clone(&gw));
-        let archive = Arc::new(EventArchive::new());
+        let archive = Arc::new(Tsdb::in_memory());
         let agent = ArchiverAgent::new(
             "archiver",
             archive,
@@ -400,9 +381,16 @@ mod tests {
             gw.publish(&ev("dpss1.lbl.gov", "CPU_TOTAL", t, Level::Usage));
         }
         agent.poll();
-        let sealed = agent.flush().unwrap().expect("memtable had events");
+        let sealed = agent
+            .archive()
+            .seal()
+            .unwrap()
+            .expect("memtable had events");
         assert_eq!(sealed.event_count, 10);
-        assert!(agent.flush().unwrap().is_none(), "nothing left to seal");
+        assert!(
+            agent.archive().seal().unwrap().is_none(),
+            "nothing left to seal"
+        );
 
         agent.publish_catalog(&dir, Timestamp::from_secs(100));
         let seg_dn =
@@ -414,10 +402,7 @@ mod tests {
 
         // Expire everything: the stale segment entry disappears on the
         // next publication.
-        agent
-            .archive()
-            .expire_before(Timestamp::from_secs(1_000))
-            .unwrap();
+        agent.archive().retain(Timestamp::from_secs(1_000)).unwrap();
         agent.publish_catalog(&dir, Timestamp::from_secs(200));
         assert!(dir.lookup(&seg_dn).is_err(), "stale segment entry removed");
     }
@@ -426,7 +411,7 @@ mod tests {
     fn a_failed_seal_is_surfaced_and_loses_nothing() {
         let dir = jamm_tsdb::test_util::TempDir::new("archiver-failed-seal");
         let store = dir.path().join("store");
-        let archive = Arc::new(EventArchive::open(&store).unwrap());
+        let archive = Arc::new(Tsdb::open(&store).unwrap());
         let (reg, gw, _, _) = setup();
         let mut agent = ArchiverAgent::new(
             "archiver",
@@ -445,19 +430,20 @@ mod tests {
         std::fs::remove_dir_all(&store).unwrap();
         assert!(archive.seal().is_err());
         assert_eq!(archive.stats().seal_errors(), 1, "the refusal is counted");
-        assert_eq!(archive.tsdb().memtable_len(), 25, "nothing moved");
+        assert_eq!(archive.memtable_len(), 25, "nothing moved");
         // A second failing seal does not re-insert or reorder anything.
-        assert!(agent.flush().is_err());
+        assert!(agent.archive().seal().is_err());
         assert_eq!(archive.stats().seal_errors(), 2);
-        assert_eq!(archive.tsdb().memtable_len(), 25);
-        assert_eq!(archive.tsdb().segment_count(), 0);
+        assert_eq!(archive.memtable_len(), 25);
+        assert_eq!(archive.segment_count(), 0);
         let after: Vec<Event> = archive.scan_str("(&)").unwrap().collect();
         assert_eq!(after, before, "nothing lost, same order");
 
         // The directory comes back: the retried seal keeps every event.
         std::fs::create_dir_all(&store).unwrap();
         let sealed = agent
-            .flush()
+            .archive()
+            .seal()
             .unwrap()
             .expect("the untouched memtable seals");
         assert_eq!(sealed.event_count, 25);
@@ -477,7 +463,7 @@ mod tests {
                     t += 1;
                 }
                 agent.poll();
-                agent.flush().unwrap().expect("five events seal");
+                agent.archive().seal().unwrap().expect("five events seal");
             }
         };
         let catalog_dn = Dn::parse("archive=main,o=lbl,o=grid").unwrap();
@@ -542,7 +528,7 @@ mod tests {
         for t in 0..3 {
             gw.publish(&ev("dpss1.lbl.gov", "CPU_TOTAL", t, Level::Usage));
             agent.poll();
-            agent.flush().unwrap().expect("one event seals");
+            agent.archive().seal().unwrap().expect("one event seals");
         }
         let catalog_dn = Dn::parse("archive=main,o=lbl,o=grid").unwrap();
         let segments = |dir: &DirectoryServer| {

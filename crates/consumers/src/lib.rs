@@ -7,7 +7,8 @@
 //!   subscribes through their gateways, and merges the event streams into a
 //!   single time-ordered log for real-time analysis tools such as `nlv`;
 //! * [`archiver::ArchiverAgent`] — subscribes and stores events in the
-//!   archive, publishing an archive catalog entry in the directory;
+//!   archive (a [`jamm_tsdb::Tsdb`]), publishing an archive catalog entry
+//!   in the directory;
 //! * [`procmon::ProcessMonitorConsumer`] — watches process-death events and
 //!   triggers an action (restart, email, page);
 //! * [`overview::OverviewMonitor`] — combines information from several hosts

@@ -23,11 +23,11 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use jamm_archive::EventArchive;
 use jamm_core::obs::{MetricsRegistry, MetricsSnapshot, Sample, SampleValue};
 use jamm_gateway::{EventGateway, PipelineTracer, Tier};
 use jamm_reactor::{ListenerId, LoopStats, Reactor, SocketRow};
 use jamm_rmi::edge::{EdgeStats, EdgeStatsHandle, EventEdge};
+use jamm_tsdb::Tsdb;
 use jamm_ulm::keys::jamm::EDGE_CONSUMER;
 
 use crate::system::JammSystem;
@@ -160,7 +160,7 @@ pub(crate) fn register_collectors(
     gateways: &[Arc<EventGateway>],
     edges: &[EventEdge],
     reactor: Option<&Arc<Reactor>>,
-    archive: &Arc<EventArchive>,
+    archive: &Arc<Tsdb>,
     tracer: Option<&Arc<PipelineTracer>>,
 ) {
     let sources = Sources::new(gateways, edges, reactor);
@@ -201,6 +201,12 @@ pub(crate) fn register_collectors(
                 "jamm_tsdb_segments_quarantined",
                 stats.segments_quarantined(),
             ),
+            ("jamm_tsdb_wal_bytes", stats.wal_bytes()),
+            (
+                "jamm_tsdb_wal_recovered_events",
+                stats.wal_recovered_events(),
+            ),
+            ("jamm_tsdb_wal_torn_bytes", stats.wal_torn_bytes()),
         ] {
             out.push(Sample::counter(name, v));
         }

@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use jamm_archive::EventArchive;
 use jamm_consumers::archiver::ArchiverAgent;
 use jamm_consumers::collector::EventCollector;
 use jamm_consumers::GatewayRegistry;
@@ -18,6 +17,7 @@ use jamm_directory::{DirectoryServer, Dn};
 use jamm_gateway::{EventGateway, GatewayConfig, PipelineTracer};
 use jamm_reactor::{Reactor, ReactorConfig};
 use jamm_rmi::edge::{EdgeConfig, EventEdge};
+use jamm_tsdb::Tsdb;
 
 use crate::admin::register_collectors;
 use crate::system::JammSystem;
@@ -217,10 +217,8 @@ impl JammBuilder {
             }
         }
         let archive = match &self.archive_dir {
-            Some(dir) => {
-                Arc::new(EventArchive::open(dir).map_err(|e| BuildError::Archive(e.to_string()))?)
-            }
-            None => Arc::new(EventArchive::new()),
+            Some(dir) => Arc::new(Tsdb::open(dir).map_err(|e| BuildError::Archive(e.to_string()))?),
+            None => Arc::new(Tsdb::in_memory()),
         };
         let archiver = match self.archiver {
             Some((consumer, catalog_dn)) => {
@@ -656,7 +654,7 @@ mod tests {
             let events: Vec<_> = (0..4)
                 .map(|i| Arc::new(ev("h1", Level::Usage, 100 * seg + i)))
                 .collect();
-            jamm.archive.store(&events).unwrap();
+            jamm.archive.append_shared_batch(&events).unwrap();
             jamm.archive.seal().unwrap();
         }
         // One reader's query prunes to a single segment, the other's reads

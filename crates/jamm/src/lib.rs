@@ -14,8 +14,7 @@
 //! | Event gateways (filters, summaries, access control) | [`jamm_gateway`] |
 //! | Sensor directory (LDAP-like) | [`jamm_directory`] |
 //! | Consumers: collector, archiver, procmon, overview | [`jamm_consumers`] |
-//! | Event archive | [`jamm_archive`] |
-//! | Archive storage engine (WAL, segments, pruned scans) | [`jamm_tsdb`] |
+//! | Event archive (WAL, segments, pruned scans, replay) | [`jamm_tsdb`] |
 //! | ULM events and the text/binary/JSON codecs | [`jamm_ulm`] |
 //! | NetLogger toolkit (API, merge, clocks, nlv) | [`jamm_netlogger`] |
 //! | Network edge (the gateway stream over TCP) | [`jamm_rmi`] |
@@ -94,7 +93,6 @@ pub use system::{ArchiveMaintenanceReport, JammSystem};
 
 // Re-export the sub-crates under predictable names so downstream users need
 // only one dependency.
-pub use jamm_archive;
 pub use jamm_auth;
 pub use jamm_consumers;
 pub use jamm_core;
@@ -108,3 +106,11 @@ pub use jamm_rmi;
 pub use jamm_sensors;
 pub use jamm_tsdb;
 pub use jamm_ulm;
+
+/// The archive's former crate name.  The archive is the store,
+/// [`jamm_tsdb::Tsdb`]; this name stays for callers written against it
+/// (the e21 benchmark reopens a restarted archive as
+/// `jamm_archive::EventArchive`).
+pub mod jamm_archive {
+    pub use jamm_tsdb::Tsdb as EventArchive;
+}

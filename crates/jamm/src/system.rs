@@ -5,7 +5,6 @@
 
 use std::sync::Arc;
 
-use jamm_archive::EventArchive;
 use jamm_consumers::archiver::ArchiverAgent;
 use jamm_consumers::collector::EventCollector;
 use jamm_consumers::GatewayRegistry;
@@ -15,6 +14,7 @@ use jamm_directory::{DirectoryServer, Dn};
 use jamm_gateway::{EventGateway, PipelineTracer};
 use jamm_reactor::Reactor;
 use jamm_rmi::edge::EventEdge;
+use jamm_tsdb::{ReplaySource, Tsdb};
 use jamm_ulm::SharedEvent;
 
 /// A wired JAMM deployment: directory, gateways, consumers.
@@ -32,7 +32,7 @@ pub struct JammSystem {
     /// The archiver agent, if one was declared.
     pub archiver: Option<ArchiverAgent>,
     /// The archive written by the archiver agent.
-    pub archive: Arc<EventArchive>,
+    pub archive: Arc<Tsdb>,
     /// Retention policy applied by [`JammSystem::archive_maintenance`].
     pub retention_micros: Option<u64>,
     /// One broadcast edge per gateway when
@@ -146,7 +146,7 @@ impl JammSystem {
             }
         };
         let events_expired = match self.retention_micros {
-            Some(r) => match self.archive.expire_before(now.sub_micros(r)) {
+            Some(r) => match self.archive.retain(now.sub_micros(r)) {
                 Ok(n) => n,
                 Err(e) => {
                     errors.push(format!("retention: {e}"));
@@ -216,7 +216,7 @@ impl JammSystem {
         let Some(gw) = self.registry.resolve(gateway) else {
             return 0;
         };
-        jamm_archive::ReplaySource::new(&self.archive, plan).pump(gw.as_ref())
+        ReplaySource::new(&self.archive, plan).pump(gw.as_ref())
     }
 }
 

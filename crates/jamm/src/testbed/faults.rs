@@ -7,11 +7,11 @@
 //! there is no wall clock anywhere, so a seeded scenario replays
 //! byte-identically.
 
-use jamm_archive::ReplaySource;
 use jamm_core::query::Predicate;
 use jamm_directory::Dn;
 use jamm_netsim::link::LinkId;
 use jamm_netsim::spec::{Fault, TimelineEntry};
+use jamm_tsdb::ReplaySource;
 
 use super::ScenarioEngine;
 

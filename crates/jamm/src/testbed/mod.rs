@@ -39,7 +39,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use jamm_archive::EventArchive;
 use jamm_consumers::archiver::ArchiverAgent;
 use jamm_consumers::collector::EventCollector;
 use jamm_consumers::overview::OverviewMonitor;
@@ -60,6 +59,7 @@ use jamm_netsim::player::{FramePlayer, PlayerConfig};
 use jamm_netsim::spec::{self, compile_topology};
 use jamm_netsim::{FlowId, Network, TraceLog};
 use jamm_sensors::sim::NetworkSource;
+use jamm_tsdb::Tsdb;
 use jamm_ulm::{keys, Event, Level, SharedEvent};
 
 pub use analysis::{
@@ -602,11 +602,7 @@ impl ScenarioEngine {
             host_id(&a.host)?;
             let catalog_dn = Dn::parse(&format!("archive={},o=grid", a.name))
                 .map_err(|_| EngineError::Compile(format!("bad archiver name `{}`", a.name)))?;
-            let mut agent = ArchiverAgent::new(
-                &a.name,
-                Arc::new(jamm_archive::EventArchive::new()),
-                catalog_dn,
-            );
+            let mut agent = ArchiverAgent::new(&a.name, Arc::new(Tsdb::in_memory()), catalog_dn);
             agent.set_tracer(Arc::clone(&tracer));
             let filters = match &a.query {
                 Some(q) => vec![Predicate::parse(q).map_err(|e| {
@@ -1054,7 +1050,7 @@ impl ScenarioEngine {
     }
 
     /// A declared archiver's archive.
-    pub fn archive(&self, name: &str) -> Option<&Arc<EventArchive>> {
+    pub fn archive(&self, name: &str) -> Option<&Arc<Tsdb>> {
         (self.archivers.iter())
             .find(|a| a.name == name)
             .map(|a| a.agent.archive())

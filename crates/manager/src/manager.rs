@@ -219,7 +219,7 @@ impl SensorManager {
     /// 2. start / stop sensors according to their run policy;
     /// 3. sample every running sensor whose period has elapsed;
     /// 4. push the events into the sink (normally the host's event
-    ///    gateway, but any [`EventSink`] — an archiver, an archive, a test
+    ///    gateway, but any [`EventSink`] — the archive's store, a test
     ///    probe — works).  Each sampled event is wrapped once as a
     ///    [`SharedEvent`] at the push boundary: the publish side of the
     ///    pipeline never copies it again;

@@ -11,18 +11,18 @@ use jamm_core::flow::{EventSink, EventSource};
 use jamm_core::query::Plan;
 use jamm_ulm::SharedEvent;
 
-use crate::{ArchiveScan, EventArchive};
+use crate::{ScanIter, Tsdb};
 
 /// An [`EventSource`] streaming an archived range in time order.
 ///
 /// The source owns its scan (segment data decodes lazily), so it stays
-/// valid after the archive borrow ends and never materializes the range.
+/// valid after the store borrow ends and never materializes the range.
 /// Each decoded event is wrapped once as a [`SharedEvent`]; pumping it
 /// into a gateway then fans it out to every subscriber by refcount, so a
 /// replayed run costs the same per-event work as the live run did.
 #[derive(Debug)]
 pub struct ReplaySource {
-    scan: ArchiveScan,
+    scan: ScanIter,
     batch: usize,
     replayed: usize,
     /// An event a sink rejected in [`ReplaySource::pump`], staged so the
@@ -33,7 +33,7 @@ pub struct ReplaySource {
 impl ReplaySource {
     /// Replay every event a compiled query-plane plan matches, in time
     /// order.
-    pub fn new(archive: &EventArchive, plan: &Plan) -> ReplaySource {
+    pub fn new(archive: &Tsdb, plan: &Plan) -> ReplaySource {
         ReplaySource {
             scan: archive.scan(plan),
             batch: 0,
@@ -118,10 +118,10 @@ mod tests {
             .build()
     }
 
-    fn populated() -> EventArchive {
-        let a = EventArchive::new();
+    fn populated() -> Tsdb {
+        let a = Tsdb::in_memory();
         let events: Vec<SharedEvent> = (0..20u64).map(|t| SharedEvent::new(ev(t))).collect();
-        a.store(&events).unwrap();
+        a.append_shared_batch(&events).unwrap();
         a.seal().unwrap();
         a
     }
@@ -205,7 +205,7 @@ mod tests {
         let mut src = ReplaySource::new(&a, &Predicate::True.compile());
         // More writes to the archive do not affect the snapshot the source
         // merged from (memtable was sealed above).
-        a.store(&[SharedEvent::new(ev(100))]).unwrap();
+        a.append_shared_batch(&[SharedEvent::new(ev(100))]).unwrap();
         assert_eq!(src.drain().len(), 20);
     }
 }

@@ -14,7 +14,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use jamm_core::query::Plan;
+use jamm_core::flow::{EventSink, SinkError};
+use jamm_core::query::{ParseError, Plan, Predicate};
 use jamm_core::sync::RwLock;
 use jamm_ulm::{Event, SharedEvent, Timestamp};
 
@@ -72,6 +73,7 @@ pub struct TsdbStats {
     expired_events: AtomicU64,
     wal_recovered_events: AtomicU64,
     wal_torn_bytes: AtomicU64,
+    wal_bytes: AtomicU64,
     segments_quarantined: AtomicU64,
     append_errors: AtomicU64,
     seal_errors: AtomicU64,
@@ -142,6 +144,12 @@ impl TsdbStats {
     /// Torn-tail bytes discarded from the WAL at open.
     pub fn wal_torn_bytes(&self) -> u64 {
         self.wal_torn_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Bytes written to the WAL since open, by appends and by retention
+    /// rewrites.
+    pub fn wal_bytes(&self) -> u64 {
+        self.wal_bytes.load(Ordering::Relaxed)
     }
 
     /// Segment files set aside at open because they failed validation.
@@ -219,8 +227,7 @@ pub struct Tsdb {
 
 impl Tsdb {
     /// A volatile store: no WAL, no segment files, everything else (seal,
-    /// compact, retain, pruning) identical.  This is what `EventArchive::
-    /// new()` uses.
+    /// compact, retain, pruning) identical.
     pub fn in_memory() -> Tsdb {
         Tsdb::in_memory_with(TsdbOptions::default())
     }
@@ -387,9 +394,12 @@ impl Tsdb {
         let mut inner = self.inner.write();
         let first_seq = inner.next_seq;
         if let Some(wal) = &mut inner.wal {
+            let before = wal.len();
             wal.append_batch(first_seq, events).inspect_err(|_| {
                 self.stats.append_errors.fetch_add(1, Ordering::Relaxed);
             })?;
+            let written = wal.len() - before;
+            self.stats.wal_bytes.fetch_add(written, Ordering::Relaxed);
         }
         let n = events.len();
         inner
@@ -535,6 +545,8 @@ impl Tsdb {
             let inner = &mut *inner;
             if let Some(wal) = &mut inner.wal {
                 wal.rewrite(inner.mem.as_slice())?;
+                let written = wal.len();
+                self.stats.wal_bytes.fetch_add(written, Ordering::Relaxed);
             }
         }
         self.stats
@@ -616,6 +628,54 @@ impl Tsdb {
         ScanIter::new(plan, mem, segments, pruned, Arc::clone(&self.stats))
     }
 
+    /// Parse a query string in the unified grammar (e.g.
+    /// `"(&(host=dpss1.lbl.gov)(level>=warning)(limit=100))"`) and stream
+    /// the matching history.
+    pub fn scan_str(&self, query: &str) -> std::result::Result<ScanIter, ParseError> {
+        Ok(self.scan(&Predicate::parse(query)?.compile()))
+    }
+
+    /// Stream matching events as ULM text (one line per event) into a
+    /// writer, without building the export in memory: every line is
+    /// encoded into one reused buffer.  Returns the number of events
+    /// written.
+    pub fn export_ulm_to<W: std::io::Write>(
+        &self,
+        plan: &Plan,
+        out: &mut W,
+    ) -> std::io::Result<usize> {
+        let mut n = 0;
+        let mut line = String::new();
+        for e in self.scan(plan) {
+            line.clear();
+            jamm_ulm::text::encode_into(&mut line, &e);
+            line.push('\n');
+            out.write_all(line.as_bytes())?;
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    /// Stream matching events as a JSON array into a writer.  Returns the
+    /// number of events written.
+    pub fn export_json_to<W: std::io::Write>(
+        &self,
+        plan: &Plan,
+        out: &mut W,
+    ) -> std::io::Result<usize> {
+        out.write_all(b"[")?;
+        let mut n = 0;
+        for e in self.scan(plan) {
+            if n > 0 {
+                out.write_all(b",")?;
+            }
+            out.write_all(jamm_ulm::json::to_json(&e).to_string().as_bytes())?;
+            n += 1;
+        }
+        out.write_all(b"]")?;
+        Ok(n)
+    }
+
     /// Total number of stored events (memtable plus every segment).
     pub fn len(&self) -> usize {
         let inner = self.inner.read();
@@ -692,6 +752,24 @@ impl Tsdb {
             hosts: owned(hosts),
             event_types: owned(event_types),
         }
+    }
+}
+
+fn rejected(e: TsdbError) -> SinkError {
+    SinkError::Rejected(e.to_string())
+}
+
+/// The store is a terminal event sink: accepting a [`SharedEvent`] stores
+/// the caller's `Arc` directly (a replayed or fanned-out event is archived
+/// without any copy), and a batch is one [`Tsdb::append_shared_batch`].
+impl EventSink<SharedEvent> for Tsdb {
+    fn accept(&self, event: &SharedEvent) -> std::result::Result<usize, SinkError> {
+        self.append_shared_batch(std::slice::from_ref(event))
+            .map_err(rejected)
+    }
+
+    fn accept_batch(&self, events: &[SharedEvent]) -> std::result::Result<usize, SinkError> {
+        self.append_shared_batch(events).map_err(rejected)
     }
 }
 
@@ -981,6 +1059,29 @@ mod tests {
         assert_eq!(c.hosts.get("a"), Some(&5));
         assert_eq!(c.hosts.get("b"), Some(&3));
         assert_eq!(c.event_types.len(), 2);
+    }
+
+    #[test]
+    fn wal_bytes_follow_the_log_file() {
+        let dir = TempDir::new("store-wal-bytes");
+        let db = Tsdb::open_with(dir.path(), small_opts(1_000)).unwrap();
+        let wal_file = || std::fs::metadata(dir.path().join(crate::wal::WAL_FILE)).unwrap();
+        assert_eq!(db.stats().wal_bytes(), 0);
+        for batch in 0..4u64 {
+            let (bytes, len) = (db.stats().wal_bytes(), wal_file().len());
+            let events: Vec<SharedEvent> = (0..=batch)
+                .map(|i| Arc::new(ev("h", "X", 10 * batch + i)))
+                .collect();
+            db.append_shared_batch(&events).unwrap();
+            let grew = wal_file().len() - len;
+            assert!(grew > 0);
+            assert_eq!(db.stats().wal_bytes() - bytes, grew, "batch {batch}");
+        }
+        // A retention cut that prunes the memtable rewrites the log: the
+        // rewrite's bytes are counted too.
+        let before = db.stats().wal_bytes();
+        assert_eq!(db.retain(Timestamp::from_secs(20)).unwrap(), 3);
+        assert_eq!(db.stats().wal_bytes() - before, wal_file().len());
     }
 
     #[test]

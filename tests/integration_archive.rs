@@ -3,9 +3,9 @@
 //! provably prune non-overlapping segments, and an archived MATISSE-style
 //! run replays through a gateway into nlv analysis.
 
-use jamm::jamm_archive::EventArchive;
 use jamm::jamm_core::query::{Plan, Predicate};
 use jamm::jamm_tsdb::test_util::TempDir;
+use jamm::jamm_tsdb::Tsdb;
 use jamm::JammBuilder;
 use jamm_netlogger::nlv;
 use jamm_ulm::{Event, Level, SharedEvent, Timestamp};
@@ -108,7 +108,7 @@ fn range_queries_prune_non_overlapping_segments() {
         jamm.poll();
         jamm.archive.seal().unwrap();
     }
-    assert_eq!(jamm.archive.tsdb().segment_count(), 4);
+    assert_eq!(jamm.archive.segment_count(), 4);
 
     let scanned_before = jamm.archive.stats().segments_scanned();
     let pruned_before = jamm.archive.stats().segments_pruned();
@@ -143,7 +143,7 @@ fn range_queries_prune_non_overlapping_segments() {
 #[test]
 fn selective_queries_prune_by_level_and_series_and_still_find_their_events() {
     const HOSTS: [&str; 2] = ["dpss1.lbl.gov", "dpss2.lbl.gov"];
-    let archive = EventArchive::new();
+    let archive = Tsdb::in_memory();
     let mut stored = Vec::new();
     // Eight sealed segments of 50 events; one host per segment, and a single
     // Warning in segments 2 and 5 among Usage-level readings.
@@ -161,11 +161,11 @@ fn selective_queries_prune_by_level_and_series_and_still_find_their_events() {
                 SharedEvent::new(e)
             })
             .collect();
-        archive.store(&batch).unwrap();
+        archive.append_shared_batch(&batch).unwrap();
         archive.seal().unwrap();
         stored.extend(batch);
     }
-    let segments = archive.tsdb().segment_count() as u64;
+    let segments = archive.segment_count() as u64;
     assert_eq!(segments, 8);
 
     // Scan `query`, returning (hits, segments scanned, segments pruned); the

@@ -7,12 +7,11 @@
 //! catalog pruning must never drop a matching event (a pruned scan equals
 //! a scan with pruning defeated).
 
-use jamm::jamm_archive::EventArchive;
 use jamm::jamm_core::check::{forall, Gen};
 use jamm::jamm_core::query::{Predicate, ValueCmp};
 use jamm::jamm_directory::{Dn, Entry, Filter};
 use jamm::jamm_gateway::{EventGateway, GatewayConfig};
-use jamm::jamm_tsdb::TsdbOptions;
+use jamm::jamm_tsdb::{Tsdb, TsdbOptions};
 use jamm_ulm::{Event, Level, SharedEvent, Timestamp, Value};
 use std::collections::HashMap;
 
@@ -33,8 +32,10 @@ fn random_event(g: &mut Gen) -> Event {
     b.build()
 }
 
-fn store(archive: &EventArchive, event: Event) {
-    archive.store(&[SharedEvent::new(event)]).unwrap();
+fn store(archive: &Tsdb, event: Event) {
+    archive
+        .append_shared_batch(&[SharedEvent::new(event)])
+        .unwrap();
 }
 
 /// One constructor-built subscription leaf — the shapes the paper's §2.2
@@ -165,7 +166,7 @@ fn constructor_built_predicates_equal_their_text_form() {
         let gw = EventGateway::new(GatewayConfig::open("gw"));
         let by_constructor = gw.subscribe().filter(built.clone()).open().unwrap();
         let by_text = gw.subscribe().matching(&text).open().unwrap();
-        let archive = EventArchive::in_memory_with(TsdbOptions {
+        let archive = Tsdb::in_memory_with(TsdbOptions {
             memtable_max_events: g.usize_in(4, 12),
             small_segment_events: 8,
             sync_wal: false,
@@ -378,7 +379,7 @@ fn plan_eval_matches_legacy_directory_filter() {
 #[test]
 fn pruned_scan_equals_full_scan() {
     forall("pruned scan ≡ full scan", 48, |g| {
-        let archive = EventArchive::in_memory_with(TsdbOptions {
+        let archive = Tsdb::in_memory_with(TsdbOptions {
             memtable_max_events: g.usize_in(4, 12),
             small_segment_events: 8,
             sync_wal: false,
@@ -394,7 +395,7 @@ fn pruned_scan_equals_full_scan() {
         let mut all_sorted = all.clone();
         all_sorted.sort_by_key(|e| e.timestamp);
 
-        let segments = archive.tsdb().segment_count() as u64;
+        let segments = archive.segment_count() as u64;
 
         let queries = [
             "(&)",
@@ -452,7 +453,7 @@ fn pruned_scan_equals_full_scan() {
 #[test]
 fn columnar_scan_matches_row_oracle_for_stateful_plans() {
     forall("columnar scan ≡ stateful row oracle", 48, |g| {
-        let archive = EventArchive::in_memory_with(TsdbOptions {
+        let archive = Tsdb::in_memory_with(TsdbOptions {
             memtable_max_events: g.usize_in(4, 12),
             small_segment_events: g.usize_in(6, 16),
             sync_wal: false,
@@ -617,7 +618,7 @@ fn eval_batch_agrees_with_row_eval() {
 #[test]
 fn limit_pushdown_is_a_prefix_of_the_full_result() {
     forall("limit ≡ prefix", 32, |g| {
-        let archive = EventArchive::in_memory_with(TsdbOptions {
+        let archive = Tsdb::in_memory_with(TsdbOptions {
             memtable_max_events: 8,
             small_segment_events: 8,
             sync_wal: false,

@@ -7,12 +7,12 @@
 
 use std::sync::Arc;
 
-use jamm::jamm_archive::EventArchive;
 use jamm::jamm_consumers::archiver::ArchiverAgent;
 use jamm::jamm_consumers::GatewayRegistry;
 use jamm::jamm_core::check::{forall, Gen};
 use jamm::jamm_directory::Dn;
 use jamm::jamm_gateway::{EventGateway, GatewayConfig};
+use jamm::jamm_tsdb::Tsdb;
 use jamm::jamm_ulm::{binary, deep_clone_count, text, Event, Level, SharedEvent, Timestamp, Value};
 
 const HOSTS: [&str; 3] = ["dpss1.lbl.gov", "mems.cairn.net", "h3"];
@@ -61,7 +61,7 @@ fn shared_pipeline_output_is_byte_identical_to_by_value() {
         let shared_gw = Arc::new(EventGateway::new(GatewayConfig::open("shared")));
         let mut registry = GatewayRegistry::new();
         registry.register("shared", Arc::clone(&shared_gw));
-        let archive = Arc::new(EventArchive::new());
+        let archive = Arc::new(Tsdb::in_memory());
         let mut archiver = ArchiverAgent::new(
             "archiver",
             Arc::clone(&archive),

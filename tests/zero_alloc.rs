@@ -19,6 +19,7 @@ use jamm::jamm_manager::manager::{NoPortActivity, SensorManager};
 use jamm::jamm_sensors::host::CpuSensor;
 use jamm::jamm_sensors::{HostView, IfView, SampleContext, Sensor, StatsSource};
 use jamm::jamm_tsdb::segment::Segment;
+use jamm::jamm_tsdb::{Tsdb, TsdbOptions};
 use jamm_ulm::{binary, keys, Event, Level, SharedEvent, Timestamp};
 
 struct CountingAlloc;
@@ -398,4 +399,35 @@ fn a_jsg3_scan_row_of_seen_names_allocates_three_times() {
     assert!(cursor.next_event().is_none());
     assert_eq!(scanned, rows[1..]);
     assert!(per_row.iter().all(|n| *n == 3), "{per_row:?}");
+}
+
+/// A ULM export encodes every line into one reused buffer: it allocates
+/// what the scan under it allocates plus a constant (the buffer's growth
+/// to the longest line), however many rows it writes.
+#[test]
+fn exporting_ulm_allocates_no_more_than_its_scan() {
+    const BUFFER_GROWTH: u64 = 16;
+    for rows in [200u64, 2_000] {
+        let db = Tsdb::in_memory_with(TsdbOptions {
+            memtable_max_events: 128,
+            small_segment_events: 128,
+            sync_wal: false,
+        });
+        let events: Vec<SharedEvent> = (0..rows).map(|i| Arc::new(cpu_event(i))).collect();
+        for chunk in events.chunks(150) {
+            db.append_shared_batch(chunk).unwrap();
+        }
+        assert!(db.segment_count() > 0 && db.memtable_len() > 0);
+        let plan = Predicate::True.compile();
+        let (mut scanned, mut exported) = (0, 0);
+        let scan = allocations_in(|| scanned = db.scan(&plan).count());
+        let export = allocations_in(|| {
+            exported = db.export_ulm_to(&plan, &mut std::io::sink()).unwrap();
+        });
+        assert_eq!((scanned, exported), (rows as usize, rows as usize));
+        assert!(
+            export <= scan + BUFFER_GROWTH,
+            "{rows} rows: export {export} allocations, scan {scan}"
+        );
+    }
 }
