@@ -59,7 +59,7 @@
 
 use std::collections::HashMap;
 
-use crate::intern::Sym;
+use crate::intern::{BuildSymHasher, Sym};
 use crate::sync::Mutex;
 
 /// Canonical level names in severity order; index is the rank used by
@@ -281,7 +281,7 @@ impl Predicate {
         let mut facts = node_facts(&root);
         facts.limit = predicate_limit(self);
         let state = if node_is_stateful(&root) {
-            Some(Mutex::new(HashMap::new()))
+            Some(Mutex::default())
         } else {
             None
         };
@@ -1159,6 +1159,9 @@ fn predicate_aggregate(p: &Predicate) -> Option<AggregateSpec> {
     Some(spec)
 }
 
+/// A stateful plan's previous reading per (host, type) series.
+type SeriesMemory = HashMap<(Sym, Sym), f64, BuildSymHasher>;
+
 /// A compiled, executable predicate: the one evaluator every layer runs.
 ///
 /// * [`Plan::eval`] answers "does this record match", allocation-free in
@@ -1176,7 +1179,7 @@ pub struct Plan {
     root: Node,
     facts: Facts,
     /// Per-series previous readings, present only for stateful plans.
-    state: Option<Mutex<HashMap<(Sym, Sym), f64>>>,
+    state: Option<Mutex<SeriesMemory>>,
     /// Aggregate directives carried by the predicate, if any.
     aggregate: Option<AggregateSpec>,
 }
@@ -1186,7 +1189,7 @@ impl Clone for Plan {
         Plan {
             root: self.root.clone(),
             facts: self.facts.clone(),
-            state: self.state.as_ref().map(|_| Mutex::new(HashMap::new())),
+            state: self.state.as_ref().map(|_| Mutex::default()),
             aggregate: self.aggregate.clone(),
         }
     }
@@ -1904,7 +1907,7 @@ struct AggGroup {
 #[derive(Debug, Clone)]
 pub struct Aggregator {
     spec: AggregateSpec,
-    groups: HashMap<(Option<Sym>, Option<Sym>), AggGroup>,
+    groups: HashMap<(Option<Sym>, Option<Sym>), AggGroup, BuildSymHasher>,
 }
 
 impl Aggregator {
@@ -1912,7 +1915,7 @@ impl Aggregator {
     pub fn new(spec: AggregateSpec) -> Aggregator {
         Aggregator {
             spec,
-            groups: HashMap::new(),
+            groups: HashMap::default(),
         }
     }
 

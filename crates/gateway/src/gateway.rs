@@ -425,18 +425,6 @@ impl EventGateway {
         self.series.slices()
     }
 
-    /// Record an event in the per-series table and the views, and return
-    /// its series key.  The identity is interned here, once per publish:
-    /// one keyed update under one lock feeds the query cache and the
-    /// summary readings, and the views and the router reuse the key.
-    fn observe(&self, event: &SharedEvent) -> SeriesKey {
-        self.stats.events_in.fetch_add(1, Ordering::Relaxed);
-        let key = (Sym::intern(&event.host), Sym::intern(&event.event_type));
-        self.series.observe(key, event);
-        self.views.observe(key.0, key.1, event);
-        key
-    }
-
     /// Publish one event into the gateway (called by the sensor manager).
     ///
     /// Copies the event into a fresh [`SharedEvent`] allocation — the one
@@ -458,11 +446,13 @@ impl EventGateway {
     }
 
     /// Publish a batch of already-shared events: the one body every
-    /// publish form runs (a single event is a batch of one).  Each event
-    /// is observed (query cache, summaries, views) and trace-sampled in
-    /// order, then the batch is routed — all on the caller's thread.
-    /// Observing interns each event's host and type once; the router and
-    /// every subscription's plan reuse that key.
+    /// publish form runs (a single event is a batch of one).  Each event's
+    /// host and type are interned once, into its series key, which the
+    /// series table, the views, the router and every subscription's plan
+    /// reuse.  The series table (query cache and summaries) folds the
+    /// whole batch under one write guard; then the views and the tracer
+    /// see each event in order, and the batch is routed — all on the
+    /// caller's thread.
     /// Events are shared by refcount throughout — nothing on this path
     /// copies one.
     ///
@@ -492,8 +482,17 @@ impl EventGateway {
         // the slot empty and use a buffer of its own.
         let mut series_keys = BATCH_KEYS.take();
         series_keys.clear();
-        for event in events {
-            series_keys.push(self.observe(event));
+        self.stats
+            .events_in
+            .fetch_add(events.len() as u64, Ordering::Relaxed);
+        series_keys.extend(
+            events
+                .iter()
+                .map(|e| (Sym::intern(&e.host), Sym::intern(&e.event_type))),
+        );
+        self.series.observe_batch(events, &series_keys);
+        for (event, &(host, ty)) in events.iter().zip(&series_keys) {
+            self.views.observe(host, ty, event);
             if let Some(tracer) = tracer {
                 tracer.on_publish(event, &self.config.name);
             }

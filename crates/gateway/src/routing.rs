@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use jamm_core::channel::{bounded, Sender};
 use jamm_core::flow::DeliveryCounters;
-use jamm_core::intern::Sym;
+use jamm_core::intern::{BuildSymHasher, Sym};
 use jamm_core::query::Plan;
 use jamm_core::sync::{Mutex, RwLock};
 use jamm_ulm::keys::jamm::SUB_DELIVER;
@@ -206,7 +206,7 @@ struct RouteTable {
     /// Subscriptions constrained to an event type, keyed by the interned
     /// type: the per-publish lookup hashes a `u32`, not the event-type
     /// string.
-    by_type: HashMap<Sym, Vec<Arc<RouteEntry>>>,
+    by_type: HashMap<Sym, Vec<Arc<RouteEntry>>, BuildSymHasher>,
     /// Subscriptions with no type constraint.
     wildcard: Vec<Arc<RouteEntry>>,
 }

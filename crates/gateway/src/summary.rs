@@ -32,7 +32,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use jamm_core::intern::Sym;
+use jamm_core::intern::{BuildSymHasher, Sym};
 use jamm_core::query::Plan;
 use jamm_core::sync::RwLock;
 use jamm_ulm::{keys, Event, Level, SharedEvent, Timestamp};
@@ -299,24 +299,28 @@ struct Series {
 }
 
 /// The gateway's per-series table: the query cache and the summary
-/// slices under one key, in one map.  A publish is one keyed update
-/// under the map's write lock.
+/// slices under one key, in one map.  A published batch is folded in
+/// under one write guard, one keyed update per event.
 #[derive(Default)]
 pub(crate) struct SeriesTable {
-    series: RwLock<HashMap<SeriesKey, Series>>,
+    series: RwLock<HashMap<SeriesKey, Series, BuildSymHasher>>,
 }
 
 impl SeriesTable {
-    /// Make `event` its series' latest and fold in its reading: one hash
-    /// probe under the write lock, integer keys only.
-    pub(crate) fn observe(&self, key: SeriesKey, event: &SharedEvent) {
+    /// Make each event its series' latest and fold in its reading, in
+    /// order: one write guard for the batch and one hash probe per event,
+    /// integer keys only.  `keys[i]` is `events[i]`'s series key.
+    pub(crate) fn observe_batch(&self, events: &[SharedEvent], keys: &[SeriesKey]) {
+        debug_assert_eq!(events.len(), keys.len());
         let mut table = self.series.write();
-        let series = table.entry(key).or_insert_with(|| Series {
-            latest: SharedEvent::clone(event),
-            windows: Windows::default(),
-        });
-        series.latest = SharedEvent::clone(event);
-        series.windows.record(event);
+        for (event, &key) in events.iter().zip(keys) {
+            let series = table.entry(key).or_insert_with(|| Series {
+                latest: SharedEvent::clone(event),
+                windows: Windows::default(),
+            });
+            series.latest = SharedEvent::clone(event);
+            series.windows.record(event);
+        }
     }
 
     /// How many series the table holds.
@@ -588,7 +592,7 @@ mod tests {
                 reading("h2", "VMSTAT_FREE_MEMORY", 1_000 + i, 1_000.0),
             ] {
                 let key = (Sym::intern(&e.host), Sym::intern(&e.event_type));
-                table.observe(key, &SharedEvent::new(e));
+                table.observe_batch(&[SharedEvent::new(e)], &[key]);
             }
         }
         let now = Timestamp::from_secs(1_010);

@@ -234,11 +234,13 @@ impl Event {
         }
     }
 
-    /// Approximate encoded size of the event in ULM text form, in bytes.
-    /// Used by the gateway and archive for accounting data volume.  Runs
-    /// once per published event, so it must not allocate: numeric field
-    /// widths are measured with a counting writer instead of formatting
-    /// into temporary strings.
+    /// An upper bound of the event's size in ULM text form, in bytes: the
+    /// volume the gateway counts as delivered, and the capacity
+    /// [`crate::text::encode`] reserves.  Runs once per routed event, so
+    /// it formats nothing: an integer counts its digits, and a float
+    /// counts 24 bytes (the longest shortest-round-trip rendering of a
+    /// sensor reading), more only for a magnitude so large or small that
+    /// it prints with a run of zeros.
     pub fn approx_size(&self) -> usize {
         let mut n = 26
             + 6
@@ -250,7 +252,7 @@ impl Event {
             + 9
             + self.event_type.len();
         for (k, v) in &self.fields {
-            n += 1 + k.len() + 1 + v.ulm_len();
+            n += 1 + k.len() + 1 + text_len_bound(v);
         }
         n
     }
@@ -380,6 +382,42 @@ impl EventBuilder {
     }
 }
 
+/// At least the length of `v`'s ULM rendering ([`Value::write_ulm`]).
+fn text_len_bound(v: &Value) -> usize {
+    match v {
+        Value::UInt(u) => digits(*u),
+        Value::Int(i) => usize::from(*i < 0) + digits(i.unsigned_abs()),
+        Value::Float(f) => float_len_bound(*f),
+        Value::Bool(b) => 5 - usize::from(*b),
+        Value::Str(s) => s.len(),
+    }
+}
+
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// A float prints its shortest round-trip digits, at most 17, with no
+/// exponent: within 19 bytes, sign included, unless its decimal exponent
+/// `e` adds zeros — then `2 + e` bytes at or above 1 and `19 + |e|`
+/// below.  `e` is bounded from the binary exponent, so nothing is
+/// formatted: every magnitude from 2^-15 (about 3e-5) to 2^72 (about
+/// 4.7e21) counts 24.
+fn float_len_bound(f: f64) -> usize {
+    if !f.is_finite() {
+        return 4; // "NaN", "inf", "-inf"
+    }
+    let e2 = match (f.to_bits() >> 52) & 0x7ff {
+        0 if f == 0.0 => 0,
+        0 => -1074, // subnormal
+        biased => biased as i32 - 1023,
+    };
+    // |e| <= (|e2| + 1) · log10 2 + 1, and 78/256 > log10 2.
+    let e10 = (e2.unsigned_abs() as usize + 1) * 78 / 256 + 1;
+    let zeros = if e2 >= 0 { 2 + e10 } else { 19 + e10 };
+    zeros.max(24)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,6 +545,57 @@ mod tests {
         let mut big = small.clone();
         big.set_field("A_LONG_FIELD_NAME", "a_long_field_value");
         assert!(big.approx_size() > small.approx_size());
+    }
+
+    /// What `approx_size` counts is never less than the encoded line, for
+    /// every kind of value and the extreme magnitudes of each.
+    #[test]
+    fn approx_size_bounds_the_text_line() {
+        let floats = [
+            0.0,
+            -0.0,
+            50.0,
+            1.25,
+            -49_332.75,
+            0.1 + 0.2,
+            1e15,
+            -123_456_789.123_456_78,
+            1.5e-5,
+            9.9e20,
+            1e300,
+            -1e-300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let values = floats.into_iter().map(Value::Float).chain([
+            Value::UInt(0),
+            Value::UInt(9),
+            Value::UInt(10),
+            Value::UInt(u64::MAX),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Str("dpss1.lbl.gov".into()),
+        ]);
+        for v in values {
+            let event = Event::builder("vmstat", "h")
+                .event_type("CPU_TOTAL")
+                .field("VAL", v.clone())
+                .build();
+            let line = crate::text::encode(&event);
+            assert!(event.approx_size() >= line.len(), "{v:?}: {line}");
+        }
+        for f in [0.0, 50.0, -1.25, 3.1e-5, 4.7e21] {
+            assert_eq!(text_len_bound(&Value::Float(f)), 24, "{f}");
+        }
+        for f in [3e-5, 4.8e21, f64::MAX] {
+            assert!(text_len_bound(&Value::Float(f)) > 24, "{f}");
+        }
     }
 
     #[test]

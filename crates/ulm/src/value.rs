@@ -81,22 +81,6 @@ impl Value {
         }
     }
 
-    /// Exact length of the ULM rendering in bytes, computed without
-    /// allocating (a counting writer absorbs the formatted digits).
-    pub fn ulm_len(&self) -> usize {
-        match self {
-            // The common case, a borrowed string, skips formatting
-            // machinery entirely.
-            Value::Str(s) => s.len(),
-            _ => {
-                let mut counter = CountingWriter(0);
-                // The counting writer never fails.
-                let _ = self.write_ulm(&mut counter);
-                counter.0
-            }
-        }
-    }
-
     /// Parse a raw ULM token back into the most specific value type.
     ///
     /// The precedence is unsigned integer, signed integer, float, boolean,
@@ -135,17 +119,6 @@ fn write_float<W: std::fmt::Write>(w: &mut W, v: f64) -> std::fmt::Result {
         write!(w, "{v:.1}")
     } else {
         write!(w, "{v}")
-    }
-}
-
-/// A `fmt::Write` sink that only counts bytes — how exact rendered widths
-/// are measured on paths that must not allocate.
-struct CountingWriter(usize);
-
-impl std::fmt::Write for CountingWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0 += s.len();
-        Ok(())
     }
 }
 
@@ -243,25 +216,6 @@ mod tests {
         );
         // A bare word containing 'e' must stay a string, not parse as float.
         assert_eq!(Value::infer("WriteData"), Value::Str("WriteData".into()));
-    }
-
-    #[test]
-    fn ulm_len_matches_rendered_length() {
-        for v in [
-            Value::UInt(0),
-            Value::UInt(49_332),
-            Value::Int(-17),
-            Value::Float(50.0),
-            Value::Float(1.25),
-            Value::Float(f64::NAN),
-            Value::Float(1e300),
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Str("dpss1.lbl.gov".into()),
-            Value::Str("".into()),
-        ] {
-            assert_eq!(v.ulm_len(), v.to_ulm_string().len(), "{v:?}");
-        }
     }
 
     #[test]
