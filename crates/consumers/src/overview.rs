@@ -106,11 +106,10 @@ impl OverviewMonitor {
 
     /// Process pending events and return any newly raised alerts.
     pub fn poll(&mut self) -> Vec<OverviewAlert> {
-        let events: Vec<jamm_ulm::SharedEvent> = self
-            .subscriptions
-            .iter()
-            .flat_map(|s| s.events.try_iter().collect::<Vec<_>>())
-            .collect();
+        let mut events = Vec::new();
+        for s in &self.subscriptions {
+            s.events.drain_into(&mut events);
+        }
         let mut latest_time = Timestamp::EPOCH;
         for e in &events {
             latest_time = latest_time.max(e.timestamp);

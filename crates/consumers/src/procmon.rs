@@ -102,25 +102,27 @@ impl ProcessMonitorConsumer {
     /// Process pending events; returns the actions newly triggered.
     pub fn poll(&mut self) -> Vec<TriggeredAction> {
         let mut new_actions = Vec::new();
+        let mut events = Vec::new();
         for sub in &self.subscriptions {
-            for event in sub.events.try_iter() {
-                if event.event_type != keys::process::DIED {
-                    continue;
-                }
-                let Some(process) = event.field(keys::TARGET).and_then(|v| v.as_str()) else {
-                    continue;
-                };
-                for rule in &self.rules {
-                    let host_ok = rule.host.as_deref().is_none_or(|h| h == event.host);
-                    if rule.process == process && host_ok {
-                        for action in &rule.actions {
-                            new_actions.push(TriggeredAction {
-                                action: action.clone(),
-                                host: event.host.clone(),
-                                process: process.to_string(),
-                                trigger: SharedEvent::clone(&event),
-                            });
-                        }
+            sub.events.drain_into(&mut events);
+        }
+        for event in events {
+            if event.event_type != keys::process::DIED {
+                continue;
+            }
+            let Some(process) = event.field(keys::TARGET).and_then(|v| v.as_str()) else {
+                continue;
+            };
+            for rule in &self.rules {
+                let host_ok = rule.host.as_deref().is_none_or(|h| h == event.host);
+                if rule.process == process && host_ok {
+                    for action in &rule.actions {
+                        new_actions.push(TriggeredAction {
+                            action: action.clone(),
+                            host: event.host.clone(),
+                            process: process.to_string(),
+                            trigger: SharedEvent::clone(&event),
+                        });
                     }
                 }
             }

@@ -264,13 +264,13 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Take the next item, blocking until one arrives or every sender is
-    /// dropped.
-    pub fn recv(&self) -> Result<T, RecvError> {
+    /// Wait until an item is queued and return the guard over a nonempty
+    /// queue, or fail once the queue is empty and every sender is gone.
+    fn wait_nonempty(&self) -> Result<std::sync::MutexGuard<'_, State<T>>, RecvError> {
         let mut s = self.chan.lock();
         loop {
-            if let Some(item) = s.queue.pop_front() {
-                return Ok(item);
+            if !s.queue.is_empty() {
+                return Ok(s);
             }
             if s.senders == 0 {
                 return Err(RecvError);
@@ -283,6 +283,27 @@ impl<T> Receiver<T> {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             s.recv_waiting -= 1;
         }
+    }
+
+    /// Take the next item, blocking until one arrives or every sender is
+    /// dropped.
+    pub fn recv(&self) -> Result<T, RecvError> {
+        let mut s = self.wait_nonempty()?;
+        s.queue.pop_front().ok_or(RecvError)
+    }
+
+    /// Block until at least one item is queued, then move up to `max`
+    /// queued items (at least one) onto the end of `out` in FIFO order,
+    /// all under the one lock the wait ended with: the batched form of
+    /// [`Receiver::recv`], where a `recv` plus a [`Receiver::try_recv`]
+    /// per further item pays one lock each.  Returns how many items were
+    /// moved; fails only once the queue is empty and every sender is
+    /// gone.
+    pub fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> Result<usize, RecvError> {
+        let mut s = self.wait_nonempty()?;
+        let n = s.queue.len().min(max.max(1));
+        out.extend(s.queue.drain(..n));
+        Ok(n)
     }
 
     /// Take the next item, waiting at most `timeout`.
@@ -412,6 +433,39 @@ mod tests {
     }
 
     #[test]
+    fn recv_batch_takes_at_most_max_in_fifo_order() {
+        let (tx, rx) = unbounded::<u32>();
+        for i in 0..10 {
+            tx.send(i).unwrap();
+        }
+        let mut out = vec![99];
+        assert_eq!(rx.recv_batch(&mut out, 4), Ok(4));
+        assert_eq!(out, vec![99, 0, 1, 2, 3], "appended in send order");
+        assert_eq!(rx.recv_batch(&mut out, 0), Ok(1), "a zero max takes one");
+        assert_eq!(rx.recv_batch(&mut out, 4), Ok(4));
+        assert_eq!(out, vec![99, 0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        // Queued items survive the last sender; an empty queue with no
+        // sender is the only error.
+        drop(tx);
+        out.clear();
+        assert_eq!(rx.recv_batch(&mut out, 4), Ok(1));
+        assert_eq!(out, vec![9]);
+        assert_eq!(rx.recv_batch(&mut out, 4), Err(RecvError));
+        assert_eq!(out, vec![9], "a failed receive leaves `out` alone");
+    }
+
+    #[test]
+    fn a_waiting_recv_batch_fails_when_the_last_sender_goes() {
+        let (tx, rx) = unbounded::<u32>();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| rx.recv_batch(&mut Vec::new(), 8));
+            until(&rx, |st| st.recv_waiting == 1);
+            drop(tx);
+            assert_eq!(waiter.join().unwrap(), Err(RecvError));
+        });
+    }
+
+    #[test]
     fn send_overwriting_evicts_oldest() {
         let (tx, rx) = bounded::<u32>(2);
         assert!(!tx.send(1).unwrap());
@@ -477,7 +531,8 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(6));
         tx.send_batch(&mut vec![8, 9]).unwrap();
         let mut out = Vec::new();
-        assert_eq!(rx.drain_into(&mut out), 3);
+        assert_eq!(rx.recv_batch(&mut out, 1), Ok(1));
+        assert_eq!(rx.drain_into(&mut out), 2);
         assert_eq!(out, vec![7, 8, 9]);
         assert_eq!(
             rx.recv_timeout(Duration::from_millis(1)),
@@ -491,21 +546,26 @@ mod tests {
 
     #[test]
     fn a_push_to_a_sleeping_receiver_notifies_once() {
-        for timed in [false, true] {
+        for mode in ["recv", "recv_timeout", "recv_batch"] {
             let (tx, rx) = bounded::<u32>(4);
             std::thread::scope(|s| {
-                let waiter = s.spawn(|| {
-                    if timed {
-                        rx.recv_timeout(Duration::from_secs(30)).unwrap()
-                    } else {
-                        rx.recv().unwrap()
+                let waiter = s.spawn(|| match mode {
+                    "recv" => vec![rx.recv().unwrap()],
+                    "recv_timeout" => vec![rx.recv_timeout(Duration::from_secs(30)).unwrap()],
+                    _ => {
+                        let mut out = Vec::new();
+                        rx.recv_batch(&mut out, 8).unwrap();
+                        out
                     }
                 });
+                // Counted under the lock, so the waiter has released it
+                // inside `wait`: the push lands after the count, and its
+                // notify must still reach the sleeper.
                 until(&rx, |st| st.recv_waiting == 1);
                 tx.send(7).unwrap();
-                assert_eq!(waiter.join().unwrap(), 7);
+                assert_eq!(waiter.join().unwrap(), vec![7]);
             });
-            assert_eq!(notifies(&rx), 1, "timed: {timed}");
+            assert_eq!(notifies(&rx), 1, "{mode}");
             assert_eq!(rx.chan.lock().recv_waiting, 0);
         }
     }
@@ -536,13 +596,16 @@ mod tests {
                     std::thread::spawn(move || {
                         let mut got = Vec::new();
                         loop {
-                            let item = if got.len() % 2 == 0 {
-                                rx.recv().map_err(|_| ())
-                            } else {
-                                match rx.recv_timeout(Duration::from_secs(30)) {
+                            let item = match got.len() % 3 {
+                                0 => rx.recv().map_err(|_| ()),
+                                1 => match rx.recv_timeout(Duration::from_secs(30)) {
                                     Err(RecvTimeoutError::Timeout) => continue,
                                     other => other.map_err(|_| ()),
-                                }
+                                },
+                                _ => match rx.recv_batch(&mut got, 16) {
+                                    Ok(_) => continue,
+                                    Err(_) => Err(()),
+                                },
                             };
                             match item {
                                 Ok(v) => got.push(v),

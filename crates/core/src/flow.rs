@@ -113,12 +113,11 @@ impl DeliveryCounters {
     }
 }
 
-/// Blanket impl: a channel receiver is an event source.
+/// Blanket impl: a channel receiver is an event source, drained under one
+/// lock.
 impl<E> EventSource<E> for crate::channel::Receiver<E> {
     fn drain_into(&mut self, out: &mut Vec<E>) -> usize {
-        let before = out.len();
-        out.extend(self.try_iter());
-        out.len() - before
+        crate::channel::Receiver::drain_into(self, out)
     }
 }
 

@@ -206,9 +206,19 @@ struct RouteTable {
     /// Subscriptions constrained to an event type, keyed by the interned
     /// type: the per-publish lookup hashes a `u32`, not the event-type
     /// string.
-    by_type: HashMap<Sym, Vec<Arc<RouteEntry>>, BuildSymHasher>,
+    by_type: HashMap<Sym, Vec<Routed>, BuildSymHasher>,
     /// Subscriptions with no type constraint.
-    wildcard: Vec<Arc<RouteEntry>>,
+    wildcard: Vec<Routed>,
+    /// Live subscriptions in the snapshot; their slots are `0..slots`.
+    slots: usize,
+}
+
+/// A subscription as one snapshot lists it.  `slot` numbers the
+/// snapshot's live subscriptions from 0, so the batch arm finds a
+/// subscription's buffer by index, not by hashing its id.
+struct Routed {
+    slot: usize,
+    entry: Arc<RouteEntry>,
 }
 
 impl RouteTable {
@@ -219,11 +229,17 @@ impl RouteTable {
             if entry.closed.load(Ordering::Relaxed) {
                 continue;
             }
+            let slot = table.slots;
+            table.slots += 1;
+            let routed = || Routed {
+                slot,
+                entry: Arc::clone(entry),
+            };
             match &entry.routes {
-                RouteKeys::Wildcard => table.wildcard.push(Arc::clone(entry)),
+                RouteKeys::Wildcard => table.wildcard.push(routed()),
                 RouteKeys::Types(types) => {
                     for t in types {
-                        table.by_type.entry(*t).or_default().push(Arc::clone(entry));
+                        table.by_type.entry(*t).or_default().push(routed());
                     }
                 }
             }
@@ -453,7 +469,7 @@ impl Router {
             let tracer = self.tracer.as_deref();
             let traced = tracer.and_then(|t| Some((t, t.trace_id(event)?)));
             let typed = table.by_type.get(&key.1);
-            for entry in typed.into_iter().flatten().chain(table.wildcard.iter()) {
+            for Routed { entry, .. } in typed.into_iter().flatten().chain(&table.wildcard) {
                 match entry.deliver(SharedEvent::clone(event), key, size, qos) {
                     Delivery::Sent { evicted } => {
                         if let Some((tracer, id)) = traced {
@@ -473,16 +489,20 @@ impl Router {
             }
             return out;
         }
-        // Per touched subscription: one buffer, found again by
-        // subscription id.  Taken, not borrowed, so a publish nested in
-        // this one would find the slot empty and use buffers of its own.
+        // Per touched subscription: one buffer, found again by the
+        // subscription's slot in this snapshot.  Taken, not borrowed, so a
+        // publish nested in this one would find the slot empty and use
+        // buffers of its own.
         let mut scratch = ROUTE_SCRATCH.take().unwrap_or_default();
-        let RouteScratch { pending, slot_of } = &mut scratch;
+        let RouteScratch { pending, buf_of } = &mut scratch;
+        if buf_of.len() < table.slots {
+            buf_of.resize(table.slots, NO_BUF);
+        }
         let mut used = 0;
         for (event, &key) in events.iter().zip(keys) {
             let size = event.approx_size() as u64;
             let typed = table.by_type.get(&key.1);
-            for entry in typed.into_iter().flatten().chain(table.wildcard.iter()) {
+            for Routed { slot, entry } in typed.into_iter().flatten().chain(&table.wildcard) {
                 if entry.closed.load(Ordering::Relaxed) {
                     saw_closed = true;
                     continue;
@@ -490,15 +510,16 @@ impl Router {
                 if !entry.accepts(event, key) {
                     continue;
                 }
-                let slot = *slot_of.entry(entry.id).or_insert_with(|| {
+                if buf_of[*slot] == NO_BUF {
                     if used == pending.len() {
                         pending.push(Pending::default());
                     }
                     pending[used].entry = Some(Arc::clone(entry));
+                    pending[used].slot = *slot;
+                    buf_of[*slot] = used;
                     used += 1;
-                    used - 1
-                });
-                let buf = &mut pending[slot];
+                }
+                let buf = &mut pending[buf_of[*slot]];
                 if qos.is_some_and(|q| entry.qos_gate(event, q, buf.events.len())) {
                     out.dropped += 1;
                     continue;
@@ -508,6 +529,7 @@ impl Router {
             }
         }
         for buf in &mut pending[..used] {
+            buf_of[buf.slot] = NO_BUF;
             let Some(entry) = buf.entry.take() else {
                 continue;
             };
@@ -543,7 +565,6 @@ impl Router {
             }
             events.clear();
         }
-        slot_of.clear();
         let handles: usize = pending.iter().map(|p| p.events.capacity()).sum();
         if pending.len() <= KEPT_PENDING && handles <= KEPT_HANDLES {
             ROUTE_SCRATCH.set(Some(scratch));
@@ -571,18 +592,25 @@ thread_local! {
 }
 
 /// The batch arm's reusable buffers: the first `used` of `pending` serve
-/// one `route` call, `slot_of` maps a subscription id to its buffer.
+/// one `route` call, and `buf_of[slot]` is the index in `pending` of the
+/// buffer of the snapshot's subscription `slot`, or `NO_BUF` outside a
+/// call and for a subscription the call has not touched.
 #[derive(Default)]
 struct RouteScratch {
     pending: Vec<Pending>,
-    slot_of: HashMap<u64, usize>,
+    buf_of: Vec<usize>,
 }
+
+/// `RouteScratch::buf_of`'s mark for "no buffer yet".
+const NO_BUF: usize = usize::MAX;
 
 /// What one `route` call has buffered for one subscription.
 #[derive(Default)]
 struct Pending {
     /// The subscription, held only while a call fills the buffer.
     entry: Option<Arc<RouteEntry>>,
+    /// The subscription's slot in the call's snapshot.
+    slot: usize,
     /// Accepted events in publish order, flushed with one queue operation.
     events: Vec<SharedEvent>,
     /// Running payload size of `events`.
@@ -601,7 +629,7 @@ mod tests {
 
     fn placement(router: &Router) -> Placement {
         let table = router.table.read().clone();
-        let ids = |entries: &[Arc<RouteEntry>]| entries.iter().map(|e| e.id).collect();
+        let ids = |entries: &[Routed]| entries.iter().map(|r| r.entry.id).collect();
         let mut typed: Vec<_> = table
             .by_type
             .iter()

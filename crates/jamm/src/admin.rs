@@ -323,6 +323,7 @@ fn row_samples(row: &GatewayAdminStats, out: &mut Vec<Sample>) {
         ("jamm_edge_socket_bytes_out", sum(|r| r.stats.bytes_out)),
         ("jamm_edge_socket_dropped_frames", dropped_frames),
         ("jamm_edge_socket_stalls", sum(|r| r.stats.stalls)),
+        ("jamm_edge_socket_writes", sum(|r| r.stats.writes)),
     ] {
         out.push(gw(Sample::counter(name, v)));
     }

@@ -28,6 +28,7 @@ pub(crate) struct SocketCounters {
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
     frames_out: AtomicU64,
+    writes: AtomicU64,
     queued_bytes: AtomicU64,
     queued_frames: AtomicU64,
     dropped_frames: AtomicU64,
@@ -42,6 +43,7 @@ impl SocketCounters {
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
             frames_out: self.frames_out.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
             queued_bytes: self.queued_bytes.load(Ordering::Relaxed),
             queued_frames: self.queued_frames.load(Ordering::Relaxed),
             dropped_frames: self.dropped_frames.load(Ordering::Relaxed),
@@ -54,9 +56,12 @@ impl SocketCounters {
         self.bytes_in.fetch_add(n, Ordering::Relaxed);
     }
 
-    fn add_out(&self, bytes: u64, frames: u64) {
-        self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-        self.frames_out.fetch_add(frames, Ordering::Relaxed);
+    fn add_out(&self, flush: &Flush) {
+        self.bytes_out
+            .fetch_add(flush.written as u64, Ordering::Relaxed);
+        self.frames_out
+            .fetch_add(flush.frames_completed, Ordering::Relaxed);
+        self.writes.fetch_add(flush.writes, Ordering::Relaxed);
     }
 
     fn add_dropped(&self, frames: u64, bytes: u64) {
@@ -83,6 +88,9 @@ pub struct SocketStats {
     pub bytes_out: u64,
     /// Whole frames fully written to the peer.
     pub frames_out: u64,
+    /// `writev` calls that moved bytes; `frames_out / writes` is the
+    /// frames one call carries.
+    pub writes: u64,
     /// Bytes currently waiting in the outbox (gauge).
     pub queued_bytes: u64,
     /// Frames currently waiting in the outbox (gauge).
@@ -103,6 +111,8 @@ struct Flush {
     written: usize,
     /// Whole frames completed in this flush.
     frames_completed: u64,
+    /// `writev` calls that moved bytes.
+    writes: u64,
     /// The write stopped on `EWOULDBLOCK` (socket buffer full).
     blocked: bool,
 }
@@ -205,6 +215,7 @@ impl Outbox {
                 }
                 Ok(k) => {
                     flush.written += k;
+                    flush.writes += 1;
                     flush.frames_completed += self.advance(k);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -330,8 +341,7 @@ impl Conn {
         }
         let flush = self.outbox.write_to(&mut self.stream, budget)?;
         if flush.written > 0 {
-            self.counters
-                .add_out(flush.written as u64, flush.frames_completed);
+            self.counters.add_out(&flush);
         }
         if flush.blocked && !self.outbox.is_empty() {
             self.counters.add_stall();

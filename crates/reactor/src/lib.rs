@@ -15,12 +15,13 @@
 //!   at most 4 MiB per connection that drops its oldest frames when full,
 //!   a bounded inbound drain (what a subscriber sends is read at most
 //!   256 KiB per wakeup, counted and dropped) and per-connection counters
-//!   ([`SocketStats`]: bytes, queued, dropped, stalls) for observing slow
-//!   consumers;
+//!   ([`SocketStats`]: bytes, queued, dropped, stalls, writes) for
+//!   observing slow consumers;
 //! * [`reactor::Reactor`] — the event loop itself: accept, drain inbound
-//!   bytes, flush outboxes under a write budget, and broadcast
-//!   `Arc`-shared frames (encode once, write N) to every connection of a
-//!   listener.
+//!   bytes, and broadcast `Arc`-shared frames (encode once, write N) to
+//!   every connection of a listener, each pass queueing every frame it
+//!   took and then flushing each touched connection once under a write
+//!   budget.
 //!
 //! In the same discipline as the rest of the workspace, the crate depends
 //! on nothing but `jamm-core` and std (CI's "Layering" step checks it).

@@ -10,15 +10,22 @@
 //!   listen / broadcast / unlisten / shutdown
 //!                    │  commands + wakeup
 //!                    ▼
-//!   ┌──────────────── event-loop thread ────────────────┐
-//!   │ poll ─► accept ─► drain inbound ─► flush outboxes │
-//!   └───────────────────────────────────────────────────┘
+//!   ┌──────────────────── event-loop thread ─────────────────────┐
+//!   │ poll ─► accept ─► drain inbound ─► queue commands ─► flush │
+//!   └────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! The loop's only outbound traffic is a broadcast: the same
 //! `Arc<Vec<u8>>` frame queued on every connection of one listener —
-//! encode once, write N.  Subscribers have nothing to say; whatever they
-//! send is read in bounded passes, counted and dropped.
+//! encode once, write N.  The loop pays per pass, not per frame: a pass
+//! takes every queued command under one lock, queues each broadcast
+//! frame on its connections without writing, and then flushes each
+//! connection it touched once, with one vectored write of up to 32
+//! frames.  A connection that has 256 KiB queued since its last flush is
+//! flushed at once, so a pass never leaves more than that plus one frame
+//! unwritten and drop-oldest evicts only what the socket refused.
+//! Subscribers have nothing to say; whatever they send is read in
+//! bounded passes, counted and dropped.
 
 use crate::conn::{Conn, SocketCounters, SocketStats};
 use crate::poller::{Backend, Interest, Poller, Readiness, Source, Waker};
@@ -273,6 +280,10 @@ struct LoopConn {
     conn: Conn,
     listener: ListenerId,
     interest: Interest,
+    /// Bytes queued since the connection's last flush.
+    unflushed: usize,
+    /// Listed in `EventLoop::dirty`, to be flushed at the end of the pass.
+    dirty: bool,
 }
 
 struct EventLoop {
@@ -287,6 +298,10 @@ struct EventLoop {
     draining: Option<Instant>,
     scratch: Vec<u8>,
     scratch_ids: Vec<u64>,
+    /// The commands one pass took off the queue.
+    pass_cmds: Vec<Cmd>,
+    /// Connections to flush once at the end of this pass.
+    dirty: Vec<ConnId>,
 }
 
 impl EventLoop {
@@ -311,6 +326,8 @@ impl EventLoop {
             draining: None,
             scratch: vec![0u8; 64 * 1024],
             scratch_ids: Vec::new(),
+            pass_cmds: Vec::new(),
+            dirty: Vec::new(),
         }
     }
 
@@ -362,6 +379,7 @@ impl EventLoop {
             }
             readiness = events;
             self.drain_cmds();
+            self.flush_dirty();
             self.shared.dispatch_ns.fetch_add(
                 dispatch_start.elapsed().as_nanos() as u64,
                 Ordering::Relaxed,
@@ -430,6 +448,8 @@ impl EventLoop {
                 conn,
                 listener,
                 interest: Interest::READ,
+                unflushed: 0,
+                dirty: false,
             },
         );
     }
@@ -446,10 +466,35 @@ impl EventLoop {
             !r.hangup || lc.conn.wants_write()
         };
         if open {
-            self.flush_conn(r.token);
+            self.mark_dirty(r.token);
         } else {
             self.close_conn(r.token);
         }
+    }
+
+    /// List the connection for this pass's flush, once.
+    fn mark_dirty(&mut self, id: ConnId) {
+        if let Some(lc) = self.conns.get_mut(&id) {
+            if !lc.dirty {
+                lc.dirty = true;
+                self.dirty.push(id);
+            }
+        }
+    }
+
+    /// The end of a pass: flush each listed connection once.  A
+    /// connection closed during the pass is no longer in `conns` and is
+    /// skipped.
+    fn flush_dirty(&mut self) {
+        let mut ids = std::mem::take(&mut self.dirty);
+        for &id in &ids {
+            if let Some(lc) = self.conns.get_mut(&id) {
+                lc.dirty = false;
+                self.flush_conn(id);
+            }
+        }
+        ids.clear();
+        self.dirty = ids;
     }
 
     /// Flush pending output and settle the connection's state: close it if
@@ -459,6 +504,7 @@ impl EventLoop {
         let Some(lc) = self.conns.get_mut(&id) else {
             return;
         };
+        lc.unflushed = 0;
         if lc.conn.flush(WRITE_BUDGET).is_err() {
             self.close_conn(id);
         } else {
@@ -493,23 +539,37 @@ impl EventLoop {
         }
     }
 
-    fn deliver(&mut self, id: ConnId, frame: Arc<Vec<u8>>) {
-        {
-            let Some(lc) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if lc.conn.is_closing() {
-                return;
-            }
-            lc.conn.enqueue(frame);
+    /// Queue one broadcast frame on the connection without writing it;
+    /// the end of the pass flushes it.  Once `WRITE_BUDGET` bytes are
+    /// queued since its last flush, the connection is flushed at once, so
+    /// a long pass cannot push its outbox into drop-oldest while the
+    /// socket would still take the bytes.
+    fn queue_frame(&mut self, id: ConnId, frame: &Arc<Vec<u8>>) {
+        let Some(lc) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if lc.conn.is_closing() {
+            return;
         }
-        // Eager flush keeps broadcast latency low and frees the queue slot
-        // before the next batch.
-        self.flush_conn(id);
+        lc.conn.enqueue(Arc::clone(frame));
+        lc.unflushed += frame.len();
+        // `mark_dirty` inline: one lookup of the connection per frame.
+        if !lc.dirty {
+            lc.dirty = true;
+            self.dirty.push(id);
+        }
+        if lc.unflushed >= WRITE_BUDGET {
+            self.flush_conn(id);
+        }
     }
 
+    /// Take every queued command under one lock and act on it.  The
+    /// writes a command calls for wait for `flush_dirty`, but for a
+    /// connection's early flush at the write budget.
     fn drain_cmds(&mut self) {
-        while let Ok(cmd) = self.cmds.try_recv() {
+        let mut cmds = std::mem::take(&mut self.pass_cmds);
+        self.cmds.drain_into(&mut cmds);
+        for cmd in cmds.drain(..) {
             match cmd {
                 Cmd::Listen { id, listener } => {
                     if self.draining.is_some() {
@@ -530,7 +590,7 @@ impl EventLoop {
                     }
                     let ids = std::mem::take(&mut self.scratch_ids);
                     for &id in &ids {
-                        self.deliver(id, Arc::clone(&frame));
+                        self.queue_frame(id, &frame);
                     }
                     self.scratch_ids = ids;
                 }
@@ -551,7 +611,7 @@ impl EventLoop {
                         }
                         let ids = std::mem::take(&mut self.scratch_ids);
                         for &id in &ids {
-                            self.flush_conn(id);
+                            self.mark_dirty(id);
                         }
                         self.scratch_ids = ids;
                     }
@@ -586,6 +646,7 @@ impl EventLoop {
                 }
             }
         }
+        self.pass_cmds = cmds;
     }
 }
 
@@ -811,6 +872,88 @@ mod tests {
         let got = reader.join().unwrap();
         assert_eq!(got.len(), payload.len(), "queued frames were dropped");
         assert!(got.iter().all(|&b| b == 9));
+    }
+
+    /// Submit broadcasts as one command batch: one pass of the loop takes
+    /// them all, so they are queued together before that pass flushes.
+    fn broadcast_in_one_pass(reactor: &Reactor, listener: ListenerId, frames: Vec<Vec<u8>>) {
+        let mut cmds: Vec<Cmd> = frames
+            .into_iter()
+            .map(|f| Cmd::Broadcast {
+                listener,
+                frame: Arc::new(f),
+            })
+            .collect();
+        reactor.cmds.send_batch(&mut cmds).unwrap();
+        reactor.waker.wake();
+    }
+
+    /// Up to 32 frames queued on a connection in one pass leave in one
+    /// `writev`, and the peer reads every one of them whole and in order.
+    #[test]
+    fn frames_queued_in_one_pass_leave_in_one_vectored_write() {
+        let reactor = start_with(Backend::native(), |_| {});
+        let (lid, addr) = listening(&reactor);
+        let mut client = subscribe(&reactor, addr, 1).remove(0);
+        let (mut writes, mut next) = (0, 0u64);
+        for k in [1u64, 7, 32] {
+            let frames = (next..next + k).map(|i| i.to_le_bytes().to_vec());
+            broadcast_in_one_pass(&reactor, lid, frames.collect());
+            let mut frame = [0u8; 8];
+            for i in next..next + k {
+                client.read_exact(&mut frame).unwrap();
+                assert_eq!(u64::from_le_bytes(frame), i, "k = {k}");
+            }
+            next += k;
+            wait_until("frames_out never caught up", || {
+                row_of(&reactor, &client).is_some_and(|r| r.stats.frames_out == next)
+            });
+            let stats = row_of(&reactor, &client).unwrap().stats;
+            assert_eq!(
+                stats.writes,
+                writes + 1,
+                "{k} frames took more than one write"
+            );
+            assert_eq!(stats.bytes_out, 8 * next);
+            writes = stats.writes;
+        }
+        reactor.shutdown();
+    }
+
+    /// A pass that queues more than the 4 MiB outbox holds flushes the
+    /// connection every `WRITE_BUDGET` bytes on the way, so the outbox
+    /// never fills and a reading peer loses no frame.  Queued whole and
+    /// flushed only at the end of the pass, the same frames would evict
+    /// the oldest.
+    #[test]
+    fn a_pass_past_the_write_budget_flushes_early_and_drops_nothing() {
+        const FRAMES: usize = 17;
+        let reactor = start_with(Backend::native(), |_| {});
+        let (lid, addr) = listening(&reactor);
+        let client = subscribe(&reactor, addr, 1).remove(0);
+        let peer = client.local_addr().unwrap().to_string();
+        let reader = std::thread::spawn(move || {
+            let mut client = client;
+            let mut got = vec![0u8; FRAMES * WRITE_BUDGET];
+            client.read_exact(&mut got).unwrap();
+            // The client goes back with the bytes: closing it here would
+            // close its connection and take the socket row with it.
+            (got, client)
+        });
+        let frames = (0..FRAMES).map(|i| vec![i as u8; WRITE_BUDGET]).collect();
+        broadcast_in_one_pass(&reactor, lid, frames);
+        let (got, _client) = reader.join().unwrap();
+        for (i, frame) in got.chunks(WRITE_BUDGET).enumerate() {
+            assert!(
+                frame.iter().all(|&b| b == i as u8),
+                "frame {i} arrived torn"
+            );
+        }
+        let row = reactor.socket_stats().into_iter().find(|r| r.peer == peer);
+        let stats = row.unwrap().stats;
+        assert_eq!(stats.dropped_frames, 0);
+        assert!(stats.writes >= 2, "one pass, several flushes: {stats:?}");
+        reactor.shutdown();
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! gateway, not the monitored host — lives or dies here, so the edge is
 //! built around two invariants:
 //!
-//! * **Encode once, write N.**  A pump thread drains the gateway
-//!   subscription in batches and encodes each batch exactly once into one
-//!   buffer; the reactor then queues that same `Arc<Vec<u8>>` on every
-//!   subscriber connection.  A thousand subscribers cost a thousand
-//!   refcount bumps and `write` calls, not a thousand encodes.
+//! * **Encode once, write N.**  A pump thread takes the gateway
+//!   subscription's queue in batches, one lock each, and encodes each
+//!   batch exactly once into one buffer; the reactor then queues that
+//!   same `Arc<Vec<u8>>` on every subscriber connection.  A thousand
+//!   subscribers cost a thousand refcount bumps and `write` calls, not a
+//!   thousand encodes.
 //! * **Zero event copies.**  Events travel as
 //!   [`SharedEvent`](jamm_ulm::SharedEvent) `Arc`s from the gateway's
 //!   fan-out to the encoder; nothing in this path deep-clones an event
@@ -192,18 +193,15 @@ impl EventEdge {
                     // times the batch in hand, then handed to the reactor
                     // as the one shared copy of the bytes.
                     let mut event_bytes = 0usize;
-                    // `recv` fails only once the queue is empty and the
-                    // gateway has dropped its sender (`stop` unsubscribed),
-                    // so everything queued before that is broadcast.
-                    while let Ok(ev) = subscription.events.recv() {
-                        batch.clear();
-                        batch.push(ev);
-                        while batch.len() < BATCH_MAX {
-                            match subscription.events.try_recv() {
-                                Ok(ev) => batch.push(ev),
-                                Err(_) => break,
-                            }
-                        }
+                    // One lock per batch.  `recv_batch` fails only once
+                    // the queue is empty and the gateway has dropped its
+                    // sender (`stop` unsubscribed), so everything queued
+                    // before that is broadcast.
+                    while subscription
+                        .events
+                        .recv_batch(&mut batch, BATCH_MAX)
+                        .is_ok()
+                    {
                         let traced: Vec<u64> = match &tracer {
                             Some(t) => batch.iter().filter_map(|e| t.trace_id(e)).collect(),
                             None => Vec::new(),
@@ -244,6 +242,7 @@ impl EventEdge {
                                 t.stage_id(*id, EDGE_BROADCAST, &gw_name);
                             }
                         }
+                        batch.clear();
                     }
                 })
         };

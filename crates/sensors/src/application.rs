@@ -73,10 +73,8 @@ impl Sensor for ApplicationSensor {
     }
 
     fn sample(&mut self, _ctx: &SampleContext<'_>) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.rx.len());
-        while let Ok(e) = self.rx.try_recv() {
-            out.push(e);
-        }
+        let mut out = Vec::new();
+        self.rx.drain_into(&mut out);
         out
     }
 }
