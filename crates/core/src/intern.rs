@@ -410,15 +410,18 @@ fn hash(s: &str) -> u64 {
 /// The golden-ratio multiplier both hashes mix a word in with.
 const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The hasher of every `Sym`-keyed map: a [`Sym`] is a slot the table
-/// already chose by hashing its name, so each word written costs one
-/// rotate, one xor and one multiply.  SipHash's resistance to chosen keys
-/// buys nothing here: a peer picks names, not slots, and the probe limit
-/// bounds how many names can share a neighbourhood.
+/// The hasher of every `Sym`-keyed map, and of every map keyed by integers
+/// the program assigns itself (connection and listener ids, a segment
+/// build's dictionary slots): a [`Sym`] is a slot the table already chose
+/// by hashing its name, so each word written costs one rotate, one xor and
+/// one multiply.  SipHash's resistance to chosen keys buys nothing here: a
+/// peer picks names, not slots or ids, and the probe limit bounds how many
+/// names can share a neighbourhood.  Keys a peer chooses (strings) keep
+/// SipHash.
 #[derive(Default)]
 pub struct SymHasher(u64);
 
-/// The [`std::hash::BuildHasher`] of `Sym`-keyed maps:
+/// The [`std::hash::BuildHasher`] of `Sym`- and own-id-keyed maps:
 /// `HashMap<Sym, V, BuildSymHasher>`, made with `HashMap::default()`.
 pub type BuildSymHasher = BuildHasherDefault<SymHasher>;
 
@@ -437,6 +440,10 @@ impl Hasher for SymHasher {
 
     fn write_u32(&mut self, n: u32) {
         self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
     }
 
     fn write_usize(&mut self, n: usize) {
@@ -540,6 +547,20 @@ mod tests {
             .map(|key| build.hash_one(key))
             .collect();
         assert_eq!(hashes.len(), 2 * SLOTS - 1);
+    }
+
+    #[test]
+    fn an_own_id_costs_one_mix_and_id_pairs_stay_apart() {
+        use std::hash::BuildHasher;
+        let build = BuildSymHasher::default();
+        let mut one = SymHasher::default();
+        one.mix(0x1234_5678_9abc);
+        assert_eq!(build.hash_one(0x1234_5678_9abc_u64), one.finish());
+        let hashes: std::collections::HashSet<u64> = (0..64u64)
+            .flat_map(|a| (0..64u64).map(move |b| (a, b)))
+            .map(|key| build.hash_one(key))
+            .collect();
+        assert_eq!(hashes.len(), 64 * 64);
     }
 
     #[test]

@@ -1546,14 +1546,32 @@ impl BatchScratch {
     }
 }
 
-/// Set `out` from a per-row predicate, keeping tail bits clear.
-fn fill_rows<F: FnMut(usize) -> bool>(out: &mut [u64], len: usize, mut f: F) {
+/// Set `out` from a per-value predicate over the column `col` of a
+/// `len`-row batch, one 64-value chunk per word: a full chunk is a
+/// fixed-length loop the compiler unrolls, and the tail bits stay clear.
+/// Every word of `out` is written.  An empty `col` under a non-empty batch
+/// panics (an undeclared column is never read as stale data).
+#[inline(always)]
+fn fill_rows<T: Copy>(out: &mut [u64], len: usize, col: &[T], f: impl Fn(T) -> bool) {
     for (wi, word) in out.iter_mut().enumerate() {
         let base = wi * 64;
-        let top = (len - base).min(64);
+        let chunk = &col[base..(base + 64).min(len)];
         let mut w = 0u64;
-        for b in 0..top {
-            w |= (f(base + b) as u64) << b;
+        if let Ok(full) = <&[T; 64]>::try_from(chunk) {
+            // One 0/1 byte per value, then eight of them gathered into a
+            // byte by one multiply (byte `k` lands in bit `56 + k`).
+            let mut hits = [0u8; 64];
+            for (h, v) in hits.iter_mut().zip(full) {
+                *h = u8::from(f(*v));
+            }
+            for (k, eight) in hits.as_chunks::<8>().0.iter().enumerate() {
+                let gathered = u64::from_le_bytes(*eight).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+                w |= gathered << (8 * k);
+            }
+        } else {
+            for (b, v) in chunk.iter().enumerate() {
+                w |= u64::from(f(*v)) << b;
+            }
         }
         *word = w;
     }
@@ -1589,13 +1607,16 @@ fn fill_id_match(out: &mut [u64], len: usize, col: &[u32], ids: &[u32]) {
         }
         1 => {
             let id = ids[0];
-            fill_rows(out, len, |i| col[i] == id);
+            fill_rows(out, len, col, |v| v == id);
         }
-        _ => fill_rows(out, len, |i| ids.contains(&col[i])),
+        _ => fill_rows(out, len, col, |v| ids.contains(&v)),
     }
 }
 
-/// Evaluate one node over the batch into `out`.  Returns whether the
+/// Evaluate one node over the batch into `out`, every word written and
+/// the tail bits clear.  Leaves are word kernels (`fill_rows`): a `VAL`
+/// comparison branches on its operator once per batch and ANDs each
+/// selection word with its presence word.  Returns whether the
 /// result is *definite* (exact) rather than a conservative superset:
 /// stateful and attribute leaves are not decidable from the columns, so
 /// they select every row and poison definiteness — the caller re-checks
@@ -1681,22 +1702,30 @@ fn eval_node_batch(
         }
         Node::MinLevel(r) => {
             let floor = *r;
-            fill_rows(out, len, |i| b.levels[i] >= floor);
+            fill_rows(out, len, b.levels, |level| level >= floor);
             true
         }
         Node::Time { from, to } => {
             let (from, to) = (from.unwrap_or(0), to.unwrap_or(u64::MAX));
-            fill_rows(out, len, |i| {
-                let t = b.ts_micros[i];
-                t >= from && t < to
-            });
+            fill_rows(out, len, b.ts_micros, |t| t >= from && t < to);
             true
         }
         Node::Value(cmp, t) => {
-            let (cmp, t) = (*cmp, *t);
-            fill_rows(out, len, |i| {
-                b.val_present[i / 64] & (1u64 << (i % 64)) != 0 && cmp.apply(b.values[i], t)
-            });
+            // One branch on the operator per batch, then a fixed compare
+            // per reading.
+            let (t, values) = (*t, b.values);
+            match cmp {
+                ValueCmp::Gt => fill_rows(out, len, values, |v| v > t),
+                ValueCmp::Lt => fill_rows(out, len, values, |v| v < t),
+                ValueCmp::Ge => fill_rows(out, len, values, |v| v >= t),
+                ValueCmp::Le => fill_rows(out, len, values, |v| v <= t),
+                ValueCmp::Eq => fill_rows(out, len, values, |v| v == t),
+                ValueCmp::Ne => fill_rows(out, len, values, |v| v != t),
+            }
+            // A row without a reading matches no comparison.
+            for (w, present) in out.iter_mut().zip(b.val_present) {
+                *w &= *present;
+            }
             true
         }
         // Stateful and attribute leaves cannot be decided from the
@@ -1829,14 +1858,14 @@ impl Facts {
         };
         if self.from_micros.is_some() || self.to_micros.is_some() {
             let from = self.from_micros.unwrap_or(0);
-            fill_rows(&mut tmp, len, |i| {
-                let t = batch.ts_micros[i];
-                t >= from && self.to_micros.is_none_or(|to| t < to)
+            let to = self.to_micros;
+            fill_rows(&mut tmp, len, batch.ts_micros, |t| {
+                t >= from && to.is_none_or(|to| t < to)
             });
             and_tmp(out, &tmp);
         }
         if let Some(floor) = self.level_floor {
-            fill_rows(&mut tmp, len, |i| batch.levels[i] >= floor);
+            fill_rows(&mut tmp, len, batch.levels, |level| level >= floor);
             and_tmp(out, &tmp);
         }
         let mut ids = std::mem::take(&mut scratch.ids);
@@ -2369,13 +2398,17 @@ mod tests {
                 d.levels.push(g.u64(9) as u8);
                 if g.bool(0.7) {
                     d.present[i / 64] |= 1 << (i % 64);
-                    d.values.push(if g.bool(0.05) {
-                        f64::NAN
+                    // Now and then a reading no ordered comparison
+                    // handles alike, or one on a test threshold.
+                    d.values.push(if g.bool(0.15) {
+                        g.choice(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0, 50.0])
                     } else {
                         g.f64_in(0.0, 100.0)
                     });
                 } else {
-                    d.values.push(0.0);
+                    // A row without a reading keeps whatever the column
+                    // held: the presence bit alone must reject it.
+                    d.values.push(g.choice(&[0.0, 75.0, f64::NAN]));
                 }
             }
             d
@@ -2438,6 +2471,14 @@ mod tests {
             "(val!=0)",
             "(!(val>50))",
             "(&(|(host=h1)(host=h2))(!(type=C)))",
+            "(val<50)",
+            "(val<=50)",
+            "(val>=50)",
+            "(val=50)",
+            "(val=0)",
+            "(val!=50)",
+            "(!(val<=0))",
+            "(|(val<10)(val>=90))",
         ];
         let indefinite = [
             "(name=*x*)",
@@ -2446,7 +2487,8 @@ mod tests {
             "(!(name=y))",
         ];
         crate::check::forall("eval_batch vs eval", 64, |g| {
-            let rows = g.usize_in(1, 150);
+            // Several words, the last one usually partial.
+            let rows = g.usize_in(1, 300);
             let data = BatchData::random(g, rows);
             let batch = data.batch();
             let mut sel = Selection::new();

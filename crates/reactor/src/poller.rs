@@ -15,6 +15,8 @@
 //!   its tests passing) on platforms without the shim.
 
 use std::collections::HashMap;
+
+use jamm_core::intern::BuildSymHasher;
 use std::io;
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -133,7 +135,7 @@ impl Source {
 #[derive(Debug)]
 pub struct Poller {
     backend: Backend,
-    entries: HashMap<u64, (Source, Interest)>,
+    entries: HashMap<u64, (Source, Interest), BuildSymHasher>,
     #[cfg(target_os = "linux")]
     fds: Vec<crate::sys::linux::PollFd>,
     #[cfg(target_os = "linux")]
@@ -145,7 +147,7 @@ impl Poller {
     pub fn new(backend: Backend) -> Poller {
         Poller {
             backend,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             #[cfg(target_os = "linux")]
             fds: Vec::new(),
             #[cfg(target_os = "linux")]

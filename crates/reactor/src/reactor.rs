@@ -30,6 +30,7 @@
 use crate::conn::{Conn, SocketCounters, SocketStats};
 use crate::poller::{Backend, Interest, Poller, Readiness, Source, Waker};
 use jamm_core::channel::{unbounded, Receiver, Sender};
+use jamm_core::intern::BuildSymHasher;
 use jamm_core::sync::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -106,7 +107,7 @@ struct RegEntry {
 
 #[derive(Default)]
 struct Shared {
-    registry: Mutex<HashMap<ConnId, RegEntry>>,
+    registry: Mutex<HashMap<ConnId, RegEntry, BuildSymHasher>>,
     conn_count: AtomicUsize,
     refused: AtomicU64,
     next_id: AtomicU64,
@@ -293,8 +294,8 @@ struct EventLoop {
     wake_rx: UdpSocket,
     waker: Waker,
     shared: Arc<Shared>,
-    listeners: HashMap<u64, TcpListener>,
-    conns: HashMap<u64, LoopConn>,
+    listeners: HashMap<u64, TcpListener, BuildSymHasher>,
+    conns: HashMap<u64, LoopConn, BuildSymHasher>,
     draining: Option<Instant>,
     scratch: Vec<u8>,
     scratch_ids: Vec<u64>,
@@ -321,8 +322,8 @@ impl EventLoop {
             wake_rx,
             waker,
             shared,
-            listeners: HashMap::new(),
-            conns: HashMap::new(),
+            listeners: HashMap::default(),
+            conns: HashMap::default(),
             draining: None,
             scratch: vec![0u8; 64 * 1024],
             scratch_ids: Vec::new(),

@@ -23,6 +23,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
+use jamm_core::intern::BuildSymHasher;
 use jamm_core::query::{BatchScratch, ColumnBatch, Columns, Facts, Plan, Selection};
 use jamm_ulm::{binary, vocab, Event, Name, Timestamp, Value};
 
@@ -224,6 +225,26 @@ fn bitmap_get(bits: &[u8], row: usize) -> bool {
         .is_some_and(|b| b & (1u8 << (row % 8)) != 0)
 }
 
+/// The 64 bits of rows `row..row + 64` (`row` a multiple of eight) in a
+/// `val_present` style bitmap, row `row + b` in bit `b`; bytes past the
+/// bitmap's end read as absent rows, as they do for [`bitmap_get`].
+fn bitmap_word(bits: &[u8], row: usize) -> u64 {
+    let rest = bits.get(row / 8..).unwrap_or(&[]);
+    let mut word = [0u8; 8];
+    let n = rest.len().min(8);
+    word[..n].copy_from_slice(&rest[..n]);
+    u64::from_le_bytes(word)
+}
+
+/// The low `n` bits set, for `n` in `0..=64`.
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        !0
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
 /// The string dictionary of one [`Segment::build`]: every distinct string
 /// of the batch — identifiers and string values alike — gets one slot,
 /// found through an index of `&str`s borrowed from the batch.  Nothing
@@ -296,7 +317,7 @@ impl Segment {
         let mut sparse_cols: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
         // Rows per `(host slot, type slot)`: the whole catalog, counted
         // without touching a string.
-        let mut series_rows: HashMap<(u64, u64), usize> = HashMap::new();
+        let mut series_rows: HashMap<(u64, u64), usize, BuildSymHasher> = HashMap::default();
         let mut prev_ts = 0u64;
         let mut prev_delta = 0u64;
         let mut prev_seq = 0u64;
@@ -332,10 +353,6 @@ impl Segment {
             let type_ix = dict.slot(&e.event_type);
             put_uvarint(&mut cols.type_ix, type_ix);
             *series_rows.entry((host_ix, type_ix)).or_insert(0) += 1;
-            if let Some(v) = e.value() {
-                cols.val_present[r / 8] |= 1u8 << (r % 8);
-                cols.vals.extend_from_slice(&v.to_le_bytes());
-            }
             put_uvarint(&mut cols.nfields, e.fields.len() as u64);
             let mut saw_val = false;
             for (k, v) in &e.fields {
@@ -343,6 +360,11 @@ impl Segment {
                 put_uvarint(&mut cols.keys, key_ix);
                 if !saw_val && k == jamm_ulm::keys::VALUE {
                     saw_val = true;
+                    // The row's reading, as `Event::value()` reads it.
+                    if let Some(reading) = v.as_f64() {
+                        cols.val_present[r / 8] |= 1u8 << (r % 8);
+                        cols.vals.extend_from_slice(&reading.to_le_bytes());
+                    }
                     if matches!(v, Value::Float(_)) {
                         // The typed `vals` column already holds exactly this
                         // float (it is the first `VAL` field, which is what
@@ -924,65 +946,78 @@ impl FieldPos {
         })
     }
 
+    /// The dictionary index and key slot of the key-list entry at `*pos`.
+    #[inline]
+    fn next_key<'a>(
+        key_slots: &'a mut [KeySlot],
+        keys: &[u8],
+        pos: &mut usize,
+    ) -> Result<(u64, &'a mut KeySlot)> {
+        let key_ix = get_uvarint(keys, pos)?;
+        let slot = usize::try_from(key_ix)
+            .ok()
+            .and_then(|ix| key_slots.get_mut(ix))
+            .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
+        Ok((key_ix, slot))
+    }
+
+    /// Pass segment row `r` over in the field regions (the key-list and
+    /// sparse positions are strictly sequential): position arithmetic
+    /// only, no dictionary lookup and no allocation.
+    fn skip(&mut self, seg: &Segment, r: usize) -> Result<()> {
+        let cols = &seg.cols;
+        let n_fields = get_uvarint(&cols.nfields, &mut self.nf)?;
+        // The row's first `VAL` field, if a float, lives in the typed
+        // column only.
+        let mut typed_val = bitmap_get(&cols.val_float, r);
+        for _ in 0..n_fields {
+            let (_, slot) = FieldPos::next_key(&mut self.key_slots, &cols.keys, &mut self.keys)?;
+            if slot.is_val && typed_val {
+                typed_val = false;
+                continue;
+            }
+            skip_value(&cols.sparse, slot.next_value()?)?;
+        }
+        Ok(())
+    }
+
     /// Walk segment row `r`, row `i` of `batch`, through the field regions
-    /// (the key-list and sparse positions are strictly sequential): build
-    /// its event when `keep`, else skip its values — varint skips, no
-    /// string touched.
-    fn walk(
-        &mut self,
-        seg: &Segment,
-        batch: &Batch,
-        r: usize,
-        i: usize,
-        keep: bool,
-    ) -> Result<Option<(u64, Event)>> {
+    /// like [`FieldPos::skip`], and build its event.
+    fn build(&mut self, seg: &Segment, batch: &Batch, r: usize, i: usize) -> Result<(u64, Event)> {
         let cols = &seg.cols;
         let n_fields = get_uvarint(&cols.nfields, &mut self.nf)? as usize;
         let val_is_float = bitmap_get(&cols.val_float, r);
         // Every field takes a byte of the key list, which bounds the
         // allocation a hostile count can ask for.
-        let mut fields = Vec::with_capacity(if keep {
-            n_fields.min(cols.keys.len().saturating_sub(self.keys))
-        } else {
-            0
-        });
+        let mut fields =
+            Vec::with_capacity(n_fields.min(cols.keys.len().saturating_sub(self.keys)));
         let mut saw_val = false;
         for _ in 0..n_fields {
-            let key_ix = get_uvarint(&cols.keys, &mut self.keys)?;
-            let slot = usize::try_from(key_ix)
-                .ok()
-                .and_then(|ix| self.key_slots.get_mut(ix))
-                .ok_or(TsdbError::Corrupt("dictionary index out of range"))?;
+            let (key_ix, slot) =
+                FieldPos::next_key(&mut self.key_slots, &cols.keys, &mut self.keys)?;
             if slot.is_val && !saw_val {
                 saw_val = true;
                 if val_is_float {
-                    // The row's first `VAL` field lives in the typed
-                    // column only.
-                    if keep {
-                        if batch.present[i / 64] & (1u64 << (i % 64)) == 0 {
-                            return Err(TsdbError::Corrupt("float VAL bit without typed value"));
-                        }
-                        let key = name_at(&mut self.names, seg, key_ix, vocab::resolve)?;
-                        fields.push((key, Value::Float(batch.vals[i])));
+                    if batch.present[i / 64] & (1u64 << (i % 64)) == 0 {
+                        return Err(TsdbError::Corrupt("float VAL bit without typed value"));
                     }
+                    let key = name_at(&mut self.names, seg, key_ix, vocab::resolve)?;
+                    fields.push((key, Value::Float(batch.vals[i])));
                     continue;
                 }
             }
             let at = slot.next_value()?;
-            if keep {
-                let names = &mut self.names;
-                let value = read_value(&cols.sparse, at, |ix| {
-                    name_at(names, seg, ix, vocab::resolve_value)
-                })?;
-                fields.push((name_at(names, seg, key_ix, vocab::resolve)?, value));
-            } else {
-                skip_value(&cols.sparse, at)?;
-            }
+            let names = &mut self.names;
+            let value = read_value(&cols.sparse, at, |ix| {
+                name_at(names, seg, ix, vocab::resolve_value)
+            })?;
+            fields.push((name_at(names, seg, key_ix, vocab::resolve)?, value));
         }
-        if !keep {
-            return Ok(None);
-        }
-        let level_code = cols.levels[r]; // in range: the group's levels were decoded
+        // Pass 2 decodes no level column: the raw code is read here.
+        let level_code = *cols
+            .levels
+            .get(r)
+            .ok_or(TsdbError::Corrupt("truncated level column"))?;
         let event = Event {
             timestamp: Timestamp::from_micros(batch.ts[i]),
             host: dict_at(seg, batch.hosts[i].into())?.to_owned(),
@@ -992,13 +1027,24 @@ impl FieldPos {
             event_type: dict_at(seg, batch.types[i].into())?.to_owned(),
             fields,
         };
-        Ok(Some((batch.seqs[i], event)))
+        Ok((batch.seqs[i], event))
     }
 }
 
 /// Decode dictionary indices from an index column into `out`.  The batch
 /// layer compares ids as `u32`, so one that does not fit cannot name a slot.
 fn fill_ids(out: &mut [u32], data: &[u8], pos: &mut usize) -> Result<()> {
+    // A dictionary of under 128 slots writes one-byte varints: when the
+    // next `out.len()` bytes all are, they are the ids.
+    if let Some(bytes) = data.get(*pos..*pos + out.len()) {
+        if bytes.iter().fold(0, |high, b| high | b) < 0x80 {
+            for (id, b) in out.iter_mut().zip(bytes) {
+                *id = u32::from(*b);
+            }
+            *pos += out.len();
+            return Ok(());
+        }
+    }
     let mut all_bits = 0u64;
     for id in out {
         let ix = get_uvarint(data, pos)?;
@@ -1042,7 +1088,12 @@ impl Batch {
     }
 
     /// Decode segment rows `rows` of the columns in `read` into batch rows
-    /// from `at` (a group boundary), one tight loop per region.
+    /// from `at`, one tight loop per region.  `rows.start` and `at` are
+    /// group boundaries, so the `VAL` column goes a word at a time: each
+    /// presence word is eight whole bitmap bytes (a short bitmap reads as
+    /// absent rows), the packed readings are checked once for `popcount ×
+    /// 8` bytes (`Corrupt` when short), and a full word's 64 floats are
+    /// copied straight while a partial one is scattered by its set bits.
     fn decode(
         &mut self,
         seg: &Segment,
@@ -1076,14 +1127,32 @@ impl Batch {
             fill_ids(&mut self.types[out.clone()], &cols.type_ix, &mut st.ty)?;
         }
         if read.contains(Columns::VALUES) {
-            self.present[at / 64..out.end.div_ceil(64)].fill(0);
-            for (i, r) in out.zip(rows) {
-                self.vals[i] = if bitmap_get(&cols.val_present, r) {
-                    self.present[i / 64] |= 1u64 << (i % 64);
-                    f64::from_le_bytes(get_bytes::<8>(&cols.vals, &mut st.vals)?)
+            debug_assert!(rows.start.is_multiple_of(GROUP) && at.is_multiple_of(GROUP));
+            for (start, i) in rows.clone().step_by(GROUP).zip(out.step_by(GROUP)) {
+                let n = (rows.end - start).min(GROUP);
+                let word = bitmap_word(&cols.val_present, start) & low_bits(n);
+                self.present[i / GROUP] = word;
+                let len = word.count_ones() as usize * 8;
+                let packed = cols
+                    .vals
+                    .get(st.vals..)
+                    .and_then(|rest| rest.get(..len))
+                    .ok_or(TsdbError::Corrupt("truncated bytes"))?;
+                st.vals += len;
+                let (readings, _) = packed.as_chunks::<8>();
+                let vals = &mut self.vals[i..i + n];
+                if word == !0 {
+                    for (v, reading) in vals.iter_mut().zip(readings) {
+                        *v = f64::from_le_bytes(*reading);
+                    }
                 } else {
-                    0.0
-                };
+                    vals.fill(0.0);
+                    let mut bits = word;
+                    for reading in readings {
+                        vals[bits.trailing_zeros() as usize] = f64::from_le_bytes(*reading);
+                        bits &= bits - 1;
+                    }
+                }
             }
         }
         Ok(())
@@ -1164,7 +1233,8 @@ struct GroupIndex {
 
 impl GroupIndex {
     /// Walk the whole segment once with the scan's own decoders — every
-    /// column, every field skipped — checkpointing each group's start.
+    /// positioned column, every row's fields skipped — checkpointing each
+    /// group's start.
     /// `None` when a region is too large for `u32` offsets; such a segment
     /// scans without skipping.
     fn build(seg: &Segment) -> Result<Option<GroupIndex>> {
@@ -1190,10 +1260,11 @@ impl GroupIndex {
         for start in (0..seg.len()).step_by(GROUP) {
             index.push(&fixed, &fields);
             let rows = start..(start + GROUP).min(seg.len());
-            batch.decode(seg, &mut fixed, Columns::ALL, rows.clone(), 0)?;
+            // Levels are read by row number and hold no position.
+            batch.decode(seg, &mut fixed, !Columns::LEVELS, rows.clone(), 0)?;
             batch.decode_seqs_and_programs(seg, &mut fixed, rows.clone(), 0)?;
-            for (i, r) in rows.enumerate() {
-                fields.walk(seg, &batch, r, i, false)?;
+            for r in rows {
+                fields.skip(seg, r)?;
             }
         }
         Ok(Some(index))
@@ -1265,12 +1336,14 @@ impl GroupIndex {
 /// 1,024-row batch is read in two passes:
 ///
 /// 1. decode just the columns the plan's batch evaluation reads
-///    ([`Plan::columns`]), one tight loop per region, and evaluate the
-///    plan once over them with [`Plan::eval_batch`];
+///    ([`Plan::columns`]), one tight loop per region and the `VAL` column
+///    a 64-row word at a time, and evaluate the plan once over them with
+///    [`Plan::eval_batch`], whose filters are word kernels too;
 /// 2. visit only the 64-row groups holding a selected row: decode their
-///    other fixed columns and walk their rows through the field regions,
-///    materializing a selected row only when the caller asks for the next
-///    match.
+///    other fixed columns except the levels (a built row reads its raw
+///    code) and walk their rows through the field regions, materializing
+///    a selected row only when the caller asks for the next match; a
+///    rejected row pays only its position skip (`FieldPos::skip`).
 ///
 /// Resuming after a skipped group takes the segment's row-group index,
 /// built in memory by the first scan that skips one; when every group is
@@ -1412,10 +1485,11 @@ impl ColScan {
 
     /// Pass 2 and late materialization: walk the current batch's rows in
     /// order up to and including the next selected one, and build its
-    /// `Event`; rejected rows pay varint skips.  A group with nothing
-    /// selected is passed over whole, and entering a group decodes the
-    /// other fixed columns of it and of the selected groups right after
-    /// it.  `None` when the batch is used up.
+    /// `Event`; rejected rows pay only their position skip.  A group with
+    /// nothing selected is passed over whole, and entering a group decodes
+    /// the other fixed columns (never the levels: a built row reads its raw
+    /// code) of it and of the selected groups right after it.  `None` when
+    /// the batch is used up.
     fn walk_batch(&mut self) -> Result<Option<(u64, Event)>> {
         let seg = &*self.seg;
         let Some(fields) = &mut self.fields else {
@@ -1442,18 +1516,37 @@ impl ColScan {
                         index.restore(rows.start / GROUP, &mut self.trail, fields);
                     }
                 }
+                let read = !(self.read | Columns::LEVELS);
                 self.batch
-                    .decode(seg, &mut self.trail, !self.read, rows.clone(), i)?;
+                    .decode(seg, &mut self.trail, read, rows.clone(), i)?;
                 self.batch
                     .decode_seqs_and_programs(seg, &mut self.trail, rows.clone(), i)?;
+                if seg.cols.levels.len() < rows.end {
+                    return Err(TsdbError::Corrupt("truncated level column"));
+                }
                 self.groups_decoded += (end - i).div_ceil(GROUP) as u64;
                 (self.trail_row, self.ready) = (rows.end, end);
             }
-            self.walked += 1;
-            let selected = self.sel.contains(i);
-            if let Some(hit) = fields.walk(seg, &self.batch, self.base + i, i, selected)? {
-                return Ok(Some(hit));
+            // The group's next selected row, or its end: the rows before
+            // it are skipped.
+            let group_end = ((i / GROUP + 1) * GROUP).min(self.rows);
+            let rest = self.sel.word(i / GROUP) >> (i % GROUP);
+            let hit = if rest == 0 {
+                group_end
+            } else {
+                i + rest.trailing_zeros() as usize
+            };
+            for r in self.base + i..self.base + hit {
+                fields.skip(seg, r)?;
             }
+            if hit == group_end {
+                self.walked = group_end;
+                continue;
+            }
+            self.walked = hit + 1;
+            return fields
+                .build(seg, &self.batch, self.base + hit, hit)
+                .map(Some);
         }
         Ok(None)
     }
@@ -1989,6 +2082,92 @@ mod tests {
         assert!(skipped.into_inner() > 0, "some scan passed a group over");
     }
 
+    /// `n` rows whose `VAL` takes every shape the typed column and the
+    /// word kernels must get right: absent, a float first or after another
+    /// field, a float that is NaN, infinite or a signed zero, an integer, a
+    /// numeric string and a string that is no number.  Whole-number
+    /// readings make `=` thresholds hit.
+    fn val_shapes_batch(g: &mut jamm_core::check::Gen, n: usize) -> Vec<(u64, Event)> {
+        (0..n)
+            .map(|i| {
+                let mut e = Event::builder("prog", g.choice(&["h1", "h2"]))
+                    .level(g.choice(&[Level::Usage, Level::Warning]))
+                    .event_type(g.choice(&["CPU", "MEM"]))
+                    .timestamp(Timestamp::from_micros(1_000_000 + 1_000 * i as u64));
+                let reading = match g.u64(5) {
+                    0 => g.choice(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0]),
+                    _ => g.f64_in(0.0, 100.0).round(),
+                };
+                e = match g.u64(8) {
+                    0 => e,
+                    1 => e.field("UNITS", "percent").value(reading),
+                    2 => e.field("VAL", g.u64(100)),
+                    3 => e.field("VAL", "4.5"),
+                    4 => e.field("VAL", "high"),
+                    _ => e.value(reading),
+                };
+                if g.bool(0.3) {
+                    e = e.field("NOTE", "x");
+                }
+                (i as u64 + 1, e.build())
+            })
+            .collect()
+    }
+
+    /// Rows as comparable text: a NaN reading equals itself, and the two
+    /// zeros stay apart.
+    fn as_text(rows: &[(u64, Event)]) -> Vec<String> {
+        rows.iter().map(|row| format!("{row:?}")).collect()
+    }
+
+    #[test]
+    fn word_kernels_match_the_cursor_on_ragged_segments() {
+        use jamm_core::query::Predicate;
+        let texts = [
+            "(val>50)",
+            "(val<50)",
+            "(val>=50)",
+            "(val<=50)",
+            "(val=50)",
+            "(val=0)",
+            "(val=4.5)",
+            "(val!=50)",
+            "(&(type=CPU)(val>=90))",
+            "(&(host=h1)(!(val<20)))",
+            "(&(val>50)(NOTE=x))",
+            "(|(val<5)(NOTE=x))",
+            "(&(type=CPU)(onchange))",
+            "(&(val>10)(limit=7))",
+        ];
+        let mut modes = Vec::new();
+        for n in [1, 7, 13, 67, 130, 301, 1_029, 2_087] {
+            jamm_core::check::forall("word kernels ≡ cursor", 3, |g| {
+                let batch = val_shapes_batch(g, n);
+                let seg = Arc::new(Segment::build(1, &batch));
+                assert_eq!(
+                    as_text(&cursor_all(&seg).unwrap()),
+                    as_text(&batch),
+                    "{n} rows"
+                );
+                for text in texts {
+                    let plan = Predicate::parse(text).unwrap().compile();
+                    let want = as_text(&oracle(&seg, &plan));
+                    for pass in ["first", "second"] {
+                        let got = plan_scan(&seg, &plan).0.unwrap();
+                        assert_eq!(as_text(&got), want, "{text}, {pass} scan of {n} rows");
+                    }
+                }
+            });
+        }
+        for text in texts {
+            let mode = ColMode::of(&Predicate::parse(text).unwrap().compile());
+            if !modes.contains(&mode) {
+                modes.push(mode);
+            }
+        }
+        assert_eq!(modes.len(), 3, "every mode ran: {modes:?}");
+    }
+
     #[test]
     fn two_first_scans_racing_on_one_segment_both_get_the_oracles_answer() {
         use jamm_core::query::Predicate;
@@ -2181,6 +2360,30 @@ mod tests {
         assert_eq!(got, short);
         assert_eq!((scan.groups_decoded, scan.groups_skipped), (0, 0));
         assert_eq!(plan_scan(&seg, &first).0.map(|rows| rows.len()), Ok(1));
+        // The packed readings and the level codes one byte short: pass 1
+        // checks a word's readings before it copies them, and pass 2 checks
+        // each decoded run against the level column it reads codes from.
+        for (tamper, want) in [
+            (
+                (|cols: &mut ColData| {
+                    cols.vals.pop();
+                }) as fn(&mut ColData),
+                "truncated bytes",
+            ),
+            (
+                |cols: &mut ColData| {
+                    cols.levels.pop();
+                },
+                "truncated level column",
+            ),
+        ] {
+            let seg = image(tamper);
+            let short = Err(TsdbError::Corrupt(want));
+            assert_eq!(scan_all(&seg), short);
+            assert_eq!(cursor_all(&seg), short);
+            assert_eq!(plan_scan(&seg, &selective).0, short);
+            assert_eq!(plan_scan(&seg, &first).0, short);
+        }
     }
 
     #[test]
