@@ -168,6 +168,12 @@ struct PointResult {
     deep_clones: u64,
     dropped_frames: u64,
     refused_accepts: u64,
+    /// Events per broadcast frame: what one pump pass carried.
+    events_per_frame: f64,
+    /// Frames per `writev`, over every connection.
+    frames_per_write: f64,
+    /// Times a publish woke the sleeping pump, per event.
+    wakeups_per_event: f64,
 }
 
 fn run_point(conns: usize) -> PointResult {
@@ -247,9 +253,19 @@ fn run_point(conns: usize) -> PointResult {
     let deep_clones = deep_clone_count() - clones0;
 
     let rows = edge.socket_stats();
-    let dropped_frames: u64 = rows.iter().map(|r| r.stats.dropped_frames).sum();
+    let sum = |f: fn(&jamm_reactor::SocketStats) -> u64| rows.iter().map(|r| f(&r.stats)).sum();
+    let dropped_frames: u64 = sum(|s| s.dropped_frames);
+    let frames_per_write = sum(|s| s.frames_out) as f64 / sum(|s| s.writes).max(1) as f64;
     let refused_accepts = reactor.refused();
-    let encoded = edge.stats().encoded_bytes;
+    let edge_stats = edge.stats();
+    let encoded = edge_stats.encoded_bytes;
+    let events_per_frame = edge_stats.events as f64 / edge_stats.batches.max(1) as f64;
+    let wakeups: u64 = gateway
+        .delivery_report()
+        .iter()
+        .filter(|r| r.consumer == jamm_ulm::keys::jamm::EDGE_CONSUMER)
+        .map(|r| r.wakeups)
+        .sum();
 
     edge.stop();
     let out = child.wait_with_output().expect("child exit");
@@ -284,6 +300,9 @@ fn run_point(conns: usize) -> PointResult {
         deep_clones,
         dropped_frames,
         refused_accepts,
+        events_per_frame,
+        frames_per_write,
+        wakeups_per_event: wakeups as f64 / events as f64,
     }
 }
 
@@ -328,6 +347,24 @@ fn main() {
             format!("{:>12}", r.deep_clones),
         ]);
         results.push(r);
+    }
+
+    // What one pump pass carries, from counts rather than wall time:
+    // printed, not compared, since batching follows thread scheduling.
+    println!("\nper pump pass (counts):\n");
+    data_row(&[
+        format!("{:>11}", "connections"),
+        format!("{:>16}", "events / frame"),
+        format!("{:>16}", "frames / writev"),
+        format!("{:>18}", "wake-ups / event"),
+    ]);
+    for r in &results {
+        data_row(&[
+            format!("{:>11}", r.conns),
+            format!("{:>16.1}", r.events_per_frame),
+            format!("{:>16.2}", r.frames_per_write),
+            format!("{:>18.4}", r.wakeups_per_event),
+        ]);
     }
 
     let base = &results[0];

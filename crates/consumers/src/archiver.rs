@@ -11,7 +11,7 @@ use jamm_core::flow::EventSource;
 use jamm_directory::{DirectoryError, DirectoryServer, Dn, Entry};
 use jamm_gateway::{PipelineTracer, Predicate, Subscription};
 use jamm_tsdb::Tsdb;
-use jamm_ulm::{SharedEvent, Timestamp};
+use jamm_ulm::{binary, SharedEvent, Timestamp};
 
 use crate::{GatewayRegistry, SubscribeError};
 
@@ -113,8 +113,10 @@ impl ArchiverAgent {
             Ok(n) => {
                 if let Some(tracer) = &self.tracer {
                     // Trace points only after the store succeeded: an
-                    // `ARCHIVE_APPEND` on a lifeline means durably kept.
-                    for event in &self.batch {
+                    // `ARCHIVE_APPEND` on a lifeline means durably kept,
+                    // so the events the store refused get none.
+                    let kept = self.batch.iter().filter(|e| binary::encodable(e));
+                    for event in kept {
                         tracer.stage(event, jamm_ulm::keys::jamm::ARCHIVE_APPEND, &self.consumer);
                     }
                 }
@@ -286,6 +288,25 @@ mod tests {
         assert_eq!(agent.poll(), 2);
         assert_eq!(agent.archive().len(), 2);
         assert_eq!(agent.poll(), 0, "nothing new");
+    }
+
+    /// An event the store refuses (a string no frame can carry) does not
+    /// wedge the archiver: its batch succeeds without it, and the next
+    /// poll stores new events.
+    #[test]
+    fn an_oversized_event_does_not_wedge_the_archiver() {
+        let (reg, gw, mut agent, _) = setup();
+        agent.subscribe(&reg, "gw1", vec![]).unwrap();
+        let mut big = ev("h", "BIG", 2, Level::Usage);
+        big.fields.push(("BLOB".into(), "x".repeat(70_000).into()));
+        gw.publish(&ev("h", "CPU_TOTAL", 1, Level::Usage));
+        gw.publish(&big);
+        assert_eq!(agent.poll(), 1);
+        assert_eq!(agent.pending(), 0);
+        gw.publish(&ev("h", "CPU_TOTAL", 3, Level::Usage));
+        assert_eq!(agent.poll(), 1);
+        assert_eq!(agent.archive().len(), 2);
+        assert_eq!(agent.archive().stats().oversized_events(), 1);
     }
 
     #[test]

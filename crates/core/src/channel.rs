@@ -7,6 +7,7 @@
 //! growth or a stalled producer.  Only receivers ever wait.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -29,9 +30,9 @@ struct State<T> {
 struct Chan<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
-    /// Notifies made, so tests can tell a wake-up from a skipped one.
-    #[cfg(test)]
-    notifies: std::sync::atomic::AtomicUsize,
+    /// Notifies made: the wake-ups [`Receiver::wakeups`] reports.  One
+    /// relaxed add on a notify that is made anyway.
+    notifies: AtomicU64,
 }
 
 /// Create a channel that holds at most `capacity` in-flight items; a send
@@ -60,8 +61,7 @@ fn new_channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
             recv_waiting: 0,
         }),
         not_empty: Condvar::new(),
-        #[cfg(test)]
-        notifies: Default::default(),
+        notifies: AtomicU64::new(0),
     });
     (
         Sender {
@@ -140,9 +140,7 @@ impl<T> Chan<T> {
     /// released, and only when a sleeper was counted under it (or on the
     /// last sender's drop, which must wake everyone).
     fn notify(&self, all: bool) {
-        #[cfg(test)]
-        self.notifies
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.notifies.fetch_add(1, Ordering::Relaxed);
         if all {
             self.not_empty.notify_all();
         } else {
@@ -223,6 +221,11 @@ impl<T> Sender<T> {
     /// The channel's capacity bound, if any.
     pub fn capacity(&self) -> Option<usize> {
         self.chan.lock().capacity
+    }
+
+    /// Wake-ups made on this channel so far; see [`Receiver::wakeups`].
+    pub fn wakeups(&self) -> u64 {
+        self.chan.notifies.load(Ordering::Relaxed)
     }
 }
 
@@ -356,6 +359,14 @@ impl<T> Receiver<T> {
     /// True when no item is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Wake-ups made on this channel so far: pushes that found a receiver
+    /// asleep and notified it, plus the last sender's drop.  A push that
+    /// finds no sleeper makes none, so a consumer that drains in batches
+    /// and rarely waits reads low here.
+    pub fn wakeups(&self) -> u64 {
+        self.chan.notifies.load(Ordering::Relaxed)
     }
 }
 
@@ -504,10 +515,6 @@ mod tests {
         assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Ok(9));
     }
 
-    fn notifies<T>(rx: &Receiver<T>) -> usize {
-        rx.chan.notifies.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     /// Spin until `cond` holds of the channel state.  A count read under
     /// the lock means the waiter has released it inside `wait`, so the
     /// notify the test then provokes cannot be missed.
@@ -540,7 +547,7 @@ mod tests {
         );
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         drop(rx.clone());
-        assert_eq!(notifies(&rx), 0);
+        assert_eq!(rx.wakeups(), 0);
         assert_eq!(rx.chan.lock().recv_waiting, 0, "a timed-out wait uncounts");
     }
 
@@ -565,7 +572,7 @@ mod tests {
                 tx.send(7).unwrap();
                 assert_eq!(waiter.join().unwrap(), vec![7]);
             });
-            assert_eq!(notifies(&rx), 1, "{mode}");
+            assert_eq!((rx.wakeups(), tx.wakeups()), (1, 1), "{mode}");
             assert_eq!(rx.chan.lock().recv_waiting, 0);
         }
     }

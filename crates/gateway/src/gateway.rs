@@ -297,6 +297,9 @@ pub struct DeliveryReport {
     pub dropped: u64,
     /// Approximate payload bytes delivered.
     pub bytes: u64,
+    /// Times a delivery woke the consumer asleep on this queue
+    /// ([`jamm_core::channel::Sender::wakeups`]).
+    pub wakeups: u64,
     /// Current delivery tier (always [`Tier::Fast`] without a QoS plane).
     pub tier: Tier,
 }

@@ -363,6 +363,7 @@ impl Router {
                 delivered: e.counters.delivered(),
                 dropped: e.counters.dropped(),
                 bytes: e.counters.bytes(),
+                wakeups: e.tx.wakeups(),
                 tier: e.current_tier(),
             })
             .collect()

@@ -196,6 +196,7 @@ pub(crate) fn register_collectors(
             ("jamm_tsdb_scan_groups_skipped", stats.scan_groups_skipped()),
             ("jamm_tsdb_expired_events", stats.expired_events()),
             ("jamm_tsdb_append_errors", stats.append_errors()),
+            ("jamm_tsdb_oversized_events", stats.oversized_events()),
             ("jamm_tsdb_seal_errors", stats.seal_errors()),
             (
                 "jamm_tsdb_segments_quarantined",
@@ -280,6 +281,7 @@ fn row_samples(row: &GatewayAdminStats, out: &mut Vec<Sample>) {
         };
         for (name, v) in [
             ("jamm_subscription_delivered", sub.delivered),
+            ("jamm_subscription_wakeups", sub.wakeups),
             ("jamm_subscription_dropped", sub.dropped),
             ("jamm_subscription_bytes", sub.bytes),
         ] {
@@ -320,6 +322,7 @@ fn row_samples(row: &GatewayAdminStats, out: &mut Vec<Sample>) {
         ("jamm_edge_batches", edge.batches),
         ("jamm_edge_events", edge.events),
         ("jamm_edge_encoded_bytes", edge.encoded_bytes),
+        ("jamm_edge_oversized_events", edge.oversized),
         ("jamm_edge_socket_bytes_out", sum(|r| r.stats.bytes_out)),
         ("jamm_edge_socket_dropped_frames", dropped_frames),
         ("jamm_edge_socket_stalls", sum(|r| r.stats.stalls)),

@@ -12,11 +12,26 @@
 //!   same `Arc<Vec<u8>>` on every subscriber connection.  A thousand
 //!   subscribers cost a thousand refcount bumps and `write` calls, not a
 //!   thousand encodes.
-//! * **Zero event copies.**  Events travel as
-//!   [`SharedEvent`](jamm_ulm::SharedEvent) `Arc`s from the gateway's
-//!   fan-out to the encoder; nothing in this path deep-clones an event
+//! * **Zero event copies.**  Events travel as [`SharedEvent`] `Arc`s
+//!   from the gateway's fan-out to the encoder; nothing in this path
+//!   deep-clones an event
 //!   (`jamm_ulm::deep_clone_count()` is flat across a broadcast, asserted
 //!   by the `e17_reactor_edge` bench).
+//! * **One wake-up per linger, not per publish.**  After a pass whose
+//!   batch did not fill, the pump sleeps for a fixed `LINGER` before it
+//!   takes the next batch.  It does not wait on the queue meanwhile, so a
+//!   publisher finds no sleeper and makes no wake-up; under load each pass
+//!   carries about a linger's worth of events, and the reactor, the
+//!   sockets and every subscriber pay once per pass.  An idle pump still
+//!   blocks on the queue, so the first event after a quiet spell goes out
+//!   at once, and a full batch skips the pause, so the linger never caps
+//!   throughput.  Under load it adds at most `LINGER` plus timer slack to
+//!   an event's delivery.
+//!
+//! An event no binary frame can carry (a string over 65,535 bytes, or
+//! more than 65,535 fields) is skipped and counted in
+//! [`EdgeStats::oversized`]: its frame would not decode on any
+//! subscriber.
 //!
 //! Backpressure is per connection: each subscriber socket has a 4 MiB
 //! outbox that drops its oldest frames when full, so one slow consumer
@@ -39,10 +54,16 @@ use jamm_core::{Backoff, BreakerState, BreakerStats, CircuitBreaker};
 use jamm_gateway::EventGateway;
 use jamm_reactor::{ListenerId, Reactor, SocketRow};
 use jamm_ulm::keys::jamm::{EDGE_BROADCAST, EDGE_CONSUMER, EDGE_ENCODE, SUB_DRAIN};
-use jamm_ulm::{binary, Event};
+use jamm_ulm::{binary, Event, SharedEvent};
 
 /// Most events encoded into one broadcast frame.
 const BATCH_MAX: usize = 512;
+/// How long the pump pauses after a batch that did not fill
+/// [`BATCH_MAX`], so the next pass carries what queued meanwhile.
+const LINGER: Duration = Duration::from_micros(100);
+/// Most bytes a pass reserves for its broadcast buffer up front; a buffer
+/// that outgrows it grows as any `Vec` does.
+const RESERVE_MAX: usize = 1 << 20;
 /// Decoded-event queue capacity of an [`EdgeClient`].
 const CLIENT_CAPACITY: usize = 8192;
 /// How long one [`EdgeClient`] connection attempt may take.
@@ -105,6 +126,7 @@ struct EdgeCounters {
     batches: AtomicU64,
     events: AtomicU64,
     encoded_bytes: AtomicU64,
+    oversized: AtomicU64,
 }
 
 /// Cloneable handle to an edge's broadcast counters: metric collectors
@@ -121,6 +143,7 @@ impl EdgeStatsHandle {
             batches: self.counters.batches.load(Ordering::Relaxed),
             events: self.counters.events.load(Ordering::Relaxed),
             encoded_bytes: self.counters.encoded_bytes.load(Ordering::Relaxed),
+            oversized: self.counters.oversized.load(Ordering::Relaxed),
         }
     }
 }
@@ -134,6 +157,33 @@ pub struct EdgeStats {
     pub events: u64,
     /// Bytes encoded (once per batch, regardless of subscriber count).
     pub encoded_bytes: u64,
+    /// Events skipped because no binary frame can carry them
+    /// ([`binary::encodable`]).
+    pub oversized: u64,
+}
+
+/// Encode every event of a pump pass's `batch` that a frame can carry
+/// into one new buffer; returns it and how many events were skipped.
+///
+/// `per_event` carries the bytes per event the previous pass encoded.  The
+/// buffer is reserved from it, capped at [`RESERVE_MAX`], so one outlier
+/// event sizes at most the pass after it, never every later one.
+fn encode_batch(batch: &[SharedEvent], per_event: &mut usize) -> (Vec<u8>, usize) {
+    let reserve = batch.len().saturating_mul(*per_event);
+    let mut buf = Vec::with_capacity(reserve.min(RESERVE_MAX));
+    let mut skipped = 0;
+    for ev in batch {
+        // &SharedEvent derefs to &Event: no deep clone.
+        if binary::encodable(ev) {
+            binary::encode_into(&mut buf, ev);
+        } else {
+            skipped += 1;
+        }
+    }
+    if let Some(encoded) = std::num::NonZeroUsize::new(batch.len() - skipped) {
+        *per_event = buf.len().div_ceil(encoded.get());
+    }
+    (buf, skipped)
 }
 
 /// The reactor-backed subscriber transport of one gateway.
@@ -188,11 +238,7 @@ impl EventEdge {
                 .name("jamm-edge-pump".to_string())
                 .spawn(move || {
                     let mut batch = Vec::with_capacity(BATCH_MAX);
-                    // The largest encoded event seen so far: the encode
-                    // buffer is allocated once per batch at that size
-                    // times the batch in hand, then handed to the reactor
-                    // as the one shared copy of the bytes.
-                    let mut event_bytes = 0usize;
+                    let mut per_event = 0;
                     // One lock per batch.  `recv_batch` fails only once
                     // the queue is empty and the gateway has dropped its
                     // sender (`stop` unsubscribed), so everything queued
@@ -213,36 +259,44 @@ impl EventEdge {
                                 t.stage_id(*id, SUB_DRAIN, EDGE_CONSUMER);
                             }
                         }
-                        let mut buf = Vec::with_capacity(batch.len() * event_bytes);
-                        for ev in &batch {
-                            let start = buf.len();
-                            // &SharedEvent derefs to &Event: no deep clone.
-                            binary::encode_into(&mut buf, ev);
-                            event_bytes = event_bytes.max(buf.len() - start);
+                        let (buf, skipped) = encode_batch(&batch, &mut per_event);
+                        if skipped > 0 {
+                            counters
+                                .oversized
+                                .fetch_add(skipped as u64, Ordering::Relaxed);
                         }
-                        if let Some(t) = &tracer {
-                            for id in &traced {
-                                t.stage_id(*id, EDGE_ENCODE, &gw_name);
+                        if !buf.is_empty() {
+                            if let Some(t) = &tracer {
+                                for id in &traced {
+                                    t.stage_id(*id, EDGE_ENCODE, &gw_name);
+                                }
+                            }
+                            counters.batches.fetch_add(1, Ordering::Relaxed);
+                            counters
+                                .events
+                                .fetch_add((batch.len() - skipped) as u64, Ordering::Relaxed);
+                            counters
+                                .encoded_bytes
+                                .fetch_add(buf.len() as u64, Ordering::Relaxed);
+                            // One Arc, N outboxes: encode once, write N.
+                            reactor.broadcast(listener, Arc::new(buf));
+                            if let Some(t) = &tracer {
+                                // The frame is now queued on every
+                                // subscriber outbox; socket writes happen
+                                // on the loop thread after this point.
+                                for id in &traced {
+                                    t.stage_id(*id, EDGE_BROADCAST, &gw_name);
+                                }
                             }
                         }
-                        counters.batches.fetch_add(1, Ordering::Relaxed);
-                        counters
-                            .events
-                            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        counters
-                            .encoded_bytes
-                            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-                        // One Arc, N outboxes: encode once, write N.
-                        reactor.broadcast(listener, Arc::new(buf));
-                        if let Some(t) = &tracer {
-                            // The frame is now queued on every subscriber
-                            // outbox; socket writes happen on the loop
-                            // thread after this point.
-                            for id in &traced {
-                                t.stage_id(*id, EDGE_BROADCAST, &gw_name);
-                            }
-                        }
+                        let full = batch.len() == BATCH_MAX;
                         batch.clear();
+                        // Linger: sleeping, not waiting on the queue, so
+                        // the publishes that land meanwhile wake nobody
+                        // and ride the next pass.
+                        if !full {
+                            std::thread::sleep(LINGER);
+                        }
                     }
                 })
         };
@@ -605,19 +659,25 @@ fn frame_len(buf: &[u8]) -> Result<Option<usize>, ()> {
 /// Queue one read's decoded events under one lock, evicting the oldest
 /// queued events when full: `received` counts the events queued,
 /// `dropped` the events evicted.  Leaves `batch` empty.
+///
+/// `received` is counted before the events are queued, so a reader that
+/// has taken an event already sees it counted.
 fn deliver(batch: &mut Vec<Event>, tx: &Sender<Event>, shared: &ClientShared) {
     let n = batch.len() as u64;
-    let (queued, dropped) = match tx.send_batch(batch) {
-        Ok(evicted) => (n, evicted as u64),
-        Err(_) => (0, 0),
-    };
+    if n == 0 {
+        return;
+    }
+    shared.received.fetch_add(n, Ordering::Relaxed);
+    match tx.send_batch(batch) {
+        Ok(0) => {}
+        Ok(evicted) => {
+            shared.dropped.fetch_add(evicted as u64, Ordering::Relaxed);
+        }
+        Err(_) => {
+            shared.received.fetch_sub(n, Ordering::Relaxed);
+        }
+    }
     batch.clear();
-    if queued > 0 {
-        shared.received.fetch_add(queued, Ordering::Relaxed);
-    }
-    if dropped > 0 {
-        shared.dropped.fetch_add(dropped, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -880,6 +940,112 @@ mod tests {
         assert_eq!(decoded.len(), events.len());
         assert!(decoded.iter().zip(&events).all(|(d, e)| d == &**e));
         reactor.shutdown();
+    }
+
+    /// The pump lingers after a batch that did not fill, so it is woken
+    /// at most once per `LINGER` of elapsed time, plus once per full
+    /// batch.  The publisher paces single events at a quarter of the
+    /// linger: a pump that waited on the queue straight after each
+    /// broadcast would be woken for nearly every one of them.
+    #[test]
+    fn the_pump_is_woken_at_most_once_per_linger() {
+        const EVENTS: u64 = 2_000;
+        let reactor = Arc::new(Reactor::start(ReactorConfig::default()).unwrap());
+        let gateway = Arc::new(EventGateway::new(GatewayConfig::open("edge-linger")));
+        let mut edge = EventEdge::open(
+            Arc::clone(&reactor),
+            Arc::clone(&gateway),
+            EdgeConfig::default(),
+        )
+        .unwrap();
+        let pace = LINGER / 4;
+        let start = Instant::now();
+        for i in 0..EVENTS {
+            gateway.publish_shared(sample(i));
+            let next = start + pace * (i as u32 + 1);
+            while Instant::now() < next {
+                std::thread::yield_now();
+            }
+        }
+        wait_for(
+            || edge.stats().events == EVENTS,
+            "the pump to take every event",
+        );
+        let elapsed = start.elapsed();
+        let report = gateway.delivery_report();
+        assert_eq!(report.len(), 1, "the edge is the only subscriber");
+        let wakeups = report[0].wakeups;
+        let full_batches = EVENTS / BATCH_MAX as u64;
+        let bound = (elapsed.as_micros() / LINGER.as_micros()) as u64 + full_batches + 1;
+        assert!(
+            wakeups <= bound,
+            "{wakeups} wake-ups for {EVENTS} events over {elapsed:?}: more than {bound}"
+        );
+        edge.stop();
+        reactor.shutdown();
+    }
+
+    /// An event no frame can carry is skipped and counted; the events
+    /// around it reach the subscriber and nothing fails to decode.
+    #[test]
+    fn an_oversized_event_is_skipped_and_its_neighbours_delivered() {
+        let reactor = Arc::new(Reactor::start(ReactorConfig::default()).unwrap());
+        let gateway = Arc::new(EventGateway::new(GatewayConfig::open("edge-oversized")));
+        let mut edge = EventEdge::open(
+            Arc::clone(&reactor),
+            Arc::clone(&gateway),
+            EdgeConfig::default(),
+        )
+        .unwrap();
+        let mut client = EdgeClient::connect(edge.addr(), EdgeClientConfig::default()).unwrap();
+        wait_for(|| edge.subscribers() == 1, "the client to connect");
+
+        let mut big = (*sample(1)).clone();
+        big.fields.push(("BLOB".into(), "x".repeat(70_000).into()));
+        gateway.publish_shared_batch(&[sample(0), Arc::new(big), sample(2)]);
+        let got: Vec<Event> = (0..2)
+            .map(|_| {
+                client
+                    .events()
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(got, [(*sample(0)).clone(), (*sample(2)).clone()]);
+        let stats = edge.stats();
+        assert_eq!((stats.events, stats.oversized), (2, 1));
+        assert_eq!(client.stats().decode_errors, 0);
+        client.stop();
+        edge.stop();
+        reactor.shutdown();
+    }
+
+    /// The broadcast buffer is reserved from the previous pass's bytes per
+    /// event, capped: one outlier sizes the pass after it, not every later
+    /// one, and never asks for more than `RESERVE_MAX`.
+    #[test]
+    fn one_outlier_event_does_not_size_every_later_buffer() {
+        let small: Vec<SharedEvent> = (0..100).map(sample).collect();
+        let per_event = binary::encode(&small[0]).len();
+        let mut outlier = (*sample(0)).clone();
+        outlier
+            .fields
+            .push(("BLOB".into(), "x".repeat(60_000).into()));
+        let outlier = Arc::new(outlier);
+
+        let mut per = 0;
+        let (buf, _) = encode_batch(&small, &mut per);
+        assert_eq!((buf.len(), per), (100 * per_event, per_event));
+        let (buf, skipped) = encode_batch(&small, &mut per);
+        assert_eq!((buf.capacity(), skipped), (100 * per_event, 0));
+        // A batch of the outlier alone: the next pass's estimate is its
+        // size, so the reservation hits the cap...
+        encode_batch(std::slice::from_ref(&outlier), &mut per);
+        let (buf, _) = encode_batch(&small, &mut per);
+        assert_eq!(buf.capacity(), RESERVE_MAX);
+        // ...and the pass after that is back to the small events' size.
+        let (buf, _) = encode_batch(&small, &mut per);
+        assert_eq!(buf.capacity(), 100 * per_event);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use jamm_core::flow::{EventSink, SinkError};
 use jamm_core::query::{ParseError, Plan, Predicate};
 use jamm_core::sync::RwLock;
-use jamm_ulm::{Event, SharedEvent, Timestamp};
+use jamm_ulm::{binary, Event, SharedEvent, Timestamp};
 
 use crate::memtable::MemTable;
 use crate::query::ScanIter;
@@ -76,6 +76,7 @@ pub struct TsdbStats {
     wal_bytes: AtomicU64,
     segments_quarantined: AtomicU64,
     append_errors: AtomicU64,
+    oversized_events: AtomicU64,
     seal_errors: AtomicU64,
     append_us: jamm_core::obs::Histogram,
     seal_us: jamm_core::obs::Histogram,
@@ -160,6 +161,13 @@ impl TsdbStats {
     /// Appends refused because the WAL write failed (nothing was stored).
     pub fn append_errors(&self) -> u64 {
         self.append_errors.load(Ordering::Relaxed)
+    }
+
+    /// Events refused because a binary frame cannot carry them (a string
+    /// over 65,535 bytes or more than 65,535 fields,
+    /// [`jamm_ulm::binary::encodable`]): never in the WAL, never stored.
+    pub fn oversized_events(&self) -> u64 {
+        self.oversized_events.load(Ordering::Relaxed)
     }
 
     /// Seals that failed to write their segment (the memtable is untouched).
@@ -386,7 +394,29 @@ impl Tsdb {
     /// durable, reporting failure would make a retrying caller store them
     /// twice, and the seal retries on the next append or explicit
     /// [`Tsdb::seal`].
+    ///
+    /// An event no binary frame can carry
+    /// ([`jamm_ulm::binary::encodable`]) is refused alone and counted in
+    /// [`TsdbStats::oversized_events`]: its WAL record would not decode,
+    /// and replay stops at the first such record.  The rest of its batch
+    /// is appended, and the refused event counts as handled, so a caller
+    /// that retries failed batches does not retry it.
     pub fn append_shared_batch(&self, events: &[SharedEvent]) -> Result<usize> {
+        let kept: Vec<SharedEvent>;
+        let events = if events.iter().all(|e| binary::encodable(e)) {
+            events
+        } else {
+            kept = events
+                .iter()
+                .filter(|e| binary::encodable(e))
+                .cloned()
+                .collect();
+            let refused = (events.len() - kept.len()) as u64;
+            self.stats
+                .oversized_events
+                .fetch_add(refused, Ordering::Relaxed);
+            &kept
+        };
         if events.is_empty() {
             return Ok(0);
         }
@@ -1275,6 +1305,39 @@ mod tests {
         assert_eq!(db.stats().append_errors(), 1);
         assert_eq!((db.len(), db.memtable_len()), (1, 1), "nothing stored");
         assert_eq!(db.stats().appended(), 1);
+    }
+
+    /// One event a frame cannot carry is refused alone: the rest of its
+    /// batch is stored and recovered from the WAL, and the refused event
+    /// never reaches the log, so replay does not stop at it.
+    #[test]
+    fn an_oversized_event_is_refused_alone_and_replay_recovers_the_rest() {
+        let dir = TempDir::new("store-oversized");
+        let big = Event::builder("p", "h")
+            .event_type("X")
+            .timestamp(Timestamp::from_micros(1))
+            .field("BLOB", "x".repeat(70_000))
+            .build();
+        let batch: Vec<SharedEvent> = [ev("h", "X", 0), big, ev("h", "X", 2)]
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        {
+            let db = Tsdb::open_with(dir.path(), small_opts(100)).unwrap();
+            assert_eq!(db.append_shared_batch(&batch).unwrap(), 2);
+            assert_eq!(db.append_shared_batch(&batch[1..2]).unwrap(), 0);
+            assert_eq!(db.stats().oversized_events(), 2);
+            assert_eq!((db.len(), db.stats().appended()), (2, 2));
+            db.append(ev("h", "X", 3)).unwrap();
+        }
+        let db = Tsdb::open_with(dir.path(), small_opts(100)).unwrap();
+        assert_eq!(db.stats().wal_torn_bytes(), 0);
+        assert_eq!(db.stats().wal_recovered_events(), 3);
+        let got: Vec<u64> = db
+            .scan(&all())
+            .map(|e| e.timestamp.as_micros() / 1_000_000)
+            .collect();
+        assert_eq!(got, [0, 2, 3]);
     }
 
     #[test]

@@ -42,13 +42,49 @@ pub fn encode(event: &Event) -> Vec<u8> {
     frame
 }
 
+/// Whether a frame can carry `event`: its host, program, event type and
+/// every field key and string value are at most `u16::MAX` bytes, it has
+/// at most `u16::MAX` fields, and its body fits the 32-bit length word.
+/// The frame stores those lengths in 16 and 32 bits, so [`encode_into`]
+/// of an event that fails this writes a frame that does not decode.
+/// Callers that keep or send frames (the archive's write-ahead log, the
+/// network edge) check it first and refuse the event.
+pub fn encodable(event: &Event) -> bool {
+    const MAX: usize = u16::MAX as usize;
+    // Version, timestamp, level and field count.
+    let mut body = 1 + 8 + 1 + 2;
+    for s in [&*event.host, &*event.program, &*event.event_type] {
+        if s.len() > MAX {
+            return false;
+        }
+        body += 2 + s.len();
+    }
+    if event.fields.len() > MAX {
+        return false;
+    }
+    for (k, v) in &event.fields {
+        let value = match v {
+            Value::Str(s) if s.len() > MAX => return false,
+            Value::Str(s) => 2 + s.len(),
+            Value::Bool(_) => 1,
+            Value::UInt(_) | Value::Int(_) | Value::Float(_) => 8,
+        };
+        if k.len() > MAX {
+            return false;
+        }
+        body += 2 + k.len() + 1 + value;
+    }
+    body <= u32::MAX as usize
+}
+
 /// Append an event's self-delimiting binary frame to an existing buffer.
 ///
 /// This is the allocation-free building block `encode` wraps: the frame is
 /// encoded directly into the caller's buffer (the length prefix is
 /// back-patched once the body size is known), so callers that batch many
 /// frames into one buffer — the archive's write-ahead log, the network
-/// edge's broadcast batches — pay no per-event allocation.
+/// edge's broadcast batches — pay no per-event allocation.  The event
+/// must pass [`encodable`].
 pub fn encode_into(frame: &mut Vec<u8>, event: &Event) {
     let len_pos = frame.len();
     frame.extend_from_slice(&[0u8; 4]); // length prefix, patched below
@@ -280,6 +316,42 @@ mod tests {
         let events = decode_all(&buf).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[1], sample(2));
+    }
+
+    #[test]
+    fn a_string_of_u16_max_bytes_round_trips_and_one_more_is_refused() {
+        let with_value = |len: usize| {
+            Event::builder("p", "h")
+                .event_type("BIG")
+                .timestamp(Timestamp::from_secs(1))
+                .field("BLOB", "x".repeat(len))
+                .build()
+        };
+        let fits = with_value(65_535);
+        assert!(encodable(&fits));
+        let frame = encode(&fits);
+        assert_eq!(decode(&frame).unwrap(), (fits, frame.len()));
+
+        let over = with_value(65_536);
+        assert!(!encodable(&over));
+        // What the check guards against: the length wraps, and the frame
+        // decodes to another event or not at all.
+        let back = decode(&encode(&over)).ok().map(|(e, _)| e);
+        assert_ne!(back.as_ref(), Some(&over));
+        for (host, ty, key) in [(65_536, 1, 1), (1, 65_536, 1), (1, 1, 65_536)] {
+            let ev = Event::builder("p", "h".repeat(host))
+                .event_type("T".repeat(ty))
+                .field("K".repeat(key), 1u64)
+                .build();
+            assert!(!encodable(&ev), "{host} {ty} {key}");
+        }
+        let mut many = with_value(0);
+        many.fields = (0..65_536u64)
+            .map(|i| (crate::Name::from(String::from("F")), Value::UInt(i)))
+            .collect();
+        assert!(!encodable(&many));
+        many.fields.pop();
+        assert!(encodable(&many));
     }
 
     #[test]
